@@ -10,6 +10,10 @@ tier1() {
     echo "=== tier-1: release build + default test suite ==="
     cargo build --release
     cargo test -q
+    echo "=== tier-1: benchmark package tests ==="
+    # perfbench is its own workspace over crates/*: an API change that
+    # breaks the benchmark must fail CI here, not in the benchmark run.
+    cargo test --offline --manifest-path perfbench/Cargo.toml
     echo "=== tier-1: server e2e (hard timeout) ==="
     # Re-run the socket suite under a hard wall-clock cap: a wedged
     # accept/drain path must fail CI, not hang it.

@@ -222,7 +222,7 @@ impl ReverseSkylineAlgo for TrsBf {
             let io_p1 = ctx.disk.io_stats();
             let r_file = {
                 let tree_budget = ctx.budget.phase1_tree_bytes();
-                let mut writer = RecordWriter::new(RecordFile::create(ctx.disk, m)?);
+                let mut writer = RecordWriter::create(ctx.disk, m)?;
                 let mut page = 0;
                 let mut pbuf = RowBuf::new(m);
                 let mut flat = vec![0u32; m + 1];

@@ -92,7 +92,7 @@ pub(crate) fn two_phase(
     let io_p1 = ctx.disk.io_stats();
     let r_file = {
         let cap1 = ctx.budget.phase1_records(rec_bytes);
-        let mut writer = RecordWriter::new(RecordFile::create(ctx.disk, m)?);
+        let mut writer = RecordWriter::create(ctx.disk, m)?;
         let mut page = 0;
         let mut batch = RowBuf::new(m);
         let mut dqx = Vec::with_capacity(subset.len());

@@ -319,7 +319,7 @@ fn par_two_phase(
         });
     let survivors = gather_batches(nb, worker_out, stats)?;
     let r_file = {
-        let mut writer = RecordWriter::new(RecordFile::create(ctx.disk, m)?);
+        let mut writer = RecordWriter::create(ctx.disk, m)?;
         for surv in &survivors {
             writer.push_all(ctx.disk, surv)?;
         }
@@ -572,7 +572,7 @@ fn par_trs(
     stats.io.add(loader.into_inner().expect("tree loader poisoned").scanner.io_stats());
     let survivors = gather_batches(nb, worker_out, stats)?;
     let r_file = {
-        let mut writer = RecordWriter::new(RecordFile::create(ctx.disk, m)?);
+        let mut writer = RecordWriter::create(ctx.disk, m)?;
         for surv in &survivors {
             writer.push_all(ctx.disk, surv)?;
         }

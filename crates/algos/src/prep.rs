@@ -18,9 +18,8 @@ use rsky_core::error::Result;
 use rsky_core::schema::Schema;
 use rsky_core::stats::IoCounts;
 use rsky_core::dataset::Dataset;
-use rsky_order::extsort::{external_sort_by_key, external_sort_lex};
-use rsky_order::tiling::{tiled_sort_key, TileConfig};
-use rsky_order::{ascending_cardinality_order, SortOutcome};
+use rsky_order::tiling::TileConfig;
+use rsky_order::{ascending_cardinality_order, external_sort, SortOrder, SortOutcome};
 use rsky_storage::{Disk, MemoryBudget, RecordFile};
 
 /// Physical arrangement of the table on disk.
@@ -75,18 +74,18 @@ pub fn prepare_table(
     let attr_order = ascending_cardinality_order(schema);
     let io_before = disk.io_stats();
     let t0 = Instant::now();
-    let (file, outcome) = match &layout {
-        Layout::Original => (table.clone(), None),
-        Layout::MultiSort => {
-            let SortOutcome { file, runs, merge_passes } =
-                external_sort_lex(disk, table, budget, &attr_order)?;
-            (file, Some((runs, merge_passes)))
-        }
+    let sort_order = match &layout {
+        Layout::Original => None,
+        Layout::MultiSort => Some(SortOrder::lex(schema, &attr_order)),
         Layout::Tiled { tiles_per_attr } => {
-            let config = TileConfig::uniform(schema, *tiles_per_attr)?;
-            let order = attr_order.clone();
+            Some(SortOrder::tiled(TileConfig::uniform(schema, *tiles_per_attr)?, &attr_order))
+        }
+    };
+    let (file, outcome) = match sort_order {
+        None => (table.clone(), None),
+        Some(order) => {
             let SortOutcome { file, runs, merge_passes } =
-                external_sort_by_key(disk, table, budget, |row| tiled_sort_key(&config, &order, row))?;
+                external_sort(disk, table, budget, &order)?;
             (file, Some((runs, merge_passes)))
         }
     };

@@ -104,9 +104,10 @@ pub fn dynamic_skyline_bnl(
                     window.push(p_id, p);
                     inserted_at.push(pos);
                 } else {
-                    let w = overflow.get_or_insert(RecordWriter::new(RecordFile::create(
-                        ctx.disk, m,
-                    )?));
+                    let w = match overflow.as_mut() {
+                        Some(w) => w,
+                        None => overflow.insert(RecordWriter::create(ctx.disk, m)?),
+                    };
                     w.push(ctx.disk, page_buf.flat_row(r))?;
                     first_overflow_pos = first_overflow_pos.min(pos);
                 }
@@ -119,37 +120,20 @@ pub fn dynamic_skyline_bnl(
                 result.extend((0..window.len()).map(|i| window.id(i)));
                 break;
             }
-            Some(w) => {
+            Some(mut next) => {
                 // Confirmed: window members inserted before the first
                 // overflow (they were compared against every later object,
-                // and everything earlier is dead or in the window).
-                let mut next = w.finish(ctx.disk)?;
-                let mut carried = RecordWriter::new(RecordFile::create(ctx.disk, m)?);
+                // and everything earlier is dead or in the window). The rest
+                // are carried into the next pass: appended to the still-open
+                // overflow file, so one file holds the whole next input.
                 for (i, &ins) in inserted_at.iter().enumerate() {
                     if ins < first_overflow_pos {
                         result.push(window.id(i));
                     } else {
-                        carried.push(ctx.disk, window.flat_row(i))?;
+                        next.push(ctx.disk, window.flat_row(i))?;
                     }
                 }
-                // Next pass processes carried survivors + overflow.
-                let carried = carried.finish(ctx.disk)?;
-                if carried.is_empty() {
-                    input = next;
-                } else {
-                    // Concatenate: append overflow rows after the carried ones.
-                    let mut merged = RecordWriter::new(carried);
-                    let mut buf = RowBuf::new(m);
-                    for page in 0..next.num_pages(ctx.disk) {
-                        buf.clear();
-                        next.read_page_rows(ctx.disk, page, &mut buf)?;
-                        for r in 0..buf.len() {
-                            merged.push(ctx.disk, buf.flat_row(r))?;
-                        }
-                    }
-                    next = merged.finish(ctx.disk)?;
-                    input = next;
-                }
+                input = next.finish(ctx.disk)?;
             }
         }
     }
@@ -188,23 +172,33 @@ mod tests {
     use super::*;
     use crate::prep::load_dataset;
     use rsky_core::skyline::dynamic_skyline;
+    use rsky_core::dataset::Dataset;
     use rsky_storage::{Disk, MemoryBudget};
 
-    fn check_against_oracle(n: usize, seed: u64, mem_bytes: u64, page: usize) {
+    /// A normal dataset with one random query and its oracle skyline.
+    fn instance(m: usize, values: u32, n: usize, seed: u64) -> (Dataset, Query, Vec<RecordId>) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let ds = rsky_data::synthetic::normal_dataset(3, 6, n, &mut rng).unwrap();
+        let ds = rsky_data::synthetic::normal_dataset(m, values, n, &mut rng).unwrap();
         let q = rsky_data::random_queries(&ds.schema, 1, &mut rng).unwrap().remove(0);
         let mut expect = dynamic_skyline(&ds.dissim, &q.subset, &ds.rows, &q.values);
         expect.sort_unstable();
+        (ds, q, expect)
+    }
 
+    /// The paged BNL over `ds` at one memory budget and page size.
+    fn bnl(ds: &Dataset, q: &Query, mem_bytes: u64, page: usize) -> SkylineRun {
         let mut disk = Disk::new_mem(page);
-        let table = load_dataset(&mut disk, &ds).unwrap();
+        let table = load_dataset(&mut disk, ds).unwrap();
         let budget = MemoryBudget::from_bytes(mem_bytes, page).unwrap();
         let mut ctx =
             EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
-        let run = dynamic_skyline_bnl(&mut ctx, &table, &q).unwrap();
-        assert_eq!(run.ids, expect, "n={n} seed={seed} mem={mem_bytes}");
+        dynamic_skyline_bnl(&mut ctx, &table, q).unwrap()
+    }
+
+    fn check_against_oracle(n: usize, seed: u64, mem_bytes: u64, page: usize) {
+        let (ds, q, expect) = instance(3, 6, n, seed);
+        assert_eq!(bnl(&ds, &q, mem_bytes, page).ids, expect, "n={n} seed={seed} mem={mem_bytes}");
     }
 
     #[test]
@@ -218,6 +212,26 @@ mod tests {
         for seed in [2, 3, 4] {
             check_against_oracle(150, seed, 256, 128);
         }
+    }
+
+    #[test]
+    fn multi_pass_sweep_matches_oracle() {
+        // Windows of 3–22 records over pages of 3–6 records: most configs
+        // overflow, and the carried survivors rarely fill a whole page.
+        let mut multi_pass = 0;
+        for n in (150..=400).step_by(50) {
+            for seed in 0..4 {
+                let (ds, q, expect) = instance(4, 12, n, 100 + seed);
+                for mem in (200..=512).step_by(34) {
+                    for page in (64..=128).step_by(16) {
+                        let run = bnl(&ds, &q, mem, page);
+                        assert_eq!(run.ids, expect, "n={n} seed={seed} mem={mem} page={page}");
+                        multi_pass += usize::from(run.stats.phase1_batches > 1);
+                    }
+                }
+            }
+        }
+        assert!(multi_pass >= 700, "only {multi_pass} of 1200 configs took several passes");
     }
 
     #[test]
@@ -252,7 +266,6 @@ mod tests {
     #[test]
     fn duplicates_all_survive_when_not_dominated() {
         // Two identical objects never dominate each other (no strict edge).
-        use rsky_core::dataset::Dataset;
         let (paper, q) = rsky_data::paper_example();
         let mut rows = RowBuf::new(3);
         rows.push(1, &[2, 0, 2]);

@@ -56,9 +56,8 @@ mod tests {
         let budget = MemoryBudget::from_bytes(48, 16).unwrap();
         // The paper's walkthrough sorts on the schema order [OS, CPU, DB],
         // yielding {O1, O4, O6, O2, O5, O3}.
-        let sorted = rsky_order::extsort::external_sort_lex(&mut disk, &raw, &budget, &[0, 1, 2])
-            .unwrap()
-            .file;
+        let lex = rsky_order::SortOrder::lex(&ds.schema, &[0, 1, 2]);
+        let sorted = rsky_order::external_sort(&mut disk, &raw, &budget, &lex).unwrap().file;
         let order: Vec<u32> = sorted
             .read_all(&mut disk)
             .unwrap()

@@ -11,8 +11,6 @@ use rand::SeedableRng;
 use rsky_algos::prep::{load_dataset, prepare_table, Layout};
 use rsky_bench::table::{ms, Table};
 use rsky_bench::BenchConfig;
-use rsky_order::extsort::{external_sort_by_key_with, RunStrategy};
-use rsky_core::record::row;
 use rsky_storage::{Disk, MemoryBudget};
 
 fn main() {
@@ -50,35 +48,6 @@ fn main() {
         }
     }
     t.print();
-
-    // Run-generation strategy ablation on the synthetic dataset.
-    let ds = &datasets[2];
-    let mut t2 = Table::new(
-        "Run-generation strategy (synthetic, 10% memory)",
-        &["strategy", "time (ms)", "runs", "merge passes"],
-    );
-    for (name, strategy) in [
-        ("load-sort-write", RunStrategy::LoadSortWrite),
-        ("replacement selection", RunStrategy::ReplacementSelection),
-    ] {
-        let mut disk = Disk::new_mem(cfg.page_size);
-        let raw = load_dataset(&mut disk, ds).unwrap();
-        let budget = MemoryBudget::from_percent(ds.data_bytes(), 10.0, cfg.page_size).unwrap();
-        let t0 = std::time::Instant::now();
-        let key = |r: &[u32]| -> Vec<u32> {
-            let mut k = row::values(r).to_vec();
-            k.push(row::id(r));
-            k
-        };
-        let o = external_sort_by_key_with(&mut disk, &raw, &budget, key, strategy).unwrap();
-        t2.row(vec![
-            name.into(),
-            ms(t0.elapsed()),
-            o.runs.to_string(),
-            o.merge_passes.to_string(),
-        ]);
-    }
-    t2.print();
 
     println!("\n(The paper reports 2.1–4.2 s at full scale with 32 KiB pages; the takeaway");
     println!("to reproduce is that sorting costs a few database scans — negligible next to");

@@ -17,7 +17,7 @@ use rsky_algos::{Brs, EngineCtx, ReverseSkylineAlgo, Srs, Trs};
 use rsky_bench::table::Table;
 use rsky_core::dominate::prunes;
 use rsky_core::query::AttrSubset;
-use rsky_order::extsort::external_sort_lex;
+use rsky_order::{external_sort, SortOrder};
 use rsky_storage::{Disk, MemoryBudget};
 
 fn main() {
@@ -75,7 +75,8 @@ fn main() {
         let raw = load_dataset(&mut disk, &ds).unwrap();
         let budget = MemoryBudget::from_bytes(48, 16).unwrap();
         // Paper sort order [OS, CPU, DB] → {O1, O4, O6, O2, O5, O3}.
-        let sorted = external_sort_lex(&mut disk, &raw, &budget, &[0, 1, 2]).unwrap().file;
+        let lex = SortOrder::lex(&ds.schema, &[0, 1, 2]);
+        let sorted = external_sort(&mut disk, &raw, &budget, &lex).unwrap().file;
         let mut ctx =
             EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
         let run = Srs.run(&mut ctx, &sorted, &q).unwrap();
@@ -101,7 +102,8 @@ fn main() {
         // toy scale, where node overhead dwarfs the 16-byte records).
         let budget =
             MemoryBudget::from_bytes(if trs { 600 } else { 48 }, 16).unwrap();
-        let sorted = external_sort_lex(&mut disk, &raw, &budget, &[0, 1, 2]).unwrap().file;
+        let lex = SortOrder::lex(&ds.schema, &[0, 1, 2]);
+        let sorted = external_sort(&mut disk, &raw, &budget, &lex).unwrap().file;
         let mut ctx =
             EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
         let run = if trs {

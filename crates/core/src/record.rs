@@ -120,6 +120,16 @@ impl RowBuf {
         self.data.extend_from_slice(flat);
     }
 
+    /// Appends whole rows given as one flat word stream (`[id, v_0, …]`
+    /// repeated), in a single bulk copy.
+    ///
+    /// # Panics
+    /// Panics if the stream does not hold a whole number of rows.
+    pub fn extend_flat(&mut self, words: impl ExactSizeIterator<Item = u32>) {
+        assert!(words.len().is_multiple_of(self.row_width()), "flat row width mismatch");
+        self.data.extend(words);
+    }
+
     /// Flat row `i` (`[id, v_0, …, v_{m-1}]`).
     #[inline]
     pub fn flat_row(&self, i: usize) -> &[u32] {
@@ -255,6 +265,21 @@ mod tests {
         assert_eq!(b.id(0), 2);
         assert_eq!(b.values(0), &[2, 1, 2]);
         assert_eq!(b.len(), 3);
+    }
+
+    #[test]
+    fn extend_flat_appends_whole_rows() {
+        let mut b = sample();
+        b.extend_flat([3, 0, 1, 1, 4, 2, 0, 0].into_iter());
+        assert_eq!(b.len(), 5);
+        assert_eq!(b.flat_row(4), &[4, 2, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn extend_flat_rejects_partial_rows() {
+        let mut b = sample();
+        b.extend_flat([3, 0, 1].into_iter());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   different values of an attribute is immaterial while sorting");
 //! * [`extsort`] — external merge sort over [`rsky_storage::RecordFile`]s
 //!   within a memory budget (run generation + k-way merge, multi-pass when
-//!   the fan-in exceeds the budget). This is the pre-processing step whose
-//!   cost Section 5.5 measures;
+//!   the fan-in exceeds the budget), ordering rows by one [`SortOrder`] for
+//!   both the multi-attribute and the tiled layout. This is the
+//!   pre-processing step whose cost Section 5.5 measures;
 //! * [`tiling`] — multidimensional tiling with Z-order (Morton) tile
 //!   ordering, the alternative clustering of Section 5.6 that is fair to all
 //!   dimensions when queries select arbitrary attribute subsets.
@@ -26,6 +27,6 @@ pub mod multisort;
 pub mod tiling;
 
 pub use attr_order::ascending_cardinality_order;
-pub use extsort::{external_sort_by_key, external_sort_by_key_with, external_sort_lex, RunStrategy, SortOutcome};
+pub use extsort::{external_sort, SortOrder, SortOutcome};
 pub use multisort::{lex_cmp, sort_rows_lex};
 pub use tiling::{z_order_key, TileConfig};

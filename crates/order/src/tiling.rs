@@ -66,8 +66,21 @@ impl TileConfig {
     }
 
     /// Z-order key of a record's tile, then used as the major sort key.
+    /// Equal to `z_order_key(&self.coords(values))`, without the allocation.
     pub fn z_key(&self, values: &[ValueId]) -> u128 {
-        z_order_key(&self.coords(values))
+        interleave(values.len(), values.iter().enumerate().map(|(i, &v)| self.tile_of(i, v)))
+    }
+
+    /// Bits a [`TileConfig::z_key`] can occupy: every coordinate fits in the
+    /// bit length of the largest tile count less one, times the dimensions.
+    pub(crate) fn z_bits(&self) -> u32 {
+        let coord_bits = self.tiles.iter().map(|&t| u32::BITS - (t - 1).leading_zeros()).max();
+        coord_bits.unwrap_or(0) * self.tiles.len() as u32
+    }
+
+    /// Cardinality of each attribute.
+    pub(crate) fn cardinalities(&self) -> &[u32] {
+        &self.cards
     }
 
     /// Number of tiles along each attribute.
@@ -92,14 +105,20 @@ impl TileConfig {
 /// assert_eq!(z_order_key(&[1, 1]), 3);
 /// ```
 pub fn z_order_key(coords: &[u32]) -> u128 {
-    assert!(coords.len() <= 8, "z-order supports up to 8 dimensions");
+    interleave(coords.len(), coords.iter().copied())
+}
+
+/// [`z_order_key`] over `ndims` coordinates given one by one; visits only
+/// each coordinate's set bits.
+fn interleave(ndims: usize, coords: impl Iterator<Item = u32>) -> u128 {
+    assert!(ndims <= 8, "z-order supports up to 8 dimensions");
     let mut key: u128 = 0;
-    for (d, &c) in coords.iter().enumerate() {
+    for (d, c) in coords.enumerate() {
         assert!(c < (1 << 16), "tile coordinate {c} exceeds 16 bits");
-        for b in 0..16 {
-            if c & (1 << b) != 0 {
-                key |= 1u128 << (b as usize * coords.len() + d);
-            }
+        let mut rest = c;
+        while rest != 0 {
+            key |= 1u128 << (rest.trailing_zeros() as usize * ndims + d);
+            rest &= rest - 1;
         }
     }
     key
@@ -114,14 +133,6 @@ pub fn sort_rows_tiled(rows: &mut RowBuf, config: &TileConfig, order: &[usize]) 
             .cmp(&config.z_key(row::values(b)))
             .then_with(|| crate::multisort::lex_cmp(a, b, order))
     });
-}
-
-/// The `(z, lex, id)` key of one flat row, for external sorting.
-pub fn tiled_sort_key(config: &TileConfig, order: &[usize], flat_row: &[u32]) -> (u128, Vec<u32>) {
-    let vals = row::values(flat_row);
-    let mut lex: Vec<u32> = order.iter().map(|&i| vals[i]).collect();
-    lex.push(row::id(flat_row));
-    (config.z_key(vals), lex)
 }
 
 #[cfg(test)]
@@ -203,25 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn tiled_sort_key_matches_in_memory_order() {
-        let s = Schema::with_cardinalities(&[8, 8]).unwrap();
-        let c = TileConfig::uniform(&s, 2).unwrap();
-        let mut rows = RowBuf::new(2);
-        rows.push(0, &[7, 7]);
-        rows.push(1, &[0, 0]);
-        rows.push(2, &[4, 1]);
-        let mut expect = rows.clone();
-        sort_rows_tiled(&mut expect, &c, &[0, 1]);
-        let mut keyed: Vec<(u128, Vec<u32>, u32)> = rows
-            .iter()
-            .map(|r| {
-                let (z, lex) = tiled_sort_key(&c, &[0, 1], r);
-                (z, lex, row::id(r))
-            })
-            .collect();
-        keyed.sort();
-        let ids: Vec<u32> = keyed.into_iter().map(|(_, _, id)| id).collect();
-        let expect_ids: Vec<u32> = expect.iter().map(row::id).collect();
-        assert_eq!(ids, expect_ids);
+    fn z_key_matches_z_order_of_coords() {
+        let s = Schema::with_cardinalities(&[50, 7, 2, 700]).unwrap();
+        let c = TileConfig::new(&s, &[4, 7, 2, 300]).unwrap();
+        for vals in [[0, 0, 0, 0], [49, 6, 1, 699], [13, 3, 0, 350], [25, 5, 1, 1]] {
+            let z = c.z_key(&vals);
+            assert_eq!(z, z_order_key(&c.coords(&vals)));
+            assert!(z >> c.z_bits() == 0, "z-key {z} exceeds {} bits", c.z_bits());
+        }
     }
 }

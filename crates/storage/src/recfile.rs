@@ -12,20 +12,12 @@ use rsky_core::record::{row, RowBuf};
 use crate::disk::{Disk, FileId};
 
 /// Decodes `count` fixed-width records from a raw page image into `out`
-/// (appended). Shared by [`RecordFile::read_page_rows`] and the concurrent
-/// scanners in [`crate::shared`] so both decode identically.
+/// (appended), as one bulk word copy. Shared by [`RecordFile::read_page_rows`]
+/// and the concurrent scanners in [`crate::shared`] so both decode
+/// identically.
 pub(crate) fn decode_page_rows(buf: &[u8], m: usize, count: usize, out: &mut RowBuf) {
-    let w = row::width(m);
-    let mut rec = Vec::with_capacity(w);
-    for r in 0..count {
-        rec.clear();
-        let base = r * w * 4;
-        for k in 0..w {
-            let off = base + k * 4;
-            rec.push(u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]));
-        }
-        out.push_flat(&rec);
-    }
+    let bytes = &buf[..count * row::width(m) * 4];
+    out.extend_flat(bytes.chunks_exact(4).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]])));
 }
 
 /// Handle to a file of fixed-width records.
@@ -117,9 +109,7 @@ impl RecordFile {
             )));
         }
         let count = (self.n - start).min(rpp) as usize;
-        let mut buf = vec![0u8; disk.page_size()];
-        disk.read_page(self.file, page, &mut buf)?;
-        decode_page_rows(&buf, self.m, count, out);
+        decode_page_rows(disk.read_page_ref(self.file, page)?, self.m, count, out);
         Ok(count)
     }
 
@@ -161,10 +151,8 @@ impl RecordFile {
     /// Writes all of `rows`, replacing current contents.
     pub fn write_all(&mut self, disk: &mut Disk, rows: &RowBuf) -> Result<()> {
         self.truncate(disk)?;
-        let mut w = RecordWriter::new(self.clone());
-        for r in rows.iter() {
-            w.push(disk, r)?;
-        }
+        let mut w = RecordWriter::new(disk, self.clone());
+        w.push_all(disk, rows)?;
         *self = w.finish(disk)?;
         Ok(())
     }
@@ -178,7 +166,11 @@ impl RecordFile {
 #[derive(Debug)]
 pub struct RecordWriter {
     rf: RecordFile,
+    /// Page image being filled. Bytes past the last record slot are never
+    /// written, so they stay zero; a partial page's unused slots are zeroed
+    /// when it is flushed.
     page_buf: Vec<u8>,
+    records_per_page: usize,
     in_page: usize,
 }
 
@@ -188,8 +180,21 @@ impl RecordWriter {
     /// # Panics
     /// Panics if `rf` ends in a partial page (append-after-partial is not a
     /// pattern the engines need; rewrite the file instead).
-    pub fn new(rf: RecordFile) -> Self {
-        Self { rf, page_buf: Vec::new(), in_page: 0 }
+    pub fn new(disk: &Disk, rf: RecordFile) -> Self {
+        let records_per_page = rf.records_per_page(disk);
+        assert!(
+            rf.n.is_multiple_of(records_per_page as u64),
+            "cannot append to a record file that ends in a partial page ({} records, {records_per_page} per page)",
+            rf.n
+        );
+        Self { rf, page_buf: vec![0u8; disk.page_size()], records_per_page, in_page: 0 }
+    }
+
+    /// Creates an empty record file for rows of `m` attributes and starts
+    /// writing it.
+    pub fn create(disk: &mut Disk, m: usize) -> Result<Self> {
+        let rf = RecordFile::create(disk, m)?;
+        Ok(Self::new(disk, rf))
     }
 
     /// Target record file (observes the record count *excluding* unflushed
@@ -199,18 +204,18 @@ impl RecordWriter {
     }
 
     /// Appends one flat row.
+    ///
+    /// # Panics
+    /// Panics if `flat_row` is not one row of the file's width.
     pub fn push(&mut self, disk: &mut Disk, flat_row: &[u32]) -> Result<()> {
-        debug_assert_eq!(flat_row.len(), row::width(self.rf.m));
-        if self.page_buf.is_empty() {
-            self.page_buf = vec![0u8; disk.page_size()];
-        }
-        let rpp = self.rf.records_per_page(disk);
-        let base = self.in_page * self.rf.record_bytes();
-        for (k, &v) in flat_row.iter().enumerate() {
-            self.page_buf[base + k * 4..base + k * 4 + 4].copy_from_slice(&v.to_le_bytes());
+        let rec = self.rf.record_bytes();
+        assert_eq!(flat_row.len() * 4, rec, "flat row width mismatch");
+        let base = self.in_page * rec;
+        for (dst, v) in self.page_buf[base..base + rec].chunks_exact_mut(4).zip(flat_row) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
         self.in_page += 1;
-        if self.in_page == rpp {
+        if self.in_page == self.records_per_page {
             self.flush_page(disk)?;
         }
         Ok(())
@@ -228,9 +233,12 @@ impl RecordWriter {
         if self.in_page == 0 {
             return Ok(());
         }
+        // A partial page still holds the previous page's records past its
+        // last one: zero them, as the format requires.
+        let rec = self.rf.record_bytes();
+        self.page_buf[self.in_page * rec..self.records_per_page * rec].fill(0);
         disk.append_page(self.rf.file, &self.page_buf)?;
         self.rf.n += self.in_page as u64;
-        self.page_buf.iter_mut().for_each(|b| *b = 0);
         self.in_page = 0;
         Ok(())
     }
@@ -325,11 +333,56 @@ mod tests {
     fn writer_counts_only_flushed_records() {
         let mut disk = Disk::new_mem(64);
         let rf = RecordFile::create(&mut disk, 3).unwrap();
-        let mut w = RecordWriter::new(rf);
+        let mut w = RecordWriter::new(&disk, rf);
         w.push(&mut disk, &[0, 1, 2, 3]).unwrap();
         assert_eq!(w.record_file().len(), 0); // buffered, not flushed
         let rf = w.finish(&mut disk).unwrap();
         assert_eq!(rf.len(), 1);
+    }
+
+    #[test]
+    fn partial_last_page_trailing_bytes_stay_zero() {
+        // page 70 bytes, m=3 → 4 records/page plus 6 slack bytes. Page 0
+        // fills every record slot; page 1 holds 2 records and must not keep
+        // page 0's records 2–3 behind them.
+        let mut disk = Disk::new_mem(70);
+        let mut rf = RecordFile::create(&mut disk, 3).unwrap();
+        let data = rows(3, 6);
+        rf.write_all(&mut disk, &data).unwrap();
+        let mut page = vec![0u8; 70];
+        disk.read_page(rf.file_id(), 0, &mut page).unwrap();
+        assert!(page[64..].iter().all(|&b| b == 0), "slack after full page not zero");
+        disk.read_page(rf.file_id(), 1, &mut page).unwrap();
+        assert!(page[32..].iter().all(|&b| b == 0), "bytes after the last record not zero");
+        assert_eq!(u32::from_le_bytes(page[16..20].try_into().unwrap()), 5);
+        assert_eq!(rf.read_all(&mut disk).unwrap(), data);
+    }
+
+    #[test]
+    #[should_panic(expected = "partial page")]
+    fn writer_refuses_to_append_after_a_partial_page() {
+        let mut disk = Disk::new_mem(64);
+        let mut rf = RecordFile::create(&mut disk, 3).unwrap();
+        rf.write_all(&mut disk, &rows(3, 5)).unwrap(); // 4 + 1 records
+        let _ = RecordWriter::new(&disk, rf);
+    }
+
+    #[test]
+    fn writer_appends_after_whole_pages() {
+        let mut disk = Disk::new_mem(64);
+        let mut rf = RecordFile::create(&mut disk, 3).unwrap();
+        let data = rows(3, 6);
+        let mut head = RowBuf::new(3);
+        for r in data.iter().take(4) {
+            head.push_flat(r);
+        }
+        rf.write_all(&mut disk, &head).unwrap();
+        let mut w = RecordWriter::new(&disk, rf);
+        for r in data.iter().skip(4) {
+            w.push(&mut disk, r).unwrap();
+        }
+        let rf = w.finish(&mut disk).unwrap();
+        assert_eq!(rf.read_all(&mut disk).unwrap(), data);
     }
 
     #[test]

@@ -40,8 +40,8 @@ fn section42_srs_walkthrough() {
     let mut disk = Disk::new_mem(16);
     let raw = load_dataset(&mut disk, &ds).unwrap();
     let budget = MemoryBudget::from_bytes(48, 16).unwrap();
-    let sorted =
-        rsky::order::extsort::external_sort_lex(&mut disk, &raw, &budget, &[0, 1, 2]).unwrap();
+    let lex = rsky::order::SortOrder::lex(&ds.schema, &[0, 1, 2]);
+    let sorted = rsky::order::external_sort(&mut disk, &raw, &budget, &lex).unwrap();
     let order: Vec<u32> = sorted
         .file
         .read_all(&mut disk)
@@ -95,8 +95,8 @@ fn section43_trs_walkthrough() {
     let mut disk = Disk::new_mem(16);
     let raw = load_dataset(&mut disk, &ds).unwrap();
     let io_budget = MemoryBudget::from_bytes(48, 16).unwrap();
-    let sorted =
-        rsky::order::extsort::external_sort_lex(&mut disk, &raw, &io_budget, &[0, 1, 2]).unwrap();
+    let lex = rsky::order::SortOrder::lex(&ds.schema, &[0, 1, 2]);
+    let sorted = rsky::order::external_sort(&mut disk, &raw, &io_budget, &lex).unwrap();
     // A tree budget that fits exactly three of these objects per batch
     // (16-byte modeled nodes; see rsky-altree docs).
     let budget = MemoryBudget::from_bytes(100, 16).unwrap();

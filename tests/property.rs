@@ -66,6 +66,27 @@ fn instance() -> impl Strategy<Value = (Dataset, Query)> {
     })
 }
 
+/// `rows` plus `dups` extra rows that reuse ids of the first rows, half of
+/// them with the same values (full duplicates), half with another row's.
+fn with_duplicates(rows: &RowBuf, dups: usize) -> RowBuf {
+    let mut out = rows.clone();
+    for k in 0..dups.min(rows.len()) {
+        let values = if k % 2 == 0 { rows.values(k) } else { rows.values((k + 1) % rows.len()) };
+        out.push(rows.id(k), values);
+    }
+    out
+}
+
+/// Sorts `rows` with the external sort on 64-byte pages.
+fn external_sort_rows(rows: &RowBuf, budget_bytes: u64, order: &rsky::order::SortOrder) -> RowBuf {
+    let mut disk = Disk::new_mem(64);
+    let mut raw = RecordFile::create(&mut disk, rows.num_attrs()).unwrap();
+    raw.write_all(&mut disk, rows).unwrap();
+    let budget = MemoryBudget::from_bytes(budget_bytes, 64).unwrap();
+    let sorted = rsky::order::external_sort(&mut disk, &raw, &budget, order).unwrap();
+    sorted.file.read_all(&mut disk).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: CASES, ..ProptestConfig::default() })]
 
@@ -157,21 +178,28 @@ proptest! {
         }
     }
 
-    /// The external sort emits a sorted permutation for any memory budget.
+    /// The external sort equals the in-memory multi-attribute sort row for
+    /// row, for any memory budget, with duplicate ids and duplicate values.
     #[test]
-    fn external_sort_is_sorted_permutation((ds, _q) in instance(), budget_bytes in 16u64..4096) {
-        let mut disk = Disk::new_mem(64);
-        let raw = load_dataset(&mut disk, &ds).unwrap();
-        let budget = MemoryBudget::from_bytes(budget_bytes, 64).unwrap();
-        let order: Vec<usize> = (0..ds.schema.num_attrs()).collect();
-        let sorted = rsky::order::extsort::external_sort_lex(&mut disk, &raw, &budget, &order).unwrap();
-        let rows = sorted.file.read_all(&mut disk).unwrap();
-        prop_assert!(rsky::order::multisort::is_sorted_lex(&rows, &order));
-        let mut in_ids: Vec<u32> = ds.rows.iter().map(rsky::core::record::row::id).collect();
-        let mut out_ids: Vec<u32> = rows.iter().map(rsky::core::record::row::id).collect();
-        in_ids.sort_unstable();
-        out_ids.sort_unstable();
-        prop_assert_eq!(in_ids, out_ids);
+    fn external_sort_is_sorted_permutation((ds, _q) in instance(), budget_bytes in 16u64..4096, dups in 0usize..8) {
+        let rows = with_duplicates(&ds.rows, dups);
+        let order = rsky::order::ascending_cardinality_order(&ds.schema);
+        let mut expect = rows.clone();
+        rsky::order::sort_rows_lex(&mut expect, &order);
+        let sorted = external_sort_rows(&rows, budget_bytes, &rsky::order::SortOrder::lex(&ds.schema, &order));
+        prop_assert_eq!(sorted, expect);
+    }
+
+    /// The external sort equals the in-memory tiled sort row for row.
+    #[test]
+    fn external_tiled_sort_matches_in_memory((ds, _q) in instance(), budget_bytes in 16u64..4096, tiles in 1u32..4, dups in 0usize..8) {
+        let rows = with_duplicates(&ds.rows, dups);
+        let order = rsky::order::ascending_cardinality_order(&ds.schema);
+        let config = rsky::order::TileConfig::uniform(&ds.schema, tiles).unwrap();
+        let mut expect = rows.clone();
+        rsky::order::tiling::sort_rows_tiled(&mut expect, &config, &order);
+        let sorted = external_sort_rows(&rows, budget_bytes, &rsky::order::SortOrder::tiled(config, &order));
+        prop_assert_eq!(sorted, expect);
     }
 
     /// Record files round-trip arbitrary rows through any page size.
