@@ -30,6 +30,7 @@ full() {
     echo "=== clippy (warnings are errors) ==="
     cargo clippy --workspace --all-targets -- -D warnings
     cargo clippy --workspace --all-targets --features property-tests -- -D warnings
+    cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
     echo "=== smoke: observability overhead bench ==="
     RSKY_SCALE=0.05 cargo bench -p rsky-bench --bench obs_overhead
     test -s BENCH_obs.json

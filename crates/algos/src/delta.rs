@@ -5,35 +5,29 @@
 //! that candidate to be re-qualified. [`first_pruners`] answers this for a
 //! batch of candidates against an ordered sequence of scan parts (the whole
 //! dataset, shard parts in shard order, or a [`pruner_band`] prepended as a
-//! cheap kill filter, reusing the pruner-exchange ranking), going through
-//! the batched [`CandidateBlocks`] kernels when the domain flattens and the
-//! scalar cached check otherwise.
+//! cheap kill filter, reusing the pruner-exchange ranking).
 //!
-//! Witness identity is deterministic and mode-independent: both paths
-//! report the first pruner in scan order (parts in the given order, records
-//! in row order within a part). The batched path scans in segments and,
-//! when a lane dies, rescan only that segment scalar-side to recover the
-//! exact record — the first killing segment necessarily contains the
-//! scan-order-first pruner.
+//! Each candidate is one early-exit scan: its center rows
+//! ([`FlatDissim::center_row`](rsky_core::dissim::FlatDissim::center_row))
+//! and cached query distances are hoisted once, then the parts are walked
+//! in scan order (parts in the given order, records in row order within a
+//! part) until the first pruner, which is the witness. Domains too large to
+//! flatten run the same scan over the scalar cached check. Both checks
+//! count distance evaluations alike, so witnesses and check counts do not
+//! depend on the kernel.
 
 use rsky_core::dissim::DissimTable;
 use rsky_core::query::{AttrSubset, Query};
-use rsky_core::record::{RecordId, RowBuf};
-use rsky_core::stats::RunStats;
-use rsky_storage::ColumnarBatch;
+use rsky_core::record::{row, RecordId, RowBuf, ValueId};
 
 use crate::engine::prunes_cached;
-use crate::kernels::{CandidateBlocks, PrunerKernel};
+use crate::kernels::{prunes_center_hoisted, PrunerKernel};
 use crate::qcache::QueryDistCache;
-
-/// Segment length for the batched path — long enough to amortize the
-/// per-call column hoisting in `scan_range`, short enough that the scalar
-/// witness rescan after a kill stays cheap.
-const SEGMENT: usize = 256;
 
 /// For every candidate row in `cands`, the id of its first pruner under
 /// `query` across `parts` in scan order, or `None` when nothing in `parts`
-/// prunes it (the candidate qualifies for RS(Q)).
+/// prunes it (the candidate qualifies for RS(Q)). Adds the data-data
+/// distance evaluations spent to `checks`.
 ///
 /// Self-comparisons are skipped by id, so `cands` may itself appear inside
 /// `parts` (and a band part may duplicate records of a later part — the
@@ -46,97 +40,40 @@ pub fn first_pruners(
     query: &Query,
     cands: &RowBuf,
     parts: &[&RowBuf],
+    checks: &mut u64,
 ) -> Vec<Option<RecordId>> {
-    let mut out = vec![None; cands.len()];
-    if cands.is_empty() {
-        return out;
-    }
-    match kernel.flat() {
-        Some(flat) => {
-            let mut blocks = CandidateBlocks::build(flat, cache, &query.subset, cands.len(), |i| {
-                (cands.id(i), cands.values(i))
-            });
-            let mut stats = RunStats::default();
-            let mut alive = vec![true; cands.len()];
-            'parts: for part in parts {
-                if part.is_empty() {
-                    continue;
+    let subset = &query.subset;
+    let indices = subset.indices();
+    let mut dqx = Vec::with_capacity(indices.len());
+    let mut crows: Vec<&[f64]> = Vec::with_capacity(indices.len());
+    (0..cands.len())
+        .map(|i| {
+            let (id, x) = (cands.id(i), cands.values(i));
+            match kernel.flat() {
+                Some(flat) => {
+                    cache.center_dists_into(subset, x, &mut dqx);
+                    crows.clear();
+                    crows.extend(indices.iter().map(|&a| flat.center_row(a, x[a])));
+                    first_in_scan(parts, id, |y| {
+                        prunes_center_hoisted(&crows, &dqx, indices, y, checks)
+                    })
                 }
-                let ys = ColumnarBatch::from_rows(part);
-                let mut s0 = 0;
-                while s0 < ys.len() {
-                    if blocks.alive_count() == 0 {
-                        break 'parts;
-                    }
-                    let s1 = (s0 + SEGMENT).min(ys.len());
-                    let before = blocks.alive_count();
-                    blocks.scan_range(flat, &query.subset, &ys, s0, s1, true, &mut stats);
-                    if blocks.alive_count() != before {
-                        for (i, slot) in out.iter_mut().enumerate() {
-                            if alive[i] && !blocks.is_alive(i) {
-                                alive[i] = false;
-                                *slot = Some(witness_in_segment(
-                                    dt,
-                                    cache,
-                                    query,
-                                    part,
-                                    s0,
-                                    s1,
-                                    cands.id(i),
-                                    cands.values(i),
-                                ));
-                            }
-                        }
-                    }
-                    s0 = s1;
-                }
+                None => first_in_scan(parts, id, |y| prunes_cached(dt, subset, y, x, cache, checks)),
             }
-        }
-        None => {
-            let mut checks = 0u64;
-            for (i, slot) in out.iter_mut().enumerate() {
-                let (id, x) = (cands.id(i), cands.values(i));
-                'scan: for part in parts {
-                    for j in 0..part.len() {
-                        if part.id(j) == id {
-                            continue;
-                        }
-                        if prunes_cached(dt, &query.subset, part.values(j), x, cache, &mut checks)
-                        {
-                            *slot = Some(part.id(j));
-                            break 'scan;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
+        })
+        .collect()
 }
 
-/// Exact witness recovery after the batched scan killed a lane somewhere in
-/// `[s0, s1)` of `part`: the first record of the segment pruning `x`.
-#[allow(clippy::too_many_arguments)]
-fn witness_in_segment(
-    dt: &DissimTable,
-    cache: &QueryDistCache,
-    query: &Query,
-    part: &RowBuf,
-    s0: usize,
-    s1: usize,
+/// The id of the first record of `parts` in scan order, other than `id`
+/// itself, whose values `prunes` accepts.
+fn first_in_scan(
+    parts: &[&RowBuf],
     id: RecordId,
-    x: &[u32],
-) -> RecordId {
-    let mut checks = 0u64;
-    for j in s0..s1 {
-        if part.id(j) == id {
-            continue;
-        }
-        if prunes_cached(dt, &query.subset, part.values(j), x, cache, &mut checks) {
-            return part.id(j);
-        }
-    }
-    unreachable!("batched kill in segment without a scalar pruner — kernels disagree")
+    mut prunes: impl FnMut(&[ValueId]) -> bool,
+) -> Option<RecordId> {
+    parts.iter().find_map(|part| {
+        part.iter().find(|y| row::id(y) != id && prunes(row::values(y))).map(row::id)
+    })
 }
 
 /// The strongest `budget` candidate pruners of `rows` under the view's
@@ -183,7 +120,7 @@ mod tests {
         for mode in [KernelMode::Scalar, KernelMode::Batched] {
             let got = with_mode(mode, || {
                 let kernel = PrunerKernel::capture(&ds.schema, &ds.dissim);
-                first_pruners(&kernel, &ds.dissim, &cache, &q, &ds.rows, &[&ds.rows])
+                first_pruners(&kernel, &ds.dissim, &cache, &q, &ds.rows, &[&ds.rows], &mut 0)
             });
             let by_id: Vec<(RecordId, Option<RecordId>)> =
                 (0..ds.rows.len()).map(|i| (ds.rows.id(i), got[i])).collect();
@@ -217,7 +154,15 @@ mod tests {
         for mode in [KernelMode::Scalar, KernelMode::Batched] {
             let got = with_mode(mode, || {
                 let kernel = PrunerKernel::capture(&ds.schema, &ds.dissim);
-                first_pruners(&kernel, &ds.dissim, &cache, &q, &ds.rows, &[&band, &ds.rows])
+                first_pruners(
+                    &kernel,
+                    &ds.dissim,
+                    &cache,
+                    &q,
+                    &ds.rows,
+                    &[&band, &ds.rows],
+                    &mut 0,
+                )
             });
             let mut survivors: Vec<RecordId> = (0..ds.rows.len())
                 .filter(|&i| got[i].is_none())

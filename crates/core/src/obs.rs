@@ -147,10 +147,13 @@ pub mod view_names {
     /// Span prefix for all view-maintenance spans (`view.<what>`).
     pub const PREFIX: &str = "view";
     /// Span: one view's incremental delta for one mutation. Carries `add`,
-    /// `remove` and `epoch`.
+    /// `remove`, `resync`, `generation` and `dist_checks` (the distance
+    /// checks of the view's witness scans; a fallback engine run reports
+    /// its own in its nested run span).
     pub const SPAN_DELTA: &str = "delta";
     /// Span: a full view (re)build — the initial subscription snapshot or a
-    /// deferred-recompute fallback. Carries `members`.
+    /// deferred-recompute fallback. Carries `rows`, `members`, `generation`
+    /// and `dist_checks` (the distance checks of its witness scan).
     pub const SPAN_BUILD: &str = "build";
     /// Counter: ids added to a view by incremental deltas.
     pub const CTR_DELTA_ADD: &str = "view.delta.add";

@@ -4,17 +4,20 @@
 //!
 //! A dataset directory contains:
 //!
-//! * `schema.csv` — one line per attribute: `name,cardinality`;
-//! * `data.csv` — one line per record: `m` comma-separated value *labels*
-//!   (arbitrary strings; a dictionary per attribute maps labels to dense
-//!   value ids in first-appearance order) — or, with `values.csv` absent,
-//!   numeric ids directly;
-//! * `dict_<i>.csv` — one line per value id of attribute `i`: the label;
-//! * `dissim_<i>.csv` — either a full `k × k` matrix (k lines of k
-//!   comma-separated numbers, center-major is **not** assumed: line `a`,
-//!   column `b` holds `d(a, b)`), or the single word `identity`.
+//! * `schema.csv` — one line per attribute: `name,cardinality` (the name is
+//!   everything before the last comma);
+//! * `data.csv` — one line per record: `m` comma-separated numeric value
+//!   ids, each below its attribute's cardinality. Records get the ids
+//!   `0..n` in file order;
+//! * `dissim_<i>.csv` — the dissimilarity of attribute `i`: the single word
+//!   `identity`, the single line `linear,<scale>`, or a full `k × k` matrix
+//!   (k lines of k comma-separated numbers; line `a`, column `b` holds
+//!   `d(a, b)`);
+//! * `label.txt` — optional: the dataset's label, free text. Without it the
+//!   label is the directory path.
 //!
-//! The format is deliberately trivial — no quoting, no escapes; labels must
+//! Blank lines are ignored in every `.csv` file. The format is deliberately
+//! trivial — no quoting, no escapes, no value labels: attribute names must
 //! not contain commas or newlines. For anything richer, construct
 //! [`Dataset`] in code.
 
@@ -137,7 +140,8 @@ pub fn load_dataset_dir(dir: impl AsRef<Path>) -> Result<Dataset> {
     let mut measures = Vec::with_capacity(m);
     for i in 0..m {
         let txt = fs::read_to_string(dir.join(format!("dissim_{i}.csv")))?;
-        let first = txt.lines().next().unwrap_or("").trim();
+        let lines: Vec<&str> = txt.lines().filter(|line| !line.trim().is_empty()).collect();
+        let first = lines.first().map_or("", |line| line.trim());
         if first == "identity" {
             measures.push(AttrDissim::Identity);
             continue;
@@ -150,13 +154,14 @@ pub fn load_dataset_dir(dir: impl AsRef<Path>) -> Result<Dataset> {
             continue;
         }
         let k = schema.cardinality(i);
+        if lines.len() != k as usize {
+            return Err(Error::Corrupt(format!(
+                "dissim_{i}.csv: {} rows, expected {k}",
+                lines.len()
+            )));
+        }
         let mut b = MatrixBuilder::new(k);
-        let mut lines = 0;
-        for (x, line) in txt.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            lines += 1;
+        for (x, line) in lines.iter().enumerate() {
             let cells: Vec<&str> = line.split(',').collect();
             if cells.len() != k as usize {
                 return Err(Error::Corrupt(format!(
@@ -170,11 +175,6 @@ pub fn load_dataset_dir(dir: impl AsRef<Path>) -> Result<Dataset> {
                 })?;
                 b = b.set(x as u32, y as u32, v);
             }
-        }
-        if lines != k as usize {
-            return Err(Error::Corrupt(format!(
-                "dissim_{i}.csv: {lines} rows, expected {k}"
-            )));
         }
         measures.push(b.build()?);
     }
@@ -254,6 +254,56 @@ mod tests {
         fs::write(dir.join("data.csv"), "0,1\n").unwrap();
         fs::write(dir.join("dissim_0.csv"), "0,0.5\n0.5,0\n").unwrap(); // 2x2 for k=3
         assert!(load_dataset_dir(&dir).is_err());
+        // Too few or too many non-blank rows, a short row, a bad number, no
+        // rows at all: corrupt, never a panic.
+        for d0 in [
+            "0,0.1,0.2\n\n0.3,0,0.4\n",
+            "0,0.1,0.2\n0.3,0,0.4\n0.5,0.6,0\n\n0.5,0.6,0\n",
+            "\n0,0.1,0.2\n0.3,0,0.4\n0.5,0.6\n",
+            "0,0.1,0.2\n\n0.3,x,0.4\n0.5,0.6,0\n",
+            "\n\n",
+        ] {
+            fs::write(dir.join("dissim_0.csv"), d0).unwrap();
+            let err = load_dataset_dir(&dir).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{d0:?}: {err:?}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes a two-attribute directory whose `dissim_0.csv` (k = 3) and
+    /// `dissim_1.csv` (k = 2) are the given texts.
+    fn write_matrix_dir(dir: &Path, d0: &str, d1: &str) {
+        let _ = fs::remove_dir_all(dir);
+        fs::create_dir_all(dir).unwrap();
+        fs::write(dir.join("schema.csv"), "A,3\nB,2\n").unwrap();
+        fs::write(dir.join("data.csv"), "0,1\n2,0\n").unwrap();
+        fs::write(dir.join("dissim_0.csv"), d0).unwrap();
+        fs::write(dir.join("dissim_1.csv"), d1).unwrap();
+    }
+
+    #[test]
+    fn blank_lines_in_a_matrix_do_not_shift_rows() {
+        let dir = tmp("blank");
+        let d0 = "0,0.1,0.2\n0.3,0,0.4\n0.5,0.6,0\n";
+        let d1 = "0,0.7\n0.8,0\n";
+        write_matrix_dir(&dir, d0, d1);
+        let want = load_dataset_dir(&dir).unwrap().dissim;
+        assert_eq!(want.d(0, 1, 0), 0.3);
+        assert_eq!(want.d(0, 0, 2), 0.2);
+        assert_eq!(want.d(1, 1, 0), 0.8);
+        for (d0, d1) in [
+            ("\n0,0.1,0.2\n0.3,0,0.4\n0.5,0.6,0\n", "\n0,0.7\n0.8,0\n"),
+            ("0,0.1,0.2\n\n0.3,0,0.4\n  \n0.5,0.6,0\n\n", "0,0.7\n\n0.8,0\n"),
+            ("\n\n0,0.1,0.2\n0.3,0,0.4\n\n0.5,0.6,0", "\n0,0.7\n\n\n0.8,0"),
+        ] {
+            write_matrix_dir(&dir, d0, d1);
+            let got = load_dataset_dir(&dir).unwrap_or_else(|e| panic!("{d0:?}/{d1:?}: {e}"));
+            assert_eq!(got.dissim, want, "{d0:?} / {d1:?}");
+        }
+        write_matrix_dir(&dir, "\nidentity\n", "\nlinear,0.5\n");
+        let got = load_dataset_dir(&dir).unwrap();
+        assert_eq!(got.dissim.attr(0), &AttrDissim::Identity);
+        assert_eq!(got.dissim.attr(1), &AttrDissim::Linear { scale: 0.5 });
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,7 +12,7 @@
 //! * a **witness** per non-member — the first record (in scan order) that
 //!   prunes it. A witness stays valid exactly as long as it lives, because
 //!   the pruning relation `Y ≻_X Q` depends only on `Y`, `X` and `Q`;
-//! * the run-shared **query-distance cache** and the captured batched
+//! * the run-shared **query-distance cache** and the captured pruner
 //!   kernel, both invariant under mutations (they depend only on schema,
 //!   dissimilarity table and query).
 //!
@@ -21,8 +21,8 @@
 //! * **insert Z** can evict members (Z may prune them) and can add at most
 //!   Z itself; it can never re-admit another non-member (their witnesses
 //!   still live). Cost: one first-pruner scan for Z + one single-record
-//!   probe over the members — via the batched [`CandidateBlocks`]
-//!   ([`rsky_algos::kernels`]) classification in [`rsky_algos::delta`].
+//!   probe over the members, both through [`rsky_algos::delta`]'s witness
+//!   scan.
 //! * **expire Z** can admit only the non-members whose witness was Z (the
 //!   *orphans*); members stay members. Orphans are re-qualified against a
 //!   pruner band first (the PR 7 exchange ranking, one band per shard part,
@@ -143,7 +143,9 @@ impl MaterializedView {
         let mut span = obs.span(view_names::PREFIX, view_names::SPAN_BUILD);
         let cache = QueryDistCache::new(&ds.dissim, &ds.schema, &query);
         let kernel = PrunerKernel::capture(&ds.schema, &ds.dissim);
-        let pruners = first_pruners(&kernel, &ds.dissim, &cache, &query, &ds.rows, &[&ds.rows]);
+        let mut checks = 0u64;
+        let pruners =
+            first_pruners(&kernel, &ds.dissim, &cache, &query, &ds.rows, &[&ds.rows], &mut checks);
         let mut members = BTreeSet::new();
         let mut witness = HashMap::new();
         for (i, w) in pruners.iter().enumerate() {
@@ -159,6 +161,7 @@ impl MaterializedView {
         if span.is_recording() {
             span.field("rows", ds.rows.len() as u64);
             span.field("members", members.len() as u64);
+            span.field("dist_checks", checks);
             span.field("generation", generation);
         }
         Ok(Self {
@@ -235,9 +238,10 @@ impl MaterializedView {
         let obs = obs::handle();
         let mut span = obs.span(view_names::PREFIX, view_names::SPAN_DELTA);
         let scan = scan_parts(ds, parts);
+        let mut checks = 0u64;
         let (added, removed, resync) = if !event.follows(self.generation) {
             let before = std::mem::take(&mut self.members);
-            self.rebuild(ds, &scan)?;
+            self.rebuild(ds, &scan, &mut checks)?;
             obs.counter_add(view_names::CTR_FALLBACK, 1);
             self.fallbacks += 1;
             let added = diff(&self.members, &before);
@@ -245,8 +249,10 @@ impl MaterializedView {
             (added, removed, Some(self.members()))
         } else {
             match &event.kind {
-                MutationKind::Insert { values } => self.insert(&ds.dissim, event.id, values, &scan),
-                MutationKind::Expire => self.expire(ds, event.id, parts, &scan, &obs)?,
+                MutationKind::Insert { values } => {
+                    self.insert(&ds.dissim, event.id, values, &scan, &mut checks)
+                }
+                MutationKind::Expire => self.expire(ds, event.id, parts, &scan, &obs, &mut checks)?,
             }
         };
         self.generation = event.generation;
@@ -257,6 +263,7 @@ impl MaterializedView {
             span.field("add", added.len() as u64);
             span.field("remove", removed.len() as u64);
             span.field("resync", u64::from(resync.is_some()));
+            span.field("dist_checks", checks);
             span.field("generation", self.generation);
         }
         Ok(Some(ViewDelta {
@@ -277,11 +284,13 @@ impl MaterializedView {
         id: RecordId,
         values: &[ValueId],
         scan: &[&RowBuf],
+        checks: &mut u64,
     ) -> (Vec<RecordId>, Vec<RecordId>, Option<Vec<RecordId>>) {
         let mut zbuf = RowBuf::with_capacity(values.len(), 1);
         zbuf.push(id, values);
         let mut added = Vec::new();
-        match first_pruners(&self.kernel, dt, &self.cache, &self.query, &zbuf, scan).swap_remove(0)
+        match first_pruners(&self.kernel, dt, &self.cache, &self.query, &zbuf, scan, checks)
+            .swap_remove(0)
         {
             Some(w) => {
                 self.witness.insert(id, w);
@@ -303,7 +312,8 @@ impl MaterializedView {
             }
         }
         let mut removed = Vec::new();
-        let hits = first_pruners(&self.kernel, dt, &self.cache, &self.query, &cands, &[&zbuf]);
+        let hits =
+            first_pruners(&self.kernel, dt, &self.cache, &self.query, &cands, &[&zbuf], checks);
         for (i, hit) in hits.iter().enumerate() {
             if hit.is_some() {
                 let victim = cands.id(i);
@@ -329,6 +339,7 @@ impl MaterializedView {
         parts: Option<&[Arc<RowBuf>]>,
         scan: &[&RowBuf],
         obs: &obs::ObsHandle,
+        checks: &mut u64,
     ) -> Result<(Vec<RecordId>, Vec<RecordId>, Option<Vec<RecordId>>)> {
         let mut removed = Vec::new();
         if self.members.remove(&id) {
@@ -348,7 +359,7 @@ impl MaterializedView {
             // Bookkeeping exhausted: scoped re-run through the engine
             // factory (members), then witness refresh for the non-members.
             let before = std::mem::take(&mut self.members);
-            self.rebuild(ds, scan)?;
+            self.rebuild(ds, scan, checks)?;
             obs.counter_add(view_names::CTR_FALLBACK, 1);
             self.fallbacks += 1;
             let added = diff(&self.members, &before);
@@ -375,8 +386,15 @@ impl MaterializedView {
         };
         let mut order: Vec<&RowBuf> = bands.iter().collect();
         order.extend(scan.iter().copied());
-        let hits =
-            first_pruners(&self.kernel, &ds.dissim, &self.cache, &self.query, &cands, &order);
+        let hits = first_pruners(
+            &self.kernel,
+            &ds.dissim,
+            &self.cache,
+            &self.query,
+            &cands,
+            &order,
+            checks,
+        );
         let mut added = Vec::new();
         for (i, hit) in hits.iter().enumerate() {
             match hit {
@@ -395,7 +413,7 @@ impl MaterializedView {
 
     /// Full recompute: members through the engine factory, witnesses for
     /// the non-members through one scoped classification pass.
-    fn rebuild(&mut self, ds: &Dataset, scan: &[&RowBuf]) -> Result<()> {
+    fn rebuild(&mut self, ds: &Dataset, scan: &[&RowBuf], checks: &mut u64) -> Result<()> {
         let ids = if ds.rows.is_empty() {
             Vec::new()
         } else {
@@ -425,7 +443,7 @@ impl MaterializedView {
             }
         }
         let hits =
-            first_pruners(&self.kernel, &ds.dissim, &self.cache, &self.query, &cands, scan);
+            first_pruners(&self.kernel, &ds.dissim, &self.cache, &self.query, &cands, scan, checks);
         for (i, hit) in hits.iter().enumerate() {
             let w = hit.expect("engine-reported non-member must have a pruner");
             self.witness.insert(cands.id(i), w);
@@ -560,6 +578,57 @@ mod tests {
             assert_eq!(view.members(), oracle(&ds, &q), "after event {event:?}");
         }
         assert!(view.fallbacks() > 0, "limit 0 must have forced fallbacks");
+    }
+
+    /// `view.build` and `view.delta` spans carry the distance checks of the
+    /// view's witness scans: a build spends exactly one `first_pruners` pass
+    /// over the dataset, an insert always scans, an expire that orphans
+    /// nothing scans nothing, and a resync rescans the non-members.
+    #[test]
+    fn spans_report_witness_scan_checks() {
+        use rsky_core::obs::MemorySink;
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut ds = rsky_data::synthetic::normal_dataset(3, 6, 50, &mut rng).unwrap();
+        let s = spec("trs", vec![2, 3, 1]);
+        let q = s.query(&ds.schema).unwrap();
+        let cache = QueryDistCache::new(&ds.dissim, &ds.schema, &q);
+        let kernel = PrunerKernel::capture(&ds.schema, &ds.dissim);
+        let mut build_checks = 0u64;
+        first_pruners(&kernel, &ds.dissim, &cache, &q, &ds.rows, &[&ds.rows], &mut build_checks);
+        assert!(build_checks > 0);
+
+        let sink = MemorySink::new();
+        let last_checks = |span: &str| {
+            let events = sink.events();
+            let e = events.iter().rev().find(|e| e.name.ends_with(span)).expect(span);
+            e.field("dist_checks").expect("span carries dist_checks")
+        };
+        obs::with_recorder(sink.handle(), || {
+            let mut view = MaterializedView::build(&ds, s, 0).unwrap();
+            assert_eq!(last_checks("view.build"), build_checks);
+
+            let event = MutationEvent::insert(500, vec![1, 2, 3], 1);
+            mutate(&mut ds, &event);
+            view.apply(&ds, None, &event).unwrap().unwrap();
+            assert!(last_checks("view.delta") > 0, "an insert scans for its witness");
+
+            let witnesses: BTreeSet<RecordId> = view.witness.values().copied().collect();
+            let loner = (0..ds.rows.len())
+                .map(|i| ds.rows.id(i))
+                .find(|id| !witnesses.contains(id))
+                .expect("some record witnesses nothing");
+            let event = MutationEvent::expire(loner, 2);
+            mutate(&mut ds, &event);
+            view.apply(&ds, None, &event).unwrap().unwrap();
+            assert_eq!(last_checks("view.delta"), 0, "no orphans, no scan");
+
+            let event = MutationEvent::insert(501, vec![0, 0, 0], 4);
+            mutate(&mut ds, &event);
+            let delta = view.apply(&ds, None, &event).unwrap().unwrap();
+            assert!(delta.resync.is_some());
+            let gap_checks = last_checks("view.delta");
+            assert!(gap_checks > 0, "a resync rescans the non-members");
+        });
     }
 
     /// The hot-query-cache entry point refuses any generation but the one
