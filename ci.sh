@@ -64,14 +64,20 @@ full() {
     RSKY_SCALE=0.5 timeout 300 cargo bench -p rsky-bench --bench bftree_scaling
     test -s BENCH_bftree.json
     echo "=== smoke: trace round-trip (generate → query --trace-out → trace) ==="
+    # A sharded parallel query and a plain sequential one: each trace must
+    # rebuild as rooted trees (0 orphans) with at least one trace.
     smoke_dir=$(mktemp -d)
     trap 'rm -rf "$smoke_dir"' EXIT
     ./target/release/rsky generate --kind normal --n 400 --attrs 3 --values 8 --out "$smoke_dir/data"
     ./target/release/rsky query --data "$smoke_dir/data" --algo trs --threads 2 --shards 3 \
         --query 1,2,3 --trace-out "$smoke_dir/trace.jsonl" > /dev/null
-    ./target/release/rsky trace --in "$smoke_dir/trace.jsonl" | tee "$smoke_dir/tree.txt" | tail -n 3
-    grep -q " 0 orphan(s)" "$smoke_dir/tree.txt"
-    grep -qv " 0 trace(s)" "$smoke_dir/tree.txt"
+    ./target/release/rsky query --data "$smoke_dir/data" --algo trs \
+        --query 1,2,3 --trace-out "$smoke_dir/seq-trace.jsonl" > /dev/null
+    for trace in trace seq-trace; do
+        ./target/release/rsky trace --in "$smoke_dir/$trace.jsonl" | tee "$smoke_dir/tree.txt" | tail -n 3
+        grep -q " 0 orphan(s)" "$smoke_dir/tree.txt"
+        grep -Eq '^[1-9][0-9]* trace\(s\), ' "$smoke_dir/tree.txt"
+    done
 }
 
 case "${1:-all}" in

@@ -55,10 +55,13 @@ use rsky_core::schema::Schema;
 use rsky_core::stats::RunStats;
 use rsky_storage::{ColumnarBatch, RecordFile, RecordWriter};
 
-use crate::engine::{run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
+use crate::engine::{io_now, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
 use crate::kernels::CandidateBlocks;
 use crate::qcache::QueryDistCache;
-use crate::trs::{is_prunable_with_stack, leaf_schema_values, load_batch_into_tree_with, Trs};
+use crate::trs::{
+    is_prunable_with_stack, leaf_schema_values, load_batch_into_tree, load_batch_into_tree_with,
+    Trs,
+};
 
 /// Max-heap of `(prunability bound, node)` entries.
 ///
@@ -217,9 +220,7 @@ impl ReverseSkylineAlgo for TrsBf {
             let mut group_kills = 0u64;
 
             // --- Phase one: best-first batch trees, group kills ------------
-            let t1 = std::time::Instant::now();
-            let mut p1_span = robs.span("phase1");
-            let io_p1 = ctx.disk.io_stats();
+            let p1 = robs.scope("phase1", stats, io_now(stats, ctx.disk));
             let r_file = {
                 let tree_budget = ctx.budget.phase1_tree_bytes();
                 let mut writer = RecordWriter::create(ctx.disk, m)?;
@@ -238,11 +239,7 @@ impl ReverseSkylineAlgo for TrsBf {
                 let mut stack = Vec::with_capacity(64);
                 while page < total_pages {
                     robs.check_cancelled()?;
-                    let mut bspan = robs.span("phase1.batch");
-                    let io_b = ctx.disk.io_stats();
-                    let (dc0, oc0, tv0) =
-                        (stats.dist_checks, stats.obj_comparisons, stats.tree_nodes_visited);
-                    tree.clear();
+                    let bspan = robs.scope("phase1.batch", stats, io_now(stats, ctx.disk));
                     for (flags, vals) in present_flag.iter_mut().zip(present.iter_mut()) {
                         for &v in vals.iter() {
                             flags[v as usize] = false;
@@ -359,36 +356,24 @@ impl ReverseSkylineAlgo for TrsBf {
                             heap_pushes += 1;
                         }
                     }
-                    if bspan.is_recording() {
-                        bspan
-                            .field("batch", (stats.phase1_batches - 1) as u64)
-                            .field("dist_checks", stats.dist_checks - dc0)
-                            .field("obj_comparisons", stats.obj_comparisons - oc0)
-                            .field("tree_nodes_visited", stats.tree_nodes_visited - tv0)
-                            .io_fields(ctx.disk.io_stats().delta_since(io_b));
-                    }
-                    bspan.close();
+                    bspan
+                        .field("batch", (stats.phase1_batches - 1) as u64)
+                        .close(stats, io_now(stats, ctx.disk));
                 }
                 writer.finish(ctx.disk)?
             };
-            stats.phase1_time = t1.elapsed();
             stats.phase1_survivors = r_file.len() as usize;
             robs.handle().counter_add(obs::names::BF_HEAP_PUSHES, heap_pushes);
             robs.handle().counter_add(obs::names::BF_GROUP_KILLS, group_kills);
-            if p1_span.is_recording() {
-                p1_span
-                    .field("batches", stats.phase1_batches as u64)
-                    .field("survivors", stats.phase1_survivors as u64)
-                    .field("heap_pushes", heap_pushes)
-                    .field("group_kills", group_kills)
-                    .io_fields(ctx.disk.io_stats().delta_since(io_p1));
-            }
-            p1_span.close();
+            stats.phase1_time = p1
+                .field("batches", stats.phase1_batches as u64)
+                .field("survivors", stats.phase1_survivors as u64)
+                .field("heap_pushes", heap_pushes)
+                .field("group_kills", group_kills)
+                .close(stats, io_now(stats, ctx.disk));
 
             // --- Phase two: candidate chunks vs database trees -------------
-            let t2 = std::time::Instant::now();
-            let mut p2_span = robs.span("phase2");
-            let io_p2 = ctx.disk.io_stats();
+            let p2 = robs.scope("phase2", stats, io_now(stats, ctx.disk));
             let result = {
                 let chunk_budget = ctx.budget.phase2_tree_bytes();
                 let d_tree_budget = ctx.budget.phase1_tree_bytes();
@@ -402,10 +387,7 @@ impl ReverseSkylineAlgo for TrsBf {
                 let mut lvals = vec![0u32; m];
                 while rpage < r_pages {
                     robs.check_cancelled()?;
-                    let mut bspan = robs.span("phase2.batch");
-                    let io_b = ctx.disk.io_stats();
-                    let (dc0, oc0, tv0) =
-                        (stats.dist_checks, stats.obj_comparisons, stats.tree_nodes_visited);
+                    let bspan = robs.scope("phase2.batch", stats, io_now(stats, ctx.disk));
                     chunk.clear();
                     let mut loaded_any = false;
                     while rpage < r_pages {
@@ -433,22 +415,10 @@ impl ReverseSkylineAlgo for TrsBf {
                                     break;
                                 }
                                 robs.check_cancelled()?;
-                                tree.clear();
-                                {
-                                    let disk = &mut *ctx.disk;
-                                    load_batch_into_tree_with(
-                                        |p, buf: &mut RowBuf| {
-                                            table.read_page_rows(&mut *disk, p, buf).map(|_| ())
-                                        },
-                                        order,
-                                        &mut dp,
-                                        total_pages,
-                                        d_tree_budget,
-                                        &mut tree,
-                                        &mut pbuf,
-                                        &mut tvals,
-                                    )?;
-                                }
+                                load_batch_into_tree(
+                                    ctx, table, order, &mut dp, total_pages, d_tree_budget,
+                                    &mut tree, &mut pbuf, &mut tvals,
+                                )?;
                                 tree.order_children_for_search();
                                 collect_leaf_reps(&tree, order, &mut lvals, &mut ybuf, stats);
                                 let ys = ColumnarBatch::from_rows(&ybuf);
@@ -476,22 +446,10 @@ impl ReverseSkylineAlgo for TrsBf {
                                     break;
                                 }
                                 robs.check_cancelled()?;
-                                tree.clear();
-                                {
-                                    let disk = &mut *ctx.disk;
-                                    load_batch_into_tree_with(
-                                        |p, buf: &mut RowBuf| {
-                                            table.read_page_rows(&mut *disk, p, buf).map(|_| ())
-                                        },
-                                        order,
-                                        &mut dp,
-                                        total_pages,
-                                        d_tree_budget,
-                                        &mut tree,
-                                        &mut pbuf,
-                                        &mut tvals,
-                                    )?;
-                                }
+                                load_batch_into_tree(
+                                    ctx, table, order, &mut dp, total_pages, d_tree_budget,
+                                    &mut tree, &mut pbuf, &mut tvals,
+                                )?;
                                 tree.order_children_for_search();
                                 collect_leaf_reps(&tree, order, &mut lvals, &mut ybuf, stats);
                                 for (xi, alive_flag) in alive.iter_mut().enumerate() {
@@ -527,25 +485,15 @@ impl ReverseSkylineAlgo for TrsBf {
                             }
                         }
                     }
-                    if bspan.is_recording() {
-                        bspan
-                            .field("batch", (stats.phase2_batches - 1) as u64)
-                            .field("dist_checks", stats.dist_checks - dc0)
-                            .field("obj_comparisons", stats.obj_comparisons - oc0)
-                            .field("tree_nodes_visited", stats.tree_nodes_visited - tv0)
-                            .io_fields(ctx.disk.io_stats().delta_since(io_b));
-                    }
-                    bspan.close();
+                    bspan
+                        .field("batch", (stats.phase2_batches - 1) as u64)
+                        .close(stats, io_now(stats, ctx.disk));
                 }
                 result
             };
-            stats.phase2_time = t2.elapsed();
-            if p2_span.is_recording() {
-                p2_span
-                    .field("batches", stats.phase2_batches as u64)
-                    .io_fields(ctx.disk.io_stats().delta_since(io_p2));
-            }
-            p2_span.close();
+            stats.phase2_time = p2
+                .field("batches", stats.phase2_batches as u64)
+                .close(stats, io_now(stats, ctx.disk));
             Ok(result)
         })
     }

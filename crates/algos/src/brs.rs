@@ -24,7 +24,7 @@ use rsky_core::stats::RunStats;
 use rsky_storage::columnar::ColumnarBatch;
 use rsky_storage::{RecordFile, RecordWriter};
 
-use crate::engine::{run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun, RunObs};
+use crate::engine::{io_now, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun, RunObs};
 use crate::kernels::{self, CandidateBlocks, PrunerKernel};
 use crate::qcache::QueryDistCache;
 
@@ -87,9 +87,7 @@ pub(crate) fn two_phase(
     let total_pages = table.num_pages(ctx.disk);
 
     // --- Phase one --------------------------------------------------------
-    let t1 = std::time::Instant::now();
-    let mut p1_span = robs.span("phase1");
-    let io_p1 = ctx.disk.io_stats();
+    let p1 = robs.scope("phase1", stats, io_now(stats, ctx.disk));
     let r_file = {
         let cap1 = ctx.budget.phase1_records(rec_bytes);
         let mut writer = RecordWriter::create(ctx.disk, m)?;
@@ -99,14 +97,11 @@ pub(crate) fn two_phase(
         let mut crows: Vec<&[f64]> = Vec::with_capacity(subset.len());
         while page < total_pages {
             robs.check_cancelled()?;
-            let mut bspan = robs.span("phase1.batch");
-            let io_b = ctx.disk.io_stats();
-            let (dc0, oc0) = (stats.dist_checks, stats.obj_comparisons);
+            let bspan = robs.scope("phase1.batch", stats, io_now(stats, ctx.disk));
             batch.clear();
             let (pages, _) = table.read_batch(ctx.disk, page, cap1, &mut batch)?;
             page += pages;
             stats.phase1_batches += 1;
-            let n = batch.len();
             {
                 let disk = &mut *ctx.disk;
                 let w = &mut writer;
@@ -123,32 +118,21 @@ pub(crate) fn two_phase(
                     |i| w.push(disk, batch.flat_row(i)),
                 )?;
             }
-            if bspan.is_recording() {
-                bspan
-                    .field("batch", (stats.phase1_batches - 1) as u64)
-                    .field("records", n as u64)
-                    .field("dist_checks", stats.dist_checks - dc0)
-                    .field("obj_comparisons", stats.obj_comparisons - oc0)
-                    .io_fields(ctx.disk.io_stats().delta_since(io_b));
-            }
-            bspan.close();
+            bspan
+                .field("batch", (stats.phase1_batches - 1) as u64)
+                .field("records", batch.len() as u64)
+                .close(stats, io_now(stats, ctx.disk));
         }
         writer.finish(ctx.disk)?
     };
-    stats.phase1_time = t1.elapsed();
     stats.phase1_survivors = r_file.len() as usize;
-    if p1_span.is_recording() {
-        p1_span
-            .field("batches", stats.phase1_batches as u64)
-            .field("survivors", stats.phase1_survivors as u64)
-            .io_fields(ctx.disk.io_stats().delta_since(io_p1));
-    }
-    p1_span.close();
+    stats.phase1_time = p1
+        .field("batches", stats.phase1_batches as u64)
+        .field("survivors", stats.phase1_survivors as u64)
+        .close(stats, io_now(stats, ctx.disk));
 
     // --- Phase two --------------------------------------------------------
-    let t2 = std::time::Instant::now();
-    let mut p2_span = robs.span("phase2");
-    let io_p2 = ctx.disk.io_stats();
+    let p2 = robs.scope("phase2", stats, io_now(stats, ctx.disk));
     let result = {
         let cap2 = ctx.budget.phase2_records(rec_bytes);
         let r_pages = r_file.num_pages(ctx.disk);
@@ -160,9 +144,7 @@ pub(crate) fn two_phase(
         let mut row = Vec::with_capacity(subset.len());
         while rpage < r_pages {
             robs.check_cancelled()?;
-            let mut bspan = robs.span("phase2.batch");
-            let io_b = ctx.disk.io_stats();
-            let (dc0, oc0) = (stats.dist_checks, stats.obj_comparisons);
+            let bspan = robs.scope("phase2.batch", stats, io_now(stats, ctx.disk));
             rbatch.clear();
             let (pages, _) = r_file.read_batch(ctx.disk, rpage, cap2, &mut rbatch)?;
             rpage += pages;
@@ -184,25 +166,15 @@ pub(crate) fn two_phase(
                     &mut result,
                 )?;
             }
-            if bspan.is_recording() {
-                bspan
-                    .field("batch", (stats.phase2_batches - 1) as u64)
-                    .field("records", rbatch.len() as u64)
-                    .field("dist_checks", stats.dist_checks - dc0)
-                    .field("obj_comparisons", stats.obj_comparisons - oc0)
-                    .io_fields(ctx.disk.io_stats().delta_since(io_b));
-            }
-            bspan.close();
+            bspan
+                .field("batch", (stats.phase2_batches - 1) as u64)
+                .field("records", rbatch.len() as u64)
+                .close(stats, io_now(stats, ctx.disk));
         }
         result
     };
-    stats.phase2_time = t2.elapsed();
-    if p2_span.is_recording() {
-        p2_span
-            .field("batches", stats.phase2_batches as u64)
-            .io_fields(ctx.disk.io_stats().delta_since(io_p2));
-    }
-    p2_span.close();
+    stats.phase2_time =
+        p2.field("batches", stats.phase2_batches as u64).close(stats, io_now(stats, ctx.disk));
     Ok(result)
 }
 

@@ -1,15 +1,15 @@
 //! The engine interface shared by all reverse-skyline algorithms.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rsky_core::cancel::{self, CancelToken};
 use rsky_core::dissim::DissimTable;
 use rsky_core::error::Result;
-use rsky_core::obs::{self, ObsHandle, Span};
+use rsky_core::obs::{self, ObsHandle, Span, TraceContext};
 use rsky_core::query::{AttrSubset, Query};
 use rsky_core::record::{RecordId, ValueId};
 use rsky_core::schema::Schema;
-use rsky_core::stats::RunStats;
+use rsky_core::stats::{IoCounts, RunStats};
 use rsky_storage::{Disk, MemoryBudget, RecordFile};
 
 use crate::kernels::PrunerKernel;
@@ -46,7 +46,21 @@ impl<'a> RunObs<'a> {
         self.handle.span(self.prefix, what)
     }
 
-    /// Whether spans record anything — gates snapshotting work at call sites.
+    /// Opens the phase or batch span `{prefix}.{what}` as a [`CostScope`]
+    /// over the counters of `stats` and the IO reading `io`.
+    pub fn scope(&self, what: &str, stats: &RunStats, io: IoCounts) -> CostScope {
+        CostScope {
+            span: self.span(what),
+            start: Instant::now(),
+            dist_checks: stats.dist_checks,
+            obj_comparisons: stats.obj_comparisons,
+            tree_nodes_visited: stats.tree_nodes_visited,
+            io,
+        }
+    }
+
+    /// Whether spans record anything — gates clock reads that only feed
+    /// telemetry.
     pub fn enabled(&self) -> bool {
         self.handle.enabled()
     }
@@ -55,6 +69,58 @@ impl<'a> RunObs<'a> {
     pub fn handle(&self) -> &ObsHandle {
         &self.handle
     }
+}
+
+/// One phase or batch of a run, in the paper's cost units. It snapshots the
+/// `RunStats` counters and an IO reading when opened; [`CostScope::close`]
+/// attaches their deltas to the span. Every phase and batch span of an
+/// engine is a scope over the same `RunStats` (a worker's batch scopes over
+/// the batch's own stats, merged into the run's), so batch deltas sum to
+/// the run totals and the phase IO deltas tile the run IO by construction.
+pub(crate) struct CostScope {
+    span: Span,
+    start: Instant,
+    dist_checks: u64,
+    obj_comparisons: u64,
+    tree_nodes_visited: u64,
+    io: IoCounts,
+}
+
+impl CostScope {
+    /// Attaches a field that is not a cost delta (`batch`, `records`,
+    /// `survivors`, …).
+    pub fn field(mut self, key: &'static str, value: u64) -> Self {
+        self.span.field(key, value);
+        self
+    }
+
+    /// The span's trace context, for worker threads to join via
+    /// [`obs::with_parent`].
+    pub fn ctx(&self) -> Option<TraceContext> {
+        self.span.ctx()
+    }
+
+    /// Closes the span with the `dist_checks`, `obj_comparisons` and
+    /// `tree_nodes_visited` deltas since the scope opened and the four IO
+    /// fields of `io` minus the opening reading; returns the wall time since
+    /// it opened (the engine's `phase{1,2}_time` for a phase scope).
+    pub fn close(mut self, stats: &RunStats, io: IoCounts) -> Duration {
+        self.span
+            .field("dist_checks", stats.dist_checks - self.dist_checks)
+            .field("obj_comparisons", stats.obj_comparisons - self.obj_comparisons)
+            .field("tree_nodes_visited", stats.tree_nodes_visited - self.tree_nodes_visited)
+            .io_fields(io.delta_since(self.io));
+        self.start.elapsed()
+    }
+}
+
+/// The run's IO so far, the reading every cost scope takes: what the body
+/// gathered into `stats.io` (the parallel engines' worker scanners; zero in
+/// a sequential body) plus the disk's own counters.
+pub(crate) fn io_now(stats: &RunStats, disk: &Disk) -> IoCounts {
+    let mut io = stats.io;
+    io.add(disk.io_stats());
+    io
 }
 
 /// Outcome of a reverse-skyline run: the result ids (ascending) plus the
@@ -180,11 +246,17 @@ pub(crate) fn validate_inputs(
     Ok(())
 }
 
-/// Shared run scaffolding: validates inputs, snapshots IO counters, builds
-/// the query cache, executes `body`, then fills the IO delta, totals and
-/// result size. `prefix` names the engine in span names (`{prefix}.run`,
-/// `{prefix}.phase1.batch`, …); the closing run span carries the final
-/// `RunStats` totals so an external sink can reconcile them.
+/// Shared run scaffolding of every engine, sequential or parallel:
+/// snapshots the disk's IO counters, builds the query cache, executes
+/// `body`, then fills the totals and result size. The run's IO is whatever
+/// `body` gathered into `stats.io` (the parallel engines add their worker
+/// scanners' reads there; a sequential body leaves it zero) plus the disk's
+/// delta over the run — the same sum [`io_now`] reads. `prefix` names the
+/// engine in span names (`{prefix}.run`, `{prefix}.phase1.batch`, …); the
+/// closing run span carries the final `RunStats` totals so an external sink
+/// can reconcile them. The recorder handle is captured here, on the calling
+/// thread, and shared with workers through [`RunObs`], so batch spans from
+/// worker threads land in the same sink a scoped test recorder installed.
 ///
 /// The query cache is built here — and its `Σ cardinality_i` evaluations
 /// charged to this run — unless the request installed a
@@ -226,7 +298,7 @@ pub(crate) fn run_with_scaffolding(
     let mut ids = body(ctx, cache, &mut stats, &robs, &kern)?;
     ids.sort_unstable();
     stats.total_time = t0.elapsed();
-    stats.io = ctx.disk.io_stats().delta_since(io_before);
+    stats.io.add(ctx.disk.io_stats().delta_since(io_before));
     stats.result_size = ids.len();
     finish_run_span(&mut run_span, &stats);
     run_span.close();
@@ -234,7 +306,7 @@ pub(crate) fn run_with_scaffolding(
 }
 
 /// Attaches the final `RunStats` totals to a closing run span. Shared with
-/// the parallel scaffolding so both emit the same field set.
+/// the sharded coordinator so both emit the same field set.
 pub(crate) fn finish_run_span(span: &mut Span, stats: &RunStats) {
     if !span.is_recording() {
         return;

@@ -16,7 +16,9 @@ use rsky_core::query::Query;
 use rsky_core::record::RowBuf;
 use rsky_storage::RecordFile;
 
-use crate::engine::{prunes_cached, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
+use crate::engine::{
+    io_now, prunes_cached, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun,
+};
 
 /// Algorithm 1. No tuning knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,13 +43,10 @@ impl ReverseSkylineAlgo for Naive {
             let mut inner = RowBuf::new(m);
             // The naive scan has no write area and no second phase: each
             // outer page is one "batch" span, all under a single phase span.
-            let mut p1_span = robs.span("phase1");
-            let io_p1 = ctx.disk.io_stats();
+            let p1 = robs.scope("phase1", stats, io_now(stats, ctx.disk));
             for op in 0..total_pages {
                 robs.check_cancelled()?;
-                let mut bspan = robs.span("phase1.batch");
-                let io_b = ctx.disk.io_stats();
-                let (dc0, oc0) = (stats.dist_checks, stats.obj_comparisons);
+                let bspan = robs.scope("phase1.batch", stats, io_now(stats, ctx.disk));
                 outer.clear();
                 table.read_page_rows(ctx.disk, op, &mut outer)?;
                 // Iterate X over the page; inner scan restarts at page 0 and
@@ -81,23 +80,15 @@ impl ReverseSkylineAlgo for Naive {
                         result.push(x_id);
                     }
                 }
-                if bspan.is_recording() {
-                    bspan
-                        .field("batch", op)
-                        .field("records", outer.len() as u64)
-                        .field("dist_checks", stats.dist_checks - dc0)
-                        .field("obj_comparisons", stats.obj_comparisons - oc0)
-                        .io_fields(ctx.disk.io_stats().delta_since(io_b));
-                }
-                bspan.close();
+                bspan
+                    .field("batch", op)
+                    .field("records", outer.len() as u64)
+                    .close(stats, io_now(stats, ctx.disk));
             }
             stats.phase1_batches = total_pages as usize;
-            if p1_span.is_recording() {
-                p1_span
-                    .field("batches", stats.phase1_batches as u64)
-                    .io_fields(ctx.disk.io_stats().delta_since(io_p1));
-            }
-            p1_span.close();
+            stats.phase1_time = p1
+                .field("batches", stats.phase1_batches as u64)
+                .close(stats, io_now(stats, ctx.disk));
             Ok(result)
         })
     }

@@ -3,8 +3,10 @@
 //! [`ParBrs`], [`ParSrs`] and [`ParTrs`] run both phases of their sequential
 //! twins across a configurable number of OS threads (`std::thread::scope`,
 //! the pattern proven by [`crate::influence::run_influence_parallel`] — no
-//! extra dependencies). The sequential engines are untouched; the parallel
-//! ones are additional [`ReverseSkylineAlgo`] implementations.
+//! extra dependencies). Each batch runs the same per-batch body as the
+//! sequential engine (`brs::phase1_scan_batch` / `phase2_filter_batch`,
+//! `trs::phase1_tree_batch` / `phase2_tree_batch`) inside the same
+//! `run_with_scaffolding`; only batch distribution and IO differ.
 //!
 //! ## Determinism
 //!
@@ -23,8 +25,9 @@
 //! coordinator merges per-batch stats **in batch order** via
 //! [`RunStats::merge`] and concatenates phase-1 survivors in batch order, so
 //! the write area `R` is byte-identical to the sequential run's. Result id
-//! sets are identical, and so are the `dist_checks` / `obj_comparisons`
-//! counters, for any thread count — asserted by the twin tests.
+//! sets are identical, and so are the `dist_checks` / `obj_comparisons` /
+//! `tree_nodes_visited` counters, for any thread count — asserted by the
+//! twin tests.
 //!
 //! ## What legitimately differs
 //!
@@ -33,9 +36,10 @@
 //! scan read-only snapshots ([`rsky_storage::SharedRecords`]) with one head
 //! each, and the coordinator writes `R` in one sequential pass — total pages
 //! read/written match the sequential profile, but the sequential/random
-//! split differs. Wall-clock phase times are measured by the coordinator;
-//! the merged per-batch durations (total work) are overwritten with elapsed
-//! time, per the [`RunStats::merge`] contract.
+//! split differs. Worker scanner IO is gathered into `stats.io`, which the
+//! scaffolding adds to the disk's own delta. Wall-clock phase times are
+//! measured by the coordinator's phase scopes and overwrite the merged
+//! per-batch durations (total work), per the [`RunStats::merge`] contract.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -43,7 +47,7 @@ use std::time::Instant;
 
 use rsky_altree::AlTree;
 use rsky_core::error::Result;
-use rsky_core::obs;
+use rsky_core::obs::{self, TraceContext};
 use rsky_core::query::Query;
 use rsky_core::record::{RecordId, RowBuf};
 use rsky_core::schema::Schema;
@@ -51,9 +55,11 @@ use rsky_core::stats::{IoCounts, RunStats};
 use rsky_storage::{RecordFile, RecordScanner, RecordWriter, SharedRecords};
 
 use crate::brs::{phase1_scan_batch, phase2_filter_batch, Phase1Order};
-use crate::engine::{finish_run_span, validate_inputs, EngineCtx, ReverseSkylineAlgo, RsRun, RunObs};
+use crate::engine::{
+    io_now, run_with_scaffolding, validate_inputs, EngineCtx, ReverseSkylineAlgo, RsRun, RunObs,
+};
 use crate::kernels::PrunerKernel;
-use crate::qcache::{self, QueryDistCache};
+use crate::qcache::QueryDistCache;
 use crate::trs::{self, Trs};
 
 /// Parallel BRS: both phases sharded by batch across OS threads.
@@ -96,7 +102,7 @@ impl ReverseSkylineAlgo for ParBrs {
 
     fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun> {
         validate_inputs(ctx, table, query)?;
-        run_par_scaffolding(ctx, query, "brs-p", |ctx, cache, stats, robs, kern| {
+        run_with_scaffolding(ctx, query, "brs-p", |ctx, cache, stats, robs, kern| {
             par_two_phase(
                 ctx, table, query, cache, Phase1Order::Linear, self.threads, stats, robs, kern,
             )
@@ -111,7 +117,7 @@ impl ReverseSkylineAlgo for ParSrs {
 
     fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun> {
         validate_inputs(ctx, table, query)?;
-        run_par_scaffolding(ctx, query, "srs-p", |ctx, cache, stats, robs, kern| {
+        run_with_scaffolding(ctx, query, "srs-p", |ctx, cache, stats, robs, kern| {
             par_two_phase(
                 ctx, table, query, cache, Phase1Order::Radiating, self.threads, stats, robs, kern,
             )
@@ -127,56 +133,10 @@ impl ReverseSkylineAlgo for ParTrs {
     fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun> {
         validate_inputs(ctx, table, query)?;
         self.trs.validate_order(table.num_attrs())?;
-        run_par_scaffolding(ctx, query, "trs-p", |ctx, cache, stats, robs, kern| {
+        run_with_scaffolding(ctx, query, "trs-p", |ctx, cache, stats, robs, kern| {
             par_trs(ctx, table, query, cache, &self.trs, self.threads, stats, robs, kern)
         })
     }
-}
-
-/// Like `run_with_scaffolding`, but the body *adds* worker-scanner IO into
-/// `stats.io` as it goes, so the disk delta is added rather than assigned.
-/// The recorder handle is captured here — on the calling thread — and shared
-/// with workers through [`RunObs`], so batch spans from worker threads land
-/// in the same sink a scoped test recorder installed.
-fn run_par_scaffolding(
-    ctx: &mut EngineCtx<'_>,
-    query: &Query,
-    prefix: &str,
-    body: impl FnOnce(
-        &mut EngineCtx<'_>,
-        &QueryDistCache,
-        &mut RunStats,
-        &RunObs<'_>,
-        &PrunerKernel,
-    ) -> Result<Vec<RecordId>>,
-) -> Result<RsRun> {
-    let robs = RunObs::capture(prefix);
-    let io_before = ctx.disk.io_stats();
-    let t0 = Instant::now();
-    let mut run_span = robs.span("run");
-    let kern = PrunerKernel::capture(ctx.schema, ctx.dissim);
-    let shared = qcache::shared_for(query);
-    let owned;
-    let cache: &QueryDistCache = match shared.as_deref() {
-        Some(s) => s.cache(),
-        None => {
-            owned = QueryDistCache::new(ctx.dissim, ctx.schema, query);
-            &owned
-        }
-    };
-    let build_checks = if shared.is_some() { 0 } else { cache.build_checks };
-    if shared.is_none() {
-        robs.handle().counter_add(obs::names::QCACHE_BUILD_CHECKS, cache.build_checks);
-    }
-    let mut stats = RunStats { query_dist_checks: build_checks, ..Default::default() };
-    let mut ids = body(ctx, cache, &mut stats, &robs, &kern)?;
-    ids.sort_unstable();
-    stats.total_time = t0.elapsed();
-    stats.io.add(ctx.disk.io_stats().delta_since(io_before));
-    stats.result_size = ids.len();
-    finish_run_span(&mut run_span, &stats);
-    run_span.close();
-    Ok(RsRun { ids, stats })
 }
 
 /// First pages of every batch a sequential `read_batch` loop over `file`
@@ -229,6 +189,28 @@ fn gather_batches<T>(nb: usize, worker_out: WorkerOut<T>, stats: &mut RunStats) 
     Ok(payloads)
 }
 
+/// Runs `work` on `threads` scoped worker threads and returns their outputs.
+/// Worker threads start with an empty span stack, so each joins the trace of
+/// the phase span whose context is `parent`.
+fn on_workers<T: Send>(
+    threads: usize,
+    parent: Option<TraceContext>,
+    work: impl Fn() -> T + Sync,
+) -> Vec<T> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> =
+            (0..threads).map(|_| s.spawn(|| obs::with_parent(parent, &work))).collect();
+        handles.into_iter().map(|h| h.join().expect("parallel engine worker panicked")).collect()
+    })
+}
+
+/// Combined IO of two worker scanners.
+fn scanners_io(a: &RecordScanner, b: &RecordScanner) -> IoCounts {
+    let mut io = a.io_stats();
+    io.add(b.io_stats());
+    io
+}
+
 /// Parallel twin of `crate::brs::two_phase` (shared by BRS-P and SRS-P).
 #[allow(clippy::too_many_arguments)]
 fn par_two_phase(
@@ -249,74 +231,50 @@ fn par_two_phase(
     let shared_d = table.share(ctx.disk)?;
 
     // --- Phase one: disjoint batches, claimed from an atomic counter ------
-    let t1 = Instant::now();
-    let mut p1_span = robs.span("phase1");
-    let io_disk1 = ctx.disk.io_stats();
-    let io_stats1 = stats.io;
+    let p1 = robs.scope("phase1", stats, io_now(stats, ctx.disk));
     let cap1 = ctx.budget.phase1_records(rec_bytes);
     let starts = flat_batch_starts(&shared_d, cap1);
     let nb = starts.len();
     let next = AtomicUsize::new(0);
-    // Worker threads start with an empty span stack; hand them the phase
-    // span's context so their batch spans join this run's trace.
-    let p1_ctx = p1_span.ctx();
-    let worker_out: WorkerOut<RowBuf> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let (shared_d, starts, next) = (&shared_d, &starts, &next);
-                    s.spawn(move || obs::with_parent(p1_ctx, || {
-                        let mut scanner = shared_d.scanner();
-                        let mut dqx = Vec::with_capacity(query.subset.len());
-                        let mut crows: Vec<&[f64]> = Vec::with_capacity(query.subset.len());
-                        let mut out = Vec::new();
-                        loop {
-                            let b = next.fetch_add(1, Ordering::Relaxed);
-                            if b >= nb {
-                                break;
-                            }
-                            robs.check_cancelled()?;
-                            let mut bspan = robs.span("phase1.batch");
-                            let io_b = scanner.io_stats();
-                            let mut batch = RowBuf::new(m);
-                            scanner.read_batch(starts[b], cap1, &mut batch)?;
-                            let mut bs = RunStats { phase1_batches: 1, ..Default::default() };
-                            let mut surv = RowBuf::new(m);
-                            {
-                                let surv = &mut surv;
-                                phase1_scan_batch(
-                                    dissim,
-                                    kern.flat(),
-                                    &batch,
-                                    query,
-                                    cache,
-                                    order,
-                                    &mut dqx,
-                                    &mut crows,
-                                    &mut bs,
-                                    |i| {
-                                        surv.push_flat(batch.flat_row(i));
-                                        Ok(())
-                                    },
-                                )?;
-                            }
-                            if bspan.is_recording() {
-                                bspan
-                                    .field("batch", b as u64)
-                                    .field("records", batch.len() as u64)
-                                    .field("dist_checks", bs.dist_checks)
-                                    .field("obj_comparisons", bs.obj_comparisons)
-                                    .io_fields(scanner.io_stats().delta_since(io_b));
-                            }
-                            bspan.close();
-                            out.push((b, surv, bs));
-                        }
-                        Ok((out, scanner.io_stats()))
-                    }))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("phase-1 worker panicked")).collect()
-        });
+    let worker_out: WorkerOut<RowBuf> = on_workers(threads, p1.ctx(), || {
+        let mut scanner = shared_d.scanner();
+        let mut dqx = Vec::with_capacity(query.subset.len());
+        let mut crows: Vec<&[f64]> = Vec::with_capacity(query.subset.len());
+        let mut out = Vec::new();
+        loop {
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            if b >= nb {
+                break;
+            }
+            robs.check_cancelled()?;
+            let mut bs = RunStats { phase1_batches: 1, ..Default::default() };
+            let bspan = robs.scope("phase1.batch", &bs, scanner.io_stats());
+            let mut batch = RowBuf::new(m);
+            scanner.read_batch(starts[b], cap1, &mut batch)?;
+            let mut surv = RowBuf::new(m);
+            phase1_scan_batch(
+                dissim,
+                kern.flat(),
+                &batch,
+                query,
+                cache,
+                order,
+                &mut dqx,
+                &mut crows,
+                &mut bs,
+                |i| {
+                    surv.push_flat(batch.flat_row(i));
+                    Ok(())
+                },
+            )?;
+            bspan
+                .field("batch", b as u64)
+                .field("records", batch.len() as u64)
+                .close(&bs, scanner.io_stats());
+            out.push((b, surv, bs));
+        }
+        Ok((out, scanner.io_stats()))
+    });
     let survivors = gather_batches(nb, worker_out, stats)?;
     let r_file = {
         let mut writer = RecordWriter::create(ctx.disk, m)?;
@@ -325,25 +283,14 @@ fn par_two_phase(
         }
         writer.finish(ctx.disk)?
     };
-    stats.phase1_time = t1.elapsed();
     stats.phase1_survivors = r_file.len() as usize;
-    if p1_span.is_recording() {
-        // Phase IO = worker-scanner IO gathered into stats.io this phase,
-        // plus the coordinator's own disk traffic (the R-file writes).
-        let mut pio = stats.io.delta_since(io_stats1);
-        pio.add(ctx.disk.io_stats().delta_since(io_disk1));
-        p1_span
-            .field("batches", stats.phase1_batches as u64)
-            .field("survivors", stats.phase1_survivors as u64)
-            .io_fields(pio);
-    }
-    p1_span.close();
+    stats.phase1_time = p1
+        .field("batches", stats.phase1_batches as u64)
+        .field("survivors", stats.phase1_survivors as u64)
+        .close(stats, io_now(stats, ctx.disk));
 
     // --- Phase two: R-batches sharded the same way ------------------------
-    let t2 = Instant::now();
-    let mut p2_span = robs.span("phase2");
-    let io_disk2 = ctx.disk.io_stats();
-    let io_stats2 = stats.io;
+    let p2 = robs.scope("phase2", stats, io_now(stats, ctx.disk));
     let shared_r = r_file.share(ctx.disk)?;
     let cap2 = ctx.budget.phase2_records(rec_bytes);
     let rstarts = flat_batch_starts(&shared_r, cap2);
@@ -352,80 +299,50 @@ fn par_two_phase(
     let subset = &query.subset;
     let slen = subset.len();
     let d_pages = shared_d.num_pages();
-    let p2_ctx = p2_span.ctx();
-    let worker_out: WorkerOut<Vec<RecordId>> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let (shared_d, shared_r, rstarts, next2) =
-                        (&shared_d, &shared_r, &rstarts, &next2);
-                    s.spawn(move || obs::with_parent(p2_ctx, || {
-                        let mut r_scanner = shared_r.scanner();
-                        let mut d_scanner = shared_d.scanner();
-                        let mut rbatch = RowBuf::new(m);
-                        let mut dpage = RowBuf::new(m);
-                        let mut dqx_rows: Vec<f64> = Vec::new();
-                        let mut row = Vec::with_capacity(slen);
-                        let mut out = Vec::new();
-                        loop {
-                            let b = next2.fetch_add(1, Ordering::Relaxed);
-                            if b >= nrb {
-                                break;
-                            }
-                            robs.check_cancelled()?;
-                            let mut bspan = robs.span("phase2.batch");
-                            let io_b = {
-                                let mut io = r_scanner.io_stats();
-                                io.add(d_scanner.io_stats());
-                                io
-                            };
-                            rbatch.clear();
-                            r_scanner.read_batch(rstarts[b], cap2, &mut rbatch)?;
-                            let mut bs = RunStats { phase2_batches: 1, ..Default::default() };
-                            let mut ids: Vec<RecordId> = Vec::new();
-                            phase2_filter_batch(
-                                dissim,
-                                kern.flat(),
-                                subset,
-                                cache,
-                                &rbatch,
-                                d_pages,
-                                |p, buf| d_scanner.read_page_rows(p, buf).map(|_| ()),
-                                &mut dpage,
-                                &mut dqx_rows,
-                                &mut row,
-                                &mut bs,
-                                &mut ids,
-                            )?;
-                            if bspan.is_recording() {
-                                let mut io = r_scanner.io_stats();
-                                io.add(d_scanner.io_stats());
-                                bspan
-                                    .field("batch", b as u64)
-                                    .field("records", rbatch.len() as u64)
-                                    .field("dist_checks", bs.dist_checks)
-                                    .field("obj_comparisons", bs.obj_comparisons)
-                                    .io_fields(io.delta_since(io_b));
-                            }
-                            bspan.close();
-                            out.push((b, ids, bs));
-                        }
-                        let mut io = r_scanner.io_stats();
-                        io.add(d_scanner.io_stats());
-                        Ok((out, io))
-                    }))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("phase-2 worker panicked")).collect()
-        });
+    let worker_out: WorkerOut<Vec<RecordId>> = on_workers(threads, p2.ctx(), || {
+        let mut r_scanner = shared_r.scanner();
+        let mut d_scanner = shared_d.scanner();
+        let mut rbatch = RowBuf::new(m);
+        let mut dpage = RowBuf::new(m);
+        let mut dqx_rows: Vec<f64> = Vec::new();
+        let mut row = Vec::with_capacity(slen);
+        let mut out = Vec::new();
+        loop {
+            let b = next2.fetch_add(1, Ordering::Relaxed);
+            if b >= nrb {
+                break;
+            }
+            robs.check_cancelled()?;
+            let mut bs = RunStats { phase2_batches: 1, ..Default::default() };
+            let bspan = robs.scope("phase2.batch", &bs, scanners_io(&r_scanner, &d_scanner));
+            rbatch.clear();
+            r_scanner.read_batch(rstarts[b], cap2, &mut rbatch)?;
+            let mut ids: Vec<RecordId> = Vec::new();
+            phase2_filter_batch(
+                dissim,
+                kern.flat(),
+                subset,
+                cache,
+                &rbatch,
+                d_pages,
+                |p, buf| d_scanner.read_page_rows(p, buf).map(|_| ()),
+                &mut dpage,
+                &mut dqx_rows,
+                &mut row,
+                &mut bs,
+                &mut ids,
+            )?;
+            bspan
+                .field("batch", b as u64)
+                .field("records", rbatch.len() as u64)
+                .close(&bs, scanners_io(&r_scanner, &d_scanner));
+            out.push((b, ids, bs));
+        }
+        Ok((out, scanners_io(&r_scanner, &d_scanner)))
+    });
     let per_batch_ids = gather_batches(nrb, worker_out, stats)?;
-    stats.phase2_time = t2.elapsed();
-    if p2_span.is_recording() {
-        let mut pio = stats.io.delta_since(io_stats2);
-        pio.add(ctx.disk.io_stats().delta_since(io_disk2));
-        p2_span.field("batches", stats.phase2_batches as u64).io_fields(pio);
-    }
-    p2_span.close();
+    stats.phase2_time =
+        p2.field("batches", stats.phase2_batches as u64).close(stats, io_now(stats, ctx.disk));
     Ok(per_batch_ids.into_iter().flatten().collect())
 }
 
@@ -438,10 +355,11 @@ struct TreeLoader {
     batch_idx: usize,
 }
 
-/// Claims and loads the next tree batch, or returns `None` at end of file.
-/// When a recorder is active, the time spent *waiting* for the loader lock
-/// is recorded into the `par.batch.wait_us` histogram — the contention cost
-/// of serializing TRS batch composition.
+/// Claims and loads the next tree batch, returning its index and the
+/// loader IO it cost, or `None` at end of file. When a recorder is active,
+/// the time spent *waiting* for the loader lock is recorded into the
+/// `par.batch.wait_us` histogram — the contention cost of serializing TRS
+/// batch composition.
 #[allow(clippy::too_many_arguments)]
 fn claim_tree_batch(
     loader: &Mutex<TreeLoader>,
@@ -452,7 +370,7 @@ fn claim_tree_batch(
     pbuf: &mut RowBuf,
     tvals: &mut [u32],
     robs: &RunObs<'_>,
-) -> Result<Option<usize>> {
+) -> Result<Option<(usize, IoCounts)>> {
     robs.check_cancelled()?;
     let wait0 = robs.enabled().then(Instant::now);
     let mut ld = loader.lock().expect("tree loader poisoned");
@@ -464,8 +382,8 @@ fn claim_tree_batch(
     }
     let b = ld.batch_idx;
     ld.batch_idx += 1;
-    tree.clear();
     let ld = &mut *ld;
+    let io0 = ld.scanner.io_stats();
     trs::load_batch_into_tree_with(
         |p, buf| ld.scanner.read_page_rows(p, buf).map(|_| ()),
         order,
@@ -476,7 +394,7 @@ fn claim_tree_batch(
         pbuf,
         tvals,
     )?;
-    Ok(Some(b))
+    Ok(Some((b, ld.scanner.io_stats().delta_since(io0))))
 }
 
 /// Parallel twin of the TRS run body.
@@ -495,79 +413,39 @@ fn par_trs(
     let threads = threads.max(1);
     let m = table.num_attrs();
     let order = trs_cfg.attr_order();
+    let subset = &query.subset;
     let dissim = ctx.dissim;
     let shared_d = table.share(ctx.disk)?;
     let d_pages = shared_d.num_pages();
 
     // --- Phase one: trees loaded under lock, walked concurrently ----------
-    let t1 = Instant::now();
-    let mut p1_span = robs.span("phase1");
-    let io_disk1 = ctx.disk.io_stats();
-    let io_stats1 = stats.io;
+    let p1 = robs.scope("phase1", stats, io_now(stats, ctx.disk));
     let tree_budget = ctx.budget.phase1_tree_bytes();
     let loader = Mutex::new(TreeLoader { scanner: shared_d.scanner(), page: 0, batch_idx: 0 });
-    let p1_ctx = p1_span.ctx();
-    let worker_out: WorkerOut<RowBuf> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let loader = &loader;
-                    s.spawn(move || obs::with_parent(p1_ctx, || {
-                        let mut tree = AlTree::new(m);
-                        let mut pbuf = RowBuf::new(m);
-                        let mut tvals = vec![0u32; m];
-                        let mut c_schema_vals = vec![0u32; m];
-                        let mut flat = vec![0u32; m + 1];
-                        let mut stack = Vec::with_capacity(64);
-                        let mut out = Vec::new();
-                        while let Some(b) = claim_tree_batch(
-                            loader, d_pages, tree_budget, order, &mut tree, &mut pbuf, &mut tvals,
-                            robs,
-                        )? {
-                            let mut bspan = robs.span("phase1.batch");
-                            let mut bs = RunStats { phase1_batches: 1, ..Default::default() };
-                            if trs_cfg.opts.order_children_by_count {
-                                tree.order_children_for_search();
-                            }
-                            let mut surv = RowBuf::new(m);
-                            for leaf in trs::collect_leaves(&tree) {
-                                trs::leaf_schema_values(&tree, leaf, order, &mut c_schema_vals);
-                                let ids = tree.leaf_ids(leaf);
-                                bs.obj_comparisons += ids.len() as u64;
-                                if !trs::is_prunable_with_stack(
-                                    &tree,
-                                    dissim,
-                                    kern.flat(),
-                                    &query.subset,
-                                    order,
-                                    &c_schema_vals,
-                                    ids[0],
-                                    cache,
-                                    &mut bs,
-                                    &mut stack,
-                                ) {
-                                    flat[1..].copy_from_slice(&c_schema_vals);
-                                    for k in 0..tree.leaf_ids(leaf).len() {
-                                        flat[0] = tree.leaf_ids(leaf)[k];
-                                        surv.push_flat(&flat);
-                                    }
-                                }
-                            }
-                            if bspan.is_recording() {
-                                bspan
-                                    .field("batch", b as u64)
-                                    .field("dist_checks", bs.dist_checks)
-                                    .field("obj_comparisons", bs.obj_comparisons);
-                            }
-                            bspan.close();
-                            out.push((b, surv, bs));
-                        }
-                        Ok((out, IoCounts::default()))
-                    }))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("TRS phase-1 worker panicked")).collect()
-        });
+    let worker_out: WorkerOut<RowBuf> = on_workers(threads, p1.ctx(), || {
+        let mut tree = AlTree::new(m);
+        let mut pbuf = RowBuf::new(m);
+        let mut tvals = vec![0u32; m];
+        let mut out = Vec::new();
+        while let Some((b, load_io)) = claim_tree_batch(
+            &loader, d_pages, tree_budget, order, &mut tree, &mut pbuf, &mut tvals, robs,
+        )? {
+            let mut bs = RunStats { phase1_batches: 1, ..Default::default() };
+            // The loader read this batch's pages before the scope opened.
+            let bspan = robs.scope("phase1.batch", &bs, IoCounts::default());
+            let mut surv = RowBuf::new(m);
+            trs::phase1_tree_batch(
+                &mut tree, dissim, kern.flat(), subset, order, trs_cfg.opts, cache, &mut bs,
+                |row| {
+                    surv.push_flat(row);
+                    Ok(())
+                },
+            )?;
+            bspan.field("batch", b as u64).close(&bs, load_io);
+            out.push((b, surv, bs));
+        }
+        Ok((out, IoCounts::default()))
+    });
     let nb = loader.lock().expect("tree loader poisoned").batch_idx;
     stats.io.add(loader.into_inner().expect("tree loader poisoned").scanner.io_stats());
     let survivors = gather_batches(nb, worker_out, stats)?;
@@ -578,96 +456,48 @@ fn par_trs(
         }
         writer.finish(ctx.disk)?
     };
-    stats.phase1_time = t1.elapsed();
     stats.phase1_survivors = r_file.len() as usize;
-    if p1_span.is_recording() {
-        let mut pio = stats.io.delta_since(io_stats1);
-        pio.add(ctx.disk.io_stats().delta_since(io_disk1));
-        p1_span
-            .field("batches", stats.phase1_batches as u64)
-            .field("survivors", stats.phase1_survivors as u64)
-            .io_fields(pio);
-    }
-    p1_span.close();
+    stats.phase1_time = p1
+        .field("batches", stats.phase1_batches as u64)
+        .field("survivors", stats.phase1_survivors as u64)
+        .close(stats, io_now(stats, ctx.disk));
 
     // --- Phase two: result trees per batch, database streamed per worker --
-    let t2 = Instant::now();
-    let mut p2_span = robs.span("phase2");
-    let io_disk2 = ctx.disk.io_stats();
-    let io_stats2 = stats.io;
+    let p2 = robs.scope("phase2", stats, io_now(stats, ctx.disk));
     let tree_budget2 = ctx.budget.phase2_tree_bytes();
     let shared_r = r_file.share(ctx.disk)?;
     let r_pages = shared_r.num_pages();
     let loader2 = Mutex::new(TreeLoader { scanner: shared_r.scanner(), page: 0, batch_idx: 0 });
-    let p2_ctx = p2_span.ctx();
-    let worker_out: WorkerOut<Vec<RecordId>> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let (loader2, shared_d) = (&loader2, &shared_d);
-                    s.spawn(move || obs::with_parent(p2_ctx, || {
-                        let mut tree = AlTree::new(m);
-                        let mut pbuf = RowBuf::new(m);
-                        let mut tvals = vec![0u32; m];
-                        let mut d_scanner = shared_d.scanner();
-                        let mut dpage = RowBuf::new(m);
-                        let mut stack = Vec::with_capacity(64);
-                        let mut out = Vec::new();
-                        while let Some(b) = claim_tree_batch(
-                            loader2, r_pages, tree_budget2, order, &mut tree, &mut pbuf,
-                            &mut tvals, robs,
-                        )? {
-                            let mut bspan = robs.span("phase2.batch");
-                            let io_b = d_scanner.io_stats();
-                            let mut bs = RunStats { phase2_batches: 1, ..Default::default() };
-                            for p in 0..d_pages {
-                                if tree.is_empty() {
-                                    break;
-                                }
-                                dpage.clear();
-                                d_scanner.read_page_rows(p, &mut dpage)?;
-                                for ei in 0..dpage.len() {
-                                    bs.obj_comparisons += 1;
-                                    trs::prune_with_stack(
-                                        &mut tree,
-                                        dissim,
-                                        kern.flat(),
-                                        &query.subset,
-                                        order,
-                                        dpage.values(ei),
-                                        dpage.id(ei),
-                                        cache,
-                                        &mut bs,
-                                        &mut stack,
-                                    );
-                                }
-                            }
-                            if bspan.is_recording() {
-                                bspan
-                                    .field("batch", b as u64)
-                                    .field("dist_checks", bs.dist_checks)
-                                    .field("obj_comparisons", bs.obj_comparisons)
-                                    .io_fields(d_scanner.io_stats().delta_since(io_b));
-                            }
-                            bspan.close();
-                            out.push((b, tree.collect_ids(), bs));
-                        }
-                        Ok((out, d_scanner.io_stats()))
-                    }))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("TRS phase-2 worker panicked")).collect()
-        });
+    let worker_out: WorkerOut<Vec<RecordId>> = on_workers(threads, p2.ctx(), || {
+        let mut tree = AlTree::new(m);
+        let mut pbuf = RowBuf::new(m);
+        let mut tvals = vec![0u32; m];
+        let mut d_scanner = shared_d.scanner();
+        let mut out = Vec::new();
+        while let Some((b, load_io)) = claim_tree_batch(
+            &loader2, r_pages, tree_budget2, order, &mut tree, &mut pbuf, &mut tvals, robs,
+        )? {
+            let mut bs = RunStats { phase2_batches: 1, ..Default::default() };
+            let bspan = robs.scope("phase2.batch", &bs, d_scanner.io_stats());
+            let mut ids = Vec::new();
+            trs::phase2_tree_batch(
+                &mut tree, dissim, kern.flat(), subset, order, cache, d_pages,
+                |p, buf| d_scanner.read_page_rows(p, buf).map(|_| ()),
+                &mut bs, &mut ids,
+            )?;
+            // The R pages of this batch were read by the loader.
+            let mut io = d_scanner.io_stats();
+            io.add(load_io);
+            bspan.field("batch", b as u64).close(&bs, io);
+            out.push((b, ids, bs));
+        }
+        Ok((out, d_scanner.io_stats()))
+    });
     let nrb = loader2.lock().expect("tree loader poisoned").batch_idx;
     stats.io.add(loader2.into_inner().expect("tree loader poisoned").scanner.io_stats());
     let per_batch_ids = gather_batches(nrb, worker_out, stats)?;
-    stats.phase2_time = t2.elapsed();
-    if p2_span.is_recording() {
-        let mut pio = stats.io.delta_since(io_stats2);
-        pio.add(ctx.disk.io_stats().delta_since(io_disk2));
-        p2_span.field("batches", stats.phase2_batches as u64).io_fields(pio);
-    }
-    p2_span.close();
+    stats.phase2_time =
+        p2.field("batches", stats.phase2_batches as u64).close(stats, io_now(stats, ctx.disk));
     Ok(per_batch_ids.into_iter().flatten().collect())
 }
 

@@ -42,7 +42,7 @@ use rsky_core::schema::Schema;
 use rsky_core::stats::RunStats;
 use rsky_storage::{RecordFile, RecordWriter};
 
-use crate::engine::{run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
+use crate::engine::{io_now, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
 use crate::qcache::QueryDistCache;
 
 /// Tuning switches, primarily for ablation studies.
@@ -142,159 +142,157 @@ impl ReverseSkylineAlgo for Trs {
         self.validate_order(m)?;
         run_with_scaffolding(ctx, query, "trs", |ctx, cache, stats, robs, kern| {
             let order = &self.attr_order;
+            let subset = &query.subset;
             let total_pages = table.num_pages(ctx.disk);
             let mut tree = AlTree::new(m);
+            let mut pbuf = RowBuf::new(m);
             let mut tvals = vec![0u32; m];
 
             // --- Phase one: batch trees, IsPrunable per loaded object ------
-            let t1 = std::time::Instant::now();
-            let mut p1_span = robs.span("phase1");
-            let io_p1 = ctx.disk.io_stats();
-            let r_file = {
-                let tree_budget = ctx.budget.phase1_tree_bytes();
-                let mut writer = RecordWriter::create(ctx.disk, m)?;
-                let mut page = 0;
-                let mut pbuf = RowBuf::new(m);
-                let mut flat = vec![0u32; m + 1];
-                while page < total_pages {
-                    robs.check_cancelled()?;
-                    let mut bspan = robs.span("phase1.batch");
-                    let io_b = ctx.disk.io_stats();
-                    let (dc0, oc0) = (stats.dist_checks, stats.obj_comparisons);
-                    tree.clear();
-                    load_batch_into_tree(
-                        ctx, table, order, &mut page, total_pages, tree_budget, &mut tree,
-                        &mut pbuf, &mut tvals,
-                    )?;
-                    stats.phase1_batches += 1;
-                    if self.opts.order_children_by_count {
-                        tree.order_children_for_search();
-                    }
-                    // Check every leaf group of the batch.
-                    let leaves = collect_leaves(&tree);
-                    let mut c_schema_vals = vec![0u32; m];
-                    let mut stack = Vec::with_capacity(64);
-                    for leaf in leaves {
-                        leaf_schema_values(&tree, leaf, order, &mut c_schema_vals);
-                        let ids = tree.leaf_ids(leaf);
-                        stats.obj_comparisons += ids.len() as u64;
-                        if !is_prunable_with_stack(
-                            &tree,
-                            ctx.dissim,
-                            kern.flat(),
-                            &query.subset,
-                            order,
-                            &c_schema_vals,
-                            ids[0],
-                            cache,
-                            stats,
-                            &mut stack,
-                        ) {
-                            // No pruner for this value combination: every
-                            // instance survives (a duplicate pair would have
-                            // been caught at its own leaf).
-                            flat[1..].copy_from_slice(&c_schema_vals);
-                            for k in 0..tree.leaf_ids(leaf).len() {
-                                flat[0] = tree.leaf_ids(leaf)[k];
-                                writer.push(ctx.disk, &flat)?;
-                            }
-                        }
-                    }
-                    if bspan.is_recording() {
-                        bspan
-                            .field("batch", (stats.phase1_batches - 1) as u64)
-                            .field("dist_checks", stats.dist_checks - dc0)
-                            .field("obj_comparisons", stats.obj_comparisons - oc0)
-                            .io_fields(ctx.disk.io_stats().delta_since(io_b));
-                    }
-                    bspan.close();
-                }
-                writer.finish(ctx.disk)?
-            };
-            stats.phase1_time = t1.elapsed();
-            stats.phase1_survivors = r_file.len() as usize;
-            if p1_span.is_recording() {
-                p1_span
-                    .field("batches", stats.phase1_batches as u64)
-                    .field("survivors", stats.phase1_survivors as u64)
-                    .io_fields(ctx.disk.io_stats().delta_since(io_p1));
+            let p1 = robs.scope("phase1", stats, io_now(stats, ctx.disk));
+            let tree_budget = ctx.budget.phase1_tree_bytes();
+            let mut writer = RecordWriter::create(ctx.disk, m)?;
+            let mut page = 0;
+            while page < total_pages {
+                robs.check_cancelled()?;
+                let bspan = robs.scope("phase1.batch", stats, io_now(stats, ctx.disk));
+                load_batch_into_tree(
+                    ctx, table, order, &mut page, total_pages, tree_budget, &mut tree, &mut pbuf,
+                    &mut tvals,
+                )?;
+                stats.phase1_batches += 1;
+                let disk = &mut *ctx.disk;
+                phase1_tree_batch(
+                    &mut tree, ctx.dissim, kern.flat(), subset, order, self.opts, cache, stats,
+                    |row| writer.push(disk, row),
+                )?;
+                bspan
+                    .field("batch", (stats.phase1_batches - 1) as u64)
+                    .close(stats, io_now(stats, ctx.disk));
             }
-            p1_span.close();
+            let r_file = writer.finish(ctx.disk)?;
+            stats.phase1_survivors = r_file.len() as usize;
+            stats.phase1_time = p1
+                .field("batches", stats.phase1_batches as u64)
+                .field("survivors", stats.phase1_survivors as u64)
+                .close(stats, io_now(stats, ctx.disk));
 
             // --- Phase two: result trees, Prune per scanned object ---------
-            let t2 = std::time::Instant::now();
-            let mut p2_span = robs.span("phase2");
-            let io_p2 = ctx.disk.io_stats();
-            let result = {
-                let tree_budget = ctx.budget.phase2_tree_bytes();
-                let r_pages = r_file.num_pages(ctx.disk);
-                let mut result = Vec::new();
-                let mut rpage = 0;
-                let mut pbuf = RowBuf::new(m);
-                while rpage < r_pages {
-                    robs.check_cancelled()?;
-                    let mut bspan = robs.span("phase2.batch");
-                    let io_b = ctx.disk.io_stats();
-                    let (dc0, oc0) = (stats.dist_checks, stats.obj_comparisons);
-                    tree.clear();
-                    load_batch_into_tree(
-                        ctx, &r_file, order, &mut rpage, r_pages, tree_budget, &mut tree,
-                        &mut pbuf, &mut tvals,
-                    )?;
-                    stats.phase2_batches += 1;
-                    let mut dpage = RowBuf::new(m);
-                    let mut stack = Vec::with_capacity(64);
-                    for p in 0..total_pages {
-                        if tree.is_empty() {
-                            break;
-                        }
-                        dpage.clear();
-                        table.read_page_rows(ctx.disk, p, &mut dpage)?;
-                        for ei in 0..dpage.len() {
-                            stats.obj_comparisons += 1;
-                            prune_with_stack(
-                                &mut tree,
-                                ctx.dissim,
-                                kern.flat(),
-                                &query.subset,
-                                order,
-                                dpage.values(ei),
-                                dpage.id(ei),
-                                cache,
-                                stats,
-                                &mut stack,
-                            );
-                        }
-                    }
-                    result.extend(tree.collect_ids());
-                    if bspan.is_recording() {
-                        bspan
-                            .field("batch", (stats.phase2_batches - 1) as u64)
-                            .field("dist_checks", stats.dist_checks - dc0)
-                            .field("obj_comparisons", stats.obj_comparisons - oc0)
-                            .io_fields(ctx.disk.io_stats().delta_since(io_b));
-                    }
-                    bspan.close();
-                }
-                result
-            };
-            stats.phase2_time = t2.elapsed();
-            if p2_span.is_recording() {
-                p2_span
-                    .field("batches", stats.phase2_batches as u64)
-                    .io_fields(ctx.disk.io_stats().delta_since(io_p2));
+            let p2 = robs.scope("phase2", stats, io_now(stats, ctx.disk));
+            let tree_budget = ctx.budget.phase2_tree_bytes();
+            let r_pages = r_file.num_pages(ctx.disk);
+            let mut result = Vec::new();
+            let mut rpage = 0;
+            while rpage < r_pages {
+                robs.check_cancelled()?;
+                let bspan = robs.scope("phase2.batch", stats, io_now(stats, ctx.disk));
+                load_batch_into_tree(
+                    ctx, &r_file, order, &mut rpage, r_pages, tree_budget, &mut tree, &mut pbuf,
+                    &mut tvals,
+                )?;
+                stats.phase2_batches += 1;
+                let disk = &mut *ctx.disk;
+                phase2_tree_batch(
+                    &mut tree, ctx.dissim, kern.flat(), subset, order, cache, total_pages,
+                    |p, buf| table.read_page_rows(&mut *disk, p, buf).map(|_| ()),
+                    stats, &mut result,
+                )?;
+                bspan
+                    .field("batch", (stats.phase2_batches - 1) as u64)
+                    .close(stats, io_now(stats, ctx.disk));
             }
-            p2_span.close();
+            stats.phase2_time = p2
+                .field("batches", stats.phase2_batches as u64)
+                .close(stats, io_now(stats, ctx.disk));
             Ok(result)
         })
     }
 }
 
-/// Reads pages starting at `*page` into `tree` (values permuted to tree
-/// order) until the tree's memory estimate reaches `tree_budget`; always
-/// loads at least one page.
+/// Phase-one check of one loaded batch tree (Alg. 4 per leaf group): calls
+/// `emit` with the flat row `[id, values…]` of every instance whose value
+/// combination has no pruner in the tree, in DFS leaf order. Shared by the
+/// sequential and parallel engines, so both walk identical batches the same
+/// way.
 #[allow(clippy::too_many_arguments)]
-fn load_batch_into_tree(
+pub(crate) fn phase1_tree_batch(
+    tree: &mut AlTree,
+    dissim: &DissimTable,
+    flat: Option<&FlatDissim>,
+    subset: &AttrSubset,
+    order: &[usize],
+    opts: TrsOptions,
+    cache: &QueryDistCache,
+    stats: &mut RunStats,
+    mut emit: impl FnMut(&[u32]) -> Result<()>,
+) -> Result<()> {
+    if opts.order_children_by_count {
+        tree.order_children_for_search();
+    }
+    let m = order.len();
+    let mut c_schema_vals = vec![0u32; m];
+    let mut row = vec![0u32; m + 1];
+    let mut stack = Vec::with_capacity(64);
+    for leaf in collect_leaves(tree) {
+        leaf_schema_values(tree, leaf, order, &mut c_schema_vals);
+        let ids = tree.leaf_ids(leaf);
+        stats.obj_comparisons += ids.len() as u64;
+        if !is_prunable_with_stack(
+            tree, dissim, flat, subset, order, &c_schema_vals, ids[0], cache, stats, &mut stack,
+        ) {
+            // No pruner for this value combination: every instance survives
+            // (a duplicate pair would have been caught at its own leaf).
+            row[1..].copy_from_slice(&c_schema_vals);
+            for &id in ids {
+                row[0] = id;
+                emit(&row)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Phase-two refinement of one loaded result tree (Alg. 5 per scanned
+/// object): streams the database past the tree via `read_page`, evicting
+/// everything each scanned object dominates, then appends the surviving ids
+/// to `result`. The page loop stops as soon as the tree is empty. Shared by
+/// the sequential and parallel engines.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn phase2_tree_batch(
+    tree: &mut AlTree,
+    dissim: &DissimTable,
+    flat: Option<&FlatDissim>,
+    subset: &AttrSubset,
+    order: &[usize],
+    cache: &QueryDistCache,
+    total_pages: u64,
+    mut read_page: impl FnMut(u64, &mut RowBuf) -> Result<()>,
+    stats: &mut RunStats,
+    result: &mut Vec<RecordId>,
+) -> Result<()> {
+    let mut dpage = RowBuf::new(order.len());
+    let mut stack = Vec::with_capacity(64);
+    for p in 0..total_pages {
+        if tree.is_empty() {
+            break;
+        }
+        dpage.clear();
+        read_page(p, &mut dpage)?;
+        for ei in 0..dpage.len() {
+            stats.obj_comparisons += 1;
+            let (e, e_id) = (dpage.values(ei), dpage.id(ei));
+            prune_with_stack(tree, dissim, flat, subset, order, e, e_id, cache, stats, &mut stack);
+        }
+    }
+    result.extend(tree.collect_ids());
+    Ok(())
+}
+
+/// Clears `tree`, then reads pages starting at `*page` into it (values
+/// permuted to tree order) until the tree's memory estimate reaches
+/// `tree_budget`; always loads at least one page.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn load_batch_into_tree(
     ctx: &mut EngineCtx<'_>,
     file: &RecordFile,
     order: &[usize],
@@ -332,6 +330,7 @@ pub(crate) fn load_batch_into_tree_with(
     pbuf: &mut RowBuf,
     tvals: &mut [u32],
 ) -> Result<()> {
+    tree.clear();
     let mut loaded_any = false;
     // Batches of a sorted file arrive in tree order; the insert hint skips
     // child lookups along shared prefixes (correct for any order).

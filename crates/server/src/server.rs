@@ -51,6 +51,12 @@ use crate::views::ViewRegistry;
 /// How often an idle connection thread wakes up to notice a shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
+/// Longest request line a connection may buffer, far above any request the
+/// protocol defines. A client whose line passes it without a newline gets a
+/// `bad_request` reply and the connection is closed, so a peer that never
+/// sends `\n` cannot grow server memory without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Serving-layer configuration.
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -420,9 +426,13 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     // receivers (the mutating thread renders and sends them) and are
     // written to the socket between request lines and on idle polls.
     let mut subs: Vec<(u64, mpsc::Receiver<String>)> = Vec::new();
+    // Length of the prefix of `buf` already searched for '\n': each read
+    // searches only the bytes it added.
+    let mut scanned = 0;
     'conn: loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
+        while let Some(off) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let line_bytes: Vec<u8> = buf.drain(..=scanned + off).collect();
+            scanned = 0;
             let line = String::from_utf8_lossy(&line_bytes);
             let line = line.trim();
             if line.is_empty() {
@@ -441,6 +451,16 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             if write.is_err() {
                 break 'conn;
             }
+        }
+        scanned = buf.len();
+        if buf.len() > MAX_LINE_BYTES {
+            requests += 1;
+            shared.obs.counter_add(names::CTR_BAD_REQUEST, 1);
+            let detail = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            let mut framed = proto::err_line(ErrKind::BadRequest, &detail).into_bytes();
+            framed.push(b'\n');
+            let _ = stream.write_all(&framed).and_then(|()| stream.flush());
+            break;
         }
         if drain_frames(&mut stream, &subs).is_err() {
             break;

@@ -2,11 +2,13 @@
 //! in-memory sink records during a run must reconcile **exactly** with the
 //! `RunStats` the engine returns —
 //!
-//! * Σ `dist_checks` / `obj_comparisons` over the per-batch spans equals the
-//!   run totals (batch spans carry the deltas; phase spans deliberately
-//!   don't, so nothing double-counts);
+//! * Σ `dist_checks` / `obj_comparisons` / `tree_nodes_visited` over the
+//!   per-batch spans equals the run totals (the engines' `CostScope` writes
+//!   the same delta fields into phase and batch spans, so each sum runs over
+//!   one level — the batch spans — and nothing double-counts);
 //! * the number of `*.phase{1,2}.batch` spans equals
-//!   `phase1_batches`/`phase2_batches`;
+//!   `phase1_batches`/`phase2_batches`, and a phase that ran a batch
+//!   reports a non-zero `phase{1,2}_time`;
 //! * the two phase spans' IO fields tile `RunStats::io` component-wise;
 //! * the closing `*.run` span repeats the final totals verbatim;
 //! * the `qcache.build_checks` counter equals `query_dist_checks`.
@@ -112,10 +114,21 @@ fn assert_contract(
         s.obj_comparisons,
         "batch obj_comparisons don't tile the total ({ctx})"
     );
+    assert_eq!(
+        sink.sum_field(&p1b, "tree_nodes_visited") + sink.sum_field(&p2b, "tree_nodes_visited"),
+        s.tree_nodes_visited,
+        "batch tree_nodes_visited don't tile the total ({ctx})"
+    );
 
-    // 2. One batch span per counted batch.
+    // 2. One batch span per counted batch, and a timed phase behind each.
     assert_eq!(sink.span_count(&p1b), s.phase1_batches, "phase-1 batch spans ({ctx})");
     assert_eq!(sink.span_count(&p2b), s.phase2_batches, "phase-2 batch spans ({ctx})");
+    if s.phase1_batches > 0 {
+        assert!(!s.phase1_time.is_zero(), "phase-1 batches but no phase1_time ({ctx})");
+    }
+    if s.phase2_batches > 0 {
+        assert!(!s.phase2_time.is_zero(), "phase-2 batches but no phase2_time ({ctx})");
+    }
 
     // 3. Phase-span IO tiles RunStats::io component-wise.
     let p1 = format!("{prefix}.phase1");
@@ -281,10 +294,10 @@ fn contract_holds_on_both_kernel_paths() {
     with_mode(KernelMode::Batched, || exercise_dataset(&ds, 64, 8.0));
 }
 
-/// Beyond the generic contract (covered above), the best-first engine's
-/// extra telemetry must reconcile: the per-batch `tree_nodes_visited` deltas
-/// tile the run total, and the `trs-bf.heap.pushes` / `trs-bf.group.kills`
-/// registry counters repeat the phase-1 span's summary fields exactly.
+/// Beyond the generic contract (covered above, which includes the
+/// `tree_nodes_visited` tiling), the best-first engine's extra telemetry
+/// must reconcile: the `trs-bf.heap.pushes` / `trs-bf.group.kills` registry
+/// counters repeat the phase-1 span's summary fields exactly.
 #[test]
 fn best_first_span_deltas_and_counters_reconcile() {
     let mut rng = StdRng::seed_from_u64(1010);
@@ -301,14 +314,7 @@ fn best_first_span_deltas_and_counters_reconcile() {
         let mut ctx = EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
         bf.run(&mut ctx, &sorted.file, &q).unwrap()
     });
-    let s = &run.stats;
-    assert!(s.tree_nodes_visited > 0, "best-first run visited no tree nodes");
-    assert_eq!(
-        sink.sum_field("trs-bf.phase1.batch", "tree_nodes_visited")
-            + sink.sum_field("trs-bf.phase2.batch", "tree_nodes_visited"),
-        s.tree_nodes_visited,
-        "batch tree_nodes_visited deltas don't tile the total"
-    );
+    assert!(run.stats.tree_nodes_visited > 0, "best-first run visited no tree nodes");
     let p1 = sink.spans_ending_with("trs-bf.phase1");
     assert_eq!(p1.len(), 1, "exactly one phase-1 span");
     let pushes = sink.registry().counter("trs-bf.heap.pushes");

@@ -1,8 +1,8 @@
 //! Parallel-engine integration tests: BRS-P/SRS-P/TRS-P must return exactly
 //! the definitional oracle's id set AND their sequential twins' id set for
-//! every thread count, with identical merged `dist_checks`/`obj_comparisons`
-//! counters (batch composition is sequential-identical, so the same
-//! attribute comparisons happen, just on different threads).
+//! every thread count, with identical merged `dist_checks`/`obj_comparisons`/
+//! `tree_nodes_visited` counters (batch composition is sequential-identical,
+//! so the same attribute comparisons happen, just on different threads).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,6 +49,11 @@ fn assert_parallel_twins(ds: &Dataset, q: &Query, page: usize, mem_pct: f64) {
             assert_eq!(
                 par_run.stats.obj_comparisons, seq_run.stats.obj_comparisons,
                 "{name}-P t={t} obj_comparisons on {}",
+                ds.label
+            );
+            assert_eq!(
+                par_run.stats.tree_nodes_visited, seq_run.stats.tree_nodes_visited,
+                "{name}-P t={t} tree_nodes_visited on {}",
                 ds.label
             );
             assert_eq!(

@@ -10,7 +10,9 @@
 //!   still completes;
 //! * a sub-deadline request times out without harming the server;
 //! * graceful shutdown drains in-flight requests and the metrics registry
-//!   stays consistent with observed responses.
+//!   stays consistent with observed responses;
+//! * a request line longer than `MAX_LINE_BYTES` is rejected and its
+//!   connection closed.
 
 use std::time::Duration;
 
@@ -18,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsky::prelude::*;
 use rsky::server::json::{self, JsonValue};
-use rsky::server::server::resolve_threads;
+use rsky::server::server::{resolve_threads, MAX_LINE_BYTES};
 use rsky::server::{Client, Server, ServerConfig};
 
 const ENGINES: [&str; 7] = ["naive", "brs", "srs", "trs", "trs-bf", "tsrs", "ttrs"];
@@ -331,6 +333,35 @@ fn bad_requests_are_rejected_politely() {
     let health = client.send(r#"{"op":"health"}"#).unwrap();
     assert!(is_ok(&health), "{health}");
     assert!(handle.registry().counter("server.bad_request") >= 8);
+    handle.shutdown();
+    handle.join();
+}
+
+/// A request line that passes `MAX_LINE_BYTES` without a newline is answered
+/// `bad_request` and its connection closed, while other clients are served.
+#[test]
+fn over_cap_request_line_is_rejected_and_closed() {
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    let ds = small_dataset(9006, 50);
+    let handle = Server::start(test_config(), ds).unwrap();
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    // Exactly one byte over the cap, so the server has read everything sent
+    // when it answers (unread bytes would turn its close into a reset).
+    stream.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(error_kind(reply.trim()), "bad_request", "{reply}");
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "connection left open");
+
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.set_timeout(Duration::from_secs(60)).unwrap();
+    let health = client.send(r#"{"op":"health"}"#).unwrap();
+    assert!(is_ok(&health), "{health}");
+    assert_eq!(handle.registry().counter("server.bad_request"), 1);
     handle.shutdown();
     handle.join();
 }
