@@ -20,6 +20,9 @@
 //!   densities 6.9 % and 0.04 %) with skewed per-attribute distributions —
 //!   the properties the algorithms actually observe;
 //! * [`workload`] — query generation;
+//! * [`twin`] — the same rows under a domain that flattens and under one
+//!   that does not, for differentials of the pruner kernels' two distance
+//!   sources;
 //! * [`csv`] — plain-text dataset directories, so users can run the engines
 //!   on their own data without writing Rust.
 //!
@@ -33,6 +36,7 @@ pub mod dissim_gen;
 pub mod example;
 pub mod realworld;
 pub mod synthetic;
+pub mod twin;
 pub mod workload;
 
 pub use dissim_gen::random_dissim_table;
