@@ -40,9 +40,11 @@ full() {
     # merges a "timeseries" member into BENCH_obs.json.
     RSKY_SCALE=0.05 timeout 300 cargo bench -p rsky-bench --bench obs_timeseries
     grep -q '"timeseries"' BENCH_obs.json
-    echo "=== smoke: kernel micro-bench (scalar vs batched differential) ==="
-    # Tiny scale: the run itself asserts ids and every counter are identical
-    # across the two kernel modes and writes BENCH_kernels.json.
+    echo "=== smoke: kernel micro-bench (inner-loop counter identity) ==="
+    # Tiny scale: the run itself asserts the batched dominance loop, on the
+    # flat tables and on the DissimTable source, keeps the per-pair loop's
+    # survivors and counters, and writes BENCH_kernels.json. Engine-level
+    # id and counter identity is tier-1: tests/kernel_differential.rs.
     RSKY_SCALE=0.5 RSKY_QUERIES=1 cargo bench -p rsky-bench --bench micro_kernels
     test -s BENCH_kernels.json
     echo "=== smoke: shard pruner exchange (hard timeout) ==="

@@ -20,15 +20,15 @@
 //!   each such pop dies with zero further distance checks, which is the
 //!   early-termination condition.
 //! * **Phase two** inverts TRS's roles. Survivors are blocked into
-//!   candidate chunks ([`CandidateBlocks`] under the batched kernel, hoisted
-//!   center-distance rows on the scalar fallback) and the *database* is
-//!   loaded into AL-Trees: one walk per batch tree visits children in
-//!   decreasing descendant count and emits one or two representative rows
-//!   per leaf — duplicates of a value combination beyond the second instance
-//!   contribute nothing (two reps make the id-based self-skip exact: a
-//!   candidate shares an id with at most one rep, and the other rep is then
-//!   an exact duplicate, a legitimate pruner). The chunk scan stops as soon
-//!   as every candidate of the chunk is dead.
+//!   candidate chunks ([`CandidateBlocks`], on the run's distance source)
+//!   and the *database* is loaded into AL-Trees: one walk per batch tree
+//!   visits children in decreasing descendant count and emits one or two
+//!   representative rows per leaf — duplicates of a value combination
+//!   beyond the second instance contribute nothing (two reps make the
+//!   id-based self-skip exact: a candidate shares an id with at most one
+//!   rep, and the other rep is then an exact duplicate, a legitimate
+//!   pruner). The chunk scan stops as soon as every candidate of the chunk
+//!   is dead.
 //!
 //! Results are bit-identical to TRS and the by-definition oracle: group
 //! kills only discard leaves that provably have a pruner inside the same
@@ -46,7 +46,6 @@ use std::collections::BinaryHeap;
 
 use rsky_altree::{AlTree, NodeIdx, ROOT};
 use rsky_core::dissim::{DissimTable, FlatDissim};
-use rsky_core::dominate::prunes_with_center_dists;
 use rsky_core::error::Result;
 use rsky_core::obs;
 use rsky_core::query::{AttrSubset, Query};
@@ -403,86 +402,31 @@ impl ReverseSkylineAlgo for TrsBf {
                         }
                     }
                     stats.phase2_batches += 1;
-                    match kern.flat() {
-                        Some(fd) => {
-                            let mut blocks =
-                                CandidateBlocks::build(fd, cache, subset, chunk.len(), |i| {
-                                    (chunk.id(i), chunk.values(i))
-                                });
-                            let mut dp = 0u64;
-                            while dp < total_pages {
-                                if blocks.alive_count() == 0 {
-                                    break;
-                                }
-                                robs.check_cancelled()?;
-                                load_batch_into_tree(
-                                    ctx, table, order, &mut dp, total_pages, d_tree_budget,
-                                    &mut tree, &mut pbuf, &mut tvals,
-                                )?;
-                                tree.order_children_for_search();
-                                collect_leaf_reps(&tree, order, &mut lvals, &mut ybuf, stats);
-                                let ys = ColumnarBatch::from_rows(&ybuf);
-                                blocks.scan(fd, subset, &ys, true, stats);
-                            }
-                            for i in 0..chunk.len() {
-                                if blocks.is_alive(i) {
-                                    result.push(chunk.id(i));
-                                }
-                            }
+                    let mut blocks = CandidateBlocks::build(
+                        kern.source(ctx.dissim),
+                        cache,
+                        subset,
+                        chunk.len(),
+                        |i| (chunk.id(i), chunk.values(i)),
+                    );
+                    let mut dp = 0u64;
+                    while dp < total_pages {
+                        if blocks.alive_count() == 0 {
+                            break;
                         }
-                        None => {
-                            let slen = subset.len();
-                            let mut dqx_rows: Vec<f64> = Vec::with_capacity(chunk.len() * slen);
-                            let mut row = Vec::with_capacity(slen);
-                            for i in 0..chunk.len() {
-                                cache.center_dists_into(subset, chunk.values(i), &mut row);
-                                dqx_rows.extend_from_slice(&row);
-                            }
-                            let mut alive = vec![true; chunk.len()];
-                            let mut alive_count = chunk.len();
-                            let mut dp = 0u64;
-                            while dp < total_pages {
-                                if alive_count == 0 {
-                                    break;
-                                }
-                                robs.check_cancelled()?;
-                                load_batch_into_tree(
-                                    ctx, table, order, &mut dp, total_pages, d_tree_budget,
-                                    &mut tree, &mut pbuf, &mut tvals,
-                                )?;
-                                tree.order_children_for_search();
-                                collect_leaf_reps(&tree, order, &mut lvals, &mut ybuf, stats);
-                                for (xi, alive_flag) in alive.iter_mut().enumerate() {
-                                    if !*alive_flag {
-                                        continue;
-                                    }
-                                    let x = chunk.values(xi);
-                                    let x_dqx = &dqx_rows[xi * slen..(xi + 1) * slen];
-                                    for yi in 0..ybuf.len() {
-                                        if ybuf.id(yi) == chunk.id(xi) {
-                                            continue;
-                                        }
-                                        stats.obj_comparisons += 1;
-                                        if prunes_with_center_dists(
-                                            ctx.dissim,
-                                            subset,
-                                            ybuf.values(yi),
-                                            x,
-                                            x_dqx,
-                                            &mut stats.dist_checks,
-                                        ) {
-                                            *alive_flag = false;
-                                            alive_count -= 1;
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            for (i, a) in alive.iter().enumerate() {
-                                if *a {
-                                    result.push(chunk.id(i));
-                                }
-                            }
+                        robs.check_cancelled()?;
+                        load_batch_into_tree(
+                            ctx, table, order, &mut dp, total_pages, d_tree_budget, &mut tree,
+                            &mut pbuf, &mut tvals,
+                        )?;
+                        tree.order_children_for_search();
+                        collect_leaf_reps(&tree, order, &mut lvals, &mut ybuf, stats);
+                        let ys = ColumnarBatch::from_rows(&ybuf);
+                        blocks.scan(subset, &ys, true, stats);
+                    }
+                    for i in 0..chunk.len() {
+                        if blocks.is_alive(i) {
+                            result.push(chunk.id(i));
                         }
                     }
                     bspan

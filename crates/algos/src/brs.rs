@@ -15,7 +15,6 @@
 //! never prunes itself — engines compare record ids, so exact duplicates
 //! still prune each other.
 
-use rsky_core::dissim::{DissimTable, FlatDissim};
 use rsky_core::dominate::prunes_with_center_dists;
 use rsky_core::error::Result;
 use rsky_core::query::{AttrSubset, Query};
@@ -25,7 +24,7 @@ use rsky_storage::columnar::ColumnarBatch;
 use rsky_storage::{RecordFile, RecordWriter};
 
 use crate::engine::{io_now, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun, RunObs};
-use crate::kernels::{self, CandidateBlocks, PrunerKernel};
+use crate::kernels::{self, CandidateBlocks, DistSource, PrunerKernel};
 use crate::qcache::QueryDistCache;
 
 /// Candidates per phase-one kernel group: bounds the pretranslated
@@ -106,8 +105,7 @@ pub(crate) fn two_phase(
                 let disk = &mut *ctx.disk;
                 let w = &mut writer;
                 phase1_scan_batch(
-                    ctx.dissim,
-                    kern.flat(),
+                    kern.source(ctx.dissim),
                     &batch,
                     query,
                     cache,
@@ -140,8 +138,6 @@ pub(crate) fn two_phase(
         let mut rpage = 0;
         let mut rbatch = RowBuf::new(m);
         let mut dpage = RowBuf::new(m);
-        let mut dqx_rows: Vec<f64> = Vec::new();
-        let mut row = Vec::with_capacity(subset.len());
         while rpage < r_pages {
             robs.check_cancelled()?;
             let bspan = robs.scope("phase2.batch", stats, io_now(stats, ctx.disk));
@@ -152,16 +148,13 @@ pub(crate) fn two_phase(
             {
                 let disk = &mut *ctx.disk;
                 phase2_filter_batch(
-                    ctx.dissim,
-                    kern.flat(),
+                    kern.source(ctx.dissim),
                     subset,
                     cache,
                     &rbatch,
                     total_pages,
                     |p, buf| table.read_page_rows(&mut *disk, p, buf).map(|_| ()),
                     &mut dpage,
-                    &mut dqx_rows,
-                    &mut row,
                     stats,
                     &mut result,
                 )?;
@@ -180,19 +173,16 @@ pub(crate) fn two_phase(
 
 /// Phase-one scan of one in-memory batch: finds each member's intra-batch
 /// pruner and calls `emit(i)` for every survivor, in batch order. Shared by
-/// the sequential and parallel engines so both route through the same
-/// kernel decision.
+/// the sequential and parallel engines.
 ///
 /// Linear probing batches cleanly — every candidate scans the same batch
 /// front to back, so groups of 8 share each scan record; candidates are
 /// grouped to bound pretranslation memory, which costs no IO (the batch is
 /// fully in memory) and preserves emit order. Radiating probes in a
-/// per-candidate order, so it stays scalar — but with the flat tables it
-/// probes through a hoisted center row instead of the dissimilarity enum.
+/// per-candidate order, so it runs [`find_pruner_in_batch`] per member.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn phase1_scan_batch<'f>(
-    dissim: &DissimTable,
-    flat: Option<&'f FlatDissim>,
+    src: DistSource<'f>,
     batch: &RowBuf,
     query: &Query,
     cache: &QueryDistCache,
@@ -204,8 +194,8 @@ pub(crate) fn phase1_scan_batch<'f>(
 ) -> Result<()> {
     let n = batch.len();
     let subset = &query.subset;
-    match flat {
-        Some(flat) if order == Phase1Order::Linear => {
+    match order {
+        Phase1Order::Linear => {
             let ys = ColumnarBatch::from_rows(batch);
             let mut start = 0;
             while start < n {
@@ -217,13 +207,13 @@ pub(crate) fn phase1_scan_batch<'f>(
                 // keeps each lane's probe sequence (and every counter)
                 // identical; `orig` maps block slots back to batch order.
                 let mut orig: Vec<usize> = (start..start + g).collect();
-                let mut blocks = CandidateBlocks::build(flat, cache, subset, g, |idx| {
+                let mut blocks = CandidateBlocks::build(src, cache, subset, g, |idx| {
                     (batch.id(start + idx), batch.values(start + idx))
                 });
                 let mut seg = 0;
                 while seg < n && blocks.alive_count() > 0 {
                     let seg_end = (seg + PHASE1_SEGMENT).min(n);
-                    blocks.scan_range(flat, subset, &ys, seg, seg_end, true, stats);
+                    blocks.scan_range(subset, &ys, seg, seg_end, true, stats);
                     seg = seg_end;
                     if seg < n && blocks.alive_count() * 2 < orig.len() {
                         let survivors: Vec<usize> = orig
@@ -232,10 +222,9 @@ pub(crate) fn phase1_scan_batch<'f>(
                             .filter(|&(slot, _)| blocks.is_alive(slot))
                             .map(|(_, &o)| o)
                             .collect();
-                        blocks =
-                            CandidateBlocks::build(flat, cache, subset, survivors.len(), |idx| {
-                                (batch.id(survivors[idx]), batch.values(survivors[idx]))
-                            });
+                        blocks = CandidateBlocks::build(src, cache, subset, survivors.len(), |idx| {
+                            (batch.id(survivors[idx]), batch.values(survivors[idx]))
+                        });
                         orig = survivors;
                     }
                 }
@@ -247,11 +236,9 @@ pub(crate) fn phase1_scan_batch<'f>(
                 start += g;
             }
         }
-        _ => {
+        Phase1Order::Radiating => {
             for i in 0..n {
-                if !find_pruner_in_batch(
-                    dissim, flat, batch, i, query, cache, order, dqx, crows, stats,
-                ) {
+                if !find_pruner_in_batch(src, batch, i, query, cache, dqx, crows, stats) {
                     emit(i)?;
                 }
             }
@@ -260,131 +247,74 @@ pub(crate) fn phase1_scan_batch<'f>(
     Ok(())
 }
 
-/// Phase-two refinement of one batch of intermediate results: streams the
-/// database past the batch via `read_page` and appends the ids that no
-/// scanned object prunes. The page loop stops as soon as every member is
-/// pruned, so the IO sequence is identical on both kernel paths. Shared by
-/// the sequential and parallel engines.
+/// Phase-two refinement of one batch of intermediate results: blocks the
+/// batch members, streams the database past them via `read_page` through
+/// the batched pruner, and appends the ids that no scanned object prunes.
+/// The page loop stops as soon as every member is pruned. Shared by the
+/// sequential and parallel engines.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn phase2_filter_batch(
-    dissim: &DissimTable,
-    flat: Option<&FlatDissim>,
+    src: DistSource<'_>,
     subset: &AttrSubset,
     cache: &QueryDistCache,
     rbatch: &RowBuf,
     total_pages: u64,
     mut read_page: impl FnMut(u64, &mut RowBuf) -> Result<()>,
     dpage: &mut RowBuf,
-    dqx_rows: &mut Vec<f64>,
-    row: &mut Vec<f64>,
     stats: &mut RunStats,
     result: &mut Vec<RecordId>,
 ) -> Result<()> {
-    if let Some(flat) = flat {
-        // Kernel path: block the batch members, then stream D pages through
-        // the batched pruner, re-blocking survivors into dense chunks
-        // whenever half the batch has died (page boundaries leave every
-        // lane at the same scan position, so re-blocking is counter-exact).
-        let mut orig: Vec<usize> = (0..rbatch.len()).collect();
-        let mut blocks = CandidateBlocks::build(flat, cache, subset, rbatch.len(), |xi| {
-            (rbatch.id(xi), rbatch.values(xi))
-        });
-        for p in 0..total_pages {
-            if blocks.alive_count() == 0 {
-                break;
-            }
-            dpage.clear();
-            read_page(p, dpage)?;
-            let ys = ColumnarBatch::from_rows(dpage);
-            blocks.scan(flat, subset, &ys, true, stats);
-            if p + 1 < total_pages && blocks.alive_count() * 2 < orig.len() {
-                let survivors: Vec<usize> = orig
-                    .iter()
-                    .enumerate()
-                    .filter(|&(slot, _)| blocks.is_alive(slot))
-                    .map(|(_, &o)| o)
-                    .collect();
-                blocks = CandidateBlocks::build(flat, cache, subset, survivors.len(), |xi| {
-                    (rbatch.id(survivors[xi]), rbatch.values(survivors[xi]))
-                });
-                orig = survivors;
-            }
+    // Re-block survivors into dense chunks whenever half the batch has
+    // died: page boundaries leave every lane at the same scan position, so
+    // re-blocking is counter-exact.
+    let mut orig: Vec<usize> = (0..rbatch.len()).collect();
+    let mut blocks = CandidateBlocks::build(src, cache, subset, rbatch.len(), |xi| {
+        (rbatch.id(xi), rbatch.values(xi))
+    });
+    for p in 0..total_pages {
+        if blocks.alive_count() == 0 {
+            break;
         }
-        for (slot, &o) in orig.iter().enumerate() {
-            if blocks.is_alive(slot) {
-                result.push(rbatch.id(o));
-            }
+        dpage.clear();
+        read_page(p, dpage)?;
+        let ys = ColumnarBatch::from_rows(dpage);
+        blocks.scan(subset, &ys, true, stats);
+        if p + 1 < total_pages && blocks.alive_count() * 2 < orig.len() {
+            let survivors: Vec<usize> = orig
+                .iter()
+                .enumerate()
+                .filter(|&(slot, _)| blocks.is_alive(slot))
+                .map(|(_, &o)| o)
+                .collect();
+            blocks = CandidateBlocks::build(src, cache, subset, survivors.len(), |xi| {
+                (rbatch.id(survivors[xi]), rbatch.values(survivors[xi]))
+            });
+            orig = survivors;
         }
-    } else {
-        // Hoist each center's cached query-distance row out of the D-scan:
-        // one row per batch member, computed once per batch.
-        let slen = subset.len();
-        dqx_rows.clear();
-        for xi in 0..rbatch.len() {
-            cache.center_dists_into(subset, rbatch.values(xi), row);
-            dqx_rows.extend_from_slice(row);
-        }
-        let mut alive = vec![true; rbatch.len()];
-        let mut alive_count = rbatch.len();
-        for p in 0..total_pages {
-            if alive_count == 0 {
-                break;
-            }
-            dpage.clear();
-            read_page(p, dpage)?;
-            for (xi, alive_flag) in alive.iter_mut().enumerate() {
-                if !*alive_flag {
-                    continue;
-                }
-                let x = rbatch.values(xi);
-                let x_id = rbatch.id(xi);
-                let x_dqx = &dqx_rows[xi * slen..(xi + 1) * slen];
-                for yi in 0..dpage.len() {
-                    if dpage.id(yi) == x_id {
-                        continue;
-                    }
-                    stats.obj_comparisons += 1;
-                    if prunes_with_center_dists(
-                        dissim,
-                        subset,
-                        dpage.values(yi),
-                        x,
-                        x_dqx,
-                        &mut stats.dist_checks,
-                    ) {
-                        *alive_flag = false;
-                        alive_count -= 1;
-                        break;
-                    }
-                }
-            }
-        }
-        for (xi, ok) in alive.iter().enumerate() {
-            if *ok {
-                result.push(rbatch.id(xi));
-            }
+    }
+    for (slot, &o) in orig.iter().enumerate() {
+        if blocks.is_alive(slot) {
+            result.push(rbatch.id(o));
         }
     }
     Ok(())
 }
 
-/// Whether batch member `i` has a pruner inside the batch, probing in the
-/// configured order. `dqx` is caller-provided scratch for the candidate's
-/// query-distance row (hoisted out of the probe loop); `crows` is scratch
-/// for the candidate's flat center rows when `flat` is available (the probe
-/// then indexes contiguous rows instead of dispatching through the
-/// dissimilarity enum — same evaluations, counted identically). Shared with
-/// the parallel engines in [`crate::par`], which is why it takes the
-/// dissimilarity table rather than a full (disk-bearing) context.
+/// Whether batch member `i` has a pruner inside the batch, probing
+/// outward from its own position — distance 1, 2, … alternating sides
+/// (SRS's radiating order). `dqx` is caller-provided scratch for the
+/// candidate's query-distance row (hoisted out of the probe loop); `crows`
+/// is scratch for the candidate's flat center rows on the flat source (the
+/// probe then indexes contiguous rows instead of dispatching through the
+/// dissimilarity enum — same evaluations, counted identically). Shared
+/// with the parallel engines in [`crate::par`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn find_pruner_in_batch<'f>(
-    dissim: &DissimTable,
-    flat: Option<&'f FlatDissim>,
+    src: DistSource<'f>,
     batch: &RowBuf,
     i: usize,
     query: &Query,
     cache: &QueryDistCache,
-    order: Phase1Order,
     dqx: &mut Vec<f64>,
     crows: &mut Vec<&'f [f64]>,
     stats: &mut RunStats,
@@ -393,7 +323,7 @@ pub(crate) fn find_pruner_in_batch<'f>(
     let n = batch.len();
     let indices = query.subset.indices();
     cache.center_dists_into(&query.subset, x, dqx);
-    if let Some(flat) = flat {
+    if let DistSource::Flat(flat) = src {
         crows.clear();
         crows.extend(indices.iter().map(|&a| flat.center_row(a, x[a])));
     }
@@ -401,45 +331,38 @@ pub(crate) fn find_pruner_in_batch<'f>(
     let crows = &*crows;
     let check = |j: usize, stats: &mut RunStats| -> bool {
         stats.obj_comparisons += 1;
-        if flat.is_some() {
-            kernels::prunes_center_hoisted(crows, dqx, indices, batch.values(j), &mut stats.dist_checks)
-        } else {
-            prunes_with_center_dists(
-                dissim,
+        match src {
+            DistSource::Flat(_) => kernels::prunes_center_hoisted(
+                crows,
+                dqx,
+                indices,
+                batch.values(j),
+                &mut stats.dist_checks,
+            ),
+            DistSource::Table(dt) => prunes_with_center_dists(
+                dt,
                 &query.subset,
                 batch.values(j),
                 x,
                 dqx,
                 &mut stats.dist_checks,
-            )
+            ),
         }
     };
-    match order {
-        Phase1Order::Linear => {
-            for j in 0..n {
-                if j != i && check(j, stats) {
-                    return true;
-                }
-            }
-            false
+    let mut d = 1;
+    loop {
+        let lo = i >= d;
+        let hi = i + d < n;
+        if !lo && !hi {
+            return false;
         }
-        Phase1Order::Radiating => {
-            let mut d = 1;
-            loop {
-                let lo = i >= d;
-                let hi = i + d < n;
-                if !lo && !hi {
-                    return false;
-                }
-                if lo && check(i - d, stats) {
-                    return true;
-                }
-                if hi && check(i + d, stats) {
-                    return true;
-                }
-                d += 1;
-            }
+        if lo && check(i - d, stats) {
+            return true;
         }
+        if hi && check(i + d, stats) {
+            return true;
+        }
+        d += 1;
     }
 }
 

@@ -14,14 +14,14 @@
 //! part) until the first pruner, which is the witness. Domains too large to
 //! flatten run the same scan over the scalar cached check. Both checks
 //! count distance evaluations alike, so witnesses and check counts do not
-//! depend on the kernel.
+//! depend on the distance source.
 
 use rsky_core::dissim::DissimTable;
 use rsky_core::query::{AttrSubset, Query};
 use rsky_core::record::{row, RecordId, RowBuf, ValueId};
 
 use crate::engine::prunes_cached;
-use crate::kernels::{prunes_center_hoisted, PrunerKernel};
+use crate::kernels::{prunes_center_hoisted, DistSource, PrunerKernel};
 use crate::qcache::QueryDistCache;
 
 /// For every candidate row in `cands`, the id of its first pruner under
@@ -49,8 +49,8 @@ pub fn first_pruners(
     (0..cands.len())
         .map(|i| {
             let (id, x) = (cands.id(i), cands.values(i));
-            match kernel.flat() {
-                Some(flat) => {
+            match kernel.source(dt) {
+                DistSource::Flat(flat) => {
                     cache.center_dists_into(subset, x, &mut dqx);
                     crows.clear();
                     crows.extend(indices.iter().map(|&a| flat.center_row(a, x[a])));
@@ -58,7 +58,9 @@ pub fn first_pruners(
                         prunes_center_hoisted(&crows, &dqx, indices, y, checks)
                     })
                 }
-                None => first_in_scan(parts, id, |y| prunes_cached(dt, subset, y, x, cache, checks)),
+                DistSource::Table(dt) => {
+                    first_in_scan(parts, id, |y| prunes_cached(dt, subset, y, x, cache, checks))
+                }
             }
         })
         .collect()
@@ -107,21 +109,19 @@ pub fn pruner_band(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{with_mode, KernelMode};
     use rsky_core::skyline::reverse_skyline_by_definition;
 
     /// Paper running example: RS = {3, 6}; Table 1 witnesses are
     /// O1×{4}, O2×{1,4,5}, O4×{1}, O5×{1,2,4} — the first in row order is
-    /// the deterministic witness this module must report.
+    /// the deterministic witness this module must report, on the flat
+    /// tables and on the measures themselves.
     #[test]
     fn paper_example_witnesses_match_table_one() {
         let (ds, q) = rsky_data::paper_example();
         let cache = QueryDistCache::new(&ds.dissim, &ds.schema, &q);
-        for mode in [KernelMode::Scalar, KernelMode::Batched] {
-            let got = with_mode(mode, || {
-                let kernel = PrunerKernel::capture(&ds.schema, &ds.dissim);
-                first_pruners(&kernel, &ds.dissim, &cache, &q, &ds.rows, &[&ds.rows], &mut 0)
-            });
+        for kernel in [PrunerKernel::new(&ds.schema, &ds.dissim), PrunerKernel::scalar()] {
+            let got =
+                first_pruners(&kernel, &ds.dissim, &cache, &q, &ds.rows, &[&ds.rows], &mut 0);
             let by_id: Vec<(RecordId, Option<RecordId>)> =
                 (0..ds.rows.len()).map(|i| (ds.rows.id(i), got[i])).collect();
             assert_eq!(
@@ -134,42 +134,46 @@ mod tests {
                     (5, Some(1)),
                     (6, None)
                 ],
-                "mode {mode:?}"
+                "flat={}",
+                kernel.flat().is_some()
             );
         }
     }
 
     /// Survivors of `first_pruners` are exactly the reverse skyline, and a
     /// witness must actually prune its candidate — checked on a synthetic
-    /// dataset under both kernel modes, with the band prepended.
+    /// dataset under a flattening domain and its non-flattening twin, with
+    /// the band prepended. The twins report the same witnesses at the same
+    /// cost.
     #[test]
     fn survivors_equal_oracle_and_witnesses_prune() {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
-        let ds = rsky_data::synthetic::normal_dataset(3, 12, 120, &mut rng).unwrap();
+        let ds = rsky_data::synthetic::normal_dataset(3, 8, 120, &mut rng).unwrap();
+        let (flat_ds, wide_ds) = rsky_data::twin::linear_twins(&ds).unwrap();
         let q = Query::new(&ds.schema, vec![5, 6, 4]).unwrap();
-        let oracle = reverse_skyline_by_definition(&ds.dissim, &ds.rows, &q);
-        let cache = QueryDistCache::new(&ds.dissim, &ds.schema, &q);
-        let band = pruner_band(&ds.rows, &cache, &q.subset, 16);
-        for mode in [KernelMode::Scalar, KernelMode::Batched] {
-            let got = with_mode(mode, || {
-                let kernel = PrunerKernel::capture(&ds.schema, &ds.dissim);
-                first_pruners(
-                    &kernel,
-                    &ds.dissim,
-                    &cache,
-                    &q,
-                    &ds.rows,
-                    &[&band, &ds.rows],
-                    &mut 0,
-                )
-            });
+        let mut runs = Vec::new();
+        for ds in [&flat_ds, &wide_ds] {
+            let oracle = reverse_skyline_by_definition(&ds.dissim, &ds.rows, &q);
+            let cache = QueryDistCache::new(&ds.dissim, &ds.schema, &q);
+            let band = pruner_band(&ds.rows, &cache, &q.subset, 16);
+            let kernel = PrunerKernel::new(&ds.schema, &ds.dissim);
+            let mut spent = 0u64;
+            let got = first_pruners(
+                &kernel,
+                &ds.dissim,
+                &cache,
+                &q,
+                &ds.rows,
+                &[&band, &ds.rows],
+                &mut spent,
+            );
             let mut survivors: Vec<RecordId> = (0..ds.rows.len())
                 .filter(|&i| got[i].is_none())
                 .map(|i| ds.rows.id(i))
                 .collect();
             survivors.sort_unstable();
-            assert_eq!(survivors, oracle, "mode {mode:?}");
+            assert_eq!(survivors, oracle, "{}", ds.label);
             let mut checks = 0u64;
             for (i, w) in got.iter().enumerate() {
                 if let Some(w) = w {
@@ -183,11 +187,15 @@ mod tests {
                             &cache,
                             &mut checks
                         ),
-                        "witness {w} does not prune {} (mode {mode:?})",
-                        ds.rows.id(i)
+                        "witness {w} does not prune {} ({})",
+                        ds.rows.id(i),
+                        ds.label
                     );
                 }
             }
+            runs.push((got, spent));
         }
+        assert!(runs[0].1 > 0);
+        assert_eq!(runs[0], runs[1], "twin domains must agree on witnesses and checks");
     }
 }

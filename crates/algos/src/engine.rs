@@ -262,8 +262,9 @@ pub(crate) fn validate_inputs(
 /// charged to this run — unless the request installed a
 /// [`crate::qcache::SharedQueryCache`] for the same query, in which case
 /// the run borrows it and charges nothing (the cache's owner accounted the
-/// build once). The [`PrunerKernel`] captures this thread's ambient
-/// [`crate::kernels::KernelMode`] for the whole run.
+/// build once). The [`PrunerKernel`] is built here too, once per run: the
+/// domain alone decides whether the kernels read flattened tables or the
+/// [`DissimTable`].
 pub(crate) fn run_with_scaffolding(
     ctx: &mut EngineCtx<'_>,
     query: &Query,
@@ -280,7 +281,7 @@ pub(crate) fn run_with_scaffolding(
     let io_before = ctx.disk.io_stats();
     let t0 = Instant::now();
     let mut run_span = robs.span("run");
-    let kern = PrunerKernel::capture(ctx.schema, ctx.dissim);
+    let kern = PrunerKernel::new(ctx.schema, ctx.dissim);
     let shared = qcache::shared_for(query);
     let owned;
     let cache: &QueryDistCache = match shared.as_deref() {

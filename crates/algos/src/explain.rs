@@ -7,10 +7,12 @@
 //! produces them for arbitrary datasets.
 
 use rsky_core::dataset::Dataset;
-use rsky_core::dominate::prunes_with_center_dists;
 use rsky_core::query::Query;
-use rsky_core::record::RecordId;
+use rsky_core::record::{row, RecordId};
 
+use crate::delta::first_pruners;
+use crate::engine::prunes_cached;
+use crate::kernels::PrunerKernel;
 use crate::qcache::QueryDistCache;
 
 /// Why one object is, or is not, in the reverse skyline.
@@ -20,7 +22,7 @@ pub enum Membership {
     InResult,
     /// Excluded: `witness` dominates the query with respect to this object.
     PrunedBy {
-        /// Record id of one pruner (the first found in dataset order).
+        /// Record id of one pruner (the first in dataset order).
         witness: RecordId,
     },
 }
@@ -63,9 +65,10 @@ impl Explanation {
     }
 }
 
-/// Explains every record's membership with a single in-memory pass
-/// (`O(n²)` worst case with early abort — intended for result presentation,
-/// not bulk processing).
+/// Explains every record's membership: one [`first_pruners`] scan with
+/// the whole dataset as the only part, so each excluded record's witness is
+/// its first pruner in dataset order (`O(n²)` worst case with early abort —
+/// intended for result presentation, not bulk processing).
 ///
 /// ```
 /// let (ds, q) = rsky_data::paper_example();
@@ -76,52 +79,38 @@ impl Explanation {
 /// ```
 pub fn explain(ds: &Dataset, query: &Query) -> Explanation {
     let cache = QueryDistCache::new(&ds.dissim, &ds.schema, query);
-    let subset = &query.subset;
-    let n = ds.rows.len();
-    let mut entries = Vec::with_capacity(n);
-    let mut checks = 0u64;
-    'outer: for i in 0..n {
-        let x = ds.rows.values(i);
-        let dqx: Vec<f64> = subset.indices().iter().map(|&a| cache.d(a, x[a])).collect();
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            if prunes_with_center_dists(&ds.dissim, subset, ds.rows.values(j), x, &dqx, &mut checks)
-            {
-                entries.push((ds.rows.id(i), Membership::PrunedBy { witness: ds.rows.id(j) }));
-                continue 'outer;
-            }
-        }
-        entries.push((ds.rows.id(i), Membership::InResult));
-    }
+    let kernel = PrunerKernel::new(&ds.schema, &ds.dissim);
+    let witnesses =
+        first_pruners(&kernel, &ds.dissim, &cache, query, &ds.rows, &[&ds.rows], &mut 0);
+    let entries = witnesses
+        .into_iter()
+        .enumerate()
+        .map(|(i, w)| {
+            let membership = match w {
+                Some(witness) => Membership::PrunedBy { witness },
+                None => Membership::InResult,
+            };
+            (ds.rows.id(i), membership)
+        })
+        .collect();
     Explanation { entries }
 }
 
-/// All pruners of one record (the full witness list, like Table 1's pruner
-/// column).
+/// All pruners of one record, in dataset order (the full witness list, like
+/// Table 1's pruner column).
 pub fn all_witnesses(ds: &Dataset, query: &Query, id: RecordId) -> Vec<RecordId> {
     let cache = QueryDistCache::new(&ds.dissim, &ds.schema, query);
-    let subset = &query.subset;
     let Some(xi) = (0..ds.rows.len()).find(|&i| ds.rows.id(i) == id) else {
         return Vec::new();
     };
     let x = ds.rows.values(xi);
-    let dqx: Vec<f64> = subset.indices().iter().map(|&a| cache.d(a, x[a])).collect();
-    let mut checks = 0u64;
-    (0..ds.rows.len())
-        .filter(|&j| {
-            j != xi
-                && prunes_with_center_dists(
-                    &ds.dissim,
-                    subset,
-                    ds.rows.values(j),
-                    x,
-                    &dqx,
-                    &mut checks,
-                )
+    ds.rows
+        .iter()
+        .filter(|y| {
+            row::id(y) != id
+                && prunes_cached(&ds.dissim, &query.subset, row::values(y), x, &cache, &mut 0)
         })
-        .map(|j| ds.rows.id(j))
+        .map(row::id)
         .collect()
 }
 

@@ -1,9 +1,9 @@
 //! Batched dominance kernels over columnar candidate blocks.
 //!
 //! The dominance inner loop — "does scan object `y` prune candidate `x`?" —
-//! is the hot path of every engine. The scalar path evaluates it one
-//! candidate at a time through [`DissimTable::d`]'s per-attribute enum
-//! dispatch. The kernels here restructure that loop around three ideas:
+//! is the hot path of every engine. Evaluated one candidate at a time it
+//! goes through [`DissimTable::d`]'s per-attribute enum dispatch. The
+//! kernels here restructure that loop around three ideas:
 //!
 //! 1. **Flat dissimilarity tables** ([`FlatDissim`]): every measure is
 //!    materialized into one contiguous cardinality-stride `Vec<f64>`, so a
@@ -24,18 +24,19 @@
 //!    reliably turns into `cmppd`/`andpd`; `u8` bitmask chains never
 //!    vectorize), and the cost counters advance by summing the masks —
 //!    exact, since sums of 0/1 stay integral far below 2^53. The evaluated
-//!    (candidate, object, attribute-prefix) set is *identical* to the
-//!    scalar path's, so `dist_checks` / `obj_comparisons` — and of course
-//!    the result ids — stay exactly the same. The differential suites
-//!    enforce this.
+//!    (candidate, object, attribute-prefix) set is *identical* to a
+//!    per-pair loop's with first-failing-attribute early exit, so
+//!    `dist_checks` / `obj_comparisons` — and of course the result ids —
+//!    are the paper's counts.
 //!
-//! Whether a run uses the batched kernels or the scalar reference path is an
-//! ambient per-thread choice ([`KernelMode`], default [`KernelMode::Batched`])
-//! so differential tests can pin either path without new engine plumbing.
-//! Engines capture the mode once per run into a [`PrunerKernel`]; oversized
-//! domains (no [`FlatDissim`]) silently fall back to the scalar path.
-
-use std::cell::Cell;
+//! The domain picks the distance source, once per run: [`PrunerKernel::new`]
+//! flattens it when [`FlatDissim::build_for`] accepts it, and otherwise the
+//! kernels read [`DissimTable::d`] directly ([`DistSource`]).
+//! [`CandidateBlocks`] serves both sources with the same chunk loop and
+//! counter contract; on the table source it gathers distances for the
+//! lanes still feasible and never pretranslates. The twin-domain suites
+//! (`tests/kernel_differential.rs`) hold the two sources to identical ids
+//! and counters.
 
 use rsky_core::dissim::{DissimTable, FlatDissim};
 use rsky_core::query::AttrSubset;
@@ -46,78 +47,51 @@ use rsky_storage::columnar::{ColumnarBatch, LANES};
 
 use crate::qcache::QueryDistCache;
 
-/// Which pruner implementation the engines on this thread use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// The scalar reference path (one candidate at a time, `DissimTable`
-    /// lookups) — bit-for-bit the pre-kernel implementation.
-    Scalar,
-    /// The batched columnar kernels (8 candidates per pruner pass over a
-    /// [`FlatDissim`]). Falls back to scalar when the dissimilarity domain
-    /// is too large to flatten.
-    Batched,
+/// Where the kernels read `d_i(moving, center)` from.
+#[derive(Debug, Clone, Copy)]
+pub enum DistSource<'a> {
+    /// The flattened tables of a domain [`FlatDissim`] accepts.
+    Flat(&'a FlatDissim),
+    /// The measures themselves, for a domain too large to flatten.
+    Table(&'a DissimTable),
 }
 
-thread_local! {
-    static MODE: Cell<KernelMode> = const { Cell::new(KernelMode::Batched) };
-}
-
-/// Runs `f` with `mode` as the ambient kernel mode on this thread.
-pub fn with_mode<T>(mode: KernelMode, f: impl FnOnce() -> T) -> T {
-    MODE.with(|m| {
-        let prev = m.replace(mode);
-        let out = f();
-        m.set(prev);
-        out
-    })
-}
-
-/// The ambient kernel mode on this thread ([`KernelMode::Batched`] unless
-/// overridden by [`with_mode`]).
-pub fn current_mode() -> KernelMode {
-    MODE.with(Cell::get)
-}
-
-/// Per-run kernel state: the effective mode plus the flattened
-/// dissimilarity tables (present exactly when the batched path is active).
-///
-/// Captured once per run on the thread that starts it — worker threads
-/// receive it by reference, so the ambient mode never has to cross thread
-/// boundaries implicitly.
+/// Per-run kernel state: the flattened dissimilarity tables, present
+/// exactly when the run's domain fits
+/// [`rsky_core::dissim::MAX_FLAT_CELLS`]. Built once per run on the thread
+/// that starts it; worker threads receive it by reference.
 #[derive(Debug)]
 pub struct PrunerKernel {
-    mode: KernelMode,
     flat: Option<FlatDissim>,
 }
 
 impl PrunerKernel {
-    /// Captures the ambient mode and, if batched, flattens the
-    /// dissimilarity tables. Domains larger than
-    /// [`rsky_core::dissim::MAX_FLAT_CELLS`] force the scalar fallback.
-    pub fn capture(schema: &Schema, dissim: &DissimTable) -> Self {
-        match current_mode() {
-            KernelMode::Scalar => Self { mode: KernelMode::Scalar, flat: None },
-            KernelMode::Batched => match FlatDissim::build_for(schema, dissim) {
-                Some(flat) => Self { mode: KernelMode::Batched, flat: Some(flat) },
-                None => Self { mode: KernelMode::Scalar, flat: None },
-            },
-        }
+    /// Flattens the domain when [`FlatDissim::build_for`] accepts it;
+    /// otherwise the kernels read the [`DissimTable`].
+    pub fn new(schema: &Schema, dissim: &DissimTable) -> Self {
+        Self { flat: FlatDissim::build_for(schema, dissim) }
     }
 
-    /// A kernel pinned to the scalar path regardless of the ambient mode.
+    /// A kernel that never flattens: every source is the [`DissimTable`]
+    /// (reference runs over the enum-dispatch measures).
     pub fn scalar() -> Self {
-        Self { mode: KernelMode::Scalar, flat: None }
+        Self { flat: None }
     }
 
-    /// The effective mode (scalar when flattening was refused).
-    pub fn mode(&self) -> KernelMode {
-        self.mode
-    }
-
-    /// The flat tables — `Some` exactly when the batched path is active.
+    /// The flat tables, when the domain flattened.
     #[inline]
     pub fn flat(&self) -> Option<&FlatDissim> {
         self.flat.as_ref()
+    }
+
+    /// The source the kernels read `dissim`'s distances from: the flat
+    /// tables when the domain flattened, `dissim` itself otherwise.
+    #[inline]
+    pub fn source<'a>(&'a self, dissim: &'a DissimTable) -> DistSource<'a> {
+        match &self.flat {
+            Some(flat) => DistSource::Flat(flat),
+            None => DistSource::Table(dissim),
+        }
     }
 }
 
@@ -140,19 +114,21 @@ const _: () = assert!(LANES == 8);
 
 /// A set of candidate records blocked into chunks of [`LANES`] for batched
 /// pruner passes, with cached query distances, lane liveness masks, and —
-/// for chunks that survive long enough to amortize the build — lazily
-/// pretranslated per-chunk distance tables.
+/// on the flat source, for chunks that survive long enough to amortize the
+/// build — lazily pretranslated per-chunk distance tables.
 ///
-/// Counters mirror the scalar path exactly: a lane participates in a probe
-/// only while alive (and not the scan object itself), `obj_comparisons`
-/// advances by the count of participating lanes, and `dist_checks`
-/// advances per attribute by the count of lanes still feasible — the
-/// same early exit the scalar per-pair loop takes.
-pub struct CandidateBlocks {
+/// Counter contract: a lane participates in a probe only while alive (and
+/// not the scan object itself), `obj_comparisons` advances by the count of
+/// participating lanes, and `dist_checks` advances per attribute by the
+/// count of lanes still feasible — the early exit of a per-pair check that
+/// stops at the first failing attribute. Both distance sources keep it.
+pub struct CandidateBlocks<'a> {
+    src: DistSource<'a>,
     n: usize,
     chunks: usize,
     slen: usize,
-    /// Stride of one chunk's region in `dmat`: `Σ_k card_k · LANES`.
+    /// Stride of one chunk's region in `dmat`: `Σ_k card_k · LANES` (flat
+    /// source only).
     chunk_stride: usize,
     /// Start of subset attribute `k`'s table inside a chunk's region.
     attr_off: Vec<usize>,
@@ -190,9 +166,8 @@ fn lane_sum(m: &[f64; LANES]) -> f64 {
 }
 
 /// One dominance level over 8 lanes: kill feasibility where `d > q`, mark
-/// strictness where `d < q` — the same ordered compares as the scalar
-/// `dyx > dqx` / `dyx < dqx`, in select form so LLVM lowers them to packed
-/// compares and masked blends.
+/// strictness where `d < q` — the ordered compares of a per-pair check, in
+/// select form so LLVM lowers them to packed compares and masked blends.
 #[inline]
 fn level_update(d8: &[f64; LANES], q8: &[f64; LANES], feas: &mut [f64; LANES], strict: &mut [f64; LANES]) {
     for lane in 0..LANES {
@@ -201,39 +176,44 @@ fn level_update(d8: &[f64; LANES], q8: &[f64; LANES], feas: &mut [f64; LANES], s
     }
 }
 
-impl CandidateBlocks {
+impl<'a> CandidateBlocks<'a> {
     /// Blocks `n` candidates fetched through `row(i) -> (id, values)`
-    /// (full-width schema values; `i < n` in candidate order).
-    pub fn build<'a>(
-        flat: &FlatDissim,
+    /// (full-width schema values; `i < n` in candidate order); every scan
+    /// reads distances from `src`.
+    pub fn build<'r>(
+        src: DistSource<'a>,
         cache: &QueryDistCache,
         subset: &AttrSubset,
         n: usize,
-        row: impl FnMut(usize) -> (RecordId, &'a [ValueId]),
+        row: impl FnMut(usize) -> (RecordId, &'r [ValueId]),
     ) -> Self {
-        Self::build_with_cap(flat, cache, subset, n, MAX_DMAT_CELLS, row)
+        Self::build_with_cap(src, cache, subset, n, MAX_DMAT_CELLS, row)
     }
 
     /// [`build`](Self::build) with an explicit pretranslation cap — tests
-    /// use a cap of 0 to force the gather path.
-    pub fn build_with_cap<'a>(
-        flat: &FlatDissim,
+    /// use a cap of 0 to force the gather path. The table source never
+    /// pretranslates, whatever the cap.
+    pub fn build_with_cap<'r>(
+        src: DistSource<'a>,
         cache: &QueryDistCache,
         subset: &AttrSubset,
         n: usize,
         cap: usize,
-        mut row: impl FnMut(usize) -> (RecordId, &'a [ValueId]),
+        mut row: impl FnMut(usize) -> (RecordId, &'r [ValueId]),
     ) -> Self {
         let indices = subset.indices();
         let slen = indices.len();
         let chunks = n.div_ceil(LANES);
         let mut attr_off = Vec::with_capacity(slen);
         let mut chunk_stride = 0usize;
-        for &i in indices {
-            attr_off.push(chunk_stride);
-            chunk_stride += flat.cardinality(i) as usize * LANES;
+        if let DistSource::Flat(flat) = src {
+            for &i in indices {
+                attr_off.push(chunk_stride);
+                chunk_stride += flat.cardinality(i) as usize * LANES;
+            }
         }
         let mut blocks = Self {
+            src,
             n,
             chunks,
             slen,
@@ -257,8 +237,8 @@ impl CandidateBlocks {
                 let xv = vals[i];
                 blocks.xvals[(c * slen + k) * LANES + lane] = xv;
                 // Query-side distances come from the run's cache — counted
-                // once at build time as query_dist_checks, same as the
-                // scalar path's hoisted center rows.
+                // once at build time as query_dist_checks, same as a
+                // per-pair loop's hoisted center rows.
                 blocks.dqx[(c * slen + k) * LANES + lane] = cache.d(i, xv);
             }
         }
@@ -281,6 +261,19 @@ impl CandidateBlocks {
             }
         }
         self.dmat[c] = table;
+    }
+
+    /// Counts one more probe survived by chunk `c` on the gather probe and
+    /// pretranslates it once it has survived [`TRANSLATE_AFTER`], budget
+    /// permitting.
+    fn note_survival(&mut self, flat: &FlatDissim, indices: &[usize], c: usize) {
+        if self.dmat[c].is_empty() && self.chunk_stride <= self.translate_budget {
+            self.survived[c] = self.survived[c].saturating_add(1);
+            if self.survived[c] >= TRANSLATE_AFTER {
+                self.translate_budget -= self.chunk_stride;
+                self.translate_chunk(flat, indices, c);
+            }
+        }
     }
 
     /// Number of candidates (excluding padding lanes).
@@ -317,20 +310,14 @@ impl CandidateBlocks {
     /// independent, and every lane still meets the scan records in the same
     /// ascending order and dies at the same first pruner as under the
     /// record-major order.
-    ///
-    /// Counter contract: per probe, `obj_comparisons` += participating
-    /// lanes; per attribute (subset order), `dist_checks` += lanes still
-    /// feasible before that attribute is evaluated — identical to the
-    /// scalar loop's first-failing-attribute early exit.
     pub fn scan(
         &mut self,
-        flat: &FlatDissim,
         subset: &AttrSubset,
         ys: &ColumnarBatch,
         skip_self: bool,
         stats: &mut RunStats,
     ) {
-        self.scan_range(flat, subset, ys, 0, ys.len(), skip_self, stats);
+        self.scan_range(subset, ys, 0, ys.len(), skip_self, stats);
     }
 
     /// [`scan`](Self::scan) over the half-open record range `[from, to)` of
@@ -338,10 +325,8 @@ impl CandidateBlocks {
     /// dense chunks between segments ([`Self::build`] from the alive set) —
     /// a pure layout change that keeps every lane's probe sequence, and so
     /// every counter, identical.
-    #[allow(clippy::too_many_arguments)]
     pub fn scan_range(
         &mut self,
-        flat: &FlatDissim,
         subset: &AttrSubset,
         ys: &ColumnarBatch,
         from: usize,
@@ -353,11 +338,57 @@ impl CandidateBlocks {
             return;
         }
         let indices = subset.indices();
-        // Hoisted once per pass: the selected columns of `ys`, and — for
-        // self-skip — the scan positions of every id, sorted so each chunk
-        // can locate its (at most `LANES`, barring duplicate ids) self
-        // positions by binary search instead of comparing 8 ids per probe.
         let cols: Vec<&[ValueId]> = indices.iter().map(|&i| ys.col(i)).collect();
+        // One source decision per call: each arm runs the chunk loop around
+        // its own probe, so the flat loop carries no table-source branch.
+        match self.src {
+            DistSource::Flat(flat) => self.scan_chunks(
+                ys,
+                from,
+                to,
+                skip_self,
+                stats,
+                |b, c, yi, active, stats| {
+                    if b.dmat[c].is_empty() {
+                        b.probe_gather(flat, indices, &cols, yi, c, active, stats)
+                    } else {
+                        b.probe_translated(&cols, yi, c, active, stats)
+                    }
+                },
+                |b, c| b.note_survival(flat, indices, c),
+            ),
+            DistSource::Table(dt) => self.scan_chunks(
+                ys,
+                from,
+                to,
+                skip_self,
+                stats,
+                |b, c, yi, active, stats| b.probe_table(dt, indices, &cols, yi, c, active, stats),
+                |_, _| {},
+            ),
+        }
+    }
+
+    /// The chunk-major loop of [`scan_range`](Self::scan_range): `probe`
+    /// returns the lanes scan record `yi` prunes in chunk `c` among the
+    /// `active` ones, and `survived` runs after every probe the chunk
+    /// outlives.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn scan_chunks(
+        &mut self,
+        ys: &ColumnarBatch,
+        from: usize,
+        to: usize,
+        skip_self: bool,
+        stats: &mut RunStats,
+        mut probe: impl FnMut(&Self, usize, usize, &[f64; LANES], &mut RunStats) -> [f64; LANES],
+        mut survived: impl FnMut(&mut Self, usize),
+    ) {
+        // Hoisted once per pass: for self-skip, the scan positions of every
+        // id, sorted so each chunk can locate its (at most `LANES`, barring
+        // duplicate ids) self positions by binary search instead of
+        // comparing 8 ids per probe.
         let mut id_pos: Vec<(RecordId, u32)> = Vec::new();
         if skip_self {
             id_pos.extend((from..to).map(|yi| (ys.id(yi), yi as u32)));
@@ -402,11 +433,7 @@ impl CandidateBlocks {
                     continue;
                 }
                 stats.obj_comparisons += active_sum as u64;
-                let pruned = if self.dmat[c].is_empty() {
-                    self.probe_gather(flat, indices, &cols, yi, c, &active, stats)
-                } else {
-                    self.probe_translated(&cols, yi, c, &active, stats)
-                };
+                let pruned = probe(self, c, yi, &active, stats);
                 let pruned_sum = lane_sum(&pruned);
                 if pruned_sum != 0.0 {
                     for lane in 0..LANES {
@@ -418,13 +445,7 @@ impl CandidateBlocks {
                         break;
                     }
                 }
-                if self.dmat[c].is_empty() && self.chunk_stride <= self.translate_budget {
-                    self.survived[c] = self.survived[c].saturating_add(1);
-                    if self.survived[c] >= TRANSLATE_AFTER {
-                        self.translate_budget -= self.chunk_stride;
-                        self.translate_chunk(flat, indices, c);
-                    }
-                }
+                survived(self, c);
             }
             self.lane_alive[c * LANES..(c + 1) * LANES].copy_from_slice(&state);
         }
@@ -527,13 +548,64 @@ impl CandidateBlocks {
         }
         pruned
     }
+
+    /// Table-source probe: the gather probe with [`DissimTable::d`]
+    /// evaluated for the lanes still feasible and for no other (an
+    /// infeasible lane keeps `d = 0`, which [`level_update`] cannot revive),
+    /// so each evaluation is one counted check.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn probe_table(
+        &self,
+        dt: &DissimTable,
+        indices: &[usize],
+        cols: &[&[ValueId]],
+        yi: usize,
+        c: usize,
+        active: &[f64; LANES],
+        stats: &mut RunStats,
+    ) -> [f64; LANES] {
+        let mut feas = *active;
+        let mut strict = [0.0f64; LANES];
+        let mut checks8 = [0.0f64; LANES];
+        for (k, &i) in indices.iter().enumerate() {
+            for lane in 0..LANES {
+                checks8[lane] += feas[lane];
+            }
+            let (measure, yv) = (dt.attr(i), cols[k][yi]);
+            let at = (c * self.slen + k) * LANES;
+            let x8: &[ValueId; LANES] = self.xvals[at..at + LANES].try_into().unwrap();
+            let q8: &[f64; LANES] = self.dqx[at..at + LANES].try_into().unwrap();
+            let mut d8 = [0.0f64; LANES];
+            for lane in 0..LANES {
+                if feas[lane] != 0.0 {
+                    d8[lane] = measure.d(yv, x8[lane]);
+                }
+            }
+            level_update(&d8, q8, &mut feas, &mut strict);
+            let mut any = 0u64;
+            for f in &feas {
+                any |= f.to_bits();
+            }
+            if any == 0 {
+                break;
+            }
+        }
+        stats.dist_checks += lane_sum(&checks8) as u64;
+        let mut pruned = [0.0f64; LANES];
+        for lane in 0..LANES {
+            pruned[lane] = feas[lane] * strict[lane];
+        }
+        pruned
+    }
 }
 
 /// Scalar pruning check against hoisted *center* rows: `rows[k]` is
 /// [`FlatDissim::center_row`] for subset attribute `k` at the candidate's
 /// value, `dqx[k]` the cached query distance — the flat-table twin of
 /// [`rsky_core::dominate::prunes_with_center_dists`]. Used where batching
-/// cannot apply (SRS's radiating probe order is per-candidate).
+/// cannot apply: SRS's radiating probe order and the witness scan of
+/// [`crate::delta::first_pruners`] are per-candidate.
 #[inline]
 pub(crate) fn prunes_center_hoisted(
     rows: &[&[f64]],
@@ -550,33 +622,6 @@ pub(crate) fn prunes_center_hoisted(
             return false;
         }
         if dyx < dqx[k] {
-            strict = true;
-        }
-    }
-    strict
-}
-
-/// Scalar pruning check against hoisted *moving* rows: `rows[k]` is
-/// [`FlatDissim::moving_row`] for subset attribute `k` at the scan object's
-/// value; the center `x` varies per call. The streaming engine hoists these
-/// once per arriving/expiring record.
-#[inline]
-pub(crate) fn prunes_moving_hoisted(
-    rows: &[&[f64]],
-    cache: &QueryDistCache,
-    indices: &[usize],
-    x: &[ValueId],
-    checks: &mut u64,
-) -> bool {
-    let mut strict = false;
-    for (k, &i) in indices.iter().enumerate() {
-        *checks += 1;
-        let dyx = rows[k][x[i] as usize];
-        let dqx = cache.d(i, x[i]);
-        if dyx > dqx {
-            return false;
-        }
-        if dyx < dqx {
             strict = true;
         }
     }
@@ -657,30 +702,34 @@ mod tests {
         let flat = FlatDissim::build_for(schema, dt).unwrap();
         let cache = QueryDistCache::new(dt, schema, query);
         let (want_alive, want) = scalar_reference(dt, &cache, query, cands, ys, skip_self);
-        let mut blocks = CandidateBlocks::build_with_cap(
-            &flat,
-            &cache,
-            &query.subset,
-            cands.len(),
-            cap,
-            |i| (cands.id(i), cands.values(i)),
-        );
-        // Force-translate under a positive cap so the contiguous probe is
-        // exercised even on scans too short to trip the lazy threshold.
-        if cap > 0 {
-            let indices = query.subset.indices();
-            for c in 0..blocks.chunks {
-                blocks.translate_chunk(&flat, indices, c);
+        for src in [DistSource::Flat(&flat), DistSource::Table(dt)] {
+            let on_table = matches!(src, DistSource::Table(_));
+            let label = format!("{label} table={on_table}");
+            let mut blocks =
+                CandidateBlocks::build_with_cap(src, &cache, &query.subset, cands.len(), cap, |i| {
+                    (cands.id(i), cands.values(i))
+                });
+            // Force-translate under a positive cap so the contiguous probe
+            // is exercised even on scans too short to trip the lazy
+            // threshold.
+            if cap > 0 && !on_table {
+                let indices = query.subset.indices();
+                for c in 0..blocks.chunks {
+                    blocks.translate_chunk(&flat, indices, c);
+                }
+            }
+            let col = ColumnarBatch::from_rows(ys);
+            let mut got = RunStats::default();
+            blocks.scan(&query.subset, &col, skip_self, &mut got);
+            let got_alive: Vec<bool> = (0..cands.len()).map(|i| blocks.is_alive(i)).collect();
+            assert_eq!(got_alive, want_alive, "{label}: survivor flags");
+            assert_eq!(blocks.alive_count(), want_alive.iter().filter(|&&a| a).count(), "{label}");
+            assert_eq!(got.dist_checks, want.dist_checks, "{label}: dist_checks");
+            assert_eq!(got.obj_comparisons, want.obj_comparisons, "{label}: obj_comparisons");
+            if on_table {
+                assert!(blocks.dmat.iter().all(Vec::is_empty), "{label}: table never translates");
             }
         }
-        let col = ColumnarBatch::from_rows(ys);
-        let mut got = RunStats::default();
-        blocks.scan(&flat, &query.subset, &col, skip_self, &mut got);
-        let got_alive: Vec<bool> = (0..cands.len()).map(|i| blocks.is_alive(i)).collect();
-        assert_eq!(got_alive, want_alive, "{label}: survivor flags");
-        assert_eq!(blocks.alive_count(), want_alive.iter().filter(|&&a| a).count(), "{label}");
-        assert_eq!(got.dist_checks, want.dist_checks, "{label}: dist_checks");
-        assert_eq!(got.obj_comparisons, want.obj_comparisons, "{label}: obj_comparisons");
     }
 
     #[test]
@@ -750,33 +799,19 @@ mod tests {
     }
 
     #[test]
-    fn mode_is_scoped_to_the_thread() {
-        assert_eq!(current_mode(), KernelMode::Batched);
-        let inner = with_mode(KernelMode::Scalar, || {
-            let nested = with_mode(KernelMode::Batched, current_mode);
-            (current_mode(), nested)
-        });
-        assert_eq!(inner, (KernelMode::Scalar, KernelMode::Batched));
-        assert_eq!(current_mode(), KernelMode::Batched);
-        let t = std::thread::spawn(|| {
-            with_mode(KernelMode::Scalar, || {
-                std::thread::spawn(current_mode).join().unwrap()
-            })
-        });
-        // TLS does not leak across threads: a fresh thread sees the default.
-        assert_eq!(t.join().unwrap(), KernelMode::Batched);
-    }
-
-    #[test]
-    fn capture_respects_mode_and_domain_size() {
+    fn new_picks_the_source_from_the_domain() {
         let (d, _) = paper_example();
-        let k = PrunerKernel::capture(&d.schema, &d.dissim);
-        assert_eq!(k.mode(), KernelMode::Batched);
-        assert!(k.flat().is_some());
-        let s = with_mode(KernelMode::Scalar, || PrunerKernel::capture(&d.schema, &d.dissim));
-        assert_eq!(s.mode(), KernelMode::Scalar);
-        assert!(s.flat().is_none());
-        assert_eq!(PrunerKernel::scalar().mode(), KernelMode::Scalar);
+        let k = PrunerKernel::new(&d.schema, &d.dissim);
+        assert!(matches!(k.source(&d.dissim), DistSource::Flat(_)));
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+        let ds = rsky_data::normal_dataset(3, 5, 20, &mut rng).unwrap();
+        let (flat, wide) = rsky_data::twin::linear_twins(&ds).unwrap();
+        let k = PrunerKernel::new(&flat.schema, &flat.dissim);
+        assert!(matches!(k.source(&flat.dissim), DistSource::Flat(_)));
+        let k = PrunerKernel::new(&wide.schema, &wide.dissim);
+        assert!(k.flat().is_none());
+        assert!(matches!(k.source(&wide.dissim), DistSource::Table(_)));
+        assert!(matches!(PrunerKernel::scalar().source(&d.dissim), DistSource::Table(_)));
     }
 
     #[test]
@@ -793,20 +828,14 @@ mod tests {
                 indices.iter().map(|&i| flat.center_row(i, x[i])).collect();
             for yi in 0..d.rows.len() {
                 let y = d.rows.values(yi);
-                let mrows: Vec<&[f64]> =
-                    indices.iter().map(|&i| flat.moving_row(i, y[i])).collect();
-                let (mut c0, mut c1, mut c2) = (0u64, 0u64, 0u64);
+                let (mut c0, mut c1) = (0u64, 0u64);
                 let want = crate::engine::prunes_cached(
                     &d.dissim, &q.subset, y, x, &cache, &mut c0,
                 );
                 let via_center =
                     prunes_center_hoisted(&crows, &dqx, indices, y, &mut c1);
-                let via_moving =
-                    prunes_moving_hoisted(&mrows, &cache, indices, x, &mut c2);
                 assert_eq!(via_center, want, "center x={xi} y={yi}");
-                assert_eq!(via_moving, want, "moving x={xi} y={yi}");
                 assert_eq!(c1, c0, "center checks x={xi} y={yi}");
-                assert_eq!(c2, c0, "moving checks x={xi} y={yi}");
             }
         }
     }

@@ -51,7 +51,6 @@ pub mod rank;
 pub mod shard;
 pub mod skyline_bnl;
 pub mod srs;
-pub mod streaming;
 pub mod trs;
 
 pub use bf::{BoundHeap, TrsBf};
@@ -60,7 +59,7 @@ pub use engine::{engine_by_name, EngineCtx, ReverseSkylineAlgo, RsRun};
 pub use explain::{all_witnesses, explain, Explanation, Membership};
 pub use hybrid::{hybrid_trs, HybridDataset, HybridQuery, NumericAttr};
 pub use influence::{run_influence_parallel, InfluenceEngine, InfluenceReport};
-pub use kernels::{KernelMode, PrunerKernel};
+pub use kernels::{DistSource, PrunerKernel};
 pub use delta::{first_pruners, pruner_band};
 pub use naive::Naive;
 pub use par::{ParBrs, ParSrs, ParTrs};
@@ -69,6 +68,5 @@ pub use qcache::{with_shared, QueryDistCache, SharedQueryCache};
 pub use rank::{rank_members, RankedMember};
 pub use shard::{layout_for, ShardCost, ShardedRun, ShardedTables};
 pub use skyline_bnl::{dynamic_skyline_bnl, SkylineRun};
-pub use streaming::{StreamStats, StreamingReverseSkyline};
 pub use srs::Srs;
 pub use trs::Trs;

@@ -253,8 +253,7 @@ fn par_two_phase(
             scanner.read_batch(starts[b], cap1, &mut batch)?;
             let mut surv = RowBuf::new(m);
             phase1_scan_batch(
-                dissim,
-                kern.flat(),
+                kern.source(dissim),
                 &batch,
                 query,
                 cache,
@@ -297,15 +296,12 @@ fn par_two_phase(
     let nrb = rstarts.len();
     let next2 = AtomicUsize::new(0);
     let subset = &query.subset;
-    let slen = subset.len();
     let d_pages = shared_d.num_pages();
     let worker_out: WorkerOut<Vec<RecordId>> = on_workers(threads, p2.ctx(), || {
         let mut r_scanner = shared_r.scanner();
         let mut d_scanner = shared_d.scanner();
         let mut rbatch = RowBuf::new(m);
         let mut dpage = RowBuf::new(m);
-        let mut dqx_rows: Vec<f64> = Vec::new();
-        let mut row = Vec::with_capacity(slen);
         let mut out = Vec::new();
         loop {
             let b = next2.fetch_add(1, Ordering::Relaxed);
@@ -319,16 +315,13 @@ fn par_two_phase(
             r_scanner.read_batch(rstarts[b], cap2, &mut rbatch)?;
             let mut ids: Vec<RecordId> = Vec::new();
             phase2_filter_batch(
-                dissim,
-                kern.flat(),
+                kern.source(dissim),
                 subset,
                 cache,
                 &rbatch,
                 d_pages,
                 |p, buf| d_scanner.read_page_rows(p, buf).map(|_| ()),
                 &mut dpage,
-                &mut dqx_rows,
-                &mut row,
                 &mut bs,
                 &mut ids,
             )?;

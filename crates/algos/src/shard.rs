@@ -78,7 +78,6 @@ use std::time::Instant;
 use rsky_core::cancel;
 use rsky_core::dataset::Dataset;
 use rsky_core::dissim::DissimTable;
-use rsky_core::dominate::prunes_with_center_dists;
 use rsky_core::error::{Error, Result};
 use rsky_core::obs::{self, shard_names as names};
 use rsky_core::query::{AttrSubset, Query};
@@ -91,7 +90,7 @@ use rsky_storage::{
 
 use crate::engine::{engine_by_name, finish_run_span, EngineCtx, RunObs};
 use crate::influence::{Influence, InfluenceReport};
-use crate::kernels::{self, CandidateBlocks, PrunerKernel};
+use crate::kernels::{CandidateBlocks, DistSource, PrunerKernel};
 use crate::prep::{prepare_table, Layout, PreparedTable};
 use crate::qcache::{self, QueryDistCache, SharedQueryCache};
 
@@ -346,11 +345,9 @@ impl ShardedTables {
         // (phase 2). Without this, each of the k shards rebuilds the same
         // `d_i(q, v)` table, multiplying `query_dist_checks` by k. The build
         // cost is accounted here, in its own span, so the sharded stats
-        // contract still tiles exactly. The kernel mode and flat table are
-        // captured here too — spawned shard threads start with fresh
-        // thread-locals and must inherit the coordinator's choices.
-        let kmode = kernels::current_mode();
-        let kern = PrunerKernel::capture(&self.schema, &self.dissim);
+        // contract still tiles exactly. The kill and verify passes share
+        // one kernel, built here from the domain.
+        let kern = PrunerKernel::new(&self.schema, &self.dissim);
         let mut plan_span = robs.span(names::SPAN_PLAN);
         let shared = Arc::new(SharedQueryCache::new(&self.dissim, &self.schema, query));
         let plan =
@@ -377,27 +374,25 @@ impl ShardedTables {
                     let shared = shared.clone();
                     s.spawn(move || {
                         // Re-install the coordinator's recorder, cancel
-                        // token, span context, kernel mode and shared query
-                        // cache (all thread-scoped) so the inner engine's
-                        // own capture sees them and its spans join this
-                        // run's trace under the phase-1 span.
+                        // token, span context and shared query cache (all
+                        // thread-scoped) so the inner engine's own capture
+                        // sees them and its spans join this run's trace
+                        // under the phase-1 span.
                         obs::with_recorder(handle.clone(), || {
                             cancel::with_token(token.clone(), || {
                                 obs::with_parent(p1_ctx, || {
-                                    kernels::with_mode(kmode, || {
-                                        qcache::with_shared(shared, || {
-                                            local_run(
-                                                st,
-                                                i,
-                                                engine_name,
-                                                engine_threads,
-                                                layout,
-                                                schema,
-                                                dissim,
-                                                query,
-                                                robs,
-                                            )
-                                        })
+                                    qcache::with_shared(shared, || {
+                                        local_run(
+                                            st,
+                                            i,
+                                            engine_name,
+                                            engine_threads,
+                                            layout,
+                                            schema,
+                                            dissim,
+                                            query,
+                                            robs,
+                                        )
                                     })
                                 })
                             })
@@ -449,8 +444,8 @@ impl ShardedTables {
             robs.check_cancelled()?;
             let pre_candidates = total_candidates;
             // Coordinator side: gather each shard's exported band (shards
-            // ascending, ids ascending within a shard — a deterministic,
-            // kernel-mode-independent band layout) and broadcast the merge.
+            // ascending, ids ascending within a shard — a deterministic
+            // band layout) and broadcast the merge.
             let mut band_rows = RowBuf::new(m);
             for (i, st) in self.shards.iter().enumerate() {
                 per_shard[i].exported = select_pruners(
@@ -468,16 +463,12 @@ impl ShardedTables {
             let killed: Vec<Result<(Vec<RecordId>, RunStats)>> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..k)
                     .map(|i| {
-                        let (robs, cands) = (&robs, &candidates[i]);
-                        let (band_rows, band) = (&band_rows, &band);
-                        let (cache, kern) = (shared.cache(), &kern);
+                        let (robs, cands, band) = (&robs, &candidates[i], &band);
+                        let (cache, src) = (shared.cache(), kern.source(dissim));
                         let rows = &self.shards[i].rows;
                         s.spawn(move || {
                             obs::with_parent(ex_ctx, || {
-                                exchange_kill(
-                                    i, cands, rows, band_rows, band, dissim, query, cache,
-                                    kern, robs,
-                                )
+                                exchange_kill(i, cands, rows, band, src, query, cache, robs)
                             })
                         })
                     })
@@ -523,13 +514,11 @@ impl ShardedTables {
             let handles: Vec<_> = (0..k)
                 .map(|i| {
                     let (robs, windows, cands) = (&robs, &windows, &candidates[i]);
-                    let (cache, kern) = (shared.cache(), &kern);
+                    let (cache, src) = (shared.cache(), kern.source(dissim));
                     let rows = &self.shards[i].rows;
                     s.spawn(move || {
                         obs::with_parent(p2_ctx, || {
-                            verify_shard(
-                                i, cands, rows, windows, dissim, query, cache, kern, robs,
-                            )
+                            verify_shard(i, cands, rows, windows, src, query, cache, robs)
                         })
                     })
                 })
@@ -654,8 +643,8 @@ fn local_run(
 /// query distance ascending (records near the query dominate the largest
 /// share of the space — the paper's midpoint intuition), ties by id, then
 /// the picks are re-sorted into id order so the band layout — and with it
-/// the kill pass's scan order and counters — is deterministic and
-/// kernel-mode independent. Returns the number of pruners exported.
+/// the kill pass's scan order and counters — is deterministic. Returns the
+/// number of pruners exported.
 fn select_pruners(
     rows: &RowBuf,
     cands: &[RecordId],
@@ -692,77 +681,36 @@ fn select_pruners(
 }
 
 /// One shard's exchange step: a kill pass over its phase-2 candidates
-/// against the merged pruner band, through the batched kernel when the
-/// coordinator captured one. The band contains the shard's own candidates,
-/// so the scan excludes a candidate's own id (`skip_self`); any *other*
-/// band member that prunes a candidate disproves its membership outright.
-/// No IO moves (the band lives in memory) and no `query_dist_checks` move
-/// (query-side distances come from the coordinator's shared cache), so the
-/// pass costs at most `candidates × band × |subset|` dist checks — the
-/// bound the differential suite asserts. The scalar fallback replays the
-/// kernel's counter contract exactly (first-failing-attribute early exit,
-/// first-pruner early break), keeping the pass kernel-mode independent.
+/// against the merged pruner band, through the batched kernel. The band
+/// contains the shard's own candidates, so the scan excludes a candidate's
+/// own id (`skip_self`); any *other* band member that prunes a candidate
+/// disproves its membership outright. No IO moves (the band lives in
+/// memory) and no `query_dist_checks` move (query-side distances come from
+/// the coordinator's shared cache), so the pass costs at most
+/// `candidates × band × |subset|` dist checks — the bound the differential
+/// suite asserts.
 #[allow(clippy::too_many_arguments)]
 fn exchange_kill(
     shard: usize,
     cands: &[RecordId],
     rows: &RowBuf,
-    band_rows: &RowBuf,
     band: &ColumnarBatch,
-    dissim: &DissimTable,
+    src: DistSource<'_>,
     query: &Query,
     cache: &QueryDistCache,
-    kern: &PrunerKernel,
     robs: &RunObs<'_>,
 ) -> Result<(Vec<RecordId>, RunStats)> {
     robs.check_cancelled()?;
     let mut kspan = robs.span(names::SPAN_KILL);
     let mut ks = RunStats::default();
-    let mut alive = vec![true; cands.len()];
-    if !cands.is_empty() && !band_rows.is_empty() {
+    let survivors = if cands.is_empty() || band.is_empty() {
+        cands.to_vec()
+    } else {
         let subset = &query.subset;
-        let index: HashMap<RecordId, usize> =
-            (0..rows.len()).map(|ri| (rows.id(ri), ri)).collect();
-        match kern.flat() {
-            Some(flat) => {
-                let mut blocks = CandidateBlocks::build(flat, cache, subset, cands.len(), |xi| {
-                    let ri = *index.get(&cands[xi]).expect("candidate id belongs to this shard");
-                    (cands[xi], rows.values(ri))
-                });
-                blocks.scan(flat, subset, band, true, &mut ks);
-                for (xi, flag) in alive.iter_mut().enumerate() {
-                    *flag = blocks.is_alive(xi);
-                }
-            }
-            None => {
-                let mut dqx = Vec::with_capacity(subset.len());
-                for (xi, alive_flag) in alive.iter_mut().enumerate() {
-                    let ri = *index.get(&cands[xi]).expect("candidate id belongs to this shard");
-                    let x = rows.values(ri);
-                    cache.center_dists_into(subset, x, &mut dqx);
-                    for yi in 0..band_rows.len() {
-                        if band_rows.id(yi) == cands[xi] {
-                            continue; // a record never prunes itself
-                        }
-                        ks.obj_comparisons += 1;
-                        if prunes_with_center_dists(
-                            dissim,
-                            subset,
-                            band_rows.values(yi),
-                            x,
-                            &dqx,
-                            &mut ks.dist_checks,
-                        ) {
-                            *alive_flag = false;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let survivors: Vec<RecordId> =
-        cands.iter().zip(&alive).filter(|(_, ok)| **ok).map(|(&id, _)| id).collect();
+        let mut blocks = candidate_blocks(src, cache, subset, cands, rows);
+        blocks.scan(subset, band, true, &mut ks);
+        alive_ids(&blocks, cands)
+    };
     if kspan.is_recording() {
         kspan
             .field("shard", shard as u64)
@@ -777,127 +725,75 @@ fn exchange_kill(
     Ok((survivors, ks))
 }
 
+/// The candidates `blocks` still holds alive, in candidate order.
+fn alive_ids(blocks: &CandidateBlocks<'_>, cands: &[RecordId]) -> Vec<RecordId> {
+    cands.iter().enumerate().filter(|&(xi, _)| blocks.is_alive(xi)).map(|(_, &id)| id).collect()
+}
+
+/// Blocks one shard's candidates (in the given id order) for a kernel pass.
+fn candidate_blocks<'a>(
+    src: DistSource<'a>,
+    cache: &QueryDistCache,
+    subset: &AttrSubset,
+    cands: &[RecordId],
+    rows: &RowBuf,
+) -> CandidateBlocks<'a> {
+    let index: HashMap<RecordId, usize> = (0..rows.len()).map(|ri| (rows.id(ri), ri)).collect();
+    CandidateBlocks::build(src, cache, subset, cands.len(), |xi| {
+        let ri = *index.get(&cands[xi]).expect("candidate id belongs to this shard");
+        (cands[xi], rows.values(ri))
+    })
+}
+
 /// One shard's gather step: scan every *foreign* shard's window pages and
 /// drop any candidate a foreign record prunes. Scan order is fixed (shards
 /// ascending, pages ascending, candidates in id order), so the verification
 /// counters are deterministic. The query-distance cache is the coordinator's
 /// shared one (its build cost lives in the `shard.plan` span), and the scan
-/// runs through the batched pruner kernel when the coordinator captured one.
-/// Foreign windows never contain a candidate's own id, so the scalar path
-/// compares unconditionally and the kernel scans with `skip_self = false`.
+/// runs through the batched pruner kernel. Foreign windows never contain a
+/// candidate's own id, so the kernel scans with `skip_self = false`.
 #[allow(clippy::too_many_arguments)]
 fn verify_shard(
     shard: usize,
     cands: &[RecordId],
     rows: &RowBuf,
     windows: &[Option<SharedRecords>],
-    dissim: &DissimTable,
+    src: DistSource<'_>,
     query: &Query,
     cache: &QueryDistCache,
-    kern: &PrunerKernel,
     robs: &RunObs<'_>,
 ) -> Result<(Vec<RecordId>, RunStats)> {
     robs.check_cancelled()?;
     let mut vspan = robs.span(names::SPAN_VERIFY);
     let mut vs = RunStats::default();
-    let mut alive = vec![true; cands.len()];
     let has_foreign = windows.iter().enumerate().any(|(j, w)| j != shard && w.is_some());
-    if !cands.is_empty() && has_foreign {
+    let survivors = if cands.is_empty() || !has_foreign {
+        cands.to_vec()
+    } else {
         let subset = &query.subset;
-        // Candidate values, in id order.
-        let index: HashMap<RecordId, usize> =
-            (0..rows.len()).map(|ri| (rows.id(ri), ri)).collect();
-        let m = rows.num_attrs();
-        let mut dpage = RowBuf::new(m);
-        match kern.flat() {
-            Some(flat) => {
-                let mut blocks = CandidateBlocks::build(flat, cache, subset, cands.len(), |xi| {
-                    let ri = *index.get(&cands[xi]).expect("candidate id belongs to this shard");
-                    (cands[xi], rows.values(ri))
-                });
-                'kshards: for (j, win) in windows.iter().enumerate() {
-                    let Some(win) = win else { continue };
-                    if j == shard {
-                        continue; // local pruners were phase 1's job
-                    }
-                    let mut scanner = win.scanner();
-                    for p in 0..win.num_pages() {
-                        robs.check_cancelled()?;
-                        if blocks.alive_count() == 0 {
-                            vs.io.add(scanner.io_stats());
-                            break 'kshards;
-                        }
-                        dpage.clear();
-                        scanner.read_page_rows(p, &mut dpage)?;
-                        let ys = ColumnarBatch::from_rows(&dpage);
-                        blocks.scan(flat, subset, &ys, false, &mut vs);
-                    }
-                    vs.io.add(scanner.io_stats());
-                }
-                for (xi, flag) in alive.iter_mut().enumerate() {
-                    *flag = blocks.is_alive(xi);
-                }
+        let mut dpage = RowBuf::new(rows.num_attrs());
+        let mut blocks = candidate_blocks(src, cache, subset, cands, rows);
+        'shards: for (j, win) in windows.iter().enumerate() {
+            let Some(win) = win else { continue };
+            if j == shard {
+                continue; // local pruners were phase 1's job
             }
-            None => {
-                let slen = subset.len();
-                // Precomputed d(q_i, x_i) rows, in candidate order.
-                let mut dqx_rows: Vec<f64> = Vec::with_capacity(cands.len() * slen);
-                let mut row = Vec::with_capacity(slen);
-                for &id in cands {
-                    let ri = *index.get(&id).expect("candidate id belongs to this shard");
-                    cache.center_dists_into(subset, rows.values(ri), &mut row);
-                    dqx_rows.extend_from_slice(&row);
-                }
-                let mut alive_count = cands.len();
-                'shards: for (j, win) in windows.iter().enumerate() {
-                    let Some(win) = win else { continue };
-                    if j == shard {
-                        continue; // local pruners were phase 1's job
-                    }
-                    let mut scanner = win.scanner();
-                    for p in 0..win.num_pages() {
-                        robs.check_cancelled()?;
-                        if alive_count == 0 {
-                            vs.io.add(scanner.io_stats());
-                            break 'shards;
-                        }
-                        dpage.clear();
-                        scanner.read_page_rows(p, &mut dpage)?;
-                        for (xi, alive_flag) in alive.iter_mut().enumerate() {
-                            if !*alive_flag {
-                                continue;
-                            }
-                            let ri = index[&cands[xi]];
-                            let x = rows.values(ri);
-                            let x_dqx = &dqx_rows[xi * slen..(xi + 1) * slen];
-                            for yi in 0..dpage.len() {
-                                vs.obj_comparisons += 1;
-                                if prunes_with_center_dists(
-                                    dissim,
-                                    subset,
-                                    dpage.values(yi),
-                                    x,
-                                    x_dqx,
-                                    &mut vs.dist_checks,
-                                ) {
-                                    *alive_flag = false;
-                                    alive_count -= 1;
-                                    break;
-                                }
-                            }
-                        }
-                    }
+            let mut scanner = win.scanner();
+            for p in 0..win.num_pages() {
+                robs.check_cancelled()?;
+                if blocks.alive_count() == 0 {
                     vs.io.add(scanner.io_stats());
+                    break 'shards;
                 }
+                dpage.clear();
+                scanner.read_page_rows(p, &mut dpage)?;
+                let ys = ColumnarBatch::from_rows(&dpage);
+                blocks.scan(subset, &ys, false, &mut vs);
             }
+            vs.io.add(scanner.io_stats());
         }
-    }
-    let survivors: Vec<RecordId> = cands
-        .iter()
-        .zip(&alive)
-        .filter(|(_, ok)| **ok)
-        .map(|(&id, _)| id)
-        .collect();
+        alive_ids(&blocks, cands)
+    };
     if vspan.is_recording() {
         vspan
             .field("shard", shard as u64)

@@ -1,21 +1,17 @@
-//! Micro-benchmarks of the hot kernels, scalar vs batched.
+//! Micro-benchmarks of the hot kernels.
 //!
-//! Two layers of measurement:
+//! The headline is the dominance loop in isolation: the same
+//! 512-candidate × 2048-row workload over synthetic-normal data (default
+//! scale: 100 k objects, 5 attributes, 50 values — set `RSKY_SCALE` to
+//! change) pushed through a per-pair `prunes_cached` loop (per-candidate
+//! early exit) and through [`CandidateBlocks::scan`] on both distance
+//! sources — the flat tables and the `DissimTable` itself — with survivors
+//! and counters asserted identical and the min-of-reps wall-clock ratios
+//! reported. Results land in `BENCH_kernels.json` at the repository root.
+//! The historical AL-Tree / Z-order criterion-style samplers ride along.
 //!
-//! 1. **Engine level** — BRS/SRS/TRS single-threaded over synthetic-normal
-//!    data (default scale: 100 k objects, 5 attributes, 50 values — set
-//!    `RSKY_SCALE` to change), once under [`KernelMode::Scalar`] and once
-//!    under [`KernelMode::Batched`]. Ids and every `RunStats` counter are
-//!    asserted identical across the two modes — the kernel is a pure
-//!    execution strategy — and the wall-clock ratio is the headline speedup.
-//!    Results land in `BENCH_kernels.json` at the repository root.
-//! 2. **Inner-loop level** — the dominance loop in isolation: the same
-//!    512-candidate × 2048-row workload pushed through the scalar
-//!    `prunes_cached` loop (per-candidate early exit, exactly as the
-//!    engines run it) and through [`CandidateBlocks::scan`], with
-//!    survivors and counters asserted identical and the min-of-reps
-//!    wall-clock ratio reported. The historical AL-Tree / Z-order
-//!    criterion-style samplers ride along.
+//! Engine-level id and counter identity across the two sources is a tier-1
+//! test (`tests/kernel_differential.rs`), not a bench.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -23,54 +19,38 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsky_algos::kernels::{with_mode, CandidateBlocks, KernelMode};
-use rsky_algos::prep::{load_dataset, prepare_table};
+use rsky_algos::kernels::{CandidateBlocks, DistSource};
 use rsky_algos::qcache::QueryDistCache;
 use rsky_algos::trs::is_prunable;
-use rsky_algos::{engine_by_name, layout_for, EngineCtx};
 use rsky_altree::{AlTree, InsertHint};
-use rsky_bench::{table::ms, BenchConfig, Table};
+use rsky_bench::{table::ms, BenchConfig};
 use rsky_core::dataset::Dataset;
 use rsky_core::dissim::FlatDissim;
 use rsky_core::query::{AttrSubset, Query};
 use rsky_core::stats::RunStats;
-use rsky_storage::{ColumnarBatch, Disk, MemoryBudget};
+use rsky_storage::ColumnarBatch;
 
-const MEM_PCT: f64 = 10.0;
-const ENGINES: [&str; 3] = ["brs", "srs", "trs"];
-
-struct ModeRun {
-    wall: Duration,
-    stats: RunStats,
-    ids: Vec<Vec<u32>>,
-}
-
-struct EngineLine {
-    engine: &'static str,
-    scalar: ModeRun,
-    kernel: ModeRun,
-}
-
-/// The dominance inner loop measured in isolation on one fixed workload,
-/// scalar loop vs batched kernel.
+/// The dominance inner loop measured in isolation on one fixed workload:
+/// a per-pair loop vs the batched kernel on each distance source.
 struct InnerLoop {
     cands: usize,
     scan_rows: usize,
     scalar: Duration,
     kernel: Duration,
+    table: Duration,
     survivors: usize,
     counters_identical: bool,
 }
 
 impl InnerLoop {
-    fn speedup(&self) -> f64 {
-        self.scalar.as_secs_f64() / self.kernel.as_secs_f64().max(1e-9)
+    fn speedup(&self, t: Duration) -> f64 {
+        self.scalar.as_secs_f64() / t.as_secs_f64().max(1e-9)
     }
 }
 
 fn main() {
     let cfg = BenchConfig::from_env();
-    println!("{}", cfg.banner("Kernel micro-benchmarks: scalar vs batched pruning"));
+    println!("{}", cfg.banner("Kernel micro-benchmarks: the batched dominance loop"));
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let n = cfg.n(1_000_000);
@@ -78,42 +58,17 @@ fn main() {
     let qs = rsky_data::random_queries(&ds.schema, cfg.queries, &mut rng).unwrap();
     println!("n = {}, {} queries/point", ds.len(), qs.len());
 
-    let lines: Vec<EngineLine> =
-        ENGINES.iter().map(|e| bench_engine(e, &ds, &qs, &cfg)).collect();
-
-    let mut t = Table::new(
-        "Engine wall-clock per query (mean), scalar vs batched kernel",
-        &["engine", "scalar", "kernel", "speedup", "ids", "counters"],
-    );
-    for l in &lines {
-        let (ids_ok, counters_ok) = l.verdicts();
-        t.row(vec![
-            l.engine.to_uppercase(),
-            ms(l.scalar.wall),
-            ms(l.kernel.wall),
-            format!("{:.2}x", l.speedup()),
-            if ids_ok { "match".into() } else { "MISMATCH".into() },
-            if counters_ok { "identical".into() } else { "DRIFT".into() },
-        ]);
-    }
-    t.print();
-
-    for l in &lines {
-        let (ids_ok, counters_ok) = l.verdicts();
-        assert!(ids_ok, "{}: batched kernel changed the result ids", l.engine);
-        assert!(counters_ok, "{}: batched kernel changed the counters", l.engine);
-    }
-    println!("both modes agree on ids and on every counter");
-
     let inner = inner_loop_bench(&ds, &qs[0]);
     println!(
-        "dominance inner loop ({} cands x {} rows): scalar {} kernel {} speedup {:.2}x \
-         survivors {} counters {}",
+        "dominance inner loop ({} cands x {} rows): scalar {} kernel {} ({:.2}x) \
+         table-source kernel {} ({:.2}x) survivors {} counters {}",
         inner.cands,
         inner.scan_rows,
         ms(inner.scalar),
         ms(inner.kernel),
-        inner.speedup(),
+        inner.speedup(inner.kernel),
+        ms(inner.table),
+        inner.speedup(inner.table),
         inner.survivors,
         if inner.counters_identical { "identical" } else { "DRIFT" },
     );
@@ -122,65 +77,8 @@ fn main() {
     probe_level_benches(&ds, &qs[0]);
 
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
-    std::fs::write(&path, render_json(&lines, &inner, &ds, qs.len())).unwrap();
+    std::fs::write(&path, render_json(&inner, &ds, qs.len())).unwrap();
     println!("wrote {}", path.display());
-}
-
-impl EngineLine {
-    fn speedup(&self) -> f64 {
-        self.scalar.wall.as_secs_f64() / self.kernel.wall.as_secs_f64().max(1e-9)
-    }
-
-    fn verdicts(&self) -> (bool, bool) {
-        let (a, b) = (&self.scalar.stats, &self.kernel.stats);
-        let counters_ok = a.dist_checks == b.dist_checks
-            && a.query_dist_checks == b.query_dist_checks
-            && a.obj_comparisons == b.obj_comparisons
-            && a.io == b.io
-            && a.phase1_survivors == b.phase1_survivors
-            && a.phase1_batches == b.phase1_batches
-            && a.phase2_batches == b.phase2_batches;
-        (self.scalar.ids == self.kernel.ids, counters_ok)
-    }
-}
-
-fn bench_engine(
-    name: &'static str,
-    ds: &Dataset,
-    qs: &[Query],
-    cfg: &BenchConfig,
-) -> EngineLine {
-    let run = |mode: KernelMode| -> ModeRun {
-        with_mode(mode, || {
-            let mut disk = Disk::new_mem(cfg.page_size);
-            let budget =
-                MemoryBudget::from_percent(ds.data_bytes(), MEM_PCT, cfg.page_size).unwrap();
-            let raw = load_dataset(&mut disk, ds).unwrap();
-            let layout = layout_for(name, 4).unwrap();
-            let prepared = prepare_table(&mut disk, &ds.schema, &raw, layout, &budget).unwrap();
-            let engine = engine_by_name(name, &ds.schema, 1).unwrap();
-            // One untimed pass to warm the page cache and allocator.
-            {
-                let mut ctx =
-                    EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
-                engine.run(&mut ctx, &prepared.file, &qs[0]).unwrap();
-            }
-            let mut wall = Duration::ZERO;
-            let mut stats = RunStats::default();
-            let mut ids = Vec::with_capacity(qs.len());
-            for q in qs {
-                let mut ctx =
-                    EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
-                let t0 = Instant::now();
-                let r = engine.run(&mut ctx, &prepared.file, q).unwrap();
-                wall += t0.elapsed();
-                stats.merge(&r.stats);
-                ids.push(r.ids);
-            }
-            ModeRun { wall: wall / qs.len().max(1) as u32, stats, ids }
-        })
-    };
-    EngineLine { engine: name, scalar: run(KernelMode::Scalar), kernel: run(KernelMode::Batched) }
 }
 
 /// The dominance inner loop in isolation: identical candidate set and scan
@@ -248,47 +146,50 @@ fn inner_loop_bench(ds: &Dataset, q: &Query) -> InnerLoop {
         (s_checks, s_probes, s_alive) = (checks, probes, black_box(alive));
     }
 
-    let mut kernel = Duration::MAX;
-    let mut k_stats = RunStats::default();
-    let mut k_alive = 0usize;
     // The kernel side runs the engines' segmented scan: survivors are
     // re-blocked into dense chunks between segments (counter-neutral, pure
     // layout) so a chunk never drags one live lane at 1/8 occupancy.
-    for _ in 0..REPS {
-        let mut stats = RunStats::default();
-        let t0 = Instant::now();
-        let mut orig: Vec<usize> = (0..cands).collect();
-        let mut blocks = CandidateBlocks::build(&flat, &cache, &subset, cands, |xi| {
-            let ri = cand_row(xi);
-            (ds.rows.id(ri), ds.rows.values(ri))
-        });
-        let mut seg = 0;
-        while seg < scan_rows && blocks.alive_count() > 0 {
-            let seg_end = (seg + 256).min(scan_rows);
-            blocks.scan_range(&flat, &subset, &ys, seg, seg_end, false, &mut stats);
-            seg = seg_end;
-            if seg < scan_rows && blocks.alive_count() * 2 < orig.len() {
-                let survivors: Vec<usize> = orig
-                    .iter()
-                    .enumerate()
-                    .filter(|&(slot, _)| blocks.is_alive(slot))
-                    .map(|(_, &o)| o)
-                    .collect();
-                blocks = CandidateBlocks::build(&flat, &cache, &subset, survivors.len(), |xi| {
-                    let ri = cand_row(survivors[xi]);
-                    (ds.rows.id(ri), ds.rows.values(ri))
-                });
-                orig = survivors;
+    let kernel_side = |src: DistSource<'_>| -> (Duration, RunStats, usize) {
+        let mut best = (Duration::MAX, RunStats::default(), 0usize);
+        for _ in 0..REPS {
+            let mut stats = RunStats::default();
+            let t0 = Instant::now();
+            let mut orig: Vec<usize> = (0..cands).collect();
+            let mut blocks = CandidateBlocks::build(src, &cache, &subset, cands, |xi| {
+                let ri = cand_row(xi);
+                (ds.rows.id(ri), ds.rows.values(ri))
+            });
+            let mut seg = 0;
+            while seg < scan_rows && blocks.alive_count() > 0 {
+                let seg_end = (seg + 256).min(scan_rows);
+                blocks.scan_range(&subset, &ys, seg, seg_end, false, &mut stats);
+                seg = seg_end;
+                if seg < scan_rows && blocks.alive_count() * 2 < orig.len() {
+                    let survivors: Vec<usize> = orig
+                        .iter()
+                        .enumerate()
+                        .filter(|&(slot, _)| blocks.is_alive(slot))
+                        .map(|(_, &o)| o)
+                        .collect();
+                    blocks = CandidateBlocks::build(src, &cache, &subset, survivors.len(), |xi| {
+                        let ri = cand_row(survivors[xi]);
+                        (ds.rows.id(ri), ds.rows.values(ri))
+                    });
+                    orig = survivors;
+                }
             }
+            best.0 = best.0.min(t0.elapsed());
+            (best.1, best.2) = (stats, black_box(blocks.alive_count()));
         }
-        kernel = kernel.min(t0.elapsed());
-        (k_stats, k_alive) = (stats, black_box(blocks.alive_count()));
-    }
+        best
+    };
+    let (kernel, k_stats, k_alive) = kernel_side(DistSource::Flat(&flat));
+    let (table, t_stats, t_alive) = kernel_side(DistSource::Table(&ds.dissim));
 
-    let counters_identical = s_alive == k_alive
-        && s_checks == k_stats.dist_checks
-        && s_probes == k_stats.obj_comparisons;
-    InnerLoop { cands, scan_rows, scalar, kernel, survivors: k_alive, counters_identical }
+    let counters_identical = [(k_stats, k_alive), (t_stats, t_alive)].iter().all(|(st, alive)| {
+        s_alive == *alive && s_checks == st.dist_checks && s_probes == st.obj_comparisons
+    });
+    InnerLoop { cands, scan_rows, scalar, kernel, table, survivors: k_alive, counters_identical }
 }
 
 /// Criterion-style samplers for the remaining innermost loops (the shim
@@ -380,19 +281,7 @@ fn probe_level_benches(ds: &Dataset, q: &Query) {
     });
 }
 
-fn counters_json(s: &RunStats) -> String {
-    format!(
-        "{{\"dist_checks\": {}, \"query_dist_checks\": {}, \"obj_comparisons\": {}, \
-         \"seq_io\": {}, \"rand_io\": {}}}",
-        s.dist_checks,
-        s.query_dist_checks,
-        s.obj_comparisons,
-        s.io.sequential(),
-        s.io.random()
-    )
-}
-
-fn render_json(lines: &[EngineLine], inner: &InnerLoop, ds: &Dataset, queries: usize) -> String {
+fn render_json(inner: &InnerLoop, ds: &Dataset, queries: usize) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"bench\": \"micro_kernels\",\n");
     s.push_str(&format!(
@@ -400,33 +289,17 @@ fn render_json(lines: &[EngineLine], inner: &InnerLoop, ds: &Dataset, queries: u
         ds.len(),
         ds.schema.num_attrs()
     ));
-    s.push_str("  \"engines\": [\n");
-    for (i, l) in lines.iter().enumerate() {
-        let (ids_ok, counters_ok) = l.verdicts();
-        s.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"scalar_ms\": {:.3}, \"kernel_ms\": {:.3}, \
-             \"speedup\": {:.3}, \"ids_match\": {}, \"counters_identical\": {}, \
-             \"counters\": {}}}",
-            l.engine,
-            l.scalar.wall.as_secs_f64() * 1e3,
-            l.kernel.wall.as_secs_f64() * 1e3,
-            l.speedup(),
-            ids_ok,
-            counters_ok,
-            counters_json(&l.kernel.stats)
-        ));
-        s.push_str(if i + 1 < lines.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
     s.push_str(&format!(
         "  \"inner_loop\": {{\"cands\": {}, \"scan_rows\": {}, \"scalar_ms\": {:.3}, \
-         \"kernel_ms\": {:.3}, \"speedup\": {:.3}, \"survivors\": {}, \
-         \"counters_identical\": {}}}\n",
+         \"kernel_ms\": {:.3}, \"speedup\": {:.3}, \"table_kernel_ms\": {:.3}, \
+         \"table_speedup\": {:.3}, \"survivors\": {}, \"counters_identical\": {}}}\n",
         inner.cands,
         inner.scan_rows,
         inner.scalar.as_secs_f64() * 1e3,
         inner.kernel.as_secs_f64() * 1e3,
-        inner.speedup(),
+        inner.speedup(inner.kernel),
+        inner.table.as_secs_f64() * 1e3,
+        inner.speedup(inner.table),
         inner.survivors,
         inner.counters_identical
     ));

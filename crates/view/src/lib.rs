@@ -142,7 +142,7 @@ impl MaterializedView {
         let obs = obs::handle();
         let mut span = obs.span(view_names::PREFIX, view_names::SPAN_BUILD);
         let cache = QueryDistCache::new(&ds.dissim, &ds.schema, &query);
-        let kernel = PrunerKernel::capture(&ds.schema, &ds.dissim);
+        let kernel = PrunerKernel::new(&ds.schema, &ds.dissim);
         let mut checks = 0u64;
         let pruners =
             first_pruners(&kernel, &ds.dissim, &cache, &query, &ds.rows, &[&ds.rows], &mut checks);
@@ -592,7 +592,7 @@ mod tests {
         let s = spec("trs", vec![2, 3, 1]);
         let q = s.query(&ds.schema).unwrap();
         let cache = QueryDistCache::new(&ds.dissim, &ds.schema, &q);
-        let kernel = PrunerKernel::capture(&ds.schema, &ds.dissim);
+        let kernel = PrunerKernel::new(&ds.schema, &ds.dissim);
         let mut build_checks = 0u64;
         first_pruners(&kernel, &ds.dissim, &cache, &q, &ds.rows, &[&ds.rows], &mut build_checks);
         assert!(build_checks > 0);

@@ -72,7 +72,6 @@ pub use rsky_view as view;
 pub mod prelude {
     pub use rsky_algos::prep::{load_dataset, prepare_table, Layout, PreparedTable};
     pub use rsky_algos::shard::{ShardCost, ShardedRun, ShardedTables, DEFAULT_PRUNER_BUDGET};
-    pub use rsky_algos::kernels::{with_mode, KernelMode};
     pub use rsky_algos::{
         engine_by_name, layout_for, Brs, EngineCtx, Naive, ParBrs, ParSrs, ParTrs,
         ReverseSkylineAlgo, RsRun, SharedQueryCache, Srs, Trs, TrsBf,

@@ -1,12 +1,19 @@
-//! Differential harness for the batched pruner kernels.
+//! Differential harness for the pruner kernels' two distance sources.
 //!
-//! The contract under test: [`KernelMode::Batched`] is a pure execution
-//! strategy. For **every** engine configuration, dataset shape, and shard
-//! count, running under the batched kernel must produce results *identical*
-//! to the scalar path — same ids, and the same `RunStats` counter by counter
-//! (`dist_checks`, `query_dist_checks`, `obj_comparisons`, IO, batch and
-//! survivor counts). The paper's cost model is the counters, so the kernel
-//! is only admissible if it is invisible in them. The one relaxation: for
+//! The contract under test: the distance source is a pure execution
+//! strategy. A domain `FlatDissim` flattens runs every kernel over the flat
+//! tables; a domain it refuses runs the same kernels over
+//! `DissimTable::d`. Each fixture runs under a flattening domain and its
+//! non-flattening twin ([`rsky::data::twin::linear_twins`]: the same rows,
+//! one `Linear` attribute declared over 8 values or over 4098), and for
+//! **every** engine configuration and shard count the two runs must agree:
+//! the oracle's ids, and the same `RunStats` counter by counter
+//! (`dist_checks`, `obj_comparisons`, `tree_nodes_visited`, IO, batch and
+//! survivor counts). The paper's cost model is the counters, so a source is
+//! only admissible if it is invisible in them. Two relaxations: the query
+//! cache evaluates `d(q, v)` over the whole declared domain of a selected
+//! attribute, so `query_dist_checks` is higher on the wide twin by exactly
+//! the added cardinality when the twin attribute is selected; and for
 //! multi-threaded twins the seq/rand IO *split* is scheduling-dependent
 //! (per-worker read heads, first-come batch claiming), so only IO totals
 //! are asserted there.
@@ -14,6 +21,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsky::core::stats::RunStats;
+use rsky::data::twin::{linear_twins, FLAT_CARD, WIDE_CARD};
 use rsky::prelude::*;
 
 /// All eleven engine configurations (mirrors tests/shard_differential.rs).
@@ -31,63 +39,83 @@ const ENGINE_CONFIGS: &[(&str, usize)] = &[
     ("trs", 5),
 ];
 
-/// One single-node run of `engine` under the given kernel mode.
-fn run_mode(
+/// One single-node run of `engine` over `ds`.
+fn run(
     ds: &Dataset,
     q: &Query,
     engine: &str,
     threads: usize,
     mem_pct: f64,
     page: usize,
-    mode: KernelMode,
 ) -> RsRun {
-    with_mode(mode, || {
-        let mut disk = Disk::new_mem(page);
-        let raw = load_dataset(&mut disk, ds).unwrap();
-        let budget = MemoryBudget::from_percent(ds.data_bytes(), mem_pct, page).unwrap();
-        let layout = layout_for(engine, 3).unwrap();
-        let prepared = prepare_table(&mut disk, &ds.schema, &raw, layout, &budget).unwrap();
-        let algo = engine_by_name(engine, &ds.schema, threads).unwrap();
-        let mut ctx =
-            EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
-        algo.run(&mut ctx, &prepared.file, q).unwrap()
-    })
+    let mut disk = Disk::new_mem(page);
+    let raw = load_dataset(&mut disk, ds).unwrap();
+    let budget = MemoryBudget::from_percent(ds.data_bytes(), mem_pct, page).unwrap();
+    let layout = layout_for(engine, 3).unwrap();
+    let prepared = prepare_table(&mut disk, &ds.schema, &raw, layout, &budget).unwrap();
+    let algo = engine_by_name(engine, &ds.schema, threads).unwrap();
+    let mut ctx = EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
+    algo.run(&mut ctx, &prepared.file, q).unwrap()
 }
 
-/// Counter-by-counter equality (wall-clock durations excluded, everything
-/// else must match exactly). `exact_io` compares the full seq/rand IO
-/// split; pass `threads == 1` — the parallel twins hand batches to workers
+/// The extra query-cache evaluations the wide twin spends on `q`: the
+/// added cardinality when the twin (last) attribute is selected.
+fn wide_query_checks(q: &Query) -> u64 {
+    if q.subset.contains(q.subset.schema_attrs() - 1) {
+        u64::from(WIDE_CARD - FLAT_CARD)
+    } else {
+        0
+    }
+}
+
+/// Counter-by-counter equality (wall-clock durations excluded), except
+/// that `wide.query_dist_checks` must exceed `flat`'s by exactly
+/// `extra_query_checks`. `exact_io` compares the full seq/rand IO split;
+/// pass `threads == 1` — the parallel twins hand batches to workers
 /// first-come-first-served and each worker's scanner classifies seq vs
 /// rand against its own head, so for them only the totals are
 /// scheduling-independent (the set of pages read is still fixed).
-fn assert_counters_eq(a: &RunStats, b: &RunStats, exact_io: bool, label: &str) {
-    assert_eq!(a.dist_checks, b.dist_checks, "{label}: dist_checks");
-    assert_eq!(a.query_dist_checks, b.query_dist_checks, "{label}: query_dist_checks");
-    assert_eq!(a.obj_comparisons, b.obj_comparisons, "{label}: obj_comparisons");
-    assert_eq!(a.tree_nodes_visited, b.tree_nodes_visited, "{label}: tree_nodes_visited");
+fn assert_counters_eq(
+    flat: &RunStats,
+    wide: &RunStats,
+    extra_query_checks: u64,
+    exact_io: bool,
+    label: &str,
+) {
+    assert_eq!(flat.dist_checks, wide.dist_checks, "{label}: dist_checks");
+    assert_eq!(
+        flat.query_dist_checks + extra_query_checks,
+        wide.query_dist_checks,
+        "{label}: query_dist_checks"
+    );
+    assert_eq!(flat.obj_comparisons, wide.obj_comparisons, "{label}: obj_comparisons");
+    assert_eq!(flat.tree_nodes_visited, wide.tree_nodes_visited, "{label}: tree_nodes_visited");
     if exact_io {
-        assert_eq!(a.io, b.io, "{label}: io");
+        assert_eq!(flat.io, wide.io, "{label}: io");
     } else {
         let reads = |io: &rsky::core::stats::IoCounts| io.seq_reads + io.rand_reads;
         let writes = |io: &rsky::core::stats::IoCounts| io.seq_writes + io.rand_writes;
-        assert_eq!(reads(&a.io), reads(&b.io), "{label}: total reads");
-        assert_eq!(writes(&a.io), writes(&b.io), "{label}: total writes");
+        assert_eq!(reads(&flat.io), reads(&wide.io), "{label}: total reads");
+        assert_eq!(writes(&flat.io), writes(&wide.io), "{label}: total writes");
     }
-    assert_eq!(a.phase1_survivors, b.phase1_survivors, "{label}: phase1_survivors");
-    assert_eq!(a.phase1_batches, b.phase1_batches, "{label}: phase1_batches");
-    assert_eq!(a.phase2_batches, b.phase2_batches, "{label}: phase2_batches");
-    assert_eq!(a.result_size, b.result_size, "{label}: result_size");
+    assert_eq!(flat.phase1_survivors, wide.phase1_survivors, "{label}: phase1_survivors");
+    assert_eq!(flat.phase1_batches, wide.phase1_batches, "{label}: phase1_batches");
+    assert_eq!(flat.phase2_batches, wide.phase2_batches, "{label}: phase2_batches");
+    assert_eq!(flat.result_size, wide.result_size, "{label}: result_size");
 }
 
+/// Every engine configuration under `ds`'s flattening domain and its
+/// non-flattening twin.
 fn assert_modes_agree(ds: &Dataset, q: &Query, mem_pct: f64, page: usize) {
-    let expect = reverse_skyline_by_definition(&ds.dissim, &ds.rows, q);
+    let (flat_ds, wide_ds) = linear_twins(ds).unwrap();
+    let expect = reverse_skyline_by_definition(&flat_ds.dissim, &flat_ds.rows, q);
     for &(engine, threads) in ENGINE_CONFIGS {
-        let label = format!("{engine}×{threads} on {}", ds.label);
-        let scalar = run_mode(ds, q, engine, threads, mem_pct, page, KernelMode::Scalar);
-        let batched = run_mode(ds, q, engine, threads, mem_pct, page, KernelMode::Batched);
-        assert_eq!(scalar.ids, expect, "{label}: scalar vs oracle");
-        assert_eq!(batched.ids, expect, "{label}: batched vs oracle");
-        assert_counters_eq(&scalar.stats, &batched.stats, threads == 1, &label);
+        let label = format!("{engine}×{threads} on {}", flat_ds.label);
+        let flat = run(&flat_ds, q, engine, threads, mem_pct, page);
+        let wide = run(&wide_ds, q, engine, threads, mem_pct, page);
+        assert_eq!(flat.ids, expect, "{label}: flat vs oracle");
+        assert_eq!(wide.ids, expect, "{label}: wide vs oracle");
+        assert_counters_eq(&flat.stats, &wide.stats, wide_query_checks(q), threads == 1, &label);
     }
 }
 
@@ -137,20 +165,19 @@ fn attribute_subset_queries_agree() {
 
 #[test]
 fn empty_table_agrees() {
-    // A zero-row table short-circuits before any kernel work; both modes
+    // A zero-row table short-circuits before any kernel work; both sources
     // must report the same (empty) run.
     let (ds, q) = rsky::data::paper_example();
-    for mode in [KernelMode::Scalar, KernelMode::Batched] {
-        let run = with_mode(mode, || {
-            let mut disk = Disk::new_mem(64);
-            let table = RecordFile::create(&mut disk, 3).unwrap();
-            let budget = MemoryBudget::from_bytes(192, 64).unwrap();
-            let mut ctx =
-                EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
-            Brs.run(&mut ctx, &table, &q).unwrap()
-        });
-        assert!(run.ids.is_empty(), "{mode:?}");
-        assert_eq!(run.stats.obj_comparisons, 0, "{mode:?}");
+    let (flat_ds, wide_ds) = linear_twins(&ds).unwrap();
+    for ds in [&flat_ds, &wide_ds] {
+        let mut disk = Disk::new_mem(64);
+        let table = RecordFile::create(&mut disk, 3).unwrap();
+        let budget = MemoryBudget::from_bytes(192, 64).unwrap();
+        let mut ctx =
+            EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
+        let run = Brs.run(&mut ctx, &table, &q).unwrap();
+        assert!(run.ids.is_empty(), "{}", ds.label);
+        assert_eq!(run.stats.obj_comparisons, 0, "{}", ds.label);
     }
 }
 
@@ -159,44 +186,47 @@ fn sharded_modes_agree_including_empty_shards() {
     let mut rng = StdRng::seed_from_u64(404);
     let ds = rsky::data::synthetic::normal_dataset(3, 5, 60, &mut rng).unwrap();
     let q = rsky::data::random_queries(&ds.schema, 1, &mut rng).unwrap().remove(0);
-    let expect = reverse_skyline_by_definition(&ds.dissim, &ds.rows, &q);
+    let (flat_ds, wide_ds) = linear_twins(&ds).unwrap();
+    let expect = reverse_skyline_by_definition(&flat_ds.dissim, &flat_ds.rows, &q);
     // 8 shards over 60 records keeps every shard small; the paper example
     // below additionally covers shards with zero rows.
     for (engine, threads) in [("brs", 1), ("trs", 1), ("trs-bf", 1), ("srs", 2)] {
         for k in [1usize, 3, 8] {
             let label = format!("{engine}×{threads} k={k}");
             let mut runs = Vec::new();
-            for mode in [KernelMode::Scalar, KernelMode::Batched] {
+            for ds in [&flat_ds, &wide_ds] {
                 let spec = ShardSpec::new(k, ShardPolicy::RoundRobin).unwrap();
-                let mut tables = ShardedTables::new(&ds, spec, 12.0, 64, 3).unwrap();
-                runs.push(with_mode(mode, || tables.run_query(engine, threads, &q).unwrap()));
+                let mut tables = ShardedTables::new(ds, spec, 12.0, 64, 3).unwrap();
+                runs.push(tables.run_query(engine, threads, &q).unwrap());
             }
-            let (scalar, batched) = (&runs[0], &runs[1]);
-            assert_eq!(scalar.ids, expect, "{label}: scalar vs oracle");
-            assert_eq!(batched.ids, expect, "{label}: batched vs oracle");
-            assert_counters_eq(&scalar.stats, &batched.stats, threads == 1, &label);
-            for (a, b) in scalar.per_shard.iter().zip(&batched.per_shard) {
-                assert_counters_eq(
-                    &a.local,
-                    &b.local,
-                    threads == 1,
-                    &format!("{label} shard {} local", a.shard),
-                );
-                assert_counters_eq(
-                    &a.verify,
-                    &b.verify,
-                    threads == 1,
-                    &format!("{label} shard {} verify", a.shard),
-                );
+            let (flat, wide) = (&runs[0], &runs[1]);
+            assert_eq!(flat.ids, expect, "{label}: flat vs oracle");
+            assert_eq!(wide.ids, expect, "{label}: wide vs oracle");
+            // The coordinator builds the one query cache; shard passes
+            // borrow it.
+            let extra = wide_query_checks(&q);
+            assert_counters_eq(&flat.stats, &wide.stats, extra, threads == 1, &label);
+            for (a, b) in flat.per_shard.iter().zip(&wide.per_shard) {
+                let passes = [
+                    (&a.local, &b.local, "local"),
+                    (&a.exchange, &b.exchange, "kill"),
+                    (&a.verify, &b.verify, "verify"),
+                ];
+                for (x, y, pass) in passes {
+                    let label = format!("{label} shard {} {pass}", a.shard);
+                    assert_counters_eq(x, y, 0, threads == 1, &label);
+                }
             }
         }
     }
     let (ds, q) = rsky::data::paper_example();
-    for mode in [KernelMode::Scalar, KernelMode::Batched] {
+    let (flat_ds, wide_ds) = linear_twins(&ds).unwrap();
+    let expect = reverse_skyline_by_definition(&flat_ds.dissim, &flat_ds.rows, &q);
+    for ds in [&flat_ds, &wide_ds] {
         let spec = ShardSpec::new(8, ShardPolicy::HashById).unwrap();
-        let mut tables = ShardedTables::new(&ds, spec, 50.0, 32, 3).unwrap();
-        let run = with_mode(mode, || tables.run_query("trs", 1, &q).unwrap());
-        assert_eq!(run.ids, vec![3, 6], "{mode:?}: empty shards");
+        let mut tables = ShardedTables::new(ds, spec, 50.0, 32, 3).unwrap();
+        let run = tables.run_query("trs", 1, &q).unwrap();
+        assert_eq!(run.ids, expect, "{}: empty shards", ds.label);
     }
 }
 
@@ -211,9 +241,10 @@ mod property {
     proptest! {
         #![proptest_config(ProptestConfig { cases: CASES, ..ProptestConfig::default() })]
 
-        /// Arbitrary (dataset, query, engine config): scalar and batched
-        /// kernels agree on ids and on every counter. Sizes deliberately
-        /// straddle chunk boundaries and schemas go down to one attribute.
+        /// Arbitrary (dataset, query, engine config): the flattening domain
+        /// and its non-flattening twin agree on ids and on every counter.
+        /// Sizes deliberately straddle chunk boundaries and schemas go down
+        /// to one attribute.
         #[test]
         fn modes_agree(
             seed in 0u64..1_000_000,
@@ -224,12 +255,14 @@ mod property {
             let mut rng = StdRng::seed_from_u64(seed);
             let ds = rsky::data::synthetic::normal_dataset(m, 5, n, &mut rng).unwrap();
             let q = rsky::data::random_queries(&ds.schema, 1, &mut rng).unwrap().remove(0);
+            let (flat_ds, wide_ds) = linear_twins(&ds).unwrap();
             let (engine, threads) = super::ENGINE_CONFIGS[engine_idx];
             let label = format!("{engine}×{threads} n={n} m={m}");
-            let scalar = run_mode(&ds, &q, engine, threads, 15.0, 64, KernelMode::Scalar);
-            let batched = run_mode(&ds, &q, engine, threads, 15.0, 64, KernelMode::Batched);
-            prop_assert_eq!(&scalar.ids, &batched.ids, "{}", label);
-            assert_counters_eq(&scalar.stats, &batched.stats, threads == 1, &label);
+            let flat = run(&flat_ds, &q, engine, threads, 15.0, 64);
+            let wide = run(&wide_ds, &q, engine, threads, 15.0, 64);
+            prop_assert_eq!(&flat.ids, &wide.ids, "{}", label);
+            let extra = wide_query_checks(&q);
+            assert_counters_eq(&flat.stats, &wide.stats, extra, threads == 1, &label);
         }
     }
 }

@@ -280,18 +280,18 @@ fn contract_holds_with_whole_db_in_memory() {
     exercise_dataset(&ds, 4096, 100.0);
 }
 
-/// The contract must hold identically on both kernel execution paths. The
-/// ambient default is [`KernelMode::Batched`], so the tests above already
-/// exercise the batched kernels; this test pins *both* modes explicitly so a
-/// future change of default cannot silently drop coverage of either, and so
-/// the batch-span deltas provably reconcile with `RunStats` when the batched
-/// pruner aggregates whole chunks of candidates per span.
+/// The contract must hold identically on both kernel distance sources.
+/// The fixtures above all flatten; this test runs the same rows under a
+/// flattening domain and its non-flattening twin, so the batch-span deltas
+/// provably reconcile with `RunStats` on the flat tables and on the
+/// `DissimTable` source alike.
 #[test]
 fn contract_holds_on_both_kernel_paths() {
     let mut rng = StdRng::seed_from_u64(1006);
     let ds = rsky::data::synthetic::uniform_dataset(3, 5, 120, &mut rng).unwrap();
-    with_mode(KernelMode::Scalar, || exercise_dataset(&ds, 64, 8.0));
-    with_mode(KernelMode::Batched, || exercise_dataset(&ds, 64, 8.0));
+    let (flat, wide) = rsky::data::twin::linear_twins(&ds).unwrap();
+    exercise_dataset(&flat, 64, 8.0);
+    exercise_dataset(&wide, 64, 8.0);
 }
 
 /// Beyond the generic contract (covered above, which includes the

@@ -28,6 +28,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rsky::data::twin::linear_twins;
 use rsky::prelude::*;
 
 /// Multiplicative slack for the whole-run counter bounds vs single-node
@@ -366,7 +367,10 @@ fn one_shard_equals_single_node_counters() {
 #[test]
 fn skewed_partition_one_shard_owns_the_whole_skyline() {
     let mut rng = StdRng::seed_from_u64(205);
-    let base = rsky::data::synthetic::normal_dataset(3, 6, 90, &mut rng).unwrap();
+    let normal = rsky::data::synthetic::normal_dataset(3, 6, 90, &mut rng).unwrap();
+    // The flattening twin, so the skewed rows can run under both twins with
+    // one skyline.
+    let base = linear_twins(&normal).unwrap().0;
     let q = rsky::data::random_queries(&base.schema, 1, &mut rng).unwrap().remove(0);
     let expect = reverse_skyline_by_definition(&base.dissim, &base.rows, &q);
     assert!(!expect.is_empty(), "fixture needs a non-empty skyline");
@@ -408,19 +412,18 @@ fn skewed_partition_one_shard_owns_the_whole_skyline() {
     }
 
     let subset_len = q.subset.len() as u64;
-    for mode in [KernelMode::Scalar, KernelMode::Batched] {
-        with_mode(mode, || {
-            for &(engine, threads) in &[("naive", 1), ("brs", 1), ("srs", 5), ("trs", 2), ("trs-bf", 1)] {
-                let label = format!("skewed {engine}×{threads} {mode:?}");
-                let single = single_node(&ds, &q, engine, threads, 12.0, 128);
-                assert_eq!(single.ids, expect, "{label}: single-node vs oracle");
-                let mut tables = ShardedTables::new(&ds, spec, 12.0, 128, 3).unwrap();
-                let run = tables.run_query(engine, threads, &q).unwrap();
-                assert_eq!(run.ids, expect, "{label}: ids");
-                assert_costs_tile(&run, &label);
-                assert_exchange_bounds(&run, &single, subset_len, &label);
-            }
-        });
+    let (flat_ds, wide_ds) = linear_twins(&ds).unwrap();
+    for ds in [&flat_ds, &wide_ds] {
+        for &(engine, threads) in &[("naive", 1), ("brs", 1), ("srs", 5), ("trs", 2), ("trs-bf", 1)] {
+            let label = format!("skewed {engine}×{threads} {}", ds.label);
+            let single = single_node(ds, &q, engine, threads, 12.0, 128);
+            assert_eq!(single.ids, expect, "{label}: single-node vs oracle");
+            let mut tables = ShardedTables::new(ds, spec, 12.0, 128, 3).unwrap();
+            let run = tables.run_query(engine, threads, &q).unwrap();
+            assert_eq!(run.ids, expect, "{label}: ids");
+            assert_costs_tile(&run, &label);
+            assert_exchange_bounds(&run, &single, subset_len, &label);
+        }
     }
 }
 
@@ -453,57 +456,56 @@ fn hash_policy_pathological_all_records_land_in_one_shard() {
     assert_eq!(parts[0].len(), ds.rows.len(), "test precondition: one shard owns everything");
 
     let q = rsky::data::random_queries(&ds.schema, 1, &mut rng).unwrap().remove(0);
-    let expect = reverse_skyline_by_definition(&ds.dissim, &ds.rows, &q);
-    for mode in [KernelMode::Scalar, KernelMode::Batched] {
-        with_mode(mode, || {
-            for &(engine, threads) in &[("naive", 1), ("srs", 1), ("trs", 2), ("trs-bf", 1), ("brs", 5)] {
-                let label = format!("hash-pathological {engine}×{threads} {mode:?}");
-                let mut tables = ShardedTables::new(&ds, spec, 12.0, 128, 3).unwrap();
-                let run = tables.run_query(engine, threads, &q).unwrap();
-                assert_eq!(run.ids, expect, "{label}: ids");
-                // The sole populated shard's candidates are mutually
-                // unprunable (phase 1 proved them against the whole shard ==
-                // the whole dataset), so the kill pass must remove nothing.
-                assert_eq!(
-                    run.post_candidates, run.candidates,
-                    "{label}: a shard must not shoot its own candidates"
-                );
-                assert_eq!(run.ids.len(), run.candidates, "{label}: candidates are exact here");
-                assert_costs_tile(&run, &label);
-            }
-        });
+    let (flat_ds, wide_ds) = linear_twins(&ds).unwrap();
+    let expect = reverse_skyline_by_definition(&flat_ds.dissim, &flat_ds.rows, &q);
+    for ds in [&flat_ds, &wide_ds] {
+        for &(engine, threads) in &[("naive", 1), ("srs", 1), ("trs", 2), ("trs-bf", 1), ("brs", 5)] {
+            let label = format!("hash-pathological {engine}×{threads} {}", ds.label);
+            let mut tables = ShardedTables::new(ds, spec, 12.0, 128, 3).unwrap();
+            let run = tables.run_query(engine, threads, &q).unwrap();
+            assert_eq!(run.ids, expect, "{label}: ids");
+            // The sole populated shard's candidates are mutually
+            // unprunable (phase 1 proved them against the whole shard ==
+            // the whole dataset), so the kill pass must remove nothing.
+            assert_eq!(
+                run.post_candidates, run.candidates,
+                "{label}: a shard must not shoot its own candidates"
+            );
+            assert_eq!(run.ids.len(), run.candidates, "{label}: candidates are exact here");
+            assert_costs_tile(&run, &label);
+        }
     }
 }
 
 /// Tiny dataset over many shards: most shards are empty, the band is smaller
 /// than any budget, and `k = 1` degenerates to single-node — all of it under
-/// both kernel modes and budgets from 0 (off) through larger-than-band.
+/// both kernel sources (a flattening domain and its non-flattening twin) and
+/// budgets from 0 (off) through larger-than-band.
 #[test]
 fn empty_shards_and_tiny_budgets_stay_exact_under_both_kernel_modes() {
     let mut rng = StdRng::seed_from_u64(207);
     let ds = rsky::data::synthetic::normal_dataset(3, 5, 5, &mut rng).unwrap();
     let q = rsky::data::random_queries(&ds.schema, 1, &mut rng).unwrap().remove(0);
-    let expect = reverse_skyline_by_definition(&ds.dissim, &ds.rows, &q);
-    for mode in [KernelMode::Scalar, KernelMode::Batched] {
-        with_mode(mode, || {
-            for &k in &[1usize, 8] {
-                for &budget in &[0usize, 1, 2, DEFAULT_PRUNER_BUDGET] {
-                    for &policy in POLICIES {
-                        let label = format!("n=5 k={k} budget={budget} {policy} {mode:?}");
-                        let spec = ShardSpec::new(k, policy).unwrap();
-                        let mut tables = ShardedTables::new(&ds, spec, 50.0, 32, 3)
-                            .unwrap()
-                            .with_pruner_budget(budget);
-                        let run = tables.run_query("trs", 2, &q).unwrap();
-                        assert_eq!(run.ids, expect, "{label}: ids");
-                        assert_costs_tile(&run, &label);
-                        for c in &run.per_shard {
-                            assert!(c.exported <= budget, "{label}: budget overrun");
-                        }
+    let (flat_ds, wide_ds) = linear_twins(&ds).unwrap();
+    let expect = reverse_skyline_by_definition(&flat_ds.dissim, &flat_ds.rows, &q);
+    for ds in [&flat_ds, &wide_ds] {
+        for &k in &[1usize, 8] {
+            for &budget in &[0usize, 1, 2, DEFAULT_PRUNER_BUDGET] {
+                for &policy in POLICIES {
+                    let label = format!("n=5 k={k} budget={budget} {policy} {}", ds.label);
+                    let spec = ShardSpec::new(k, policy).unwrap();
+                    let mut tables = ShardedTables::new(ds, spec, 50.0, 32, 3)
+                        .unwrap()
+                        .with_pruner_budget(budget);
+                    let run = tables.run_query("trs", 2, &q).unwrap();
+                    assert_eq!(run.ids, expect, "{label}: ids");
+                    assert_costs_tile(&run, &label);
+                    for c in &run.per_shard {
+                        assert!(c.exported <= budget, "{label}: budget overrun");
                     }
                 }
             }
-        });
+        }
     }
 }
 
@@ -519,9 +521,10 @@ mod property {
         #![proptest_config(ProptestConfig { cases: CASES, ..ProptestConfig::default() })]
 
         /// Arbitrary (dataset, query, engine config, shard config, kernel
-        /// mode, pruner budget) — the sharded run always equals the
-        /// definitional oracle. `budget_raw` sweeps the degenerate 0 (off),
-        /// tiny truncating budgets, and the default.
+        /// source, pruner budget) — the sharded run always equals the
+        /// definitional oracle. `wide` picks the non-flattening twin domain;
+        /// `budget_raw` sweeps the degenerate 0 (off), tiny truncating
+        /// budgets, and the default.
         #[test]
         fn sharded_equals_single_node(
             seed in 0u64..1_000_000,
@@ -529,25 +532,26 @@ mod property {
             k in 1usize..=8,
             use_hash in proptest::bool::ANY,
             engine_idx in 0usize..11,
-            scalar in proptest::bool::ANY,
+            wide in proptest::bool::ANY,
             budget_raw in 0usize..12,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let ds = rsky::data::synthetic::normal_dataset(3, 5, n, &mut rng).unwrap();
             let q = rsky::data::random_queries(&ds.schema, 1, &mut rng).unwrap().remove(0);
+            let (flat_ds, wide_ds) = linear_twins(&ds).unwrap();
+            let ds = if wide { wide_ds } else { flat_ds };
             let expect = reverse_skyline_by_definition(&ds.dissim, &ds.rows, &q);
             let (engine, threads) = super::ENGINE_CONFIGS[engine_idx];
             let policy = if use_hash { ShardPolicy::HashById } else { ShardPolicy::RoundRobin };
             let budget = if budget_raw == 11 { DEFAULT_PRUNER_BUDGET } else { budget_raw };
-            let mode = if scalar { KernelMode::Scalar } else { KernelMode::Batched };
             let spec = ShardSpec::new(k, policy).unwrap();
             let mut tables = ShardedTables::new(&ds, spec, 12.0, 128, 3)
                 .unwrap()
                 .with_pruner_budget(budget);
-            let run = with_mode(mode, || tables.run_query(engine, threads, &q).unwrap());
+            let run = tables.run_query(engine, threads, &q).unwrap();
             prop_assert_eq!(&run.ids, &expect,
-                "{}×{} shards={} policy={} budget={} {:?}",
-                engine, threads, k, policy, budget, mode);
+                "{}×{} shards={} policy={} budget={} wide={}",
+                engine, threads, k, policy, budget, wide);
             super::assert_costs_tile(&run, "property");
             for c in &run.per_shard {
                 prop_assert!(c.exported <= budget, "budget overrun: {} > {}", c.exported, budget);

@@ -5,12 +5,14 @@
 //! (`reverse_skyline_by_definition`) over the post-mutation dataset **after
 //! every single mutation**, and the `+id`/`-id` deltas it emits replay a
 //! subscriber's snapshot to exactly the member set — for every engine
-//! configuration, shard-part count, and kernel mode. Three layers:
+//! configuration, shard-part count, and kernel distance source. Three
+//! layers:
 //!
-//! * a deterministic sweep over engines × part counts × kernel modes, ≥100
-//!   randomized mutations per configuration (plus a fallback sweep with the
-//!   re-qualification budget forced to zero, so the engine-factory recompute
-//!   path runs for every engine);
+//! * a deterministic sweep over engines × part counts × distance sources
+//!   (a flattening domain and its non-flattening twin), ≥100 randomized
+//!   mutations per configuration (plus a fallback sweep with the
+//!   re-qualification budget forced to zero, so the engine-factory
+//!   recompute path runs for every engine);
 //! * fixed adversarial fixtures — member-eviction chains, expire of a
 //!   record that witnesses many others, a reverse skyline collapsed by
 //!   duplicate pairs, and sharded maintenance with (mostly) empty shards;
@@ -27,13 +29,13 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rsky::data::twin::linear_twins;
 use rsky::prelude::*;
 use rsky::view::{MaterializedView, ViewSpec};
 use rsky_storage::{MutationEvent, MutationKind};
 
 const ENGINES: &[&str] = &["naive", "brs", "srs", "trs", "trs-bf", "tsrs", "ttrs"];
 const PART_COUNTS: &[Option<usize>] = &[None, Some(2), Some(3)];
-const MODES: &[KernelMode] = &[KernelMode::Scalar, KernelMode::Batched];
 
 /// Applies an event to the flat dataset (the test-side mirror of
 /// `DataState`'s mutations).
@@ -121,29 +123,26 @@ fn drive(
     }
 }
 
-/// The headline sweep: every engine × part count × kernel mode, ≥100
-/// randomized mutations each, oracle-checked after every one.
+/// The headline sweep: every engine × part count × kernel source (a
+/// flattening domain and its non-flattening twin), ≥100 randomized
+/// mutations each, oracle-checked after every one.
 #[test]
 fn randomized_streams_track_oracle_across_engines_shards_and_kernels() {
     for (e, engine) in ENGINES.iter().enumerate() {
         for (p, parts_k) in PART_COUNTS.iter().enumerate() {
-            for &mode in MODES {
-                let label = format!("{engine}/parts={parts_k:?}/{mode:?}");
-                with_mode(mode, || {
-                    let seed = 100 + (e * 10 + p) as u64;
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let mut ds =
-                        rsky::data::synthetic::normal_dataset(3, 8, 40, &mut rng).unwrap();
-                    let spec = ViewSpec {
-                        engine: engine.to_string(),
-                        values: vec![3, 5, 2],
-                        subset: None,
-                    };
-                    let q = spec.query(&ds.schema).unwrap();
-                    let mut view = MaterializedView::build(&ds, spec, 0).unwrap();
-                    drive(&mut view, &mut ds, *parts_k, &q, 8, 100, seed, &label);
-                    assert_eq!(view.fallbacks(), 0, "{label}: gap-free stream fell back");
-                });
+            for wide in [false, true] {
+                let label = format!("{engine}/parts={parts_k:?}/wide={wide}");
+                let seed = 100 + (e * 10 + p) as u64;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let normal = rsky::data::synthetic::normal_dataset(3, 8, 40, &mut rng).unwrap();
+                let (flat_ds, wide_ds) = linear_twins(&normal).unwrap();
+                let mut ds = if wide { wide_ds } else { flat_ds };
+                let spec =
+                    ViewSpec { engine: engine.to_string(), values: vec![3, 5, 2], subset: None };
+                let q = spec.query(&ds.schema).unwrap();
+                let mut view = MaterializedView::build(&ds, spec, 0).unwrap();
+                drive(&mut view, &mut ds, *parts_k, &q, 8, 100, seed, &label);
+                assert_eq!(view.fallbacks(), 0, "{label}: gap-free stream fell back");
             }
         }
     }

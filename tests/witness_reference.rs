@@ -41,7 +41,7 @@ fn reference_witnesses(
 
 /// A kernel that flattens `ds`'s domain, and `PrunerKernel::scalar()`.
 fn both_kernels(ds: &Dataset) -> [PrunerKernel; 2] {
-    let flat = with_mode(KernelMode::Batched, || PrunerKernel::capture(&ds.schema, &ds.dissim));
+    let flat = PrunerKernel::new(&ds.schema, &ds.dissim);
     assert!(flat.flat().is_some(), "{}: domain must flatten", ds.label);
     [flat, PrunerKernel::scalar()]
 }
@@ -62,7 +62,7 @@ fn assert_reference(
     for kernel in kernels {
         let mut checks = 0u64;
         let got = first_pruners(kernel, &ds.dissim, &cache, q, cands, parts, &mut checks);
-        assert_eq!(got, want, "{ctx}: kernel {:?}", kernel.mode());
+        assert_eq!(got, want, "{ctx}: flat={}", kernel.flat().is_some());
         counts.push(checks);
     }
     assert_eq!(counts[0], counts[1], "{ctx}: check counts differ between kernels");
