@@ -65,6 +65,12 @@ full() {
     # writing BENCH_bftree.json.
     RSKY_SCALE=0.5 timeout 300 cargo bench -p rsky-bench --bench bftree_scaling
     test -s BENCH_bftree.json
+    echo "=== smoke: server write path (tcp-mixed, hard timeout) ==="
+    # Two workers serve reads while two connections write; the benchmark
+    # re-runs sampled reads in-process at their generation and exits
+    # non-zero on any wrong answer.
+    timeout 300 cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload tcp-mixed --seed 1 --seconds 3 --trace 0
     echo "=== smoke: trace round-trip (generate → query --trace-out → trace) ==="
     # A sharded parallel query and a plain sequential one: each trace must
     # rebuild as rooted trees (0 orphans) with at least one trace.

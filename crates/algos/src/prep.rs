@@ -61,6 +61,20 @@ pub fn load_dataset(disk: &mut Disk, dataset: &Dataset) -> Result<RecordFile> {
     Ok(rf)
 }
 
+/// The order `layout` arranges rows in, under the ascending-cardinality
+/// attribute ordering; `None` for [`Layout::Original`], which keeps
+/// generation order.
+pub fn sort_order(schema: &Schema, layout: &Layout) -> Result<Option<SortOrder>> {
+    let attr_order = ascending_cardinality_order(schema);
+    Ok(match layout {
+        Layout::Original => None,
+        Layout::MultiSort => Some(SortOrder::lex(schema, &attr_order)),
+        Layout::Tiled { tiles_per_attr } => {
+            Some(SortOrder::tiled(TileConfig::uniform(schema, *tiles_per_attr)?, &attr_order))
+        }
+    })
+}
+
 /// Arranges `table` according to `layout` (externally, within `budget`),
 /// returning the prepared table. [`Layout::Original`] returns the input file
 /// untouched.
@@ -74,14 +88,7 @@ pub fn prepare_table(
     let attr_order = ascending_cardinality_order(schema);
     let io_before = disk.io_stats();
     let t0 = Instant::now();
-    let sort_order = match &layout {
-        Layout::Original => None,
-        Layout::MultiSort => Some(SortOrder::lex(schema, &attr_order)),
-        Layout::Tiled { tiles_per_attr } => {
-            Some(SortOrder::tiled(TileConfig::uniform(schema, *tiles_per_attr)?, &attr_order))
-        }
-    };
-    let (file, outcome) = match sort_order {
+    let (file, outcome) = match sort_order(schema, &layout)? {
         None => (table.clone(), None),
         Some(order) => {
             let SortOutcome { file, runs, merge_passes } =

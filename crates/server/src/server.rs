@@ -76,7 +76,8 @@ pub struct ServerConfig {
     pub default_deadline_ms: u64,
     /// Working-memory budget per worker, as % of the dataset.
     pub mem_pct: f64,
-    /// Page size of each worker's disk.
+    /// Page size of the served page images and of the workers' scratch
+    /// disks.
     pub page: usize,
     /// Tiles per attribute for the tiled layouts.
     pub tiles: u32,

@@ -3,6 +3,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use rsky_core::error::{Error, Result};
 use rsky_core::stats::IoCounts;
@@ -19,9 +20,13 @@ pub struct FileId(pub(crate) usize);
 /// Where pages physically live.
 #[derive(Debug)]
 pub enum Backend {
-    /// Pages held in memory (one `Vec<u8>` per file). IO accounting is
-    /// identical to the file backend; only the transfer cost differs.
-    Mem(Vec<Vec<u8>>),
+    /// Pages held in memory, one copy-on-write buffer per file: a snapshot
+    /// ([`Disk::share_file`]) or a mount
+    /// ([`SharedRecords::mount`](crate::SharedRecords::mount)) shares the
+    /// buffer, and the first write to a shared buffer copies it. IO
+    /// accounting is identical to the file backend; only the transfer cost
+    /// differs.
+    Mem(Vec<Arc<Vec<u8>>>),
     /// Pages in real files under `dir` (`f0.pages`, `f1.pages`, …), used for
     /// wall-clock response-time experiments.
     Dir {
@@ -142,7 +147,7 @@ impl Disk {
     pub fn create_file(&mut self) -> Result<FileId> {
         let id = FileId(self.pages.len());
         match &mut self.backend {
-            Backend::Mem(files) => files.push(Vec::new()),
+            Backend::Mem(files) => files.push(Arc::default()),
             Backend::Dir { dir, files } => {
                 let path = dir.join(format!("f{}.pages", id.0));
                 let f = OpenOptions::new()
@@ -167,7 +172,11 @@ impl Disk {
     /// Truncates `file` back to zero pages (head is invalidated if on it).
     pub fn truncate(&mut self, file: FileId) -> Result<()> {
         match &mut self.backend {
-            Backend::Mem(files) => files[file.0].clear(),
+            Backend::Mem(files) => match Arc::get_mut(&mut files[file.0]) {
+                Some(bytes) => bytes.clear(),
+                // Shared with a snapshot or a mount: leave their bytes alone.
+                None => files[file.0] = Arc::default(),
+            },
             Backend::Dir { files, .. } => files[file.0].set_len(0)?,
         }
         self.pages[file.0] = 0;
@@ -282,7 +291,7 @@ impl Disk {
         }
         match &mut self.backend {
             Backend::Mem(files) => {
-                let f = &mut files[file.0];
+                let f = Arc::make_mut(&mut files[file.0]);
                 let off = page as usize * self.page_size;
                 if off == f.len() {
                     f.extend_from_slice(data);
@@ -311,6 +320,31 @@ impl Disk {
         let page = self.pages[file.0];
         self.write_page(file, page, data)?;
         Ok(page)
+    }
+
+    /// Adds a file of `num_pages` pages whose bytes are `bytes`, shared
+    /// rather than copied, and leaves the head on its last page, where
+    /// writing the file would have left it. Only the in-memory backend can
+    /// hold shared bytes, and only a disk without a page cache: writing the
+    /// file would have left its pages in the cache, and a mount cannot.
+    pub(crate) fn mount_bytes(&mut self, bytes: &Arc<Vec<u8>>, num_pages: u64) -> Result<FileId> {
+        if self.cache.is_some() {
+            return Err(Error::InvalidConfig(
+                "a disk with a page cache cannot mount a shared file".into(),
+            ));
+        }
+        let Backend::Mem(files) = &mut self.backend else {
+            return Err(Error::InvalidConfig(
+                "only an in-memory disk can mount a shared file".into(),
+            ));
+        };
+        let id = FileId(self.pages.len());
+        files.push(Arc::clone(bytes));
+        self.pages.push(num_pages);
+        if let Some(last) = num_pages.checked_sub(1) {
+            self.head = Some((id, last));
+        }
+        Ok(id)
     }
 }
 

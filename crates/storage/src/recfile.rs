@@ -43,6 +43,12 @@ impl RecordFile {
         Ok(Self { file: disk.create_file()?, m, n: 0 })
     }
 
+    /// The handle of a file of `n` records that is already on the disk
+    /// (see [`SharedRecords::mount`](crate::SharedRecords::mount)).
+    pub(crate) fn mounted(file: FileId, m: usize, n: u64) -> Self {
+        Self { file, m, n }
+    }
+
     /// Underlying disk file.
     #[inline]
     pub fn file_id(&self) -> FileId {

@@ -7,9 +7,10 @@
 //! sequential/random classification, each scanner owning its own head), and
 //! the snapshot guarantees workers can never observe a torn write.
 //!
-//! * For the in-memory backend, [`Disk::share_file`] copies the file's bytes
-//!   into an `Arc<[u8]>` — cheap at the scales the engines run at, and the
-//!   clone makes the snapshot semantics explicit.
+//! * For the in-memory backend, a file's bytes are a copy-on-write
+//!   `Arc<Vec<u8>>`: [`Disk::share_file`] clones the `Arc`, so a snapshot
+//!   copies nothing, and a later write through the disk copies the bytes
+//!   first, so the snapshot never changes.
 //! * For the directory backend, the snapshot is the path; every scanner
 //!   opens its own `File`, so no handle (or head) is shared across threads.
 //!
@@ -17,6 +18,13 @@
 //! [`SharedFile`], byte-for-byte: batch boundaries computed by a
 //! [`RecordScanner`] are identical to the sequential reader's, which is what
 //! lets the parallel engines reproduce sequential batch composition exactly.
+//!
+//! [`SharedRecords::mount`] goes the other way: it adds an in-memory
+//! snapshot to another in-memory disk as a file of its own, again without a
+//! copy. Reads of a mounted file go through that disk's single head like
+//! any other file's, so an engine run over it costs what it costs over the
+//! original. This is how server workers share one page image per dataset
+//! generation.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -99,7 +107,7 @@ impl Disk {
     pub fn share_file(&self, file: FileId) -> Result<SharedFile> {
         let num_pages = self.num_pages(file);
         let backing = match self.backend() {
-            Backend::Mem(files) => Backing::Mem(Arc::new(files[file.0].clone())),
+            Backend::Mem(files) => Backing::Mem(Arc::clone(&files[file.0])),
             Backend::Dir { dir, .. } => Backing::Dir(dir.join(format!("f{}.pages", file.0))),
         };
         Ok(SharedFile {
@@ -225,6 +233,41 @@ impl SharedRecords {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Page size of the originating disk.
+    #[inline]
+    pub fn page_size(&self) -> usize {
+        self.pages.page_size()
+    }
+
+    /// Adds this snapshot to `disk` as a new record file that shares the
+    /// snapshot's bytes instead of copying them. The disk's head moves to
+    /// the file's last page, where writing the file would have left it, so
+    /// reads of the mounted file count exactly as reads of the original
+    /// right after it was written on a disk without a page cache. Writes
+    /// to either file copy its bytes first and leave the other as it was.
+    ///
+    /// # Errors
+    /// [`Error::InvalidConfig`] when `disk` or the snapshot is on the
+    /// directory backend, when `disk` has a page cache
+    /// ([`Disk::set_cache_pages`]; writing the file would have filled it,
+    /// a mount starts it cold), or when the page sizes differ.
+    pub fn mount(&self, disk: &mut Disk) -> Result<RecordFile> {
+        let Backing::Mem(bytes) = &self.pages.backing else {
+            return Err(Error::InvalidConfig(
+                "a snapshot of a directory disk cannot be mounted".into(),
+            ));
+        };
+        if disk.page_size() != self.page_size() {
+            return Err(Error::InvalidConfig(format!(
+                "cannot mount {}-byte pages on a disk of {}-byte pages",
+                self.page_size(),
+                disk.page_size()
+            )));
+        }
+        let file = disk.mount_bytes(bytes, self.pages.num_pages)?;
+        Ok(RecordFile::mounted(file, self.m, self.n))
     }
 
     /// Disk write generation at share time (see [`SharedFile::generation`]).
@@ -485,6 +528,126 @@ mod tests {
         let mut out = RowBuf::new(3);
         sc.read_page_rows(0, &mut out).unwrap();
         assert_eq!(snap2.generation(), disk.generation());
+    }
+
+    /// The bytes of `file` on an in-memory disk.
+    fn file_bytes(disk: &Disk, file: FileId) -> &Arc<Vec<u8>> {
+        match disk.backend() {
+            Backend::Mem(files) => &files[file.0],
+            Backend::Dir { .. } => unreachable!("in-memory disk"),
+        }
+    }
+
+    /// Every page of `rf` read in order, then page 0 again, with the IO
+    /// the reads cost.
+    fn read_pages(disk: &mut Disk, rf: &RecordFile) -> (Vec<Vec<u8>>, IoCounts) {
+        let before = disk.io_stats();
+        let mut pages = Vec::new();
+        for p in (0..rf.num_pages(disk)).chain((rf.num_pages(disk) > 0).then_some(0)) {
+            let mut buf = vec![0u8; disk.page_size()];
+            disk.read_page(rf.file_id(), p, &mut buf).unwrap();
+            pages.push(buf);
+        }
+        (pages, disk.io_stats().delta_since(before))
+    }
+
+    #[test]
+    fn mounted_file_reads_like_the_written_original() {
+        // 4 records per page: none, one partial page, one full page, and
+        // several pages ending in a partial one.
+        for n in [0, 3, 4, 9, 23] {
+            let mut disk = Disk::new_mem(64);
+            let mut rf = RecordFile::create(&mut disk, 3).unwrap();
+            rf.write_all(&mut disk, &rows(3, n)).unwrap();
+            let shared = rf.share(&disk).unwrap();
+            let mut other = Disk::new_mem(64);
+            let scratch = RecordFile::create(&mut other, 3).unwrap();
+            let mounted = shared.mount(&mut other).unwrap();
+            assert_ne!(mounted.file_id(), scratch.file_id());
+            assert_eq!((mounted.len(), mounted.num_attrs()), (rf.len(), rf.num_attrs()));
+            assert_eq!(mounted.num_pages(&other), rf.num_pages(&disk), "n={n}");
+            let (want, want_io) = read_pages(&mut disk, &rf);
+            let (got, got_io) = read_pages(&mut other, &mounted);
+            assert_eq!(got, want, "n={n}: pages");
+            assert_eq!(got_io, want_io, "n={n}: sequential/random counts");
+            assert_eq!(mounted.read_all(&mut other).unwrap(), rows(3, n));
+        }
+    }
+
+    #[test]
+    fn mount_and_share_copy_nothing() {
+        let mut disk = Disk::new_mem(64);
+        let mut rf = RecordFile::create(&mut disk, 3).unwrap();
+        rf.write_all(&mut disk, &rows(3, 9)).unwrap();
+        let shared = rf.share(&disk).unwrap();
+        let Backing::Mem(snapshot) = &shared.pages.backing else { unreachable!() };
+        assert!(Arc::ptr_eq(snapshot, file_bytes(&disk, rf.file_id())));
+        let mut other = Disk::new_mem(64);
+        let mounted = shared.mount(&mut other).unwrap();
+        assert!(Arc::ptr_eq(file_bytes(&other, mounted.file_id()), snapshot));
+        // Sharing the mounted file again still copies nothing.
+        let again = mounted.share(&other).unwrap();
+        let Backing::Mem(again) = &again.pages.backing else { unreachable!() };
+        assert!(Arc::ptr_eq(again, snapshot));
+    }
+
+    #[test]
+    fn writes_on_either_side_leave_the_other_unchanged() {
+        let data = rows(3, 9);
+        let setup = || {
+            let mut disk = Disk::new_mem(64);
+            let mut rf = RecordFile::create(&mut disk, 3).unwrap();
+            rf.write_all(&mut disk, &data).unwrap();
+            let mut other = Disk::new_mem(64);
+            let mounted = rf.share(&disk).unwrap().mount(&mut other).unwrap();
+            (disk, rf, other, mounted)
+        };
+        let page = [7u8; 64];
+        // A page write, then a truncate, on the original.
+        let (mut disk, rf, mut other, mounted) = setup();
+        disk.write_page(rf.file_id(), 1, &page).unwrap();
+        assert_eq!(mounted.read_all(&mut other).unwrap(), data);
+        disk.truncate(rf.file_id()).unwrap();
+        assert_eq!(mounted.read_all(&mut other).unwrap(), data);
+        // The same on the mounted file.
+        let (mut disk, rf, mut other, mut mounted) = setup();
+        other.write_page(mounted.file_id(), 0, &page).unwrap();
+        let mut buf = [0u8; 64];
+        other.read_page(mounted.file_id(), 0, &mut buf).unwrap();
+        assert_eq!(buf, page);
+        assert_eq!(rf.read_all(&mut disk).unwrap(), data);
+        mounted.truncate(&mut other).unwrap();
+        assert_eq!(other.num_pages(mounted.file_id()), 0);
+        assert_eq!(rf.read_all(&mut disk).unwrap(), data);
+    }
+
+    #[test]
+    fn mount_rejects_directory_backends_page_caches_and_other_page_sizes() {
+        let mut disk = Disk::new_mem(64);
+        let mut rf = RecordFile::create(&mut disk, 3).unwrap();
+        rf.write_all(&mut disk, &rows(3, 9)).unwrap();
+        let shared = rf.share(&disk).unwrap();
+        assert!(shared.mount(&mut Disk::new_mem(128)).is_err(), "other page size");
+        let mut cached = Disk::new_mem(64);
+        cached.set_cache_pages(4);
+        let err = shared.mount(&mut cached).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+        cached.set_cache_pages(0);
+        assert!(shared.mount(&mut cached).is_ok(), "cache turned off");
+
+        let dir = std::env::temp_dir().join(format!("rsky-mount-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let mut on_dir = Disk::new_dir(&dir, 64).unwrap();
+            let err = shared.mount(&mut on_dir).unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+            let mut rf = RecordFile::create(&mut on_dir, 3).unwrap();
+            rf.write_all(&mut on_dir, &rows(3, 9)).unwrap();
+            let from_dir = rf.share(&on_dir).unwrap();
+            let err = from_dir.mount(&mut Disk::new_mem(64)).unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
