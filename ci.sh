@@ -31,6 +31,9 @@ full() {
     cargo clippy --workspace --all-targets -- -D warnings
     cargo clippy --workspace --all-targets --features property-tests -- -D warnings
     cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+    echo "=== docs (warnings are errors) ==="
+    # Broken or private intra-doc links fail here, not in a reader's browser.
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
     echo "=== smoke: observability overhead bench ==="
     RSKY_SCALE=0.05 cargo bench -p rsky-bench --bench obs_overhead
     test -s BENCH_obs.json

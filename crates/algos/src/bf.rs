@@ -362,8 +362,8 @@ impl ReverseSkylineAlgo for TrsBf {
                 writer.finish(ctx.disk)?
             };
             stats.phase1_survivors = r_file.len() as usize;
-            robs.handle().counter_add(obs::names::BF_HEAP_PUSHES, heap_pushes);
-            robs.handle().counter_add(obs::names::BF_GROUP_KILLS, group_kills);
+            robs.handle().counter_add(obs::names::TRS_BF_HEAP_PUSHES, heap_pushes);
+            robs.handle().counter_add(obs::names::TRS_BF_GROUP_KILLS, group_kills);
             stats.phase1_time = p1
                 .field("batches", stats.phase1_batches as u64)
                 .field("survivors", stats.phase1_survivors as u64)

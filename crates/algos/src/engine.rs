@@ -41,22 +41,18 @@ impl<'a> RunObs<'a> {
         self.cancel.check()
     }
 
-    /// Opens the span `{prefix}.{what}` (inert when no recorder is active).
-    pub fn span(&self, what: &str) -> Span {
-        self.handle.span(self.prefix, what)
+    /// Opens the span `{prefix}.{what}` (inert when no recorder is active)
+    /// as a [`CostScope`] over the counters of `stats` and the IO reading
+    /// `io`.
+    pub fn scope(&self, what: &str, stats: &RunStats, io: IoCounts) -> CostScope {
+        let span = self.handle.span(self.prefix, what);
+        CostScope { span, start: Instant::now(), counters: counters(stats), io }
     }
 
-    /// Opens the phase or batch span `{prefix}.{what}` as a [`CostScope`]
-    /// over the counters of `stats` and the IO reading `io`.
-    pub fn scope(&self, what: &str, stats: &RunStats, io: IoCounts) -> CostScope {
-        CostScope {
-            span: self.span(what),
-            start: Instant::now(),
-            dist_checks: stats.dist_checks,
-            obj_comparisons: stats.obj_comparisons,
-            tree_nodes_visited: stats.tree_nodes_visited,
-            io,
-        }
+    /// Opens the run span `{prefix}.run` as a [`CostScope`] over zeroed
+    /// stats, so its deltas at [`CostScope::close_run`] are the run totals.
+    pub fn run_scope(&self) -> CostScope {
+        self.scope("run", &RunStats::default(), IoCounts::default())
     }
 
     /// Whether spans record anything — gates clock reads that only feed
@@ -71,19 +67,30 @@ impl<'a> RunObs<'a> {
     }
 }
 
-/// One phase or batch of a run, in the paper's cost units. It snapshots the
-/// `RunStats` counters and an IO reading when opened; [`CostScope::close`]
-/// attaches their deltas to the span. Every phase and batch span of an
-/// engine is a scope over the same `RunStats` (a worker's batch scopes over
-/// the batch's own stats, merged into the run's), so batch deltas sum to
-/// the run totals and the phase IO deltas tile the run IO by construction.
+/// A run, phase or batch in the paper's cost units. It snapshots the
+/// `RunStats` cost counters and an IO reading when opened;
+/// [`CostScope::close`] attaches their deltas to the span. It is the only
+/// writer of cost fields onto a span in this crate: every run, phase and
+/// batch span of an engine or of the sharded executor, and every
+/// `influence.query` span, is a scope. A phase scopes over the run's
+/// `RunStats` and a worker's batch over the batch's own stats, merged into
+/// the run's, so batch deltas sum to the run totals and the phase IO deltas
+/// tile the run IO by construction.
 pub(crate) struct CostScope {
     span: Span,
     start: Instant,
-    dist_checks: u64,
-    obj_comparisons: u64,
-    tree_nodes_visited: u64,
+    counters: [u64; 4],
     io: IoCounts,
+}
+
+/// The span field names of the `RunStats` cost counters, in the order of
+/// [`counters`].
+const COUNTERS: [&str; 4] =
+    ["dist_checks", "query_dist_checks", "obj_comparisons", "tree_nodes_visited"];
+
+/// The cost counters of `stats`, in the order of [`COUNTERS`].
+fn counters(stats: &RunStats) -> [u64; 4] {
+    [stats.dist_checks, stats.query_dist_checks, stats.obj_comparisons, stats.tree_nodes_visited]
 }
 
 impl CostScope {
@@ -100,17 +107,27 @@ impl CostScope {
         self.span.ctx()
     }
 
-    /// Closes the span with the `dist_checks`, `obj_comparisons` and
-    /// `tree_nodes_visited` deltas since the scope opened and the four IO
-    /// fields of `io` minus the opening reading; returns the wall time since
-    /// it opened (the engine's `phase{1,2}_time` for a phase scope).
+    /// Closes the span with the delta of each cost counter since the scope
+    /// opened and the four IO fields of `io` minus the opening reading;
+    /// returns the wall time since it opened (the engine's
+    /// `phase{1,2}_time` for a phase scope).
     pub fn close(mut self, stats: &RunStats, io: IoCounts) -> Duration {
-        self.span
-            .field("dist_checks", stats.dist_checks - self.dist_checks)
-            .field("obj_comparisons", stats.obj_comparisons - self.obj_comparisons)
-            .field("tree_nodes_visited", stats.tree_nodes_visited - self.tree_nodes_visited)
-            .io_fields(io.delta_since(self.io));
+        for ((key, now), then) in COUNTERS.into_iter().zip(counters(stats)).zip(self.counters) {
+            self.span.field(key, now - then);
+        }
+        self.span.io_fields(io.delta_since(self.io));
         self.start.elapsed()
+    }
+
+    /// Closes a [`RunObs::run_scope`] with the run's final totals, its
+    /// batch and survivor tallies and its result size; returns the run's
+    /// wall time.
+    pub fn close_run(self, stats: &RunStats) -> Duration {
+        self.field("phase1_batches", stats.phase1_batches as u64)
+            .field("phase1_survivors", stats.phase1_survivors as u64)
+            .field("phase2_batches", stats.phase2_batches as u64)
+            .field("result_size", stats.result_size as u64)
+            .close(stats, stats.io)
     }
 }
 
@@ -253,8 +270,8 @@ pub(crate) fn validate_inputs(
 /// scanners' reads there; a sequential body leaves it zero) plus the disk's
 /// delta over the run — the same sum [`io_now`] reads. `prefix` names the
 /// engine in span names (`{prefix}.run`, `{prefix}.phase1.batch`, …); the
-/// closing run span carries the final `RunStats` totals so an external sink
-/// can reconcile them. The recorder handle is captured here, on the calling
+/// run span is a [`RunObs::run_scope`], so it closes with the final
+/// `RunStats` totals. The recorder handle is captured here, on the calling
 /// thread, and shared with workers through [`RunObs`], so batch spans from
 /// worker threads land in the same sink a scoped test recorder installed.
 ///
@@ -279,8 +296,7 @@ pub(crate) fn run_with_scaffolding(
 ) -> Result<RsRun> {
     let robs = RunObs::capture(prefix);
     let io_before = ctx.disk.io_stats();
-    let t0 = Instant::now();
-    let mut run_span = robs.span("run");
+    let run = robs.run_scope();
     let kern = PrunerKernel::new(ctx.schema, ctx.dissim);
     let shared = qcache::shared_for(query);
     let owned;
@@ -298,29 +314,10 @@ pub(crate) fn run_with_scaffolding(
     let mut stats = RunStats { query_dist_checks: build_checks, ..Default::default() };
     let mut ids = body(ctx, cache, &mut stats, &robs, &kern)?;
     ids.sort_unstable();
-    stats.total_time = t0.elapsed();
     stats.io.add(ctx.disk.io_stats().delta_since(io_before));
     stats.result_size = ids.len();
-    finish_run_span(&mut run_span, &stats);
-    run_span.close();
+    stats.total_time = run.close_run(&stats);
     Ok(RsRun { ids, stats })
-}
-
-/// Attaches the final `RunStats` totals to a closing run span. Shared with
-/// the sharded coordinator so both emit the same field set.
-pub(crate) fn finish_run_span(span: &mut Span, stats: &RunStats) {
-    if !span.is_recording() {
-        return;
-    }
-    span.field("dist_checks", stats.dist_checks)
-        .field("query_dist_checks", stats.query_dist_checks)
-        .field("obj_comparisons", stats.obj_comparisons)
-        .field("tree_nodes_visited", stats.tree_nodes_visited)
-        .field("phase1_batches", stats.phase1_batches as u64)
-        .field("phase1_survivors", stats.phase1_survivors as u64)
-        .field("phase2_batches", stats.phase2_batches as u64)
-        .field("result_size", stats.result_size as u64)
-        .io_fields(stats.io);
 }
 
 #[cfg(test)]

@@ -11,6 +11,12 @@
 //! The *bichromatic* flavor takes the queries from a second dataset mapped
 //! into the same schema (e.g. cars as queries against customer-preference
 //! data), which is just a workload definition here: any `Vec<Query>` works.
+//!
+//! Every workload runs through one loop, [`run_queries`], which takes the
+//! per-query run as a closure: [`InfluenceEngine`] runs TRS over its own
+//! prepared table, [`crate::ShardedTables::run_influence`] runs the
+//! scatter-gather executor, and the server's workers run their query path.
+//! Each query closes one `influence.query` cost scope.
 
 use rsky_core::dataset::Dataset;
 use rsky_core::error::Result;
@@ -18,7 +24,7 @@ use rsky_core::query::Query;
 use rsky_core::stats::RunStats;
 use rsky_storage::{Disk, MemoryBudget};
 
-use crate::engine::{EngineCtx, ReverseSkylineAlgo};
+use crate::engine::{EngineCtx, ReverseSkylineAlgo, RsRun, RunObs};
 use crate::prep::{load_dataset, prepare_table, Layout, PreparedTable};
 use crate::trs::Trs;
 
@@ -109,40 +115,49 @@ impl InfluenceEngine {
 
     /// Runs the workload, returning per-query influence. Set `keep_ids` to
     /// retain the result id lists (memory proportional to total influence).
-    ///
-    /// With a recorder active, each query closes one `influence.query` span
-    /// carrying the query index, its cardinality and the checks it cost.
+    /// Each query closes one `influence.query` span (see [`run_queries`]).
     pub fn run(&mut self, queries: &[Query], keep_ids: bool) -> Result<InfluenceReport> {
-        let obs = rsky_core::obs::handle();
-        let mut per_query = Vec::with_capacity(queries.len());
-        let mut totals = RunStats::default();
-        for (qi, q) in queries.iter().enumerate() {
-            let mut qspan = obs.span("influence", "query");
+        run_queries(queries, keep_ids, |q| {
             let mut ctx = EngineCtx {
                 disk: &mut self.disk,
                 schema: &self.dataset.schema,
                 dissim: &self.dataset.dissim,
                 budget: self.budget,
             };
-            let run = self.trs.run(&mut ctx, &self.prepared.file, q)?;
-            totals.merge(&run.stats);
-            if qspan.is_recording() {
-                qspan
-                    .field("query", qi as u64)
-                    .field("cardinality", run.ids.len() as u64)
-                    .field("dist_checks", run.stats.dist_checks)
-                    .field("obj_comparisons", run.stats.obj_comparisons)
-                    .io_fields(run.stats.io);
-            }
-            qspan.close();
-            per_query.push(Influence {
-                query_index: qi,
-                cardinality: run.ids.len(),
-                ids: keep_ids.then_some(run.ids),
-            });
-        }
-        Ok(InfluenceReport { per_query, totals })
+            self.trs.run(&mut ctx, &self.prepared.file, q)
+        })
     }
+}
+
+/// The one influence loop: runs `queries` in workload order through `run`,
+/// the caller's per-query reverse-skyline run, and reports `|RS|` per query
+/// with the summed stats. With a recorder active, each query closes one
+/// `influence.query` span carrying the query index and its cardinality: a
+/// cost scope over the running totals, so its deltas are that query's costs
+/// and the spans tile [`InfluenceReport::totals`].
+pub fn run_queries(
+    queries: &[Query],
+    keep_ids: bool,
+    mut run: impl FnMut(&Query) -> Result<RsRun>,
+) -> Result<InfluenceReport> {
+    let robs = RunObs::capture("influence");
+    let mut per_query = Vec::with_capacity(queries.len());
+    let mut totals = RunStats::default();
+    for (qi, q) in queries.iter().enumerate() {
+        let scope = robs.scope("query", &totals, totals.io);
+        let run = run(q)?;
+        totals.merge(&run.stats);
+        scope
+            .field("query", qi as u64)
+            .field("cardinality", run.ids.len() as u64)
+            .close(&totals, totals.io);
+        per_query.push(Influence {
+            query_index: qi,
+            cardinality: run.ids.len(),
+            ids: keep_ids.then_some(run.ids),
+        });
+    }
+    Ok(InfluenceReport { per_query, totals })
 }
 
 /// Runs an influence workload across `threads` OS threads, each with its own

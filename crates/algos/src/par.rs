@@ -14,7 +14,7 @@
 //! *exactly* as the sequential engines compose them:
 //!
 //! * BRS/SRS batch boundaries depend only on file length, page geometry and
-//!   the memory budget, so [`flat_batch_starts`] precomputes them without IO
+//!   the memory budget, so `flat_batch_starts` precomputes them without IO
 //!   and workers claim batch indices from an atomic counter;
 //! * TRS batch boundaries depend on the data (the AL-Tree's memory estimate
 //!   grows with prefix sharing), so a mutex-guarded loader hands out batches

@@ -92,7 +92,7 @@ impl QueryDistCache {
 /// run needs exactly one — the coordinator builds it, accounts its
 /// `Σ cardinality_i` evaluations once, and installs it around each shard's
 /// local run with [`with_shared`]. Engine scaffolding picks it up through
-/// [`shared_for`], which re-validates the query so a stale installation can
+/// `shared_for`, which re-validates the query so a stale installation can
 /// never leak another request's distances.
 #[derive(Debug)]
 pub struct SharedQueryCache {

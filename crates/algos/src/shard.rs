@@ -59,37 +59,38 @@
 //!
 //! ## Observability
 //!
-//! A run emits `shard.*` spans ([`rsky_core::obs::shard_names`]): one
-//! `shard.phase1.local` per shard (the local run's counter and IO deltas),
-//! one `shard.exchange.kill` per shard when the exchange runs (the kill
-//! pass's deltas, under a `shard.exchange` phase span), one
-//! `shard.phase2.verify` per shard (the verification deltas), phase
-//! spans, and a closing `shard.run` carrying the merged totals. The sharded
-//! stats contract (tests/obs_contract.rs) holds the span stream to the
-//! merged `RunStats` exactly, mirroring the single-node contract. The
-//! exchange also exports `shard.exchange.pruners` and
-//! `shard.phase2.candidates.{pre,post}` counters through the metrics
-//! registry.
+//! A run emits `shard.*` spans (prefix [`rsky_core::obs::names::SHARD`]),
+//! and every one is a cost scope, as an engine's run, phase and batch spans
+//! are, so it carries its own deltas of every `RunStats` cost counter and
+//! IO field: a `shard.run` root closing with the merged totals; a
+//! `shard.plan` holding the one query-cache build; the phase spans
+//! `shard.phase1`, `shard.exchange` (only when the exchange runs) and
+//! `shard.phase2`; and per shard one `shard.phase1.local` (the local run),
+//! one `shard.exchange.kill` (the kill pass) and one `shard.phase2.verify`
+//! (the verification). The plan and per-shard deltas tile the merged
+//! `RunStats` exactly, as tests/obs_contract.rs checks. The exchange also
+//! exports `shard.exchange.pruners` and `shard.phase2.candidates.{pre,post}`
+//! counters through the metrics registry.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 use rsky_core::cancel;
 use rsky_core::dataset::Dataset;
 use rsky_core::dissim::DissimTable;
 use rsky_core::error::{Error, Result};
-use rsky_core::obs::{self, shard_names as names};
+use rsky_core::obs::{self, names};
 use rsky_core::query::{AttrSubset, Query};
 use rsky_core::record::{RecordId, RowBuf};
 use rsky_core::schema::Schema;
-use rsky_core::stats::RunStats;
+use rsky_core::stats::{IoCounts, RunStats};
 use rsky_storage::{
     partition_rows, ColumnarBatch, Disk, MemoryBudget, RecordFile, ShardSpec, SharedRecords,
 };
 
-use crate::engine::{engine_by_name, finish_run_span, EngineCtx, RunObs};
-use crate::influence::{Influence, InfluenceReport};
+use crate::engine::{engine_by_name, EngineCtx, RsRun, RunObs};
+use crate::influence::{self, InfluenceReport};
 use crate::kernels::{CandidateBlocks, DistSource, PrunerKernel};
 use crate::prep::{prepare_table, Layout, PreparedTable};
 use crate::qcache::{self, QueryDistCache, SharedQueryCache};
@@ -333,35 +334,32 @@ impl ShardedTables {
         }
         self.schema.validate_values(&query.values)?;
 
-        let robs = RunObs::capture(names::PREFIX);
-        let handle = obs::handle();
+        let robs = RunObs::capture(names::SHARD);
+        let handle = robs.handle().clone();
         let token = cancel::current();
-        let t0 = Instant::now();
-        let mut run_span = robs.span(names::SPAN_RUN);
+        let run = robs.run_scope();
         let k = self.shards.len();
 
         // --- Plan: build the query-distance cache ONCE on the coordinator
         // and share it with every shard (phase 1) and every verify task
         // (phase 2). Without this, each of the k shards rebuilds the same
         // `d_i(q, v)` table, multiplying `query_dist_checks` by k. The build
-        // cost is accounted here, in its own span, so the sharded stats
+        // cost is accounted here, in its own scope, so the sharded stats
         // contract still tiles exactly. The kill and verify passes share
         // one kernel, built here from the domain.
         let kern = PrunerKernel::new(&self.schema, &self.dissim);
-        let mut plan_span = robs.span(names::SPAN_PLAN);
+        let mut stats = RunStats::default();
+        let plan_scope = robs.scope("plan", &stats, stats.io);
         let shared = Arc::new(SharedQueryCache::new(&self.dissim, &self.schema, query));
         let plan =
             RunStats { query_dist_checks: shared.cache().build_checks, ..Default::default() };
-        robs.handle().counter_add(obs::names::QCACHE_BUILD_CHECKS, plan.query_dist_checks);
-        if plan_span.is_recording() {
-            plan_span.field("query_dist_checks", plan.query_dist_checks);
-        }
-        plan_span.close();
+        robs.handle().counter_add(names::QCACHE_BUILD_CHECKS, plan.query_dist_checks);
+        stats.merge(&plan);
+        plan_scope.close(&stats, stats.io);
 
         // --- Phase one (scatter): local engine runs, one thread per shard.
-        let t1 = Instant::now();
-        let mut p1_span = robs.span(names::SPAN_PHASE1);
-        let p1_ctx = p1_span.ctx();
+        let p1 = robs.scope("phase1", &stats, stats.io);
+        let p1_ctx = p1.ctx();
         let (schema, dissim) = (&self.schema, &self.dissim);
         let locals: Vec<Result<(Vec<RecordId>, RunStats)>> = std::thread::scope(|s| {
             let handles: Vec<_> = self
@@ -402,8 +400,6 @@ impl ShardedTables {
                 .collect();
             handles.into_iter().map(|h| h.join().expect("shard phase-1 panicked")).collect()
         });
-        let mut stats = RunStats::default();
-        stats.merge(&plan);
         let mut candidates: Vec<Vec<RecordId>> = Vec::with_capacity(k);
         let mut per_shard: Vec<ShardCost> = Vec::with_capacity(k);
         for (i, r) in locals.into_iter().enumerate() {
@@ -423,11 +419,10 @@ impl ShardedTables {
             candidates.push(ids);
         }
         let total_candidates: usize = candidates.iter().map(Vec::len).sum();
-        let scatter_time = t1.elapsed();
-        if p1_span.is_recording() {
-            p1_span.field("shards", k as u64).field("candidates", total_candidates as u64);
-        }
-        p1_span.close();
+        let scatter_time = p1
+            .field("shards", k as u64)
+            .field("candidates", total_candidates as u64)
+            .close(&stats, stats.io);
 
         // --- Exchange: broadcast the strongest local pruners and kill
         // doomed candidates before verification pays full window scans for
@@ -437,12 +432,11 @@ impl ShardedTables {
         // disables the round entirely. No candidates, no round: the band
         // would be empty, so the exchange runs exactly when it broadcasts a
         // non-empty band (the obs contract keys its span clauses on this).
-        let t2 = Instant::now();
         let mut pruner_total = 0usize;
+        let mut exchange_time = Duration::ZERO;
         if self.pruner_budget > 0 && k > 1 && total_candidates > 0 {
-            let mut ex_span = robs.span(names::SPAN_EXCHANGE);
+            let ex = robs.scope("exchange", &stats, stats.io);
             robs.check_cancelled()?;
-            let pre_candidates = total_candidates;
             // Coordinator side: gather each shard's exported band (shards
             // ascending, ids ascending within a shard — a deterministic
             // band layout) and broadcast the merge.
@@ -459,7 +453,7 @@ impl ShardedTables {
             }
             pruner_total = band_rows.len();
             let band = ColumnarBatch::from_rows(&band_rows);
-            let ex_ctx = ex_span.ctx();
+            let ex_ctx = ex.ctx();
             let killed: Vec<Result<(Vec<RecordId>, RunStats)>> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..k)
                     .map(|i| {
@@ -483,25 +477,23 @@ impl ShardedTables {
                 candidates[i] = alive;
             }
             let post: usize = candidates.iter().map(Vec::len).sum();
-            robs.handle().counter_add(names::CTR_EXCHANGE_PRUNERS, pruner_total as u64);
-            robs.handle().counter_add(names::CTR_CANDIDATES_PRE, pre_candidates as u64);
-            robs.handle().counter_add(names::CTR_CANDIDATES_POST, post as u64);
-            if ex_span.is_recording() {
-                ex_span
-                    .field("shards", k as u64)
-                    // `band`, not `pruners`: the flattened span field must
-                    // not alias the explicit `shard.exchange.pruners`
-                    // registry counter (one series, two writers).
-                    .field("band", pruner_total as u64)
-                    .field("candidates", pre_candidates as u64)
-                    .field("survivors", post as u64);
-            }
-            ex_span.close();
+            robs.handle().counter_add(names::SHARD_EXCHANGE_PRUNERS, pruner_total as u64);
+            robs.handle().counter_add(names::SHARD_PHASE2_CANDIDATES_PRE, total_candidates as u64);
+            robs.handle().counter_add(names::SHARD_PHASE2_CANDIDATES_POST, post as u64);
+            exchange_time = ex
+                .field("shards", k as u64)
+                // `band`, not `pruners`: the flattened span field must not
+                // alias the explicit `shard.exchange.pruners` registry
+                // counter (one series, two writers).
+                .field("band", pruner_total as u64)
+                .field("candidates", total_candidates as u64)
+                .field("survivors", post as u64)
+                .close(&stats, stats.io);
         }
         let post_candidates: usize = candidates.iter().map(Vec::len).sum();
 
         // --- Phase two (gather): verify candidates against foreign windows.
-        let mut p2_span = robs.span(names::SPAN_PHASE2);
+        let p2 = robs.scope("phase2", &stats, stats.io);
         // Read-only snapshots of every non-empty shard's raw pages — the
         // shard "windows" the verification scans.
         let windows: Vec<Option<SharedRecords>> = self
@@ -509,7 +501,7 @@ impl ShardedTables {
             .iter()
             .map(|st| st.raw.as_ref().map(|rf| rf.share(&st.disk)).transpose())
             .collect::<Result<_>>()?;
-        let p2_ctx = p2_span.ctx();
+        let p2_ctx = p2.ctx();
         let verified: Vec<Result<(Vec<RecordId>, RunStats)>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..k)
                 .map(|i| {
@@ -533,25 +525,20 @@ impl ShardedTables {
             per_shard[i].verify = verify;
             ids.extend(survivors);
         }
-        let gather_time = t2.elapsed();
-        if p2_span.is_recording() {
-            p2_span
-                .field("shards", k as u64)
-                .field("candidates", post_candidates as u64)
-                .field("survivors", ids.len() as u64);
-        }
-        p2_span.close();
+        let verify_time = p2
+            .field("shards", k as u64)
+            .field("candidates", post_candidates as u64)
+            .field("survivors", ids.len() as u64)
+            .close(&stats, stats.io);
 
         ids.sort_unstable();
         // Merged durations measure total work across shards; report the
         // coordinator's wall clock instead (the RunStats::merge contract).
         // Phase 2 covers the whole gather side: exchange plus verification.
         stats.phase1_time = scatter_time;
-        stats.phase2_time = gather_time;
-        stats.total_time = t0.elapsed();
+        stats.phase2_time = exchange_time + verify_time;
         stats.result_size = ids.len();
-        finish_run_span(&mut run_span, &stats);
-        run_span.close();
+        stats.total_time = run.close_run(&stats);
         Ok(ShardedRun {
             ids,
             stats,
@@ -565,37 +552,18 @@ impl ShardedTables {
 
     /// Runs an influence workload through the sharded executor: `|RS(q)|`
     /// per query with TRS on every shard, prepared layouts reused across
-    /// queries. Reports per-query `influence.query` spans like
-    /// [`crate::InfluenceEngine`] and returns results in workload order.
+    /// queries, through the one influence loop
+    /// ([`influence::run_queries`]).
     pub fn run_influence(&mut self, queries: &[Query], keep_ids: bool) -> Result<InfluenceReport> {
-        let obs = obs::handle();
-        let mut per_query = Vec::with_capacity(queries.len());
-        let mut totals = RunStats::default();
-        for (qi, q) in queries.iter().enumerate() {
-            let mut qspan = obs.span("influence", "query");
+        influence::run_queries(queries, keep_ids, |q| {
             let run = self.run_query("trs", 1, q)?;
-            totals.merge(&run.stats);
-            if qspan.is_recording() {
-                qspan
-                    .field("query", qi as u64)
-                    .field("cardinality", run.ids.len() as u64)
-                    .field("dist_checks", run.stats.dist_checks)
-                    .field("obj_comparisons", run.stats.obj_comparisons)
-                    .io_fields(run.stats.io);
-            }
-            qspan.close();
-            per_query.push(Influence {
-                query_index: qi,
-                cardinality: run.ids.len(),
-                ids: keep_ids.then_some(run.ids),
-            });
-        }
-        Ok(InfluenceReport { per_query, totals })
+            Ok(RsRun { ids: run.ids, stats: run.stats })
+        })
     }
 }
 
-/// One shard's scatter step: prepare the layout lazily, run the engine,
-/// emit the `shard.phase1.local` span with this run's deltas.
+/// One shard's scatter step: prepare the layout lazily and run the engine
+/// inside the `shard.phase1.local` scope.
 #[allow(clippy::too_many_arguments)]
 fn local_run(
     st: &mut ShardTable,
@@ -609,7 +577,7 @@ fn local_run(
     robs: &RunObs<'_>,
 ) -> Result<(Vec<RecordId>, RunStats)> {
     robs.check_cancelled()?;
-    let mut lspan = robs.span(names::SPAN_LOCAL);
+    let scope = robs.scope("phase1.local", &RunStats::default(), IoCounts::default());
     let records = st.rows.len();
     let (ids, stats) = if records == 0 {
         (Vec::new(), RunStats::default())
@@ -620,17 +588,11 @@ fn local_run(
         let run = engine.run(&mut ctx, &table, query)?;
         (run.ids, run.stats)
     };
-    if lspan.is_recording() {
-        lspan
-            .field("shard", shard as u64)
-            .field("records", records as u64)
-            .field("candidates", ids.len() as u64)
-            .field("dist_checks", stats.dist_checks)
-            .field("query_dist_checks", stats.query_dist_checks)
-            .field("obj_comparisons", stats.obj_comparisons)
-            .io_fields(stats.io);
-    }
-    lspan.close();
+    scope
+        .field("shard", shard as u64)
+        .field("records", records as u64)
+        .field("candidates", ids.len() as u64)
+        .close(&stats, stats.io);
     Ok((ids, stats))
 }
 
@@ -701,8 +663,8 @@ fn exchange_kill(
     robs: &RunObs<'_>,
 ) -> Result<(Vec<RecordId>, RunStats)> {
     robs.check_cancelled()?;
-    let mut kspan = robs.span(names::SPAN_KILL);
     let mut ks = RunStats::default();
+    let scope = robs.scope("exchange.kill", &ks, ks.io);
     let survivors = if cands.is_empty() || band.is_empty() {
         cands.to_vec()
     } else {
@@ -711,17 +673,11 @@ fn exchange_kill(
         blocks.scan(subset, band, true, &mut ks);
         alive_ids(&blocks, cands)
     };
-    if kspan.is_recording() {
-        kspan
-            .field("shard", shard as u64)
-            .field("candidates", cands.len() as u64)
-            .field("survivors", survivors.len() as u64)
-            .field("dist_checks", ks.dist_checks)
-            .field("query_dist_checks", ks.query_dist_checks)
-            .field("obj_comparisons", ks.obj_comparisons)
-            .io_fields(ks.io);
-    }
-    kspan.close();
+    scope
+        .field("shard", shard as u64)
+        .field("candidates", cands.len() as u64)
+        .field("survivors", survivors.len() as u64)
+        .close(&ks, ks.io);
     Ok((survivors, ks))
 }
 
@@ -764,8 +720,8 @@ fn verify_shard(
     robs: &RunObs<'_>,
 ) -> Result<(Vec<RecordId>, RunStats)> {
     robs.check_cancelled()?;
-    let mut vspan = robs.span(names::SPAN_VERIFY);
     let mut vs = RunStats::default();
+    let scope = robs.scope("phase2.verify", &vs, vs.io);
     let has_foreign = windows.iter().enumerate().any(|(j, w)| j != shard && w.is_some());
     let survivors = if cands.is_empty() || !has_foreign {
         cands.to_vec()
@@ -794,17 +750,11 @@ fn verify_shard(
         }
         alive_ids(&blocks, cands)
     };
-    if vspan.is_recording() {
-        vspan
-            .field("shard", shard as u64)
-            .field("candidates", cands.len() as u64)
-            .field("survivors", survivors.len() as u64)
-            .field("dist_checks", vs.dist_checks)
-            .field("query_dist_checks", vs.query_dist_checks)
-            .field("obj_comparisons", vs.obj_comparisons)
-            .io_fields(vs.io);
-    }
-    vspan.close();
+    scope
+        .field("shard", shard as u64)
+        .field("candidates", cands.len() as u64)
+        .field("survivors", survivors.len() as u64)
+        .close(&vs, vs.io);
     Ok((survivors, vs))
 }
 

@@ -54,161 +54,104 @@ use std::time::Instant;
 
 use crate::stats::IoCounts;
 
-/// Canonical span and counter names emitted by the serving layer
-/// (`rsky-server`). Centralized here — next to the engine span grammar the
-/// sinks already understand — so dashboards, the stats-contract tests and
-/// the server agree on one vocabulary.
-pub mod server_names {
-    /// Span prefix for all serving-layer spans (`server.<what>`).
-    pub const PREFIX: &str = "server";
-    /// Span: one accepted connection's lifetime.
-    pub const SPAN_CONN: &str = "conn";
-    /// Span: one request from parse to response write. Carries a
-    /// `queue_wait_us` field (time spent in the admission queue) and a
-    /// `cache_hit` field (0/1) for query requests.
-    pub const SPAN_REQUEST: &str = "request";
-    /// Span: the shutdown drain (open from stop-accepting to queue empty).
-    pub const SPAN_DRAIN: &str = "drain";
-    /// Counter: connections accepted.
-    pub const CTR_ACCEPTED: &str = "server.accepted";
-    /// Counter: requests answered successfully.
-    pub const CTR_SERVED: &str = "server.served";
-    /// Counter: requests shed because the admission queue was full.
-    pub const CTR_SHED: &str = "server.shed";
-    /// Counter: requests that hit their deadline mid-run.
-    pub const CTR_TIMEOUT: &str = "server.timeout";
-    /// Counter: malformed or invalid requests.
-    pub const CTR_BAD_REQUEST: &str = "server.bad_request";
-    /// Counter: query results answered from the result cache.
-    pub const CTR_CACHE_HIT: &str = "server.cache.hit";
-    /// Counter: query results computed by an engine run.
-    pub const CTR_CACHE_MISS: &str = "server.cache.miss";
-    /// Histogram: time a request waited in the admission queue (µs).
-    pub const HIST_QUEUE_WAIT: &str = "server.queue.wait_us";
-    /// Gauge: current admission-queue depth, sampled at enqueue.
-    pub const GAUGE_QUEUE_DEPTH: &str = "server.queue.depth";
+/// Declares the metric vocabulary: each row is a constant, the name it holds
+/// and that name's one-line help text. A row expands to the constant (the
+/// help text is its doc comment) and to one `(name, help)` entry of
+/// [`names::ALL`], so no constant exists without its row and the list the
+/// code emits from is the list [`help_for`] and the contract tests read.
+macro_rules! vocabulary {
+    ($($(#[$extra:meta])* $konst:ident = $name:literal => $help:literal;)*) => {
+        $(
+            #[doc = $help]
+            #[doc = ""]
+            $(#[$extra])*
+            pub const $konst: &str = $name;
+        )*
+
+        /// Every row of the vocabulary as `(name, help)`, in declaration
+        /// order.
+        pub const ALL: &[(&str, &str)] = &[$(($name, $help)),*];
+    };
 }
 
-/// Canonical span names emitted by the sharded scatter-gather executor
-/// (`rsky-algos::shard`), mirroring [`server_names`]. The sharded stats
-/// contract (tests/obs_contract.rs) is written against exactly these names:
-/// [`SPAN_PLAN`](shard_names::SPAN_PLAN) + Σ per-shard
-/// [`SPAN_LOCAL`](shard_names::SPAN_LOCAL) +
-/// [`SPAN_KILL`](shard_names::SPAN_KILL) +
-/// [`SPAN_VERIFY`](shard_names::SPAN_VERIFY) deltas must equal the merged
-/// `RunStats` the sharded run returns.
-pub mod shard_names {
-    /// Span prefix for all sharding-layer spans (`shard.<what>`).
-    pub const PREFIX: &str = "shard";
-    /// Span: the whole sharded run; closes with the merged totals.
-    pub const SPAN_RUN: &str = "run";
-    /// Span: the coordinator's per-query planning step — it builds the
-    /// query-distance cache **once** and shares it with every shard, so the
-    /// cache-build cost appears here instead of once per shard. Carries
-    /// `query_dist_checks`.
-    pub const SPAN_PLAN: &str = "plan";
-    /// Span: the scatter phase (all shards' local engine runs).
-    pub const SPAN_PHASE1: &str = "phase1";
-    /// Span: one shard's local engine run. Carries `shard`, `records`,
-    /// `candidates` and this run's counter/IO deltas.
-    pub const SPAN_LOCAL: &str = "phase1.local";
-    /// Span: the gather phase (cross-shard candidate verification).
-    pub const SPAN_PHASE2: &str = "phase2";
-    /// Span: one shard's candidates verified against all foreign shards'
-    /// windows. Carries `shard`, `candidates`, `survivors` and deltas.
-    pub const SPAN_VERIFY: &str = "phase2.verify";
-    /// Span: the pruner-exchange round between scatter and gather — the
-    /// coordinator merges each shard's exported pruner band and broadcasts
-    /// it back. Present exactly when the exchange runs (`pruner_budget > 0`
-    /// and more than one shard); closes with `pruners`, `candidates` (pre)
-    /// and `survivors` (post).
-    pub const SPAN_EXCHANGE: &str = "exchange";
-    /// Span: one shard's pre-verification kill pass over its phase-2
-    /// candidates against the merged pruner band. Carries `shard`,
-    /// `candidates`, `survivors` and this pass's counter deltas (never any
-    /// `query_dist_checks` or IO — the band lives in memory and query-side
-    /// distances come from the shared cache).
-    pub const SPAN_KILL: &str = "exchange.kill";
-    /// Counter: pruners in the merged band one exchange round broadcast.
-    pub const CTR_EXCHANGE_PRUNERS: &str = "shard.exchange.pruners";
-    /// Counter: phase-2 candidates entering an exchange round (pre-kill).
-    pub const CTR_CANDIDATES_PRE: &str = "shard.phase2.candidates.pre";
-    /// Counter: phase-2 candidates surviving the kill pass (what cross-shard
-    /// verification actually scans for).
-    pub const CTR_CANDIDATES_POST: &str = "shard.phase2.candidates.post";
-}
-
-/// Canonical span and metric names emitted by the view-maintenance
-/// subsystem (`rsky-view` + the server's subscription plumbing), mirroring
-/// [`server_names`]. The obs contract (tests/obs_contract.rs) asserts that
-/// mutation-driven delta pushes nest their [`SPAN_DELTA`](view_names::SPAN_DELTA)
-/// spans under a `server.request` root.
-pub mod view_names {
-    /// Span prefix for all view-maintenance spans (`view.<what>`).
-    pub const PREFIX: &str = "view";
-    /// Span: one view's incremental delta for one mutation. Carries `add`,
-    /// `remove`, `resync`, `generation` and `dist_checks` (the distance
-    /// checks of the view's witness scans; a fallback engine run reports
-    /// its own in its nested run span).
-    pub const SPAN_DELTA: &str = "delta";
-    /// Span: a full view (re)build — the initial subscription snapshot or a
-    /// deferred-recompute fallback. Carries `rows`, `members`, `generation`
-    /// and `dist_checks` (the distance checks of its witness scan).
-    pub const SPAN_BUILD: &str = "build";
-    /// Counter: ids added to a view by incremental deltas.
-    pub const CTR_DELTA_ADD: &str = "view.delta.add";
-    /// Counter: ids evicted from a view by incremental deltas.
-    pub const CTR_DELTA_REMOVE: &str = "view.delta.remove";
-    /// Counter: mutations a view answered with a full rebuild instead of an
-    /// incremental delta (bookkeeping exhausted or generation gap).
-    pub const CTR_FALLBACK: &str = "view.fallback";
-    /// Counter: query/influence requests answered from a live view.
-    pub const CTR_CACHE_HIT: &str = "view.cache.hit";
-    /// Counter: delta/resync frames pushed to subscribers.
-    pub const CTR_FRAMES: &str = "view.frames";
-    /// Gauge: materialized views currently live.
-    pub const GAUGE_LIVE: &str = "view.live";
-}
-
-/// Canonical names for the ad-hoc metrics the engine layers emit outside
-/// any span (plus the metric-name contract: every string passed to
-/// `counter_add` / `gauge_set` / `histogram_record` anywhere in the
-/// workspace must be, or be prefixed by, a constant from this module or
-/// [`server_names`] — enforced by tests/metric_names.rs).
+/// The one metric vocabulary: every counter, gauge and histogram name the
+/// workspace emits outside span fields, the serving layer's span names, and
+/// the prefixes of the shard and view spans, each with its help text.
+///
+/// The registry sink derives `{span}.{field}` counters and `{span}.wall_us`
+/// histograms from span events at runtime; a derived series takes the help
+/// text of its longest declared prefix ([`help_for`]). The engines name
+/// their spans `{engine}.{phase}` from the engine's own name, and the
+/// sharded executor (prefix [`SHARD`](names::SHARD)) and view maintenance
+/// (prefix [`VIEW`](names::VIEW)) follow the same grammar. The metric-name
+/// contract (tests/metric_names.rs) holds every literal name passed to
+/// `counter_add` / `gauge_set` / `histogram_record` in the workspace, and
+/// every series the default health rules read, to these rows.
 pub mod names {
-    /// Counter: attribute-level distance evaluations spent building a
-    /// query-distance cache (the paper's query-side `d_i(q, v)` table).
-    pub const QCACHE_BUILD_CHECKS: &str = "qcache.build_checks";
-    /// Histogram: time a TRS-P worker waited on the shared tree loader (µs).
-    pub const PAR_BATCH_WAIT_US: &str = "par.batch.wait_us";
-    /// Counter: nodes the best-first TRS engine pushed onto its priority
-    /// queue during phase-1 traversals.
-    pub const BF_HEAP_PUSHES: &str = "trs-bf.heap.pushes";
-    /// Counter: whole subtrees the best-first TRS engine discarded by a
-    /// group-level kill before descending into them.
-    pub const BF_GROUP_KILLS: &str = "trs-bf.group.kills";
-    /// Histogram: wall time one telemetry sampling tick spent snapshotting
-    /// the registry into the time-series ring (µs). The sampler measures
-    /// itself so its own overhead is visible in the data it produces.
-    pub const OBS_SAMPLE_US: &str = "obs.sample_us";
-    /// Counter: sampling ticks the telemetry sampler has taken.
-    pub const OBS_TICKS: &str = "obs.ticks";
-    /// Gauge: distinct series the time-series ring has refused to track
-    /// because its fixed series table was full (cumulative).
-    pub const OBS_DROPPED_SERIES: &str = "obs.dropped_series";
-}
-
-/// Canonical names emitted by the SLO health evaluator
-/// (`rsky-server::health`), mirroring [`server_names`]. The health gauge is
-/// deliberately Prometheus-flavoured (`rsky_health`, no dots) so a scrape
-/// exposes it verbatim as the instance's alerting signal.
-pub mod health_names {
-    /// Gauge: overall instance health — 0 = ok, 1 = warn, 2 = critical.
-    pub const GAUGE_HEALTH: &str = "rsky_health";
-    /// Counter: health evaluations performed.
-    pub const CTR_EVALS: &str = "health.evals";
-    /// Counter: effective health-level transitions (post-hysteresis).
-    pub const CTR_TRANSITIONS: &str = "health.transitions";
+    vocabulary! {
+        /// Span: one accepted connection's lifetime; carries `requests`.
+        SERVER_CONN = "server.conn"
+            => "Per-connection serving-layer series derived from connection spans.";
+        /// Span: one request from parse to response write; carries
+        /// `queue_wait_us` and, by op, `cache_hit` (0/1), `view_hit` or
+        /// `generation`. Its `wall_us` histogram is the end-to-end latency
+        /// the default health rules read.
+        SERVER_REQUEST = "server.request"
+            => "Per-request serving-layer series derived from request spans.";
+        /// Span: the shutdown drain, open from stop-accepting to queue empty.
+        SERVER_DRAIN = "server.drain" => "Shutdown-drain series derived from drain spans.";
+        SERVER_ACCEPTED = "server.accepted" => "Connections accepted by the TCP listener.";
+        SERVER_SERVED = "server.served" => "Requests answered successfully.";
+        SERVER_SHED = "server.shed" => "Requests shed because the admission queue was full.";
+        SERVER_TIMEOUT = "server.timeout" => "Requests that hit their deadline mid-run.";
+        SERVER_BAD_REQUEST = "server.bad_request" => "Malformed or invalid requests.";
+        SERVER_CACHE_HIT = "server.cache.hit" => "Query results answered from the result cache.";
+        SERVER_CACHE_MISS = "server.cache.miss" => "Query results computed by an engine run.";
+        SERVER_QUEUE_WAIT_US = "server.queue.wait_us"
+            => "Time a request waited in the admission queue (microseconds).";
+        SERVER_QUEUE_DEPTH = "server.queue.depth" => "Admission-queue depth sampled at enqueue.";
+        /// The sharded executor's span prefix: `shard.run`, `shard.plan`,
+        /// `shard.phase1` with one `shard.phase1.local` per shard,
+        /// `shard.exchange` with one `shard.exchange.kill` per shard, and
+        /// `shard.phase2` with one `shard.phase2.verify` per shard.
+        SHARD = "shard" => "Sharded scatter-gather executor series derived from shard spans.";
+        SHARD_EXCHANGE_PRUNERS = "shard.exchange.pruners"
+            => "Pruners in the merged band broadcast by one exchange round.";
+        SHARD_PHASE2_CANDIDATES_PRE = "shard.phase2.candidates.pre"
+            => "Phase-2 candidates entering an exchange round.";
+        SHARD_PHASE2_CANDIDATES_POST = "shard.phase2.candidates.post"
+            => "Phase-2 candidates surviving the exchange kill pass.";
+        /// View maintenance's span prefix: one `view.delta` per view and
+        /// mutation, one `view.build` per full (re)build.
+        VIEW = "view" => "View-maintenance series derived from view spans.";
+        VIEW_DELTA_ADD = "view.delta.add"
+            => "Ids added to materialized views by incremental deltas.";
+        VIEW_DELTA_REMOVE = "view.delta.remove"
+            => "Ids evicted from materialized views by incremental deltas.";
+        VIEW_FALLBACK = "view.fallback"
+            => "View mutations answered by a full rebuild instead of a delta.";
+        VIEW_CACHE_HIT = "view.cache.hit" => "Requests answered from a live materialized view.";
+        VIEW_FRAMES = "view.frames" => "Delta/resync frames pushed to subscribers.";
+        VIEW_LIVE = "view.live" => "Materialized views currently live.";
+        QCACHE_BUILD_CHECKS = "qcache.build_checks"
+            => "Attribute-level distance evaluations spent building query-distance caches.";
+        PAR_BATCH_WAIT_US = "par.batch.wait_us"
+            => "Time TRS-P workers waited on the shared tree loader (microseconds).";
+        TRS_BF_HEAP_PUSHES = "trs-bf.heap.pushes"
+            => "Nodes the best-first engine pushed onto its priority queue.";
+        TRS_BF_GROUP_KILLS = "trs-bf.group.kills"
+            => "Subtrees discarded by best-first group-level kills.";
+        OBS_SAMPLE_US = "obs.sample_us"
+            => "Wall time one telemetry sampling tick took (microseconds).";
+        OBS_TICKS = "obs.ticks" => "Telemetry sampling ticks taken.";
+        OBS_DROPPED_SERIES = "obs.dropped_series"
+            => "Series the telemetry ring refused because its table was full.";
+        /// Prometheus-flavoured (no dots), so a scrape exposes it verbatim.
+        RSKY_HEALTH = "rsky_health" => "Instance health: 0 ok, 1 warn, 2 critical.";
+        HEALTH_EVALS = "health.evals" => "SLO health evaluations performed.";
+        HEALTH_TRANSITIONS = "health.transitions"
+            => "Effective health-level transitions (post-hysteresis).";
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -400,6 +343,16 @@ impl ObsHandle {
     /// Opens a span named `{prefix}.{what}` (prefix typically identifies
     /// the engine, `what` the phase or batch). Inert when disabled.
     pub fn span(&self, prefix: &str, what: &str) -> Span {
+        self.open(|| format!("{prefix}.{what}"))
+    }
+
+    /// Opens a span under its whole dotted name, such as the declared
+    /// [`names::SERVER_REQUEST`]. Inert when disabled.
+    pub fn span_named(&self, name: &str) -> Span {
+        self.open(|| name.to_owned())
+    }
+
+    fn open(&self, name: impl FnOnce() -> String) -> Span {
         if !self.enabled() {
             return Span { inner: None };
         }
@@ -412,7 +365,7 @@ impl ObsHandle {
         Span {
             inner: Some(SpanInner {
                 rec: self.rec.clone(),
-                name: format!("{prefix}.{what}"),
+                name: name(),
                 start: Instant::now(),
                 fields: Vec::with_capacity(8),
                 trace_id,
@@ -1071,8 +1024,8 @@ impl MetricsRegistry {
     /// `{quantile="…"}` samples plus `_sum` / `_count`. Metric names are
     /// sanitized (every character outside `[a-zA-Z0-9_:]` becomes `_`, so
     /// `server.queue.wait_us` scrapes as `server_queue_wait_us`). Each
-    /// family is preceded by a `# HELP` line drawn from the canonical
-    /// metric-name vocabulary (see [`help_for`]).
+    /// family is preceded by a `# HELP` line drawn from the metric
+    /// vocabulary [`names::ALL`] (see [`help_for`]).
     pub fn to_prometheus(&self) -> String {
         self.to_prometheus_opts(false)
     }
@@ -1159,49 +1112,14 @@ impl MetricsRegistry {
     }
 }
 
-/// One-line HELP text for a canonical metric name, used by the Prometheus
-/// exposition. Unknown names fall back to the longest matching canonical
-/// *prefix* (the registry sink derives `{span}.{field}` series at runtime),
-/// and finally to a generic line — `# HELP` is mandatory commentary, not a
+/// One-line HELP text for a metric name, used by the Prometheus exposition:
+/// the help of the longest row of [`names::ALL`] that equals the name or is
+/// a dotted prefix of it (the registry sink derives `{span}.{field}` series
+/// at runtime), and otherwise a generic line — `# HELP` is mandatory commentary, not a
 /// contract, so a fallback is always acceptable.
 pub fn help_for(name: &str) -> &'static str {
-    const HELP: &[(&str, &str)] = &[
-        ("server.accepted", "Connections accepted by the TCP listener."),
-        ("server.served", "Requests answered successfully."),
-        ("server.shed", "Requests shed because the admission queue was full."),
-        ("server.timeout", "Requests that hit their deadline mid-run."),
-        ("server.bad_request", "Malformed or invalid requests."),
-        ("server.cache.hit", "Query results answered from the result cache."),
-        ("server.cache.miss", "Query results computed by an engine run."),
-        ("server.queue.wait_us", "Time a request waited in the admission queue (microseconds)."),
-        ("server.queue.depth", "Admission-queue depth sampled at enqueue."),
-        ("server.request", "Per-request serving-layer series derived from request spans."),
-        ("server.conn", "Per-connection serving-layer series derived from connection spans."),
-        ("server.drain", "Shutdown-drain series derived from drain spans."),
-        ("shard.exchange.pruners", "Pruners in the merged band broadcast by one exchange round."),
-        ("shard.phase2.candidates.pre", "Phase-2 candidates entering an exchange round."),
-        ("shard.phase2.candidates.post", "Phase-2 candidates surviving the exchange kill pass."),
-        ("shard", "Sharded scatter-gather executor series derived from shard spans."),
-        ("view.delta.add", "Ids added to materialized views by incremental deltas."),
-        ("view.delta.remove", "Ids evicted from materialized views by incremental deltas."),
-        ("view.fallback", "View mutations answered by a full rebuild instead of a delta."),
-        ("view.cache.hit", "Requests answered from a live materialized view."),
-        ("view.frames", "Delta/resync frames pushed to subscribers."),
-        ("view.live", "Materialized views currently live."),
-        ("view", "View-maintenance series derived from view spans."),
-        ("qcache.build_checks", "Attribute-level distance evaluations spent building query-distance caches."),
-        ("par.batch.wait_us", "Time TRS-P workers waited on the shared tree loader (microseconds)."),
-        ("trs-bf.heap.pushes", "Nodes the best-first engine pushed onto its priority queue."),
-        ("trs-bf.group.kills", "Subtrees discarded by best-first group-level kills."),
-        ("obs.sample_us", "Wall time one telemetry sampling tick took (microseconds)."),
-        ("obs.ticks", "Telemetry sampling ticks taken."),
-        ("obs.dropped_series", "Series the telemetry ring refused because its table was full."),
-        ("rsky_health", "Instance health: 0 ok, 1 warn, 2 critical."),
-        ("health.evals", "SLO health evaluations performed."),
-        ("health.transitions", "Effective health-level transitions (post-hysteresis)."),
-    ];
     let mut best: Option<(&str, &str)> = None;
-    for &(key, text) in HELP {
+    for &(key, text) in names::ALL {
         let matches = name == key || name.starts_with(key) && name.as_bytes().get(key.len()) == Some(&b'.');
         if matches && best.is_none_or(|(b, _)| key.len() > b.len()) {
             best = Some((key, text));

@@ -246,7 +246,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// An inclusive length range for [`vec`].
+    /// An inclusive length range for [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -279,7 +279,7 @@ pub mod collection {
         VecStrategy { elem, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         size: SizeRange,

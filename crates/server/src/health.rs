@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use rsky_core::obs::{server_names, view_names};
+use rsky_core::obs::names;
 use rsky_core::obs_ts::TimeSeriesRing;
 
 use crate::json;
@@ -278,24 +278,24 @@ pub fn default_rules() -> Vec<Rule> {
         clear_after: DEFAULT_CLEAR_AFTER,
     };
     vec![
-        base("shed_rate", server_names::CTR_SHED, RuleKind::Rate, 0.5, 5.0),
+        base("shed_rate", names::SERVER_SHED, RuleKind::Rate, 0.5, 5.0),
         // The registry sink flattens request spans into a
         // `server.request.wall_us` histogram — end-to-end latency including
         // queue wait, exactly what the SLO is about.
         base(
             "request_p99_us",
-            "server.request.wall_us",
+            &format!("{}.wall_us", names::SERVER_REQUEST),
             RuleKind::Quantile(0.99),
             250_000.0,
             2_000_000.0,
         ),
-        base("view_fallback_rate", view_names::CTR_FALLBACK, RuleKind::Rate, 0.5, 5.0),
+        base("view_fallback_rate", names::VIEW_FALLBACK, RuleKind::Rate, 0.5, 5.0),
         base(
             "error_budget_burn",
             "",
             RuleKind::Burn {
-                bad: vec![server_names::CTR_SHED.into(), server_names::CTR_TIMEOUT.into()],
-                good: vec![server_names::CTR_SERVED.into()],
+                bad: vec![names::SERVER_SHED.into(), names::SERVER_TIMEOUT.into()],
+                good: vec![names::SERVER_SERVED.into()],
                 long_window_us: 60_000_000,
             },
             0.05,

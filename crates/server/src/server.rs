@@ -30,7 +30,7 @@ use rsky_core::cancel::{self, CancelToken};
 use rsky_core::dataset::Dataset;
 use rsky_core::error::{Error, Result};
 use rsky_core::obs::{
-    self, server_names as names, view_names, MemorySink, MetricsRegistry, ObsHandle, RegistrySink,
+    self, names, MemorySink, MetricsRegistry, ObsHandle, RegistrySink,
 };
 use rsky_core::obs_ts::{Clock, SystemClock, DEFAULT_MAX_SERIES};
 use rsky_core::query::Query;
@@ -374,7 +374,7 @@ fn supervise(shared: &Arc<Shared>, listener: TcpListener, workers: Vec<JoinHandl
                 if !shared.accepting.load(Ordering::SeqCst) {
                     break;
                 }
-                shared.obs.counter_add(names::CTR_ACCEPTED, 1);
+                shared.obs.counter_add(names::SERVER_ACCEPTED, 1);
                 let shared = Arc::clone(shared);
                 conns.push(std::thread::spawn(move || handle_conn(&shared, stream)));
                 conns.retain(|h| !h.is_finished());
@@ -386,7 +386,7 @@ fn supervise(shared: &Arc<Shared>, listener: TcpListener, workers: Vec<JoinHandl
             }
         }
     }
-    let mut drain_span = shared.obs.span(names::PREFIX, names::SPAN_DRAIN);
+    let mut drain_span = shared.obs.span_named(names::SERVER_DRAIN);
     drain_span.field("queued_at_close", shared.queue.depth() as u64);
     // Workers exit once the closed queue is empty: every admitted job has
     // been executed and its response handed to a connection thread.
@@ -401,9 +401,9 @@ fn supervise(shared: &Arc<Shared>, listener: TcpListener, workers: Vec<JoinHandl
     if drain_span.is_recording() {
         let (hits, _) = shared.cache.stats();
         drain_span
-            .field("served", shared.registry.counter(names::CTR_SERVED))
-            .field("shed", shared.registry.counter(names::CTR_SHED))
-            .field("timeouts", shared.registry.counter(names::CTR_TIMEOUT))
+            .field("served", shared.registry.counter(names::SERVER_SERVED))
+            .field("shed", shared.registry.counter(names::SERVER_SHED))
+            .field("timeouts", shared.registry.counter(names::SERVER_TIMEOUT))
             .field("cache_hits", hits);
     }
     drain_span.close();
@@ -418,7 +418,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     // Responses are small; with Nagle on, each round trip would pick up
     // the delayed-ACK penalty (tens of ms) on top of the actual work.
     let _ = stream.set_nodelay(true);
-    let mut conn_span = shared.obs.span(names::PREFIX, names::SPAN_CONN);
+    let mut conn_span = shared.obs.span_named(names::SERVER_CONN);
     let (reply_tx, reply_rx) = mpsc::channel::<String>();
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -456,7 +456,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
         scanned = buf.len();
         if buf.len() > MAX_LINE_BYTES {
             requests += 1;
-            shared.obs.counter_add(names::CTR_BAD_REQUEST, 1);
+            shared.obs.counter_add(names::SERVER_BAD_REQUEST, 1);
             let detail = format!("request line exceeds {MAX_LINE_BYTES} bytes");
             let mut framed = proto::err_line(ErrKind::BadRequest, &detail).into_bytes();
             framed.push(b'\n');
@@ -524,12 +524,12 @@ fn handle_line(
     let request = match Request::parse(line) {
         Ok(r) => r,
         Err(detail) => {
-            shared.obs.counter_add(names::CTR_BAD_REQUEST, 1);
+            shared.obs.counter_add(names::SERVER_BAD_REQUEST, 1);
             return (proto::err_line(ErrKind::BadRequest, &detail), false);
         }
     };
     if matches!(request, Request::Sleep { .. } | Request::Tick) && !shared.config.enable_test_ops {
-        shared.obs.counter_add(names::CTR_BAD_REQUEST, 1);
+        shared.obs.counter_add(names::SERVER_BAD_REQUEST, 1);
         return (
             proto::err_line(
                 ErrKind::BadRequest,
@@ -599,7 +599,7 @@ fn handle_line(
             // `view.build` trace is a fresh `server.request`-rooted tree.
             let built = obs::with_recorder(shared.obs.clone(), || {
                 obs::with_detached(|| {
-                    let span = shared.obs.span(names::PREFIX, names::SPAN_REQUEST);
+                    let span = shared.obs.span_named(names::SERVER_REQUEST);
                     let r = shared.views.subscribe(&shared.data, spec, tx);
                     span.close();
                     r
@@ -608,14 +608,14 @@ fn handle_line(
             match built {
                 Ok(ack) => {
                     subs.push((ack.sub, rx));
-                    shared.obs.counter_add(names::CTR_SERVED, 1);
+                    shared.obs.counter_add(names::SERVER_SERVED, 1);
                     (
                         proto::ok_subscribe(ack.sub, &engine, ack.generation, ack.epoch, &ack.ids),
                         false,
                     )
                 }
                 Err(e) => {
-                    shared.obs.counter_add(names::CTR_BAD_REQUEST, 1);
+                    shared.obs.counter_add(names::SERVER_BAD_REQUEST, 1);
                     (proto::err_line(ErrKind::BadRequest, &e.to_string()), false)
                 }
             }
@@ -647,7 +647,7 @@ fn mutate(
                 // `server.request` trace (the slowlog/trace contract).
                 obs::with_recorder(shared.obs.clone(), || {
                     obs::with_detached(|| {
-                        let mut span = shared.obs.span(names::PREFIX, names::SPAN_REQUEST);
+                        let mut span = shared.obs.span_named(names::SERVER_REQUEST);
                         if span.is_recording() {
                             span.field("generation", version.generation);
                         }
@@ -656,11 +656,11 @@ fn mutate(
                     })
                 });
             }
-            shared.obs.counter_add(names::CTR_SERVED, 1);
+            shared.obs.counter_add(names::SERVER_SERVED, 1);
             proto::ok_mutation(op, id, version.generation, version.dataset.len())
         }
         Err(e) => {
-            shared.obs.counter_add(names::CTR_BAD_REQUEST, 1);
+            shared.obs.counter_add(names::SERVER_BAD_REQUEST, 1);
             proto::err_line(ErrKind::BadRequest, &e.to_string())
         }
     }
@@ -689,7 +689,7 @@ fn admit(
     let job = Job { request, token, enqueued: Instant::now(), reply: reply_tx.clone() };
     match shared.queue.push(job) {
         Ok(depth) => {
-            shared.obs.gauge_set(names::GAUGE_QUEUE_DEPTH, depth as f64);
+            shared.obs.gauge_set(names::SERVER_QUEUE_DEPTH, depth as f64);
             // The worker always sends exactly one response per job, even
             // when drained during shutdown; a dropped channel means a
             // worker panicked.
@@ -698,7 +698,7 @@ fn admit(
                 .unwrap_or_else(|_| proto::err_line(ErrKind::Internal, "worker failed"))
         }
         Err(PushError::Full(_)) => {
-            shared.obs.counter_add(names::CTR_SHED, 1);
+            shared.obs.counter_add(names::SERVER_SHED, 1);
             proto::err_line(
                 ErrKind::Overloaded,
                 &format!("admission queue full ({} waiting)", shared.config.queue_cap),
@@ -716,7 +716,7 @@ fn worker_loop(shared: &Arc<Shared>, mut ws: WorkerState) {
     let capture_slow = shared.config.slow_request_us > 0;
     while let Some(job) = shared.queue.pop() {
         let wait = job.enqueued.elapsed();
-        shared.obs.histogram_record(names::HIST_QUEUE_WAIT, wait.as_micros() as u64);
+        shared.obs.histogram_record(names::SERVER_QUEUE_WAIT_US, wait.as_micros() as u64);
         // With slow-request capture on, tee a per-request memory sink in so
         // the complete span tree is at hand if the request turns out slow.
         let req_sink = capture_slow.then(MemorySink::new);
@@ -726,7 +726,7 @@ fn worker_loop(shared: &Arc<Shared>, mut ws: WorkerState) {
         };
         // The worker's span stack is empty here, so the request span roots
         // a fresh trace; everything the request does nests under it.
-        let mut span = req_obs.span(names::PREFIX, names::SPAN_REQUEST);
+        let mut span = req_obs.span_named(names::SERVER_REQUEST);
         if span.is_recording() {
             span.field("queue_wait_us", wait.as_micros() as u64);
         }
@@ -760,7 +760,7 @@ fn execute(
     span: &mut rsky_core::obs::Span,
 ) -> String {
     if job.token.check().is_err() {
-        shared.obs.counter_add(names::CTR_TIMEOUT, 1);
+        shared.obs.counter_add(names::SERVER_TIMEOUT, 1);
         return proto::err_line(ErrKind::Timeout, "deadline elapsed while queued");
     }
     match &job.request {
@@ -768,12 +768,12 @@ fn execute(
             let until = job.enqueued + Duration::from_millis(*ms);
             while Instant::now() < until {
                 if job.token.is_cancelled() {
-                    shared.obs.counter_add(names::CTR_TIMEOUT, 1);
+                    shared.obs.counter_add(names::SERVER_TIMEOUT, 1);
                     return proto::err_line(ErrKind::Timeout, "deadline elapsed while sleeping");
                 }
                 std::thread::sleep(Duration::from_millis(1));
             }
-            shared.obs.counter_add(names::CTR_SERVED, 1);
+            shared.obs.counter_add(names::SERVER_SERVED, 1);
             proto::ok_sleep(*ms)
         }
         Request::Query { engine, values, subset, top_k, .. } => {
@@ -785,7 +785,7 @@ fn execute(
             if let Some(ids) =
                 shared.views.lookup(values, subset.as_deref(), version.generation)
             {
-                shared.obs.counter_add(view_names::CTR_CACHE_HIT, 1);
+                shared.obs.counter_add(names::VIEW_CACHE_HIT, 1);
                 if span.is_recording() {
                     span.field("view_hit", 1);
                 }
@@ -799,13 +799,13 @@ fn execute(
                 shard: shared.config.shard,
             };
             if let Some(ids) = shared.cache.get(&key) {
-                shared.obs.counter_add(names::CTR_CACHE_HIT, 1);
+                shared.obs.counter_add(names::SERVER_CACHE_HIT, 1);
                 if span.is_recording() {
                     span.field("cache_hit", 1);
                 }
                 return finish_query(shared, &version, engine, subset.as_deref(), &ids, *top_k, true, 0);
             }
-            shared.obs.counter_add(names::CTR_CACHE_MISS, 1);
+            shared.obs.counter_add(names::SERVER_CACHE_MISS, 1);
             if span.is_recording() {
                 span.field("cache_hit", 0);
             }
@@ -816,7 +816,7 @@ fn execute(
             let query = match query {
                 Ok(q) => q,
                 Err(e) => {
-                    shared.obs.counter_add(names::CTR_BAD_REQUEST, 1);
+                    shared.obs.counter_add(names::SERVER_BAD_REQUEST, 1);
                     return proto::err_line(ErrKind::BadRequest, &e.to_string());
                 }
             };
@@ -850,7 +850,7 @@ fn execute(
                 match rsky_data::random_queries(&version.dataset.schema, *queries, &mut rng) {
                     Ok(w) => w,
                     Err(e) => {
-                        shared.obs.counter_add(names::CTR_BAD_REQUEST, 1);
+                        shared.obs.counter_add(names::SERVER_BAD_REQUEST, 1);
                         return proto::err_line(ErrKind::BadRequest, &e.to_string());
                     }
                 };
@@ -863,8 +863,8 @@ fn execute(
                 order.sort_by_key(|&i| std::cmp::Reverse(cards[i]));
                 let ranking: Vec<(usize, usize)> =
                     order.into_iter().take(*top).map(|qi| (qi, cards[qi])).collect();
-                shared.obs.counter_add(view_names::CTR_CACHE_HIT, 1);
-                shared.obs.counter_add(names::CTR_SERVED, 1);
+                shared.obs.counter_add(names::VIEW_CACHE_HIT, 1);
+                shared.obs.counter_add(names::SERVER_SERVED, 1);
                 if span.is_recording() {
                     span.field("view_hit", 1);
                 }
@@ -873,18 +873,7 @@ fn execute(
             let t0 = Instant::now();
             let result = obs::with_recorder(req_obs.clone(), || {
                 cancel::with_token(job.token.clone(), || {
-                    if shared.config.shard.is_some() {
-                        ws.run_influence(&version, &workload, false)
-                    } else {
-                        rsky_algos::run_influence_parallel(
-                            &version.dataset,
-                            &workload,
-                            shared.config.mem_pct,
-                            shared.config.page,
-                            shared.config.engine_threads,
-                            false,
-                        )
-                    }
+                    ws.run_influence(&version, &workload, false)
                 })
             });
             match result {
@@ -895,21 +884,21 @@ fn execute(
                         .take(*top)
                         .map(|qi| (qi, report.per_query[qi].cardinality))
                         .collect();
-                    shared.obs.counter_add(names::CTR_SERVED, 1);
+                    shared.obs.counter_add(names::SERVER_SERVED, 1);
                     proto::ok_influence(version.generation, &ranking, t0.elapsed().as_micros())
                 }
                 Err(e) => engine_error(shared, e),
             }
         }
         other => {
-            shared.obs.counter_add(names::CTR_BAD_REQUEST, 1);
+            shared.obs.counter_add(names::SERVER_BAD_REQUEST, 1);
             proto::err_line(ErrKind::Internal, &format!("op {:?} is not pooled", other.op()))
         }
     }
 }
 
 /// Renders a query result, optionally ranking the members by influence
-/// strength (`top_k`). Counts `CTR_SERVED` on success; ranking failures go
+/// strength (`top_k`). Counts `SERVER_SERVED` on success; ranking failures go
 /// through [`engine_error`] (which counts instead).
 #[allow(clippy::too_many_arguments)]
 fn finish_query(
@@ -924,14 +913,14 @@ fn finish_query(
 ) -> String {
     match top_k {
         None => {
-            shared.obs.counter_add(names::CTR_SERVED, 1);
+            shared.obs.counter_add(names::SERVER_SERVED, 1);
             proto::ok_query(engine, version.generation, ids, cached, elapsed_us)
         }
         Some(k) => match rsky_algos::rank_members(&version.dataset, subset, ids, k) {
             Ok(ranked) => {
                 let ranked: Vec<(RecordId, usize)> =
                     ranked.into_iter().map(|r| (r.id, r.strength)).collect();
-                shared.obs.counter_add(names::CTR_SERVED, 1);
+                shared.obs.counter_add(names::SERVER_SERVED, 1);
                 proto::ok_query_ranked(engine, version.generation, &ranked, cached, elapsed_us)
             }
             Err(e) => engine_error(shared, e),
@@ -943,11 +932,11 @@ fn finish_query(
 fn engine_error(shared: &Shared, e: Error) -> String {
     match e {
         Error::Cancelled(reason) => {
-            shared.obs.counter_add(names::CTR_TIMEOUT, 1);
+            shared.obs.counter_add(names::SERVER_TIMEOUT, 1);
             proto::err_line(ErrKind::Timeout, reason)
         }
         Error::SchemaMismatch(_) | Error::ValueOutOfDomain { .. } | Error::InvalidConfig(_) => {
-            shared.obs.counter_add(names::CTR_BAD_REQUEST, 1);
+            shared.obs.counter_add(names::SERVER_BAD_REQUEST, 1);
             proto::err_line(ErrKind::BadRequest, &e.to_string())
         }
         other => proto::err_line(ErrKind::Internal, &other.to_string()),

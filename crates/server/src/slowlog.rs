@@ -1,7 +1,7 @@
 //! Slow-request capture: a fixed-size ring buffer of complete span trees.
 //!
 //! When the server runs with `slow_request_us > 0`, every pooled request is
-//! traced into a private [`MemorySink`] teed with the server's normal
+//! traced into a private [`MemorySink`](rsky_core::obs::MemorySink) teed with the server's normal
 //! recorder. If the request's total latency (queue wait included) crosses
 //! the threshold, its full span tree — admission → engine run → shard
 //! phases → influence workers, with per-span IO and check counts — is

@@ -33,9 +33,11 @@
 //!
 //! A [`DataState::new_sharded`] state additionally maintains the dataset
 //! partitioned into K shard parts ([`ShardParts`]), each behind its own
-//! `Arc<RowBuf>`. Mutations are **copy-on-write per shard**: an insert or
-//! expire clones and rewrites only the one part the record belongs to — the
-//! other K−1 parts keep sharing their buffers with every older version.
+//! `Arc<RowBuf>`. Mutations are **copy-on-write per shard**: an insert
+//! clones and rewrites only the one part the record lands in, and an expire
+//! only the parts that hold a copy of the id (every copy goes, as from the
+//! flat rows) — the other parts keep sharing their buffers with every older
+//! version.
 //! Placement is *sticky*: hash-by-id records always land by their id;
 //! round-robin records are placed by their arrival position and keep that
 //! shard for life (an expire does not re-balance). Query results never
@@ -50,6 +52,7 @@ use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
+use rsky_algos::influence::run_queries;
 use rsky_algos::prep::{sort_order, Layout};
 use rsky_algos::shard::ShardedTables;
 use rsky_algos::{engine_by_name, layout_for, EngineCtx, InfluenceReport, RsRun};
@@ -87,16 +90,16 @@ impl ShardParts {
         self.parts.iter().map(|p| (**p).clone()).collect()
     }
 
-    /// The shard currently holding record `id`, if any.
-    fn shard_holding(&self, id: RecordId) -> Option<(usize, usize)> {
-        for (s, part) in self.parts.iter().enumerate() {
-            for i in 0..part.len() {
-                if part.id(i) == id {
-                    return Some((s, i));
-                }
+    /// Removes every copy of record `id` from every part that holds one,
+    /// rewriting only those parts.
+    fn remove_all(&mut self, id: RecordId) {
+        for part in &mut self.parts {
+            let copies: Vec<Range<usize>> =
+                (0..part.len()).filter(|&i| part.id(i) == id).map(|i| i..i + 1).collect();
+            if !copies.is_empty() {
+                *part = Arc::new(without_rows(part, &copies));
             }
         }
-        None
     }
 }
 
@@ -371,16 +374,7 @@ impl DataState {
             without_rows(sorted, &gaps)
         });
         if let Some(shards) = &mut cur.shards {
-            let (s, at) =
-                shards.shard_holding(id).expect("flat rows and shard parts hold the same ids");
-            let old = &shards.parts[s];
-            let mut part = RowBuf::with_capacity(old.num_attrs(), old.len() - 1);
-            for i in 0..old.len() {
-                if i != at {
-                    part.push(old.id(i), old.values(i));
-                }
-            }
-            shards.parts[s] = Arc::new(part);
+            shards.remove_all(id);
         }
         let next = Dataset {
             schema: ds.schema.clone(),
@@ -501,20 +495,17 @@ impl WorkerState {
         engine.run(&mut ctx, &file, query)
     }
 
-    /// Runs an influence workload through this worker's sharded tables.
-    /// Only available on sharded workers — unsharded servers use
-    /// [`rsky_algos::run_influence_parallel`] instead, which owns its
-    /// per-thread state.
+    /// Runs an influence workload: `|RS(q)|` per query with single-threaded
+    /// TRS through [`run_query`](Self::run_query) — on the version's
+    /// mounted image when unsharded, on the sharded tables otherwise — in
+    /// the one influence loop ([`rsky_algos::influence::run_queries`]).
     pub fn run_influence(
         &mut self,
         version: &DatasetVersion,
         queries: &[Query],
         keep_ids: bool,
     ) -> Result<InfluenceReport> {
-        let sharded = self.sharded(version)?.ok_or_else(|| {
-            Error::InvalidConfig("run_influence on WorkerState requires a shard spec".into())
-        })?;
-        sharded.run_influence(queries, keep_ids)
+        run_queries(queries, keep_ids, |q| self.run_query(version, "trs", 1, q))
     }
 }
 
@@ -699,10 +690,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_worker_influence_requires_spec() {
-        let (ds, _) = rsky_data::paper_example();
+    fn unsharded_worker_influence_matches_the_influence_engine() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        let ds = rsky_data::synthetic::normal_dataset(3, 6, 120, &mut rng).unwrap();
+        let qs = rsky_data::random_queries(&ds.schema, 5, &mut rng).unwrap();
+        let expect = rsky_algos::InfluenceEngine::new(ds.clone(), 15.0, 256)
+            .unwrap()
+            .run(&qs, true)
+            .unwrap();
         let state = DataState::new(ds);
-        let mut worker = WorkerState::new(64, 50.0, 4).unwrap();
-        assert!(worker.run_influence(&state.current(), &[], false).is_err());
+        let mut worker = WorkerState::new(256, 15.0, 4).unwrap();
+        let got = worker.run_influence(&state.current(), &qs, true).unwrap();
+        assert_eq!(got.per_query.len(), qs.len());
+        for (a, b) in expect.per_query.iter().zip(&got.per_query) {
+            assert_eq!((a.query_index, a.cardinality), (b.query_index, b.cardinality));
+            assert_eq!(a.ids, b.ids);
+        }
+        assert_eq!(got.ranking(), expect.ranking());
     }
 }

@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rsky_core::obs::{health_names, names, MetricsRegistry};
+use rsky_core::obs::{names, MetricsRegistry};
 use rsky_core::obs_ts::{Clock, SeriesKind, TimeSeriesRing};
 
 use crate::health::{HealthEvaluator, HealthReport};
@@ -65,10 +65,10 @@ impl Telemetry {
         let t0 = Instant::now();
         self.ring.sample(&self.registry);
         let report = self.health.evaluate(&self.ring, self.ring.now_us());
-        self.registry.gauge_set(health_names::GAUGE_HEALTH, report.level.as_gauge());
-        self.registry.counter_add(health_names::CTR_EVALS, 1);
+        self.registry.gauge_set(names::RSKY_HEALTH, report.level.as_gauge());
+        self.registry.counter_add(names::HEALTH_EVALS, 1);
         if report.transitions > 0 {
-            self.registry.counter_add(health_names::CTR_TRANSITIONS, report.transitions);
+            self.registry.counter_add(names::HEALTH_TRANSITIONS, report.transitions);
         }
         self.registry.counter_add(names::OBS_TICKS, 1);
         self.registry.gauge_set(names::OBS_DROPPED_SERIES, self.ring.dropped_series() as f64);

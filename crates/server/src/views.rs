@@ -1,6 +1,6 @@
 //! Server-side registry of materialized views and their subscribers.
 //!
-//! One [`Entry`] per distinct query key (values + subset): the maintained
+//! One `Entry` per distinct query key (values + subset): the maintained
 //! [`MaterializedView`] plus every connection subscribed to it. The
 //! registry is driven from the mutation path — [`ViewRegistry::apply`] runs
 //! under the server's mutation-order lock, so every view consumes the
@@ -24,7 +24,7 @@
 use std::sync::{mpsc, Mutex};
 
 use rsky_core::error::Result;
-use rsky_core::obs::{self, view_names};
+use rsky_core::obs::{self, names};
 use rsky_core::query::Query;
 use rsky_core::record::{RecordId, ValueId};
 use rsky_storage::MutationEvent;
@@ -118,7 +118,7 @@ impl ViewRegistry {
         };
         let live = inner.entries.len();
         drop(inner);
-        obs::handle().gauge_set(view_names::GAUGE_LIVE, live as f64);
+        obs::handle().gauge_set(names::VIEW_LIVE, live as f64);
         Ok(ack)
     }
 
@@ -159,9 +159,9 @@ impl ViewRegistry {
         let live = inner.entries.len();
         drop(inner);
         if frames > 0 {
-            obs.counter_add(view_names::CTR_FRAMES, frames);
+            obs.counter_add(names::VIEW_FRAMES, frames);
         }
-        obs.gauge_set(view_names::GAUGE_LIVE, live as f64);
+        obs.gauge_set(names::VIEW_LIVE, live as f64);
     }
 
     /// Removes this connection's subscriptions (on disconnect), dropping
@@ -177,7 +177,7 @@ impl ViewRegistry {
         inner.entries.retain(|e| !e.subs.is_empty());
         let live = inner.entries.len();
         drop(inner);
-        obs::handle().gauge_set(view_names::GAUGE_LIVE, live as f64);
+        obs::handle().gauge_set(names::VIEW_LIVE, live as f64);
     }
 
     /// Answers a query from a live view in O(|RS(Q)|) — only when the view

@@ -1,6 +1,6 @@
 //! Shared read-only page access for concurrent scans.
 //!
-//! The [`Disk`](crate::Disk) models a *single* head — that is the paper's
+//! The [`Disk`] models a *single* head — that is the paper's
 //! cost model and the sequential engines keep it. The parallel execution
 //! layer instead gives every worker thread its own scanner over a read-only
 //! snapshot of a file: IO is still counted (per scanner, with the same

@@ -49,7 +49,7 @@ use rsky_algos::shard::layout_for;
 use rsky_algos::{engine_by_name, EngineCtx};
 use rsky_core::dataset::Dataset;
 use rsky_core::error::Result;
-use rsky_core::obs::{self, view_names};
+use rsky_core::obs::{self, names};
 use rsky_core::query::Query;
 use rsky_core::record::{RecordId, RowBuf, ValueId};
 use rsky_storage::{Disk, MemoryBudget, MutationEvent, MutationKind};
@@ -140,7 +140,7 @@ impl MaterializedView {
     pub fn build(ds: &Dataset, spec: ViewSpec, generation: u64) -> Result<Self> {
         let query = spec.query(&ds.schema)?;
         let obs = obs::handle();
-        let mut span = obs.span(view_names::PREFIX, view_names::SPAN_BUILD);
+        let mut span = obs.span(names::VIEW, "build");
         let cache = QueryDistCache::new(&ds.dissim, &ds.schema, &query);
         let kernel = PrunerKernel::new(&ds.schema, &ds.dissim);
         let mut checks = 0u64;
@@ -236,13 +236,13 @@ impl MaterializedView {
             return Ok(None);
         }
         let obs = obs::handle();
-        let mut span = obs.span(view_names::PREFIX, view_names::SPAN_DELTA);
+        let mut span = obs.span(names::VIEW, "delta");
         let scan = scan_parts(ds, parts);
         let mut checks = 0u64;
         let (added, removed, resync) = if !event.follows(self.generation) {
             let before = std::mem::take(&mut self.members);
             self.rebuild(ds, &scan, &mut checks)?;
-            obs.counter_add(view_names::CTR_FALLBACK, 1);
+            obs.counter_add(names::VIEW_FALLBACK, 1);
             self.fallbacks += 1;
             let added = diff(&self.members, &before);
             let removed = diff(&before, &self.members);
@@ -257,8 +257,8 @@ impl MaterializedView {
         };
         self.generation = event.generation;
         self.epoch += 1;
-        obs.counter_add(view_names::CTR_DELTA_ADD, added.len() as u64);
-        obs.counter_add(view_names::CTR_DELTA_REMOVE, removed.len() as u64);
+        obs.counter_add(names::VIEW_DELTA_ADD, added.len() as u64);
+        obs.counter_add(names::VIEW_DELTA_REMOVE, removed.len() as u64);
         if span.is_recording() {
             span.field("add", added.len() as u64);
             span.field("remove", removed.len() as u64);
@@ -360,7 +360,7 @@ impl MaterializedView {
             // factory (members), then witness refresh for the non-members.
             let before = std::mem::take(&mut self.members);
             self.rebuild(ds, scan, checks)?;
-            obs.counter_add(view_names::CTR_FALLBACK, 1);
+            obs.counter_add(names::VIEW_FALLBACK, 1);
             self.fallbacks += 1;
             let added = diff(&self.members, &before);
             // `before` no longer holds the expired member, so the rebuild

@@ -1,52 +1,33 @@
 //! The *metric-name contract*: every metric emitted anywhere in the
-//! workspace uses a name from the canonical vocabulary in
-//! `rsky_core::obs::{names, server_names, shard_names, view_names,
-//! health_names}`.
+//! workspace uses a name from the one metric vocabulary,
+//! `rsky_core::obs::names::ALL`.
 //!
-//! Two clauses, both enforced by reading the source tree (no macro or
-//! proc-macro machinery — the contract survives refactors because it checks
-//! what the files actually say):
+//! The clauses:
 //!
-//! * the constants themselves are pairwise distinct — two constants naming
-//!   the same string would silently merge series in every sink;
+//! * the declared names are pairwise distinct — two rows naming the same
+//!   string would silently merge series in every sink — and each row's
+//!   help text is what `help_for` serves for its name;
 //! * every **string literal** passed as the first argument to
 //!   `counter_add` / `gauge_set` / `histogram_record` in non-test code
-//!   equals, or is dot-prefixed by, one of the constant values. Names built
-//!   at runtime (the registry sink's `format!("{}.{k}", …)` flattening) are
-//!   out of scope by construction: they aren't literals.
+//!   equals, or is dot-prefixed by, a declared name. Names built at runtime
+//!   (the registry sink's `format!("{}.{k}", …)` flattening) are out of
+//!   scope by construction: they aren't literals. This clause reads the
+//!   callers' source files, so it holds whatever the code says;
+//! * every series a default health rule reads is a declared name or a
+//!   declared span's `.wall_us` histogram.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+
+use rsky::core::obs::{help_for, names};
+use rsky::server::RuleKind;
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// Extracts `pub const NAME: &str = "value";` pairs from one `pub mod`
-/// block of `obs.rs`. The names modules hold nothing but doc comments and
-/// string constants, and close with a `}` on its own line.
-fn extract_consts(src: &str, module: &str) -> Vec<(String, String)> {
-    let header = format!("pub mod {module} {{");
-    let start = src
-        .find(&header)
-        .unwrap_or_else(|| panic!("obs.rs lost its `pub mod {module}` block"));
-    let mut out = Vec::new();
-    for line in src[start + header.len()..].lines() {
-        if line.trim() == "}" {
-            break;
-        }
-        let t = line.trim();
-        let Some(rest) = t.strip_prefix("pub const ") else { continue };
-        let (name, rest) = rest.split_once(':').expect("const without a type");
-        let value = rest
-            .split_once('"')
-            .and_then(|(_, v)| v.split_once('"'))
-            .map(|(v, _)| v)
-            .unwrap_or_else(|| panic!("const {name} in {module} is not a string literal"));
-        out.push((name.trim().to_string(), value.to_string()));
-    }
-    assert!(!out.is_empty(), "no constants parsed from `pub mod {module}`");
-    out
+fn declared(name: &str) -> bool {
+    names::ALL.iter().any(|&(n, _)| n == name)
 }
 
 fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -86,14 +67,8 @@ fn literal_first_args(src: &str) -> Vec<String> {
 
 #[test]
 fn canonical_name_constants_are_pairwise_distinct() {
-    let obs = fs::read_to_string(workspace_root().join("crates/core/src/obs.rs")).unwrap();
-    let mut all = Vec::new();
-    for module in ["names", "server_names", "shard_names", "view_names", "health_names"] {
-        for (name, value) in extract_consts(&obs, module) {
-            all.push((format!("{module}::{name}"), value));
-        }
-    }
-    assert!(all.len() >= 10, "suspiciously few constants parsed: {all:?}");
+    let all = names::ALL;
+    assert!(all.len() >= 10, "suspiciously few rows: {all:?}");
     // The pruner-exchange counters are part of the public metric surface
     // (registry-exported, scraped by the Prometheus endpoint) — losing one
     // in a refactor is a contract break, not a cleanup.
@@ -124,30 +99,22 @@ fn canonical_name_constants_are_pairwise_distinct() {
         "health.evals",
         "health.transitions",
     ] {
-        assert!(
-            all.iter().any(|(_, v)| v == required),
-            "exchange metric {required:?} missing from the canonical vocabulary"
-        );
+        assert!(declared(required), "metric {required:?} missing from the vocabulary");
     }
-    for (i, (path_a, a)) in all.iter().enumerate() {
-        for (path_b, b) in &all[i + 1..] {
-            assert_ne!(
-                a, b,
-                "{path_a} and {path_b} both name {a:?} — their series would merge"
-            );
+    for (i, (a, _)) in all.iter().enumerate() {
+        for (b, _) in &all[i + 1..] {
+            assert_ne!(a, b, "two rows both name {a:?} — their series would merge");
         }
+    }
+    for &(name, help) in all {
+        assert!(!help.is_empty() && !help.contains('\n'), "{name}: help must be one line");
+        assert_eq!(help_for(name), help, "help_for({name:?}) serves another row's text");
     }
 }
 
 #[test]
 fn every_literal_metric_name_comes_from_the_canonical_vocabulary() {
     let root = workspace_root();
-    let obs = fs::read_to_string(root.join("crates/core/src/obs.rs")).unwrap();
-    let mut vocabulary: Vec<String> = Vec::new();
-    for module in ["names", "server_names", "shard_names", "view_names", "health_names"] {
-        vocabulary.extend(extract_consts(&obs, module).into_iter().map(|(_, v)| v));
-    }
-
     // Sweep every crate's src/ tree plus the facade's. Bench executables
     // (crates/bench/benches/) are out of scope: their synthetic series
     // (`bench.*`) never leave the bench process.
@@ -171,9 +138,8 @@ fn every_literal_metric_name_comes_from_the_canonical_vocabulary() {
             continue;
         }
         for lit in literal_first_args(&src) {
-            let ok = vocabulary
-                .iter()
-                .any(|v| lit == *v || lit.starts_with(&format!("{v}.")));
+            let ok =
+                names::ALL.iter().any(|&(v, _)| lit == v || lit.starts_with(&format!("{v}.")));
             if !ok {
                 violations.push(format!("{}: {lit:?}", path.display()));
             }
@@ -181,7 +147,24 @@ fn every_literal_metric_name_comes_from_the_canonical_vocabulary() {
     }
     assert!(
         violations.is_empty(),
-        "metric names not in obs::names/server_names/shard_names/view_names/health_names:\n{}",
+        "metric names not in obs::names::ALL:\n{}",
         violations.join("\n")
     );
+}
+
+#[test]
+fn default_health_rules_read_declared_series() {
+    let rules = rsky::server::health::default_rules();
+    let mut read = Vec::new();
+    for rule in &rules {
+        match &rule.kind {
+            RuleKind::Rate | RuleKind::Quantile(_) => read.push(rule.metric.clone()),
+            RuleKind::Burn { bad, good, .. } => read.extend(bad.iter().chain(good).cloned()),
+        }
+    }
+    assert!(read.len() >= rules.len(), "every rule reads a series: {read:?}");
+    for metric in read {
+        let ok = declared(&metric) || metric.strip_suffix(".wall_us").is_some_and(declared);
+        assert!(ok, "a default health rule reads {metric:?}, which is not declared");
+    }
 }

@@ -539,6 +539,16 @@ fn assert_sharded_tiling(sink: &MemorySink, run: &ShardedRun, k: usize, ctx: &st
             "shard span {key} don't tile the merged stats ({ctx})"
         );
     }
+    // Tree visits too: every shard span is a cost scope, so a TRS shard's
+    // local run reports the nodes it visited.
+    assert_eq!(
+        sink.sum_field(PLAN, "tree_nodes_visited")
+            + sink.sum_field(LOCAL, "tree_nodes_visited")
+            + sink.sum_field(KILL, "tree_nodes_visited")
+            + sink.sum_field(VERIFY, "tree_nodes_visited"),
+        s.tree_nodes_visited,
+        "shard span tree_nodes_visited don't tile the merged stats ({ctx})"
+    );
 
     // The phase spans summarize the fan-out; the closing run span repeats
     // the merged totals verbatim (same clause as the single-node contract).
@@ -596,6 +606,47 @@ fn sharded_span_deltas_tile_merged_stats() {
                 assert_eq!(run.ids, expect, "{ctx}");
                 assert_sharded_tiling(&sink, &run, k, &ctx);
             }
+        }
+    }
+}
+
+/// The `influence.query` spans of an influence batch tile the report's
+/// totals on every cost counter and IO field, whether the batch runs on
+/// one prepared table or through the sharded executor: each span is a cost
+/// scope over the running totals.
+#[test]
+fn influence_query_spans_tile_the_report_totals() {
+    let mut rng = StdRng::seed_from_u64(1011);
+    let ds = rsky::data::synthetic::normal_dataset(3, 6, 150, &mut rng).unwrap();
+    let qs = rsky::data::random_queries(&ds.schema, 4, &mut rng).unwrap();
+    let spec = ShardSpec::new(3, ShardPolicy::RoundRobin).unwrap();
+    let mut engine = rsky::algos::InfluenceEngine::new(ds.clone(), 8.0, 128).unwrap();
+    let mut tables = ShardedTables::new(&ds, spec, 8.0, 128, 3).unwrap();
+    let runs: [(&str, &mut dyn FnMut() -> rsky::algos::InfluenceReport); 2] = [
+        ("single table", &mut || engine.run(&qs, false).unwrap()),
+        ("sharded", &mut || tables.run_influence(&qs, false).unwrap()),
+    ];
+    for (ctx, run) in runs {
+        let sink = MemorySink::new();
+        let report = obs::with_recorder(sink.handle(), run);
+        let t = &report.totals;
+        assert!(t.tree_nodes_visited > 0, "TRS visited no tree nodes ({ctx})");
+        assert_eq!(sink.span_count("influence.query"), qs.len(), "one span per query ({ctx})");
+        for (key, total) in [
+            ("dist_checks", t.dist_checks),
+            ("query_dist_checks", t.query_dist_checks),
+            ("obj_comparisons", t.obj_comparisons),
+            ("tree_nodes_visited", t.tree_nodes_visited),
+            ("seq_reads", t.io.seq_reads),
+            ("rand_reads", t.io.rand_reads),
+            ("seq_writes", t.io.seq_writes),
+            ("rand_writes", t.io.rand_writes),
+        ] {
+            assert_eq!(
+                sink.sum_field("influence.query", key),
+                total,
+                "influence.query {key} don't tile the report totals ({ctx})"
+            );
         }
     }
 }

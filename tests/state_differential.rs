@@ -10,7 +10,10 @@
 //!   external sort of that file;
 //! * every engine on one long-lived worker returns the oracle's ids, with
 //!   every `RunStats` counter and IO count equal to a run on a freshly
-//!   prepared table.
+//!   prepared table;
+//! * a sharded state fed the same writes, under each placement policy,
+//!   keeps shard parts that hold exactly the flat rows, duplicates counted,
+//!   and a sharded worker returns the unsharded worker's ids.
 //!
 //! The streams start from a dataset with a duplicated id (an expire removes
 //! every copy), insert rows equal to existing ones, expire the first and
@@ -81,8 +84,13 @@ fn fresh_run(ds: &Dataset, engine: &str, query: &Query) -> RsRun {
     algo.run(&mut ctx, &prepared.file, query).unwrap()
 }
 
-/// The whole contract at one generation.
-fn check_generation(version: &DatasetVersion, worker: &mut WorkerState, queries: &[Query]) {
+/// The whole contract at one generation; returns the worker's ids per
+/// query and engine.
+fn check_generation(
+    version: &DatasetVersion,
+    worker: &mut WorkerState,
+    queries: &[Query],
+) -> Vec<Vec<RecordId>> {
     let ds = &version.dataset;
     let g = version.generation;
     let budget = MemoryBudget::from_percent(ds.data_bytes(), MEM_PCT, PAGE).unwrap();
@@ -102,6 +110,7 @@ fn check_generation(version: &DatasetVersion, worker: &mut WorkerState, queries:
     let mut ids: Vec<RecordId> = (0..ds.rows.len()).map(|i| ds.rows.id(i)).collect();
     ids.sort_unstable();
     let unique_ids = ids.windows(2).all(|w| w[0] != w[1]);
+    let mut answers = Vec::new();
     for (qi, q) in queries.iter().enumerate() {
         let mut oracle = reverse_skyline_by_definition(&ds.dissim, &ds.rows, q);
         oracle.sort_unstable();
@@ -114,7 +123,44 @@ fn check_generation(version: &DatasetVersion, worker: &mut WorkerState, queries:
             if unique_ids {
                 assert_eq!(got.ids, oracle, "{what}: oracle");
             }
+            answers.push(got.ids);
         }
+    }
+    answers
+}
+
+/// Every row of `rows` with its id, sorted: the rows as a multiset.
+fn row_multiset<'a>(rows: impl IntoIterator<Item = &'a RowBuf>) -> Vec<Vec<u32>> {
+    let mut out: Vec<Vec<u32>> =
+        rows.into_iter().flat_map(|r| (0..r.len()).map(|i| r.flat_row(i).to_vec())).collect();
+    out.sort_unstable();
+    out
+}
+
+/// The sharded contract at one generation: `version` is the flat state's
+/// generation as the sharded state holds it, its parts hold exactly the
+/// flat rows, duplicates counted, and the sharded worker answers `flat`,
+/// the unsharded worker's ids per query and engine.
+fn check_sharded(
+    flat: &DatasetVersion,
+    version: &DatasetVersion,
+    worker: &mut WorkerState,
+    queries: &[Query],
+    answers: &[Vec<RecordId>],
+) {
+    let g = flat.generation;
+    assert_eq!(version.generation, g);
+    assert_eq!(version.dataset.rows, flat.dataset.rows, "generation {g}: flat rows");
+    let parts = &version.shards.as_ref().expect("a sharded state").parts;
+    assert_eq!(
+        row_multiset(parts.iter().map(|p| &**p)),
+        row_multiset([&flat.dataset.rows]),
+        "generation {g}: shard parts"
+    );
+    let runs = queries.iter().flat_map(|q| ENGINES.iter().map(move |&e| (q, e)));
+    for ((q, engine), want) in runs.zip(answers) {
+        let got = worker.run_query(version, engine, 1, q).unwrap();
+        assert_eq!(&got.ids, want, "generation {g}, {engine}: sharded ids");
     }
 }
 
@@ -135,11 +181,13 @@ fn insert_values(version: &DatasetVersion, rng: &mut StdRng) -> Vec<u32> {
     (0..ds.schema.num_attrs()).map(|a| rng.gen_range(0..ds.schema.cardinality(a))).collect()
 }
 
-/// One seeded stream: the state, one worker serving every generation, and
-/// the writes still to come.
+/// One seeded stream: the state, one worker serving every generation, the
+/// sharded states and workers that see the same writes, and the writes
+/// still to come.
 struct Stream {
     state: DataState,
     worker: WorkerState,
+    sharded: Vec<(DataState, WorkerState)>,
     queries: Vec<Query>,
     rng: StdRng,
     next_id: RecordId,
@@ -154,9 +202,18 @@ impl Stream {
         ds.rows.push(3, &v3);
         ds.rows.push(5, &v9);
         let queries = queries(&ds.schema, &mut rng);
+        let sharded = [ShardPolicy::RoundRobin, ShardPolicy::HashById]
+            .into_iter()
+            .map(|policy| {
+                let spec = ShardSpec::new(3, policy).unwrap();
+                let worker = WorkerState::new(PAGE, MEM_PCT, TILES).unwrap();
+                (DataState::new_sharded(ds.clone(), spec), worker.with_shards(Some(spec)))
+            })
+            .collect();
         let mut stream = Self {
             state: DataState::new(ds),
             worker: WorkerState::new(PAGE, MEM_PCT, TILES).unwrap(),
+            sharded,
             queries,
             rng,
             next_id: 1000,
@@ -166,17 +223,26 @@ impl Stream {
     }
 
     fn check(&mut self, version: &DatasetVersion) {
-        check_generation(version, &mut self.worker, &self.queries);
+        let answers = check_generation(version, &mut self.worker, &self.queries);
+        for (state, worker) in &mut self.sharded {
+            check_sharded(version, &state.current(), worker, &self.queries, &answers);
+        }
     }
 
     fn insert(&mut self) {
         self.next_id += 1;
         let values = insert_values(&self.state.current(), &mut self.rng);
+        for (state, _) in &self.sharded {
+            state.insert(self.next_id, &values).unwrap();
+        }
         let (version, _) = self.state.insert(self.next_id, &values).unwrap();
         self.check(&version);
     }
 
     fn expire(&mut self, id: RecordId) {
+        for (state, _) in &self.sharded {
+            state.expire(id).unwrap();
+        }
         let (version, _) = self.state.expire(id).unwrap();
         let rows = &version.dataset.rows;
         assert!((0..rows.len()).all(|i| rows.id(i) != id), "a copy of {id} is left");
