@@ -345,15 +345,12 @@ impl ReverseSkylineAlgo for TrsBf {
                         }
                         let attr = order[level];
                         let selected = subset.contains(attr);
-                        for &c in tree.children(n) {
-                            let b = if selected {
-                                bound + cache.d(attr, tree.value(c))
-                            } else {
-                                bound
-                            };
+                        let (children, values) = tree.children_and_values(n);
+                        for (&c, &u) in children.iter().zip(values) {
+                            let b = if selected { bound + cache.d(attr, u) } else { bound };
                             heap.push(b, c);
-                            heap_pushes += 1;
                         }
+                        heap_pushes += children.len() as u64;
                     }
                     bspan
                         .field("batch", (stats.phase1_batches - 1) as u64)
@@ -603,9 +600,7 @@ fn collect_leaf_reps(
                 out.push(ids[1], lvals);
             }
         } else {
-            for &c in tree.children(n) {
-                stack.push(c);
-            }
+            stack.extend_from_slice(tree.children(n));
         }
     }
 }

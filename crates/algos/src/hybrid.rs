@@ -262,6 +262,7 @@ pub fn hybrid_trs(
             encode(ds, i as u32, &mut tvals);
             tree.insert(&tvals, i as u32);
         }
+        tree.seal();
         stats.phase1_batches += 1;
         for i in start..end {
             stats.obj_comparisons += 1;
@@ -283,6 +284,7 @@ pub fn hybrid_trs(
             encode(ds, id, &mut tvals);
             tree.insert(&tvals, id);
         }
+        tree.seal();
         stats.phase2_batches += 1;
         for e in 0..n as u32 {
             if tree.is_empty() {
@@ -326,7 +328,7 @@ fn is_prunable_hybrid(
     let c_cat = ds.cat_rows.values(c_id as usize);
     let c_num = ds.num_of(c_id);
     let mut stack: Vec<(NodeIdx, bool)> = vec![(ROOT, false)];
-    let mut scratch: Vec<NodeIdx> = Vec::new();
+    let mut scratch: Vec<(NodeIdx, u32)> = Vec::new();
     while let Some((s, found_closer)) = stack.pop() {
         if tree.is_leaf(s) {
             if found_closer {
@@ -338,13 +340,15 @@ fn is_prunable_hybrid(
             continue;
         }
         scratch.clear();
-        scratch.extend_from_slice(tree.children(s));
-        scratch.sort_by_key(|&c| tree.desc_count(c));
-        for &p in &scratch {
-            let level = tree.level(p) as usize - 1;
+        let (children, values) = tree.children_and_values(s);
+        scratch.extend(children.iter().copied().zip(values.iter().copied()));
+        scratch.sort_by_key(|&(c, _)| tree.desc_count(c));
+        // Children of `s` fix attribute `level(s)` of the tree encoding.
+        let level = tree.level(s) as usize;
+        for &(p, u) in &scratch {
             if level < mc {
                 stats.dist_checks += 1;
-                let d_pc = ds.dissim.d(level, tree.value(p), c_cat[level]);
+                let d_pc = ds.dissim.d(level, u, c_cat[level]);
                 let d_qc = ds.dissim.d(level, q.cat[level], c_cat[level]);
                 if d_pc <= d_qc {
                     stack.push((p, found_closer || d_pc < d_qc));
@@ -352,7 +356,7 @@ fn is_prunable_hybrid(
             } else {
                 let k = level - mc;
                 stats.dist_checks += 1;
-                let (blo, bhi) = ds.num_attrs[k].bounds(tree.value(p));
+                let (blo, bhi) = ds.num_attrs[k].bounds(u);
                 let (_, max_pc) = point_interval_minmax(c_num[k], blo, bhi);
                 let d_qc = (q.num[k] - c_num[k]).abs();
                 if max_pc <= d_qc {
@@ -406,12 +410,11 @@ fn prune_hybrid(
             }
             continue;
         }
-        for i in 0..tree.children(s).len() {
-            let p = tree.children(s)[i];
-            let level = tree.level(p) as usize - 1;
+        let level = tree.level(s) as usize;
+        let (children, values) = tree.children_and_values(s);
+        for (&p, &u) in children.iter().zip(values) {
             if level < mc {
                 stats.dist_checks += 1;
-                let u = tree.value(p);
                 let d_pe = ds.dissim.d(level, e_cat[level], u);
                 let d_pq = ds.dissim.d(level, q.cat[level], u);
                 if d_pe <= d_pq {
@@ -420,7 +423,7 @@ fn prune_hybrid(
             } else {
                 let k = level - mc;
                 stats.dist_checks += 1;
-                let (blo, bhi) = ds.num_attrs[k].bounds(tree.value(p));
+                let (blo, bhi) = ds.num_attrs[k].bounds(u);
                 let (min_pe, _) = point_interval_minmax(e_num[k], blo, bhi);
                 let (_, max_pq) = point_interval_minmax(q.num[k], blo, bhi);
                 // Possible that d(e,u) ≤ d(q,u) for some u in the bucket.

@@ -160,13 +160,17 @@ pub fn run_queries(
     Ok(InfluenceReport { per_query, totals })
 }
 
-/// Runs an influence workload across `threads` OS threads, each with its own
-/// disk and prepared table (the dataset is cloned per thread; queries are
-/// partitioned round-robin). Results come back in workload order, identical
-/// to the sequential [`InfluenceEngine::run`].
+/// Runs an influence workload across `threads` OS threads. The dataset is
+/// loaded and sorted once; each thread mounts the sorted page image on its
+/// own in-memory disk without copying it ([`SharedRecords::mount`]) and
+/// runs its share of the queries (partitioned round-robin) there. Results
+/// come back in workload order, identical to the sequential
+/// [`InfluenceEngine::run`].
 ///
 /// Threading is safe and simple here because every engine run is pure with
 /// respect to its own disk: no shared mutable state exists across queries.
+///
+/// [`SharedRecords::mount`]: rsky_storage::SharedRecords::mount
 pub fn run_influence_parallel(
     dataset: &Dataset,
     queries: &[Query],
@@ -179,6 +183,14 @@ pub fn run_influence_parallel(
     if threads <= 1 || queries.len() <= 1 {
         return InfluenceEngine::new(dataset.clone(), mem_pct, page_size)?.run(queries, keep_ids);
     }
+    // Load and sort once, on the calling thread; the sorted file's image is
+    // what every worker mounts.
+    let mut disk = Disk::new_mem(page_size);
+    let raw = load_dataset(&mut disk, dataset)?;
+    let budget = MemoryBudget::from_percent(dataset.data_bytes(), mem_pct, page_size)?;
+    let sorted = prepare_table(&mut disk, &dataset.schema, &raw, Layout::MultiSort, &budget)?;
+    let image = sorted.file.share(&disk)?;
+    let trs = Trs::for_schema(&dataset.schema);
     let chunks: Vec<Vec<(usize, Query)>> = {
         let mut c: Vec<Vec<(usize, Query)>> = vec![Vec::new(); threads];
         for (qi, q) in queries.iter().enumerate() {
@@ -199,16 +211,25 @@ pub fn run_influence_parallel(
             .map(|chunk| {
                 let obs = obs.clone();
                 let cancel = cancel.clone();
+                let (image, trs) = (&image, &trs);
                 scope.spawn(move || -> Result<Vec<(usize, Influence, RunStats)>> {
                     rsky_core::obs::with_recorder(obs, || {
                         rsky_core::cancel::with_token(cancel, || {
                             rsky_core::obs::with_parent(parent, || {
-                                let mut engine =
-                                    InfluenceEngine::new(dataset.clone(), mem_pct, page_size)?;
+                                let mut disk = Disk::new_mem(page_size);
+                                let file = image.mount(&mut disk)?;
                                 let mut out = Vec::with_capacity(chunk.len());
                                 for (qi, q) in chunk {
                                     let report =
-                                        engine.run(std::slice::from_ref(&q), keep_ids)?;
+                                        run_queries(std::slice::from_ref(&q), keep_ids, |q| {
+                                            let mut ctx = EngineCtx {
+                                                disk: &mut disk,
+                                                schema: &dataset.schema,
+                                                dissim: &dataset.dissim,
+                                                budget,
+                                            };
+                                            trs.run(&mut ctx, &file, q)
+                                        })?;
                                     let mut inf = report
                                         .per_query
                                         .into_iter()
@@ -304,6 +325,24 @@ mod tests {
             assert_eq!(a.ids, b.ids);
         }
         assert_eq!(seq.totals.dist_checks, par.totals.dist_checks);
+    }
+
+    #[test]
+    fn parallel_workers_cost_what_sequential_queries_cost() {
+        // Each worker mounts the one sorted image instead of loading and
+        // sorting its own copy; the queries' own costs, IO included, stay
+        // those of the sequential engine.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(203);
+        let ds = rsky_data::synthetic::normal_dataset(4, 5, 300, &mut rng).unwrap();
+        let qs = rsky_data::random_queries(&ds.schema, 6, &mut rng).unwrap();
+        let seq = InfluenceEngine::new(ds.clone(), 12.0, 256).unwrap().run(&qs, false).unwrap();
+        let par = run_influence_parallel(&ds, &qs, 12.0, 256, 2, false).unwrap();
+        let (a, b) = (&seq.totals, &par.totals);
+        assert_eq!(
+            (a.dist_checks, a.query_dist_checks, a.obj_comparisons, a.tree_nodes_visited),
+            (b.dist_checks, b.query_dist_checks, b.obj_comparisons, b.tree_nodes_visited)
+        );
+        assert_eq!(a.io, b.io);
     }
 
     #[test]

@@ -72,7 +72,6 @@
 //! exports `shard.exchange.pruners` and `shard.phase2.candidates.{pre,post}`
 //! counters through the metrics registry.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -114,12 +113,40 @@ pub fn layout_for(engine_name: &str, tiles: u32) -> Result<Layout> {
     }
 }
 
+/// A shard's rows and their id index, built once with the shard: the rows
+/// never change for a [`ShardedTables`]' lifetime, and the exchange and the
+/// verification look their candidates up by id.
+struct Partition {
+    /// The shard's rows in partition (generation) order.
+    rows: RowBuf,
+    /// `(id, row)` for every row, sorted.
+    by_id: Vec<(RecordId, u32)>,
+}
+
+impl Partition {
+    fn new(rows: RowBuf) -> Self {
+        let mut by_id: Vec<(RecordId, u32)> =
+            (0..rows.len()).map(|ri| (rows.id(ri), ri as u32)).collect();
+        by_id.sort_unstable();
+        Self { rows, by_id }
+    }
+
+    /// Values of the last row holding `id`.
+    ///
+    /// # Panics
+    /// Panics if no row of the shard holds `id`.
+    fn values_of(&self, id: RecordId) -> &[u32] {
+        let at = self.by_id.partition_point(|&(i, _)| i <= id);
+        assert!(at > 0 && self.by_id[at - 1].0 == id, "candidate id belongs to this shard");
+        self.rows.values(self.by_id[at - 1].1 as usize)
+    }
+}
+
 /// One shard's node state: its partition, its own disk (engines create
 /// scratch files during runs), and the layouts prepared on it so repeated
 /// queries pay the sort once — a shard is a miniature single-node setup.
 struct ShardTable {
-    /// The shard's rows in partition (generation) order.
-    rows: RowBuf,
+    part: Partition,
     disk: Disk,
     budget: MemoryBudget,
     /// The raw record file; `None` for an empty shard.
@@ -139,7 +166,8 @@ impl ShardTable {
             rf.write_all(&mut disk, &rows)?;
             Some(rf)
         };
-        Ok(Self { rows, disk, budget, raw, original: None, multisort: None, tiled: None })
+        let part = Partition::new(rows);
+        Ok(Self { part, disk, budget, raw, original: None, multisort: None, tiled: None })
     }
 
     /// The shard's table in `layout`, prepared lazily on first use.
@@ -312,7 +340,7 @@ impl ShardedTables {
 
     /// Records held by shard `i`.
     pub fn shard_len(&self, i: usize) -> usize {
-        self.shards[i].rows.len()
+        self.shards[i].part.rows.len()
     }
 
     /// Computes `RS_D(Q)` by two-phase scatter-gather (see the module docs).
@@ -407,7 +435,7 @@ impl ShardedTables {
             stats.merge(&local);
             per_shard.push(ShardCost {
                 shard: i,
-                records: self.shards[i].rows.len(),
+                records: self.shards[i].part.rows.len(),
                 candidates: ids.len(),
                 exported: 0,
                 post_exchange: ids.len(),
@@ -443,7 +471,7 @@ impl ShardedTables {
             let mut band_rows = RowBuf::new(m);
             for (i, st) in self.shards.iter().enumerate() {
                 per_shard[i].exported = select_pruners(
-                    &st.rows,
+                    &st.part,
                     &candidates[i],
                     shared.cache(),
                     &query.subset,
@@ -459,10 +487,10 @@ impl ShardedTables {
                     .map(|i| {
                         let (robs, cands, band) = (&robs, &candidates[i], &band);
                         let (cache, src) = (shared.cache(), kern.source(dissim));
-                        let rows = &self.shards[i].rows;
+                        let part = &self.shards[i].part;
                         s.spawn(move || {
                             obs::with_parent(ex_ctx, || {
-                                exchange_kill(i, cands, rows, band, src, query, cache, robs)
+                                exchange_kill(i, cands, part, band, src, query, cache, robs)
                             })
                         })
                     })
@@ -507,10 +535,10 @@ impl ShardedTables {
                 .map(|i| {
                     let (robs, windows, cands) = (&robs, &windows, &candidates[i]);
                     let (cache, src) = (shared.cache(), kern.source(dissim));
-                    let rows = &self.shards[i].rows;
+                    let part = &self.shards[i].part;
                     s.spawn(move || {
                         obs::with_parent(p2_ctx, || {
-                            verify_shard(i, cands, rows, windows, src, query, cache, robs)
+                            verify_shard(i, cands, part, windows, src, query, cache, robs)
                         })
                     })
                 })
@@ -578,7 +606,7 @@ fn local_run(
 ) -> Result<(Vec<RecordId>, RunStats)> {
     robs.check_cancelled()?;
     let scope = robs.scope("phase1.local", &RunStats::default(), IoCounts::default());
-    let records = st.rows.len();
+    let records = st.part.rows.len();
     let (ids, stats) = if records == 0 {
         (Vec::new(), RunStats::default())
     } else {
@@ -608,7 +636,7 @@ fn local_run(
 /// the kill pass's scan order and counters — is deterministic. Returns the
 /// number of pruners exported.
 fn select_pruners(
-    rows: &RowBuf,
+    part: &Partition,
     cands: &[RecordId],
     cache: &QueryDistCache,
     subset: &AttrSubset,
@@ -618,7 +646,6 @@ fn select_pruners(
     if cands.is_empty() || budget == 0 {
         return 0;
     }
-    let index: HashMap<RecordId, usize> = (0..rows.len()).map(|ri| (rows.id(ri), ri)).collect();
     let mut picked: Vec<RecordId>;
     if cands.len() <= budget {
         picked = cands.to_vec();
@@ -626,7 +653,7 @@ fn select_pruners(
         let mut scored: Vec<(f64, RecordId)> = cands
             .iter()
             .map(|&id| {
-                let vals = rows.values(index[&id]);
+                let vals = part.values_of(id);
                 let score: f64 = subset.indices().iter().map(|&i| cache.d(i, vals[i])).sum();
                 (score, id)
             })
@@ -637,7 +664,7 @@ fn select_pruners(
     }
     let exported = picked.len();
     for &id in &picked {
-        band.push(id, rows.values(index[&id]));
+        band.push(id, part.values_of(id));
     }
     exported
 }
@@ -655,7 +682,7 @@ fn select_pruners(
 fn exchange_kill(
     shard: usize,
     cands: &[RecordId],
-    rows: &RowBuf,
+    part: &Partition,
     band: &ColumnarBatch,
     src: DistSource<'_>,
     query: &Query,
@@ -669,7 +696,7 @@ fn exchange_kill(
         cands.to_vec()
     } else {
         let subset = &query.subset;
-        let mut blocks = candidate_blocks(src, cache, subset, cands, rows);
+        let mut blocks = candidate_blocks(src, cache, subset, cands, part);
         blocks.scan(subset, band, true, &mut ks);
         alive_ids(&blocks, cands)
     };
@@ -692,12 +719,10 @@ fn candidate_blocks<'a>(
     cache: &QueryDistCache,
     subset: &AttrSubset,
     cands: &[RecordId],
-    rows: &RowBuf,
+    part: &Partition,
 ) -> CandidateBlocks<'a> {
-    let index: HashMap<RecordId, usize> = (0..rows.len()).map(|ri| (rows.id(ri), ri)).collect();
     CandidateBlocks::build(src, cache, subset, cands.len(), |xi| {
-        let ri = *index.get(&cands[xi]).expect("candidate id belongs to this shard");
-        (cands[xi], rows.values(ri))
+        (cands[xi], part.values_of(cands[xi]))
     })
 }
 
@@ -712,7 +737,7 @@ fn candidate_blocks<'a>(
 fn verify_shard(
     shard: usize,
     cands: &[RecordId],
-    rows: &RowBuf,
+    part: &Partition,
     windows: &[Option<SharedRecords>],
     src: DistSource<'_>,
     query: &Query,
@@ -727,8 +752,8 @@ fn verify_shard(
         cands.to_vec()
     } else {
         let subset = &query.subset;
-        let mut dpage = RowBuf::new(rows.num_attrs());
-        let mut blocks = candidate_blocks(src, cache, subset, cands, rows);
+        let mut dpage = RowBuf::new(part.rows.num_attrs());
+        let mut blocks = candidate_blocks(src, cache, subset, cands, part);
         'shards: for (j, win) in windows.iter().enumerate() {
             let Some(win) = win else { continue };
             if j == shard {

@@ -33,7 +33,7 @@
 //! spares the scanned object's own id. This is exactly the paper's
 //! "`M ∖ c`" and "other than `e` itself" provisos.
 
-use rsky_altree::{AlTree, InsertHint, NodeIdx, ROOT};
+use rsky_altree::{AlTree, NodeIdx, ROOT};
 use rsky_core::dissim::{DissimTable, FlatDissim};
 use rsky_core::error::{Error, Result};
 use rsky_core::query::{AttrSubset, Query};
@@ -232,10 +232,20 @@ pub(crate) fn phase1_tree_batch(
     let m = order.len();
     let mut c_schema_vals = vec![0u32; m];
     let mut row = vec![0u32; m + 1];
-    let mut stack = Vec::with_capacity(64);
-    for leaf in collect_leaves(tree) {
-        leaf_schema_values(tree, leaf, order, &mut c_schema_vals);
-        let ids = tree.leaf_ids(leaf);
+    let mut stack = Vec::new();
+    // Leaves in DFS order. The walk is preorder, so when it reaches a leaf
+    // every level of `c_schema_vals` holds the value of the leaf's path.
+    let mut dfs = vec![ROOT];
+    while let Some(n) = dfs.pop() {
+        let level = tree.level(n) as usize;
+        if level > 0 {
+            c_schema_vals[order[level - 1]] = tree.value(n);
+        }
+        if !tree.is_leaf(n) {
+            dfs.extend(tree.children(n).iter().rev());
+            continue;
+        }
+        let ids = tree.leaf_ids(n);
         stats.obj_comparisons += ids.len() as u64;
         if !is_prunable_with_stack(
             tree, dissim, flat, subset, order, &c_schema_vals, ids[0], cache, stats, &mut stack,
@@ -290,7 +300,7 @@ pub(crate) fn phase2_tree_batch(
 
 /// Clears `tree`, then reads pages starting at `*page` into it (values
 /// permuted to tree order) until the tree's memory estimate reaches
-/// `tree_budget`; always loads at least one page.
+/// `tree_budget`, and seals it; always loads at least one page.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn load_batch_into_tree(
     ctx: &mut EngineCtx<'_>,
@@ -332,9 +342,6 @@ pub(crate) fn load_batch_into_tree_with(
 ) -> Result<()> {
     tree.clear();
     let mut loaded_any = false;
-    // Batches of a sorted file arrive in tree order; the insert hint skips
-    // child lookups along shared prefixes (correct for any order).
-    let mut hint = InsertHint::default();
     while *page < total_pages {
         if loaded_any && tree.estimated_bytes() >= tree_budget {
             break;
@@ -348,40 +355,19 @@ pub(crate) fn load_batch_into_tree_with(
             for (l, &a) in order.iter().enumerate() {
                 tvals[l] = vals[a];
             }
-            tree.insert_with_hint(tvals, pbuf.id(r), &mut hint);
+            tree.insert(tvals, pbuf.id(r));
         }
     }
+    tree.seal();
     Ok(())
-}
-
-/// Leaf node indices of `tree` in DFS order.
-pub(crate) fn collect_leaves(tree: &AlTree) -> Vec<NodeIdx> {
-    let mut out = Vec::new();
-    if tree.is_empty() {
-        return out;
-    }
-    let mut stack = vec![ROOT];
-    while let Some(n) = stack.pop() {
-        if tree.is_leaf(n) {
-            out.push(n);
-        } else {
-            for &c in tree.children(n).iter().rev() {
-                stack.push(c);
-            }
-        }
-    }
-    out
 }
 
 /// Reconstructs the schema-order values of `leaf` by walking its path.
 pub(crate) fn leaf_schema_values(tree: &AlTree, leaf: NodeIdx, order: &[usize], out: &mut [u32]) {
+    debug_assert!(tree.is_leaf(leaf));
     let mut n = leaf;
-    loop {
-        let level = tree.level(n) as usize;
-        if level == 0 {
-            break;
-        }
-        out[order[level - 1]] = tree.value(n);
+    for &a in order.iter().rev() {
+        out[a] = tree.value(n);
         n = tree.parent(n);
     }
 }
@@ -440,52 +426,67 @@ pub(crate) fn is_prunable_with_stack(
     for &i in subset.indices() {
         d_qc[i] = cache.d(i, c_schema_vals[i]);
     }
-    stack.clear();
-    stack.push((ROOT, false));
-    while let Some((s, found_closer)) = stack.pop() {
-        stats.tree_nodes_visited += 1;
+    // The live stack is `stack[..top]`. Every child is written at the top,
+    // which advances only when the child qualifies, so the distance test
+    // takes no branch; the buffer grows when a node's children would not
+    // fit above the top.
+    let (mut visits, mut checks, mut found) = (0u64, 0u64, false);
+    if stack.is_empty() {
+        stack.push((ROOT, false));
+    }
+    stack[0] = (ROOT, false);
+    let mut top = 1;
+    while top > 0 {
+        top -= 1;
+        let (s, found_closer) = stack[top];
+        visits += 1;
         if tree.is_leaf(s) {
             if found_closer {
                 let ids = tree.leaf_ids(s);
                 if ids.len() > 1 || ids[0] != c_id {
-                    return true;
+                    found = true;
+                    break;
                 }
             }
             continue;
         }
         // All children of `s` sit at the same level, hence the same attribute.
         let attr = order[tree.level(s) as usize];
-        let children = tree.children(s);
+        let (children, values) = tree.children_and_values(s);
+        if stack.len() < top + children.len() {
+            stack.resize(top + children.len(), (ROOT, false));
+        }
         if !subset.contains(attr) {
             // Unselected attribute: no constraint, no check.
-            for &p in children {
-                stack.push((p, found_closer));
+            for (e, &p) in stack[top..].iter_mut().zip(children) {
+                *e = (p, found_closer);
             }
+            top += children.len();
             continue;
         }
         let (c_val, d_q) = (c_schema_vals[attr], d_qc[attr]);
-        stats.dist_checks += children.len() as u64;
+        checks += children.len() as u64;
         match flat {
             Some(f) => {
                 let row = f.center_row(attr, c_val);
-                for &p in children {
-                    let d_pc = row[tree.value(p) as usize];
-                    if d_pc <= d_q {
-                        stack.push((p, found_closer || d_pc < d_q));
-                    }
+                for (&p, &u) in children.iter().zip(values) {
+                    let d_pc = row[u as usize];
+                    stack[top] = (p, found_closer | (d_pc < d_q));
+                    top += (d_pc <= d_q) as usize;
                 }
             }
             None => {
-                for &p in children {
-                    let d_pc = dt.d(attr, tree.value(p), c_val);
-                    if d_pc <= d_q {
-                        stack.push((p, found_closer || d_pc < d_q));
-                    }
+                for (&p, &u) in children.iter().zip(values) {
+                    let d_pc = dt.d(attr, u, c_val);
+                    stack[top] = (p, found_closer | (d_pc < d_q));
+                    top += (d_pc <= d_q) as usize;
                 }
             }
         }
     }
-    false
+    stats.tree_nodes_visited += visits;
+    stats.dist_checks += checks;
+    found
 }
 
 /// Upper bound on attribute count for stack-allocated scratch in the hot
@@ -544,18 +545,15 @@ pub(crate) fn prune_with_stack(
         // No ordering: every dominated leaf must go (exhaustive traversal).
         // All children of `s` share one level, hence one attribute.
         let attr = order[tree.level(s) as usize];
+        let (children, values) = tree.children_and_values(s);
         if !subset.contains(attr) {
-            for i in 0..tree.children(s).len() {
-                stack.push((tree.children(s)[i], found_closer));
-            }
+            stack.extend(children.iter().map(|&p| (p, found_closer)));
             continue;
         }
         let e_val = e_schema_vals[attr];
-        stats.dist_checks += tree.children(s).len() as u64;
+        stats.dist_checks += children.len() as u64;
         let row = flat.map(|f| f.moving_row(attr, e_val));
-        for i in 0..tree.children(s).len() {
-            let p = tree.children(s)[i];
-            let u = tree.value(p);
+        for (&p, &u) in children.iter().zip(values) {
             let d_pe = match row {
                 Some(r) => r[u as usize],
                 None => dt.d(attr, e_val, u),
@@ -586,6 +584,7 @@ mod tests {
         t.insert(&[0, 0, 1], 1); // O1 [MSW, AMD, DB2]
         t.insert(&[1, 0, 0], 2); // O2 [RHL, AMD, Informix]
         t.insert(&[2, 1, 2], 3); // O3 [SL, Intel, Oracle]
+        t.seal();
         t
     }
 
@@ -620,6 +619,7 @@ mod tests {
         let mut tree = AlTree::new(3);
         tree.insert(&[0, 0, 1], 4); // O4
         tree.insert(&[1, 0, 0], 5); // O5
+        tree.seal();
         tree.order_children_for_search();
         let mut stats = RunStats::default();
         assert!(!is_prunable(
@@ -629,7 +629,13 @@ mod tests {
         // Under MSW: AMD (1 check, cut). Total 3 — versus 6 attribute
         // comparisons for object-by-object SRS probing of O4 and O5.
         assert_eq!(stats.dist_checks, 3);
+        // The same batch with O3 added.
+        tree.clear();
+        tree.insert(&[0, 0, 1], 4);
+        tree.insert(&[1, 0, 0], 5);
         tree.insert(&[2, 1, 2], 3);
+        tree.seal();
+        tree.order_children_for_search();
         let mut stats2 = RunStats::default();
         // O3's subtree is cut at the root level too: d1(SL,MSW)=1.0 > 0.
         assert!(!is_prunable(
@@ -645,13 +651,17 @@ mod tests {
         let order = vec![0, 1, 2];
         let mut tree = AlTree::new(3);
         tree.insert(&[2, 0, 2], 9);
+        tree.seal();
         let mut stats = RunStats::default();
         // Alone in the tree: own leaf must not prune.
         assert!(!is_prunable(
             &tree, &ds.dissim, &q.subset, &order, &[2, 0, 2], 9, &cache, &mut stats
         ));
         // An exact duplicate arrives: now it is pruned (by its twin).
+        tree.clear();
+        tree.insert(&[2, 0, 2], 9);
         tree.insert(&[2, 0, 2], 10);
+        tree.seal();
         assert!(is_prunable(
             &tree, &ds.dissim, &q.subset, &order, &[2, 0, 2], 9, &cache, &mut stats
         ));
@@ -659,6 +669,7 @@ mod tests {
         let mut tied = AlTree::new(3);
         tied.insert(&[0, 1, 1], 1);
         tied.insert(&[0, 1, 1], 2);
+        tied.seal();
         assert!(!is_prunable(
             &tied, &ds.dissim, &q.subset, &order, &[0, 1, 1], 1, &cache, &mut stats
         ));
@@ -677,6 +688,7 @@ mod tests {
         tree.insert(&[2, 1, 2], 3); // O3
         tree.insert(&[0, 0, 1], 4); // O4
         tree.insert(&[0, 1, 1], 6); // O6
+        tree.seal();
         let mut stats = RunStats::default();
         let removed = prune_with(
             &mut tree, &ds.dissim, &q.subset, &order, &[0, 0, 1], 4, &cache, &mut stats,

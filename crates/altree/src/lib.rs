@@ -18,17 +18,30 @@
 //!   pruning *itself* while still pruning its exact duplicates — a
 //!   distinction a bare count cannot make.
 //!
-//! Nodes are slim (40 bytes + slots): one `Vec<u32>` per node serves as the
-//! child list for internal nodes and as the id list for leaves. The tree
-//! tracks an estimated memory footprint ([`AlTree::estimated_bytes`]): TRS
-//! sizes its batches by this estimate, and because a prefix tree shares
+//! ## Packed layout
+//!
+//! A tree holds one batch. It is built in one pass over the batch's rows
+//! ([`AlTree::insert`] per row, then [`AlTree::seal`]) with no allocation
+//! per node: every node is a 28-byte record in one flat array indexed by
+//! [`NodeIdx`] in creation order. Sealing packs every internal node's
+//! children into one contiguous range of a shared array, with the children's
+//! values in the same range of a second one
+//! ([`AlTree::children_and_values`]), and every leaf's record ids into one
+//! contiguous range of a third, in arrival order. The walks of Algorithms 4
+//! and 5 therefore read a node's child values from one contiguous range. A
+//! sealed tree only shrinks ([`AlTree::remove_leaf_except`],
+//! [`AlTree::remove`]); the next batch starts with [`AlTree::clear`], which
+//! keeps every array's capacity.
+//!
+//! The tree tracks a modeled memory footprint ([`AlTree::estimated_bytes`]):
+//! TRS sizes its batches by this estimate, and because a prefix tree shares
 //! prefixes, dense datasets pack far more objects into the same memory
 //! budget than flat buffers — one of the IO advantages the paper reports for
 //! TRS.
 //!
 //! For search-heavy phases, [`AlTree::order_children_for_search`] reorders
-//! every child list by ascending descendant count **once per batch**, so the
-//! `IsPrunable` walk (Algorithm 4) can push children in list order and have
+//! every child range by ascending descendant count **once per batch**, so the
+//! `IsPrunable` walk (Algorithm 4) can push children in range order and have
 //! the LIFO stack pop the most promising subtree first — without sorting at
 //! every node visit.
 //!
@@ -41,48 +54,48 @@
 
 use rsky_core::record::{RecordId, ValueId};
 
-/// Index of a node in the tree arena.
+/// Index of a node: its position in creation order.
 pub type NodeIdx = u32;
 
-/// The arena slot of the root node.
+/// The index of the root node.
 pub const ROOT: NodeIdx = 0;
 
 /// Modeled fixed cost of one node, in bytes, charged against the memory
-/// budget: value + subtree count + child-array pointer/length — the lean
-/// pointerless layout the paper's in-memory AL-Tree implies. The Rust
-/// arena's physical footprint is larger by a constant factor (fatter
-/// `Vec`-based nodes); the budget models the *algorithm's* memory need, the
-/// same way BRS/SRS batches are budgeted by `records × record_bytes` rather
-/// than by allocator-measured buffer sizes.
+/// budget: value + subtree count + child-range offset/length — the lean
+/// pointerless layout the paper's in-memory AL-Tree implies. The physical
+/// footprint differs by a constant factor; the budget models the
+/// *algorithm's* memory need, the same way BRS/SRS batches are budgeted by
+/// `records × record_bytes` rather than by allocator-measured buffer sizes.
 const NODE_BASE_BYTES: u64 = 16;
 /// Modeled incremental cost of one child pointer / one leaf id.
 const SLOT_BYTES: u64 = 4;
+/// End of a build-time child list.
+const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
+/// One node's fields.
+#[derive(Debug, Clone, Copy)]
 struct Node {
     /// Value this node fixes for attribute `level - 1` (tree order).
     value: ValueId,
     parent: NodeIdx,
+    /// Record instances in this subtree.
+    desc: u32,
+    /// Slot range `start..end`: into `kids`/`kid_vals` for an internal
+    /// node, into `ids` for a leaf. Until [`AlTree::seal`] lays the ranges
+    /// out, an internal node's are the head and tail of its value-sorted
+    /// child list (linked by `next`; the tail holds the largest value).
+    start: u32,
+    end: u32,
+    /// Next sibling in the build-time child list.
+    next: u32,
     /// Depth; root is 0, leaves are `m`.
     level: u16,
-    /// Record instances in this subtree.
-    desc_count: u32,
-    /// Child node indices for internal nodes; record ids for leaves.
-    slots: Vec<u32>,
 }
 
 impl Node {
-    fn new(value: ValueId, parent: NodeIdx, level: u16) -> Self {
-        Self { value, parent, level, desc_count: 0, slots: Vec::new() }
+    fn new(value: ValueId, parent: NodeIdx, level: usize) -> Self {
+        Node { value, parent, desc: 0, start: NIL, end: NIL, next: NIL, level: level as u16 }
     }
-}
-
-/// Memo for [`AlTree::insert_with_hint`]: the previously inserted record's
-/// values and arena path.
-#[derive(Debug, Clone, Default)]
-pub struct InsertHint {
-    vals: Vec<ValueId>,
-    path: Vec<NodeIdx>,
 }
 
 /// Prefix tree over records of `m` attributes (in a caller-chosen order).
@@ -94,6 +107,7 @@ pub struct InsertHint {
 /// t.insert(&[0, 0, 1], 1); // O1 [MSW, AMD, DB2]
 /// t.insert(&[0, 0, 1], 4); // O4 — exact duplicate shares the whole path
 /// t.insert(&[0, 1, 1], 6); // O6 — shares the [MSW] prefix
+/// t.seal();
 /// assert_eq!(t.num_records(), 3);
 /// assert_eq!(t.num_nodes(), 6); // root + MSW + 2×(CPU, DB) chains
 /// assert_eq!(t.desc_count(t.children(ROOT)[0]), 3);
@@ -104,13 +118,31 @@ pub struct InsertHint {
 pub struct AlTree {
     m: usize,
     nodes: Vec<Node>,
-    /// Freed arena slots available for reuse.
-    free: Vec<NodeIdx>,
+    /// Child links, each parent's contiguous.
+    kids: Vec<NodeIdx>,
+    /// `kid_vals[i]` is the value of `kids[i]`.
+    kid_vals: Vec<ValueId>,
+    /// Record ids in arrival order while building; after sealing, each
+    /// leaf's contiguous (leaves in creation order), in arrival order.
+    ids: Vec<RecordId>,
+    /// Whether every record so far went to its predecessor's leaf or to a
+    /// new one, so `ids` is already grouped by leaf. Sorted and tiled
+    /// batches stay grouped; otherwise `row_leaf` holds each record's leaf
+    /// and sealing regroups `ids` through `scratch`.
+    grouped: bool,
+    row_leaf: Vec<NodeIdx>,
+    scratch: Vec<RecordId>,
+    /// The previously inserted record's values and path: an insert starts
+    /// below their longest common prefix, which for a sorted batch skips
+    /// almost every child lookup.
+    prev_vals: Vec<ValueId>,
+    prev_path: Vec<NodeIdx>,
+    live_nodes: usize,
     estimated_bytes: u64,
     num_records: u64,
-    /// Whether child lists are sorted by value (fast insert lookups). Reset
-    /// by [`AlTree::order_children_for_search`]; inserts then fall back to
-    /// linear child search.
+    sealed: bool,
+    /// Whether child ranges are sorted by value (binary-search lookups).
+    /// Reset by [`AlTree::order_children_for_search`].
     value_sorted: bool,
 }
 
@@ -119,14 +151,25 @@ impl AlTree {
     pub fn new(m: usize) -> Self {
         assert!(m >= 1, "AL-Tree needs at least one attribute");
         assert!(m <= u16::MAX as usize, "attribute count exceeds tree depth limit");
-        Self {
+        let mut t = Self {
             m,
-            nodes: vec![Node::new(0, ROOT, 0)],
-            free: Vec::new(),
-            estimated_bytes: NODE_BASE_BYTES,
+            nodes: Vec::new(),
+            kids: Vec::new(),
+            kid_vals: Vec::new(),
+            ids: Vec::new(),
+            grouped: true,
+            row_leaf: Vec::new(),
+            scratch: Vec::new(),
+            prev_vals: vec![0; m],
+            prev_path: vec![ROOT; m],
+            live_nodes: 0,
+            estimated_bytes: 0,
             num_records: 0,
+            sealed: false,
             value_sorted: true,
-        }
+        };
+        t.clear();
+        t
     }
 
     /// Number of attributes / tree depth.
@@ -144,19 +187,21 @@ impl AlTree {
     /// Whether no records are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.num_records == 0
+        self.num_records() == 0
     }
 
-    /// Estimated heap footprint in bytes. Deterministic (based on element
-    /// counts, not allocator capacities) so batch sizing is reproducible.
+    /// Modeled heap footprint in bytes: 16 per node plus 4 per child link
+    /// and per leaf id. Deterministic (based on element counts, not
+    /// allocator capacities) so batch sizing is reproducible; exact after
+    /// every insert, so a loader can stop between pages.
     #[inline]
     pub fn estimated_bytes(&self) -> u64 {
         self.estimated_bytes
     }
 
-    /// Live (non-freed) nodes, including the root.
+    /// Live (not detached) nodes, including the root.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.live_nodes
     }
 
     /// Value fixed by `node` (meaningless for the root).
@@ -177,29 +222,46 @@ impl AlTree {
         self.nodes[node as usize].level as usize == self.m
     }
 
-    /// Children of `node` (sorted by value id until
-    /// [`AlTree::order_children_for_search`] re-orders them).
+    /// The slot range of `node` in `kids`/`kid_vals` or `ids`.
+    #[inline]
+    fn slots(&self, node: NodeIdx) -> std::ops::Range<usize> {
+        debug_assert!(self.sealed, "read of an unsealed AL-Tree");
+        let n = &self.nodes[node as usize];
+        n.start as usize..n.end as usize
+    }
+
+    /// Children of `node`, sorted by value until
+    /// [`AlTree::order_children_for_search`] re-orders them.
     ///
     /// Must not be called on leaves (their slots hold record ids).
     #[inline]
     pub fn children(&self, node: NodeIdx) -> &[NodeIdx] {
         debug_assert!(!self.is_leaf(node));
-        &self.nodes[node as usize].slots
+        &self.kids[self.slots(node)]
+    }
+
+    /// Children of `node` and, position for position, their values: the
+    /// contiguous ranges the tree walks read.
+    #[inline]
+    pub fn children_and_values(&self, node: NodeIdx) -> (&[NodeIdx], &[ValueId]) {
+        debug_assert!(!self.is_leaf(node));
+        let r = self.slots(node);
+        (&self.kids[r.clone()], &self.kid_vals[r])
     }
 
     /// Record instances below `node`.
     #[inline]
     pub fn desc_count(&self, node: NodeIdx) -> u32 {
-        self.nodes[node as usize].desc_count
+        self.nodes[node as usize].desc
     }
 
-    /// Record ids stored at leaf `node`.
+    /// Record ids stored at leaf `node`, in arrival order.
     ///
     /// Must not be called on internal nodes (their slots hold child links).
     #[inline]
     pub fn leaf_ids(&self, node: NodeIdx) -> &[RecordId] {
         debug_assert!(self.is_leaf(node));
-        &self.nodes[node as usize].slots
+        &self.ids[self.slots(node)]
     }
 
     /// Parent of `node` (the root is its own parent).
@@ -208,111 +270,171 @@ impl AlTree {
         self.nodes[node as usize].parent
     }
 
-    fn child_by_value(&self, node: NodeIdx, value: ValueId) -> Option<NodeIdx> {
-        let ch = &self.nodes[node as usize].slots;
-        if self.value_sorted {
-            ch.binary_search_by_key(&value, |&c| self.nodes[c as usize].value)
-                .ok()
-                .map(|pos| ch[pos])
-        } else {
-            ch.iter().copied().find(|&c| self.nodes[c as usize].value == value)
-        }
+    /// Appends a node with no children or records yet.
+    fn new_node(&mut self, value: ValueId, parent: NodeIdx, level: usize) -> NodeIdx {
+        let idx = self.nodes.len() as NodeIdx;
+        self.nodes.push(Node::new(value, parent, level));
+        self.live_nodes += 1;
+        self.estimated_bytes += NODE_BASE_BYTES + SLOT_BYTES;
+        idx
     }
 
-    fn alloc(&mut self, node: Node) -> NodeIdx {
-        self.estimated_bytes += NODE_BASE_BYTES;
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx as usize] = node;
-            idx
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as NodeIdx
+    /// The child of `parent` with `value`, created in value order if
+    /// absent. A value above the largest child so far (every new value of a
+    /// sorted batch) is appended without a search.
+    fn child_for(&mut self, parent: NodeIdx, value: ValueId, level: usize) -> NodeIdx {
+        let p = parent as usize;
+        let (head, tail) = (self.nodes[p].start, self.nodes[p].end);
+        if tail != NIL && self.nodes[tail as usize].value >= value {
+            if self.nodes[tail as usize].value == value {
+                return tail;
+            }
+            // The list holds a larger value, so the walk stops inside it.
+            let (mut prev, mut c) = (NIL, head);
+            while self.nodes[c as usize].value < value {
+                prev = c;
+                c = self.nodes[c as usize].next;
+            }
+            if self.nodes[c as usize].value == value {
+                return c;
+            }
+            let n = self.new_node(value, parent, level);
+            self.nodes[n as usize].next = c;
+            if prev == NIL {
+                self.nodes[p].start = n;
+            } else {
+                self.nodes[prev as usize].next = n;
+            }
+            return n;
         }
+        let n = self.new_node(value, parent, level);
+        if tail == NIL {
+            self.nodes[p].start = n;
+        } else {
+            self.nodes[tail as usize].next = n;
+        }
+        self.nodes[p].end = n;
+        n
     }
 
-    /// Inserts a record with `values` (already in tree attribute order).
+    /// Adds a record with `values` (already in tree attribute order) to the
+    /// batch being built. Correct for any input order; a sorted batch (or a
+    /// tiled one, sorted within tiles) reuses its predecessor's path along
+    /// their common prefix and appends new children without searching.
     ///
     /// # Panics
-    /// Panics if `values.len() != m`.
+    /// Panics if `values.len() != m` or if the tree is sealed.
     pub fn insert(&mut self, values: &[ValueId], id: RecordId) {
+        assert!(!self.sealed, "insert into a sealed AL-Tree (clear it first)");
         assert_eq!(values.len(), self.m, "record arity mismatch");
-        self.nodes[ROOT as usize].desc_count += 1;
-        self.descend_insert(ROOT, 0, values, id, None);
-    }
-
-    /// Inserts `values` starting below `cur` at depth `from` (desc counts of
-    /// `cur` and above must already be incremented), optionally recording the
-    /// created/visited path into `hint`.
-    fn descend_insert(
-        &mut self,
-        mut cur: NodeIdx,
-        from: usize,
-        values: &[ValueId],
-        id: RecordId,
-        mut hint: Option<&mut Vec<NodeIdx>>,
-    ) {
-        for (l, &v) in values.iter().enumerate().take(self.m).skip(from) {
-            let next = match self.child_by_value(cur, v) {
-                Some(c) => c,
-                None => {
-                    let idx = self.alloc(Node::new(v, cur, (l + 1) as u16));
-                    let pos = if self.value_sorted {
-                        let nodes = &self.nodes;
-                        nodes[cur as usize]
-                            .slots
-                            .binary_search_by_key(&v, |&c| nodes[c as usize].value)
-                            .unwrap_err()
-                    } else {
-                        self.nodes[cur as usize].slots.len()
-                    };
-                    self.nodes[cur as usize].slots.insert(pos, idx);
-                    self.estimated_bytes += SLOT_BYTES;
-                    idx
+        let mut l = 0;
+        if self.num_records > 0 {
+            while l < self.m && self.prev_vals[l] == values[l] {
+                l += 1;
+            }
+        }
+        let mut cur = if l == 0 { ROOT } else { self.prev_path[l - 1] };
+        for (j, &v) in values.iter().enumerate().skip(l) {
+            cur = self.child_for(cur, v, j + 1);
+            self.prev_path[j] = cur;
+            self.prev_vals[j] = v;
+        }
+        if self.grouped && l < self.m && self.nodes[cur as usize].desc > 0 {
+            // Back to a leaf an earlier record left: `ids` stops being
+            // grouped. Every record so far sits at the leaves in creation
+            // order, as many at each as it counts.
+            self.grouped = false;
+            self.row_leaf.clear();
+            for (i, n) in self.nodes.iter().enumerate() {
+                if n.level as usize == self.m {
+                    self.row_leaf.resize(self.row_leaf.len() + n.desc as usize, i as NodeIdx);
                 }
-            };
-            self.nodes[next as usize].desc_count += 1;
-            if let Some(h) = hint.as_deref_mut() {
-                h.push(next);
             }
-            cur = next;
         }
-        self.nodes[cur as usize].slots.push(id);
-        self.estimated_bytes += SLOT_BYTES;
+        self.nodes[cur as usize].desc += 1;
+        if !self.grouped {
+            self.row_leaf.push(cur);
+        }
+        self.ids.push(id);
         self.num_records += 1;
+        self.estimated_bytes += SLOT_BYTES;
     }
 
-    /// [`AlTree::insert`] accelerated for (mostly) sorted input: skips child
-    /// lookups along the longest common prefix with the previously inserted
-    /// record, which for multi-attribute-sorted batches removes most of the
-    /// build cost. Correct for arbitrary input order; the hint is only a
-    /// shortcut.
-    ///
-    /// The hint must be used for a pure insertion sequence into this tree —
-    /// reset it (via [`InsertHint::default`]) after any removal or `clear`.
-    pub fn insert_with_hint(&mut self, values: &[ValueId], id: RecordId, hint: &mut InsertHint) {
-        assert_eq!(values.len(), self.m, "record arity mismatch");
-        let mut lcp = 0;
-        if hint.path.len() == self.m {
-            while lcp < self.m && hint.vals[lcp] == values[lcp] {
-                lcp += 1;
+    /// Ends the build: sums descendant counts bottom-up, packs every
+    /// internal node's children (value order, values beside them) into a
+    /// contiguous range and gives every leaf the contiguous range of its
+    /// ids (arrival order). `O(nodes + records)`. Reads, removals and
+    /// re-ordering need a sealed tree; sealing twice is a no-op.
+    pub fn seal(&mut self) {
+        if self.sealed {
+            return;
+        }
+        // A node is created after its parent, so one reverse pass sums
+        // every subtree.
+        for c in (1..self.nodes.len()).rev() {
+            let (p, d) = (self.nodes[c].parent as usize, self.nodes[c].desc);
+            self.nodes[p].desc += d;
+        }
+        self.kids.clear();
+        self.kid_vals.clear();
+        let mut next_id = 0u32;
+        for node in 0..self.nodes.len() {
+            let n = self.nodes[node];
+            if n.level as usize == self.m {
+                // Leaves take their ids in creation order. Ungrouped ids
+                // are scattered below, with `end` as each leaf's cursor.
+                let first = next_id;
+                next_id += n.desc;
+                self.nodes[node].start = first;
+                self.nodes[node].end = if self.grouped { next_id } else { first };
+            } else {
+                // Children come after their parent: the list head is read
+                // before the range overwrites it.
+                let first = self.kids.len() as u32;
+                let mut c = n.start;
+                while c != NIL {
+                    self.kids.push(c);
+                    self.kid_vals.push(self.nodes[c as usize].value);
+                    c = self.nodes[c as usize].next;
+                }
+                self.nodes[node].start = first;
+                self.nodes[node].end = self.kids.len() as u32;
             }
         }
-        self.nodes[ROOT as usize].desc_count += 1;
-        let mut cur = ROOT;
-        for l in 0..lcp {
-            cur = hint.path[l];
-            self.nodes[cur as usize].desc_count += 1;
+        if !self.grouped {
+            // Stable scatter by leaf; each leaf's `end` is its fill cursor.
+            self.scratch.clear();
+            self.scratch.resize(self.ids.len(), 0);
+            for (&leaf, &id) in self.row_leaf.iter().zip(&self.ids) {
+                let n = &mut self.nodes[leaf as usize];
+                self.scratch[n.end as usize] = id;
+                n.end += 1;
+            }
+            std::mem::swap(&mut self.ids, &mut self.scratch);
         }
-        hint.path.truncate(lcp);
-        self.descend_insert(cur, lcp, values, id, Some(&mut hint.path));
-        hint.vals.clear();
-        hint.vals.extend_from_slice(values);
+        self.sealed = true;
+    }
+
+    /// The child of `node` with `value`, in a sealed tree.
+    fn child_by_value(&self, node: NodeIdx, value: ValueId) -> Option<NodeIdx> {
+        let r = self.slots(node);
+        let vals = &self.kid_vals[r.clone()];
+        let pos = if self.value_sorted {
+            vals.binary_search(&value).ok()
+        } else {
+            vals.iter().position(|&v| v == value)
+        };
+        pos.map(|i| self.kids[r.start + i])
     }
 
     /// Removes the record instance `id` stored under `values` (tree order).
-    /// Returns `true` if it was present. Empty nodes are detached and their
-    /// arena slots recycled.
+    /// Returns `true` if it was present. The leaf's other ids keep their
+    /// order; empty nodes are detached.
+    ///
+    /// # Panics
+    /// Panics if `values.len() != m` or if the tree is not sealed.
     pub fn remove(&mut self, values: &[ValueId], id: RecordId) -> bool {
+        assert!(self.sealed, "remove from an unsealed AL-Tree");
         assert_eq!(values.len(), self.m, "record arity mismatch");
         let mut cur = ROOT;
         for &v in values {
@@ -321,10 +443,11 @@ impl AlTree {
                 None => return false,
             }
         }
-        let leaf = &mut self.nodes[cur as usize];
-        match leaf.slots.iter().position(|&x| x == id) {
+        let r = self.slots(cur);
+        match self.ids[r.clone()].iter().position(|&x| x == id) {
             Some(pos) => {
-                leaf.slots.swap_remove(pos);
+                self.ids.copy_within(r.start + pos + 1..r.end, r.start + pos);
+                self.nodes[cur as usize].end -= 1;
                 self.estimated_bytes -= SLOT_BYTES;
                 self.after_leaf_removal(cur, 1);
                 true
@@ -339,20 +462,21 @@ impl AlTree {
     /// dominate, *sparing itself*.
     ///
     /// # Panics
-    /// Panics if `node` is not a leaf.
+    /// Panics if `node` is not a leaf or the tree is not sealed.
     pub fn remove_leaf_except(&mut self, node: NodeIdx, keep: Option<RecordId>) -> u32 {
+        assert!(self.sealed, "remove from an unsealed AL-Tree");
         assert!(self.is_leaf(node), "remove_leaf_except on internal node");
-        let leaf = &mut self.nodes[node as usize];
-        let before = leaf.slots.len();
-        match keep {
-            Some(k) if leaf.slots.contains(&k) => {
-                leaf.slots.clear();
-                leaf.slots.push(k);
+        let r = self.slots(node);
+        let kept = match keep {
+            Some(k) if self.ids[r.clone()].contains(&k) => {
+                self.ids[r.start] = k;
+                1
             }
-            _ => leaf.slots.clear(),
-        }
-        let removed = (before - self.nodes[node as usize].slots.len()) as u32;
+            _ => 0,
+        };
+        let removed = (r.len() - kept) as u32;
         if removed > 0 {
+            self.nodes[node as usize].end = (r.start + kept) as u32;
             self.estimated_bytes -= SLOT_BYTES * removed as u64;
             self.after_leaf_removal(node, removed);
         }
@@ -360,86 +484,110 @@ impl AlTree {
     }
 
     /// Propagates a removal of `count` instances from leaf `node` upward:
-    /// decrements descendant counts and detaches nodes that became empty.
+    /// decrements descendant counts and detaches nodes that became empty,
+    /// keeping their siblings in order.
     fn after_leaf_removal(&mut self, node: NodeIdx, count: u32) {
         self.num_records -= count as u64;
         let mut cur = node;
         loop {
-            self.nodes[cur as usize].desc_count -= count;
+            self.nodes[cur as usize].desc -= count;
             if cur == ROOT {
                 break;
             }
             let parent = self.nodes[cur as usize].parent;
-            if self.nodes[cur as usize].desc_count == 0 {
-                // Detach from parent and recycle.
-                let ch = &mut self.nodes[parent as usize].slots;
-                if let Some(pos) = ch.iter().position(|&c| c == cur) {
-                    ch.remove(pos);
+            if self.nodes[cur as usize].desc == 0 {
+                let r = self.slots(parent);
+                if let Some(pos) = self.kids[r.clone()].iter().position(|&c| c == cur) {
+                    let at = r.start + pos;
+                    self.kids.copy_within(at + 1..r.end, at);
+                    self.kid_vals.copy_within(at + 1..r.end, at);
+                    self.nodes[parent as usize].end -= 1;
                     self.estimated_bytes -= SLOT_BYTES;
                 }
-                self.free.push(cur);
+                self.live_nodes -= 1;
                 self.estimated_bytes -= NODE_BASE_BYTES;
             }
             cur = parent;
         }
     }
 
-    /// Re-orders every internal node's child list by **ascending descendant
-    /// count** (one pass over the tree). A LIFO traversal that pushes
-    /// children in list order then pops the most promising subtree first —
-    /// the paper's Algorithm 4 heuristic — without per-visit sorting.
+    /// Re-orders every internal node's child range by **ascending
+    /// descendant count**, value order among ties (one pass over the tree).
+    /// A LIFO traversal that pushes children in range order then pops the
+    /// most promising subtree first — the paper's Algorithm 4 heuristic —
+    /// without per-visit sorting. Child lookups by value fall back to a
+    /// linear search afterwards.
     ///
-    /// After this call child lists are no longer value-sorted; inserts still
-    /// work (linear child lookup) but are slower.
+    /// # Panics
+    /// Panics if the tree is not sealed.
     pub fn order_children_for_search(&mut self) {
+        assert!(self.sealed, "order_children_for_search on an unsealed AL-Tree");
         self.value_sorted = false;
-        // Take each slot vec out, sort, put back (avoids aliasing).
-        for i in 0..self.nodes.len() {
-            if self.free.contains(&(i as u32)) || self.nodes[i].level as usize == self.m {
+        let mut keyed: Vec<(u64, NodeIdx)> = Vec::new();
+        for node in 0..self.nodes.len() {
+            if self.nodes[node].level as usize == self.m {
                 continue;
             }
-            let mut slots = std::mem::take(&mut self.nodes[i].slots);
-            slots.sort_by_key(|&c| self.nodes[c as usize].desc_count);
-            self.nodes[i].slots = slots;
+            let r = self.slots(node as NodeIdx);
+            let desc = |c: NodeIdx| self.nodes[c as usize].desc;
+            if self.kids[r.clone()].windows(2).all(|w| desc(w[0]) <= desc(w[1])) {
+                continue;
+            }
+            keyed.clear();
+            keyed.extend(
+                r.clone().map(|i| ((desc(self.kids[i]) as u64) << 32 | self.kid_vals[i] as u64, self.kids[i])),
+            );
+            keyed.sort_unstable();
+            for (i, &(key, c)) in r.zip(&keyed) {
+                self.kids[i] = c;
+                self.kid_vals[i] = key as u32;
+            }
         }
     }
 
     /// All record ids currently stored, in depth-first order.
     pub fn collect_ids(&self) -> Vec<RecordId> {
+        assert!(self.sealed, "collect_ids on an unsealed AL-Tree");
         let mut out = Vec::with_capacity(self.num_records as usize);
         let mut stack = vec![ROOT];
         while let Some(n) = stack.pop() {
             if self.is_leaf(n) {
-                out.extend_from_slice(&self.nodes[n as usize].slots);
+                out.extend_from_slice(self.leaf_ids(n));
             } else {
                 // Push in reverse so the first child is processed first.
-                for &c in self.nodes[n as usize].slots.iter().rev() {
-                    stack.push(c);
-                }
+                stack.extend(self.children(n).iter().rev());
             }
         }
         out
     }
 
-    /// Resets the tree to empty, keeping arena capacity for reuse across
-    /// batches (the workhorse-collection pattern).
+    /// Resets the tree to an empty, unsealed root, keeping every array's
+    /// capacity for the next batch (the workhorse-collection pattern).
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.free.clear();
+        self.ids.clear();
+        self.row_leaf.clear();
+        self.grouped = true;
         self.nodes.push(Node::new(0, ROOT, 0));
+        self.live_nodes = 1;
         self.estimated_bytes = NODE_BASE_BYTES;
         self.num_records = 0;
+        self.sealed = false;
         self.value_sorted = true;
     }
 
-    /// Debug invariant check: descendant counts equal the number of leaf
-    /// instances below every node, child lists are value-sorted (while
-    /// inserts keep them so), levels are consistent, and no empty non-root
-    /// node remains. `O(nodes)`.
+    /// Invariant check of a sealed tree: descendant counts equal the number
+    /// of leaf instances below every node, child ranges are value-sorted
+    /// (until re-ordered for search) with each stored value equal to its
+    /// child's, levels and parents are consistent, no empty non-root node
+    /// remains attached, and the memory estimate matches the live node and
+    /// record counts. `O(nodes)`.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut visited = 0u64;
+        if !self.sealed {
+            return Err("tree is not sealed".into());
+        }
         let counted = self.check_node(ROOT, 0)?;
-        if counted != self.nodes[ROOT as usize].desc_count {
+        if counted != self.nodes[ROOT as usize].desc {
             return Err("root desc_count mismatch".into());
         }
         if counted as u64 != self.num_records {
@@ -449,15 +597,21 @@ impl AlTree {
             ));
         }
         // Count reachable nodes to detect leaks.
+        let mut visited = 0usize;
         let mut stack = vec![ROOT];
         while let Some(n) = stack.pop() {
             visited += 1;
             if !self.is_leaf(n) {
-                stack.extend_from_slice(&self.nodes[n as usize].slots);
+                stack.extend_from_slice(self.children(n));
             }
         }
-        if visited as usize != self.num_nodes() {
-            return Err(format!("{} live nodes but {visited} reachable", self.num_nodes()));
+        if visited != self.live_nodes {
+            return Err(format!("{} live nodes but {visited} reachable", self.live_nodes));
+        }
+        let live = self.live_nodes as u64;
+        let modeled = NODE_BASE_BYTES * live + SLOT_BYTES * (live - 1 + self.num_records);
+        if modeled != self.estimated_bytes {
+            return Err(format!("estimated_bytes {} expected {modeled}", self.estimated_bytes));
         }
         Ok(())
     }
@@ -468,36 +622,35 @@ impl AlTree {
             return Err(format!("node {node} level {} expected {level}", n.level));
         }
         if level as usize == self.m {
-            if n.slots.is_empty() {
+            let ids = self.leaf_ids(node);
+            if ids.is_empty() {
                 return Err(format!("leaf {node} holds no ids"));
             }
-            if n.desc_count as usize != n.slots.len() {
+            if n.desc as usize != ids.len() {
                 return Err(format!("leaf {node} desc_count != id count"));
             }
-            return Ok(n.desc_count);
+            return Ok(n.desc);
         }
-        if node != ROOT && n.slots.is_empty() {
+        let (kids, vals) = self.children_and_values(node);
+        if node != ROOT && kids.is_empty() {
             return Err(format!("empty internal node {node} not detached"));
         }
+        if self.value_sorted && vals.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(format!("children of {node} not strictly sorted"));
+        }
         let mut sum = 0;
-        let mut prev: Option<ValueId> = None;
-        for &c in &n.slots {
-            let v = self.nodes[c as usize].value;
-            if self.value_sorted {
-                if let Some(p) = prev {
-                    if p >= v {
-                        return Err(format!("children of {node} not strictly sorted"));
-                    }
-                }
-                prev = Some(v);
+        for (&c, &v) in kids.iter().zip(vals) {
+            let child = &self.nodes[c as usize];
+            if child.value != v {
+                return Err(format!("child {c} stored beside value {v}"));
             }
-            if self.nodes[c as usize].parent != node {
+            if child.parent != node {
                 return Err(format!("child {c} has wrong parent"));
             }
             sum += self.check_node(c, level + 1)?;
         }
-        if sum != n.desc_count {
-            return Err(format!("node {node} desc_count {} expected {sum}", n.desc_count));
+        if sum != n.desc {
+            return Err(format!("node {node} desc_count {} expected {sum}", n.desc));
         }
         Ok(sum)
     }
@@ -507,22 +660,24 @@ impl AlTree {
 mod tests {
     use super::*;
 
+    fn build(m: usize, rows: &[(&[u32], u32)]) -> AlTree {
+        let mut t = AlTree::new(m);
+        for &(vals, id) in rows {
+            t.insert(vals, id);
+        }
+        t.seal();
+        t
+    }
+
     /// First-phase batch 1 of the paper's running example, sorted order:
     /// O1 [MSW, AMD, DB2], O2 [RHL, AMD, Informix], O3 [SL, Intel, Oracle].
     fn batch1() -> AlTree {
-        let mut t = AlTree::new(3);
-        t.insert(&[0, 0, 1], 1);
-        t.insert(&[1, 0, 0], 2);
-        t.insert(&[2, 1, 2], 3);
-        t
+        build(3, &[(&[0, 0, 1], 1), (&[1, 0, 0], 2), (&[2, 1, 2], 3)])
     }
 
     #[test]
     fn insert_builds_shared_prefixes() {
-        let mut t = AlTree::new(3);
-        t.insert(&[0, 0, 1], 1); // O1
-        t.insert(&[0, 0, 1], 4); // O4 (duplicate values)
-        t.insert(&[0, 1, 1], 6); // O6 (shares [MSW])
+        let t = build(3, &[(&[0, 0, 1], 1), (&[0, 0, 1], 4), (&[0, 1, 1], 6)]);
         // root + MSW + (AMD + DB2-leaf) + (Intel + DB2-leaf) = 6 nodes.
         assert_eq!(t.num_nodes(), 6);
         assert_eq!(t.num_records(), 3);
@@ -534,9 +689,7 @@ mod tests {
 
     #[test]
     fn duplicate_ids_accumulate_at_leaf() {
-        let mut t = AlTree::new(2);
-        t.insert(&[1, 1], 10);
-        t.insert(&[1, 1], 20);
+        let t = build(2, &[(&[1, 1], 10), (&[1, 1], 20)]);
         let l1 = t.children(ROOT)[0];
         let leaf = t.children(l1)[0];
         assert!(t.is_leaf(leaf));
@@ -550,8 +703,20 @@ mod tests {
         for (i, v) in [5u32, 1, 3, 2, 4].into_iter().enumerate() {
             t.insert(&[v], i as u32);
         }
-        let vals: Vec<u32> = t.children(ROOT).iter().map(|&c| t.value(c)).collect();
-        assert_eq!(vals, vec![1, 2, 3, 4, 5]);
+        t.seal();
+        let (kids, vals) = t.children_and_values(ROOT);
+        assert_eq!(vals, &[1, 2, 3, 4, 5]);
+        // Nodes are numbered in creation order: value 5 came first.
+        assert_eq!(kids, &[2, 4, 3, 5, 1]);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn leaf_ids_keep_arrival_order_across_interleaved_inserts() {
+        let t = build(1, &[(&[1], 7), (&[0], 3), (&[1], 5), (&[0], 9), (&[1], 1)]);
+        let (kids, _) = t.children_and_values(ROOT);
+        assert_eq!(t.leaf_ids(kids[0]), &[3, 9]);
+        assert_eq!(t.leaf_ids(kids[1]), &[7, 5, 1]);
         t.check_invariants().unwrap();
     }
 
@@ -572,9 +737,7 @@ mod tests {
 
     #[test]
     fn remove_keeps_shared_prefix_alive() {
-        let mut t = AlTree::new(2);
-        t.insert(&[0, 0], 1);
-        t.insert(&[0, 1], 2);
+        let mut t = build(2, &[(&[0, 0], 1), (&[0, 1], 2)]);
         assert!(t.remove(&[0, 0], 1));
         // Prefix node for value 0 must survive (still has the [0,1] child).
         assert_eq!(t.children(ROOT).len(), 1);
@@ -583,11 +746,19 @@ mod tests {
     }
 
     #[test]
+    fn remove_keeps_remaining_ids_and_children_in_order() {
+        let mut t = build(1, &[(&[0], 1), (&[0], 2), (&[0], 3), (&[1], 4), (&[2], 5)]);
+        assert!(t.remove(&[0], 2));
+        assert_eq!(t.leaf_ids(t.children(ROOT)[0]), &[1, 3]);
+        assert!(t.remove(&[1], 4));
+        assert_eq!(t.children_and_values(ROOT).1, &[0, 2]);
+        assert_eq!(t.collect_ids(), vec![1, 3, 5]);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
     fn remove_leaf_except_spares_kept_id() {
-        let mut t = AlTree::new(2);
-        t.insert(&[3, 3], 1);
-        t.insert(&[3, 3], 2);
-        t.insert(&[3, 3], 3);
+        let mut t = build(2, &[(&[3, 3], 1), (&[3, 3], 2), (&[3, 3], 3)]);
         let l1 = t.children(ROOT)[0];
         let leaf = t.children(l1)[0];
         assert_eq!(t.remove_leaf_except(leaf, Some(2)), 2);
@@ -603,24 +774,10 @@ mod tests {
 
     #[test]
     fn remove_leaf_except_with_absent_keep_removes_all() {
-        let mut t = AlTree::new(1);
-        t.insert(&[0], 1);
-        t.insert(&[0], 2);
+        let mut t = build(1, &[(&[0], 1), (&[0], 2)]);
         let leaf = t.children(ROOT)[0];
         assert_eq!(t.remove_leaf_except(leaf, Some(42)), 2);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn arena_slots_are_recycled() {
-        let mut t = AlTree::new(2);
-        t.insert(&[0, 0], 1);
-        let nodes_before = t.nodes.len();
-        assert!(t.remove(&[0, 0], 1));
-        t.insert(&[1, 1], 2);
-        // Reused freed slots instead of growing the arena.
-        assert_eq!(t.nodes.len(), nodes_before);
-        t.check_invariants().unwrap();
     }
 
     #[test]
@@ -633,6 +790,8 @@ mod tests {
         t.insert(&[0, 0, 1], 4); // duplicate: only one id slot added
         let two = t.estimated_bytes();
         assert!(two > one && two - one < one - empty);
+        t.seal();
+        assert_eq!(t.estimated_bytes(), two, "sealing moves no modeled byte");
         t.remove(&[0, 0, 1], 4);
         assert_eq!(t.estimated_bytes(), one);
         t.remove(&[0, 0, 1], 1);
@@ -660,117 +819,123 @@ mod tests {
     #[test]
     fn clear_resets_but_keeps_capacity() {
         let mut t = batch1();
+        let cap = t.kids.capacity();
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.num_nodes(), 1);
         t.insert(&[1, 1, 1], 9);
+        t.seal();
         assert_eq!(t.collect_ids(), vec![9]);
+        assert_eq!(t.kids.capacity(), cap);
         t.check_invariants().unwrap();
     }
 
     #[test]
     fn invariant_checker_catches_corruption() {
         let mut t = batch1();
-        t.nodes[ROOT as usize].desc_count = 99;
+        t.nodes[ROOT as usize].desc = 99;
         assert!(t.check_invariants().is_err());
+        let mut t = batch1();
+        t.kid_vals[0] = 42;
+        assert!(t.check_invariants().is_err());
+        let mut unsealed = AlTree::new(1);
+        unsealed.insert(&[0], 1);
+        assert!(unsealed.check_invariants().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "sealed")]
+    fn insert_after_seal_panics() {
+        let mut t = batch1();
+        t.insert(&[0, 0, 0], 4);
     }
 
     #[test]
     fn order_children_for_search_sorts_by_count() {
-        let mut t = AlTree::new(2);
-        t.insert(&[0, 0], 1); // subtree of value 0: 1 instance
-        t.insert(&[1, 0], 2); // subtree of value 1: 3 instances
-        t.insert(&[1, 1], 3);
-        t.insert(&[1, 2], 4);
-        t.insert(&[2, 0], 5); // subtree of value 2: 2 instances
-        t.insert(&[2, 0], 6);
+        let mut t = build(
+            2,
+            &[
+                (&[0, 0], 1), // subtree of value 0: 1 instance
+                (&[1, 0], 2), // subtree of value 1: 3 instances
+                (&[1, 1], 3),
+                (&[1, 2], 4),
+                (&[2, 0], 5), // subtree of value 2: 2 instances
+                (&[2, 0], 6),
+                (&[3, 0], 7), // subtree of value 3: 2 instances (tie)
+                (&[3, 1], 8),
+            ],
+        );
         t.order_children_for_search();
-        let counts: Vec<u32> = t.children(ROOT).iter().map(|&c| t.desc_count(c)).collect();
-        assert_eq!(counts, vec![1, 2, 3]);
+        let (kids, vals) = t.children_and_values(ROOT);
+        let counts: Vec<u32> = kids.iter().map(|&c| t.desc_count(c)).collect();
+        assert_eq!(counts, vec![1, 2, 2, 3]);
+        assert_eq!(vals, &[0, 2, 3, 1], "value order among ties");
         t.check_invariants().unwrap();
     }
 
     #[test]
-    fn insert_and_remove_still_work_after_reordering() {
-        let mut t = AlTree::new(2);
-        t.insert(&[3, 0], 1);
-        t.insert(&[1, 0], 2);
-        t.insert(&[1, 0], 3);
+    fn remove_still_works_after_reordering() {
+        let mut t = build(2, &[(&[3, 0], 1), (&[1, 0], 2), (&[1, 0], 3), (&[2, 2], 5)]);
         t.order_children_for_search();
-        // Insert into an existing path and a new path.
-        t.insert(&[3, 0], 4);
-        t.insert(&[2, 2], 5);
-        assert_eq!(t.num_records(), 5);
         assert!(t.remove(&[1, 0], 2));
         assert!(t.remove(&[2, 2], 5));
+        assert!(!t.remove(&[2, 2], 5));
         t.check_invariants().unwrap();
         let mut ids = t.collect_ids();
         ids.sort_unstable();
-        assert_eq!(ids, vec![1, 3, 4]);
+        assert_eq!(ids, vec![1, 3]);
     }
 
     #[test]
-    fn insert_with_hint_matches_plain_insert() {
-        // Sorted input (the TRS case) and shuffled input must both produce
-        // trees identical to plain insertion.
-        let rows: Vec<[u32; 3]> = vec![
-            [0, 0, 1],
-            [0, 0, 1],
-            [0, 1, 0],
-            [0, 1, 2],
-            [1, 0, 0],
-            [1, 2, 2],
-            [1, 2, 2],
-        ];
-        for order in [false, true] {
-            let mut data = rows.clone();
-            if order {
-                data.reverse(); // strictly decreasing: hint never matches fully
-            }
-            let mut plain = AlTree::new(3);
-            let mut hinted = AlTree::new(3);
-            let mut hint = InsertHint::default();
-            for (i, r) in data.iter().enumerate() {
-                plain.insert(r, i as u32);
-                hinted.insert_with_hint(r, i as u32, &mut hint);
-            }
-            plain.check_invariants().unwrap();
-            hinted.check_invariants().unwrap();
-            assert_eq!(plain.num_nodes(), hinted.num_nodes());
-            assert_eq!(plain.collect_ids(), hinted.collect_ids());
-            assert_eq!(plain.estimated_bytes(), hinted.estimated_bytes());
-        }
-    }
-
-    #[test]
-    fn insert_with_hint_random_equivalence() {
-        // Pseudo-random interleaving exercises partial prefix matches.
+    fn insert_order_keeps_paths_and_ids() {
+        // Sorted input (the TRS case), reversed input (the previous path
+        // never helps past the root) and pseudo-random input must describe
+        // the same trie: the same paths with the same id multisets, the
+        // same node count and the same modeled bytes.
         let mut state = 12345u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             ((state >> 33) % 4) as u32
         };
-        let mut plain = AlTree::new(4);
-        let mut hinted = AlTree::new(4);
-        let mut hint = InsertHint::default();
-        for i in 0..500 {
-            let vals = [next(), next(), next(), next()];
-            plain.insert(&vals, i);
-            hinted.insert_with_hint(&vals, i, &mut hint);
-        }
-        plain.check_invariants().unwrap();
-        hinted.check_invariants().unwrap();
-        assert_eq!(plain.num_nodes(), hinted.num_nodes());
-        let (mut a, mut b) = (plain.collect_ids(), hinted.collect_ids());
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        let random: Vec<[u32; 4]> = (0..500).map(|_| [next(), next(), next(), next()]).collect();
+        let mut sorted = random.clone();
+        sorted.sort_unstable();
+        let mut reversed = sorted.clone();
+        reversed.reverse();
+        let describe = |rows: &[[u32; 4]]| {
+            let mut t = AlTree::new(4);
+            for (i, r) in rows.iter().enumerate() {
+                t.insert(r, i as u32);
+            }
+            t.seal();
+            t.check_invariants().unwrap();
+            let mut paths = Vec::new();
+            for &a in t.children(ROOT) {
+                for &b in t.children(a) {
+                    for &c in t.children(b) {
+                        for &d in t.children(c) {
+                            let path = [a, b, c, d].map(|n| t.value(n));
+                            let ids: Vec<u32> = t.leaf_ids(d).iter().map(|&i| rows[i as usize][0]).collect();
+                            paths.push((path, ids.len(), ids.iter().all(|&v| v == path[0])));
+                        }
+                    }
+                }
+            }
+            (t.num_nodes(), t.estimated_bytes(), paths)
+        };
+        let want = describe(&sorted);
+        assert_eq!(describe(&reversed), want);
+        assert_eq!(describe(&random), want);
     }
 
     #[test]
     fn node_struct_stays_slim() {
-        // The memory estimate (and TRS batch sizing fidelity) depends on the
-        // node being one vec plus 16 bytes of scalars.
-        assert!(std::mem::size_of::<Node>() <= 40, "Node grew: {}", std::mem::size_of::<Node>());
+        // The memory estimate (and TRS batch sizing fidelity) depends on a
+        // node costing a few scalars and no allocation of its own: its
+        // record plus one child slot (link + value) in its parent stays
+        // within the 40 bytes the old arena spent before its per-node
+        // child vector.
+        let per_node = std::mem::size_of::<Node>() + std::mem::size_of::<NodeIdx>() + std::mem::size_of::<ValueId>();
+        assert!(per_node <= 40, "per-node footprint grew: {per_node}");
     }
 }

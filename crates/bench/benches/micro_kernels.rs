@@ -22,7 +22,7 @@ use rand::SeedableRng;
 use rsky_algos::kernels::{CandidateBlocks, DistSource};
 use rsky_algos::qcache::QueryDistCache;
 use rsky_algos::trs::is_prunable;
-use rsky_altree::{AlTree, InsertHint};
+use rsky_altree::AlTree;
 use rsky_bench::{table::ms, BenchConfig};
 use rsky_core::dataset::Dataset;
 use rsky_core::dissim::FlatDissim;
@@ -227,30 +227,34 @@ fn probe_level_benches(ds: &Dataset, q: &Query) {
     let mut sorted = ds.rows.clone();
     rsky_order::multisort::sort_rows_lex(&mut sorted, &order);
     let build_n = sorted.len().min(20_000);
-    c.bench_function("altree build plain", |b| {
+    // One batch tree per iteration, built and sealed into a reused tree the
+    // way the engines' batch loader does.
+    let mut t = AlTree::new(m);
+    c.bench_function("altree build + seal (sorted input)", |b| {
         b.iter(|| {
-            let mut t = AlTree::new(m);
+            t.clear();
             for i in 0..build_n {
                 t.insert(sorted.values(i), sorted.id(i));
             }
+            t.seal();
             black_box(t.num_nodes())
         })
     });
-    c.bench_function("altree build hinted (sorted input)", |b| {
+    c.bench_function("altree build + seal (original order)", |b| {
         b.iter(|| {
-            let mut t = AlTree::new(m);
-            let mut hint = InsertHint::default();
+            t.clear();
             for i in 0..build_n {
-                t.insert_with_hint(sorted.values(i), sorted.id(i), &mut hint);
+                t.insert(ds.rows.values(i), ds.rows.id(i));
             }
+            t.seal();
             black_box(t.num_nodes())
         })
     });
     let mut tree = AlTree::new(m);
-    let mut hint = InsertHint::default();
     for i in 0..sorted.len() {
-        tree.insert_with_hint(sorted.values(i), sorted.id(i), &mut hint);
+        tree.insert(sorted.values(i), sorted.id(i));
     }
+    tree.seal();
     tree.order_children_for_search();
     let mut tstats = RunStats::default();
     c.bench_function("is_prunable over full tree", |b| {

@@ -105,6 +105,8 @@ pub mod names {
         SERVER_SHED = "server.shed" => "Requests shed because the admission queue was full.";
         SERVER_TIMEOUT = "server.timeout" => "Requests that hit their deadline mid-run.";
         SERVER_BAD_REQUEST = "server.bad_request" => "Malformed or invalid requests.";
+        SERVER_WORKER_PANICS = "server.worker.panics"
+            => "Requests whose worker panicked mid-run; each was answered internal.";
         SERVER_CACHE_HIT = "server.cache.hit" => "Query results answered from the result cache.";
         SERVER_CACHE_MISS = "server.cache.miss" => "Query results computed by an engine run.";
         SERVER_QUEUE_WAIT_US = "server.queue.wait_us"

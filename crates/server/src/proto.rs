@@ -112,6 +112,11 @@ pub enum Request {
         /// How long to hold the worker.
         ms: u64,
     },
+    /// Test-only: panics on the worker that runs it, inside the scopes an
+    /// engine run gets (rejected unless `enable_test_ops`). Proves a
+    /// panicking request is answered `internal` and its worker keeps
+    /// serving.
+    Panic,
     /// Test-only: forces one synchronous telemetry tick (sample + health
     /// evaluation) instead of waiting for the sampler thread. Combined with
     /// an injected manual clock this makes every window boundary
@@ -174,6 +179,7 @@ impl Request {
             "shutdown" => Ok(Request::Shutdown),
             "sleep" => Ok(Request::Sleep { ms: req_u64(&v, "ms")?.unwrap_or(0) }),
             "tick" => Ok(Request::Tick),
+            "panic" => Ok(Request::Panic),
             other => Err(format!("unknown op {other:?}")),
         }
     }
@@ -181,7 +187,10 @@ impl Request {
     /// Whether this request runs on the worker pool (true) or is answered
     /// inline by the connection thread (false).
     pub fn is_pooled(&self) -> bool {
-        matches!(self, Request::Query { .. } | Request::Influence { .. } | Request::Sleep { .. })
+        matches!(
+            self,
+            Request::Query { .. } | Request::Influence { .. } | Request::Sleep { .. } | Request::Panic
+        )
     }
 
     /// The op name, for spans and error messages.
@@ -199,6 +208,7 @@ impl Request {
             Request::Shutdown => "shutdown",
             Request::Sleep { .. } => "sleep",
             Request::Tick => "tick",
+            Request::Panic => "panic",
         }
     }
 }
@@ -622,6 +632,8 @@ mod tests {
             Request::Influence { queries: 3, seed: 1, top: 10, deadline_ms: None }
         );
         assert_eq!(Request::parse(r#"{"op":"sleep","ms":5}"#).unwrap(), Request::Sleep { ms: 5 });
+        assert_eq!(Request::parse(r#"{"op":"panic"}"#).unwrap(), Request::Panic);
+        assert!(Request::Panic.is_pooled());
     }
 
     #[test]

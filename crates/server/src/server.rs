@@ -18,6 +18,7 @@
 //! lets threads exit — a client never loses an accepted request.
 
 use std::io::{Read, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -528,7 +529,9 @@ fn handle_line(
             return (proto::err_line(ErrKind::BadRequest, &detail), false);
         }
     };
-    if matches!(request, Request::Sleep { .. } | Request::Tick) && !shared.config.enable_test_ops {
+    if matches!(request, Request::Sleep { .. } | Request::Tick | Request::Panic)
+        && !shared.config.enable_test_ops
+    {
         shared.obs.counter_add(names::SERVER_BAD_REQUEST, 1);
         return (
             proto::err_line(
@@ -620,7 +623,10 @@ fn handle_line(
                 }
             }
         }
-        Request::Query { .. } | Request::Influence { .. } | Request::Sleep { .. } => {
+        Request::Query { .. }
+        | Request::Influence { .. }
+        | Request::Sleep { .. }
+        | Request::Panic => {
             unreachable!("pooled ops handled above")
         }
     }
@@ -711,7 +717,9 @@ fn admit(
 }
 
 /// Worker thread: pop, enforce deadline, execute, reply. Exits when the
-/// queue is closed and drained.
+/// queue is closed and drained. A request that panics is answered
+/// `internal` like any failed one: its connection waits for exactly one
+/// reply, and the worker stays in the pool.
 fn worker_loop(shared: &Arc<Shared>, mut ws: WorkerState) {
     let capture_slow = shared.config.slow_request_us > 0;
     while let Some(job) = shared.queue.pop() {
@@ -731,7 +739,16 @@ fn worker_loop(shared: &Arc<Shared>, mut ws: WorkerState) {
             span.field("queue_wait_us", wait.as_micros() as u64);
         }
         let trace = span.ctx();
-        let response = execute(shared, &mut ws, &job, &req_obs, &mut span);
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            execute(shared, &mut ws, &job, &req_obs, &mut span)
+        }));
+        let response = run.unwrap_or_else(|_| {
+            shared.obs.counter_add(names::SERVER_WORKER_PANICS, 1);
+            // The run may have left this worker's sharded tables half
+            // prepared: the next sharded query rebuilds them.
+            ws.drop_sharded_tables();
+            proto::err_line(ErrKind::Internal, "the request panicked")
+        });
         span.close();
         if let Some(sink) = req_sink {
             let latency_us = job.enqueued.elapsed().as_micros() as u64;
@@ -764,6 +781,9 @@ fn execute(
         return proto::err_line(ErrKind::Timeout, "deadline elapsed while queued");
     }
     match &job.request {
+        Request::Panic => obs::with_recorder(req_obs.clone(), || {
+            cancel::with_token(job.token.clone(), || -> String { panic!("test-only panic op") })
+        }),
         Request::Sleep { ms } => {
             let until = job.enqueued + Duration::from_millis(*ms);
             while Instant::now() < until {

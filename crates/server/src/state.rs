@@ -435,6 +435,12 @@ impl WorkerState {
         self
     }
 
+    /// Forgets this worker's sharded tables; the next sharded query
+    /// prepares them afresh.
+    pub fn drop_sharded_tables(&mut self) {
+        self.sharded = None;
+    }
+
     /// This worker's sharded tables for `version`, rebuilt on a
     /// generation change; `None` on an unsharded worker.
     fn sharded(&mut self, version: &DatasetVersion) -> Result<Option<&mut ShardedTables>> {

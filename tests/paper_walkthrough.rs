@@ -119,6 +119,7 @@ fn figure2_tree_structures() {
     b1.insert(&[0, 0, 1], 1);
     b1.insert(&[1, 0, 0], 2);
     b1.insert(&[2, 1, 2], 3);
+    b1.seal();
     assert_eq!(b1.num_nodes(), 10);
     assert_eq!(b1.children(ROOT).len(), 3);
     // Batch 2 = {O4, O5, O6}: O4 and O6 share the MSW prefix → 9 nodes.
@@ -126,6 +127,7 @@ fn figure2_tree_structures() {
     b2.insert(&[0, 0, 1], 4);
     b2.insert(&[1, 0, 0], 5);
     b2.insert(&[0, 1, 1], 6);
+    b2.seal();
     assert_eq!(b2.num_nodes(), 9);
     assert_eq!(b2.children(ROOT).len(), 2);
     // Second phase: M = {O3, O6}, distinct paths → 7 nodes ("the paths for
@@ -133,6 +135,7 @@ fn figure2_tree_structures() {
     let mut m = AlTree::new(3);
     m.insert(&[0, 1, 1], 6);
     m.insert(&[2, 1, 2], 3);
+    m.seal();
     assert_eq!(m.num_nodes(), 7);
     b1.check_invariants().unwrap();
     b2.check_invariants().unwrap();

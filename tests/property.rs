@@ -213,32 +213,90 @@ proptest! {
         prop_assert_eq!(rf.read_all(&mut disk).unwrap(), ds.rows);
     }
 
-    /// AL-Tree under arbitrary insert/remove interleavings keeps its
-    /// invariants and the surviving multiset of ids.
+    /// The packed AL-Tree equals an independent reference trie node for
+    /// node: batches fed page by page in multi-sort, tiled or shuffled
+    /// order give the same node numbering, parents, values, child order (by
+    /// value, and by the search ordering), descendant counts, leaf-id order
+    /// and modeled bytes after every page; random `remove_leaf_except` /
+    /// `remove` sequences keep it equal and its invariants intact.
     #[test]
-    fn altree_random_operations(ops in proptest::collection::vec(
-        (proptest::collection::vec(0u32..4, 3..=3), 0u32..30, proptest::bool::ANY), 1..60)) {
-        let mut tree = rsky::altree::AlTree::new(3);
-        let mut shadow: Vec<(Vec<u32>, u32)> = Vec::new();
-        for (vals, id, is_insert) in ops {
-            if is_insert {
-                tree.insert(&vals, id);
-                shadow.push((vals.clone(), id));
+    fn altree_matches_reference_trie(
+        (cards, raw) in (1usize..=4).prop_flat_map(|m| (
+            proptest::collection::vec(1u32..=6, m..=m),
+            proptest::collection::vec(proptest::collection::vec(0u32..6, m..=m), 0..120),
+        )),
+        layout in 0u8..3,
+        per_page in 1usize..9,
+        tiles in 1u32..4,
+        shuffle_seed in 0u64..u64::MAX,
+        search_order in proptest::bool::ANY,
+        ops in proptest::collection::vec((0u8..3, 0u32..1000, 0u32..1000), 0..40),
+    ) {
+        let schema = Schema::with_cardinalities(&cards).unwrap();
+        let m = cards.len();
+        let mut rows = RowBuf::new(m);
+        for (i, r) in raw.iter().enumerate() {
+            let vals: Vec<u32> = r.iter().zip(&cards).map(|(&v, &k)| v % k).collect();
+            rows.push(1000 + i as u32, &vals);
+        }
+        let order: Vec<usize> = (0..m).collect();
+        match layout {
+            0 => rsky::order::sort_rows_lex(&mut rows, &order),
+            1 => {
+                let config = rsky::order::TileConfig::uniform(&schema, tiles).unwrap();
+                rsky::order::tiling::sort_rows_tiled(&mut rows, &config, &order);
+            }
+            _ => rows = shuffled(&rows, shuffle_seed),
+        }
+
+        let mut tree = rsky::altree::AlTree::new(m);
+        let mut reference = RefTrie::new(m);
+        for page in (0..rows.len()).collect::<Vec<_>>().chunks(per_page) {
+            for &r in page {
+                tree.insert(rows.values(r), rows.id(r));
+                reference.insert(rows.values(r), rows.id(r));
+            }
+            prop_assert_eq!(tree.estimated_bytes(), reference.modeled_bytes());
+            prop_assert_eq!(tree.num_nodes(), reference.live_nodes());
+            prop_assert_eq!(tree.num_records(), reference.records() as u64);
+        }
+        tree.seal();
+        tree.check_invariants().map_err(TestCaseError::fail)?;
+        reference.assert_same(&tree)?;
+        if search_order {
+            tree.order_children_for_search();
+            reference.order_for_search();
+            reference.assert_same(&tree)?;
+        }
+
+        // Evictions as the engines make them: whole leaves sparing one id,
+        // or single (values, id) removals, including misses.
+        for (kind, a, b) in ops {
+            let leaves = reference.live_leaves();
+            if leaves.is_empty() {
+                break;
+            }
+            let leaf = leaves[a as usize % leaves.len()];
+            let ids = reference.nodes[leaf].ids.clone();
+            let pick = ids[b as usize % ids.len()];
+            if kind == 2 {
+                let id = if b % 5 == 0 { 7 } else { pick };
+                let values = reference.path(leaf);
+                let want = reference.remove(&values, id);
+                prop_assert_eq!(tree.remove(&values, id), want);
             } else {
-                let expected = shadow.iter().position(|(v, i)| *v == vals && *i == id);
-                let removed = tree.remove(&vals, id);
-                prop_assert_eq!(removed, expected.is_some());
-                if let Some(pos) = expected {
-                    shadow.remove(pos);
-                }
+                let keep = match (kind, b % 3) {
+                    (0, 0) => None,
+                    (0, _) => Some(pick),
+                    _ => Some(7),
+                };
+                let want = reference.remove_leaf_except(leaf, keep);
+                prop_assert_eq!(tree.remove_leaf_except(leaf as u32, keep), want);
             }
             tree.check_invariants().map_err(TestCaseError::fail)?;
+            reference.assert_same(&tree)?;
         }
-        let mut got = tree.collect_ids();
-        let mut want: Vec<u32> = shadow.iter().map(|&(_, id)| id).collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(tree.collect_ids(), reference.dfs_ids());
     }
 
     /// Z-order keys are injective on tile grids.
@@ -252,5 +310,190 @@ proptest! {
             let key_fresh = seen.insert(rsky::order::z_order_key(&[a, b, c]));
             prop_assert_eq!(fresh, key_fresh, "z-key collision or duplicate mismatch");
         }
+    }
+}
+
+/// `rows` in a pseudo-random order drawn from `seed`.
+fn shuffled(rows: &RowBuf, seed: u64) -> RowBuf {
+    let mut state = seed;
+    let mut keyed: Vec<(u64, usize)> = (0..rows.len())
+        .map(|i| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state, i)
+        })
+        .collect();
+    keyed.sort_unstable();
+    let mut out = RowBuf::new(rows.num_attrs());
+    for (_, i) in keyed {
+        out.push(rows.id(i), rows.values(i));
+    }
+    out
+}
+
+/// Reference AL-Tree for [`altree_matches_reference_trie`]: one heap node
+/// per trie node, numbered in creation order, children kept in a `Vec`
+/// sorted by value on insertion.
+struct RefTrie {
+    m: usize,
+    nodes: Vec<RefNode>,
+}
+
+struct RefNode {
+    value: u32,
+    parent: usize,
+    level: usize,
+    children: Vec<usize>,
+    ids: Vec<u32>,
+    live: bool,
+}
+
+impl RefTrie {
+    fn new(m: usize) -> Self {
+        let root = RefNode { value: 0, parent: 0, level: 0, children: Vec::new(), ids: Vec::new(), live: true };
+        RefTrie { m, nodes: vec![root] }
+    }
+
+    fn insert(&mut self, values: &[u32], id: u32) {
+        let mut cur = 0;
+        for (l, &v) in values.iter().enumerate() {
+            let found = self.nodes[cur].children.iter().copied().find(|&c| self.nodes[c].value == v);
+            cur = match found {
+                Some(c) => c,
+                None => {
+                    let n = self.nodes.len();
+                    self.nodes.push(RefNode {
+                        value: v,
+                        parent: cur,
+                        level: l + 1,
+                        children: Vec::new(),
+                        ids: Vec::new(),
+                        live: true,
+                    });
+                    let pos = self.nodes[cur].children.iter().take_while(|&&c| self.nodes[c].value < v).count();
+                    self.nodes[cur].children.insert(pos, n);
+                    n
+                }
+            };
+        }
+        self.nodes[cur].ids.push(id);
+    }
+
+    fn desc(&self, n: usize) -> usize {
+        let node = &self.nodes[n];
+        node.ids.len() + node.children.iter().map(|&c| self.desc(c)).sum::<usize>()
+    }
+
+    fn records(&self) -> usize {
+        self.desc(0)
+    }
+
+    fn live_nodes(&self) -> usize {
+        self.nodes.iter().filter(|n| n.live).count()
+    }
+
+    /// 16 bytes per node, 4 per child link, 4 per leaf id.
+    fn modeled_bytes(&self) -> u64 {
+        self.nodes
+            .iter()
+            .filter(|n| n.live)
+            .map(|n| 16 + 4 * (n.children.len() + n.ids.len()) as u64)
+            .sum()
+    }
+
+    /// Stable sort of every child list by descendant count.
+    fn order_for_search(&mut self) {
+        for n in 0..self.nodes.len() {
+            let mut children = std::mem::take(&mut self.nodes[n].children);
+            children.sort_by_key(|&c| self.desc(c));
+            self.nodes[n].children = children;
+        }
+    }
+
+    fn live_leaves(&self) -> Vec<usize> {
+        (0..self.nodes.len()).filter(|&n| self.nodes[n].live && self.nodes[n].level == self.m).collect()
+    }
+
+    fn path(&self, leaf: usize) -> Vec<u32> {
+        let mut out = vec![0; self.m];
+        let mut n = leaf;
+        while n != 0 {
+            out[self.nodes[n].level - 1] = self.nodes[n].value;
+            n = self.nodes[n].parent;
+        }
+        out
+    }
+
+    fn remove(&mut self, values: &[u32], id: u32) -> bool {
+        let mut cur = 0;
+        for &v in values {
+            match self.nodes[cur].children.iter().copied().find(|&c| self.nodes[c].value == v) {
+                Some(c) => cur = c,
+                None => return false,
+            }
+        }
+        match self.nodes[cur].ids.iter().position(|&x| x == id) {
+            Some(pos) => {
+                self.nodes[cur].ids.remove(pos);
+                self.detach_if_empty(cur);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn remove_leaf_except(&mut self, leaf: usize, keep: Option<u32>) -> u32 {
+        let ids = &mut self.nodes[leaf].ids;
+        let before = ids.len();
+        ids.retain(|&x| Some(x) == keep);
+        ids.truncate(1);
+        let removed = (before - ids.len()) as u32;
+        self.detach_if_empty(leaf);
+        removed
+    }
+
+    fn detach_if_empty(&mut self, mut n: usize) {
+        while n != 0 && self.nodes[n].ids.is_empty() && self.nodes[n].children.is_empty() {
+            self.nodes[n].live = false;
+            let p = self.nodes[n].parent;
+            self.nodes[p].children.retain(|&c| c != n);
+            n = p;
+        }
+    }
+
+    fn dfs_ids(&self) -> Vec<u32> {
+        let mut out = Vec::new();
+        let mut stack = vec![0];
+        while let Some(n) = stack.pop() {
+            out.extend(&self.nodes[n].ids);
+            stack.extend(self.nodes[n].children.iter().rev());
+        }
+        out
+    }
+
+    /// Every live node agrees field for field; modeled bytes and node and
+    /// record counts match.
+    fn assert_same(&self, tree: &rsky::altree::AlTree) -> Result<(), TestCaseError> {
+        prop_assert_eq!(tree.num_nodes(), self.live_nodes());
+        prop_assert_eq!(tree.num_records(), self.records() as u64);
+        prop_assert_eq!(tree.estimated_bytes(), self.modeled_bytes());
+        for (n, node) in self.nodes.iter().enumerate().filter(|(_, node)| node.live) {
+            let idx = n as u32;
+            prop_assert_eq!(tree.level(idx) as usize, node.level, "level of {}", n);
+            prop_assert_eq!(tree.desc_count(idx) as usize, self.desc(n), "desc of {}", n);
+            if n != 0 {
+                prop_assert_eq!(tree.value(idx), node.value, "value of {}", n);
+                prop_assert_eq!(tree.parent(idx) as usize, node.parent, "parent of {}", n);
+            }
+            if node.level == self.m {
+                prop_assert_eq!(tree.leaf_ids(idx), &node.ids[..], "ids of {}", n);
+            } else {
+                let (kids, vals) = tree.children_and_values(idx);
+                let want: Vec<u32> = node.children.iter().map(|&c| c as u32).collect();
+                let want_vals: Vec<u32> = node.children.iter().map(|&c| self.nodes[c].value).collect();
+                prop_assert_eq!(kids, &want[..], "children of {}", n);
+                prop_assert_eq!(vals, &want_vals[..], "child values of {}", n);
+            }
+        }
+        Ok(())
     }
 }

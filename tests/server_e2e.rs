@@ -12,7 +12,9 @@
 //! * graceful shutdown drains in-flight requests and the metrics registry
 //!   stays consistent with observed responses;
 //! * a request line longer than `MAX_LINE_BYTES` is rejected and its
-//!   connection closed.
+//!   connection closed;
+//! * a request that panics on its worker is answered `internal` and the
+//!   pool keeps every worker.
 
 use std::time::Duration;
 
@@ -306,6 +308,73 @@ fn shutdown_drains_inflight_and_metrics_reconcile() {
     assert_eq!(registry.counter("server.cache.miss"), 3);
     assert_eq!(registry.counter("server.shed"), 0);
     assert_eq!(registry.counter("server.accepted"), 3, "3 client connections");
+}
+
+/// A request that panics on its worker is answered `internal` within the
+/// read timeout instead of leaving its connection waiting forever; every
+/// connection is served afterwards, the pool still runs one request per
+/// worker at once, and the panic op is refused without `enable_test_ops`.
+#[test]
+fn worker_panic_is_answered_internal_and_workers_keep_serving() {
+    let ds = small_dataset(9008, 300);
+    let workers = 2;
+    let config = ServerConfig { workers, enable_test_ops: true, ..test_config() };
+    let handle = Server::start(config, ds.clone()).unwrap();
+    let addr = handle.local_addr();
+    let mut clients: Vec<Client> = (0..workers)
+        .map(|_| {
+            let c = Client::connect(addr).unwrap();
+            c.set_timeout(Duration::from_secs(30)).unwrap();
+            c
+        })
+        .collect();
+
+    // One panic per connection, sent at once so both workers take one.
+    let replies: Vec<String> = std::thread::scope(|s| {
+        let sends: Vec<_> =
+            clients.iter_mut().map(|c| s.spawn(move || c.send(r#"{"op":"panic"}"#))).collect();
+        sends
+            .into_iter()
+            .map(|h| h.join().unwrap().expect("a panicking request is answered, not abandoned"))
+            .collect()
+    });
+    for reply in &replies {
+        assert_eq!(error_kind(reply), "internal", "{reply}");
+    }
+    assert_eq!(handle.registry().counter("server.worker.panics"), workers as u64);
+
+    // Each connection is served again with the right ids.
+    let values = [1, 2, 3];
+    let want = direct_ids(&ds, "trs", &values);
+    for c in &mut clients {
+        let reply = c.send(&query_line("trs", &values)).unwrap();
+        assert!(is_ok(&reply), "post-panic query failed: {reply}");
+        assert_eq!(ids_of(&reply), want);
+    }
+
+    // No worker was lost: one sleep per worker, sent at once, takes about
+    // one sleep, not two.
+    let t0 = std::time::Instant::now();
+    std::thread::scope(|s| {
+        for c in &mut clients {
+            s.spawn(move || {
+                let reply = c.send(r#"{"op":"sleep","ms":600}"#).unwrap();
+                assert!(is_ok(&reply), "{reply}");
+            });
+        }
+    });
+    assert!(t0.elapsed() < Duration::from_millis(1100), "sleeps serialized: {:?}", t0.elapsed());
+    handle.shutdown();
+    handle.join();
+
+    let plain = Server::start(test_config(), small_dataset(9008, 50)).unwrap();
+    let mut c = Client::connect(plain.local_addr()).unwrap();
+    c.set_timeout(Duration::from_secs(30)).unwrap();
+    let reply = c.send(r#"{"op":"panic"}"#).unwrap();
+    assert_eq!(error_kind(&reply), "bad_request", "{reply}");
+    assert_eq!(plain.registry().counter("server.worker.panics"), 0);
+    plain.shutdown();
+    plain.join();
 }
 
 /// Malformed input never takes the server down, and the test-only op stays
