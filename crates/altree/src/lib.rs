@@ -928,6 +928,79 @@ mod tests {
         assert_eq!(describe(&random), want);
     }
 
+    /// Inserts `values` walking down from the root, as if the previous
+    /// record shared no prefix with it: the plain insertion that
+    /// [`AlTree::insert`]'s reuse of the previous path must match.
+    fn insert_from_root(t: &mut AlTree, values: &[u32], id: u32) {
+        if t.num_records > 0 {
+            t.prev_vals[0] = !values[0];
+        }
+        t.insert(values, id);
+    }
+
+    /// Builds `rows` twice, once reusing the previous record's path and
+    /// once from the root, and checks the sealed trees node for node.
+    fn assert_hint_matches_plain<const M: usize>(rows: &[[u32; M]]) {
+        let mut plain = AlTree::new(M);
+        let mut hinted = AlTree::new(M);
+        for (i, r) in rows.iter().enumerate() {
+            insert_from_root(&mut plain, r, i as u32);
+            hinted.insert(r, i as u32);
+        }
+        assert_eq!(plain.estimated_bytes(), hinted.estimated_bytes());
+        plain.seal();
+        hinted.seal();
+        plain.check_invariants().unwrap();
+        hinted.check_invariants().unwrap();
+        assert_eq!(plain.num_nodes(), hinted.num_nodes());
+        assert_eq!(plain.nodes.len(), hinted.nodes.len());
+        for n in 0..plain.nodes.len() as NodeIdx {
+            assert_eq!(plain.value(n), hinted.value(n), "value of node {n}");
+            assert_eq!(plain.parent(n), hinted.parent(n), "parent of node {n}");
+            assert_eq!(plain.level(n), hinted.level(n), "level of node {n}");
+            assert_eq!(plain.desc_count(n), hinted.desc_count(n), "count of node {n}");
+            if plain.is_leaf(n) {
+                assert_eq!(plain.leaf_ids(n), hinted.leaf_ids(n), "ids of leaf {n}");
+            } else {
+                assert_eq!(plain.children_and_values(n), hinted.children_and_values(n), "children of node {n}");
+            }
+        }
+        assert_eq!(plain.collect_ids(), hinted.collect_ids());
+        assert_eq!(plain.estimated_bytes(), hinted.estimated_bytes());
+    }
+
+    #[test]
+    fn insert_with_hint_matches_plain_insert() {
+        // Sorted input (the TRS case) and reversed input must both produce
+        // trees identical to plain insertion from the root.
+        let rows: Vec<[u32; 3]> = vec![
+            [0, 0, 1],
+            [0, 0, 1],
+            [0, 1, 0],
+            [0, 1, 2],
+            [1, 0, 0],
+            [1, 2, 2],
+            [1, 2, 2],
+        ];
+        assert_hint_matches_plain(&rows);
+        let mut reversed = rows;
+        reversed.reverse(); // strictly decreasing: the hint never matches fully
+        assert_hint_matches_plain(&reversed);
+    }
+
+    #[test]
+    fn insert_with_hint_random_equivalence() {
+        // Pseudo-random input exercises partial prefix matches and leaves
+        // revisited after other records (the regrouped id layout).
+        let mut state = 12345u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) % 4) as u32
+        };
+        let rows: Vec<[u32; 4]> = (0..500).map(|_| [next(), next(), next(), next()]).collect();
+        assert_hint_matches_plain(&rows);
+    }
+
     #[test]
     fn node_struct_stays_slim() {
         // The memory estimate (and TRS batch sizing fidelity) depends on a
