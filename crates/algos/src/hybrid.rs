@@ -263,6 +263,7 @@ pub fn hybrid_trs(
             tree.insert(&tvals, i as u32);
         }
         tree.seal();
+        tree.order_children_for_search();
         stats.phase1_batches += 1;
         for i in start..end {
             stats.obj_comparisons += 1;
@@ -316,7 +317,9 @@ fn encode(ds: &HybridDataset, id: RecordId, out: &mut [u32]) {
 /// object? Categorical levels use exact checks; numeric levels qualify a
 /// bucket only when its entire range is at most as dissimilar to the
 /// candidate as the query is (strict flag only when the whole range is
-/// strictly closer).
+/// strictly closer). The batch tree's children are in search order
+/// ([`AlTree::order_children_for_search`]), so pushing them in range order
+/// pops the largest subtree first.
 fn is_prunable_hybrid(
     tree: &AlTree,
     ds: &HybridDataset,
@@ -328,7 +331,6 @@ fn is_prunable_hybrid(
     let c_cat = ds.cat_rows.values(c_id as usize);
     let c_num = ds.num_of(c_id);
     let mut stack: Vec<(NodeIdx, bool)> = vec![(ROOT, false)];
-    let mut scratch: Vec<(NodeIdx, u32)> = Vec::new();
     while let Some((s, found_closer)) = stack.pop() {
         if tree.is_leaf(s) {
             if found_closer {
@@ -339,13 +341,10 @@ fn is_prunable_hybrid(
             }
             continue;
         }
-        scratch.clear();
-        let (children, values) = tree.children_and_values(s);
-        scratch.extend(children.iter().copied().zip(values.iter().copied()));
-        scratch.sort_by_key(|&(c, _)| tree.desc_count(c));
         // Children of `s` fix attribute `level(s)` of the tree encoding.
         let level = tree.level(s) as usize;
-        for &(p, u) in &scratch {
+        let (children, values) = tree.children_and_values(s);
+        for (&p, &u) in children.iter().zip(values) {
             if level < mc {
                 stats.dist_checks += 1;
                 let d_pc = ds.dissim.d(level, u, c_cat[level]);
@@ -578,6 +577,23 @@ mod tests {
         let q = HybridQuery { cat: vec![0], num: vec![0.5] };
         let (got, _) = hybrid_trs(&ds, &q, 10).unwrap();
         assert!(got.is_empty(), "duplicate pair differing from q must vanish, got {got:?}");
+    }
+
+    /// Ids and costs of one seeded run, pinned: the phase-one walk pops the
+    /// largest subtree first (value order among ties) and stops at the first
+    /// certain pruner, so its check count moves with any change of order.
+    #[test]
+    fn seeded_run_keeps_its_ids_and_costs() {
+        let (ds, q) = random_hybrid(400, 2024);
+        let (ids, stats) = hybrid_trs(&ds, &q, 48).unwrap();
+        assert_eq!(
+            ids,
+            [70, 76, 78, 79, 122, 127, 142, 145, 146, 238, 270, 289, 294, 310, 333, 376, 394]
+        );
+        assert_eq!(ids, hybrid_oracle(&ds, &q));
+        assert_eq!(stats.dist_checks, 38_240);
+        assert_eq!(stats.obj_comparisons, 2_400);
+        assert_eq!(stats.phase1_survivors, 209);
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl InfluenceEngine {
     /// retain the result id lists (memory proportional to total influence).
     /// Each query closes one `influence.query` span (see [`run_queries`]).
     pub fn run(&mut self, queries: &[Query], keep_ids: bool) -> Result<InfluenceReport> {
-        run_queries(queries, keep_ids, |q| {
+        run_queries(queries.iter().enumerate(), keep_ids, |q| {
             let mut ctx = EngineCtx {
                 disk: &mut self.disk,
                 schema: &self.dataset.schema,
@@ -129,21 +129,22 @@ impl InfluenceEngine {
     }
 }
 
-/// The one influence loop: runs `queries` in workload order through `run`,
-/// the caller's per-query reverse-skyline run, and reports `|RS|` per query
-/// with the summed stats. With a recorder active, each query closes one
-/// `influence.query` span carrying the query index and its cardinality: a
-/// cost scope over the running totals, so its deltas are that query's costs
-/// and the spans tile [`InfluenceReport::totals`].
-pub fn run_queries(
-    queries: &[Query],
+/// The one influence loop: runs `queries`, each paired with its workload
+/// index, in the given order through `run`, the caller's per-query
+/// reverse-skyline run, and reports `|RS|` per query with the summed stats.
+/// With a recorder active, each query closes one `influence.query` span
+/// carrying the workload index and its cardinality: a cost scope over the
+/// running totals, so its deltas are that query's costs and the spans tile
+/// [`InfluenceReport::totals`].
+pub fn run_queries<'q>(
+    queries: impl IntoIterator<Item = (usize, &'q Query)>,
     keep_ids: bool,
     mut run: impl FnMut(&Query) -> Result<RsRun>,
 ) -> Result<InfluenceReport> {
     let robs = RunObs::capture("influence");
-    let mut per_query = Vec::with_capacity(queries.len());
+    let mut per_query = Vec::new();
     let mut totals = RunStats::default();
-    for (qi, q) in queries.iter().enumerate() {
+    for (qi, q) in queries {
         let scope = robs.scope("query", &totals, totals.io);
         let run = run(q)?;
         totals.merge(&run.stats);
@@ -191,13 +192,6 @@ pub fn run_influence_parallel(
     let sorted = prepare_table(&mut disk, &dataset.schema, &raw, Layout::MultiSort, &budget)?;
     let image = sorted.file.share(&disk)?;
     let trs = Trs::for_schema(&dataset.schema);
-    let chunks: Vec<Vec<(usize, Query)>> = {
-        let mut c: Vec<Vec<(usize, Query)>> = vec![Vec::new(); threads];
-        for (qi, q) in queries.iter().enumerate() {
-            c[qi % threads].push((qi, q.clone()));
-        }
-        c
-    };
     // Capture the caller's recorder, cancel token and span context (all
     // scoped thread-locals) and re-install them inside each worker, so
     // per-query spans from worker threads reach the same sink *in the same
@@ -205,40 +199,30 @@ pub fn run_influence_parallel(
     let obs = rsky_core::obs::handle();
     let cancel = rsky_core::cancel::current();
     let parent = rsky_core::obs::current_parent();
-    let results: Vec<Result<Vec<(usize, Influence, RunStats)>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
+    let results: Vec<Result<InfluenceReport>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
                 let obs = obs.clone();
                 let cancel = cancel.clone();
                 let (image, trs) = (&image, &trs);
-                scope.spawn(move || -> Result<Vec<(usize, Influence, RunStats)>> {
+                scope.spawn(move || -> Result<InfluenceReport> {
                     rsky_core::obs::with_recorder(obs, || {
                         rsky_core::cancel::with_token(cancel, || {
                             rsky_core::obs::with_parent(parent, || {
                                 let mut disk = Disk::new_mem(page_size);
                                 let file = image.mount(&mut disk)?;
-                                let mut out = Vec::with_capacity(chunk.len());
-                                for (qi, q) in chunk {
-                                    let report =
-                                        run_queries(std::slice::from_ref(&q), keep_ids, |q| {
-                                            let mut ctx = EngineCtx {
-                                                disk: &mut disk,
-                                                schema: &dataset.schema,
-                                                dissim: &dataset.dissim,
-                                                budget,
-                                            };
-                                            trs.run(&mut ctx, &file, q)
-                                        })?;
-                                    let mut inf = report
-                                        .per_query
-                                        .into_iter()
-                                        .next()
-                                        .expect("one query in, one out");
-                                    inf.query_index = qi;
-                                    out.push((qi, inf, report.totals));
-                                }
-                                Ok(out)
+                                let share = (t..queries.len())
+                                    .step_by(threads)
+                                    .map(|qi| (qi, &queries[qi]));
+                                run_queries(share, keep_ids, |q| {
+                                    let mut ctx = EngineCtx {
+                                        disk: &mut disk,
+                                        schema: &dataset.schema,
+                                        dissim: &dataset.dissim,
+                                        budget,
+                                    };
+                                    trs.run(&mut ctx, &file, q)
+                                })
                             })
                         })
                     })
@@ -250,9 +234,11 @@ pub fn run_influence_parallel(
 
     let mut per_query: Vec<Option<Influence>> = vec![None; queries.len()];
     let mut totals = RunStats::default();
-    for r in results {
-        for (qi, inf, t) in r? {
-            totals.merge(&t);
+    for report in results {
+        let report = report?;
+        totals.merge(&report.totals);
+        for inf in report.per_query {
+            let qi = inf.query_index;
             per_query[qi] = Some(inf);
         }
     }

@@ -583,7 +583,7 @@ impl ShardedTables {
     /// queries, through the one influence loop
     /// ([`influence::run_queries`]).
     pub fn run_influence(&mut self, queries: &[Query], keep_ids: bool) -> Result<InfluenceReport> {
-        influence::run_queries(queries, keep_ids, |q| {
+        influence::run_queries(queries.iter().enumerate(), keep_ids, |q| {
             let run = self.run_query("trs", 1, q)?;
             Ok(RsRun { ids: run.ids, stats: run.stats })
         })

@@ -28,8 +28,7 @@ fn main() {
         ("{A1,A4,A7} (spread)", &[0, 3, 6]),
         ("{A1..A7} (all)", &[0, 1, 2, 3, 4, 5, 6]),
     ];
-    let algos =
-        [AlgoKind::Srs, AlgoKind::TSrs { tiles: 4 }, AlgoKind::Trs, AlgoKind::TTrs { tiles: 4 }];
+    let algos = [AlgoKind::SRS, AlgoKind::TSRS, AlgoKind::TRS, AlgoKind::TTRS];
 
     let mut points = Vec::new();
     for (label, subset) in subsets {

@@ -7,28 +7,31 @@
 //! early exit) and through [`CandidateBlocks::scan`] on both distance
 //! sources — the flat tables and the `DissimTable` itself — with survivors
 //! and counters asserted identical and the min-of-reps wall-clock ratios
-//! reported. Results land in `BENCH_kernels.json` at the repository root.
-//! The historical AL-Tree / Z-order criterion-style samplers ride along.
+//! printed. Five probe-level samplers (scalar probe, AL-Tree build + seal
+//! on sorted and arrival-order input, one `IsPrunable` walk, a Z-order
+//! key) are timed by the same min-of-reps loop.
 //!
 //! Engine-level id and counter identity across the two sources is a tier-1
 //! test (`tests/kernel_differential.rs`), not a bench.
 
-use std::path::Path;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsky_algos::kernels::{CandidateBlocks, DistSource};
 use rsky_algos::qcache::QueryDistCache;
 use rsky_algos::trs::is_prunable;
 use rsky_altree::AlTree;
-use rsky_bench::{table::ms, BenchConfig};
+use rsky_bench::{table::ms, BenchConfig, Table};
 use rsky_core::dataset::Dataset;
 use rsky_core::dissim::FlatDissim;
 use rsky_core::query::{AttrSubset, Query};
 use rsky_core::stats::RunStats;
 use rsky_storage::ColumnarBatch;
+
+/// Timed repetitions per measurement; every time printed is their minimum.
+const REPS: usize = 15;
 
 /// The dominance inner loop measured in isolation on one fixed workload:
 /// a per-pair loop vs the batched kernel on each distance source.
@@ -75,10 +78,6 @@ fn main() {
     assert!(inner.counters_identical, "inner loop: batched kernel drifted from the scalar counters");
 
     probe_level_benches(&ds, &qs[0]);
-
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
-    std::fs::write(&path, render_json(&inner, &ds, qs.len())).unwrap();
-    println!("wrote {}", path.display());
 }
 
 /// The dominance inner loop in isolation: identical candidate set and scan
@@ -112,7 +111,6 @@ fn inner_loop_bench(ds: &Dataset, q: &Query) -> InnerLoop {
         page.push(ds.rows.id(i), ds.rows.values(i));
     }
     let ys = ColumnarBatch::from_rows(&page);
-    const REPS: usize = 15;
 
     let mut scalar = Duration::MAX;
     let mut s_checks = 0u64;
@@ -192,22 +190,34 @@ fn inner_loop_bench(ds: &Dataset, q: &Query) -> InnerLoop {
     InnerLoop { cands, scan_rows, scalar, kernel, table, survivors: k_alive, counters_identical }
 }
 
-/// Criterion-style samplers for the remaining innermost loops (the shim
-/// prints min/mean/max per-iteration latency).
+/// Minimum over [`REPS`] timed rounds of `calls` calls of `f`, in
+/// nanoseconds per call.
+fn min_ns_per_call(calls: u32, mut f: impl FnMut()) -> f64 {
+    (0..REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..calls {
+                f();
+            }
+            t0.elapsed().as_secs_f64() * 1e9 / f64::from(calls)
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The innermost loops one call at a time: a scalar probe, an AL-Tree
+/// batch build (per record), one `IsPrunable` walk and a Z-order key.
 fn probe_level_benches(ds: &Dataset, q: &Query) {
-    let mut c = Criterion::default()
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300));
     let m = ds.schema.num_attrs();
     let subset = AttrSubset::all(m);
     let cache = QueryDistCache::new(&ds.dissim, &ds.schema, q);
+    let mut t = Table::new(format!("Probe-level kernels (min of {REPS} reps)"), &["kernel", "ns"]);
+    let mut row = |name: &str, ns: f64| t.row(vec![name.into(), format!("{ns:.1}")]);
 
     // Scalar probe: one candidate against one scan object via the matrix.
-    let mut checks = 0u64;
-    c.bench_function("prunes_cached scalar probe (5 attrs)", |b| {
-        let mut i = 0;
-        b.iter(|| {
+    let (mut checks, mut i) = (0u64, 0usize);
+    row(
+        "prunes_cached scalar probe (5 attrs)",
+        min_ns_per_call(100_000, || {
             let y = ds.rows.values(i % ds.rows.len());
             let x = ds.rows.values((i * 7 + 1) % ds.rows.len());
             i += 1;
@@ -218,59 +228,55 @@ fn probe_level_benches(ds: &Dataset, q: &Query) {
                 x,
                 &cache,
                 &mut checks,
-            ))
-        })
-    });
+            ));
+        }),
+    );
 
-    // Historical micro-benches: AL-Tree build, IsPrunable walk, Z-order key.
+    // One batch tree per call, built and sealed into a reused tree the way
+    // the engines' batch loader does; reported per record.
     let order: Vec<usize> = (0..m).collect();
     let mut sorted = ds.rows.clone();
     rsky_order::multisort::sort_rows_lex(&mut sorted, &order);
     let build_n = sorted.len().min(20_000);
-    // One batch tree per iteration, built and sealed into a reused tree the
-    // way the engines' batch loader does.
-    let mut t = AlTree::new(m);
-    c.bench_function("altree build + seal (sorted input)", |b| {
-        b.iter(|| {
-            t.clear();
+    let mut t_build = AlTree::new(m);
+    for (name, rows) in [
+        ("altree build + seal, sorted input (per record)", &sorted),
+        ("altree build + seal, original order (per record)", &ds.rows),
+    ] {
+        let per_build = min_ns_per_call(1, || {
+            t_build.clear();
             for i in 0..build_n {
-                t.insert(sorted.values(i), sorted.id(i));
+                t_build.insert(rows.values(i), rows.id(i));
             }
-            t.seal();
-            black_box(t.num_nodes())
-        })
-    });
-    c.bench_function("altree build + seal (original order)", |b| {
-        b.iter(|| {
-            t.clear();
-            for i in 0..build_n {
-                t.insert(ds.rows.values(i), ds.rows.id(i));
-            }
-            t.seal();
-            black_box(t.num_nodes())
-        })
-    });
+            t_build.seal();
+            black_box(t_build.num_nodes());
+        });
+        row(name, per_build / build_n as f64);
+    }
+
     let mut tree = AlTree::new(m);
     for i in 0..sorted.len() {
         tree.insert(sorted.values(i), sorted.id(i));
     }
     tree.seal();
     tree.order_children_for_search();
-    let mut tstats = RunStats::default();
-    c.bench_function("is_prunable over full tree", |b| {
-        let mut i = 0;
-        b.iter(|| {
+    let (mut tstats, mut i) = (RunStats::default(), 0usize);
+    row(
+        "is_prunable over full tree",
+        min_ns_per_call(10_000, || {
             let cand = sorted.values(i % sorted.len());
             let id = sorted.id(i % sorted.len());
             i += 1;
             black_box(is_prunable(
                 &tree, &ds.dissim, &subset, &order, cand, id, &cache, &mut tstats,
-            ))
-        })
-    });
-    c.bench_function("z_order_key 7 dims", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
+            ));
+        }),
+    );
+
+    let mut i = 0u32;
+    row(
+        "z_order_key 7 dims",
+        min_ns_per_call(100_000, || {
             i = i.wrapping_add(17);
             black_box(rsky_order::z_order_key(&[
                 i % 16,
@@ -280,33 +286,8 @@ fn probe_level_benches(ds: &Dataset, q: &Query) {
                 i % 4,
                 i % 5,
                 i % 3,
-            ]))
-        })
-    });
-}
-
-fn render_json(inner: &InnerLoop, ds: &Dataset, queries: usize) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"micro_kernels\",\n");
-    s.push_str(&format!(
-        "  \"dataset\": {{\"kind\": \"synthetic-normal\", \"n\": {}, \"attrs\": {}, \"queries\": {queries}}},\n",
-        ds.len(),
-        ds.schema.num_attrs()
-    ));
-    s.push_str(&format!(
-        "  \"inner_loop\": {{\"cands\": {}, \"scan_rows\": {}, \"scalar_ms\": {:.3}, \
-         \"kernel_ms\": {:.3}, \"speedup\": {:.3}, \"table_kernel_ms\": {:.3}, \
-         \"table_speedup\": {:.3}, \"survivors\": {}, \"counters_identical\": {}}}\n",
-        inner.cands,
-        inner.scan_rows,
-        inner.scalar.as_secs_f64() * 1e3,
-        inner.kernel.as_secs_f64() * 1e3,
-        inner.speedup(inner.kernel),
-        inner.table.as_secs_f64() * 1e3,
-        inner.speedup(inner.table),
-        inner.survivors,
-        inner.counters_identical
-    ));
-    s.push_str("}\n");
-    s
+            ]));
+        }),
+    );
+    t.print();
 }

@@ -3,16 +3,13 @@
 //! un-instrumented production run pays) versus on a **recording** handle
 //! (a `RegistrySink`, the cheapest always-on sink).
 //!
-//! Besides the stdout table this bench writes `BENCH_obs.json` at the
-//! repository root: per-op nanosecond costs for a tight baseline loop, the
+//! The table prints per-op nanosecond costs for a tight baseline loop, the
 //! noop span/histogram paths, and the recording span/histogram paths. The
 //! contract the engine layer relies on is that the noop numbers sit within
 //! noise of the baseline — instrumentation must be free when nobody is
 //! listening.
 
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::path::Path;
 use std::time::Instant;
 
 use rsky_bench::table::Table;
@@ -85,16 +82,4 @@ fn main() {
         noop_span - baseline,
         rec_span - baseline
     );
-
-    let mut json = String::from("{");
-    let _ = write!(
-        json,
-        "\"iters\":{iters},\"baseline_ns_per_op\":{baseline:.2},\
-         \"noop\":{{\"span_ns\":{noop_span:.2},\"histogram_ns\":{noop_hist:.2}}},\
-         \"recording\":{{\"span_ns\":{rec_span:.2},\"histogram_ns\":{rec_hist:.2}}}"
-    );
-    json.push('}');
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_obs.json");
-    std::fs::write(&path, json).unwrap();
-    println!("wrote {}", path.display());
 }

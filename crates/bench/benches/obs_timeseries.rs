@@ -12,13 +12,7 @@
 //! * **Profile fold** — `Profile::from_spans` aggregates a span stream into
 //!   the per-path self-time table behind `rsky profile` and the slowlog's
 //!   per-entry summaries. Reported as spans/second.
-//!
-//! Besides the stdout tables the bench merges a `"timeseries"` member into
-//! `BENCH_obs.json` at the repository root (preserving the span/histogram
-//! costs `obs_overhead` wrote there).
 
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
 use rsky_bench::table::Table;
@@ -144,24 +138,14 @@ fn main() {
         format!("Sampler tick cost over {ticks} ticks (µs)"),
         &["series", "mean", "p50", "p99"],
     );
-    let mut sampler_json = String::from("[");
     let mut p99_at_default = f64::NAN;
-    for (i, &series) in SIZES.iter().enumerate() {
+    for &series in SIZES {
         let s = sampler_stats(series, ticks);
         t.row(vec![series.to_string(), us(s.mean_us), us(s.p50_us), us(s.p99_us)]);
-        if i > 0 {
-            sampler_json.push(',');
-        }
-        let _ = write!(
-            sampler_json,
-            "{{\"series\":{series},\"mean_us\":{:.2},\"p50_us\":{:.2},\"p99_us\":{:.2}}}",
-            s.mean_us, s.p50_us, s.p99_us
-        );
         if series == DEFAULT_SIZE {
             p99_at_default = s.p99_us;
         }
     }
-    sampler_json.push(']');
     t.print();
     assert!(
         p99_at_default < BUDGET_US,
@@ -193,34 +177,4 @@ fn main() {
         format!("{spans_per_sec:.0}"),
     ]);
     t.print();
-
-    // --- merge into BENCH_obs.json ---------------------------------------
-    // `obs_overhead` owns the file's span/histogram members; this bench owns
-    // the trailing "timeseries" member and must survive either run order.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_obs.json");
-    let mut json = match std::fs::read_to_string(&path) {
-        Ok(existing) => {
-            let s = existing.trim_end();
-            let s = s.strip_suffix('}').unwrap_or(s);
-            match s.find(",\"timeseries\"") {
-                Some(i) => s[..i].to_string(),
-                None => s.to_string(),
-            }
-        }
-        Err(_) => String::from("{"),
-    };
-    if !json.ends_with('{') {
-        json.push(',');
-    }
-    let _ = write!(
-        json,
-        "\"timeseries\":{{\"ticks\":{ticks},\"budget_us\":{BUDGET_US},\
-         \"p99_us_at_default\":{p99_at_default:.2},\"default_series\":{DEFAULT_SIZE},\
-         \"sampler\":{sampler_json},\
-         \"profile\":{{\"traces\":{traces},\"spans\":{},\"spans_per_sec\":{spans_per_sec:.0}}}}}",
-        spans.len()
-    );
-    json.push('}');
-    std::fs::write(&path, json).unwrap();
-    println!("merged into {}", path.display());
 }

@@ -8,11 +8,9 @@
 //! must equal the maintained view's member set at that generation. The run
 //! asserts incremental maintenance beats the naive recompute mean for every
 //! mix at the largest size — the CI smoke contract (`ci.sh full`) — and
-//! writes `BENCH_view.json` at the repository root: per-size, per-mix mean
-//! latencies, the speedup, and the view's fallback count (0 means every
-//! mutation was absorbed incrementally).
+//! prints per-size, per-mix mean latencies, the speedup, and the view's
+//! fallback count (0 means every mutation was absorbed incrementally).
 
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -86,10 +84,6 @@ fn main() {
         );
     }
     println!("incremental maintenance beats naive recompute at n = {}", largest.n);
-
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_view.json");
-    std::fs::write(&path, render_json(&points)).unwrap();
-    println!("wrote {}", path.display());
 }
 
 fn bench_size(n: usize, cfg: &BenchConfig) -> SizePoint {
@@ -186,30 +180,4 @@ fn mutate(ds: &mut Dataset, event: &MutationEvent) {
 
 fn speedup(m: &MixPoint) -> f64 {
     m.naive.as_secs_f64() / m.incremental.as_secs_f64().max(1e-9)
-}
-
-fn render_json(points: &[SizePoint]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"view_maintenance\",\n");
-    s.push_str(&format!("  \"engine\": \"{ENGINE}\",\n"));
-    s.push_str(&format!("  \"mutations_per_mix\": {MUTS},\n"));
-    s.push_str("  \"sizes\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!("    {{\"n\": {}, \"mixes\": [\n", p.n));
-        for (j, m) in p.mixes.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"mix\": \"{}\", \"incremental_us_mean\": {}, \"naive_us_mean\": {}, \
-                 \"speedup\": {:.2}, \"fallbacks\": {}}}{}\n",
-                m.mix,
-                m.incremental.as_micros(),
-                m.naive.as_micros(),
-                speedup(m),
-                m.fallbacks,
-                if j + 1 < p.mixes.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!("    ]}}{}\n", if i + 1 < points.len() { "," } else { "" }));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }

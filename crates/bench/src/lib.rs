@@ -1,11 +1,13 @@
 //! # rsky-bench
 //!
 //! Harness reproducing **every table and figure** of the paper's evaluation
-//! (Section 5). Each figure has a plain `cargo bench` target (no criterion
-//! harness) that sweeps the figure's x-axis and prints the series as
-//! markdown tables — computation time, sequential/random page IOs and
-//! response time per algorithm — mirroring the paper's plots. Criterion
-//! micro-benches cover the hot kernels separately.
+//! (Section 5). Each figure has a plain `cargo bench` target that sweeps the
+//! figure's x-axis and prints the series as markdown tables — computation
+//! time, sequential/random page IOs and response time per algorithm —
+//! mirroring the paper's plots. A few more targets print micro-benchmarks
+//! (kernels, observability cost, view maintenance). Every bench only
+//! prints: performance claims come from perfbench, which reports medians
+//! and spreads.
 //!
 //! ## Scaling
 //!

@@ -3,62 +3,44 @@
 
 use std::time::Duration;
 
-use rsky_algos::prep::{load_dataset, prepare_table, Layout};
-use rsky_algos::{Brs, EngineCtx, Naive, ReverseSkylineAlgo, Srs, Trs};
+use rsky_algos::prep::{load_dataset, prepare_table};
+use rsky_algos::{engine_by_name, layout_for, EngineCtx};
 use rsky_core::dataset::Dataset;
 use rsky_core::error::Result;
 use rsky_core::query::Query;
 use rsky_core::stats::IoCounts;
 use rsky_storage::{Disk, MemoryBudget};
 
-/// The algorithms of the paper's evaluation.
+/// Z-order tiles per attribute of the tiled layouts (Section 5.6).
+const TILES: u32 = 4;
+
+/// One algorithm of the paper's evaluation: the legend it is plotted under
+/// and the [`engine_by_name`] name that picks its engine and, through
+/// [`layout_for`], its layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlgoKind {
-    /// Algorithm 1, on the original layout.
-    Naive,
-    /// Algorithm 2, on the original layout.
-    Brs,
-    /// Section 4.2, on the multi-attribute-sorted layout.
-    Srs,
-    /// Algorithms 3–5, on the multi-attribute-sorted layout.
-    Trs,
-    /// SRS on the Z-ordered tiled layout (Section 5.6).
-    TSrs {
-        /// Tiles per attribute.
-        tiles: u32,
-    },
-    /// TRS on the Z-ordered tiled layout (Section 5.6).
-    TTrs {
-        /// Tiles per attribute.
-        tiles: u32,
-    },
+pub struct AlgoKind {
+    /// Display name matching the paper's legends.
+    pub name: &'static str,
+    /// Engine name (`naive|brs|srs|trs|tsrs|ttrs`).
+    pub engine: &'static str,
 }
 
 impl AlgoKind {
-    /// Display name matching the paper's legends.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AlgoKind::Naive => "Naive",
-            AlgoKind::Brs => "BRS",
-            AlgoKind::Srs => "SRS",
-            AlgoKind::Trs => "TRS",
-            AlgoKind::TSrs { .. } => "T-SRS",
-            AlgoKind::TTrs { .. } => "T-TRS",
-        }
-    }
-
-    fn layout(&self) -> Layout {
-        match self {
-            AlgoKind::Naive | AlgoKind::Brs => Layout::Original,
-            AlgoKind::Srs | AlgoKind::Trs => Layout::MultiSort,
-            AlgoKind::TSrs { tiles } | AlgoKind::TTrs { tiles } => {
-                Layout::Tiled { tiles_per_attr: *tiles }
-            }
-        }
-    }
+    /// Algorithm 1, on the original layout.
+    pub const NAIVE: AlgoKind = AlgoKind { name: "Naive", engine: "naive" };
+    /// Algorithm 2, on the original layout.
+    pub const BRS: AlgoKind = AlgoKind { name: "BRS", engine: "brs" };
+    /// Section 4.2, on the multi-attribute-sorted layout.
+    pub const SRS: AlgoKind = AlgoKind { name: "SRS", engine: "srs" };
+    /// Algorithms 3–5, on the multi-attribute-sorted layout.
+    pub const TRS: AlgoKind = AlgoKind { name: "TRS", engine: "trs" };
+    /// SRS on the Z-ordered tiled layout (Section 5.6).
+    pub const TSRS: AlgoKind = AlgoKind { name: "T-SRS", engine: "tsrs" };
+    /// TRS on the Z-ordered tiled layout (Section 5.6).
+    pub const TTRS: AlgoKind = AlgoKind { name: "T-TRS", engine: "ttrs" };
 
     /// The trio the paper's main figures compare.
-    pub const MAIN: [AlgoKind; 3] = [AlgoKind::Brs, AlgoKind::Srs, AlgoKind::Trs];
+    pub const MAIN: [AlgoKind; 3] = [AlgoKind::BRS, AlgoKind::SRS, AlgoKind::TRS];
 }
 
 /// Where the pages live during the run.
@@ -117,7 +99,9 @@ pub fn run_algo(
     };
     let budget = MemoryBudget::from_percent(dataset.data_bytes(), mem_pct, page_size)?;
     let raw = load_dataset(&mut disk, dataset)?;
-    let prepared = prepare_table(&mut disk, &dataset.schema, &raw, algo.layout(), &budget)?;
+    let layout = layout_for(algo.engine, TILES)?;
+    let prepared = prepare_table(&mut disk, &dataset.schema, &raw, layout, &budget)?;
+    let engine = engine_by_name(algo.engine, &dataset.schema, 1)?;
 
     let mut io = IoCounts::default();
     let mut response = Duration::ZERO;
@@ -130,14 +114,7 @@ pub fn run_algo(
             dissim: &dataset.dissim,
             budget,
         };
-        let run = match algo {
-            AlgoKind::Naive => Naive.run(&mut ctx, &prepared.file, q)?,
-            AlgoKind::Brs => Brs.run(&mut ctx, &prepared.file, q)?,
-            AlgoKind::Srs | AlgoKind::TSrs { .. } => Srs.run(&mut ctx, &prepared.file, q)?,
-            AlgoKind::Trs | AlgoKind::TTrs { .. } => {
-                Trs::for_schema(&dataset.schema).run(&mut ctx, &prepared.file, q)?
-            }
-        };
+        let run = engine.run(&mut ctx, &prepared.file, q)?;
         io.add(run.stats.io);
         response += run.stats.total_time;
         compute += run.stats.phase1_time + run.stats.phase2_time;
@@ -151,7 +128,7 @@ pub fn run_algo(
     }
     let nq = queries.len().max(1) as u32;
     Ok(PointResult {
-        algo: algo.name(),
+        algo: algo.name,
         response: response / nq,
         compute: compute / nq,
         io: IoCounts {
@@ -180,15 +157,15 @@ mod tests {
         let qs = rsky_data::random_queries(&ds.schema, 2, &mut rng).unwrap();
         let mut sizes = Vec::new();
         for algo in [
-            AlgoKind::Naive,
-            AlgoKind::Brs,
-            AlgoKind::Srs,
-            AlgoKind::Trs,
-            AlgoKind::TSrs { tiles: 2 },
-            AlgoKind::TTrs { tiles: 2 },
+            AlgoKind::NAIVE,
+            AlgoKind::BRS,
+            AlgoKind::SRS,
+            AlgoKind::TRS,
+            AlgoKind::TSRS,
+            AlgoKind::TTRS,
         ] {
             let r = run_algo(&ds, &qs, algo, 10.0, 512, BackendKind::Mem).unwrap();
-            sizes.push((algo.name(), r.result_size));
+            sizes.push((algo.name, r.result_size));
         }
         let first = sizes[0].1;
         for (name, s) in sizes {
@@ -201,8 +178,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(51);
         let ds = rsky_data::synthetic::normal_dataset(3, 6, 120, &mut rng).unwrap();
         let qs = rsky_data::random_queries(&ds.schema, 1, &mut rng).unwrap();
-        let mem = run_algo(&ds, &qs, AlgoKind::Trs, 20.0, 512, BackendKind::Mem).unwrap();
-        let file = run_algo(&ds, &qs, AlgoKind::Trs, 20.0, 512, BackendKind::File).unwrap();
+        let mem = run_algo(&ds, &qs, AlgoKind::TRS, 20.0, 512, BackendKind::Mem).unwrap();
+        let file = run_algo(&ds, &qs, AlgoKind::TRS, 20.0, 512, BackendKind::File).unwrap();
         assert_eq!(mem.result_size, file.result_size);
         assert_eq!(mem.io.sequential(), file.io.sequential());
     }

@@ -2,7 +2,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rsky_algos::prep::{load_dataset, prepare_table};
+use rsky_algos::{engine_by_name, layout_for, EngineCtx};
+use rsky_core::dataset::Dataset;
 use rsky_core::error::Result;
+use rsky_core::query::Query;
+use rsky_storage::{Disk, MemoryBudget};
 
 use crate::args::Flags;
 use crate::obs_setup::{CliObs, StatsFormat};
@@ -24,6 +29,20 @@ OPTIONS:
     --stats-format F  table as human | json | prometheus         [human]
     --trace-out FILE  stream span/counter events to FILE as JSONL";
 
+/// Every engine the table compares, as (display label, engine name): the
+/// O(n²) Naive baseline first, run only with `--naive true`.
+const ENGINES: [(&str, &str); 6] = [
+    ("Naive", "naive"),
+    ("BRS", "brs"),
+    ("SRS", "srs"),
+    ("TRS", "trs"),
+    ("T-SRS", "tsrs"),
+    ("T-TRS", "ttrs"),
+];
+
+/// Z-order tiles per attribute of the tiled layouts (T-SRS, T-TRS).
+const TILES: u32 = 4;
+
 pub fn run(argv: &[String]) -> Result<()> {
     let flags = Flags::parse(argv)?;
     let obs = CliObs::install(&flags)?;
@@ -36,30 +55,22 @@ pub fn run(argv: &[String]) -> Result<()> {
 
     let mut rng = StdRng::seed_from_u64(seed);
     let workload = rsky_data::random_queries(&ds.schema, queries, &mut rng)?;
+    let rows = ENGINES[usize::from(!include_naive)..]
+        .iter()
+        .map(|&(label, name)| Ok((label, run_engine(&ds, &workload, name, mem_pct, page)?)))
+        .collect::<Result<Vec<_>>>()?;
 
     if obs.format != StatsFormat::Human {
         use std::fmt::Write;
-        let mut algos = vec![
-            rsky_bench_kind::Kind::Brs,
-            rsky_bench_kind::Kind::Srs,
-            rsky_bench_kind::Kind::Trs,
-            rsky_bench_kind::Kind::TSrs,
-            rsky_bench_kind::Kind::TTrs,
-        ];
-        if include_naive {
-            algos.insert(0, rsky_bench_kind::Kind::Naive);
-        }
         let mut out = String::from("{\"rows\":[");
-        for (i, kind) in algos.into_iter().enumerate() {
-            let r = rsky_bench_kind::run(&ds, &workload, kind, mem_pct, page)?;
+        for (i, (label, r)) in rows.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(
                 out,
-                "{{\"algo\":\"{}\",\"mean_ms\":{},\"mean_checks\":{},\"seq_io\":{},\
+                "{{\"algo\":\"{label}\",\"mean_ms\":{},\"mean_checks\":{},\"seq_io\":{},\
                  \"rand_io\":{},\"mean_rs\":{}}}",
-                kind.name(),
                 r.mean_ms,
                 r.mean_checks,
                 r.seq_io,
@@ -87,114 +98,57 @@ pub fn run(argv: &[String]) -> Result<()> {
         "{:<7} {:>12} {:>14} {:>9} {:>9} {:>8}",
         "algo", "mean ms", "mean checks", "seq IO", "rand IO", "|RS|"
     );
-    let mut algos = vec![
-        rsky_bench_kind::Kind::Brs,
-        rsky_bench_kind::Kind::Srs,
-        rsky_bench_kind::Kind::Trs,
-        rsky_bench_kind::Kind::TSrs,
-        rsky_bench_kind::Kind::TTrs,
-    ];
-    if include_naive {
-        algos.insert(0, rsky_bench_kind::Kind::Naive);
-    }
-    for kind in algos {
-        let r = rsky_bench_kind::run(&ds, &workload, kind, mem_pct, page)?;
+    for (label, r) in &rows {
         println!(
             "{:<7} {:>12.1} {:>14.0} {:>9} {:>9} {:>8.1}",
-            kind.name(),
-            r.mean_ms,
-            r.mean_checks,
-            r.seq_io,
-            r.rand_io,
-            r.mean_rs
+            label, r.mean_ms, r.mean_checks, r.seq_io, r.rand_io, r.mean_rs
         );
     }
     obs.finish()?;
     Ok(())
 }
 
-/// A small local runner (the bench crate's richer one is dev-only tooling).
-mod rsky_bench_kind {
-    use rsky_algos::prep::{load_dataset, prepare_table, Layout};
-    use rsky_algos::{Brs, EngineCtx, Naive, ReverseSkylineAlgo, Srs, Trs};
-    use rsky_core::dataset::Dataset;
-    use rsky_core::error::Result;
-    use rsky_core::query::Query;
-    use rsky_storage::{Disk, MemoryBudget};
+/// One engine's means over the workload.
+struct Row {
+    mean_ms: f64,
+    mean_checks: f64,
+    seq_io: u64,
+    rand_io: u64,
+    mean_rs: f64,
+}
 
-    #[derive(Clone, Copy)]
-    pub enum Kind {
-        Naive,
-        Brs,
-        Srs,
-        Trs,
-        TSrs,
-        TTrs,
+/// Runs engine `name` over `workload` on a freshly prepared in-memory
+/// table in the engine's layout.
+fn run_engine(
+    ds: &Dataset,
+    workload: &[Query],
+    name: &str,
+    mem_pct: f64,
+    page: usize,
+) -> Result<Row> {
+    let mut disk = Disk::new_mem(page);
+    let raw = load_dataset(&mut disk, ds)?;
+    let budget = MemoryBudget::from_percent(ds.data_bytes(), mem_pct, page)?;
+    let layout = layout_for(name, TILES)?;
+    let prepared = prepare_table(&mut disk, &ds.schema, &raw, layout, &budget)?;
+    let engine = engine_by_name(name, &ds.schema, 1)?;
+    let (mut ms, mut checks, mut rs) = (0.0, 0.0, 0.0);
+    let (mut seq, mut rand) = (0u64, 0u64);
+    for q in workload {
+        let mut ctx = EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
+        let run = engine.run(&mut ctx, &prepared.file, q)?;
+        ms += run.stats.total_time.as_secs_f64() * 1e3;
+        checks += run.stats.dist_checks as f64;
+        rs += run.ids.len() as f64;
+        seq += run.stats.io.sequential();
+        rand += run.stats.io.random();
     }
-
-    impl Kind {
-        pub fn name(&self) -> &'static str {
-            match self {
-                Kind::Naive => "Naive",
-                Kind::Brs => "BRS",
-                Kind::Srs => "SRS",
-                Kind::Trs => "TRS",
-                Kind::TSrs => "T-SRS",
-                Kind::TTrs => "T-TRS",
-            }
-        }
-    }
-
-    pub struct Row {
-        pub mean_ms: f64,
-        pub mean_checks: f64,
-        pub seq_io: u64,
-        pub rand_io: u64,
-        pub mean_rs: f64,
-    }
-
-    pub fn run(
-        ds: &Dataset,
-        workload: &[Query],
-        kind: Kind,
-        mem_pct: f64,
-        page: usize,
-    ) -> Result<Row> {
-        let mut disk = Disk::new_mem(page);
-        let raw = load_dataset(&mut disk, ds)?;
-        let budget = MemoryBudget::from_percent(ds.data_bytes(), mem_pct, page)?;
-        let layout = match kind {
-            Kind::Naive | Kind::Brs => Layout::Original,
-            Kind::Srs | Kind::Trs => Layout::MultiSort,
-            Kind::TSrs | Kind::TTrs => Layout::Tiled { tiles_per_attr: 4 },
-        };
-        let prepared = prepare_table(&mut disk, &ds.schema, &raw, layout, &budget)?;
-        let trs = Trs::for_schema(&ds.schema);
-        let engine: &dyn ReverseSkylineAlgo = match kind {
-            Kind::Naive => &Naive,
-            Kind::Brs => &Brs,
-            Kind::Srs | Kind::TSrs => &Srs,
-            Kind::Trs | Kind::TTrs => &trs,
-        };
-        let (mut ms, mut checks, mut rs) = (0.0, 0.0, 0.0);
-        let (mut seq, mut rand) = (0u64, 0u64);
-        for q in workload {
-            let mut ctx =
-                EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
-            let run = engine.run(&mut ctx, &prepared.file, q)?;
-            ms += run.stats.total_time.as_secs_f64() * 1e3;
-            checks += run.stats.dist_checks as f64;
-            rs += run.ids.len() as f64;
-            seq += run.stats.io.sequential();
-            rand += run.stats.io.random();
-        }
-        let n = workload.len().max(1) as f64;
-        Ok(Row {
-            mean_ms: ms / n,
-            mean_checks: checks / n,
-            seq_io: seq / workload.len().max(1) as u64,
-            rand_io: rand / workload.len().max(1) as u64,
-            mean_rs: rs / n,
-        })
-    }
+    let n = workload.len().max(1) as f64;
+    Ok(Row {
+        mean_ms: ms / n,
+        mean_checks: checks / n,
+        seq_io: seq / workload.len().max(1) as u64,
+        rand_io: rand / workload.len().max(1) as u64,
+        mean_rs: rs / n,
+    })
 }

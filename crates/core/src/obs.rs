@@ -1324,6 +1324,11 @@ mod tests {
         assert_eq!(registry.counter("srs.phase1.batch.dist_checks"), 12);
         let hist = registry.histogram("srs.phase1.batch.wall_us").unwrap();
         assert_eq!(hist.count, 2);
+        // Direct histogram records pass through: none is dropped.
+        for v in 0..10_000u64 {
+            h.histogram_record("par.batch.wait_us", v % 7);
+        }
+        assert_eq!(registry.histogram("par.batch.wait_us").map(|h| h.count), Some(10_000));
         let json = registry.to_json();
         assert!(json.contains("\"srs.phase1.batch.dist_checks\":12"), "{json}");
         assert!(json.starts_with('{') && json.ends_with('}'));

@@ -2,9 +2,8 @@
 //! by this workspace.
 //!
 //! The build environment has no access to a crates registry, so the workspace
-//! vendors the three external dev/bench dependencies (`rand`, `proptest`,
-//! `criterion`) as minimal in-tree implementations with the same package
-//! names. This crate provides:
+//! vendors its two external dependencies (`rand`, `proptest`) as minimal
+//! in-tree implementations with the same package names. This crate provides:
 //!
 //! - [`rngs::StdRng`] — a seedable xoshiro256++ generator (same construction
 //!   as the upstream `seed_from_u64`: a SplitMix64 stream expands the seed);

@@ -1,8 +1,8 @@
 //! A minimal blocking client for the line protocol.
 //!
-//! Used by the e2e suite and the `server_throughput` bench; kept in the
-//! library so the CLI can grow an interactive client later without
-//! re-implementing the framing.
+//! Used by the CLI's `subscribe`, `top` and `profile` commands, the e2e
+//! suites and perfbench's tcp-mixed workload, so none of them
+//! re-implements the framing.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

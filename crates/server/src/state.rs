@@ -511,7 +511,7 @@ impl WorkerState {
         queries: &[Query],
         keep_ids: bool,
     ) -> Result<InfluenceReport> {
-        run_queries(queries, keep_ids, |q| self.run_query(version, "trs", 1, q))
+        run_queries(queries.iter().enumerate(), keep_ids, |q| self.run_query(version, "trs", 1, q))
     }
 }
 

@@ -612,8 +612,9 @@ fn sharded_span_deltas_tile_merged_stats() {
 
 /// The `influence.query` spans of an influence batch tile the report's
 /// totals on every cost counter and IO field, whether the batch runs on
-/// one prepared table or through the sharded executor: each span is a cost
-/// scope over the running totals.
+/// one prepared table, across worker threads or through the sharded
+/// executor: each span is a cost scope over the running totals. Each span
+/// names its query's workload index, once per query.
 #[test]
 fn influence_query_spans_tile_the_report_totals() {
     let mut rng = StdRng::seed_from_u64(1011);
@@ -622,8 +623,11 @@ fn influence_query_spans_tile_the_report_totals() {
     let spec = ShardSpec::new(3, ShardPolicy::RoundRobin).unwrap();
     let mut engine = rsky::algos::InfluenceEngine::new(ds.clone(), 8.0, 128).unwrap();
     let mut tables = ShardedTables::new(&ds, spec, 8.0, 128, 3).unwrap();
-    let runs: [(&str, &mut dyn FnMut() -> rsky::algos::InfluenceReport); 2] = [
+    let runs: [(&str, &mut dyn FnMut() -> rsky::algos::InfluenceReport); 3] = [
         ("single table", &mut || engine.run(&qs, false).unwrap()),
+        ("2 threads", &mut || {
+            rsky::algos::run_influence_parallel(&ds, &qs, 8.0, 128, 2, false).unwrap()
+        }),
         ("sharded", &mut || tables.run_influence(&qs, false).unwrap()),
     ];
     for (ctx, run) in runs {
@@ -632,6 +636,13 @@ fn influence_query_spans_tile_the_report_totals() {
         let t = &report.totals;
         assert!(t.tree_nodes_visited > 0, "TRS visited no tree nodes ({ctx})");
         assert_eq!(sink.span_count("influence.query"), qs.len(), "one span per query ({ctx})");
+        let mut indices: Vec<u64> = sink
+            .spans_ending_with("influence.query")
+            .iter()
+            .map(|s| s.field("query").expect("query index field"))
+            .collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..qs.len() as u64).collect::<Vec<_>>(), "span query indices ({ctx})");
         for (key, total) in [
             ("dist_checks", t.dist_checks),
             ("query_dist_checks", t.query_dist_checks),

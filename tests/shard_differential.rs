@@ -24,7 +24,9 @@
 //! * post-exchange candidates ≤ 2 × the single-node skyline band (+ a small
 //!   floor for tiny bands) at every shard count;
 //! * shard by shard, exchange-on verification is never costlier than
-//!   exchange-off (the kill pass only removes candidates).
+//!   exchange-off (the kill pass only removes candidates);
+//! * on a 5,000-record table, the default-budget kill pass strictly shrinks
+//!   every candidate set that sharding ballooned past the result.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -504,6 +506,41 @@ fn empty_shards_and_tiny_budgets_stay_exact_under_both_kernel_modes() {
                         assert!(c.exported <= budget, "{label}: budget overrun");
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The exchange at scale (synthetic normal, 5 attributes × 50 values,
+/// n = 5,000, seed 42, two queries, 10 % memory, 4 KiB pages, round-robin):
+/// sharding balloons every candidate set past the result, and under the
+/// default pruner budget the kill pass takes at least one doomed candidate
+/// out of each, with the ids still the single-node ones.
+#[test]
+fn exchange_shrinks_every_ballooned_candidate_set() {
+    let mut rng = StdRng::seed_from_u64(42);
+    let ds = rsky::data::synthetic::normal_dataset(5, 50, 5_000, &mut rng).unwrap();
+    let qs = rsky::data::random_queries(&ds.schema, 2, &mut rng).unwrap();
+    let (mem_pct, page) = (10.0, 4096);
+    for engine in ["brs", "srs", "trs"] {
+        let singles: Vec<RsRun> =
+            qs.iter().map(|q| single_node(&ds, q, engine, 1, mem_pct, page)).collect();
+        for k in [2, 4, 8] {
+            let spec = ShardSpec::new(k, ShardPolicy::RoundRobin).unwrap();
+            let mut tables = ShardedTables::new(&ds, spec, mem_pct, page, 4).unwrap();
+            for (qi, (q, single)) in qs.iter().zip(&singles).enumerate() {
+                let label = format!("{engine} k={k} query {qi}");
+                let run = tables.run_query(engine, 1, q).unwrap();
+                assert_eq!(run.ids, single.ids, "{label}: ids differ from single-node");
+                assert!(
+                    run.candidates > run.ids.len(),
+                    "{label}: sharding must balloon the candidate set on this fixture"
+                );
+                assert!(
+                    run.post_candidates < run.candidates,
+                    "{label}: {} ballooned candidates survived the exchange untouched",
+                    run.candidates
+                );
             }
         }
     }
