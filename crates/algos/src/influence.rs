@@ -14,7 +14,7 @@
 //!
 //! Every workload runs through one loop, [`run_queries`], which takes the
 //! per-query run as a closure: [`InfluenceEngine`] runs TRS over its own
-//! prepared table, [`crate::ShardedTables::run_influence`] runs the
+//! sorted image, [`crate::ShardedTables::run_influence`] runs the
 //! scatter-gather executor, and the server's workers run their query path.
 //! Each query closes one `influence.query` cost scope.
 
@@ -22,10 +22,10 @@ use rsky_core::dataset::Dataset;
 use rsky_core::error::Result;
 use rsky_core::query::Query;
 use rsky_core::stats::RunStats;
-use rsky_storage::{Disk, MemoryBudget};
+use rsky_storage::{MemoryBudget, SharedRecords};
 
-use crate::engine::{EngineCtx, ReverseSkylineAlgo, RsRun, RunObs};
-use crate::prep::{load_dataset, prepare_table, Layout, PreparedTable};
+use crate::engine::{RsRun, RunObs};
+use crate::prep::{run_on_image, Layout, SortedTable};
 use crate::trs::Trs;
 
 /// Influence of one query: its reverse-skyline cardinality (and the ids on
@@ -76,7 +76,9 @@ impl InfluenceReport {
     }
 }
 
-/// A dataset prepared once for many influence queries.
+/// A dataset prepared once for many influence queries: sorted once into
+/// its MultiSort page image, which each query mounts on a scratch disk of
+/// its own ([`run_on_image`]), so no query's scratch files outlive it.
 ///
 /// ```
 /// use rsky_algos::InfluenceEngine;
@@ -89,23 +91,21 @@ impl InfluenceReport {
 /// ```
 pub struct InfluenceEngine {
     dataset: Dataset,
-    disk: Disk,
-    prepared: PreparedTable,
+    image: SharedRecords,
     budget: MemoryBudget,
     trs: Trs,
 }
 
 impl InfluenceEngine {
-    /// Loads `dataset` onto a fresh in-memory disk, pre-sorts it, and keeps
-    /// the TRS engine ready. `mem_pct` is the usual memory knob.
+    /// Sorts `dataset` into its MultiSort page image and keeps the TRS
+    /// engine ready. `mem_pct` is the usual memory knob.
     pub fn new(dataset: Dataset, mem_pct: f64, page_size: usize) -> Result<Self> {
-        let mut disk = Disk::new_mem(page_size);
-        let raw = load_dataset(&mut disk, &dataset)?;
         let budget = MemoryBudget::from_percent(dataset.data_bytes(), mem_pct, page_size)?;
-        let prepared =
-            prepare_table(&mut disk, &dataset.schema, &raw, Layout::MultiSort, &budget)?;
-        let trs = Trs::for_schema(&dataset.schema);
-        Ok(Self { dataset, disk, prepared, budget, trs })
+        let (schema, rows) = (&dataset.schema, &dataset.rows);
+        let table = SortedTable::new(schema, rows);
+        let image = table.image(schema, rows, &Layout::MultiSort, &budget)?;
+        let trs = Trs::for_schema(schema);
+        Ok(Self { dataset, image, budget, trs })
     }
 
     /// The underlying dataset.
@@ -116,15 +116,19 @@ impl InfluenceEngine {
     /// Runs the workload, returning per-query influence. Set `keep_ids` to
     /// retain the result id lists (memory proportional to total influence).
     /// Each query closes one `influence.query` span (see [`run_queries`]).
-    pub fn run(&mut self, queries: &[Query], keep_ids: bool) -> Result<InfluenceReport> {
-        run_queries(queries.iter().enumerate(), keep_ids, |q| {
-            let mut ctx = EngineCtx {
-                disk: &mut self.disk,
-                schema: &self.dataset.schema,
-                dissim: &self.dataset.dissim,
-                budget: self.budget,
-            };
-            self.trs.run(&mut ctx, &self.prepared.file, q)
+    pub fn run(&self, queries: &[Query], keep_ids: bool) -> Result<InfluenceReport> {
+        self.run_share(queries.iter().enumerate(), keep_ids)
+    }
+
+    /// Runs `queries`, each paired with its workload index.
+    fn run_share<'q>(
+        &self,
+        queries: impl IntoIterator<Item = (usize, &'q Query)>,
+        keep_ids: bool,
+    ) -> Result<InfluenceReport> {
+        let ds = &self.dataset;
+        run_queries(queries, keep_ids, |q| {
+            run_on_image(&self.trs, &self.image, &ds.schema, &ds.dissim, self.budget, q)
         })
     }
 }
@@ -161,17 +165,15 @@ pub fn run_queries<'q>(
     Ok(InfluenceReport { per_query, totals })
 }
 
-/// Runs an influence workload across `threads` OS threads. The dataset is
-/// loaded and sorted once; each thread mounts the sorted page image on its
-/// own in-memory disk without copying it ([`SharedRecords::mount`]) and
-/// runs its share of the queries (partitioned round-robin) there. Results
-/// come back in workload order, identical to the sequential
+/// Runs an influence workload across `threads` OS threads. One
+/// [`InfluenceEngine`] sorts the dataset once; every thread mounts its
+/// image for each of its share of the queries (partitioned round-robin).
+/// Results come back in workload order, identical to the sequential
 /// [`InfluenceEngine::run`].
 ///
 /// Threading is safe and simple here because every engine run is pure with
-/// respect to its own disk: no shared mutable state exists across queries.
-///
-/// [`SharedRecords::mount`]: rsky_storage::SharedRecords::mount
+/// respect to its own scratch disk: no shared mutable state exists across
+/// queries.
 pub fn run_influence_parallel(
     dataset: &Dataset,
     queries: &[Query],
@@ -180,18 +182,11 @@ pub fn run_influence_parallel(
     threads: usize,
     keep_ids: bool,
 ) -> Result<InfluenceReport> {
+    let engine = InfluenceEngine::new(dataset.clone(), mem_pct, page_size)?;
     let threads = threads.clamp(1, queries.len().max(1));
     if threads <= 1 || queries.len() <= 1 {
-        return InfluenceEngine::new(dataset.clone(), mem_pct, page_size)?.run(queries, keep_ids);
+        return engine.run(queries, keep_ids);
     }
-    // Load and sort once, on the calling thread; the sorted file's image is
-    // what every worker mounts.
-    let mut disk = Disk::new_mem(page_size);
-    let raw = load_dataset(&mut disk, dataset)?;
-    let budget = MemoryBudget::from_percent(dataset.data_bytes(), mem_pct, page_size)?;
-    let sorted = prepare_table(&mut disk, &dataset.schema, &raw, Layout::MultiSort, &budget)?;
-    let image = sorted.file.share(&disk)?;
-    let trs = Trs::for_schema(&dataset.schema);
     // Capture the caller's recorder, cancel token and span context (all
     // scoped thread-locals) and re-install them inside each worker, so
     // per-query spans from worker threads reach the same sink *in the same
@@ -204,25 +199,15 @@ pub fn run_influence_parallel(
             .map(|t| {
                 let obs = obs.clone();
                 let cancel = cancel.clone();
-                let (image, trs) = (&image, &trs);
+                let engine = &engine;
                 scope.spawn(move || -> Result<InfluenceReport> {
                     rsky_core::obs::with_recorder(obs, || {
                         rsky_core::cancel::with_token(cancel, || {
                             rsky_core::obs::with_parent(parent, || {
-                                let mut disk = Disk::new_mem(page_size);
-                                let file = image.mount(&mut disk)?;
                                 let share = (t..queries.len())
                                     .step_by(threads)
                                     .map(|qi| (qi, &queries[qi]));
-                                run_queries(share, keep_ids, |q| {
-                                    let mut ctx = EngineCtx {
-                                        disk: &mut disk,
-                                        schema: &dataset.schema,
-                                        dissim: &dataset.dissim,
-                                        budget,
-                                    };
-                                    trs.run(&mut ctx, &file, q)
-                                })
+                                engine.run_share(share, keep_ids)
                             })
                         })
                     })
@@ -258,7 +243,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(200);
         let ds = rsky_data::synthetic::normal_dataset(3, 6, 200, &mut rng).unwrap();
         let qs = rsky_data::random_queries(&ds.schema, 5, &mut rng).unwrap();
-        let mut engine = InfluenceEngine::new(ds.clone(), 15.0, 256).unwrap();
+        let engine = InfluenceEngine::new(ds.clone(), 15.0, 256).unwrap();
         let report = engine.run(&qs, true).unwrap();
         assert_eq!(report.per_query.len(), 5);
         for (qi, q) in qs.iter().enumerate() {
@@ -291,7 +276,7 @@ mod tests {
     #[test]
     fn empty_workload_and_empty_influence() {
         let (ds, _) = rsky_data::paper_example();
-        let mut engine = InfluenceEngine::new(ds, 50.0, 64).unwrap();
+        let engine = InfluenceEngine::new(ds, 50.0, 64).unwrap();
         let report = engine.run(&[], false).unwrap();
         assert!(report.per_query.is_empty());
         assert_eq!(report.top_k_share(3), 0.0);
@@ -348,7 +333,7 @@ mod tests {
         let queries: Vec<Query> = (0..probes.len())
             .map(|i| rsky_core::query::Query::new(&base.schema, probes.values(i).to_vec()).unwrap())
             .collect();
-        let mut engine = InfluenceEngine::new(base.clone(), 10.0, 256).unwrap();
+        let engine = InfluenceEngine::new(base.clone(), 10.0, 256).unwrap();
         let report = engine.run(&queries, false).unwrap();
         for (qi, q) in queries.iter().enumerate() {
             let expect =

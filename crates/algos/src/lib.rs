@@ -63,7 +63,7 @@ pub use kernels::{DistSource, PrunerKernel};
 pub use delta::{first_pruners, pruner_band};
 pub use naive::Naive;
 pub use par::{ParBrs, ParSrs, ParTrs};
-pub use prep::{prepare_table, Layout, PreparedTable};
+pub use prep::{prepare_table, run_on_image, Layout, PreparedTable, SortedTable};
 pub use qcache::{with_shared, QueryDistCache, SharedQueryCache};
 pub use rank::{rank_members, RankedMember};
 pub use shard::{layout_for, ShardCost, ShardedRun, ShardedTables};

@@ -19,9 +19,22 @@
 //!    ([`CandidateBlocks`]). Only survivors of the global band reach full
 //!    verification;
 //! 3. **Gather** — every surviving candidate is verified against all
-//!    *foreign* shards' window pages (read-only snapshots of each shard's
-//!    data, scanned page-wise with per-scanner IO accounting); a candidate
-//!    pruned by any foreign record drops out.
+//!    *foreign* shards' window pages (each part's Original page image,
+//!    scanned page-wise with per-scanner IO accounting); a candidate pruned
+//!    by any foreign record drops out.
+//!
+//! ## One table-image path
+//!
+//! Each shard part is a [`SortedTable`], the type every long-lived table is
+//! held as: sorted once, kept in the multi-sort order through writes, and
+//! encoded into one page image per layout on first use. A local run mounts
+//! its part's image on a fresh scratch disk and drops the disk, with the
+//! engine's scratch files, when the run ends, so [`ShardedTables`] holds no
+//! disk, [`ShardedTables::run_query`] takes `&self`, and one set of tables
+//! serves any number of concurrent queries. A write
+//! ([`ShardedTables::insert`], [`ShardedTables::expire`]) returns the next
+//! version, which rebuilds only the parts it touches; every other part,
+//! with the images it already encoded, is shared between the versions.
 //!
 //! Local pruners were already handled by phase 1, so phase 2 only scans
 //! foreign shards. Exact duplicates split across shards are found here: a
@@ -81,17 +94,15 @@ use rsky_core::dissim::DissimTable;
 use rsky_core::error::{Error, Result};
 use rsky_core::obs::{self, names};
 use rsky_core::query::{AttrSubset, Query};
-use rsky_core::record::{RecordId, RowBuf};
+use rsky_core::record::{row, RecordId, RowBuf};
 use rsky_core::schema::Schema;
 use rsky_core::stats::{IoCounts, RunStats};
-use rsky_storage::{
-    partition_rows, ColumnarBatch, Disk, MemoryBudget, RecordFile, ShardSpec, SharedRecords,
-};
+use rsky_storage::{partition_rows, ColumnarBatch, Disk, MemoryBudget, ShardSpec, SharedRecords};
 
-use crate::engine::{engine_by_name, EngineCtx, RsRun, RunObs};
+use crate::engine::{engine_by_name, RsRun, RunObs};
 use crate::influence::{self, InfluenceReport};
 use crate::kernels::{CandidateBlocks, DistSource, PrunerKernel};
-use crate::prep::{prepare_table, Layout, PreparedTable};
+use crate::prep::{copies_of, run_on_image, with_row_at, without_rows, Layout, SortedTable};
 use crate::qcache::{self, QueryDistCache, SharedQueryCache};
 
 /// Default per-shard pruner-export budget for the exchange round. Generous
@@ -113,22 +124,24 @@ pub fn layout_for(engine_name: &str, tiles: u32) -> Result<Layout> {
     }
 }
 
-/// A shard's rows and their id index, built once with the shard: the rows
-/// never change for a [`ShardedTables`]' lifetime, and the exchange and the
-/// verification look their candidates up by id.
-struct Partition {
-    /// The shard's rows in partition (generation) order.
+/// One shard's part: its rows in partition (generation) order, their id
+/// index, and its [`SortedTable`] with the page images. A part never
+/// changes: a write that touches it builds the next version, and every
+/// [`ShardedTables`] holding this one keeps sharing it, images included.
+struct Part {
     rows: RowBuf,
-    /// `(id, row)` for every row, sorted.
+    /// `(id, row)` for every row, sorted: the exchange and the
+    /// verification look their candidates up by id.
     by_id: Vec<(RecordId, u32)>,
+    table: SortedTable,
 }
 
-impl Partition {
-    fn new(rows: RowBuf) -> Self {
+impl Part {
+    fn new(rows: RowBuf, table: SortedTable) -> Arc<Self> {
         let mut by_id: Vec<(RecordId, u32)> =
             (0..rows.len()).map(|ri| (rows.id(ri), ri as u32)).collect();
         by_id.sort_unstable();
-        Self { rows, by_id }
+        Arc::new(Self { rows, by_id, table })
     }
 
     /// Values of the last row holding `id`.
@@ -139,49 +152,6 @@ impl Partition {
         let at = self.by_id.partition_point(|&(i, _)| i <= id);
         assert!(at > 0 && self.by_id[at - 1].0 == id, "candidate id belongs to this shard");
         self.rows.values(self.by_id[at - 1].1 as usize)
-    }
-}
-
-/// One shard's node state: its partition, its own disk (engines create
-/// scratch files during runs), and the layouts prepared on it so repeated
-/// queries pay the sort once — a shard is a miniature single-node setup.
-struct ShardTable {
-    part: Partition,
-    disk: Disk,
-    budget: MemoryBudget,
-    /// The raw record file; `None` for an empty shard.
-    raw: Option<RecordFile>,
-    original: Option<PreparedTable>,
-    multisort: Option<PreparedTable>,
-    tiled: Option<PreparedTable>,
-}
-
-impl ShardTable {
-    fn new(rows: RowBuf, page_size: usize, budget: MemoryBudget) -> Result<Self> {
-        let mut disk = Disk::new_mem(page_size);
-        let raw = if rows.is_empty() {
-            None
-        } else {
-            let mut rf = RecordFile::create(&mut disk, rows.num_attrs())?;
-            rf.write_all(&mut disk, &rows)?;
-            Some(rf)
-        };
-        let part = Partition::new(rows);
-        Ok(Self { part, disk, budget, raw, original: None, multisort: None, tiled: None })
-    }
-
-    /// The shard's table in `layout`, prepared lazily on first use.
-    fn prepared(&mut self, layout: Layout, schema: &Schema) -> Result<&RecordFile> {
-        let raw = self.raw.as_ref().expect("empty shards never reach prepare");
-        let slot = match layout {
-            Layout::Original => &mut self.original,
-            Layout::MultiSort => &mut self.multisort,
-            Layout::Tiled { .. } => &mut self.tiled,
-        };
-        if slot.is_none() {
-            *slot = Some(prepare_table(&mut self.disk, schema, raw, layout, &self.budget)?);
-        }
-        Ok(&slot.as_ref().expect("prepared above").file)
     }
 }
 
@@ -242,22 +212,29 @@ pub struct ShardedRun {
 }
 
 /// A dataset partitioned across K shard nodes, ready for scatter-gather
-/// queries. Each shard owns a private disk and prepared layouts (reused
-/// across queries); the partition itself is deterministic (see
-/// [`rsky_storage::shard`]).
+/// queries. Each shard is one part of the partition (see
+/// [`rsky_storage::shard`]) held as a [`SortedTable`]: a query mounts the
+/// part's page image on a scratch disk of its own, so one set of tables
+/// serves any number of concurrent queries, and no disk outlives a run.
+/// [`insert`](Self::insert) and [`expire`](Self::expire) return the next
+/// version, which rebuilds only the parts the write touches.
+#[derive(Clone)]
 pub struct ShardedTables {
     spec: ShardSpec,
-    schema: Schema,
-    dissim: DissimTable,
+    schema: Arc<Schema>,
+    dissim: Arc<DissimTable>,
+    mem_pct: f64,
+    page_size: usize,
     tiles: u32,
     pruner_budget: usize,
-    shards: Vec<ShardTable>,
+    parts: Vec<Arc<Part>>,
 }
 
 impl ShardedTables {
-    /// Partitions `dataset` according to `spec`. Every shard gets the same
-    /// working-memory budget the single-node run would get (`mem_pct` % of
-    /// the *full* dataset) — sharding models extra nodes, not less RAM.
+    /// Partitions `dataset` according to `spec` and sorts each part. Every
+    /// shard gets the same working-memory budget the single-node run would
+    /// get (`mem_pct` % of the *full* dataset) — sharding models extra
+    /// nodes, not less RAM.
     pub fn new(
         dataset: &Dataset,
         spec: ShardSpec,
@@ -265,52 +242,25 @@ impl ShardedTables {
         page_size: usize,
         tiles: u32,
     ) -> Result<Self> {
-        let parts = partition_rows(&dataset.rows, &spec);
-        Self::from_parts(
-            &dataset.schema,
-            &dataset.dissim,
-            parts,
+        // A memory knob or page size no run could use fails here, not at
+        // the first query.
+        MemoryBudget::from_percent(dataset.data_bytes(), mem_pct, page_size)?;
+        let parts = partition_rows(&dataset.rows, &spec)
+            .into_iter()
+            .map(|rows| {
+                let table = SortedTable::new(&dataset.schema, &rows);
+                Part::new(rows, table)
+            })
+            .collect();
+        Ok(Self {
             spec,
-            dataset.data_bytes(),
+            schema: Arc::new(dataset.schema.clone()),
+            dissim: Arc::new(dataset.dissim.clone()),
             mem_pct,
             page_size,
             tiles,
-        )
-    }
-
-    /// Builds shard nodes from an existing partition (the serving layer's
-    /// per-shard copy-on-write state). `total_bytes` is the full dataset
-    /// size, used for the per-shard memory budget.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        schema: &Schema,
-        dissim: &DissimTable,
-        parts: Vec<RowBuf>,
-        spec: ShardSpec,
-        total_bytes: u64,
-        mem_pct: f64,
-        page_size: usize,
-        tiles: u32,
-    ) -> Result<Self> {
-        if parts.len() != spec.shards {
-            return Err(Error::InvalidConfig(format!(
-                "{} partitions for {} shards",
-                parts.len(),
-                spec.shards
-            )));
-        }
-        let budget = MemoryBudget::from_percent(total_bytes, mem_pct, page_size)?;
-        let shards = parts
-            .into_iter()
-            .map(|rows| ShardTable::new(rows, page_size, budget))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
-            spec,
-            schema: schema.clone(),
-            dissim: dissim.clone(),
-            tiles,
             pruner_budget: DEFAULT_PRUNER_BUDGET,
-            shards,
+            parts,
         })
     }
 
@@ -335,19 +285,65 @@ impl ShardedTables {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.parts.len()
     }
 
     /// Records held by shard `i`.
     pub fn shard_len(&self, i: usize) -> usize {
-        self.shards[i].part.rows.len()
+        self.parts[i].rows.len()
+    }
+
+    /// Every shard's rows in partition order, in shard order.
+    pub fn part_rows(&self) -> impl Iterator<Item = &RowBuf> {
+        self.parts.iter().map(|part| &part.rows)
+    }
+
+    /// Shard `i`'s page image of `layout` (see [`SortedTable::image`]).
+    pub fn image(&self, i: usize, layout: &Layout) -> Result<SharedRecords> {
+        let part = &self.parts[i];
+        part.table.image(&self.schema, &part.rows, layout, &self.budget()?)
+    }
+
+    /// `rows`, the partitioned dataset's rows in generation order, with
+    /// `row` (id first) appended, and these tables with `row` in the part
+    /// its placement picks: round-robin places by arrival position (the
+    /// row's index in `rows`), hash-by-id by the id alone. The other parts,
+    /// with the images they hold, are shared.
+    pub fn insert(&self, rows: &RowBuf, row: &[u32]) -> (RowBuf, Self) {
+        let target = self.spec.policy.shard_of(row::id(row), rows.len(), self.parts.len());
+        let mut next = self.clone();
+        let part = &self.parts[target];
+        let (part_rows, table) = part.table.insert(&part.rows, row);
+        next.parts[target] = Part::new(part_rows, table);
+        (with_row_at(rows, rows.len(), row), next)
+    }
+
+    /// `rows` and these tables without any copy of record `id`, or `None`
+    /// when `rows` holds none. Only the parts holding a copy change.
+    pub fn expire(&self, rows: &RowBuf, id: RecordId) -> Option<(RowBuf, Self)> {
+        let copies = copies_of(rows, id)?;
+        let mut next = self.clone();
+        for part in &mut next.parts {
+            if let Some((part_rows, table)) = part.table.expire(&part.rows, id) {
+                *part = Part::new(part_rows, table);
+            }
+        }
+        Some((without_rows(rows, &copies), next))
+    }
+
+    /// The working-memory budget of every shard: `mem_pct` % of all parts'
+    /// records.
+    fn budget(&self) -> Result<MemoryBudget> {
+        let bytes =
+            self.parts.iter().map(|part| part.rows.len() as u64 * part.rows.record_bytes() as u64);
+        MemoryBudget::from_percent(bytes.sum(), self.mem_pct, self.page_size)
     }
 
     /// Computes `RS_D(Q)` by two-phase scatter-gather (see the module docs).
     /// `engine_name` and `engine_threads` select the per-shard engine
     /// exactly as [`engine_by_name`] does.
     pub fn run_query(
-        &mut self,
+        &self,
         engine_name: &str,
         engine_threads: usize,
         query: &Query,
@@ -362,11 +358,12 @@ impl ShardedTables {
         }
         self.schema.validate_values(&query.values)?;
 
+        let budget = self.budget()?;
         let robs = RunObs::capture(names::SHARD);
         let handle = robs.handle().clone();
         let token = cancel::current();
         let run = robs.run_scope();
-        let k = self.shards.len();
+        let k = self.parts.len();
 
         // --- Plan: build the query-distance cache ONCE on the coordinator
         // and share it with every shard (phase 1) and every verify task
@@ -388,15 +385,11 @@ impl ShardedTables {
         // --- Phase one (scatter): local engine runs, one thread per shard.
         let p1 = robs.scope("phase1", &stats, stats.io);
         let p1_ctx = p1.ctx();
-        let (schema, dissim) = (&self.schema, &self.dissim);
+        let (schema, dissim) = (&*self.schema, &*self.dissim);
         let locals: Vec<Result<(Vec<RecordId>, RunStats)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, st)| {
-                    let (robs, handle, token) = (&robs, &handle, &token);
-                    let layout = layout.clone();
+            let handles: Vec<_> = (0..k)
+                .map(|i| {
+                    let (robs, handle, token, layout) = (&robs, &handle, &token, &layout);
                     let shared = shared.clone();
                     s.spawn(move || {
                         // Re-install the coordinator's recorder, cancel
@@ -408,14 +401,12 @@ impl ShardedTables {
                             cancel::with_token(token.clone(), || {
                                 obs::with_parent(p1_ctx, || {
                                     qcache::with_shared(shared, || {
-                                        local_run(
-                                            st,
+                                        self.local_run(
                                             i,
                                             engine_name,
                                             engine_threads,
                                             layout,
-                                            schema,
-                                            dissim,
+                                            budget,
                                             query,
                                             robs,
                                         )
@@ -435,7 +426,7 @@ impl ShardedTables {
             stats.merge(&local);
             per_shard.push(ShardCost {
                 shard: i,
-                records: self.shards[i].part.rows.len(),
+                records: self.parts[i].rows.len(),
                 candidates: ids.len(),
                 exported: 0,
                 post_exchange: ids.len(),
@@ -469,9 +460,9 @@ impl ShardedTables {
             // ascending, ids ascending within a shard — a deterministic
             // band layout) and broadcast the merge.
             let mut band_rows = RowBuf::new(m);
-            for (i, st) in self.shards.iter().enumerate() {
+            for (i, part) in self.parts.iter().enumerate() {
                 per_shard[i].exported = select_pruners(
-                    &st.part,
+                    part,
                     &candidates[i],
                     shared.cache(),
                     &query.subset,
@@ -487,7 +478,7 @@ impl ShardedTables {
                     .map(|i| {
                         let (robs, cands, band) = (&robs, &candidates[i], &band);
                         let (cache, src) = (shared.cache(), kern.source(dissim));
-                        let part = &self.shards[i].part;
+                        let part = &*self.parts[i];
                         s.spawn(move || {
                             obs::with_parent(ex_ctx, || {
                                 exchange_kill(i, cands, part, band, src, query, cache, robs)
@@ -522,12 +513,20 @@ impl ShardedTables {
 
         // --- Phase two (gather): verify candidates against foreign windows.
         let p2 = robs.scope("phase2", &stats, stats.io);
-        // Read-only snapshots of every non-empty shard's raw pages — the
-        // shard "windows" the verification scans.
+        // Every non-empty part's Original image — the shard "windows" the
+        // verification scans — shared again under this run's recorder, so
+        // the window scanners' spans join the run's trace.
         let windows: Vec<Option<SharedRecords>> = self
-            .shards
+            .parts
             .iter()
-            .map(|st| st.raw.as_ref().map(|rf| rf.share(&st.disk)).transpose())
+            .map(|part| {
+                if part.rows.is_empty() {
+                    return Ok(None);
+                }
+                let image = part.table.image(schema, &part.rows, &Layout::Original, &budget)?;
+                let mut disk = Disk::new_mem(self.page_size);
+                Ok(Some(image.mount(&mut disk)?.share(&disk)?))
+            })
             .collect::<Result<_>>()?;
         let p2_ctx = p2.ctx();
         let verified: Vec<Result<(Vec<RecordId>, RunStats)>> = std::thread::scope(|s| {
@@ -535,7 +534,7 @@ impl ShardedTables {
                 .map(|i| {
                     let (robs, windows, cands) = (&robs, &windows, &candidates[i]);
                     let (cache, src) = (shared.cache(), kern.source(dissim));
-                    let part = &self.shards[i].part;
+                    let part = &*self.parts[i];
                     s.spawn(move || {
                         obs::with_parent(p2_ctx, || {
                             verify_shard(i, cands, part, windows, src, query, cache, robs)
@@ -579,49 +578,49 @@ impl ShardedTables {
     }
 
     /// Runs an influence workload through the sharded executor: `|RS(q)|`
-    /// per query with TRS on every shard, prepared layouts reused across
-    /// queries, through the one influence loop
+    /// per query with TRS on every shard, each part's images encoded once
+    /// for all queries, through the one influence loop
     /// ([`influence::run_queries`]).
-    pub fn run_influence(&mut self, queries: &[Query], keep_ids: bool) -> Result<InfluenceReport> {
+    pub fn run_influence(&self, queries: &[Query], keep_ids: bool) -> Result<InfluenceReport> {
         influence::run_queries(queries.iter().enumerate(), keep_ids, |q| {
             let run = self.run_query("trs", 1, q)?;
             Ok(RsRun { ids: run.ids, stats: run.stats })
         })
     }
-}
 
-/// One shard's scatter step: prepare the layout lazily and run the engine
-/// inside the `shard.phase1.local` scope.
-#[allow(clippy::too_many_arguments)]
-fn local_run(
-    st: &mut ShardTable,
-    shard: usize,
-    engine_name: &str,
-    engine_threads: usize,
-    layout: Layout,
-    schema: &Schema,
-    dissim: &DissimTable,
-    query: &Query,
-    robs: &RunObs<'_>,
-) -> Result<(Vec<RecordId>, RunStats)> {
-    robs.check_cancelled()?;
-    let scope = robs.scope("phase1.local", &RunStats::default(), IoCounts::default());
-    let records = st.part.rows.len();
-    let (ids, stats) = if records == 0 {
-        (Vec::new(), RunStats::default())
-    } else {
-        let table = st.prepared(layout, schema)?.clone();
-        let engine = engine_by_name(engine_name, schema, engine_threads)?;
-        let mut ctx = EngineCtx { disk: &mut st.disk, schema, dissim, budget: st.budget };
-        let run = engine.run(&mut ctx, &table, query)?;
-        (run.ids, run.stats)
-    };
-    scope
-        .field("shard", shard as u64)
-        .field("records", records as u64)
-        .field("candidates", ids.len() as u64)
-        .close(&stats, stats.io);
-    Ok((ids, stats))
+    /// One shard's scatter step: the engine over the part's image of
+    /// `layout` (encoded on first use), inside the `shard.phase1.local`
+    /// scope.
+    #[allow(clippy::too_many_arguments)]
+    fn local_run(
+        &self,
+        shard: usize,
+        engine_name: &str,
+        engine_threads: usize,
+        layout: &Layout,
+        budget: MemoryBudget,
+        query: &Query,
+        robs: &RunObs<'_>,
+    ) -> Result<(Vec<RecordId>, RunStats)> {
+        robs.check_cancelled()?;
+        let scope = robs.scope("phase1.local", &RunStats::default(), IoCounts::default());
+        let (part, schema) = (&self.parts[shard], &*self.schema);
+        let records = part.rows.len();
+        let (ids, stats) = if records == 0 {
+            (Vec::new(), RunStats::default())
+        } else {
+            let image = part.table.image(schema, &part.rows, layout, &budget)?;
+            let engine = engine_by_name(engine_name, schema, engine_threads)?;
+            let run = run_on_image(engine.as_ref(), &image, schema, &self.dissim, budget, query)?;
+            (run.ids, run.stats)
+        };
+        scope
+            .field("shard", shard as u64)
+            .field("records", records as u64)
+            .field("candidates", ids.len() as u64)
+            .close(&stats, stats.io);
+        Ok((ids, stats))
+    }
 }
 
 /// Selects the pruners one shard exports to the exchange round and appends
@@ -636,7 +635,7 @@ fn local_run(
 /// the kill pass's scan order and counters — is deterministic. Returns the
 /// number of pruners exported.
 fn select_pruners(
-    part: &Partition,
+    part: &Part,
     cands: &[RecordId],
     cache: &QueryDistCache,
     subset: &AttrSubset,
@@ -682,7 +681,7 @@ fn select_pruners(
 fn exchange_kill(
     shard: usize,
     cands: &[RecordId],
-    part: &Partition,
+    part: &Part,
     band: &ColumnarBatch,
     src: DistSource<'_>,
     query: &Query,
@@ -719,7 +718,7 @@ fn candidate_blocks<'a>(
     cache: &QueryDistCache,
     subset: &AttrSubset,
     cands: &[RecordId],
-    part: &Partition,
+    part: &Part,
 ) -> CandidateBlocks<'a> {
     CandidateBlocks::build(src, cache, subset, cands.len(), |xi| {
         (cands[xi], part.values_of(cands[xi]))
@@ -737,7 +736,7 @@ fn candidate_blocks<'a>(
 fn verify_shard(
     shard: usize,
     cands: &[RecordId],
-    part: &Partition,
+    part: &Part,
     windows: &[Option<SharedRecords>],
     src: DistSource<'_>,
     query: &Query,
@@ -798,7 +797,7 @@ mod tests {
         let (ds, q) = rsky_data::paper_example();
         for k in [1, 2, 3, 8] {
             for policy in [ShardPolicy::RoundRobin, ShardPolicy::HashById] {
-                let mut st = sharded(&ds, k, policy);
+                let st = sharded(&ds, k, policy);
                 for engine in ["naive", "brs", "srs", "trs", "trs-bf", "tsrs", "ttrs"] {
                     let run = st.run_query(engine, 1, &q).unwrap();
                     assert_eq!(run.ids, vec![3, 6], "{engine} k={k} {policy}");
@@ -809,16 +808,14 @@ mod tests {
 
     #[test]
     fn single_shard_matches_single_node_counters_exactly() {
-        use crate::ReverseSkylineAlgo;
         let (ds, q) = rsky_data::paper_example();
-        let mut st = sharded(&ds, 1, ShardPolicy::RoundRobin);
+        let st = sharded(&ds, 1, ShardPolicy::RoundRobin);
         let run = st.run_query("brs", 1, &q).unwrap();
 
-        let mut disk = Disk::new_mem(64);
-        let raw = crate::prep::load_dataset(&mut disk, &ds).unwrap();
         let budget = MemoryBudget::from_percent(ds.data_bytes(), 50.0, 64).unwrap();
-        let mut ctx = EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
-        let single = crate::Brs.run(&mut ctx, &raw, &q).unwrap();
+        let table = SortedTable::new(&ds.schema, &ds.rows);
+        let image = table.image(&ds.schema, &ds.rows, &Layout::Original, &budget).unwrap();
+        let single = run_on_image(&crate::Brs, &image, &ds.schema, &ds.dissim, budget, &q).unwrap();
         assert_eq!(run.ids, single.ids);
         assert_eq!(run.stats.dist_checks, single.stats.dist_checks);
         assert_eq!(run.stats.query_dist_checks, single.stats.query_dist_checks);
@@ -833,7 +830,7 @@ mod tests {
     #[test]
     fn repeated_runs_are_deterministic() {
         let (ds, q) = rsky_data::paper_example();
-        let mut st = sharded(&ds, 3, ShardPolicy::HashById);
+        let st = sharded(&ds, 3, ShardPolicy::HashById);
         let a = st.run_query("trs", 1, &q).unwrap();
         let b = st.run_query("trs", 1, &q).unwrap();
         assert_eq!(a.ids, b.ids);
@@ -846,7 +843,7 @@ mod tests {
     #[test]
     fn per_shard_costs_sum_to_merged_stats() {
         let (ds, q) = rsky_data::paper_example();
-        let mut st = sharded(&ds, 3, ShardPolicy::RoundRobin);
+        let st = sharded(&ds, 3, ShardPolicy::RoundRobin);
         let run = st.run_query("srs", 1, &q).unwrap();
         let sum_checks: u64 = run
             .per_shard
@@ -867,8 +864,8 @@ mod tests {
     fn exchange_off_matches_exchange_on_ids_and_shrinks_nothing() {
         let (ds, q) = rsky_data::paper_example();
         let spec = ShardSpec::new(3, ShardPolicy::RoundRobin).unwrap();
-        let mut on = ShardedTables::new(&ds, spec, 50.0, 64, 4).unwrap();
-        let mut off =
+        let on = ShardedTables::new(&ds, spec, 50.0, 64, 4).unwrap();
+        let off =
             ShardedTables::new(&ds, spec, 50.0, 64, 4).unwrap().with_pruner_budget(0);
         assert_eq!(off.pruner_budget(), 0);
         let a = on.run_query("trs", 1, &q).unwrap();
@@ -899,12 +896,12 @@ mod tests {
         let q = rsky_data::random_queries(&ds.schema, 1, &mut rng).unwrap().remove(0);
         let expect = {
             let spec = ShardSpec::new(1, ShardPolicy::RoundRobin).unwrap();
-            let mut st = ShardedTables::new(&ds, spec, 15.0, 128, 4).unwrap();
+            let st = ShardedTables::new(&ds, spec, 15.0, 128, 4).unwrap();
             st.run_query("trs", 1, &q).unwrap().ids
         };
         let spec = ShardSpec::new(4, ShardPolicy::HashById).unwrap();
         for budget in [1usize, 2, 3, 7, DEFAULT_PRUNER_BUDGET] {
-            let mut st = ShardedTables::new(&ds, spec, 15.0, 128, 4)
+            let st = ShardedTables::new(&ds, spec, 15.0, 128, 4)
                 .unwrap()
                 .with_pruner_budget(budget);
             let run = st.run_query("trs", 1, &q).unwrap();
@@ -925,7 +922,7 @@ mod tests {
     fn more_shards_than_records_still_exact() {
         let (ds, q) = rsky_data::paper_example();
         // 6 records over 8 shards: some shards are empty.
-        let mut st = sharded(&ds, 8, ShardPolicy::HashById);
+        let st = sharded(&ds, 8, ShardPolicy::HashById);
         let run = st.run_query("trs", 1, &q).unwrap();
         assert_eq!(run.ids, vec![3, 6]);
     }
@@ -942,7 +939,7 @@ mod tests {
             .run(&qs, true)
             .unwrap();
         let spec = ShardSpec::new(3, ShardPolicy::RoundRobin).unwrap();
-        let mut st = ShardedTables::new(&ds, spec, 15.0, 256, 4).unwrap();
+        let st = ShardedTables::new(&ds, spec, 15.0, 256, 4).unwrap();
         let sharded = st.run_influence(&qs, true).unwrap();
         for (a, b) in seq.per_query.iter().zip(&sharded.per_query) {
             assert_eq!(a.cardinality, b.cardinality);
@@ -953,7 +950,7 @@ mod tests {
     #[test]
     fn rejects_unknown_engine_and_bad_query() {
         let (ds, _) = rsky_data::paper_example();
-        let mut st = sharded(&ds, 2, ShardPolicy::RoundRobin);
+        let st = sharded(&ds, 2, ShardPolicy::RoundRobin);
         let other = Schema::with_cardinalities(&[3, 2, 3, 4]).unwrap();
         let bad = Query::new(&other, vec![0, 0, 0, 0]).unwrap();
         let (_, good) = rsky_data::paper_example();

@@ -27,6 +27,10 @@ use rsky_core::profile::Profile;
 const SIZES: &[usize] = &[16, 64, 256, 1024];
 const DEFAULT_SIZE: usize = 256;
 const BUDGET_US: f64 = 200.0;
+/// The fewest ticks a size is sampled over, at any `RSKY_SCALE`: the p99
+/// of 1,000 ticks is the tenth-largest, where the p99 of the 100 ticks the
+/// CI smoke scale would give is the second-largest, one stray tick.
+const MIN_TICKS: usize = 1_000;
 
 /// A registry populated with `series` total series of mixed kinds.
 fn registry_of(series: usize) -> MetricsRegistry {
@@ -132,7 +136,7 @@ fn main() {
     println!("{}", cfg.banner("Continuous telemetry: sampler tick cost + profile fold throughput"));
 
     // --- sampler tick vs registry size -----------------------------------
-    let ticks = cfg.n(200_000);
+    let ticks = cfg.n(200_000).max(MIN_TICKS);
     let us = |v: f64| format!("{v:.1}");
     let mut t = Table::new(
         format!("Sampler tick cost over {ticks} ticks (µs)"),

@@ -52,7 +52,7 @@ pub fn run(argv: &[String]) -> Result<()> {
         Some(spec) => {
             let budget: usize =
                 flags.num("pruner-budget", rsky_algos::shard::DEFAULT_PRUNER_BUDGET)?;
-            let mut tables = rsky_algos::shard::ShardedTables::new(&ds, spec, mem_pct, page, 4)?
+            let tables = rsky_algos::shard::ShardedTables::new(&ds, spec, mem_pct, page, 4)?
                 .with_pruner_budget(budget);
             tables.run_influence(&workload, false)?
         }

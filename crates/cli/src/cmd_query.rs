@@ -75,18 +75,18 @@ pub fn run(argv: &[String]) -> Result<()> {
         if algo == "naive" { 1 } else { rsky_server::resolve_threads(requested_threads) };
 
     if let Some(spec) = flags.shard_spec()? {
-        // Each shard node runs on its own in-memory disk; the single-node
-        // storage knobs have nothing to apply to.
+        // Each shard's runs mount its page images on in-memory scratch
+        // disks; the single-node storage knobs have nothing to apply to.
         if flags.switch("file-backend") || cache > 0 {
             return Err(Error::InvalidConfig(
                 "--shards is incompatible with --file-backend/--cache (each shard \
-                 uses its own in-memory disk)"
+                 runs on in-memory scratch disks)"
                     .into(),
             ));
         }
         let budget: usize =
             flags.num("pruner-budget", rsky_algos::shard::DEFAULT_PRUNER_BUDGET)?;
-        let mut tables =
+        let tables =
             ShardedTables::new(&ds, spec, mem_pct, page, tiles)?.with_pruner_budget(budget);
         let sharded = tables.run_query(algo, threads, &query)?;
         let run = RsRun { ids: sharded.ids, stats: sharded.stats };

@@ -264,6 +264,11 @@ pub const DEFAULT_WINDOW_US: u64 = 10_000_000;
 ///   ≥ 250 ms, critical ≥ 2 s);
 /// * `view_fallback_rate` — `view.fallback` per second (warn ≥ 0.5/s,
 ///   critical ≥ 5/s): silent full recomputes eating the delta budget;
+/// * `worker_panic_rate` — `server.worker.panics` per second (warn ≥
+///   0.05/s, so any panic in the window; critical ≥ 1/s): a request that
+///   panics is answered `internal` and its worker keeps serving, so only
+///   this rule tells a server whose requests keep panicking from a healthy
+///   one;
 /// * `error_budget_burn` — shed+timeout over all outcomes, breaching only
 ///   when both the 10 s and 60 s windows burn (warn ≥ 5%, critical ≥ 25%).
 pub fn default_rules() -> Vec<Rule> {
@@ -290,6 +295,7 @@ pub fn default_rules() -> Vec<Rule> {
             2_000_000.0,
         ),
         base("view_fallback_rate", names::VIEW_FALLBACK, RuleKind::Rate, 0.5, 5.0),
+        base("worker_panic_rate", names::SERVER_WORKER_PANICS, RuleKind::Rate, 0.05, 1.0),
         base(
             "error_budget_burn",
             "",

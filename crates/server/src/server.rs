@@ -37,6 +37,7 @@ use rsky_core::obs_ts::{Clock, SystemClock, DEFAULT_MAX_SERIES};
 use rsky_core::query::Query;
 use rsky_core::record::RecordId;
 
+use rsky_algos::shard::ShardedTables;
 use rsky_storage::{MutationEvent, ShardSpec};
 use rsky_view::ViewSpec;
 
@@ -224,7 +225,12 @@ impl Server {
         let (registry, registry_handle) = RegistrySink::fresh();
         let obs = ObsHandle::tee(vec![obs::handle(), registry_handle]);
         let data = match config.shard {
-            Some(spec) => DataState::new_sharded(dataset, spec),
+            Some(spec) => {
+                let (page, mem_pct, tiles) = (config.page, config.mem_pct, config.tiles);
+                let tables = ShardedTables::new(&dataset, spec, mem_pct, page, tiles)?
+                    .with_pruner_budget(config.pruner_budget);
+                DataState::new_sharded(dataset, tables)
+            }
             None => DataState::new(dataset),
         };
         let health = HealthEvaluator::with_overrides(config.health_rules.as_deref())
@@ -262,9 +268,7 @@ impl Server {
                     shared.config.page,
                     shared.config.mem_pct,
                     shared.config.tiles,
-                )?
-                .with_shards(shared.config.shard)
-                .with_pruner_budget(shared.config.pruner_budget);
+                )?;
                 Ok(std::thread::spawn(move || worker_loop(&shared, ws)))
             })
             .collect::<Result<_>>()?;
@@ -744,9 +748,6 @@ fn worker_loop(shared: &Arc<Shared>, mut ws: WorkerState) {
         }));
         let response = run.unwrap_or_else(|_| {
             shared.obs.counter_add(names::SERVER_WORKER_PANICS, 1);
-            // The run may have left this worker's sharded tables half
-            // prepared: the next sharded query rebuilds them.
-            ws.drop_sharded_tables();
             proto::err_line(ErrKind::Internal, "the request panicked")
         });
         span.close();

@@ -26,7 +26,7 @@ use std::sync::{mpsc, Mutex};
 use rsky_core::error::Result;
 use rsky_core::obs::{self, names};
 use rsky_core::query::Query;
-use rsky_core::record::{RecordId, ValueId};
+use rsky_core::record::{RecordId, RowBuf, ValueId};
 use rsky_storage::MutationEvent;
 use rsky_view::{MaterializedView, ViewSpec};
 
@@ -131,9 +131,9 @@ impl ViewRegistry {
         let mut inner = self.inner.lock().unwrap();
         let obs = obs::handle();
         let mut frames = 0u64;
+        let parts: Option<Vec<&RowBuf>> = version.shards().map(|s| s.part_rows().collect());
         for entry in &mut inner.entries {
-            let parts = version.shards.as_ref().map(|s| s.parts.as_slice());
-            let delta = match entry.view.apply(&version.dataset, parts, event) {
+            let delta = match entry.view.apply(&version.dataset, parts.as_deref(), event) {
                 Ok(Some(delta)) => delta,
                 // Stale event (already covered by a resync) — nothing to push.
                 Ok(None) => continue,
@@ -342,8 +342,9 @@ mod tests {
     fn sharded_versions_apply_part_by_part() {
         use rsky_storage::{ShardPolicy, ShardSpec};
         let (ds, q) = rsky_data::paper_example();
-        let state =
-            DataState::new_sharded(ds, ShardSpec::new(3, ShardPolicy::HashById).unwrap());
+        let spec = ShardSpec::new(3, ShardPolicy::HashById).unwrap();
+        let tables = rsky_algos::ShardedTables::new(&ds, spec, 50.0, 64, 4).unwrap();
+        let state = DataState::new_sharded(ds, tables);
         let reg = ViewRegistry::new();
         let (tx, rx) = mpsc::channel();
         let spec = ViewSpec { engine: "brs".into(), values: q.values.clone(), subset: None };

@@ -276,6 +276,15 @@ impl SharedRecords {
         self.pages.generation()
     }
 
+    /// Whether `other` reads the very in-memory pages this snapshot reads:
+    /// a clone of it, or the same image mounted and shared again.
+    pub fn same_pages(&self, other: &SharedRecords) -> bool {
+        match (&self.pages.backing, &other.pages.backing) {
+            (Backing::Mem(a), Backing::Mem(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
     /// Bytes one record occupies.
     #[inline]
     pub fn record_bytes(&self) -> usize {
@@ -587,8 +596,13 @@ mod tests {
         assert!(Arc::ptr_eq(file_bytes(&other, mounted.file_id()), snapshot));
         // Sharing the mounted file again still copies nothing.
         let again = mounted.share(&other).unwrap();
+        assert!(again.same_pages(&shared));
         let Backing::Mem(again) = &again.pages.backing else { unreachable!() };
         assert!(Arc::ptr_eq(again, snapshot));
+        // A snapshot of another file's equal bytes is not the same pages.
+        let mut copy = RecordFile::create(&mut disk, 3).unwrap();
+        copy.write_all(&mut disk, &rows(3, 9)).unwrap();
+        assert!(!copy.share(&disk).unwrap().same_pages(&shared));
     }
 
     #[test]

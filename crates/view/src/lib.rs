@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
 use rsky_algos::delta::{first_pruners, pruner_band};
 use rsky_algos::kernels::PrunerKernel;
@@ -229,7 +228,7 @@ impl MaterializedView {
     pub fn apply(
         &mut self,
         ds: &Dataset,
-        parts: Option<&[Arc<RowBuf>]>,
+        parts: Option<&[&RowBuf]>,
         event: &MutationEvent,
     ) -> Result<Option<ViewDelta>> {
         if event.generation <= self.generation {
@@ -336,7 +335,7 @@ impl MaterializedView {
         &mut self,
         ds: &Dataset,
         id: RecordId,
-        parts: Option<&[Arc<RowBuf>]>,
+        parts: Option<&[&RowBuf]>,
         scan: &[&RowBuf],
         obs: &obs::ObsHandle,
         checks: &mut u64,
@@ -454,11 +453,8 @@ impl MaterializedView {
 
 /// The ordered scan parts of a dataset version: shard parts when sharded,
 /// the whole row buffer otherwise.
-fn scan_parts<'a>(ds: &'a Dataset, parts: Option<&'a [Arc<RowBuf>]>) -> Vec<&'a RowBuf> {
-    match parts {
-        Some(parts) => parts.iter().map(|p| p.as_ref()).collect(),
-        None => vec![&ds.rows],
-    }
+fn scan_parts<'a>(ds: &'a Dataset, parts: Option<&[&'a RowBuf]>) -> Vec<&'a RowBuf> {
+    parts.map_or_else(|| vec![&ds.rows], <[_]>::to_vec)
 }
 
 fn diff(a: &BTreeSet<RecordId>, b: &BTreeSet<RecordId>) -> Vec<RecordId> {

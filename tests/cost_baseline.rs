@@ -102,7 +102,7 @@ fn current_table() -> Vec<String> {
             }
             for &engine in SHARDED {
                 let spec = ShardSpec::new(SHARDS, ShardPolicy::RoundRobin).unwrap();
-                let mut tables = ShardedTables::new(&ds, spec, MEM_PCT, PAGE, TILES).unwrap();
+                let tables = ShardedTables::new(&ds, spec, MEM_PCT, PAGE, TILES).unwrap();
                 let run = tables.run_query(engine, 1, q).unwrap();
                 let key = format!("{name} {qname} {engine}/k{SHARDS}");
                 out.push(line(&key, &run.stats));

@@ -3,6 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rsky::core::stats::RunStats;
 use rsky::prelude::*;
 
 fn setup(n: usize, seed: u64) -> (Dataset, Query) {
@@ -12,45 +13,27 @@ fn setup(n: usize, seed: u64) -> (Dataset, Query) {
     (ds, q)
 }
 
-fn run_kind(ds: &Dataset, q: &Query, kind: rsky_bench_like::Kind, page: usize, pct: f64) -> rsky::core::stats::RunStats {
+/// `engine`'s run on the layout it needs, single-threaded, with only the
+/// run's own IO counted.
+fn run_engine(ds: &Dataset, q: &Query, engine: &str, page: usize, pct: f64) -> RunStats {
     let mut disk = Disk::new_mem(page);
     let raw = load_dataset(&mut disk, ds).unwrap();
     let budget = MemoryBudget::from_percent(ds.data_bytes(), pct, page).unwrap();
-    let table = match kind {
-        rsky_bench_like::Kind::Brs | rsky_bench_like::Kind::Naive => raw.clone(),
-        _ => prepare_table(&mut disk, &ds.schema, &raw, Layout::MultiSort, &budget).unwrap().file,
-    };
+    // No tiled engine runs here, so the tile count is never read.
+    let layout = layout_for(engine, 4).unwrap();
+    let table = prepare_table(&mut disk, &ds.schema, &raw, layout, &budget).unwrap().file;
     disk.reset_stats();
     let mut ctx = EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
-    let run: RsRun = match kind {
-        rsky_bench_like::Kind::Naive => Naive.run(&mut ctx, &table, q).unwrap(),
-        rsky_bench_like::Kind::Brs => Brs.run(&mut ctx, &table, q).unwrap(),
-        rsky_bench_like::Kind::Srs => Srs.run(&mut ctx, &table, q).unwrap(),
-        rsky_bench_like::Kind::Trs => Trs::for_schema(&ds.schema).run(&mut ctx, &table, q).unwrap(),
-    };
-    run.stats
+    engine_by_name(engine, &ds.schema, 1).unwrap().run(&mut ctx, &table, q).unwrap().stats
 }
-
-/// Tiny local enum (the bench crate has a richer one; tests stay
-/// self-contained).
-mod rsky_bench_like {
-    #[derive(Clone, Copy)]
-    pub enum Kind {
-        Naive,
-        Brs,
-        Srs,
-        Trs,
-    }
-}
-use rsky_bench_like::Kind;
 
 /// The naive algorithm's IO is re-scan-dominated: far more page reads than
 /// the two-phase algorithms.
 #[test]
 fn naive_io_dwarfs_block_algorithms() {
     let (ds, q) = setup(1_500, 1);
-    let naive = run_kind(&ds, &q, Kind::Naive, 256, 10.0);
-    let brs = run_kind(&ds, &q, Kind::Brs, 256, 10.0);
+    let naive = run_engine(&ds, &q, "naive", 256, 10.0);
+    let brs = run_engine(&ds, &q, "brs", 256, 10.0);
     let naive_reads = naive.io.seq_reads + naive.io.rand_reads;
     let brs_reads = brs.io.seq_reads + brs.io.rand_reads;
     assert!(
@@ -65,9 +48,9 @@ fn naive_io_dwarfs_block_algorithms() {
 #[test]
 fn two_phase_algorithms_have_similar_sequential_io() {
     let (ds, q) = setup(3_000, 2);
-    let brs = run_kind(&ds, &q, Kind::Brs, 256, 10.0);
-    let srs = run_kind(&ds, &q, Kind::Srs, 256, 10.0);
-    let trs = run_kind(&ds, &q, Kind::Trs, 256, 10.0);
+    let brs = run_engine(&ds, &q, "brs", 256, 10.0);
+    let srs = run_engine(&ds, &q, "srs", 256, 10.0);
+    let trs = run_engine(&ds, &q, "trs", 256, 10.0);
     let seqs = [brs.io.sequential(), srs.io.sequential(), trs.io.sequential()];
     let (lo, hi) = (seqs.iter().min().unwrap(), seqs.iter().max().unwrap());
     assert!(
@@ -81,8 +64,8 @@ fn two_phase_algorithms_have_similar_sequential_io() {
 #[test]
 fn random_io_ordering_matches_paper() {
     let (ds, q) = setup(3_000, 3);
-    let brs = run_kind(&ds, &q, Kind::Brs, 256, 8.0);
-    let trs = run_kind(&ds, &q, Kind::Trs, 256, 8.0);
+    let brs = run_engine(&ds, &q, "brs", 256, 8.0);
+    let trs = run_engine(&ds, &q, "trs", 256, 8.0);
     assert!(
         trs.io.random() <= brs.io.random(),
         "TRS random IO {} must not exceed BRS {}",
@@ -96,8 +79,8 @@ fn random_io_ordering_matches_paper() {
 #[test]
 fn random_io_decreases_with_memory() {
     let (ds, q) = setup(3_000, 4);
-    let small = run_kind(&ds, &q, Kind::Brs, 256, 4.0);
-    let large = run_kind(&ds, &q, Kind::Brs, 256, 40.0);
+    let small = run_engine(&ds, &q, "brs", 256, 4.0);
+    let large = run_engine(&ds, &q, "brs", 256, 40.0);
     assert!(
         large.io.random() <= small.io.random(),
         "random IO at 40% memory ({}) must not exceed 4% ({})",
@@ -111,8 +94,8 @@ fn random_io_decreases_with_memory() {
 #[test]
 fn writes_match_phase1_survivors() {
     let (ds, q) = setup(2_000, 5);
-    for kind in [Kind::Brs, Kind::Srs, Kind::Trs] {
-        let stats = run_kind(&ds, &q, kind, 256, 10.0);
+    for engine in ["brs", "srs", "trs"] {
+        let stats = run_engine(&ds, &q, engine, 256, 10.0);
         let recs_per_page = 256 / ((ds.schema.num_attrs() + 1) * 4);
         let expected_pages = stats.phase1_survivors.div_ceil(recs_per_page) as u64;
         let writes = stats.io.seq_writes + stats.io.rand_writes;
@@ -125,7 +108,7 @@ fn writes_match_phase1_survivors() {
 #[test]
 fn check_counts_are_backend_independent() {
     let (ds, q) = setup(1_000, 6);
-    let mem_stats = run_kind(&ds, &q, Kind::Trs, 256, 10.0);
+    let mem_stats = run_engine(&ds, &q, "trs", 256, 10.0);
 
     let dir = std::env::temp_dir().join(format!("rsky-iomodel-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

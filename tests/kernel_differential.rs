@@ -196,7 +196,7 @@ fn sharded_modes_agree_including_empty_shards() {
             let mut runs = Vec::new();
             for ds in [&flat_ds, &wide_ds] {
                 let spec = ShardSpec::new(k, ShardPolicy::RoundRobin).unwrap();
-                let mut tables = ShardedTables::new(ds, spec, 12.0, 64, 3).unwrap();
+                let tables = ShardedTables::new(ds, spec, 12.0, 64, 3).unwrap();
                 runs.push(tables.run_query(engine, threads, &q).unwrap());
             }
             let (flat, wide) = (&runs[0], &runs[1]);
@@ -224,7 +224,7 @@ fn sharded_modes_agree_including_empty_shards() {
     let expect = reverse_skyline_by_definition(&flat_ds.dissim, &flat_ds.rows, &q);
     for ds in [&flat_ds, &wide_ds] {
         let spec = ShardSpec::new(8, ShardPolicy::HashById).unwrap();
-        let mut tables = ShardedTables::new(ds, spec, 50.0, 32, 3).unwrap();
+        let tables = ShardedTables::new(ds, spec, 50.0, 32, 3).unwrap();
         let run = tables.run_query("trs", 1, &q).unwrap();
         assert_eq!(run.ids, expect, "{}: empty shards", ds.label);
     }

@@ -598,7 +598,7 @@ fn sharded_span_deltas_tile_merged_stats() {
             for policy in [ShardPolicy::RoundRobin, ShardPolicy::HashById] {
                 let ctx = format!("{engine}×{threads} k={k} {policy}");
                 let spec = ShardSpec::new(k, policy).unwrap();
-                let mut tables = ShardedTables::new(&ds, spec, 8.0, 64, 3).unwrap();
+                let tables = ShardedTables::new(&ds, spec, 8.0, 64, 3).unwrap();
                 let sink = MemorySink::new();
                 let run = obs::with_recorder(sink.handle(), || {
                     tables.run_query(engine, threads, &q).unwrap()
@@ -621,8 +621,8 @@ fn influence_query_spans_tile_the_report_totals() {
     let ds = rsky::data::synthetic::normal_dataset(3, 6, 150, &mut rng).unwrap();
     let qs = rsky::data::random_queries(&ds.schema, 4, &mut rng).unwrap();
     let spec = ShardSpec::new(3, ShardPolicy::RoundRobin).unwrap();
-    let mut engine = rsky::algos::InfluenceEngine::new(ds.clone(), 8.0, 128).unwrap();
-    let mut tables = ShardedTables::new(&ds, spec, 8.0, 128, 3).unwrap();
+    let engine = rsky::algos::InfluenceEngine::new(ds.clone(), 8.0, 128).unwrap();
+    let tables = ShardedTables::new(&ds, spec, 8.0, 128, 3).unwrap();
     let runs: [(&str, &mut dyn FnMut() -> rsky::algos::InfluenceReport); 3] = [
         ("single table", &mut || engine.run(&qs, false).unwrap()),
         ("2 threads", &mut || {
@@ -674,7 +674,7 @@ fn sharded_cancellation_mid_phase2_keeps_contract_and_disks_intact() {
     let ds = rsky::data::synthetic::uniform_dataset(3, 5, 140, &mut rng).unwrap();
     let q = rsky::data::random_queries(&ds.schema, 1, &mut rng).unwrap().remove(0);
     let spec = ShardSpec::new(3, ShardPolicy::RoundRobin).unwrap();
-    let mut tables = ShardedTables::new(&ds, spec, 8.0, 64, 3).unwrap();
+    let tables = ShardedTables::new(&ds, spec, 8.0, 64, 3).unwrap();
     let baseline = tables.run_query("trs", 1, &q).unwrap();
     assert!(baseline.candidates > baseline.ids.len(), "need real phase-2 work to interrupt");
 
@@ -754,7 +754,7 @@ fn sharded_cancellation_mid_exchange_keeps_disks_reusable() {
     let ds = rsky::data::synthetic::uniform_dataset(3, 5, 140, &mut rng).unwrap();
     let q = rsky::data::random_queries(&ds.schema, 1, &mut rng).unwrap().remove(0);
     let spec = ShardSpec::new(3, ShardPolicy::RoundRobin).unwrap();
-    let mut tables = ShardedTables::new(&ds, spec, 8.0, 64, 3).unwrap();
+    let tables = ShardedTables::new(&ds, spec, 8.0, 64, 3).unwrap();
     let baseline = tables.run_query("trs", 1, &q).unwrap();
     assert!(baseline.pruners > 0, "need a real exchange round to interrupt");
 

@@ -313,12 +313,23 @@ fn shutdown_drains_inflight_and_metrics_reconcile() {
 /// A request that panics on its worker is answered `internal` within the
 /// read timeout instead of leaving its connection waiting forever; every
 /// connection is served afterwards, the pool still runs one request per
-/// worker at once, and the panic op is refused without `enable_test_ops`.
+/// worker at once, health leaves `ok` on the `worker_panic_rate` rule once
+/// the sampler ticks, and the panic op is refused without
+/// `enable_test_ops`.
 #[test]
 fn worker_panic_is_answered_internal_and_workers_keep_serving() {
+    use rsky::core::obs_ts::ManualClock;
+
     let ds = small_dataset(9008, 300);
     let workers = 2;
-    let config = ServerConfig { workers, enable_test_ops: true, ..test_config() };
+    let clock = ManualClock::shared(0);
+    let config = ServerConfig {
+        workers,
+        enable_test_ops: true,
+        sample_interval_ms: 0, // no sampler thread: the tick op drives it
+        clock: Some(clock.clone()),
+        ..test_config()
+    };
     let handle = Server::start(config, ds.clone()).unwrap();
     let addr = handle.local_addr();
     let mut clients: Vec<Client> = (0..workers)
@@ -328,6 +339,15 @@ fn worker_panic_is_answered_internal_and_workers_keep_serving() {
             c
         })
         .collect();
+    let mut probe = Client::connect(addr).unwrap();
+    probe.set_timeout(Duration::from_secs(30)).unwrap();
+    let tick = |probe: &mut Client| {
+        clock.advance(1_000_000);
+        let reply = probe.send(r#"{"op":"tick"}"#).unwrap();
+        assert!(is_ok(&reply), "{reply}");
+        reply
+    };
+    assert!(tick(&mut probe).contains(r#""health":"ok""#), "healthy before the panics");
 
     // One panic per connection, sent at once so both workers take one.
     let replies: Vec<String> = std::thread::scope(|s| {
@@ -342,6 +362,14 @@ fn worker_panic_is_answered_internal_and_workers_keep_serving() {
         assert_eq!(error_kind(reply), "internal", "{reply}");
     }
     assert_eq!(handle.registry().counter("server.worker.panics"), workers as u64);
+
+    // The panics breach the panic-rate rule: the first breaching tick
+    // holds, the second raises.
+    assert!(tick(&mut probe).contains(r#""health":"ok""#), "one breach must not flap");
+    let reply = tick(&mut probe);
+    assert!(!reply.contains(r#""health":"ok""#), "panics left health ok: {reply}");
+    let detail = probe.send(r#"{"op":"health","detail":true}"#).unwrap();
+    assert!(detail.contains("worker_panic_rate"), "the panic rule must fire: {detail}");
 
     // Each connection is served again with the right ids.
     let values = [1, 2, 3];

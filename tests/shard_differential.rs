@@ -186,7 +186,7 @@ fn assert_sharded_matches(ds: &Dataset, q: &Query, mem_pct: f64, page: usize) {
                 let spec = ShardSpec::new(k, policy).unwrap();
 
                 // Exchange on (the default budget).
-                let mut tables = ShardedTables::new(ds, spec, mem_pct, page, 3).unwrap();
+                let tables = ShardedTables::new(ds, spec, mem_pct, page, 3).unwrap();
                 let run = tables.run_query(engine, threads, q).unwrap();
                 assert_eq!(run.ids, expect, "{label}: ids differ from single-node");
                 assert!(
@@ -198,7 +198,7 @@ fn assert_sharded_matches(ds: &Dataset, q: &Query, mem_pct: f64, page: usize) {
 
                 // Exchange off: a zero budget must reproduce the pre-exchange
                 // executor — same ids, untouched candidate sets, no kill work.
-                let mut tables = ShardedTables::new(ds, spec, mem_pct, page, 3)
+                let tables = ShardedTables::new(ds, spec, mem_pct, page, 3)
                     .unwrap()
                     .with_pruner_budget(0);
                 let off = tables.run_query(engine, threads, q).unwrap();
@@ -304,7 +304,7 @@ fn cross_shard_duplicates_still_prune_each_other() {
     let expect = reverse_skyline_by_definition(&ds.dissim, &ds.rows, &q);
     assert!(!expect.contains(&10) && !expect.contains(&11), "oracle: twins prune each other");
     for &(engine, threads) in ENGINE_CONFIGS {
-        let mut tables = ShardedTables::new(&ds, spec, 50.0, 32, 3).unwrap();
+        let tables = ShardedTables::new(&ds, spec, 50.0, 32, 3).unwrap();
         let run = tables.run_query(engine, threads, &q).unwrap();
         assert_eq!(run.ids, expect, "{engine}×{threads}: cross-shard duplicate pruning");
         assert!(
@@ -319,7 +319,7 @@ fn cross_shard_duplicates_still_prune_each_other() {
     let expect = reverse_skyline_by_definition(&ds.dissim, &ds.rows, &q);
     assert!(expect.contains(&10) && expect.contains(&11), "oracle: ties keep both twins");
     for &(engine, threads) in ENGINE_CONFIGS {
-        let mut tables = ShardedTables::new(&ds, spec, 50.0, 32, 3).unwrap();
+        let tables = ShardedTables::new(&ds, spec, 50.0, 32, 3).unwrap();
         let run = tables.run_query(engine, threads, &q).unwrap();
         assert_eq!(run.ids, expect, "{engine}×{threads}: tied twins must both survive");
     }
@@ -335,7 +335,7 @@ fn one_shard_equals_single_node_counters() {
     for &(engine, threads) in ENGINE_CONFIGS {
         let single = single_node(&ds, &q, engine, threads, 15.0, 128);
         let spec = ShardSpec::new(1, ShardPolicy::RoundRobin).unwrap();
-        let mut tables = ShardedTables::new(&ds, spec, 15.0, 128, 3).unwrap();
+        let tables = ShardedTables::new(&ds, spec, 15.0, 128, 3).unwrap();
         let run = tables.run_query(engine, threads, &q).unwrap();
         assert_eq!(run.ids, single.ids, "{engine}×{threads}");
         assert_eq!(run.stats.dist_checks, single.stats.dist_checks, "{engine}×{threads}");
@@ -349,7 +349,7 @@ fn one_shard_equals_single_node_counters() {
 
         // The budget knob must be inert at k = 1: there is nobody to
         // exchange with, so even a tiny budget changes no counter.
-        let mut tables =
+        let tables =
             ShardedTables::new(&ds, spec, 15.0, 128, 3).unwrap().with_pruner_budget(1);
         let budgeted = tables.run_query(engine, threads, &q).unwrap();
         assert_eq!(budgeted.ids, single.ids, "{engine}×{threads} budget=1");
@@ -420,7 +420,7 @@ fn skewed_partition_one_shard_owns_the_whole_skyline() {
             let label = format!("skewed {engine}×{threads} {}", ds.label);
             let single = single_node(ds, &q, engine, threads, 12.0, 128);
             assert_eq!(single.ids, expect, "{label}: single-node vs oracle");
-            let mut tables = ShardedTables::new(ds, spec, 12.0, 128, 3).unwrap();
+            let tables = ShardedTables::new(ds, spec, 12.0, 128, 3).unwrap();
             let run = tables.run_query(engine, threads, &q).unwrap();
             assert_eq!(run.ids, expect, "{label}: ids");
             assert_costs_tile(&run, &label);
@@ -463,7 +463,7 @@ fn hash_policy_pathological_all_records_land_in_one_shard() {
     for ds in [&flat_ds, &wide_ds] {
         for &(engine, threads) in &[("naive", 1), ("srs", 1), ("trs", 2), ("trs-bf", 1), ("brs", 5)] {
             let label = format!("hash-pathological {engine}×{threads} {}", ds.label);
-            let mut tables = ShardedTables::new(ds, spec, 12.0, 128, 3).unwrap();
+            let tables = ShardedTables::new(ds, spec, 12.0, 128, 3).unwrap();
             let run = tables.run_query(engine, threads, &q).unwrap();
             assert_eq!(run.ids, expect, "{label}: ids");
             // The sole populated shard's candidates are mutually
@@ -496,7 +496,7 @@ fn empty_shards_and_tiny_budgets_stay_exact_under_both_kernel_modes() {
                 for &policy in POLICIES {
                     let label = format!("n=5 k={k} budget={budget} {policy} {}", ds.label);
                     let spec = ShardSpec::new(k, policy).unwrap();
-                    let mut tables = ShardedTables::new(ds, spec, 50.0, 32, 3)
+                    let tables = ShardedTables::new(ds, spec, 50.0, 32, 3)
                         .unwrap()
                         .with_pruner_budget(budget);
                     let run = tables.run_query("trs", 2, &q).unwrap();
@@ -527,7 +527,7 @@ fn exchange_shrinks_every_ballooned_candidate_set() {
             qs.iter().map(|q| single_node(&ds, q, engine, 1, mem_pct, page)).collect();
         for k in [2, 4, 8] {
             let spec = ShardSpec::new(k, ShardPolicy::RoundRobin).unwrap();
-            let mut tables = ShardedTables::new(&ds, spec, mem_pct, page, 4).unwrap();
+            let tables = ShardedTables::new(&ds, spec, mem_pct, page, 4).unwrap();
             for (qi, (q, single)) in qs.iter().zip(&singles).enumerate() {
                 let label = format!("{engine} k={k} query {qi}");
                 let run = tables.run_query(engine, 1, q).unwrap();
@@ -582,7 +582,7 @@ mod property {
             let policy = if use_hash { ShardPolicy::HashById } else { ShardPolicy::RoundRobin };
             let budget = if budget_raw == 11 { DEFAULT_PRUNER_BUDGET } else { budget_raw };
             let spec = ShardSpec::new(k, policy).unwrap();
-            let mut tables = ShardedTables::new(&ds, spec, 12.0, 128, 3)
+            let tables = ShardedTables::new(&ds, spec, 12.0, 128, 3)
                 .unwrap()
                 .with_pruner_budget(budget);
             let run = tables.run_query(engine, threads, &q).unwrap();

@@ -12,8 +12,13 @@
 //!   every `RunStats` counter and IO count equal to a run on a freshly
 //!   prepared table;
 //! * a sharded state fed the same writes, under each placement policy,
-//!   keeps shard parts that hold exactly the flat rows, duplicates counted,
-//!   and a sharded worker returns the unsharded worker's ids.
+//!   keeps shard parts that hold exactly the flat rows, duplicates counted;
+//!   each part's three images are byte for byte `load_dataset` and
+//!   `prepare_table` of the part's rows; a part a write did not touch still
+//!   holds the very images it held before the write; and every engine
+//!   through the sharded state returns the unsharded worker's ids, with
+//!   every counter and IO count equal to a `ShardedTables` built afresh
+//!   from the same part rows.
 //!
 //! The streams start from a dataset with a duplicated id (an expire removes
 //! every copy), insert rows equal to existing ones, expire the first and
@@ -26,7 +31,7 @@ use rsky::core::skyline::reverse_skyline_by_definition;
 use rsky::core::stats::RunStats;
 use rsky::order::{ascending_cardinality_order, sort_rows_lex};
 use rsky::prelude::*;
-use rsky::server::state::{DataState, DatasetVersion, WorkerState};
+use rsky::server::state::{DataState, DatasetVersion, Tables, WorkerState};
 use rsky::storage::SharedRecords;
 
 /// Four records of three attributes per page, so tables span many pages.
@@ -72,6 +77,21 @@ fn image_pages(image: &SharedRecords) -> Vec<Vec<u8>> {
     pages(&mut disk, &rf)
 }
 
+/// The pages of every layout of `ds`, freshly loaded and prepared.
+fn fresh_pages(ds: &Dataset) -> Vec<Vec<Vec<u8>>> {
+    let budget = MemoryBudget::from_percent(ds.data_bytes(), MEM_PCT, PAGE).unwrap();
+    let mut disk = Disk::new_mem(PAGE);
+    let raw = load_dataset(&mut disk, ds).unwrap();
+    LAYOUTS
+        .iter()
+        .map(|layout| {
+            let prepared =
+                prepare_table(&mut disk, &ds.schema, &raw, layout.clone(), &budget).unwrap();
+            pages(&mut disk, &prepared.file)
+        })
+        .collect()
+}
+
 /// The run on a freshly loaded and prepared table.
 fn fresh_run(ds: &Dataset, engine: &str, query: &Query) -> RsRun {
     let mut disk = Disk::new_mem(PAGE);
@@ -94,13 +114,9 @@ fn check_generation(
     let ds = &version.dataset;
     let g = version.generation;
     let budget = MemoryBudget::from_percent(ds.data_bytes(), MEM_PCT, PAGE).unwrap();
-    for layout in LAYOUTS {
-        let mut disk = Disk::new_mem(PAGE);
-        let raw = load_dataset(&mut disk, ds).unwrap();
-        let prepared =
-            prepare_table(&mut disk, &ds.schema, &raw, layout.clone(), &budget).unwrap();
-        let want = pages(&mut disk, &prepared.file);
-        let got = image_pages(&version.image(layout, &budget).unwrap());
+    let Tables::Whole(table) = &version.tables else { panic!("an unsharded version") };
+    for (layout, want) in LAYOUTS.iter().zip(fresh_pages(ds)) {
+        let got = image_pages(&table.image(&ds.schema, &ds.rows, layout, &budget).unwrap());
         assert_eq!(got, want, "generation {g}: {layout:?} image");
     }
 
@@ -137,30 +153,90 @@ fn row_multiset<'a>(rows: impl IntoIterator<Item = &'a RowBuf>) -> Vec<Vec<u32>>
     out
 }
 
-/// The sharded contract at one generation: `version` is the flat state's
-/// generation as the sharded state holds it, its parts hold exactly the
-/// flat rows, duplicates counted, and the sharded worker answers `flat`,
-/// the unsharded worker's ids per query and engine.
-fn check_sharded(
-    flat: &DatasetVersion,
-    version: &DatasetVersion,
-    worker: &mut WorkerState,
-    queries: &[Query],
-    answers: &[Vec<RecordId>],
-) {
-    let g = flat.generation;
-    assert_eq!(version.generation, g);
-    assert_eq!(version.dataset.rows, flat.dataset.rows, "generation {g}: flat rows");
-    let parts = &version.shards.as_ref().expect("a sharded state").parts;
-    assert_eq!(
-        row_multiset(parts.iter().map(|p| &**p)),
-        row_multiset([&flat.dataset.rows]),
-        "generation {g}: shard parts"
-    );
-    let runs = queries.iter().flat_map(|q| ENGINES.iter().map(move |&e| (q, e)));
-    for ((q, engine), want) in runs.zip(answers) {
-        let got = worker.run_query(version, engine, 1, q).unwrap();
-        assert_eq!(&got.ids, want, "generation {g}, {engine}: sharded ids");
+/// A `ShardedTables` built afresh from `parts` under `spec`: an empty
+/// partition with each part's rows inserted in order. The rows handed to
+/// `insert` only give a row its arrival position, which round-robin
+/// placement reads, so each row lands in its own part; hash placement
+/// reads the id, which put the row in that part in the first place.
+fn fresh_tables(ds: &Dataset, parts: &[RowBuf], spec: ShardSpec) -> ShardedTables {
+    let m = ds.schema.num_attrs();
+    let empty = Dataset { rows: RowBuf::new(m), ..ds.clone() };
+    let mut tables = ShardedTables::new(&empty, spec, MEM_PCT, PAGE, TILES).unwrap();
+    for (j, part) in parts.iter().enumerate() {
+        let arrival = RowBuf::from_flat(m, vec![0; j * (m + 1)]).unwrap();
+        for i in 0..part.len() {
+            tables = tables.insert(&arrival, part.flat_row(i)).1;
+        }
+    }
+    tables
+}
+
+/// A sharded state fed the flat state's writes, the worker that serves
+/// it, and each part's rows and images at the last checked generation.
+struct Sharded {
+    state: DataState,
+    spec: ShardSpec,
+    worker: WorkerState,
+    last: Vec<(RowBuf, Vec<SharedRecords>)>,
+}
+
+impl Sharded {
+    fn new(ds: &Dataset, policy: ShardPolicy) -> Self {
+        let spec = ShardSpec::new(3, policy).unwrap();
+        let tables = ShardedTables::new(ds, spec, MEM_PCT, PAGE, TILES).unwrap();
+        Self {
+            state: DataState::new_sharded(ds.clone(), tables),
+            spec,
+            worker: WorkerState::new(PAGE, MEM_PCT, TILES).unwrap(),
+            last: Vec::new(),
+        }
+    }
+
+    /// The sharded contract at one generation: the state holds `flat`'s
+    /// generation, its parts hold exactly the flat rows, duplicates
+    /// counted, each part's images are a fresh preparation's and a part
+    /// the last write left alone kept its images, and every run answers
+    /// `answers`, the unsharded worker's ids per query and engine, at the
+    /// costs of a sharded run on fresh tables.
+    fn check(&mut self, flat: &DatasetVersion, queries: &[Query], answers: &[Vec<RecordId>]) {
+        let version = self.state.current();
+        let g = flat.generation;
+        let what = format!("generation {g}, {}", self.spec.policy);
+        assert_eq!(version.generation, g);
+        assert_eq!(version.dataset.rows, flat.dataset.rows, "{what}: flat rows");
+        let tables = version.shards().expect("a sharded version");
+        let parts: Vec<RowBuf> = tables.part_rows().cloned().collect();
+        assert_eq!(row_multiset(&parts), row_multiset([&flat.dataset.rows]), "{what}: parts");
+
+        let mut images = Vec::new();
+        for (i, rows) in parts.iter().enumerate() {
+            let part_ds = Dataset { rows: rows.clone(), ..(*version.dataset).clone() };
+            let held: Vec<SharedRecords> =
+                LAYOUTS.iter().map(|layout| tables.image(i, layout).unwrap()).collect();
+            for ((layout, image), want) in LAYOUTS.iter().zip(&held).zip(fresh_pages(&part_ds)) {
+                assert_eq!(image_pages(image), want, "{what}: part {i} {layout:?} image");
+            }
+            match self.last.get(i) {
+                Some((before, kept)) if before == rows => {
+                    for ((layout, image), kept) in LAYOUTS.iter().zip(&held).zip(kept) {
+                        assert!(image.same_pages(kept), "{what}: untouched part {i} {layout:?}");
+                    }
+                }
+                _ => {}
+            }
+            images.push((rows.clone(), held));
+        }
+        self.last = images;
+
+        let fresh = fresh_tables(&version.dataset, &parts, self.spec);
+        let runs = queries.iter().flat_map(|q| ENGINES.iter().map(move |&e| (q, e)));
+        for ((q, engine), want) in runs.zip(answers) {
+            let got = self.worker.run_query(&version, engine, 1, q).unwrap();
+            let run = fresh.run_query(engine, 1, q).unwrap();
+            assert_eq!(&got.ids, want, "{what}, {engine}: sharded ids");
+            assert_eq!(got.ids, run.ids, "{what}, {engine}: fresh sharded ids");
+            assert_eq!(costs(&got.stats), costs(&run.stats), "{what}, {engine}: costs");
+        }
     }
 }
 
@@ -182,12 +258,11 @@ fn insert_values(version: &DatasetVersion, rng: &mut StdRng) -> Vec<u32> {
 }
 
 /// One seeded stream: the state, one worker serving every generation, the
-/// sharded states and workers that see the same writes, and the writes
-/// still to come.
+/// sharded states that see the same writes, and the writes still to come.
 struct Stream {
     state: DataState,
     worker: WorkerState,
-    sharded: Vec<(DataState, WorkerState)>,
+    sharded: Vec<Sharded>,
     queries: Vec<Query>,
     rng: StdRng,
     next_id: RecordId,
@@ -204,11 +279,7 @@ impl Stream {
         let queries = queries(&ds.schema, &mut rng);
         let sharded = [ShardPolicy::RoundRobin, ShardPolicy::HashById]
             .into_iter()
-            .map(|policy| {
-                let spec = ShardSpec::new(3, policy).unwrap();
-                let worker = WorkerState::new(PAGE, MEM_PCT, TILES).unwrap();
-                (DataState::new_sharded(ds.clone(), spec), worker.with_shards(Some(spec)))
-            })
+            .map(|policy| Sharded::new(&ds, policy))
             .collect();
         let mut stream = Self {
             state: DataState::new(ds),
@@ -224,24 +295,24 @@ impl Stream {
 
     fn check(&mut self, version: &DatasetVersion) {
         let answers = check_generation(version, &mut self.worker, &self.queries);
-        for (state, worker) in &mut self.sharded {
-            check_sharded(version, &state.current(), worker, &self.queries, &answers);
+        for sharded in &mut self.sharded {
+            sharded.check(version, &self.queries, &answers);
         }
     }
 
     fn insert(&mut self) {
         self.next_id += 1;
         let values = insert_values(&self.state.current(), &mut self.rng);
-        for (state, _) in &self.sharded {
-            state.insert(self.next_id, &values).unwrap();
+        for sharded in &self.sharded {
+            sharded.state.insert(self.next_id, &values).unwrap();
         }
         let (version, _) = self.state.insert(self.next_id, &values).unwrap();
         self.check(&version);
     }
 
     fn expire(&mut self, id: RecordId) {
-        for (state, _) in &self.sharded {
-            state.expire(id).unwrap();
+        for sharded in &self.sharded {
+            sharded.state.expire(id).unwrap();
         }
         let (version, _) = self.state.expire(id).unwrap();
         let rows = &version.dataset.rows;

@@ -24,7 +24,6 @@
 //! view answering a racing same-key query only at the exact generation.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -54,10 +53,10 @@ fn mutate(ds: &mut Dataset, event: &MutationEvent) {
     }
 }
 
-fn parts_for(ds: &Dataset, k: Option<usize>) -> Option<Vec<Arc<RowBuf>>> {
+fn parts_for(ds: &Dataset, k: Option<usize>) -> Option<Vec<RowBuf>> {
     let k = k?;
     let spec = ShardSpec::new(k, ShardPolicy::RoundRobin).unwrap();
-    Some(partition_rows(&ds.rows, &spec).into_iter().map(Arc::new).collect())
+    Some(partition_rows(&ds.rows, &spec))
 }
 
 fn oracle(ds: &Dataset, q: &Query) -> Vec<RecordId> {
@@ -99,6 +98,7 @@ fn drive(
         };
         mutate(ds, &event);
         let parts = parts_for(ds, parts_k);
+        let parts: Option<Vec<&RowBuf>> = parts.as_ref().map(|p| p.iter().collect());
         let delta = view
             .apply(ds, parts.as_deref(), &event)
             .unwrap_or_else(|e| panic!("{label}: apply failed at step {step}: {e}"))
@@ -283,6 +283,7 @@ fn sharded_maintenance_with_empty_shards() {
         let event = MutationEvent::expire(*id, generation);
         mutate(&mut ds, &event);
         let parts = parts_for(&ds, Some(8));
+        let parts: Option<Vec<&RowBuf>> = parts.as_ref().map(|p| p.iter().collect());
         view.apply(&ds, parts.as_deref(), &event).unwrap().unwrap();
         assert_eq!(view.members(), oracle(&ds, &qq), "after expiring {id}");
     }
