@@ -30,7 +30,8 @@ full() {
     # overflow checks are off: the AL-Tree and the paper's cost units are
     # pinned there too.
     cargo test --release -q -p rsky-altree
-    cargo test --release -q --test cost_baseline --test kernel_differential
+    cargo test --release -q --test cost_baseline --test kernel_differential \
+        --test paper_walkthrough --test bftree_fixtures
     echo "=== full property sweep ==="
     cargo test -q --features property-tests
     echo "=== clippy (warnings are errors) ==="

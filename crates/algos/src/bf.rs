@@ -58,8 +58,7 @@ use crate::engine::{io_now, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo,
 use crate::kernels::CandidateBlocks;
 use crate::qcache::QueryDistCache;
 use crate::trs::{
-    is_prunable_with_stack, leaf_schema_values, load_batch_into_tree, load_batch_into_tree_with,
-    Trs,
+    find_pruner_leaf, leaf_schema_values, load_batch_into_tree, load_batch_into_tree_with, Trs,
 };
 
 /// Max-heap of `(prunability bound, node)` entries.
@@ -311,7 +310,7 @@ impl ReverseSkylineAlgo for TrsBf {
                             leaf_schema_values(&tree, n, order, &mut c_schema_vals);
                             let ids_len = tree.leaf_ids(n).len();
                             stats.obj_comparisons += ids_len as u64;
-                            if !is_prunable_with_stack(
+                            if find_pruner_leaf(
                                 &tree,
                                 ctx.dissim,
                                 kern.flat(),
@@ -322,7 +321,9 @@ impl ReverseSkylineAlgo for TrsBf {
                                 cache,
                                 stats,
                                 &mut stack,
-                            ) {
+                            )
+                            .is_none()
+                            {
                                 flat[1..].copy_from_slice(&c_schema_vals);
                                 for k in 0..ids_len {
                                     flat[0] = tree.leaf_ids(n)[k];

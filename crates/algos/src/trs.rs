@@ -25,6 +25,26 @@
 //! prefix sharing packs more objects per batch than BRS/SRS manage, which is
 //! where TRS's IO advantage comes from.
 //!
+//! ## The witness probe
+//!
+//! Phase one visits a batch's leaves in DFS order, and in a multi-sorted
+//! batch neighbouring leaves share long value prefixes, so the record that
+//! pruned one leaf usually prunes the next. Before it walks for a leaf,
+//! phase one therefore tests the leaf against a small pool of *witnesses*:
+//! up to `WITNESS_POOL` (4) pruners that this batch's walks found, ordered by
+//! when each last pruned a leaf, most recent first — the self-organizing
+//! window of BNL-style skyline algorithms, which tries its recently
+//! successful dominators first. A witness that prunes moves to the front; a
+//! walk's pruner enters at the front and, in a full pool, evicts the
+//! witness at the back. The test is the walk's own leaf condition on the
+//! witness's values — `d(w_i, c_i) ≤ d(q_i, c_i)` on every selected
+//! attribute, strict on one — and it skips the candidate's own leaf when
+//! that holds a single id, as the walk does. A hit is therefore a pruner the
+//! walk would accept, and a miss runs the walk unchanged: survivors, phase
+//! two, page IO and ids are exactly Alg. 4's, and only distance checks and
+//! tree-node visits move. [`TrsOptions::witness_first`] turns the probe off
+//! (the paper's plain Alg. 4, an ablation).
+//!
 //! ## Self-pruning and duplicates
 //!
 //! Leaves carry record ids. A candidate reaching its *own* leaf with
@@ -35,6 +55,7 @@
 
 use rsky_altree::{AlTree, NodeIdx, ROOT};
 use rsky_core::dissim::{DissimTable, FlatDissim};
+use rsky_core::dominate::prunes_with_center_dists;
 use rsky_core::error::{Error, Result};
 use rsky_core::query::{AttrSubset, Query};
 use rsky_core::record::{RecordId, RowBuf, ValueId};
@@ -43,6 +64,7 @@ use rsky_core::stats::RunStats;
 use rsky_storage::{RecordFile, RecordWriter};
 
 use crate::engine::{io_now, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
+use crate::kernels::{prunes_center_hoisted, DistSource};
 use crate::qcache::QueryDistCache;
 
 /// Tuning switches, primarily for ablation studies.
@@ -51,13 +73,22 @@ pub struct TrsOptions {
     /// Visit qualifying children in decreasing descendant count (the paper's
     /// heuristic). Disabled, children are visited in value order.
     pub order_children_by_count: bool,
+    /// Test each phase-one leaf against the batch's recent pruners before
+    /// walking for it (the witness probe of the module docs). Disabled,
+    /// every leaf gets a walk: the paper's plain Alg. 4.
+    pub witness_first: bool,
 }
 
 impl Default for TrsOptions {
     fn default() -> Self {
-        Self { order_children_by_count: true }
+        Self { order_children_by_count: true, witness_first: true }
     }
 }
+
+/// How many witnesses phase one keeps per batch tree: the smallest of 1, 2,
+/// 4 and 8 that no larger pool beat on perfbench's warm-mem and cold-file
+/// `trs_ms` (the runs are in CHANGES.md).
+pub(crate) const WITNESS_POOL: usize = 4;
 
 /// Algorithms 3–5. Expects a table in [`crate::prep::Layout::MultiSort`]
 /// (T-TRS: [`crate::prep::Layout::Tiled`]); correct on any layout, but batch
@@ -211,9 +242,10 @@ impl ReverseSkylineAlgo for Trs {
 
 /// Phase-one check of one loaded batch tree (Alg. 4 per leaf group): calls
 /// `emit` with the flat row `[id, values…]` of every instance whose value
-/// combination has no pruner in the tree, in DFS leaf order. Shared by the
-/// sequential and parallel engines, so both walk identical batches the same
-/// way.
+/// combination has no pruner in the tree, in DFS leaf order. Each leaf is
+/// tested against the batch's witnesses first when `opts.witness_first` is
+/// set (see the module docs). Shared by the sequential and parallel
+/// engines, so both walk identical batches the same way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn phase1_tree_batch(
     tree: &mut AlTree,
@@ -230,9 +262,15 @@ pub(crate) fn phase1_tree_batch(
         tree.order_children_for_search();
     }
     let m = order.len();
+    let src = match flat {
+        Some(f) => DistSource::Flat(f),
+        None => DistSource::Table(dissim),
+    };
     let mut c_schema_vals = vec![0u32; m];
     let mut row = vec![0u32; m + 1];
     let mut stack = Vec::new();
+    let mut witnesses: Vec<(NodeIdx, Vec<ValueId>)> = Vec::with_capacity(WITNESS_POOL);
+    let (mut dqx, mut crows) = (Vec::new(), Vec::new());
     // Leaves in DFS order. The walk is preorder, so when it reaches a leaf
     // every level of `c_schema_vals` holds the value of the leaf's path.
     let mut dfs = vec![ROOT];
@@ -247,19 +285,81 @@ pub(crate) fn phase1_tree_batch(
         }
         let ids = tree.leaf_ids(n);
         stats.obj_comparisons += ids.len() as u64;
-        if !is_prunable_with_stack(
+        if let Some(k) = witness_prunes(
+            &witnesses, src, subset, cache, n, ids.len(), &c_schema_vals, &mut dqx, &mut crows,
+            &mut stats.dist_checks,
+        ) {
+            // The witness that pruned this leaf moves to the front.
+            witnesses[..=k].rotate_right(1);
+            continue;
+        }
+        match find_pruner_leaf(
             tree, dissim, flat, subset, order, &c_schema_vals, ids[0], cache, stats, &mut stack,
         ) {
-            // No pruner for this value combination: every instance survives
-            // (a duplicate pair would have been caught at its own leaf).
-            row[1..].copy_from_slice(&c_schema_vals);
-            for &id in ids {
-                row[0] = id;
-                emit(&row)?;
+            Some(p) if opts.witness_first => {
+                // The new pruner takes the front slot; a full pool evicts
+                // the witness at the back.
+                if witnesses.len() < WITNESS_POOL {
+                    witnesses.push((p, vec![0; m]));
+                }
+                witnesses.rotate_right(1);
+                witnesses[0].0 = p;
+                leaf_schema_values(tree, p, order, &mut witnesses[0].1);
+            }
+            Some(_) => {}
+            None => {
+                // No pruner for this value combination: every instance
+                // survives (a duplicate pair would have been caught at its
+                // own leaf).
+                row[1..].copy_from_slice(&c_schema_vals);
+                for &id in ids {
+                    row[0] = id;
+                    emit(&row)?;
+                }
             }
         }
     }
     Ok(())
+}
+
+/// The witness probe: the position of the first witness — a `(leaf,
+/// schema-order values)` pair of `witnesses`, tried in order — that prunes
+/// the candidate leaf `leaf`, whose values are `c` and which holds `n_ids`
+/// ids. The test is the walk's own leaf condition on the witness's values,
+/// so a hit is a pruner [`find_pruner_leaf`] would accept; like the walk, it
+/// skips the candidate's own leaf when that holds a single id. Every
+/// distance evaluated counts in `checks`. `dqx` and `crows` are scratch for
+/// the candidate's query distances and flat center rows, hoisted as in
+/// [`crate::brs::find_pruner_in_batch`].
+#[allow(clippy::too_many_arguments)]
+fn witness_prunes<'f>(
+    witnesses: &[(NodeIdx, Vec<ValueId>)],
+    src: DistSource<'f>,
+    subset: &AttrSubset,
+    cache: &QueryDistCache,
+    leaf: NodeIdx,
+    n_ids: usize,
+    c: &[ValueId],
+    dqx: &mut Vec<f64>,
+    crows: &mut Vec<&'f [f64]>,
+    checks: &mut u64,
+) -> Option<usize> {
+    if witnesses.is_empty() {
+        return None;
+    }
+    let indices = subset.indices();
+    cache.center_dists_into(subset, c, dqx);
+    if let DistSource::Flat(flat) = src {
+        crows.clear();
+        crows.extend(indices.iter().map(|&a| flat.center_row(a, c[a])));
+    }
+    witnesses.iter().position(|(w, y)| {
+        (*w != leaf || n_ids > 1)
+            && match src {
+                DistSource::Flat(_) => prunes_center_hoisted(crows, dqx, indices, y, checks),
+                DistSource::Table(dt) => prunes_with_center_dists(dt, subset, y, c, dqx, checks),
+            }
+    })
 }
 
 /// Phase-two refinement of one loaded result tree (Alg. 5 per scanned
@@ -396,17 +496,17 @@ pub fn is_prunable(
     stats: &mut RunStats,
 ) -> bool {
     let mut stack = Vec::new();
-    is_prunable_with_stack(
-        tree, dt, None, subset, order, c_schema_vals, c_id, cache, stats, &mut stack,
-    )
+    find_pruner_leaf(tree, dt, None, subset, order, c_schema_vals, c_id, cache, stats, &mut stack)
+        .is_some()
 }
 
 /// [`is_prunable`] with a caller-provided stack buffer, so tight loops over
-/// many candidates avoid one allocation per call. With `flat` present the
-/// per-child distance comes from the candidate's contiguous center row
-/// instead of the dissimilarity enum — same values, same check counting.
+/// many candidates avoid one allocation per call, returning the leaf of the
+/// pruner found. With `flat` present the per-child distance comes from the
+/// candidate's contiguous center row instead of the dissimilarity enum —
+/// same values, same check counting.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn is_prunable_with_stack(
+pub(crate) fn find_pruner_leaf(
     tree: &AlTree,
     dt: &DissimTable,
     flat: Option<&FlatDissim>,
@@ -417,9 +517,9 @@ pub(crate) fn is_prunable_with_stack(
     cache: &QueryDistCache,
     stats: &mut RunStats,
     stack: &mut Vec<(NodeIdx, bool)>,
-) -> bool {
+) -> Option<NodeIdx> {
     if tree.is_empty() {
-        return false;
+        return None;
     }
     // d(q_i, c_i) per selected attribute, hoisted out of the walk.
     let mut d_qc = [0.0f64; MAX_ATTRS];
@@ -430,7 +530,7 @@ pub(crate) fn is_prunable_with_stack(
     // which advances only when the child qualifies, so the distance test
     // takes no branch; the buffer grows when a node's children would not
     // fit above the top.
-    let (mut visits, mut checks, mut found) = (0u64, 0u64, false);
+    let (mut visits, mut checks, mut found) = (0u64, 0u64, None);
     if stack.is_empty() {
         stack.push((ROOT, false));
     }
@@ -444,7 +544,7 @@ pub(crate) fn is_prunable_with_stack(
             if found_closer {
                 let ids = tree.leaf_ids(s);
                 if ids.len() > 1 || ids[0] != c_id {
-                    found = true;
+                    found = Some(s);
                     break;
                 }
             }
@@ -784,6 +884,130 @@ mod tests {
             let trs = Trs::for_schema(&ds.schema);
             let run = trs.run(&mut ctx, &sorted.file, &q).unwrap();
             assert_eq!(run.ids, expect, "subset {indices:?}");
+        }
+    }
+
+    /// Phase one of one sealed batch tree over `rows` (ids and schema-order
+    /// values): the emitted rows, in emission order, and the run's counters.
+    fn phase1_rows(
+        rows: &[(RecordId, Vec<ValueId>)],
+        ds: &rsky_core::dataset::Dataset,
+        q: &Query,
+        order: &[usize],
+        opts: TrsOptions,
+    ) -> (Vec<Vec<u32>>, RunStats) {
+        let m = order.len();
+        let mut tree = AlTree::new(m);
+        let mut tvals = vec![0u32; m];
+        for (id, vals) in rows {
+            for (l, &a) in order.iter().enumerate() {
+                tvals[l] = vals[a];
+            }
+            tree.insert(&tvals, *id);
+        }
+        tree.seal();
+        let cache = QueryDistCache::new(&ds.dissim, &ds.schema, q);
+        let kern = crate::kernels::PrunerKernel::new(&ds.schema, &ds.dissim);
+        let (mut out, mut stats) = (Vec::new(), RunStats::default());
+        phase1_tree_batch(
+            &mut tree, &ds.dissim, kern.flat(), &q.subset, order, opts, &cache, &mut stats,
+            |row| {
+                out.push(row.to_vec());
+                Ok(())
+            },
+        )
+        .unwrap();
+        (out, stats)
+    }
+
+    #[test]
+    fn witness_probe_emits_the_walks_rows() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(39);
+        // Normal 4 × 8 plus exact duplicates under fresh ids and rows
+        // inserted twice under one id.
+        let mut normal = rsky_data::synthetic::normal_dataset(4, 8, 300, &mut rng).unwrap();
+        for k in 0..40 {
+            let vals = normal.rows.values(k * 7).to_vec();
+            normal.rows.push(1000 + k as RecordId, &vals);
+        }
+        for k in 0..10 {
+            let (id, vals) = (normal.rows.id(k * 11), normal.rows.values(k * 11).to_vec());
+            normal.rows.push(id, &vals);
+        }
+        let census = rsky_data::census_income_like(400, &mut rng).unwrap();
+        let forest = rsky_data::forest_cover_like(400, &mut rng).unwrap();
+        // Each group shares its rows and queries; the normal rows run under
+        // both linear twins, so both distance sources are covered.
+        let (flat_twin, wide_twin) = rsky_data::twin::linear_twins(&normal).unwrap();
+        let groups = [
+            (&normal, vec![flat_twin, wide_twin], vec![1, 3]),
+            (&census, vec![], vec![0, 2, 4]),
+            (&forest, vec![], vec![1, 3, 5]),
+        ];
+        let (mut flat_runs, mut table_runs) = (0, 0);
+        let (mut visits_on, mut visits_off) = (0, 0);
+        for (base, twins, subset) in groups {
+            let mut queries = rsky_data::random_queries(&base.schema, 2, &mut rng).unwrap();
+            queries.extend(
+                rsky_data::workload::random_subset_queries(&base.schema, &subset, 2, &mut rng)
+                    .unwrap(),
+            );
+            let sets = if twins.is_empty() { vec![base.clone()] } else { twins };
+            for ds in &sets {
+                let order = rsky_order::ascending_cardinality_order(&ds.schema);
+                let rows: Vec<(RecordId, Vec<ValueId>)> = (0..ds.rows.len())
+                    .map(|i| (ds.rows.id(i), ds.rows.values(i).to_vec()))
+                    .collect();
+                match crate::kernels::PrunerKernel::new(&ds.schema, &ds.dissim).flat() {
+                    Some(_) => flat_runs += 1,
+                    None => table_runs += 1,
+                }
+                for q in &queries {
+                    // One tree over every row, and batches of 64 rows.
+                    for batch in [rows.len(), 64] {
+                        for chunk in rows.chunks(batch) {
+                            let run = |witness_first| {
+                                let opts = TrsOptions { witness_first, ..TrsOptions::default() };
+                                phase1_rows(chunk, ds, q, &order, opts)
+                            };
+                            let (on, on_stats) = run(true);
+                            let (off, off_stats) = run(false);
+                            assert_eq!(on, off, "{}: {:?}", ds.label, q.subset.indices());
+                            assert_eq!(on_stats.obj_comparisons, off_stats.obj_comparisons);
+                            visits_on += on_stats.tree_nodes_visited;
+                            visits_off += off_stats.tree_nodes_visited;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(flat_runs > 0 && table_runs > 0, "both distance sources ran");
+        assert!(visits_on < visits_off, "the probe spared walks ({visits_on} vs {visits_off})");
+    }
+
+    #[test]
+    fn witness_probe_skips_the_candidates_own_single_leaf() {
+        // Tree order [DB, CPU, OS]: O2 [RHL, AMD, Informix] is visited before
+        // O1 [MSW, AMD, DB2], and O1 prunes O2 but nothing prunes O1. O2's
+        // walk makes O1's leaf the witness that O1 is then tested against.
+        let (ds, q) = paper_ctx();
+        let order = [2, 1, 0];
+        let (o2, o1) = ((2, vec![1, 0, 0]), (1, vec![0, 0, 1]));
+        for witness_first in [true, false] {
+            let opts = TrsOptions { witness_first, ..TrsOptions::default() };
+            let (rows, _) = phase1_rows(&[o2.clone(), o1.clone()], &ds, &q, &order, opts);
+            assert_eq!(rows, vec![vec![1, 0, 0, 1]], "O1 survives (probe {witness_first})");
+            // O4 duplicates O1: the witness leaf holds two ids, and both
+            // copies are pruned, O1 by O4 and O4 by O1.
+            let (rows, stats) =
+                phase1_rows(&[o2.clone(), o1.clone(), (4, o1.1.clone())], &ds, &q, &order, opts);
+            assert_eq!(rows, Vec::<Vec<u32>>::new(), "O1 and O4 pruned (probe {witness_first})");
+            // Each walk visits 4 nodes; with the probe, O1's leaf is pruned
+            // by its witness (3 checks) and gets no walk.
+            let (visits, checks) = if witness_first { (4, 7) } else { (8, 8) };
+            assert_eq!((stats.tree_nodes_visited, stats.dist_checks), (visits, checks));
         }
     }
 

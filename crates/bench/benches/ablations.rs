@@ -2,11 +2,14 @@
 //!
 //! 1. **Child ordering** — TRS with and without descendant-count child
 //!    ordering in `IsPrunable` (the Algorithm 4 heuristic);
-//! 2. **Pre-sorting** — TRS on sorted vs original layout (how much of TRS's
+//! 2. **Witness probe** — TRS with and without testing each phase-one leaf
+//!    against the batch's recent pruners before walking for it (without:
+//!    the paper's plain Algorithm 4);
+//! 3. **Pre-sorting** — TRS on sorted vs original layout (how much of TRS's
 //!    win comes from clustering vs from the tree itself);
-//! 3. **Radiating search** — SRS's outward probe vs a plain linear scan on
+//! 4. **Radiating search** — SRS's outward probe vs a plain linear scan on
 //!    the same sorted data (isolates Section 4.2's probe-order idea);
-//! 4. **Attribute ordering** — ascending- vs descending-cardinality tree
+//! 5. **Attribute ordering** — ascending- vs descending-cardinality tree
 //!    orders (Section 5.1's heuristic).
 
 use rand::rngs::StdRng;
@@ -71,18 +74,29 @@ fn main() {
         t.row(vec![name.into(), format!("{:.1}", time * 1e3), checks.to_string(), rs.to_string()]);
     }
 
-    // 2. TRS on the original (unsorted) layout.
+    // 2. The witness probe off: the paper's plain Alg. 4.
+    let mut trs_plain = Trs::for_schema(&ds.schema);
+    trs_plain.opts.witness_first = false;
+    let (time, checks, rs) = run(&trs_plain, &mut disk, &ds, &sorted.file, &qs, budget);
+    t.row(vec![
+        "TRS (paper's Alg. 4, no witness probe)".into(),
+        format!("{:.1}", time * 1e3),
+        checks.to_string(),
+        rs.to_string(),
+    ]);
+
+    // 3. TRS on the original (unsorted) layout.
     let (time, checks, rs) = run(&trs_ordered, &mut disk, &ds, &raw, &qs, budget);
     t.row(vec!["TRS (unsorted layout)".into(), format!("{:.1}", time * 1e3), checks.to_string(), rs.to_string()]);
 
-    // 3. SRS radiating probe vs linear scan on sorted data (BRS engine =
+    // 4. SRS radiating probe vs linear scan on sorted data (BRS engine =
     //    linear phase-one order).
     let (time, checks, rs) = run(&Srs, &mut disk, &ds, &sorted.file, &qs, budget);
     t.row(vec!["SRS (radiating probe)".into(), format!("{:.1}", time * 1e3), checks.to_string(), rs.to_string()]);
     let (time, checks, rs) = run(&Brs, &mut disk, &ds, &sorted.file, &qs, budget);
     t.row(vec!["sorted + linear probe".into(), format!("{:.1}", time * 1e3), checks.to_string(), rs.to_string()]);
 
-    // 4. Attribute ordering: ascending (default) vs descending cardinality.
+    // 5. Attribute ordering: ascending (default) vs descending cardinality.
     // Uniform cardinalities make this a tie on synthetic data, so use the
     // CI-like shape where cardinalities differ (91/17/5/53/7).
     let ci = rsky_data::census_income_like(cfg.n(rsky_data::realworld::CI_ROWS), &mut rng).unwrap();

@@ -109,6 +109,44 @@ proptest! {
         prop_assert_eq!(&bf.run(&mut ctx, &sorted.file, &q).unwrap().ids, &expect);
     }
 
+    /// The witness probe moves only TRS's distance checks and tree-node
+    /// visits: with it on and off, on the MultiSort and Tiled layouts, TRS
+    /// agrees on ids, phase-one survivors, both batch counts, object
+    /// comparisons and every IO field.
+    #[test]
+    fn witness_probe_moves_only_checks_and_visits(
+        (ds, q) in instance(),
+        dups in 0usize..8,
+        page in prop_oneof![Just(16usize), Just(64), Just(256)],
+        pct in 0.0f64..60.0,
+        tiles in 1u32..4,
+    ) {
+        prop_assume!(page >= (ds.schema.num_attrs() + 1) * 4);
+        let ds = Dataset { rows: with_duplicates(&ds.rows, dups), ..ds };
+        let budget = MemoryBudget::from_percent(ds.data_bytes().max(1), pct, page).unwrap();
+        let probe = Trs::for_schema(&ds.schema);
+        let mut plain = Trs::for_schema(&ds.schema);
+        plain.opts.witness_first = false;
+        for layout in [Layout::MultiSort, Layout::Tiled { tiles_per_attr: tiles }] {
+            let run = |trs: &Trs| {
+                let mut disk = Disk::new_mem(page);
+                let raw = load_dataset(&mut disk, &ds).unwrap();
+                let table =
+                    prepare_table(&mut disk, &ds.schema, &raw, layout.clone(), &budget).unwrap();
+                let mut ctx =
+                    EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
+                trs.run(&mut ctx, &table.file, &q).unwrap()
+            };
+            let (a, b) = (run(&probe), run(&plain));
+            prop_assert_eq!(&a.ids, &b.ids);
+            prop_assert_eq!(a.stats.phase1_survivors, b.stats.phase1_survivors);
+            prop_assert_eq!(a.stats.phase1_batches, b.stats.phase1_batches);
+            prop_assert_eq!(a.stats.phase2_batches, b.stats.phase2_batches);
+            prop_assert_eq!(a.stats.obj_comparisons, b.stats.obj_comparisons);
+            prop_assert_eq!(a.stats.io, b.stats.io);
+        }
+    }
+
     /// The best-first queue's heap invariant: however entries are pushed —
     /// including interleaved with pops — the popped bound sequence is
     /// non-increasing, and equal bounds pop in ascending node order.
