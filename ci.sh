@@ -22,6 +22,10 @@ tier1() {
     # The scatter-gather suite spawns one thread per shard per phase; a
     # deadlocked barrier must fail CI, not hang it.
     timeout 300 cargo test -q --test shard_differential
+    echo "=== tier-1: parallel engines and obs contract (hard timeout) ==="
+    # Batch workers share one lock on the run's disk and commit in batch
+    # order: a lost wake-up or a commit-order bug must fail CI, not hang it.
+    timeout 300 cargo test -q --test parallel_engines --test obs_contract
 }
 
 full() {
@@ -31,7 +35,7 @@ full() {
     # pinned there too.
     cargo test --release -q -p rsky-altree
     cargo test --release -q --test cost_baseline --test kernel_differential \
-        --test paper_walkthrough --test bftree_fixtures
+        --test paper_walkthrough --test bftree_fixtures --test parallel_engines
     echo "=== full property sweep ==="
     cargo test -q --features property-tests
     echo "=== clippy (warnings are errors) ==="

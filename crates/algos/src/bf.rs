@@ -54,11 +54,11 @@ use rsky_core::schema::Schema;
 use rsky_core::stats::RunStats;
 use rsky_storage::{ColumnarBatch, RecordFile, RecordWriter};
 
-use crate::engine::{io_now, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
+use crate::engine::{run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
 use crate::kernels::CandidateBlocks;
 use crate::qcache::QueryDistCache;
 use crate::trs::{
-    find_pruner_leaf, leaf_schema_values, load_batch_into_tree, load_batch_into_tree_with, Trs,
+    find_pruner_leaf, leaf_schema_values, load_batch_into_tree_with, Trs,
 };
 
 /// Max-heap of `(prunability bound, node)` entries.
@@ -218,7 +218,7 @@ impl ReverseSkylineAlgo for TrsBf {
             let mut group_kills = 0u64;
 
             // --- Phase one: best-first batch trees, group kills ------------
-            let p1 = robs.scope("phase1", stats, io_now(stats, ctx.disk));
+            let p1 = robs.scope("phase1", stats, ctx.disk.io_stats());
             let r_file = {
                 let tree_budget = ctx.budget.phase1_tree_bytes();
                 let mut writer = RecordWriter::create(ctx.disk, m)?;
@@ -237,7 +237,7 @@ impl ReverseSkylineAlgo for TrsBf {
                 let mut stack = Vec::with_capacity(64);
                 while page < total_pages {
                     robs.check_cancelled()?;
-                    let bspan = robs.scope("phase1.batch", stats, io_now(stats, ctx.disk));
+                    let bspan = robs.scope("phase1.batch", stats, ctx.disk.io_stats());
                     for (flags, vals) in present_flag.iter_mut().zip(present.iter_mut()) {
                         for &v in vals.iter() {
                             flags[v as usize] = false;
@@ -355,7 +355,7 @@ impl ReverseSkylineAlgo for TrsBf {
                     }
                     bspan
                         .field("batch", (stats.phase1_batches - 1) as u64)
-                        .close(stats, io_now(stats, ctx.disk));
+                        .close(stats, ctx.disk.io_stats());
                 }
                 writer.finish(ctx.disk)?
             };
@@ -367,10 +367,10 @@ impl ReverseSkylineAlgo for TrsBf {
                 .field("survivors", stats.phase1_survivors as u64)
                 .field("heap_pushes", heap_pushes)
                 .field("group_kills", group_kills)
-                .close(stats, io_now(stats, ctx.disk));
+                .close(stats, ctx.disk.io_stats());
 
             // --- Phase two: candidate chunks vs database trees -------------
-            let p2 = robs.scope("phase2", stats, io_now(stats, ctx.disk));
+            let p2 = robs.scope("phase2", stats, ctx.disk.io_stats());
             let result = {
                 let chunk_budget = ctx.budget.phase2_tree_bytes();
                 let d_tree_budget = ctx.budget.phase1_tree_bytes();
@@ -384,7 +384,7 @@ impl ReverseSkylineAlgo for TrsBf {
                 let mut lvals = vec![0u32; m];
                 while rpage < r_pages {
                     robs.check_cancelled()?;
-                    let bspan = robs.scope("phase2.batch", stats, io_now(stats, ctx.disk));
+                    let bspan = robs.scope("phase2.batch", stats, ctx.disk.io_stats());
                     chunk.clear();
                     let mut loaded_any = false;
                     while rpage < r_pages {
@@ -413,9 +413,11 @@ impl ReverseSkylineAlgo for TrsBf {
                             break;
                         }
                         robs.check_cancelled()?;
-                        load_batch_into_tree(
-                            ctx, table, order, &mut dp, total_pages, d_tree_budget, &mut tree,
-                            &mut pbuf, &mut tvals,
+                        let disk = &mut *ctx.disk;
+                        load_batch_into_tree_with(
+                            |p, buf| table.read_page_rows(disk, p, buf).map(|_| ()),
+                            order, &mut dp, total_pages, d_tree_budget, &mut tree, &mut pbuf,
+                            &mut tvals,
                         )?;
                         tree.order_children_for_search();
                         collect_leaf_reps(&tree, order, &mut lvals, &mut ybuf, stats);
@@ -429,13 +431,13 @@ impl ReverseSkylineAlgo for TrsBf {
                     }
                     bspan
                         .field("batch", (stats.phase2_batches - 1) as u64)
-                        .close(stats, io_now(stats, ctx.disk));
+                        .close(stats, ctx.disk.io_stats());
                 }
                 result
             };
             stats.phase2_time = p2
                 .field("batches", stats.phase2_batches as u64)
-                .close(stats, io_now(stats, ctx.disk));
+                .close(stats, ctx.disk.io_stats());
             Ok(result)
         })
     }

@@ -21,9 +21,11 @@ use rsky_core::query::{AttrSubset, Query};
 use rsky_core::record::{RecordId, RowBuf};
 use rsky_core::stats::RunStats;
 use rsky_storage::columnar::ColumnarBatch;
-use rsky_storage::{RecordFile, RecordWriter};
+use rsky_storage::{Disk, RecordFile, RecordWriter};
 
-use crate::engine::{io_now, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun, RunObs};
+use crate::engine::{
+    run_batches, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun, RunObs,
+};
 use crate::kernels::{self, CandidateBlocks, DistSource, PrunerKernel};
 use crate::qcache::QueryDistCache;
 
@@ -51,24 +53,38 @@ pub(crate) enum Phase1Order {
 }
 
 /// Algorithm 2. Runs on any layout; pair with [`crate::prep::Layout::Original`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Brs;
+///
+/// `threads` workers walk the batches of each phase over the run's one disk
+/// (`engine::run_batches`); [`Brs`](const@Brs) is the paper's engine on one
+/// thread, and `Brs { threads: n }` with `n > 1` reports itself as BRS-P.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Brs {
+    /// Workers that walk batches at once; 1 (or 0) runs every batch on the
+    /// calling thread.
+    pub threads: usize,
+}
+
+/// BRS on one thread: the paper's engine.
+#[allow(non_upper_case_globals)]
+pub const Brs: Brs = Brs { threads: 1 };
 
 impl ReverseSkylineAlgo for Brs {
     fn name(&self) -> &str {
-        "BRS"
+        if self.threads > 1 { "BRS-P" } else { "BRS" }
     }
 
     fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun> {
         crate::engine::validate_inputs(ctx, table, query)?;
-        run_with_scaffolding(ctx, query, "brs", |ctx, cache, stats, robs, kern| {
-            two_phase(ctx, table, query, cache, Phase1Order::Linear, stats, robs, kern)
+        let prefix = if self.threads > 1 { "brs-p" } else { "brs" };
+        run_with_scaffolding(ctx, query, prefix, |ctx, cache, stats, robs, kern| {
+            two_phase(ctx, table, query, cache, Phase1Order::Linear, self.threads, stats, robs, kern)
         })
     }
 }
 
 /// Shared BRS/SRS body: batch-wise phase one into a write area, then the
-/// phase-two refinement scan. Returns unsorted result ids.
+/// phase-two refinement scan, each phase's batches walked on `threads`
+/// workers. Returns unsorted result ids.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn two_phase(
     ctx: &mut EngineCtx<'_>,
@@ -76,6 +92,7 @@ pub(crate) fn two_phase(
     query: &Query,
     cache: &QueryDistCache,
     order: Phase1Order,
+    threads: usize,
     stats: &mut RunStats,
     robs: &RunObs<'_>,
     kern: &PrunerKernel,
@@ -84,96 +101,96 @@ pub(crate) fn two_phase(
     let subset = &query.subset;
     let rec_bytes = table.record_bytes();
     let total_pages = table.num_pages(ctx.disk);
+    let src = kern.source(ctx.dissim);
 
     // --- Phase one --------------------------------------------------------
-    let p1 = robs.scope("phase1", stats, io_now(stats, ctx.disk));
-    let r_file = {
-        let cap1 = ctx.budget.phase1_records(rec_bytes);
-        let mut writer = RecordWriter::create(ctx.disk, m)?;
-        let mut page = 0;
-        let mut batch = RowBuf::new(m);
-        let mut dqx = Vec::with_capacity(subset.len());
-        let mut crows: Vec<&[f64]> = Vec::with_capacity(subset.len());
-        while page < total_pages {
-            robs.check_cancelled()?;
-            let bspan = robs.scope("phase1.batch", stats, io_now(stats, ctx.disk));
-            batch.clear();
-            let (pages, _) = table.read_batch(ctx.disk, page, cap1, &mut batch)?;
-            page += pages;
-            stats.phase1_batches += 1;
-            {
-                let disk = &mut *ctx.disk;
-                let w = &mut writer;
-                phase1_scan_batch(
-                    kern.source(ctx.dissim),
-                    &batch,
-                    query,
-                    cache,
-                    order,
-                    &mut dqx,
-                    &mut crows,
-                    stats,
-                    |i| w.push(disk, batch.flat_row(i)),
-                )?;
-            }
-            bspan
-                .field("batch", (stats.phase1_batches - 1) as u64)
-                .field("records", batch.len() as u64)
-                .close(stats, io_now(stats, ctx.disk));
-        }
-        writer.finish(ctx.disk)?
-    };
+    let p1 = robs.scope("phase1", stats, ctx.disk.io_stats());
+    let cap1 = ctx.budget.phase1_records(rec_bytes);
+    let mut writer = RecordWriter::create(ctx.disk, m)?;
+    stats.phase1_batches = run_batches(
+        ctx.disk,
+        robs,
+        threads,
+        "phase1.batch",
+        total_pages,
+        stats,
+        || RowBuf::new(m),
+        |disk, page, batch| load_flat_batch(table, disk, page, cap1, batch),
+        |batch, _, bs| {
+            let mut survivors = RowBuf::new(m);
+            let (mut dqx, mut crows) = (Vec::new(), Vec::new());
+            phase1_scan_batch(src, batch, query, cache, order, &mut dqx, &mut crows, bs, |i| {
+                survivors.push_flat(batch.flat_row(i));
+                Ok(())
+            })?;
+            Ok(survivors)
+        },
+        |disk, survivors| writer.push_all(disk, &survivors),
+    )?;
+    let r_file = writer.finish(ctx.disk)?;
     stats.phase1_survivors = r_file.len() as usize;
     stats.phase1_time = p1
         .field("batches", stats.phase1_batches as u64)
         .field("survivors", stats.phase1_survivors as u64)
-        .close(stats, io_now(stats, ctx.disk));
+        .close(stats, ctx.disk.io_stats());
 
     // --- Phase two --------------------------------------------------------
-    let p2 = robs.scope("phase2", stats, io_now(stats, ctx.disk));
-    let result = {
-        let cap2 = ctx.budget.phase2_records(rec_bytes);
-        let r_pages = r_file.num_pages(ctx.disk);
-        let mut result = Vec::new();
-        let mut rpage = 0;
-        let mut rbatch = RowBuf::new(m);
-        let mut dpage = RowBuf::new(m);
-        while rpage < r_pages {
-            robs.check_cancelled()?;
-            let bspan = robs.scope("phase2.batch", stats, io_now(stats, ctx.disk));
-            rbatch.clear();
-            let (pages, _) = r_file.read_batch(ctx.disk, rpage, cap2, &mut rbatch)?;
-            rpage += pages;
-            stats.phase2_batches += 1;
-            {
-                let disk = &mut *ctx.disk;
-                phase2_filter_batch(
-                    kern.source(ctx.dissim),
-                    subset,
-                    cache,
-                    &rbatch,
-                    total_pages,
-                    |p, buf| table.read_page_rows(&mut *disk, p, buf).map(|_| ()),
-                    &mut dpage,
-                    stats,
-                    &mut result,
-                )?;
-            }
-            bspan
-                .field("batch", (stats.phase2_batches - 1) as u64)
-                .field("records", rbatch.len() as u64)
-                .close(stats, io_now(stats, ctx.disk));
-        }
-        result
-    };
+    let p2 = robs.scope("phase2", stats, ctx.disk.io_stats());
+    let cap2 = ctx.budget.phase2_records(rec_bytes);
+    let r_pages = r_file.num_pages(ctx.disk);
+    let mut result = Vec::new();
+    stats.phase2_batches = run_batches(
+        ctx.disk,
+        robs,
+        threads,
+        "phase2.batch",
+        r_pages,
+        stats,
+        || RowBuf::new(m),
+        |disk, page, rbatch| load_flat_batch(&r_file, disk, page, cap2, rbatch),
+        |rbatch, disk, bs| {
+            let mut ids = Vec::new();
+            phase2_filter_batch(
+                src,
+                subset,
+                cache,
+                rbatch,
+                total_pages,
+                |p, buf| disk.with(|disk| table.read_page_rows(disk, p, buf).map(|_| ())),
+                &mut RowBuf::new(m),
+                bs,
+                &mut ids,
+            )?;
+            Ok(ids)
+        },
+        |_, ids| {
+            result.extend(ids);
+            Ok(())
+        },
+    )?;
     stats.phase2_time =
-        p2.field("batches", stats.phase2_batches as u64).close(stats, io_now(stats, ctx.disk));
+        p2.field("batches", stats.phase2_batches as u64).close(stats, ctx.disk.io_stats());
     Ok(result)
 }
 
+/// Loads the flat batch that starts at page `*page` of `file` (at most
+/// `cap` records, at least one page) into `batch` and moves `*page` past
+/// it; returns the batch's record count.
+fn load_flat_batch(
+    file: &RecordFile,
+    disk: &mut Disk,
+    page: &mut u64,
+    cap: usize,
+    batch: &mut RowBuf,
+) -> Result<usize> {
+    batch.clear();
+    let (pages, records) = file.read_batch(disk, *page, cap, batch)?;
+    *page += pages;
+    Ok(records)
+}
+
 /// Phase-one scan of one in-memory batch: finds each member's intra-batch
-/// pruner and calls `emit(i)` for every survivor, in batch order. Shared by
-/// the sequential and parallel engines.
+/// pruner and calls `emit(i)` for every survivor, in batch order.
 ///
 /// Linear probing batches cleanly — every candidate scans the same batch
 /// front to back, so groups of 8 share each scan record; candidates are
@@ -250,8 +267,7 @@ pub(crate) fn phase1_scan_batch<'f>(
 /// Phase-two refinement of one batch of intermediate results: blocks the
 /// batch members, streams the database past them via `read_page` through
 /// the batched pruner, and appends the ids that no scanned object prunes.
-/// The page loop stops as soon as every member is pruned. Shared by the
-/// sequential and parallel engines.
+/// The page loop stops as soon as every member is pruned.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn phase2_filter_batch(
     src: DistSource<'_>,
@@ -306,8 +322,7 @@ pub(crate) fn phase2_filter_batch(
 /// candidate's query-distance row (hoisted out of the probe loop); `crows`
 /// is scratch for the candidate's flat center rows on the flat source (the
 /// probe then indexes contiguous rows instead of dispatching through the
-/// dissimilarity enum — same evaluations, counted identically). Shared
-/// with the parallel engines in [`crate::par`].
+/// dissimilarity enum — same evaluations, counted identically).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn find_pruner_in_batch<'f>(
     src: DistSource<'f>,

@@ -1,5 +1,7 @@
 //! The engine interface shared by all reverse-skyline algorithms.
 
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use rsky_core::cancel::{self, CancelToken};
@@ -73,8 +75,8 @@ impl<'a> RunObs<'a> {
 /// writer of cost fields onto a span in this crate: every run, phase and
 /// batch span of an engine or of the sharded executor, and every
 /// `influence.query` span, is a scope. A phase scopes over the run's
-/// `RunStats` and a worker's batch over the batch's own stats, merged into
-/// the run's, so batch deltas sum to the run totals and the phase IO deltas
+/// `RunStats` and a batch over the batch's own stats, merged into the
+/// run's, so batch deltas sum to the run totals and the phase IO deltas
 /// tile the run IO by construction.
 pub(crate) struct CostScope {
     span: Span,
@@ -131,15 +133,6 @@ impl CostScope {
     }
 }
 
-/// The run's IO so far, the reading every cost scope takes: what the body
-/// gathered into `stats.io` (the parallel engines' worker scanners; zero in
-/// a sequential body) plus the disk's own counters.
-pub(crate) fn io_now(stats: &RunStats, disk: &Disk) -> IoCounts {
-    let mut io = stats.io;
-    io.add(disk.io_stats());
-    io
-}
-
 /// Outcome of a reverse-skyline run: the result ids (ascending) plus the
 /// full cost profile.
 #[derive(Debug, Clone)]
@@ -176,27 +169,23 @@ pub trait ReverseSkylineAlgo {
 }
 
 /// Looks up an engine by its CLI/bench name (`naive | brs | srs | trs |
-/// trs-bf | tsrs | ttrs`), parallelized across `threads` worker threads when
-/// `threads > 1` (the tiled variants share engines with their flat twins —
-/// the layout, not the algorithm, differs). `naive` and `trs-bf` have no
-/// parallel variant and always run sequentially (the best-first queue is a
-/// global traversal order, not a batch partition).
+/// trs-bf | tsrs | ttrs`). BRS, SRS and TRS walk their batches on `threads`
+/// workers over the run's one disk (the tiled variants share engines with
+/// their flat twins — the layout, not the algorithm, differs). `naive` and
+/// `trs-bf` always run on one thread (the best-first queue is a global
+/// traversal order, not a batch partition).
 pub fn engine_by_name(
     name: &str,
     schema: &Schema,
     threads: usize,
 ) -> Result<Box<dyn ReverseSkylineAlgo>> {
-    use crate::par::{ParBrs, ParSrs, ParTrs};
     use crate::{Brs, Naive, Srs, Trs, TrsBf};
-    let t = threads.max(1);
+    let threads = threads.max(1);
     Ok(match name {
         "naive" => Box::new(Naive),
-        "brs" if t > 1 => Box::new(ParBrs { threads: t }),
-        "brs" => Box::new(Brs),
-        "srs" | "tsrs" if t > 1 => Box::new(ParSrs { threads: t }),
-        "srs" | "tsrs" => Box::new(Srs),
-        "trs" | "ttrs" if t > 1 => Box::new(ParTrs::for_schema(schema, t)),
-        "trs" | "ttrs" => Box::new(Trs::for_schema(schema)),
+        "brs" => Box::new(Brs { threads }),
+        "srs" | "tsrs" => Box::new(Srs { threads }),
+        "trs" | "ttrs" => Box::new(Trs::for_schema(schema).with_threads(threads)),
         "trs-bf" => Box::new(TrsBf::for_schema(schema)),
         other => {
             return Err(rsky_core::error::Error::InvalidConfig(format!(
@@ -263,12 +252,10 @@ pub(crate) fn validate_inputs(
     Ok(())
 }
 
-/// Shared run scaffolding of every engine, sequential or parallel:
-/// snapshots the disk's IO counters, builds the query cache, executes
-/// `body`, then fills the totals and result size. The run's IO is whatever
-/// `body` gathered into `stats.io` (the parallel engines add their worker
-/// scanners' reads there; a sequential body leaves it zero) plus the disk's
-/// delta over the run — the same sum [`io_now`] reads. `prefix` names the
+/// Shared run scaffolding of every engine: snapshots the disk's IO
+/// counters, builds the query cache, executes `body`, then fills the totals
+/// and result size. Every page an engine touches goes through `ctx.disk`,
+/// so the run's IO is the disk's delta over the run. `prefix` names the
 /// engine in span names (`{prefix}.run`, `{prefix}.phase1.batch`, …); the
 /// run span is a [`RunObs::run_scope`], so it closes with the final
 /// `RunStats` totals. The recorder handle is captured here, on the calling
@@ -314,10 +301,167 @@ pub(crate) fn run_with_scaffolding(
     let mut stats = RunStats { query_dist_checks: build_checks, ..Default::default() };
     let mut ids = body(ctx, cache, &mut stats, &robs, &kern)?;
     ids.sort_unstable();
-    stats.io.add(ctx.disk.io_stats().delta_since(io_before));
+    stats.io = ctx.disk.io_stats().delta_since(io_before);
     stats.result_size = ids.len();
     stats.total_time = run.close_run(&stats);
     Ok(RsRun { ids, stats })
+}
+
+/// The run's one disk head, shared by the workers of a batch phase, with
+/// the phase's position in the file it batches.
+struct Head<'d> {
+    disk: &'d mut Disk,
+    /// First page of the next batch to load.
+    page: u64,
+    /// Batches claimed so far; the next claim gets this index.
+    claimed: usize,
+    /// Set when a worker returned an error, so the others claim nothing
+    /// more.
+    stop: bool,
+}
+
+/// A phase's lock on the run's disk. With more than one worker and a
+/// recorder on, every wait for it lands in `par.batch.wait_us`.
+struct SharedHead<'d> {
+    head: Mutex<Head<'d>>,
+    wait: Option<ObsHandle>,
+}
+
+impl<'d> SharedHead<'d> {
+    fn lock(&self) -> MutexGuard<'_, Head<'d>> {
+        let t0 = self.wait.is_some().then(Instant::now);
+        let head = self.head.lock().expect("a batch worker panicked holding the run's disk");
+        if let (Some(obs), Some(t0)) = (&self.wait, t0) {
+            obs.histogram_record(obs::names::PAR_BATCH_WAIT_US, t0.elapsed().as_micros() as u64);
+        }
+        head
+    }
+}
+
+/// A batch's access to the run's disk: each call takes the disk's lock for
+/// one operation and charges the IO it cost to the batch.
+pub(crate) struct BatchDisk<'a, 'd> {
+    shared: &'a SharedHead<'d>,
+    io: IoCounts,
+}
+
+impl BatchDisk<'_, '_> {
+    /// Runs `op` on the run's disk under its lock.
+    pub fn with<T>(&mut self, op: impl FnOnce(&mut Disk) -> Result<T>) -> Result<T> {
+        let mut head = self.shared.lock();
+        let before = head.disk.io_stats();
+        let out = op(head.disk);
+        self.io.add(head.disk.io_stats().delta_since(before));
+        out
+    }
+}
+
+/// Batch outputs waiting for every earlier batch to commit.
+struct Commits<O, C> {
+    next: usize,
+    pending: BTreeMap<usize, O>,
+    commit: C,
+}
+
+/// One phase of BRS, SRS or TRS over a file of `pages` pages, on up to
+/// `threads` workers; returns the number of batches. Each worker loops:
+///
+/// 1. under the disk's lock, claim the next batch, open its
+///    `{prefix}.{span}` scope and `load` it, which reads from the page
+///    cursor, advances it past the batch and returns its record count;
+/// 2. `walk` the batch with stats of its own, reading further pages (phase
+///    two's scan of the database) through the [`BatchDisk`];
+/// 3. hand the output to `commit` in batch order: a batch that finishes
+///    before an earlier one waits in memory, and the worker that completes
+///    the run of finished batches commits all of them (write-area appends
+///    go through the disk);
+/// 4. close the batch scope with its counters and the IO it loaded, read
+///    and committed.
+///
+/// With one worker this runs on the calling thread and is the paper's
+/// single-head engine page for page: load, walk, commit, next. With more,
+/// batch composition, every counter and the pages touched are the same,
+/// because the cursor advances as one worker's would and commits keep
+/// batch order; only the interleaving on the shared head, and with it the
+/// sequential/random split, depends on the schedule. Workers join the
+/// trace of the span open on the calling thread (the phase scope).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_batches<W, O: Send>(
+    disk: &mut Disk,
+    robs: &RunObs<'_>,
+    threads: usize,
+    span: &str,
+    pages: u64,
+    stats: &mut RunStats,
+    worker: impl Fn() -> W + Sync,
+    load: impl Fn(&mut Disk, &mut u64, &mut W) -> Result<usize> + Sync,
+    walk: impl Fn(&mut W, &mut BatchDisk<'_, '_>, &mut RunStats) -> Result<O> + Sync,
+    commit: impl FnMut(&mut Disk, O) -> Result<()> + Send,
+) -> Result<usize> {
+    // A batch holds at least one page, so more workers would idle.
+    let workers = (threads as u64).min(pages).max(1) as usize;
+    let shared = SharedHead {
+        head: Mutex::new(Head { disk, page: 0, claimed: 0, stop: false }),
+        wait: (workers > 1 && robs.enabled()).then(|| robs.handle().clone()),
+    };
+    let commits = Mutex::new(Commits { next: 0, pending: BTreeMap::new(), commit });
+    let batches = || -> Result<RunStats> {
+        let mut w = worker();
+        let mut done = RunStats::default();
+        loop {
+            let (b, records, scope, mut bdisk) = {
+                let mut head = shared.lock();
+                let head = &mut *head;
+                if head.page >= pages || head.stop {
+                    return Ok(done);
+                }
+                robs.check_cancelled()?;
+                let b = head.claimed;
+                head.claimed += 1;
+                let scope = robs.scope(span, &RunStats::default(), IoCounts::default());
+                let before = head.disk.io_stats();
+                let records = load(head.disk, &mut head.page, &mut w)?;
+                let io = head.disk.io_stats().delta_since(before);
+                (b, records, scope, BatchDisk { shared: &shared, io })
+            };
+            let mut bs = RunStats::default();
+            let out = walk(&mut w, &mut bdisk, &mut bs)?;
+            {
+                let mut q = commits.lock().expect("a batch worker panicked committing");
+                let q = &mut *q;
+                q.pending.insert(b, out);
+                while let Some(out) = q.pending.remove(&q.next) {
+                    bdisk.with(|disk| (q.commit)(disk, out))?;
+                    q.next += 1;
+                }
+            }
+            scope.field("batch", b as u64).field("records", records as u64).close(&bs, bdisk.io);
+            done.merge(&bs);
+        }
+    };
+    let per_worker = if workers == 1 {
+        vec![batches()]
+    } else {
+        let parent = obs::current_parent();
+        let run_worker = || {
+            let r = obs::with_parent(parent, batches);
+            if r.is_err() {
+                shared.lock().stop = true;
+            }
+            r
+        };
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(run_worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect::<Vec<_>>()
+        })
+    };
+    for done in per_worker {
+        stats.merge(&done?);
+    }
+    Ok(shared.head.into_inner().expect("workers joined without a panic").claimed)
 }
 
 #[cfg(test)]
@@ -349,6 +493,166 @@ mod tests {
         let mut ctx =
             EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
         assert!(Brs.run(&mut ctx, &narrow, &good).is_err());
+    }
+
+    fn run_engine(
+        e: &dyn ReverseSkylineAlgo,
+        disk: &mut Disk,
+        ds: &rsky_core::dataset::Dataset,
+        table: &RecordFile,
+        q: &Query,
+        budget: MemoryBudget,
+    ) -> RsRun {
+        let mut ctx = EngineCtx { disk, schema: &ds.schema, dissim: &ds.dissim, budget };
+        e.run(&mut ctx, table, q).unwrap()
+    }
+
+    #[test]
+    fn paper_example_all_parallel_engines() {
+        use crate::prep::{load_dataset, prepare_table, Layout};
+        use crate::{Brs, Srs, Trs};
+        let (ds, q) = paper_example();
+        let mut disk = Disk::new_mem(16); // 1 object/page, the walkthrough setup
+        let raw = load_dataset(&mut disk, &ds).unwrap();
+        let budget = MemoryBudget::from_bytes(48, 16).unwrap();
+        let sorted =
+            prepare_table(&mut disk, &ds.schema, &raw, Layout::MultiSort, &budget).unwrap();
+        for t in [1, 2, 7] {
+            let brs = run_engine(&Brs { threads: t }, &mut disk, &ds, &raw, &q, budget);
+            assert_eq!(brs.ids, vec![3, 6], "BRS t={t}");
+            let srs = run_engine(&Srs { threads: t }, &mut disk, &ds, &sorted.file, &q, budget);
+            assert_eq!(srs.ids, vec![3, 6], "SRS t={t}");
+            let trs = Trs::for_schema(&ds.schema).with_threads(t);
+            let trs = run_engine(&trs, &mut disk, &ds, &sorted.file, &q, budget);
+            assert_eq!(trs.ids, vec![3, 6], "TRS t={t}");
+        }
+    }
+
+    #[test]
+    fn parallel_brs_matches_sequential_counters() {
+        // Same batch composition ⇒ identical dist_checks/obj_comparisons,
+        // not just identical ids.
+        use crate::prep::load_dataset;
+        use crate::Brs;
+        let (ds, q) = paper_example();
+        let mut disk = Disk::new_mem(16);
+        let raw = load_dataset(&mut disk, &ds).unwrap();
+        let budget = MemoryBudget::from_bytes(48, 16).unwrap();
+        let seq = run_engine(&Brs, &mut disk, &ds, &raw, &q, budget);
+        for t in [1, 2, 7] {
+            let par = run_engine(&Brs { threads: t }, &mut disk, &ds, &raw, &q, budget);
+            assert_eq!(par.ids, seq.ids);
+            assert_eq!(par.stats.dist_checks, seq.stats.dist_checks, "t={t}");
+            assert_eq!(par.stats.obj_comparisons, seq.stats.obj_comparisons, "t={t}");
+            assert_eq!(par.stats.phase1_batches, seq.stats.phase1_batches, "t={t}");
+            assert_eq!(par.stats.phase1_survivors, seq.stats.phase1_survivors, "t={t}");
+            assert_eq!(par.stats.phase2_batches, seq.stats.phase2_batches, "t={t}");
+            assert_eq!(par.stats.io.total(), seq.stats.io.total(), "t={t}");
+        }
+    }
+
+    #[test]
+    fn srs_parallel_matches_sequential_on_sorted_layout() {
+        use crate::prep::{load_dataset, prepare_table, Layout};
+        use crate::Srs;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(91);
+        let ds = rsky_data::synthetic::normal_dataset(3, 8, 250, &mut rng).unwrap();
+        let q = rsky_data::random_queries(&ds.schema, 1, &mut rng).unwrap().remove(0);
+        let mut disk = Disk::new_mem(128);
+        let raw = load_dataset(&mut disk, &ds).unwrap();
+        let budget = MemoryBudget::from_bytes(768, 128).unwrap();
+        let sorted =
+            prepare_table(&mut disk, &ds.schema, &raw, Layout::MultiSort, &budget).unwrap();
+        let seq = run_engine(&Srs, &mut disk, &ds, &sorted.file, &q, budget);
+        for t in [2, 4] {
+            let par = run_engine(&Srs { threads: t }, &mut disk, &ds, &sorted.file, &q, budget);
+            assert_eq!(par.ids, seq.ids, "t={t}");
+            assert_eq!(par.stats.dist_checks, seq.stats.dist_checks, "t={t}");
+        }
+    }
+
+    /// A disk holding one record file of `pages` one-record pages.
+    fn one_record_pages(pages: u32) -> (Disk, RecordFile) {
+        let mut disk = Disk::new_mem(16);
+        let mut rows = rsky_core::record::RowBuf::new(3);
+        for i in 0..pages {
+            rows.push(i, &[0, 0, 0]);
+        }
+        let mut file = RecordFile::create(&mut disk, 3).unwrap();
+        file.write_all(&mut disk, &rows).unwrap();
+        (disk, file)
+    }
+
+    #[test]
+    fn commits_keep_batch_order_when_a_later_batch_finishes_first() {
+        // Batch 0's walk waits until batch 1's walk has finished, so batch 1
+        // must wait in memory and commit after batch 0.
+        let (mut disk, file) = one_record_pages(5);
+        let pages = file.num_pages(&disk);
+        let (walked_1, wait_for_1) = std::sync::mpsc::channel();
+        let wait_for_1 = Mutex::new(wait_for_1);
+        let mut committed = Vec::new();
+        let mut stats = RunStats::default();
+        let batches = run_batches(
+            &mut disk,
+            &RunObs::capture("test"),
+            2,
+            "phase1.batch",
+            pages,
+            &mut stats,
+            || 0u64,
+            |_, page, batch| {
+                *batch = *page;
+                *page += 1;
+                Ok(1)
+            },
+            |batch, _, _| {
+                match *batch {
+                    0 => wait_for_1.lock().unwrap().recv().unwrap(),
+                    1 => walked_1.send(()).unwrap(),
+                    _ => {}
+                }
+                Ok(*batch)
+            },
+            |_, batch| {
+                committed.push(batch);
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(batches as u64, pages);
+        assert_eq!(committed, (0..pages).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_failing_batch_fails_the_phase_on_every_thread_count() {
+        for threads in [1, 2, 4] {
+            let (mut disk, file) = one_record_pages(6);
+            let pages = file.num_pages(&disk);
+            let err = run_batches(
+                &mut disk,
+                &RunObs::capture("test"),
+                threads,
+                "phase1.batch",
+                pages,
+                &mut RunStats::default(),
+                || 0u64,
+                |_, page, batch| {
+                    *batch = *page;
+                    *page += 1;
+                    Ok(1)
+                },
+                |batch, _, _| match *batch {
+                    2 => Err(rsky_core::error::Error::Corrupt("batch 2".into())),
+                    b => Ok(b),
+                },
+                |_, _| Ok(()),
+            )
+            .unwrap_err();
+            assert!(err.to_string().contains("batch 2"), "threads={threads}: {err}");
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! | Engine | Paper | Idea |
 //! |--------|-------|------|
 //! | [`Naive`] | Alg. 1 | per-object scan of `D` for a pruner |
-//! | [`Brs`]   | Alg. 2 | two-phase block processing: intra-batch pruning, then filter survivors against a full scan |
-//! | [`Srs`]   | §4.2  | BRS over the multi-attribute-sorted file; phase-one pruner search radiates outward from each object |
+//! | [`Brs`](struct@Brs) | Alg. 2 | two-phase block processing: intra-batch pruning, then filter survivors against a full scan |
+//! | [`Srs`](struct@Srs) | §4.2  | BRS over the multi-attribute-sorted file; phase-one pruner search radiates outward from each object |
 //! | [`Trs`]   | Alg. 3–5 | batches are AL-Trees; group-level reasoning + early pruning |
 //! | [`TrsBf`] | §5 + BBS | best-first TRS: max-heap over group bounds, subtree kills, tree-grouped verification |
 //! | T-SRS / T-TRS | §5.6 | the same engines over the tile/Z-ordered file (see [`prep`]) |
@@ -44,7 +44,6 @@ pub mod hybrid;
 pub mod influence;
 pub mod kernels;
 pub mod naive;
-pub mod par;
 pub mod prep;
 pub mod qcache;
 pub mod rank;
@@ -62,10 +61,9 @@ pub use influence::{run_influence_parallel, InfluenceEngine, InfluenceReport};
 pub use kernels::{DistSource, PrunerKernel};
 pub use delta::{first_pruners, pruner_band};
 pub use naive::Naive;
-pub use par::{ParBrs, ParSrs, ParTrs};
 pub use prep::{prepare_table, run_on_image, Layout, PreparedTable, SortedTable};
 pub use qcache::{with_shared, QueryDistCache, SharedQueryCache};
-pub use rank::{rank_members, RankedMember};
+pub use rank::{rank_members, rank_members_with, RankedMember};
 pub use shard::{layout_for, ShardCost, ShardedRun, ShardedTables};
 pub use skyline_bnl::{dynamic_skyline_bnl, SkylineRun};
 pub use srs::Srs;

@@ -16,9 +16,7 @@ use rsky_core::query::Query;
 use rsky_core::record::RowBuf;
 use rsky_storage::RecordFile;
 
-use crate::engine::{
-    io_now, prunes_cached, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun,
-};
+use crate::engine::{prunes_cached, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
 
 /// Algorithm 1. No tuning knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -43,10 +41,10 @@ impl ReverseSkylineAlgo for Naive {
             let mut inner = RowBuf::new(m);
             // The naive scan has no write area and no second phase: each
             // outer page is one "batch" span, all under a single phase span.
-            let p1 = robs.scope("phase1", stats, io_now(stats, ctx.disk));
+            let p1 = robs.scope("phase1", stats, ctx.disk.io_stats());
             for op in 0..total_pages {
                 robs.check_cancelled()?;
-                let bspan = robs.scope("phase1.batch", stats, io_now(stats, ctx.disk));
+                let bspan = robs.scope("phase1.batch", stats, ctx.disk.io_stats());
                 outer.clear();
                 table.read_page_rows(ctx.disk, op, &mut outer)?;
                 // Iterate X over the page; inner scan restarts at page 0 and
@@ -83,12 +81,12 @@ impl ReverseSkylineAlgo for Naive {
                 bspan
                     .field("batch", op)
                     .field("records", outer.len() as u64)
-                    .close(stats, io_now(stats, ctx.disk));
+                    .close(stats, ctx.disk.io_stats());
             }
             stats.phase1_batches = total_pages as usize;
             stats.phase1_time = p1
                 .field("batches", stats.phase1_batches as u64)
-                .close(stats, io_now(stats, ctx.disk));
+                .close(stats, ctx.disk.io_stats());
             Ok(result)
         })
     }

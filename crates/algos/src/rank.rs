@@ -3,18 +3,21 @@
 //! When RS(Q) is large, clients want its most *influential* members first.
 //! Following the inverse-query ranking literature, a member's strength is
 //! the cardinality of its own reverse skyline — `|RS(X)|` with the member's
-//! values taken as the query on the same attribute subset — computed by the
-//! existing influence machinery ([`InfluenceEngine`]). Ties break by
-//! ascending id, so rankings are deterministic across runs and engines.
+//! values taken as the query on the same attribute subset — computed by an
+//! influence run: [`rank_members`] prepares an [`InfluenceEngine`] of its
+//! own, and [`rank_members_with`] takes the caller's run (the server ranks
+//! through the tables it already serves). Ties break by ascending id, so
+//! rankings are deterministic across runs and engines.
 
 use std::cmp::Reverse;
+use std::collections::HashMap;
 
 use rsky_core::dataset::Dataset;
 use rsky_core::error::{Error, Result};
 use rsky_core::query::Query;
 use rsky_core::record::RecordId;
 
-use crate::influence::InfluenceEngine;
+use crate::influence::{InfluenceEngine, InfluenceReport};
 
 /// One ranked RS(Q) member.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,28 +31,52 @@ pub struct RankedMember {
 /// Ranks `members` (ids of RS(Q) members, any order) by descending
 /// influence strength, ties by ascending id, and keeps the top `k`
 /// (`k >= members.len()` keeps all). `subset` is the attribute subset of
-/// the originating query, applied to the members-as-queries too.
+/// the originating query, applied to the members-as-queries too. The
+/// strengths come from an [`InfluenceEngine`] prepared over `ds` for this
+/// call.
 pub fn rank_members(
     ds: &Dataset,
     subset: Option<&[usize]>,
     members: &[RecordId],
     k: usize,
 ) -> Result<Vec<RankedMember>> {
+    rank_members_with(ds, subset, members, k, |queries| {
+        InfluenceEngine::new(ds.clone(), 10.0, 4096)?.run(queries, false)
+    })
+}
+
+/// [`rank_members`] with the strengths from `influence`, a run that
+/// reports `|RS|` for each of the member queries it is given, in order.
+/// The members' rows are found in one pass over `ds`.
+pub fn rank_members_with(
+    ds: &Dataset,
+    subset: Option<&[usize]>,
+    members: &[RecordId],
+    k: usize,
+    influence: impl FnOnce(&[Query]) -> Result<InfluenceReport>,
+) -> Result<Vec<RankedMember>> {
     if members.is_empty() || k == 0 {
         return Ok(Vec::new());
     }
+    let slot: HashMap<RecordId, usize> =
+        members.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+    let mut rows = vec![None; members.len()];
+    for i in 0..ds.rows.len() {
+        if let Some(&at) = slot.get(&ds.rows.id(i)) {
+            rows[at].get_or_insert(i);
+        }
+    }
     let mut queries = Vec::with_capacity(members.len());
-    for &id in members {
-        let row = (0..ds.rows.len())
-            .find(|&i| ds.rows.id(i) == id)
-            .ok_or_else(|| Error::InvalidConfig(format!("rank: member id {id} not in dataset")))?;
+    for (&id, row) in members.iter().zip(rows) {
+        let row =
+            row.ok_or_else(|| Error::InvalidConfig(format!("rank: member id {id} not in dataset")))?;
         let values = ds.rows.values(row).to_vec();
         queries.push(match subset {
             Some(indices) => Query::on_subset(&ds.schema, values, indices)?,
             None => Query::new(&ds.schema, values)?,
         });
     }
-    let report = InfluenceEngine::new(ds.clone(), 10.0, 4096)?.run(&queries, false)?;
+    let report = influence(&queries)?;
     let mut ranked: Vec<RankedMember> = report
         .per_query
         .iter()

@@ -23,18 +23,30 @@ use crate::engine::{run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
 
 /// Section 4.2. Expects a table in [`crate::prep::Layout::MultiSort`] (or
 /// [`crate::prep::Layout::Tiled`], which makes it the paper's T-SRS).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Srs;
+///
+/// `threads` workers walk its batches as BRS's do ([`Brs`](struct@crate::Brs));
+/// [`Srs`](const@Srs) is the paper's engine on one thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Srs {
+    /// Workers that walk batches at once; 1 (or 0) runs every batch on the
+    /// calling thread.
+    pub threads: usize,
+}
+
+/// SRS on one thread: the paper's engine.
+#[allow(non_upper_case_globals)]
+pub const Srs: Srs = Srs { threads: 1 };
 
 impl ReverseSkylineAlgo for Srs {
     fn name(&self) -> &str {
-        "SRS"
+        if self.threads > 1 { "SRS-P" } else { "SRS" }
     }
 
     fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun> {
         crate::engine::validate_inputs(ctx, table, query)?;
-        run_with_scaffolding(ctx, query, "srs", |ctx, cache, stats, robs, kern| {
-            two_phase(ctx, table, query, cache, Phase1Order::Radiating, stats, robs, kern)
+        let prefix = if self.threads > 1 { "srs-p" } else { "srs" };
+        run_with_scaffolding(ctx, query, prefix, |ctx, cache, stats, robs, kern| {
+            two_phase(ctx, table, query, cache, Phase1Order::Radiating, self.threads, stats, robs, kern)
         })
     }
 }

@@ -63,7 +63,7 @@ use rsky_core::schema::Schema;
 use rsky_core::stats::RunStats;
 use rsky_storage::{RecordFile, RecordWriter};
 
-use crate::engine::{io_now, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
+use crate::engine::{run_batches, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
 use crate::kernels::{prunes_center_hoisted, DistSource};
 use crate::qcache::QueryDistCache;
 
@@ -116,19 +116,28 @@ pub struct Trs {
     attr_order: Vec<usize>,
     /// Ablation switches.
     pub opts: TrsOptions,
+    /// Workers that walk batch trees at once, over the run's one disk
+    /// (`engine::run_batches`); 1 (the default) is the paper's engine, and
+    /// more report themselves as TRS-P.
+    pub threads: usize,
 }
 
 impl Trs {
     /// TRS with the paper's default attribute ordering (ascending
     /// cardinality).
     pub fn for_schema(schema: &Schema) -> Self {
-        Self { attr_order: rsky_order::ascending_cardinality_order(schema), opts: TrsOptions::default() }
+        Self::with_order(rsky_order::ascending_cardinality_order(schema))
     }
 
     /// TRS with an explicit attribute ordering (must be a permutation of
     /// `0..m`; checked at run time).
     pub fn with_order(attr_order: Vec<usize>) -> Self {
-        Self { attr_order, opts: TrsOptions::default() }
+        Self { attr_order, opts: TrsOptions::default(), threads: 1 }
+    }
+
+    /// The same engine on `threads` workers.
+    pub fn with_threads(self, threads: usize) -> Self {
+        Self { threads, ..self }
     }
 
     /// The attribute ordering in use.
@@ -164,77 +173,95 @@ impl Trs {
 
 impl ReverseSkylineAlgo for Trs {
     fn name(&self) -> &str {
-        "TRS"
+        if self.threads > 1 { "TRS-P" } else { "TRS" }
     }
 
     fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun> {
         crate::engine::validate_inputs(ctx, table, query)?;
         let m = table.num_attrs();
         self.validate_order(m)?;
-        run_with_scaffolding(ctx, query, "trs", |ctx, cache, stats, robs, kern| {
+        let prefix = if self.threads > 1 { "trs-p" } else { "trs" };
+        run_with_scaffolding(ctx, query, prefix, |ctx, cache, stats, robs, kern| {
             let order = &self.attr_order;
             let subset = &query.subset;
+            let dissim = ctx.dissim;
             let total_pages = table.num_pages(ctx.disk);
-            let mut tree = AlTree::new(m);
-            let mut pbuf = RowBuf::new(m);
-            let mut tvals = vec![0u32; m];
+            let tree_batch = || (AlTree::new(m), RowBuf::new(m), vec![0u32; m]);
 
             // --- Phase one: batch trees, IsPrunable per loaded object ------
-            let p1 = robs.scope("phase1", stats, io_now(stats, ctx.disk));
+            let p1 = robs.scope("phase1", stats, ctx.disk.io_stats());
             let tree_budget = ctx.budget.phase1_tree_bytes();
             let mut writer = RecordWriter::create(ctx.disk, m)?;
-            let mut page = 0;
-            while page < total_pages {
-                robs.check_cancelled()?;
-                let bspan = robs.scope("phase1.batch", stats, io_now(stats, ctx.disk));
-                load_batch_into_tree(
-                    ctx, table, order, &mut page, total_pages, tree_budget, &mut tree, &mut pbuf,
-                    &mut tvals,
-                )?;
-                stats.phase1_batches += 1;
-                let disk = &mut *ctx.disk;
-                phase1_tree_batch(
-                    &mut tree, ctx.dissim, kern.flat(), subset, order, self.opts, cache, stats,
-                    |row| writer.push(disk, row),
-                )?;
-                bspan
-                    .field("batch", (stats.phase1_batches - 1) as u64)
-                    .close(stats, io_now(stats, ctx.disk));
-            }
+            stats.phase1_batches = run_batches(
+                ctx.disk,
+                robs,
+                self.threads,
+                "phase1.batch",
+                total_pages,
+                stats,
+                tree_batch,
+                |disk, page, (tree, pbuf, tvals)| {
+                    load_batch_into_tree_with(
+                        |p, buf| table.read_page_rows(disk, p, buf).map(|_| ()),
+                        order, page, total_pages, tree_budget, tree, pbuf, tvals,
+                    )
+                },
+                |(tree, _, _), _, bs| {
+                    let mut survivors = RowBuf::new(m);
+                    phase1_tree_batch(
+                        tree, dissim, kern.flat(), subset, order, self.opts, cache, bs,
+                        |row| {
+                            survivors.push_flat(row);
+                            Ok(())
+                        },
+                    )?;
+                    Ok(survivors)
+                },
+                |disk, survivors| writer.push_all(disk, &survivors),
+            )?;
             let r_file = writer.finish(ctx.disk)?;
             stats.phase1_survivors = r_file.len() as usize;
             stats.phase1_time = p1
                 .field("batches", stats.phase1_batches as u64)
                 .field("survivors", stats.phase1_survivors as u64)
-                .close(stats, io_now(stats, ctx.disk));
+                .close(stats, ctx.disk.io_stats());
 
             // --- Phase two: result trees, Prune per scanned object ---------
-            let p2 = robs.scope("phase2", stats, io_now(stats, ctx.disk));
+            let p2 = robs.scope("phase2", stats, ctx.disk.io_stats());
             let tree_budget = ctx.budget.phase2_tree_bytes();
             let r_pages = r_file.num_pages(ctx.disk);
             let mut result = Vec::new();
-            let mut rpage = 0;
-            while rpage < r_pages {
-                robs.check_cancelled()?;
-                let bspan = robs.scope("phase2.batch", stats, io_now(stats, ctx.disk));
-                load_batch_into_tree(
-                    ctx, &r_file, order, &mut rpage, r_pages, tree_budget, &mut tree, &mut pbuf,
-                    &mut tvals,
-                )?;
-                stats.phase2_batches += 1;
-                let disk = &mut *ctx.disk;
-                phase2_tree_batch(
-                    &mut tree, ctx.dissim, kern.flat(), subset, order, cache, total_pages,
-                    |p, buf| table.read_page_rows(&mut *disk, p, buf).map(|_| ()),
-                    stats, &mut result,
-                )?;
-                bspan
-                    .field("batch", (stats.phase2_batches - 1) as u64)
-                    .close(stats, io_now(stats, ctx.disk));
-            }
+            stats.phase2_batches = run_batches(
+                ctx.disk,
+                robs,
+                self.threads,
+                "phase2.batch",
+                r_pages,
+                stats,
+                tree_batch,
+                |disk, page, (tree, pbuf, tvals)| {
+                    load_batch_into_tree_with(
+                        |p, buf| r_file.read_page_rows(disk, p, buf).map(|_| ()),
+                        order, page, r_pages, tree_budget, tree, pbuf, tvals,
+                    )
+                },
+                |(tree, _, _), disk, bs| {
+                    let mut ids = Vec::new();
+                    phase2_tree_batch(
+                        tree, dissim, kern.flat(), subset, order, cache, total_pages,
+                        |p, buf| disk.with(|disk| table.read_page_rows(disk, p, buf).map(|_| ())),
+                        bs, &mut ids,
+                    )?;
+                    Ok(ids)
+                },
+                |_, ids| {
+                    result.extend(ids);
+                    Ok(())
+                },
+            )?;
             stats.phase2_time = p2
                 .field("batches", stats.phase2_batches as u64)
-                .close(stats, io_now(stats, ctx.disk));
+                .close(stats, ctx.disk.io_stats());
             Ok(result)
         })
     }
@@ -244,8 +271,7 @@ impl ReverseSkylineAlgo for Trs {
 /// `emit` with the flat row `[id, values…]` of every instance whose value
 /// combination has no pruner in the tree, in DFS leaf order. Each leaf is
 /// tested against the batch's witnesses first when `opts.witness_first` is
-/// set (see the module docs). Shared by the sequential and parallel
-/// engines, so both walk identical batches the same way.
+/// set (see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn phase1_tree_batch(
     tree: &mut AlTree,
@@ -365,8 +391,7 @@ fn witness_prunes<'f>(
 /// Phase-two refinement of one loaded result tree (Alg. 5 per scanned
 /// object): streams the database past the tree via `read_page`, evicting
 /// everything each scanned object dominates, then appends the surviving ids
-/// to `result`. The page loop stops as soon as the tree is empty. Shared by
-/// the sequential and parallel engines.
+/// to `result`. The page loop stops as soon as the tree is empty.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn phase2_tree_batch(
     tree: &mut AlTree,
@@ -398,37 +423,11 @@ pub(crate) fn phase2_tree_batch(
     Ok(())
 }
 
-/// Clears `tree`, then reads pages starting at `*page` into it (values
-/// permuted to tree order) until the tree's memory estimate reaches
-/// `tree_budget`, and seals it; always loads at least one page.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn load_batch_into_tree(
-    ctx: &mut EngineCtx<'_>,
-    file: &RecordFile,
-    order: &[usize],
-    page: &mut u64,
-    total_pages: u64,
-    tree_budget: u64,
-    tree: &mut AlTree,
-    pbuf: &mut RowBuf,
-    tvals: &mut [u32],
-) -> Result<()> {
-    let disk = &mut *ctx.disk;
-    load_batch_into_tree_with(
-        |p, buf| file.read_page_rows(&mut *disk, p, buf).map(|_| ()),
-        order,
-        page,
-        total_pages,
-        tree_budget,
-        tree,
-        pbuf,
-        tvals,
-    )
-}
-
-/// [`load_batch_into_tree`] generic over the page source, so the parallel
-/// engines ([`crate::par`]) can load byte-identical batches from a shared
-/// snapshot scanner. The batch-boundary rule lives here, once.
+/// Clears `tree`, then reads pages from `read_page` starting at `*page`
+/// into it (values permuted to tree order) until the tree's memory estimate
+/// reaches `tree_budget`, and seals it; always loads at least one page.
+/// Returns the number of records loaded. The batch-boundary rule lives
+/// here, once.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn load_batch_into_tree_with(
     mut read_page: impl FnMut(u64, &mut RowBuf) -> Result<()>,
@@ -439,17 +438,16 @@ pub(crate) fn load_batch_into_tree_with(
     tree: &mut AlTree,
     pbuf: &mut RowBuf,
     tvals: &mut [u32],
-) -> Result<()> {
+) -> Result<usize> {
     tree.clear();
-    let mut loaded_any = false;
+    let mut records = 0;
     while *page < total_pages {
-        if loaded_any && tree.estimated_bytes() >= tree_budget {
+        if records > 0 && tree.estimated_bytes() >= tree_budget {
             break;
         }
         pbuf.clear();
         read_page(*page, pbuf)?;
         *page += 1;
-        loaded_any = true;
         for r in 0..pbuf.len() {
             let vals = pbuf.values(r);
             for (l, &a) in order.iter().enumerate() {
@@ -457,9 +455,10 @@ pub(crate) fn load_batch_into_tree_with(
             }
             tree.insert(tvals, pbuf.id(r));
         }
+        records += pbuf.len();
     }
     tree.seal();
-    Ok(())
+    Ok(records)
 }
 
 /// Reconstructs the schema-order values of `leaf` by walking its path.

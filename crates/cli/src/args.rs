@@ -15,9 +15,23 @@ pub struct Flags {
 /// Flag names that are boolean switches (take no value).
 const SWITCHES: &[&str] = &["explain", "file-backend", "keep-ids", "test-ops", "tree"];
 
+/// Whether the help text `usage` documents `--key`: on its first line (the
+/// synopsis) or as the first word of a line (an option row). A flag named
+/// only in prose or in an example of another command is not documented.
+fn documents(usage: &str, key: &str) -> bool {
+    let flag = format!("--{key}");
+    let mut lines = usage.lines();
+    let synopsis = lines.next().unwrap_or("");
+    synopsis.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).any(|w| w == flag)
+        || lines.any(|line| line.split_whitespace().next() == Some(flag.as_str()))
+}
+
 impl Flags {
-    /// Parses `--key value` pairs and bare switches.
-    pub fn parse(argv: &[String]) -> Result<Self> {
+    /// Parses `--key value` pairs and bare switches. `usage` is the
+    /// command's help text (its first line `rsky <command> …`): a flag it
+    /// does not document is refused by name, so a misspelt flag fails
+    /// instead of running with the default it meant to change.
+    pub fn parse(argv: &[String], usage: &str) -> Result<Self> {
         let mut values = HashMap::new();
         let mut switches = Vec::new();
         let mut i = 0;
@@ -28,6 +42,12 @@ impl Flags {
                     "unexpected argument {arg:?} (flags are --key value)"
                 )));
             };
+            if !documents(usage, key) {
+                let command = usage.split_whitespace().nth(1).unwrap_or("");
+                return Err(Error::InvalidConfig(format!(
+                    "unknown flag --{key} (see `rsky help {command}`)"
+                )));
+            }
             if SWITCHES.contains(&key) {
                 switches.push(key.to_string());
                 i += 1;
@@ -113,13 +133,42 @@ impl Flags {
 mod tests {
     use super::*;
 
+    /// Help text documenting every flag the tests pass, plus `--prose`,
+    /// which only a sentence names.
+    const USAGE: &str = "\
+rsky test --n <N> [OPTIONS]
+
+Mentions --prose in a sentence.
+
+OPTIONS:
+    --kind K
+    --explain
+    --query V,V,…
+    --subset I,I,…
+    --shards K
+    --shard-policy P";
+
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    fn parse(v: &[&str]) -> Result<Flags> {
+        Flags::parse(&s(v), USAGE)
+    }
+
+    #[test]
+    fn refuses_flags_the_usage_does_not_document() {
+        assert!(parse(&["--n", "1", "--kind", "x", "--explain"]).is_ok());
+        for bad in [&["--memroy", "1"][..], &["--shard", "2"], &["--prose", "1"], &["--tree"]] {
+            let err = parse(bad).err().unwrap_or_else(|| panic!("{bad:?} accepted"));
+            assert!(err.to_string().contains(bad[0]), "{bad:?}: {err}");
+            assert!(err.to_string().contains("rsky help test"), "{bad:?}: {err}");
+        }
+    }
+
     #[test]
     fn parses_pairs_and_switches() {
-        let f = Flags::parse(&s(&["--n", "100", "--explain", "--kind", "normal"])).unwrap();
+        let f = parse(&["--n", "100", "--explain", "--kind", "normal"]).unwrap();
         assert_eq!(f.get("n"), Some("100"));
         assert_eq!(f.get("kind"), Some("normal"));
         assert!(f.switch("explain"));
@@ -130,28 +179,28 @@ mod tests {
 
     #[test]
     fn rejects_malformed() {
-        assert!(Flags::parse(&s(&["positional"])).is_err());
-        assert!(Flags::parse(&s(&["--n"])).is_err());
-        let f = Flags::parse(&s(&["--n", "abc"])).unwrap();
+        assert!(parse(&["positional"]).is_err());
+        assert!(parse(&["--n"]).is_err());
+        let f = parse(&["--n", "abc"]).unwrap();
         assert!(f.num::<usize>("n", 0).is_err());
         assert!(f.require("missing").is_err());
     }
 
     #[test]
     fn parses_shard_specs() {
-        assert_eq!(Flags::parse(&s(&[])).unwrap().shard_spec().unwrap(), None);
-        let f = Flags::parse(&s(&["--shards", "3"])).unwrap();
+        assert_eq!(parse(&[]).unwrap().shard_spec().unwrap(), None);
+        let f = parse(&["--shards", "3"]).unwrap();
         assert_eq!(
             f.shard_spec().unwrap(),
             Some(ShardSpec::new(3, ShardPolicy::RoundRobin).unwrap())
         );
-        let f = Flags::parse(&s(&["--shards", "2", "--shard-policy", "hash"])).unwrap();
+        let f = parse(&["--shards", "2", "--shard-policy", "hash"]).unwrap();
         assert_eq!(f.shard_spec().unwrap(), Some(ShardSpec::new(2, ShardPolicy::HashById).unwrap()));
         // Policy without a count, a zero count, and junk are all rejected.
-        assert!(Flags::parse(&s(&["--shard-policy", "hash"])).unwrap().shard_spec().is_err());
-        assert!(Flags::parse(&s(&["--shards", "0"])).unwrap().shard_spec().is_err());
-        assert!(Flags::parse(&s(&["--shards", "x"])).unwrap().shard_spec().is_err());
-        assert!(Flags::parse(&s(&["--shards", "2", "--shard-policy", "zig"]))
+        assert!(parse(&["--shard-policy", "hash"]).unwrap().shard_spec().is_err());
+        assert!(parse(&["--shards", "0"]).unwrap().shard_spec().is_err());
+        assert!(parse(&["--shards", "x"]).unwrap().shard_spec().is_err());
+        assert!(parse(&["--shards", "2", "--shard-policy", "zig"])
             .unwrap()
             .shard_spec()
             .is_err());
@@ -159,11 +208,11 @@ mod tests {
 
     #[test]
     fn parses_lists() {
-        let f = Flags::parse(&s(&["--query", "1,2,3", "--subset", "0, 2"])).unwrap();
+        let f = parse(&["--query", "1,2,3", "--subset", "0, 2"]).unwrap();
         assert_eq!(f.u32_list("query").unwrap().unwrap(), vec![1, 2, 3]);
         assert_eq!(f.usize_list("subset").unwrap().unwrap(), vec![0, 2]);
         assert_eq!(f.u32_list("none").unwrap(), None);
-        let bad = Flags::parse(&s(&["--query", "1,x"])).unwrap();
+        let bad = parse(&["--query", "1,x"]).unwrap();
         assert!(bad.u32_list("query").is_err());
     }
 }

@@ -44,7 +44,7 @@ const ENGINES: [(&str, &str); 6] = [
 const TILES: u32 = 4;
 
 pub fn run(argv: &[String]) -> Result<()> {
-    let flags = Flags::parse(argv)?;
+    let flags = Flags::parse(argv, HELP)?;
     let obs = CliObs::install(&flags)?;
     let ds = rsky_data::csv::load_dataset_dir(flags.require("data")?)?;
     let queries: usize = flags.num("queries", 3)?;

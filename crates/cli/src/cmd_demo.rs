@@ -13,7 +13,7 @@ prints the dataset, every object's pruner witnesses, and the reverse
 skyline {O3, O6} computed by Naive, BRS, SRS and TRS. Takes no options.";
 
 pub fn run(argv: &[String]) -> Result<()> {
-    crate::args::Flags::parse(argv)?;
+    crate::args::Flags::parse(argv, HELP)?;
     let (ds, q) = rsky_data::paper_example();
     let names = ["O1", "O2", "O3", "O4", "O5", "O6"];
     let os = ["MSW", "RHL", "SL"];

@@ -22,7 +22,7 @@ OPTIONS:
     --seed S         RNG seed                                    [42]";
 
 pub fn run(argv: &[String]) -> Result<()> {
-    let flags = Flags::parse(argv)?;
+    let flags = Flags::parse(argv, HELP)?;
     let out = flags.require("out")?.to_string();
     let kind = flags.get("kind").unwrap_or("normal");
     let n: usize = flags.num("n", 10_000)?;

@@ -12,7 +12,7 @@ Prints schema, cardinalities, density and dissimilarity characteristics
 directory.";
 
 pub fn run(argv: &[String]) -> Result<()> {
-    let flags = Flags::parse(argv)?;
+    let flags = Flags::parse(argv, HELP)?;
     let dir = flags.require("data")?;
     let ds = rsky_data::csv::load_dataset_dir(dir)?;
     println!("dataset:  {}", ds.label);

@@ -36,7 +36,7 @@ OPTIONS:
     --tree         print the inclusive call tree instead of the table";
 
 pub fn run(argv: &[String]) -> Result<()> {
-    let flags = Flags::parse(argv)?;
+    let flags = Flags::parse(argv, HELP)?;
     let top: usize = flags.num("top", 20)?;
     let spans = match (flags.get("in"), flags.get("addr")) {
         (Some(_), Some(_)) => {

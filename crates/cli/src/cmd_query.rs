@@ -21,8 +21,8 @@ OPTIONS:
     --query V,V,…     query value ids, one per attribute         (required)
     --algo A          naive | brs | srs | trs | trs-bf | tsrs | ttrs [trs]
     --threads N       worker threads for brs/srs/trs/tsrs/ttrs   [1]
-                      (0 = one per core; N > 1 uses the parallel
-                      engines; same results either way)
+                      (0 = one per core; N > 1 walks batches on N
+                      workers over one disk; same results either way)
     --subset I,I,…    attribute indices to search on             [all]
     --memory PCT      working memory as % of dataset             [10]
     --page BYTES      page size                                  [4096]
@@ -43,7 +43,7 @@ OPTIONS:
                       the result (slow: O(n²) over the dataset)";
 
 pub fn run(argv: &[String]) -> Result<()> {
-    let flags = Flags::parse(argv)?;
+    let flags = Flags::parse(argv, HELP)?;
     let obs = CliObs::install(&flags)?;
     let dir = flags.require("data")?;
     let ds = rsky_data::csv::load_dataset_dir(dir)?;

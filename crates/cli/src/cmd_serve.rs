@@ -61,7 +61,7 @@ OPTIONS:
     --trace-out FILE    stream span/counter events to FILE as JSONL";
 
 pub fn run(argv: &[String]) -> Result<()> {
-    let flags = Flags::parse(argv)?;
+    let flags = Flags::parse(argv, HELP)?;
     let obs = CliObs::install(&flags)?;
     let dir = flags.require("data")?;
     let ds = rsky_data::csv::load_dataset_dir(dir)?;

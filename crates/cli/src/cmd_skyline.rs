@@ -24,7 +24,7 @@ OPTIONS:
     --page BYTES      page size                                  [4096]";
 
 pub fn run(argv: &[String]) -> Result<()> {
-    let flags = Flags::parse(argv)?;
+    let flags = Flags::parse(argv, HELP)?;
     let ds = rsky_data::csv::load_dataset_dir(flags.require("data")?)?;
     let values = flags
         .u32_list("query")?

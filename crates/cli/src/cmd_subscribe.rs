@@ -27,7 +27,7 @@ OPTIONS:
                       server closes the connection               [0]";
 
 pub fn run(argv: &[String]) -> Result<()> {
-    let flags = Flags::parse(argv)?;
+    let flags = Flags::parse(argv, HELP)?;
     let addr = flags.require("addr")?;
     let values = flags
         .u32_list("values")?

@@ -50,7 +50,7 @@ struct TopFrame {
 }
 
 pub fn run(argv: &[String]) -> Result<()> {
-    let flags = Flags::parse(argv)?;
+    let flags = Flags::parse(argv, HELP)?;
     let addr = flags.require("addr")?;
     let interval_ms: u64 = flags.num("interval-ms", 1000)?;
     let window_ms: u64 = flags.num("window-ms", 60_000)?;

@@ -41,7 +41,7 @@ struct Node {
 }
 
 pub fn run(argv: &[String]) -> Result<()> {
-    let flags = Flags::parse(argv)?;
+    let flags = Flags::parse(argv, HELP)?;
     let path = flags.require("in")?;
     let text = std::fs::read_to_string(path)?;
     print!("{}", render(&text)?);

@@ -81,6 +81,31 @@ fn generate_info_query_influence_round_trip() {
 }
 
 #[test]
+fn unknown_flags_are_refused_by_name() {
+    let data = tmpdata("flags");
+    let (ok, text) = run(&[
+        "generate", "--kind", "normal", "--n", "200", "--attrs", "4", "--values", "8", "--out",
+        &data,
+    ]);
+    assert!(ok, "{text}");
+    let query = ["query", "--data", &data, "--query", "1,2,3,4"];
+    let (ok, text) = run(&query);
+    assert!(ok, "{text}");
+    // A misspelling, an invented flag, and a near miss of `--cache`.
+    for (flag, value) in [("--memroy", "1"), ("--bogus-flag", "7"), ("--cache-pages", "64")] {
+        let (ok, text) = run(&[&query[..], &[flag, value]].concat());
+        assert!(!ok, "query ran with {flag}: {text}");
+        let named = format!("unknown flag {flag} (see `rsky help query`)");
+        assert!(text.contains(&named), "{flag}: {text}");
+    }
+    // Another command refuses a flag that `query` documents but it does not.
+    let (ok, text) = run(&["info", "--data", &data, "--memory", "5"]);
+    assert!(!ok, "info ran with --memory: {text}");
+    assert!(text.contains("unknown flag --memory (see `rsky help info`)"), "{text}");
+    let _ = std::fs::remove_dir_all(&data);
+}
+
+#[test]
 fn threaded_query_matches_sequential() {
     let data = tmpdata("threads");
     let (ok, t) = run(&[

@@ -138,7 +138,7 @@ pub mod names {
         QCACHE_BUILD_CHECKS = "qcache.build_checks"
             => "Attribute-level distance evaluations spent building query-distance caches.";
         PAR_BATCH_WAIT_US = "par.batch.wait_us"
-            => "Time TRS-P workers waited on the shared tree loader (microseconds).";
+            => "Time batch workers of a multi-threaded engine run waited for the run's disk (microseconds).";
         TRS_BF_HEAP_PUSHES = "trs-bf.heap.pushes"
             => "Nodes the best-first engine pushed onto its priority queue.";
         TRS_BF_GROUP_KILLS = "trs-bf.group.kills"

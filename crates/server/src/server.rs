@@ -37,6 +37,7 @@ use rsky_core::obs_ts::{Clock, SystemClock, DEFAULT_MAX_SERIES};
 use rsky_core::query::Query;
 use rsky_core::record::RecordId;
 
+use rsky_algos::rank_members_with;
 use rsky_algos::shard::ShardedTables;
 use rsky_storage::{MutationEvent, ShardSpec};
 use rsky_view::ViewSpec;
@@ -66,8 +67,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker-pool size; 0 auto-detects via `available_parallelism`.
     pub workers: usize,
-    /// Threads *per engine run* (the parallel engines); 1 keeps each run
-    /// sequential and lets the pool provide the concurrency.
+    /// Threads *per engine run* (BRS, SRS and TRS batch workers); 1 keeps
+    /// each run sequential and lets the pool provide the concurrency.
     pub engine_threads: usize,
     /// Bounded-queue capacity: requests waiting beyond the pool.
     pub queue_cap: usize,
@@ -799,6 +800,38 @@ fn execute(
         }
         Request::Query { engine, values, subset, top_k, .. } => {
             let version = shared.data.current();
+            // Renders the answer, ranked by |RS(member)| when `top_k` asks:
+            // the ranking runs through the tables this version already
+            // serves, in request scope (its spans nest under the request's
+            // and its deadline holds).
+            let finish = |ws: &mut WorkerState, ids: &[RecordId], cached: bool, elapsed_us| {
+                let Some(k) = *top_k else {
+                    shared.obs.counter_add(names::SERVER_SERVED, 1);
+                    return proto::ok_query(engine, version.generation, ids, cached, elapsed_us);
+                };
+                let ranked = obs::with_recorder(req_obs.clone(), || {
+                    cancel::with_token(job.token.clone(), || {
+                        rank_members_with(&version.dataset, subset.as_deref(), ids, k, |queries| {
+                            ws.run_influence(&version, queries, false)
+                        })
+                    })
+                });
+                match ranked {
+                    Ok(ranked) => {
+                        let ranked: Vec<(RecordId, usize)> =
+                            ranked.into_iter().map(|r| (r.id, r.strength)).collect();
+                        shared.obs.counter_add(names::SERVER_SERVED, 1);
+                        proto::ok_query_ranked(
+                            engine,
+                            version.generation,
+                            &ranked,
+                            cached,
+                            elapsed_us,
+                        )
+                    }
+                    Err(e) => engine_error(shared, e),
+                }
+            };
             // A live materialized view doubles as a hot-query cache: when
             // one matches this key at exactly the current generation (the
             // equality check is what keeps a racing mutation from serving
@@ -810,7 +843,7 @@ fn execute(
                 if span.is_recording() {
                     span.field("view_hit", 1);
                 }
-                return finish_query(shared, &version, engine, subset.as_deref(), &ids, *top_k, true, 0);
+                return finish(ws, &ids, true, 0);
             }
             let key = CacheKey {
                 generation: version.generation,
@@ -824,7 +857,7 @@ fn execute(
                 if span.is_recording() {
                     span.field("cache_hit", 1);
                 }
-                return finish_query(shared, &version, engine, subset.as_deref(), &ids, *top_k, true, 0);
+                return finish(ws, &ids, true, 0);
             }
             shared.obs.counter_add(names::SERVER_CACHE_MISS, 1);
             if span.is_recording() {
@@ -850,16 +883,7 @@ fn execute(
             match result {
                 Ok(run) => {
                     shared.cache.insert(key, run.ids.clone());
-                    finish_query(
-                        shared,
-                        &version,
-                        engine,
-                        subset.as_deref(),
-                        &run.ids,
-                        *top_k,
-                        false,
-                        t0.elapsed().as_micros(),
-                    )
+                    finish(ws, &run.ids, false, t0.elapsed().as_micros())
                 }
                 Err(e) => engine_error(shared, e),
             }
@@ -915,37 +939,6 @@ fn execute(
             shared.obs.counter_add(names::SERVER_BAD_REQUEST, 1);
             proto::err_line(ErrKind::Internal, &format!("op {:?} is not pooled", other.op()))
         }
-    }
-}
-
-/// Renders a query result, optionally ranking the members by influence
-/// strength (`top_k`). Counts `SERVER_SERVED` on success; ranking failures go
-/// through [`engine_error`] (which counts instead).
-#[allow(clippy::too_many_arguments)]
-fn finish_query(
-    shared: &Shared,
-    version: &DatasetVersion,
-    engine: &str,
-    subset: Option<&[usize]>,
-    ids: &[RecordId],
-    top_k: Option<usize>,
-    cached: bool,
-    elapsed_us: u128,
-) -> String {
-    match top_k {
-        None => {
-            shared.obs.counter_add(names::SERVER_SERVED, 1);
-            proto::ok_query(engine, version.generation, ids, cached, elapsed_us)
-        }
-        Some(k) => match rsky_algos::rank_members(&version.dataset, subset, ids, k) {
-            Ok(ranked) => {
-                let ranked: Vec<(RecordId, usize)> =
-                    ranked.into_iter().map(|r| (r.id, r.strength)).collect();
-                shared.obs.counter_add(names::SERVER_SERVED, 1);
-                proto::ok_query_ranked(engine, version.generation, &ranked, cached, elapsed_us)
-            }
-            Err(e) => engine_error(shared, e),
-        },
     }
 }
 

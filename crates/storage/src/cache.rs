@@ -5,8 +5,10 @@
 //! can be configured with ([`crate::Disk::set_cache_pages`]): cache hits are
 //! served without touching the backend **or the IO counters**, making the
 //! model "IO = misses". Disabled by default so the engines reproduce the
-//! paper's accounting; the ablation benches switch it on to show how much of
-//! the IO story a small buffer pool absorbs.
+//! paper's accounting; `rsky query --cache N` switches it on, to show how
+//! much of the IO story a small buffer pool absorbs. Every engine read goes
+//! through the run's disk at any thread count, so a parallel run asks the
+//! pool for exactly the pages a one-thread run asks for.
 
 use std::collections::HashMap;
 

@@ -1,30 +1,27 @@
-//! Shared read-only page access for concurrent scans.
+//! Read-only snapshots of disk files, for pages that outlive the disk they
+//! were written on or cross to another one.
 //!
-//! The [`Disk`] models a *single* head — that is the paper's
-//! cost model and the sequential engines keep it. The parallel execution
-//! layer instead gives every worker thread its own scanner over a read-only
-//! snapshot of a file: IO is still counted (per scanner, with the same
-//! sequential/random classification, each scanner owning its own head), and
-//! the snapshot guarantees workers can never observe a torn write.
+//! The [`Disk`] models a *single* head — the paper's cost model. Engines
+//! keep it at every thread count: the workers of a parallel run read and
+//! write through the run's one disk, under a lock. A snapshot serves two
+//! other readers:
 //!
-//! * For the in-memory backend, a file's bytes are a copy-on-write
-//!   `Arc<Vec<u8>>`: [`Disk::share_file`] clones the `Arc`, so a snapshot
-//!   copies nothing, and a later write through the disk copies the bytes
-//!   first, so the snapshot never changes.
-//! * For the directory backend, the snapshot is the path; every scanner
-//!   opens its own `File`, so no handle (or head) is shared across threads.
+//! * [`SharedRecords::mount`] adds an in-memory snapshot to another
+//!   in-memory disk as a file of its own, without a copy. Reads of a
+//!   mounted file go through that disk's single head like any other
+//!   file's, so an engine run over it costs what it costs over the
+//!   original. This is how server workers share one page image per dataset
+//!   generation.
+//! * A [`RecordScanner`] reads a snapshot on a head of its own, with its
+//!   own IO counters (classified as [`Disk`] classifies them) and its own
+//!   `storage.scanner` span; the sharded executor scans the other shards'
+//!   windows this way.
 //!
-//! [`SharedRecords`] mirrors [`RecordFile`]'s page/batch readers on top of a
-//! [`SharedFile`], byte-for-byte: batch boundaries computed by a
-//! [`RecordScanner`] are identical to the sequential reader's, which is what
-//! lets the parallel engines reproduce sequential batch composition exactly.
-//!
-//! [`SharedRecords::mount`] goes the other way: it adds an in-memory
-//! snapshot to another in-memory disk as a file of its own, again without a
-//! copy. Reads of a mounted file go through that disk's single head like
-//! any other file's, so an engine run over it costs what it costs over the
-//! original. This is how server workers share one page image per dataset
-//! generation.
+//! For the in-memory backend, a file's bytes are a copy-on-write
+//! `Arc<Vec<u8>>`: [`Disk::share_file`] clones the `Arc`, so a snapshot
+//! copies nothing, and a later write through the disk copies the bytes
+//! first, so the snapshot never changes. For the directory backend, the
+//! snapshot is the path; every scanner opens its own `File`.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -313,8 +310,8 @@ impl SharedRecords {
     }
 }
 
-/// Per-thread record reader mirroring [`RecordFile::read_page_rows`] and
-/// [`RecordFile::read_batch`] over a snapshot.
+/// Per-thread record reader mirroring [`RecordFile::read_page_rows`] over a
+/// snapshot.
 #[derive(Debug)]
 pub struct RecordScanner {
     shared: SharedRecords,
@@ -323,12 +320,6 @@ pub struct RecordScanner {
 }
 
 impl RecordScanner {
-    /// The snapshot this scanner reads.
-    #[inline]
-    pub fn records(&self) -> &SharedRecords {
-        &self.shared
-    }
-
     /// IO counters accumulated by this scanner.
     #[inline]
     pub fn io_stats(&self) -> IoCounts {
@@ -350,32 +341,6 @@ impl RecordScanner {
         self.pages.read_page(page, &mut self.buf)?;
         decode_page_rows(&self.buf, self.shared.m, count, out);
         Ok(count)
-    }
-
-    /// Reads pages from `first_page` until `max_records` records have been
-    /// decoded or the file ends; returns `(pages_read, records_read)`.
-    /// Identical batch boundaries to [`RecordFile::read_batch`].
-    pub fn read_batch(
-        &mut self,
-        first_page: u64,
-        max_records: usize,
-        out: &mut RowBuf,
-    ) -> Result<(u64, usize)> {
-        let mut pages = 0;
-        let mut records = 0;
-        let rpp = self.shared.records_per_page();
-        let total_pages = self.shared.num_pages();
-        let mut page = first_page;
-        while page < total_pages && records + rpp <= max_records.max(rpp) {
-            let got = self.read_page_rows(page, out)?;
-            records += got;
-            pages += 1;
-            page += 1;
-            if records >= max_records {
-                break;
-            }
-        }
-        Ok((pages, records))
     }
 }
 
@@ -422,29 +387,6 @@ mod tests {
             sc.read_page_rows(p, &mut out).unwrap();
         }
         assert_eq!(out, rows(3, 8));
-    }
-
-    #[test]
-    fn batch_boundaries_match_record_file() {
-        let mut disk = Disk::new_mem(64);
-        let mut rf = RecordFile::create(&mut disk, 3).unwrap();
-        rf.write_all(&mut disk, &rows(3, 20)).unwrap(); // 4 rec/page, 5 pages
-        let shared = rf.share(&disk).unwrap();
-        for cap in [1, 4, 7, 10, 1000] {
-            let mut page = 0;
-            loop {
-                let mut a = RowBuf::new(3);
-                let mut b = RowBuf::new(3);
-                let seq = rf.read_batch(&mut disk, page, cap, &mut a).unwrap();
-                let par = shared.scanner().read_batch(page, cap, &mut b).unwrap();
-                assert_eq!(seq, par, "cap={cap} page={page}");
-                assert_eq!(a, b, "cap={cap} page={page}");
-                if seq.0 == 0 {
-                    break;
-                }
-                page += seq.0;
-            }
-        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! cache evaluates `d(q, v)` over the whole declared domain of a selected
 //! attribute, so `query_dist_checks` is higher on the wide twin by exactly
 //! the added cardinality when the twin attribute is selected; and for
-//! multi-threaded twins the seq/rand IO *split* is scheduling-dependent
-//! (per-worker read heads, first-come batch claiming), so only IO totals
-//! are asserted there.
+//! multi-threaded runs the seq/rand IO *split* is scheduling-dependent
+//! (the workers interleave their accesses on the run's one disk head), so
+//! only IO totals are asserted there.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,10 +71,11 @@ fn wide_query_checks(q: &Query) -> u64 {
 /// Counter-by-counter equality (wall-clock durations excluded), except
 /// that `wide.query_dist_checks` must exceed `flat`'s by exactly
 /// `extra_query_checks`. `exact_io` compares the full seq/rand IO split;
-/// pass `threads == 1` — the parallel twins hand batches to workers
-/// first-come-first-served and each worker's scanner classifies seq vs
-/// rand against its own head, so for them only the totals are
-/// scheduling-independent (the set of pages read is still fixed).
+/// pass `threads == 1` — with more threads the workers' loads, reads and
+/// commits reach the run's one disk head in whatever order the schedule
+/// gives them, and the head classifies seq vs rand by that order, so only
+/// the totals are scheduling-independent (the set of pages touched is
+/// still fixed).
 fn assert_counters_eq(
     flat: &RunStats,
     wide: &RunStats,

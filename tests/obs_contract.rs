@@ -13,9 +13,9 @@
 //! * the closing `*.run` span repeats the final totals verbatim;
 //! * the `qcache.build_checks` counter equals `query_dist_checks`.
 //!
-//! Sequential engines and their parallel twins are held to the identical
-//! contract: worker-thread spans must reach the same sink the coordinator
-//! captured at run start.
+//! Engines on one thread and on several are held to the identical
+//! contract: worker-thread spans must reach the same sink the calling
+//! thread captured at run start.
 //!
 //! On top of the counting clauses, every run is held to the *trace tree*
 //! contract: all spans of a run share one `trace_id`, exactly one span is a
@@ -82,7 +82,6 @@ fn assert_single_trace_tree(
 
 /// Runs `engine` under a fresh in-memory sink and checks every clause of the
 /// contract against the returned stats.
-#[allow(clippy::too_many_arguments)]
 fn assert_contract(
     engine: &dyn ReverseSkylineAlgo,
     prefix: &str,
@@ -91,7 +90,6 @@ fn assert_contract(
     q: &Query,
     disk: &mut Disk,
     budget: MemoryBudget,
-    expect_scanners: bool,
 ) -> RsRun {
     let sink = MemorySink::new();
     let run = obs::with_recorder(sink.handle(), || {
@@ -201,13 +199,10 @@ fn assert_contract(
         "qcache.build_checks counter ({ctx})"
     );
 
-    // 6. Parallel engines route worker-side scanner spans into the same sink.
+    // 6. No engine run opens a snapshot scanner, at any thread count: every
+    // worker reads through the run's one disk.
     let scanners = sink.span_count("storage.scanner");
-    if expect_scanners {
-        assert!(scanners > 0, "no storage.scanner spans from workers ({ctx})");
-    } else {
-        assert_eq!(scanners, 0, "sequential engine opened shared scanners ({ctx})");
-    }
+    assert_eq!(scanners, 0, "engine run opened snapshot scanners ({ctx})");
 
     // 7. Every span of the run — coordinator- and worker-side — joins one
     // rooted trace tree, rooted at the closing run span.
@@ -237,20 +232,20 @@ fn exercise_dataset(ds: &Dataset, page: usize, mem_pct: f64) {
         (&bf, "trs-bf", &sorted.file),
     ];
     for (engine, prefix, table) in seq {
-        let run = assert_contract(engine, prefix, ds, table, &q, &mut disk, budget, false);
+        let run = assert_contract(engine, prefix, ds, table, &q, &mut disk, budget);
         ids.push(run.ids);
     }
     for t in [2usize, 5] {
-        let par_brs = ParBrs { threads: t };
-        let par_srs = ParSrs { threads: t };
-        let par_trs = ParTrs::for_schema(&ds.schema, t);
+        let par_brs = Brs { threads: t };
+        let par_srs = Srs { threads: t };
+        let par_trs = Trs::for_schema(&ds.schema).with_threads(t);
         let par: [(&dyn ReverseSkylineAlgo, &str, &RecordFile); 3] = [
             (&par_brs, "brs-p", &raw),
             (&par_srs, "srs-p", &sorted.file),
             (&par_trs, "trs-p", &sorted.file),
         ];
         for (engine, prefix, table) in par {
-            let run = assert_contract(engine, prefix, ds, table, &q, &mut disk, budget, true);
+            let run = assert_contract(engine, prefix, ds, table, &q, &mut disk, budget);
             ids.push(run.ids);
         }
     }
@@ -376,17 +371,17 @@ fn cancellation_mid_run_keeps_contract_and_disk_intact() {
 
     // The same disk immediately serves a complete run under the full
     // contract — a cancelled run must not poison later ones.
-    let run = assert_contract(&trs, "trs", &ds, &sorted.file, &q, &mut disk, budget, false);
+    let run = assert_contract(&trs, "trs", &ds, &sorted.file, &q, &mut disk, budget);
     assert_eq!(run.ids, baseline.ids, "post-cancel run changed the result");
 
     // Parallel twin: worker threads observe the shared token too.
-    let par = ParTrs::for_schema(&ds.schema, 3);
+    let par = Trs::for_schema(&ds.schema).with_threads(3);
     let err = cancel::with_token(CancelToken::after_checks(1), || {
         let mut ctx = EngineCtx { disk: &mut disk, schema: &ds.schema, dissim: &ds.dissim, budget };
         par.run(&mut ctx, &sorted.file, &q).unwrap_err()
     });
     assert!(matches!(err, rsky::core::error::Error::Cancelled(_)), "parallel: {err}");
-    let run = assert_contract(&par, "trs-p", &ds, &sorted.file, &q, &mut disk, budget, true);
+    let run = assert_contract(&par, "trs-p", &ds, &sorted.file, &q, &mut disk, budget);
     assert_eq!(run.ids, baseline.ids, "post-cancel parallel run changed the result");
 
     // Best-first twin: mid-traversal cancellation (the heap-driven phase 1
@@ -421,7 +416,7 @@ fn cancellation_mid_run_keeps_contract_and_disk_intact() {
     for span in sink.spans_ending_with("trs-bf.phase1.batch") {
         assert!(span.field("tree_nodes_visited").is_some(), "half-written batch span: {span:?}");
     }
-    let run = assert_contract(&bf, "trs-bf", &ds, &sorted.file, &q, &mut disk, budget, false);
+    let run = assert_contract(&bf, "trs-bf", &ds, &sorted.file, &q, &mut disk, budget);
     assert_eq!(run.ids, baseline.ids, "post-cancel best-first run changed the result");
 }
 
@@ -439,14 +434,14 @@ fn expired_deadline_cancels_all_engines_up_front() {
     let sorted = prepare_table(&mut disk, &ds.schema, &raw, Layout::MultiSort, &budget).unwrap();
     let trs = Trs::for_schema(&ds.schema);
     let bf = TrsBf::for_schema(&ds.schema);
-    let par_trs = ParTrs::for_schema(&ds.schema, 2);
+    let par_trs = Trs::for_schema(&ds.schema).with_threads(2);
     let engines: [(&dyn ReverseSkylineAlgo, &RecordFile); 7] = [
         (&Naive, &raw),
         (&Brs, &raw),
         (&Srs, &sorted.file),
         (&trs, &sorted.file),
         (&bf, &sorted.file),
-        (&ParBrs { threads: 2 }, &raw),
+        (&Brs { threads: 2 }, &raw),
         (&par_trs, &sorted.file),
     ];
     for (engine, table) in engines {

@@ -1,19 +1,22 @@
-//! Parallel-engine integration tests: BRS-P/SRS-P/TRS-P must return exactly
-//! the definitional oracle's id set AND their sequential twins' id set for
-//! every thread count, with identical merged `dist_checks`/`obj_comparisons`/
-//! `tree_nodes_visited` counters (batch composition is sequential-identical,
-//! so the same attribute comparisons happen, just on different threads).
+//! Thread-count integration tests: BRS, SRS and TRS on N workers (BRS-P,
+//! SRS-P, TRS-P) must return exactly the definitional oracle's id set AND
+//! their one-thread run's id set for every thread count, with identical
+//! merged `dist_checks`/`obj_comparisons`/`tree_nodes_visited` counters
+//! (batch composition does not depend on the thread count, so the same
+//! attribute comparisons happen, just on different threads). Every worker
+//! reads and writes through the run's one disk, so the pages touched — and
+//! the pages asked of its buffer pool — are the same too.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsky::prelude::*;
 
-/// Thread counts exercised everywhere: sequential-on-the-parallel-path,
-/// a realistic small count, and more threads than most configs have batches.
+/// Thread counts exercised everywhere: one (the paper's engine), a
+/// realistic small count, and more threads than most configs have batches.
 const THREADS: [usize; 3] = [1, 2, 7];
 
-/// Runs sequential + parallel twins of all three engines and asserts id and
-/// counter equality, plus oracle agreement.
+/// Runs all three engines on one thread and on every thread count and
+/// asserts id and counter equality, plus oracle agreement.
 fn assert_parallel_twins(ds: &Dataset, q: &Query, page: usize, mem_pct: f64) {
     let expect = reverse_skyline_by_definition(&ds.dissim, &ds.rows, q);
     let mut disk = Disk::new_mem(page);
@@ -35,9 +38,9 @@ fn assert_parallel_twins(ds: &Dataset, q: &Query, page: usize, mem_pct: f64) {
         );
         for t in THREADS {
             let par: Box<dyn ReverseSkylineAlgo> = match name {
-                "BRS" => Box::new(ParBrs { threads: t }),
-                "SRS" => Box::new(ParSrs { threads: t }),
-                _ => Box::new(ParTrs::for_schema(&ds.schema, t)),
+                "BRS" => Box::new(Brs { threads: t }),
+                "SRS" => Box::new(Srs { threads: t }),
+                _ => Box::new(Trs::for_schema(&ds.schema).with_threads(t)),
             };
             let par_run = run(par.as_ref(), &mut disk, ds, table, q, budget);
             assert_eq!(par_run.ids, expect, "{name}-P t={t} vs oracle on {}", ds.label);
@@ -75,8 +78,9 @@ fn assert_parallel_twins(ds: &Dataset, q: &Query, page: usize, mem_pct: f64) {
                 "{name}-P t={t} phase shape on {}",
                 ds.label
             );
-            // Total pages touched match the sequential profile; only the
-            // sequential/random split may differ (workers have own heads).
+            // Total pages touched match the one-thread profile; only the
+            // sequential/random split may differ (the workers interleave
+            // their accesses on the one shared head).
             assert_eq!(
                 par_run.stats.io.total(),
                 seq_run.stats.io.total(),
@@ -208,9 +212,9 @@ fn empty_and_single_row_tables() {
         table.write_all(&mut disk, &rows).unwrap();
         for t in THREADS {
             let engines: Vec<Box<dyn ReverseSkylineAlgo>> = vec![
-                Box::new(ParBrs { threads: t }),
-                Box::new(ParSrs { threads: t }),
-                Box::new(ParTrs::for_schema(&ds.schema, t)),
+                Box::new(Brs { threads: t }),
+                Box::new(Srs { threads: t }),
+                Box::new(Trs::for_schema(&ds.schema).with_threads(t)),
             ];
             for e in engines {
                 let r = run(e.as_ref(), &mut disk, &ds, &table, &q, budget);
@@ -248,9 +252,9 @@ fn acceptance_identical_ids_on_three_datasets_at_2_and_4_threads() {
         for (name, table, seq_run) in seq {
             for t in [2usize, 4] {
                 let par: Box<dyn ReverseSkylineAlgo> = match name {
-                    "BRS" => Box::new(ParBrs { threads: t }),
-                    "SRS" => Box::new(ParSrs { threads: t }),
-                    _ => Box::new(ParTrs::for_schema(&ds.schema, t)),
+                    "BRS" => Box::new(Brs { threads: t }),
+                    "SRS" => Box::new(Srs { threads: t }),
+                    _ => Box::new(Trs::for_schema(&ds.schema).with_threads(t)),
                 };
                 let par_run = run(par.as_ref(), &mut disk, ds, table, &q, budget);
                 assert_eq!(par_run.ids, seq_run.ids, "{name} t={t} on {}", ds.label);
@@ -259,6 +263,124 @@ fn acceptance_identical_ids_on_three_datasets_at_2_and_4_threads() {
                     "{name} t={t} dist_checks on {}",
                     ds.label
                 );
+            }
+        }
+    }
+}
+
+/// Every cost counter of a run, and its total pages, in one comparable row.
+fn counters(s: &rsky::core::stats::RunStats) -> [u64; 10] {
+    [
+        s.dist_checks,
+        s.query_dist_checks,
+        s.obj_comparisons,
+        s.tree_nodes_visited,
+        s.phase1_batches as u64,
+        s.phase1_survivors as u64,
+        s.phase2_batches as u64,
+        s.result_size as u64,
+        s.io.seq_reads + s.io.rand_reads,
+        s.io.seq_writes + s.io.rand_writes,
+    ]
+}
+
+/// A several-page dataset, its query and a budget of several batches.
+fn multi_batch_fixture(seed: u64, page: usize) -> (Dataset, Query, MemoryBudget) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ds = rsky::data::synthetic::normal_dataset(4, 8, 400, &mut rng).unwrap();
+    let q = rsky::data::random_queries(&ds.schema, 1, &mut rng).unwrap().remove(0);
+    let budget = MemoryBudget::from_percent(ds.data_bytes(), 8.0, page).unwrap();
+    (ds, q, budget)
+}
+
+#[test]
+fn buffer_pool_is_asked_for_the_same_pages_at_every_thread_count() {
+    // Every page an engine reads is a pool lookup, so hits + misses over a
+    // run is fixed by the batches; only which lookups hit depends on the
+    // schedule (and on what earlier runs left in the pool).
+    let page = 128;
+    let (ds, q, budget) = multi_batch_fixture(909, page);
+    let mut disk = Disk::new_mem(page);
+    let raw = load_dataset(&mut disk, &ds).unwrap();
+    let sorted = prepare_table(&mut disk, &ds.schema, &raw, Layout::MultiSort, &budget).unwrap();
+    disk.set_cache_pages(16);
+    for (name, table) in [("brs", &raw), ("srs", &sorted.file), ("trs", &sorted.file)] {
+        let mut lookups = |threads: usize| {
+            let engine = engine_by_name(name, &ds.schema, threads).unwrap();
+            let (h0, m0) = disk.cache_stats().unwrap();
+            run(engine.as_ref(), &mut disk, &ds, table, &q, budget);
+            let (h1, m1) = disk.cache_stats().unwrap();
+            (h1 - h0) + (m1 - m0)
+        };
+        let one = lookups(1);
+        assert!(one > 0, "{name}: no pool lookups at one thread");
+        for t in [2, 7] {
+            assert_eq!(lookups(t), one, "{name} t={t}: pool lookups");
+        }
+    }
+}
+
+#[test]
+fn file_backend_runs_match_the_in_memory_one_thread_run() {
+    let page = 128;
+    let (ds, q, budget) = multi_batch_fixture(910, page);
+    let mut mem = Disk::new_mem(page);
+    let raw = load_dataset(&mut mem, &ds).unwrap();
+    let sorted = prepare_table(&mut mem, &ds.schema, &raw, Layout::MultiSort, &budget).unwrap();
+    let dir = std::env::temp_dir().join(format!("rsky-par-file-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let mut files = Disk::new_dir(&dir, page).unwrap();
+        let file_raw = load_dataset(&mut files, &ds).unwrap();
+        let file_sorted =
+            prepare_table(&mut files, &ds.schema, &file_raw, Layout::MultiSort, &budget).unwrap();
+        let tables = [
+            ("brs", &raw, &file_raw),
+            ("srs", &sorted.file, &file_sorted.file),
+            ("trs", &sorted.file, &file_sorted.file),
+        ];
+        for (name, mem_table, file_table) in tables {
+            let one = engine_by_name(name, &ds.schema, 1).unwrap();
+            let want = run(one.as_ref(), &mut mem, &ds, mem_table, &q, budget);
+            assert!(want.stats.phase1_batches > 1, "{name}: fixture needs several batches");
+            for t in [2, 4] {
+                let engine = engine_by_name(name, &ds.schema, t).unwrap();
+                let got = run(engine.as_ref(), &mut files, &ds, file_table, &q, budget);
+                assert_eq!(got.ids, want.ids, "{name} t={t}: ids on the file backend");
+                assert_eq!(
+                    counters(&got.stats),
+                    counters(&want.stats),
+                    "{name} t={t}: counters and pages on the file backend"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn disk_wait_histogram_records_only_with_several_workers() {
+    use rsky::core::obs;
+    let page = 128;
+    let (ds, q, budget) = multi_batch_fixture(911, page);
+    let mut disk = Disk::new_mem(page);
+    let raw = load_dataset(&mut disk, &ds).unwrap();
+    let sorted = prepare_table(&mut disk, &ds.schema, &raw, Layout::MultiSort, &budget).unwrap();
+    for (name, table) in [("brs", &raw), ("srs", &sorted.file), ("trs", &sorted.file)] {
+        for t in [1, 2, 4] {
+            let engine = engine_by_name(name, &ds.schema, t).unwrap();
+            let sink = MemorySink::new();
+            obs::with_recorder(sink.handle(), || {
+                run(engine.as_ref(), &mut disk, &ds, table, &q, budget);
+            });
+            let waits = sink
+                .registry()
+                .histogram(obs::names::PAR_BATCH_WAIT_US)
+                .map_or(0, |h| h.count);
+            if t == 1 {
+                assert_eq!(waits, 0, "{name}: one thread waited for the disk");
+            } else {
+                assert!(waits > 0, "{name} t={t}: no disk waits recorded");
             }
         }
     }

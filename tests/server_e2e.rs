@@ -141,6 +141,59 @@ fn concurrent_clients_match_direct_engine_runs() {
     handle.join();
 }
 
+/// `top_k` ranks RS(Q) by |RS(member)| through the tables the server
+/// already serves, at its own memory knob and page size, whole or sharded,
+/// fresh or from the result cache: the served `(id, strength)` pairs are
+/// exactly `rank_members` over the same rows.
+#[test]
+fn ranked_queries_match_rank_members_at_the_servers_settings() {
+    let ds = small_dataset(9002, 250);
+    let mut rng = StdRng::seed_from_u64(78);
+    let queries = rsky::data::random_queries(&ds.schema, 3, &mut rng).unwrap();
+    let sharded = ShardSpec::new(2, ShardPolicy::RoundRobin).unwrap();
+    let mut ranked_entries = 0;
+    for shard in [None, Some(sharded)] {
+        let config = ServerConfig { mem_pct: 3.0, page: 256, shard, ..test_config() };
+        let handle = Server::start(config, ds.clone()).unwrap();
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        client.set_timeout(Duration::from_secs(60)).unwrap();
+        for q in &queries {
+            let members = reverse_skyline_by_definition(&ds.dissim, &ds.rows, q);
+            let want: Vec<(u64, u64)> = rsky::algos::rank_members(&ds, None, &members, 4)
+                .unwrap()
+                .into_iter()
+                .map(|m| (m.id as u64, m.strength as u64))
+                .collect();
+            ranked_entries += want.len();
+            let vals: Vec<String> = q.values.iter().map(|v| v.to_string()).collect();
+            let line = format!(
+                r#"{{"op":"query","engine":"trs","values":[{}],"top_k":4}}"#,
+                vals.join(",")
+            );
+            for cached in [false, true] {
+                let reply = client.send(&line).unwrap();
+                assert!(is_ok(&reply), "{reply}");
+                let reply_json = parsed(&reply);
+                assert_eq!(reply_json.get("cached"), Some(&JsonValue::Bool(cached)), "{reply}");
+                let got: Vec<(u64, u64)> = reply_json
+                    .get("ranked")
+                    .and_then(JsonValue::as_arr)
+                    .expect("ranked array")
+                    .iter()
+                    .map(|e| {
+                        let field = |k| e.get(k).and_then(JsonValue::as_u64).unwrap();
+                        (field("id"), field("strength"))
+                    })
+                    .collect();
+                assert_eq!(got, want, "shard={shard:?} cached={cached}: {reply}");
+            }
+        }
+        handle.shutdown();
+        handle.join();
+    }
+    assert!(ranked_entries > 0, "every fixture query had an empty RS");
+}
+
 /// Acceptance (b): with one worker and a two-slot queue, overflow requests
 /// are shed with `overloaded` while every admitted request completes.
 #[test]

@@ -108,7 +108,7 @@ fn streaming_agrees_with_batch_engines() {
     assert_eq!(streaming, w.batch_ids(&Brs, &q), "streaming vs BRS");
     assert_eq!(streaming, w.batch_ids(&Srs, &q), "streaming vs SRS");
     assert_eq!(streaming, w.batch_ids(&trs, &q), "streaming vs TRS");
-    assert_eq!(streaming, w.batch_ids(&ParBrs { threads: 3 }, &q), "streaming vs BRS-P");
+    assert_eq!(streaming, w.batch_ids(&Brs { threads: 3 }, &q), "streaming vs BRS-P");
 }
 
 #[test]
