@@ -31,11 +31,13 @@ tier1() {
 full() {
     echo "=== release-mode tree and cost pins ==="
     # The benchmark measures release builds, where debug_assert! and
-    # overflow checks are off: the AL-Tree and the paper's cost units are
-    # pinned there too.
+    # overflow checks are off: the AL-Tree, the paper's cost units and the
+    # served images and sharded runs (byte- and cost-identical to fresh
+    # ones) are pinned there too.
     cargo test --release -q -p rsky-altree
     cargo test --release -q --test cost_baseline --test kernel_differential \
-        --test paper_walkthrough --test bftree_fixtures --test parallel_engines
+        --test paper_walkthrough --test bftree_fixtures --test parallel_engines \
+        --test state_differential
     echo "=== full property sweep ==="
     cargo test -q --features property-tests
     echo "=== clippy (warnings are errors) ==="

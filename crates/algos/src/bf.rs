@@ -204,11 +204,17 @@ impl ReverseSkylineAlgo for TrsBf {
         "TRS-BF"
     }
 
-    fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun> {
+    fn run_with_cache(
+        &self,
+        ctx: &mut EngineCtx<'_>,
+        table: &RecordFile,
+        query: &Query,
+        cache: Option<&QueryDistCache>,
+    ) -> Result<RsRun> {
         crate::engine::validate_inputs(ctx, table, query)?;
         let m = table.num_attrs();
         Trs::with_order(self.attr_order.clone()).validate_order(m)?;
-        run_with_scaffolding(ctx, query, "trs-bf", |ctx, cache, stats, robs, kern| {
+        run_with_scaffolding(ctx, query, cache, "trs-bf", |ctx, cache, stats, robs, kern| {
             let order = &self.attr_order;
             let subset = &query.subset;
             let total_pages = table.num_pages(ctx.disk);

@@ -73,10 +73,16 @@ impl ReverseSkylineAlgo for Brs {
         if self.threads > 1 { "BRS-P" } else { "BRS" }
     }
 
-    fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun> {
+    fn run_with_cache(
+        &self,
+        ctx: &mut EngineCtx<'_>,
+        table: &RecordFile,
+        query: &Query,
+        cache: Option<&QueryDistCache>,
+    ) -> Result<RsRun> {
         crate::engine::validate_inputs(ctx, table, query)?;
         let prefix = if self.threads > 1 { "brs-p" } else { "brs" };
-        run_with_scaffolding(ctx, query, prefix, |ctx, cache, stats, robs, kern| {
+        run_with_scaffolding(ctx, query, cache, prefix, |ctx, cache, stats, robs, kern| {
             two_phase(ctx, table, query, cache, Phase1Order::Linear, self.threads, stats, robs, kern)
         })
     }

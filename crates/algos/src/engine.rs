@@ -1,4 +1,7 @@
-//! The engine interface shared by all reverse-skyline algorithms.
+//! The engine interface shared by all reverse-skyline algorithms, and the
+//! scaffolding every engine's run shares: one run scope, one query cache
+//! (the run's own, or the one its caller passes), one pruner kernel, and
+//! one batch loop per phase over the run's one disk (`run_batches`).
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
@@ -15,7 +18,7 @@ use rsky_core::stats::{IoCounts, RunStats};
 use rsky_storage::{Disk, MemoryBudget, RecordFile};
 
 use crate::kernels::PrunerKernel;
-use crate::qcache::{self, QueryDistCache};
+use crate::qcache::QueryDistCache;
 
 /// Per-run observability context: the recorder handle and cancellation
 /// token captured once at run start (on the calling thread, where scoped
@@ -165,7 +168,22 @@ pub trait ReverseSkylineAlgo {
     /// Engines assume `table` ids are unique; physical row order is whatever
     /// the caller prepared (see [`crate::prep`]). The returned ids are sorted
     /// ascending regardless of layout.
-    fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun>;
+    fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun> {
+        self.run_with_cache(ctx, table, query, None)
+    }
+
+    /// [`run`](Self::run) with the query-distance cache `cache`, when the
+    /// caller built one for `query`: the run reads it instead of building
+    /// its own and charges no `query_dist_checks` for it (its builder
+    /// accounts the build once). With `None` the run builds and charges its
+    /// own.
+    fn run_with_cache(
+        &self,
+        ctx: &mut EngineCtx<'_>,
+        table: &RecordFile,
+        query: &Query,
+        cache: Option<&QueryDistCache>,
+    ) -> Result<RsRun>;
 }
 
 /// Looks up an engine by its CLI/bench name (`naive | brs | srs | trs |
@@ -262,16 +280,16 @@ pub(crate) fn validate_inputs(
 /// thread, and shared with workers through [`RunObs`], so batch spans from
 /// worker threads land in the same sink a scoped test recorder installed.
 ///
-/// The query cache is built here — and its `Σ cardinality_i` evaluations
-/// charged to this run — unless the request installed a
-/// [`crate::qcache::SharedQueryCache`] for the same query, in which case
-/// the run borrows it and charges nothing (the cache's owner accounted the
-/// build once). The [`PrunerKernel`] is built here too, once per run: the
-/// domain alone decides whether the kernels read flattened tables or the
+/// The query cache is `cache` when the caller passes one, which charges
+/// nothing to this run (the caller accounted the build once); otherwise it
+/// is built here, and its `Σ cardinality_i` evaluations are charged to this
+/// run. The [`PrunerKernel`] is built here too, once per run: the domain
+/// alone decides whether the kernels read flattened tables or the
 /// [`DissimTable`].
 pub(crate) fn run_with_scaffolding(
     ctx: &mut EngineCtx<'_>,
     query: &Query,
+    cache: Option<&QueryDistCache>,
     prefix: &str,
     body: impl FnOnce(
         &mut EngineCtx<'_>,
@@ -285,19 +303,15 @@ pub(crate) fn run_with_scaffolding(
     let io_before = ctx.disk.io_stats();
     let run = robs.run_scope();
     let kern = PrunerKernel::new(ctx.schema, ctx.dissim);
-    let shared = qcache::shared_for(query);
     let owned;
-    let cache: &QueryDistCache = match shared.as_deref() {
-        Some(s) => s.cache(),
+    let (cache, build_checks) = match cache {
+        Some(cache) => (cache, 0),
         None => {
             owned = QueryDistCache::new(ctx.dissim, ctx.schema, query);
-            &owned
+            robs.handle.counter_add(obs::names::QCACHE_BUILD_CHECKS, owned.build_checks);
+            (&owned, owned.build_checks)
         }
     };
-    let build_checks = if shared.is_some() { 0 } else { cache.build_checks };
-    if shared.is_none() {
-        robs.handle.counter_add(obs::names::QCACHE_BUILD_CHECKS, cache.build_checks);
-    }
     let mut stats = RunStats { query_dist_checks: build_checks, ..Default::default() };
     let mut ids = body(ctx, cache, &mut stats, &robs, &kern)?;
     ids.sort_unstable();
@@ -652,6 +666,54 @@ mod tests {
             )
             .unwrap_err();
             assert!(err.to_string().contains("batch 2"), "threads={threads}: {err}");
+        }
+    }
+
+    /// Every cost of a run but its times and `query_dist_checks`.
+    fn costs(s: &RunStats) -> (u64, u64, u64, IoCounts, [usize; 4]) {
+        let tallies = [s.phase1_survivors, s.phase1_batches, s.phase2_batches, s.result_size];
+        (s.dist_checks, s.obj_comparisons, s.tree_nodes_visited, s.io, tallies)
+    }
+
+    #[test]
+    fn a_run_given_the_request_cache_costs_the_same_and_builds_none() {
+        use crate::prep::{Layout, SortedTable};
+        use crate::{Brs, Srs, Trs};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use rsky_core::obs::MemorySink;
+        let mut rng = StdRng::seed_from_u64(93);
+        let ds = rsky_data::synthetic::normal_dataset(3, 8, 250, &mut rng).unwrap();
+        let q = rsky_data::random_queries(&ds.schema, 1, &mut rng).unwrap().remove(0);
+        let budget = MemoryBudget::from_bytes(768, 128).unwrap();
+        let sorted = SortedTable::new(&ds.schema, &ds.rows);
+        let request = QueryDistCache::new(&ds.dissim, &ds.schema, &q);
+        let trs = Trs::for_schema(&ds.schema);
+        let engines: [(&dyn ReverseSkylineAlgo, Layout); 3] =
+            [(&Brs, Layout::Original), (&Srs, Layout::MultiSort), (&trs, Layout::MultiSort)];
+        for (e, layout) in engines {
+            let image = sorted.image(&ds.schema, &ds.rows, &layout, &budget).unwrap();
+            // A recorded run on a fresh mount of the image, with the
+            // build checks the recorder counted.
+            let run = |cache: Option<&QueryDistCache>| {
+                let sink = MemorySink::new();
+                let mut disk = Disk::new_mem(image.page_size());
+                let table = image.mount(&mut disk).unwrap();
+                let (schema, dissim) = (&ds.schema, &ds.dissim);
+                let mut ctx = EngineCtx { disk: &mut disk, schema, dissim, budget };
+                let run = obs::with_recorder(sink.handle(), || {
+                    e.run_with_cache(&mut ctx, &table, &q, cache).unwrap()
+                });
+                (run, sink.registry().counter(obs::names::QCACHE_BUILD_CHECKS))
+            };
+            let (own, own_builds) = run(None);
+            let (given, given_builds) = run(Some(&request));
+            let name = e.name();
+            assert_eq!(given.ids, own.ids, "{name}");
+            assert_eq!(costs(&given.stats), costs(&own.stats), "{name}");
+            let built = request.build_checks;
+            assert_eq!((own.stats.query_dist_checks, own_builds), (built, built), "{name}");
+            assert_eq!((given.stats.query_dist_checks, given_builds), (0, 0), "{name}");
         }
     }
 

@@ -62,7 +62,7 @@ pub use kernels::{DistSource, PrunerKernel};
 pub use delta::{first_pruners, pruner_band};
 pub use naive::Naive;
 pub use prep::{prepare_table, run_on_image, Layout, PreparedTable, SortedTable};
-pub use qcache::{with_shared, QueryDistCache, SharedQueryCache};
+pub use qcache::QueryDistCache;
 pub use rank::{rank_members, rank_members_with, RankedMember};
 pub use shard::{layout_for, ShardCost, ShardedRun, ShardedTables};
 pub use skyline_bnl::{dynamic_skyline_bnl, SkylineRun};

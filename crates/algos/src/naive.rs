@@ -17,6 +17,7 @@ use rsky_core::record::RowBuf;
 use rsky_storage::RecordFile;
 
 use crate::engine::{prunes_cached, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
+use crate::qcache::QueryDistCache;
 
 /// Algorithm 1. No tuning knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,12 +28,18 @@ impl ReverseSkylineAlgo for Naive {
         "Naive"
     }
 
-    fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun> {
+    fn run_with_cache(
+        &self,
+        ctx: &mut EngineCtx<'_>,
+        table: &RecordFile,
+        query: &Query,
+        cache: Option<&QueryDistCache>,
+    ) -> Result<RsRun> {
         crate::engine::validate_inputs(ctx, table, query)?;
         // The naive baseline stays on the scalar path on purpose: it is the
         // cost reference the paper's plots compare against, and its
         // page-at-a-time inner scan offers no batch to block.
-        run_with_scaffolding(ctx, query, "naive", |ctx, cache, stats, robs, _kern| {
+        run_with_scaffolding(ctx, query, cache, "naive", |ctx, cache, stats, robs, _kern| {
             let m = table.num_attrs();
             let subset = &query.subset;
             let total_pages = table.num_pages(ctx.disk);

@@ -14,8 +14,10 @@
 //!
 //! A table that serves many queries is a [`SortedTable`]: sorted once, kept
 //! in the multi-sort order through inserts and removals, and encoded into
-//! one page image per layout, which each query mounts on a scratch disk of
-//! its own ([`run_on_image`]).
+//! one page image per layout, a bare [`SharedRecords`] that records nothing
+//! and holds no disk. Each query mounts it on a scratch disk of its own
+//! ([`run_on_image`]); the sharded executor also scans Original images
+//! directly, on a head of their own.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -25,7 +27,6 @@ use std::time::{Duration, Instant};
 use rsky_core::dataset::Dataset;
 use rsky_core::dissim::DissimTable;
 use rsky_core::error::{Error, Result};
-use rsky_core::obs::{self, ObsHandle};
 use rsky_core::query::Query;
 use rsky_core::record::{RecordId, RowBuf};
 use rsky_core::schema::Schema;
@@ -270,12 +271,8 @@ fn encode(
     page: usize,
     build: impl FnOnce(&mut Disk) -> Result<RecordFile>,
 ) -> Result<SharedRecords> {
-    // An image outlives the request that encodes it, and a snapshot keeps
-    // the recorder in effect when it is taken: record nothing.
-    obs::with_recorder(ObsHandle::noop(), || {
-        let mut disk = Disk::new_mem(page);
-        build(&mut disk)?.share(&disk)
-    })
+    let mut disk = Disk::new_mem(page);
+    build(&mut disk)?.share(&disk)
 }
 
 /// Writes `rows` as a new record file.

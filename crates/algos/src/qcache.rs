@@ -6,9 +6,11 @@
 //! `d_i(q_i, v)` for every value `v` of every selected attribute once
 //! (`Σ cardinality_i` evaluations, reported as `query_dist_checks`), and the
 //! inner loops reduce to one data-data distance evaluation per attribute.
-
-use std::cell::RefCell;
-use std::sync::Arc;
+//!
+//! A run builds its own cache unless its caller passes one
+//! ([`ReverseSkylineAlgo::run_with_cache`](crate::ReverseSkylineAlgo::run_with_cache)):
+//! the sharded executor's coordinator builds one per query, accounts its
+//! build once, and hands it to every shard's engine run as an argument.
 
 use rsky_core::dissim::DissimTable;
 use rsky_core::query::{AttrSubset, Query};
@@ -85,64 +87,6 @@ impl QueryDistCache {
     }
 }
 
-/// A query-distance cache built once per request and shared by every
-/// engine run serving that request.
-///
-/// The cache depends only on the query (not the partition), so a sharded
-/// run needs exactly one — the coordinator builds it, accounts its
-/// `Σ cardinality_i` evaluations once, and installs it around each shard's
-/// local run with [`with_shared`]. Engine scaffolding picks it up through
-/// `shared_for`, which re-validates the query so a stale installation can
-/// never leak another request's distances.
-#[derive(Debug)]
-pub struct SharedQueryCache {
-    cache: QueryDistCache,
-    query_values: Vec<ValueId>,
-    subset_indices: Vec<usize>,
-}
-
-impl SharedQueryCache {
-    /// Builds the cache for `query`; `cache().build_checks` holds the
-    /// evaluations spent, which the owner accounts exactly once.
-    pub fn new(dt: &DissimTable, schema: &Schema, query: &Query) -> Self {
-        Self {
-            cache: QueryDistCache::new(dt, schema, query),
-            query_values: query.values.clone(),
-            subset_indices: query.subset.indices().to_vec(),
-        }
-    }
-
-    /// The shared cache.
-    pub fn cache(&self) -> &QueryDistCache {
-        &self.cache
-    }
-
-    fn matches(&self, query: &Query) -> bool {
-        self.query_values == query.values && self.subset_indices == query.subset.indices()
-    }
-}
-
-thread_local! {
-    static SHARED: RefCell<Option<Arc<SharedQueryCache>>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with `shared` installed as this thread's request-scoped query
-/// cache; engine runs inside `f` reuse it instead of rebuilding their own.
-pub fn with_shared<T>(shared: Arc<SharedQueryCache>, f: impl FnOnce() -> T) -> T {
-    SHARED.with(|s| {
-        let prev = s.replace(Some(shared));
-        let out = f();
-        *s.borrow_mut() = prev;
-        out
-    })
-}
-
-/// The installed request cache, if any — and only if it was built for the
-/// same query values and attribute subset.
-pub(crate) fn shared_for(query: &Query) -> Option<Arc<SharedQueryCache>> {
-    SHARED.with(|s| s.borrow().clone()).filter(|shared| shared.matches(query))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,32 +133,6 @@ mod tests {
         let idx = qs.subset.indices();
         let expect: Vec<f64> = idx.iter().map(|&i| cache.d(i, center[i])).collect();
         assert_eq!(row, expect);
-    }
-
-    #[test]
-    fn shared_cache_is_scoped_and_query_checked() {
-        let (d, q) = paper_example();
-        assert!(shared_for(&q).is_none());
-        let shared = Arc::new(SharedQueryCache::new(&d.dissim, &d.schema, &q));
-        with_shared(shared.clone(), || {
-            let got = shared_for(&q).expect("installed cache is visible");
-            assert!(Arc::ptr_eq(&got, &shared));
-            // A different query must not pick up this request's cache.
-            let other = rsky_core::query::Query::new(&d.schema, vec![1, 0, 2]).unwrap();
-            assert!(shared_for(&other).is_none());
-            let sub = rsky_core::query::Query::on_subset(&d.schema, q.values.clone(), &[1])
-                .unwrap();
-            assert!(shared_for(&sub).is_none());
-        });
-        assert!(shared_for(&q).is_none(), "installation is scoped");
-        // And it never crosses threads implicitly.
-        let vals = q.values.clone();
-        with_shared(shared, move || {
-            let q2 = rsky_core::query::Query::new(&paper_example().0.schema, vals).unwrap();
-            std::thread::spawn(move || assert!(shared_for(&q2).is_none()))
-                .join()
-                .unwrap();
-        });
     }
 
     #[test]

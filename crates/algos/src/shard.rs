@@ -19,9 +19,9 @@
 //!    ([`CandidateBlocks`]). Only survivors of the global band reach full
 //!    verification;
 //! 3. **Gather** — every surviving candidate is verified against all
-//!    *foreign* shards' window pages (each part's Original page image,
-//!    scanned page-wise with per-scanner IO accounting); a candidate pruned
-//!    by any foreign record drops out.
+//!    *foreign* shards' window pages (each part's kept Original page image,
+//!    scanned page-wise on a head of its own, with per-scanner IO
+//!    accounting); a candidate pruned by any foreign record drops out.
 //!
 //! ## One table-image path
 //!
@@ -29,9 +29,10 @@
 //! held as: sorted once, kept in the multi-sort order through writes, and
 //! encoded into one page image per layout on first use. A local run mounts
 //! its part's image on a fresh scratch disk and drops the disk, with the
-//! engine's scratch files, when the run ends, so [`ShardedTables`] holds no
-//! disk, [`ShardedTables::run_query`] takes `&self`, and one set of tables
-//! serves any number of concurrent queries. A write
+//! engine's scratch files, when the run ends; verification scans the
+//! Original images as they are kept, mounting nothing. So [`ShardedTables`]
+//! holds no disk, [`ShardedTables::run_query`] takes `&self`, and one set of
+//! tables serves any number of concurrent queries. A write
 //! ([`ShardedTables::insert`], [`ShardedTables::expire`]) returns the next
 //! version, which rebuilds only the parts it touches; every other part,
 //! with the images it already encoded, is shared between the versions.
@@ -76,14 +77,17 @@
 //! and every one is a cost scope, as an engine's run, phase and batch spans
 //! are, so it carries its own deltas of every `RunStats` cost counter and
 //! IO field: a `shard.run` root closing with the merged totals; a
-//! `shard.plan` holding the one query-cache build; the phase spans
+//! `shard.plan` holding the one query-cache build, which every shard's
+//! engine run receives as an argument; the phase spans
 //! `shard.phase1`, `shard.exchange` (only when the exchange runs) and
 //! `shard.phase2`; and per shard one `shard.phase1.local` (the local run),
 //! one `shard.exchange.kill` (the kill pass) and one `shard.phase2.verify`
-//! (the verification). The plan and per-shard deltas tile the merged
-//! `RunStats` exactly, as tests/obs_contract.rs checks. The exchange also
-//! exports `shard.exchange.pruners` and `shard.phase2.candidates.{pre,post}`
-//! counters through the metrics registry.
+//! (the verification), under which each window scan's `storage.scanner`
+//! span records on the run's recorder. The plan and per-shard deltas tile
+//! the merged `RunStats` exactly, as tests/obs_contract.rs checks. The
+//! exchange also exports `shard.exchange.pruners` and
+//! `shard.phase2.candidates.{pre,post}` counters through the metrics
+//! registry.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -99,11 +103,11 @@ use rsky_core::schema::Schema;
 use rsky_core::stats::{IoCounts, RunStats};
 use rsky_storage::{partition_rows, ColumnarBatch, Disk, MemoryBudget, ShardSpec, SharedRecords};
 
-use crate::engine::{engine_by_name, RsRun, RunObs};
+use crate::engine::{engine_by_name, EngineCtx, RsRun, RunObs};
 use crate::influence::{self, InfluenceReport};
 use crate::kernels::{CandidateBlocks, DistSource, PrunerKernel};
-use crate::prep::{copies_of, run_on_image, with_row_at, without_rows, Layout, SortedTable};
-use crate::qcache::{self, QueryDistCache, SharedQueryCache};
+use crate::prep::{copies_of, with_row_at, without_rows, Layout, SortedTable};
+use crate::qcache::QueryDistCache;
 
 /// Default per-shard pruner-export budget for the exchange round. Generous
 /// relative to typical local candidate bands (tens of records per shard even
@@ -366,18 +370,17 @@ impl ShardedTables {
         let k = self.parts.len();
 
         // --- Plan: build the query-distance cache ONCE on the coordinator
-        // and share it with every shard (phase 1) and every verify task
-        // (phase 2). Without this, each of the k shards rebuilds the same
-        // `d_i(q, v)` table, multiplying `query_dist_checks` by k. The build
-        // cost is accounted here, in its own scope, so the sharded stats
-        // contract still tiles exactly. The kill and verify passes share
-        // one kernel, built here from the domain.
+        // and pass it to every shard's engine run (phase 1), kill pass and
+        // verify task (phase 2). Without this, each of the k shards rebuilds
+        // the same `d_i(q, v)` table, multiplying `query_dist_checks` by k.
+        // The build cost is accounted here, in its own scope, so the sharded
+        // stats contract still tiles exactly. The kill and verify passes
+        // share one kernel, built here from the domain.
         let kern = PrunerKernel::new(&self.schema, &self.dissim);
         let mut stats = RunStats::default();
         let plan_scope = robs.scope("plan", &stats, stats.io);
-        let shared = Arc::new(SharedQueryCache::new(&self.dissim, &self.schema, query));
-        let plan =
-            RunStats { query_dist_checks: shared.cache().build_checks, ..Default::default() };
+        let cache = &QueryDistCache::new(&self.dissim, &self.schema, query);
+        let plan = RunStats { query_dist_checks: cache.build_checks, ..Default::default() };
         robs.handle().counter_add(names::QCACHE_BUILD_CHECKS, plan.query_dist_checks);
         stats.merge(&plan);
         plan_scope.close(&stats, stats.io);
@@ -390,27 +393,25 @@ impl ShardedTables {
             let handles: Vec<_> = (0..k)
                 .map(|i| {
                     let (robs, handle, token, layout) = (&robs, &handle, &token, &layout);
-                    let shared = shared.clone();
                     s.spawn(move || {
                         // Re-install the coordinator's recorder, cancel
-                        // token, span context and shared query cache (all
-                        // thread-scoped) so the inner engine's own capture
-                        // sees them and its spans join this run's trace
-                        // under the phase-1 span.
+                        // token and span context (all thread-scoped) so the
+                        // inner engine's own capture at run start sees them
+                        // and its spans join this run's trace under the
+                        // phase-1 span.
                         obs::with_recorder(handle.clone(), || {
                             cancel::with_token(token.clone(), || {
                                 obs::with_parent(p1_ctx, || {
-                                    qcache::with_shared(shared, || {
-                                        self.local_run(
-                                            i,
-                                            engine_name,
-                                            engine_threads,
-                                            layout,
-                                            budget,
-                                            query,
-                                            robs,
-                                        )
-                                    })
+                                    self.local_run(
+                                        i,
+                                        engine_name,
+                                        engine_threads,
+                                        layout,
+                                        budget,
+                                        query,
+                                        cache,
+                                        robs,
+                                    )
                                 })
                             })
                         })
@@ -464,7 +465,7 @@ impl ShardedTables {
                 per_shard[i].exported = select_pruners(
                     part,
                     &candidates[i],
-                    shared.cache(),
+                    cache,
                     &query.subset,
                     self.pruner_budget,
                     &mut band_rows,
@@ -477,7 +478,7 @@ impl ShardedTables {
                 let handles: Vec<_> = (0..k)
                     .map(|i| {
                         let (robs, cands, band) = (&robs, &candidates[i], &band);
-                        let (cache, src) = (shared.cache(), kern.source(dissim));
+                        let src = kern.source(dissim);
                         let part = &*self.parts[i];
                         s.spawn(move || {
                             obs::with_parent(ex_ctx, || {
@@ -513,9 +514,8 @@ impl ShardedTables {
 
         // --- Phase two (gather): verify candidates against foreign windows.
         let p2 = robs.scope("phase2", &stats, stats.io);
-        // Every non-empty part's Original image — the shard "windows" the
-        // verification scans — shared again under this run's recorder, so
-        // the window scanners' spans join the run's trace.
+        // Every non-empty part's Original image, as the part keeps it: the
+        // shard "windows" the verification scans.
         let windows: Vec<Option<SharedRecords>> = self
             .parts
             .iter()
@@ -523,9 +523,7 @@ impl ShardedTables {
                 if part.rows.is_empty() {
                     return Ok(None);
                 }
-                let image = part.table.image(schema, &part.rows, &Layout::Original, &budget)?;
-                let mut disk = Disk::new_mem(self.page_size);
-                Ok(Some(image.mount(&mut disk)?.share(&disk)?))
+                part.table.image(schema, &part.rows, &Layout::Original, &budget).map(Some)
             })
             .collect::<Result<_>>()?;
         let p2_ctx = p2.ctx();
@@ -533,7 +531,7 @@ impl ShardedTables {
             let handles: Vec<_> = (0..k)
                 .map(|i| {
                     let (robs, windows, cands) = (&robs, &windows, &candidates[i]);
-                    let (cache, src) = (shared.cache(), kern.source(dissim));
+                    let src = kern.source(dissim);
                     let part = &*self.parts[i];
                     s.spawn(move || {
                         obs::with_parent(p2_ctx, || {
@@ -589,8 +587,9 @@ impl ShardedTables {
     }
 
     /// One shard's scatter step: the engine over the part's image of
-    /// `layout` (encoded on first use), inside the `shard.phase1.local`
-    /// scope.
+    /// `layout` (encoded on first use), mounted on a scratch disk of its own
+    /// as [`run_on_image`](crate::prep::run_on_image) mounts it, with the
+    /// coordinator's query cache, inside the `shard.phase1.local` scope.
     #[allow(clippy::too_many_arguments)]
     fn local_run(
         &self,
@@ -600,18 +599,22 @@ impl ShardedTables {
         layout: &Layout,
         budget: MemoryBudget,
         query: &Query,
+        cache: &QueryDistCache,
         robs: &RunObs<'_>,
     ) -> Result<(Vec<RecordId>, RunStats)> {
         robs.check_cancelled()?;
         let scope = robs.scope("phase1.local", &RunStats::default(), IoCounts::default());
-        let (part, schema) = (&self.parts[shard], &*self.schema);
+        let (part, schema, dissim) = (&self.parts[shard], &*self.schema, &*self.dissim);
         let records = part.rows.len();
         let (ids, stats) = if records == 0 {
             (Vec::new(), RunStats::default())
         } else {
             let image = part.table.image(schema, &part.rows, layout, &budget)?;
             let engine = engine_by_name(engine_name, schema, engine_threads)?;
-            let run = run_on_image(engine.as_ref(), &image, schema, &self.dissim, budget, query)?;
+            let mut disk = Disk::new_mem(image.page_size());
+            let table = image.mount(&mut disk)?;
+            let mut ctx = EngineCtx { disk: &mut disk, schema, dissim, budget };
+            let run = engine.run_with_cache(&mut ctx, &table, query, Some(cache))?;
             (run.ids, run.stats)
         };
         scope
@@ -729,9 +732,11 @@ fn candidate_blocks<'a>(
 /// drop any candidate a foreign record prunes. Scan order is fixed (shards
 /// ascending, pages ascending, candidates in id order), so the verification
 /// counters are deterministic. The query-distance cache is the coordinator's
-/// shared one (its build cost lives in the `shard.plan` span), and the scan
-/// runs through the batched pruner kernel. Foreign windows never contain a
-/// candidate's own id, so the kernel scans with `skip_self = false`.
+/// (its build cost lives in the `shard.plan` span), and the scan runs
+/// through the batched pruner kernel. Each window's scanner records its
+/// `storage.scanner` span on the run's recorder, under this shard's
+/// `shard.phase2.verify` span. Foreign windows never contain a candidate's
+/// own id, so the kernel scans with `skip_self = false`.
 #[allow(clippy::too_many_arguments)]
 fn verify_shard(
     shard: usize,
@@ -758,7 +763,7 @@ fn verify_shard(
             if j == shard {
                 continue; // local pruners were phase 1's job
             }
-            let mut scanner = win.scanner();
+            let mut scanner = win.scanner(robs.handle());
             for p in 0..win.num_pages() {
                 robs.check_cancelled()?;
                 if blocks.alive_count() == 0 {
@@ -815,7 +820,8 @@ mod tests {
         let budget = MemoryBudget::from_percent(ds.data_bytes(), 50.0, 64).unwrap();
         let table = SortedTable::new(&ds.schema, &ds.rows);
         let image = table.image(&ds.schema, &ds.rows, &Layout::Original, &budget).unwrap();
-        let single = run_on_image(&crate::Brs, &image, &ds.schema, &ds.dissim, budget, &q).unwrap();
+        let single =
+            crate::run_on_image(&crate::Brs, &image, &ds.schema, &ds.dissim, budget, &q).unwrap();
         assert_eq!(run.ids, single.ids);
         assert_eq!(run.stats.dist_checks, single.stats.dist_checks);
         assert_eq!(run.stats.query_dist_checks, single.stats.query_dist_checks);

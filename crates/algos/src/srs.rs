@@ -20,6 +20,7 @@ use rsky_storage::RecordFile;
 
 use crate::brs::{two_phase, Phase1Order};
 use crate::engine::{run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
+use crate::qcache::QueryDistCache;
 
 /// Section 4.2. Expects a table in [`crate::prep::Layout::MultiSort`] (or
 /// [`crate::prep::Layout::Tiled`], which makes it the paper's T-SRS).
@@ -42,10 +43,16 @@ impl ReverseSkylineAlgo for Srs {
         if self.threads > 1 { "SRS-P" } else { "SRS" }
     }
 
-    fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun> {
+    fn run_with_cache(
+        &self,
+        ctx: &mut EngineCtx<'_>,
+        table: &RecordFile,
+        query: &Query,
+        cache: Option<&QueryDistCache>,
+    ) -> Result<RsRun> {
         crate::engine::validate_inputs(ctx, table, query)?;
         let prefix = if self.threads > 1 { "srs-p" } else { "srs" };
-        run_with_scaffolding(ctx, query, prefix, |ctx, cache, stats, robs, kern| {
+        run_with_scaffolding(ctx, query, cache, prefix, |ctx, cache, stats, robs, kern| {
             two_phase(ctx, table, query, cache, Phase1Order::Radiating, self.threads, stats, robs, kern)
         })
     }

@@ -176,12 +176,18 @@ impl ReverseSkylineAlgo for Trs {
         if self.threads > 1 { "TRS-P" } else { "TRS" }
     }
 
-    fn run(&self, ctx: &mut EngineCtx<'_>, table: &RecordFile, query: &Query) -> Result<RsRun> {
+    fn run_with_cache(
+        &self,
+        ctx: &mut EngineCtx<'_>,
+        table: &RecordFile,
+        query: &Query,
+        cache: Option<&QueryDistCache>,
+    ) -> Result<RsRun> {
         crate::engine::validate_inputs(ctx, table, query)?;
         let m = table.num_attrs();
         self.validate_order(m)?;
         let prefix = if self.threads > 1 { "trs-p" } else { "trs" };
-        run_with_scaffolding(ctx, query, prefix, |ctx, cache, stats, robs, kern| {
+        run_with_scaffolding(ctx, query, cache, prefix, |ctx, cache, stats, robs, kern| {
             let order = &self.attr_order;
             let subset = &query.subset;
             let dissim = ctx.dissim;

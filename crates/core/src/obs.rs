@@ -277,6 +277,33 @@ impl SpanEvent {
     pub fn field(&self, key: &str) -> Option<u64> {
         self.fields.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
     }
+
+    /// Appends the span's JSON members — `name`, `trace_id`, `span_id`,
+    /// `parent_id` (`null` on a trace root), `wall_us` and `fields` — to
+    /// `out`, without the enclosing braces, so a writer may put members of
+    /// its own first. [`JsonlSink`] span lines and the server's slowlog
+    /// spans both render through this, so `rsky profile` reads either.
+    pub fn write_json_members(&self, out: &mut String) {
+        out.push_str("\"name\":\"");
+        json_escape(&self.name, out);
+        let _ = write!(out, "\",\"trace_id\":{},\"span_id\":{}", self.trace_id, self.span_id);
+        match self.parent_id {
+            Some(p) => {
+                let _ = write!(out, ",\"parent_id\":{p}");
+            }
+            None => out.push_str(",\"parent_id\":null"),
+        }
+        let _ = write!(out, ",\"wall_us\":{},\"fields\":{{", self.wall_us);
+        for (i, (k, v)) in self.fields.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('"');
+            json_escape(k, out);
+            let _ = write!(out, "\":{v}");
+        }
+        out.push('}');
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -620,9 +647,9 @@ impl Recorder for MemorySink {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal. Span and metric
-/// names are plain ASCII identifiers, but correctness is cheap.
-fn json_escape(s: &str, out: &mut String) {
+/// Escapes `s` for inclusion in a JSON string literal, appending to `out`:
+/// the one escaper of the workspace's JSON writers.
+pub fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -691,25 +718,9 @@ impl JsonlSink {
 impl Recorder for JsonlSink {
     fn span_close(&self, event: &SpanEvent) {
         let mut line = String::with_capacity(128);
-        line.push_str("{\"type\":\"span\",\"name\":\"");
-        json_escape(&event.name, &mut line);
-        let _ = write!(line, "\",\"trace_id\":{},\"span_id\":{}", event.trace_id, event.span_id);
-        match event.parent_id {
-            Some(p) => {
-                let _ = write!(line, ",\"parent_id\":{p}");
-            }
-            None => line.push_str(",\"parent_id\":null"),
-        }
-        let _ = write!(line, ",\"wall_us\":{},\"fields\":{{", event.wall_us);
-        for (i, (k, v)) in event.fields.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push('"');
-            json_escape(k, &mut line);
-            let _ = write!(line, "\":{v}");
-        }
-        line.push_str("}}");
+        line.push_str("{\"type\":\"span\",");
+        event.write_json_members(&mut line);
+        line.push('}');
         self.write_line(&line);
     }
 

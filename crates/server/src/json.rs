@@ -101,23 +101,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 }
 
 /// Escapes `s` for inclusion in a JSON string literal (shared by the
-/// response renderers).
-pub fn escape(s: &str, out: &mut String) {
-    use std::fmt::Write;
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
+/// response renderers): the escaper of `rsky_core::obs`'s JSON writers.
+pub use rsky_core::obs::json_escape as escape;
 
 /// Recursion guard: a hostile request can nest arbitrarily deep; the
 /// protocol never needs more than a handful of levels.

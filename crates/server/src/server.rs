@@ -744,8 +744,12 @@ fn worker_loop(shared: &Arc<Shared>, mut ws: WorkerState) {
             span.field("queue_wait_us", wait.as_micros() as u64);
         }
         let trace = span.ctx();
+        // The request's recorder and deadline are in scope for all it runs;
+        // both installs are guards, so a panic unwinds through them.
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            execute(shared, &mut ws, &job, &req_obs, &mut span)
+            obs::with_recorder(req_obs.clone(), || {
+                cancel::with_token(job.token.clone(), || execute(shared, &mut ws, &job, &mut span))
+            })
         }));
         let response = run.unwrap_or_else(|_| {
             shared.obs.counter_add(names::SERVER_WORKER_PANICS, 1);
@@ -771,11 +775,12 @@ fn worker_loop(shared: &Arc<Shared>, mut ws: WorkerState) {
     }
 }
 
+/// Answers one pooled request, with the request's recorder and cancel
+/// token installed on this thread.
 fn execute(
     shared: &Arc<Shared>,
     ws: &mut WorkerState,
     job: &Job,
-    req_obs: &ObsHandle,
     span: &mut rsky_core::obs::Span,
 ) -> String {
     if job.token.check().is_err() {
@@ -783,9 +788,7 @@ fn execute(
         return proto::err_line(ErrKind::Timeout, "deadline elapsed while queued");
     }
     match &job.request {
-        Request::Panic => obs::with_recorder(req_obs.clone(), || {
-            cancel::with_token(job.token.clone(), || -> String { panic!("test-only panic op") })
-        }),
+        Request::Panic => panic!("test-only panic op"),
         Request::Sleep { ms } => {
             let until = job.enqueued + Duration::from_millis(*ms);
             while Instant::now() < until {
@@ -802,20 +805,16 @@ fn execute(
             let version = shared.data.current();
             // Renders the answer, ranked by |RS(member)| when `top_k` asks:
             // the ranking runs through the tables this version already
-            // serves, in request scope (its spans nest under the request's
-            // and its deadline holds).
+            // serves.
             let finish = |ws: &mut WorkerState, ids: &[RecordId], cached: bool, elapsed_us| {
                 let Some(k) = *top_k else {
                     shared.obs.counter_add(names::SERVER_SERVED, 1);
                     return proto::ok_query(engine, version.generation, ids, cached, elapsed_us);
                 };
-                let ranked = obs::with_recorder(req_obs.clone(), || {
-                    cancel::with_token(job.token.clone(), || {
-                        rank_members_with(&version.dataset, subset.as_deref(), ids, k, |queries| {
-                            ws.run_influence(&version, queries, false)
-                        })
-                    })
-                });
+                let ranked =
+                    rank_members_with(&version.dataset, subset.as_deref(), ids, k, |queries| {
+                        ws.run_influence(&version, queries, false)
+                    });
                 match ranked {
                     Ok(ranked) => {
                         let ranked: Vec<(RecordId, usize)> =
@@ -875,12 +874,7 @@ fn execute(
                 }
             };
             let t0 = Instant::now();
-            let result = obs::with_recorder(req_obs.clone(), || {
-                cancel::with_token(job.token.clone(), || {
-                    ws.run_query(&version, engine, shared.config.engine_threads, &query)
-                })
-            });
-            match result {
+            match ws.run_query(&version, engine, shared.config.engine_threads, &query) {
                 Ok(run) => {
                     shared.cache.insert(key, run.ids.clone());
                     finish(ws, &run.ids, false, t0.elapsed().as_micros())
@@ -916,12 +910,7 @@ fn execute(
                 return proto::ok_influence(version.generation, &ranking, 0);
             }
             let t0 = Instant::now();
-            let result = obs::with_recorder(req_obs.clone(), || {
-                cancel::with_token(job.token.clone(), || {
-                    ws.run_influence(&version, &workload, false)
-                })
-            });
-            match result {
+            match ws.run_influence(&version, &workload, false) {
                 Ok(report) => {
                     let ranking: Vec<(usize, usize)> = report
                         .ranking()

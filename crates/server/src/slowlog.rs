@@ -137,25 +137,9 @@ impl SlowLog {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str("{\"name\":\"");
-                crate::json::escape(&s.name, &mut out);
-                let _ = write!(out, "\",\"trace_id\":{},\"span_id\":{}", s.trace_id, s.span_id);
-                match s.parent_id {
-                    Some(p) => {
-                        let _ = write!(out, ",\"parent_id\":{p}");
-                    }
-                    None => out.push_str(",\"parent_id\":null"),
-                }
-                let _ = write!(out, ",\"wall_us\":{},\"fields\":{{", s.wall_us);
-                for (k, (key, v)) in s.fields.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    crate::json::escape(key, &mut out);
-                    let _ = write!(out, "\":{v}");
-                }
-                out.push_str("}}");
+                out.push('{');
+                s.write_json_members(&mut out);
+                out.push('}');
             }
             out.push_str("],\"profile\":[");
             for (j, p) in e.profile.iter().enumerate() {

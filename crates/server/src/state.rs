@@ -262,7 +262,7 @@ impl WorkerState {
 mod tests {
     use super::*;
     use rsky_algos::Layout;
-    use rsky_storage::{ShardSpec, SharedRecords};
+    use rsky_storage::{Disk, ShardSpec, SharedRecords};
 
     #[test]
     fn insert_and_expire_bump_generations() {
@@ -384,12 +384,8 @@ mod tests {
 
     /// The records of `image`, in file order.
     fn image_rows(image: &SharedRecords) -> RowBuf {
-        let mut scanner = image.scanner();
-        let mut rows = RowBuf::new(image.num_attrs());
-        for page in 0..image.num_pages() {
-            scanner.read_page_rows(page, &mut rows).unwrap();
-        }
-        rows
+        let mut disk = Disk::new_mem(image.page_size());
+        image.mount(&mut disk).unwrap().read_all(&mut disk).unwrap()
     }
 
     /// The image of `layout` an unsharded version's workers mount.

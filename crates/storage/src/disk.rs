@@ -1,4 +1,10 @@
 //! Single-head paged disk with sequential/random IO accounting.
+//!
+//! A file on the in-memory backend is a copy-on-write `Arc<Vec<u8>>`, so a
+//! snapshot of it ([`RecordFile::share`](crate::RecordFile::share)) and a
+//! mount of a snapshot ([`SharedRecords::mount`](crate::SharedRecords::mount))
+//! share its bytes, and the first write or truncate through a disk that
+//! shares them replaces them instead of changing them.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -20,12 +26,9 @@ pub struct FileId(pub(crate) usize);
 /// Where pages physically live.
 #[derive(Debug)]
 pub enum Backend {
-    /// Pages held in memory, one copy-on-write buffer per file: a snapshot
-    /// ([`Disk::share_file`]) or a mount
-    /// ([`SharedRecords::mount`](crate::SharedRecords::mount)) shares the
-    /// buffer, and the first write to a shared buffer copies it. IO
-    /// accounting is identical to the file backend; only the transfer cost
-    /// differs.
+    /// Pages held in memory, one copy-on-write buffer per file (see the
+    /// module docs). IO accounting is identical to the file backend; only
+    /// the transfer cost differs.
     Mem(Vec<Arc<Vec<u8>>>),
     /// Pages in real files under `dir` (`f0.pages`, `f1.pages`, …), used for
     /// wall-clock response-time experiments.
@@ -71,11 +74,6 @@ pub struct Disk {
     stats: IoCounts,
     /// Optional buffer pool; hits skip the backend and the IO counters.
     cache: Option<PageCache>,
-    /// Monotonic write generation: bumped by every mutation (page write or
-    /// truncate), so a snapshot taken at generation `g` is provably stale
-    /// once the disk reports `> g`. The serving layer keys its result cache
-    /// on this.
-    generation: u64,
     /// One page the file backend and the buffer pool read into, reused by
     /// every [`Disk::read_page_ref`].
     read_buf: Vec<u8>,
@@ -91,7 +89,6 @@ impl Disk {
             head: None,
             stats: IoCounts::default(),
             cache: None,
-            generation: 0,
             read_buf: Vec::new(),
         }
     }
@@ -112,7 +109,6 @@ impl Disk {
             head: None,
             stats: IoCounts::default(),
             cache: None,
-            generation: 0,
             read_buf: Vec::new(),
         })
     }
@@ -137,7 +133,7 @@ impl Disk {
         self.page_size
     }
 
-    /// Read-only view of the backend, for snapshotting (`shared` module).
+    /// Read-only view of the backend, for snapshots (`shared` module).
     #[inline]
     pub(crate) fn backend(&self) -> &Backend {
         &self.backend
@@ -180,7 +176,6 @@ impl Disk {
             Backend::Dir { files, .. } => files[file.0].set_len(0)?,
         }
         self.pages[file.0] = 0;
-        self.generation += 1;
         if matches!(self.head, Some((f, _)) if f == file) {
             self.head = None;
         }
@@ -188,15 +183,6 @@ impl Disk {
             cache.invalidate_file(file);
         }
         Ok(())
-    }
-
-    /// Current write generation: increases on every page write or truncate.
-    /// Snapshots ([`Disk::share_file`](crate::SharedFile)) are tagged with
-    /// the generation at share time, making staleness checkable without
-    /// comparing contents.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// IO counters accumulated so far.
@@ -308,7 +294,6 @@ impl Disk {
         if page == self.pages[file.0] {
             self.pages[file.0] = page + 1;
         }
-        self.generation += 1;
         if let Some(cache) = &mut self.cache {
             cache.put(file, page, data);
         }

@@ -47,4 +47,4 @@ pub use disk::{Backend, Disk, FileId, DEFAULT_PAGE_SIZE};
 pub use mutation::{MutationEvent, MutationKind};
 pub use recfile::{RecordFile, RecordWriter};
 pub use shard::{partition_rows, ShardPolicy, ShardSpec};
-pub use shared::{PageScanner, RecordScanner, SharedFile, SharedRecords};
+pub use shared::{RecordScanner, SharedRecords};

@@ -73,8 +73,8 @@ pub mod prelude {
     pub use rsky_algos::prep::{load_dataset, prepare_table, Layout, PreparedTable};
     pub use rsky_algos::shard::{ShardCost, ShardedRun, ShardedTables, DEFAULT_PRUNER_BUDGET};
     pub use rsky_algos::{
-        engine_by_name, layout_for, Brs, EngineCtx, Naive, ReverseSkylineAlgo, RsRun,
-        SharedQueryCache, Srs, Trs, TrsBf,
+        engine_by_name, layout_for, Brs, EngineCtx, Naive, ReverseSkylineAlgo, RsRun, Srs, Trs,
+        TrsBf,
     };
     pub use rsky_core::dataset::Dataset;
     pub use rsky_core::dissim::FlatDissim;

@@ -468,6 +468,7 @@ fn assert_sharded_tiling(sink: &MemorySink, run: &ShardedRun, k: usize, ctx: &st
     const LOCAL: &str = "shard.phase1.local";
     const KILL: &str = "shard.exchange.kill";
     const VERIFY: &str = "shard.phase2.verify";
+    const SCANNER: &str = "storage.scanner";
     let s = &run.stats;
     // One plan span per run, one span per shard per phase — empty shards
     // report zero-work spans rather than vanishing from the stream. The
@@ -544,6 +545,25 @@ fn assert_sharded_tiling(sink: &MemorySink, run: &ShardedRun, k: usize, ctx: &st
         s.tree_nodes_visited,
         "shard span tree_nodes_visited don't tile the merged stats ({ctx})"
     );
+    // Phase 2 scans the foreign windows on heads of their own: every
+    // scanner's span records on the run's recorder, under a verify span,
+    // and the scanners' IO is the verify spans' IO.
+    if k > 1 {
+        let verifies: Vec<u64> = sink.spans_ending_with(VERIFY).iter().map(|v| v.span_id).collect();
+        for scanner in sink.spans_ending_with(SCANNER) {
+            assert!(
+                scanner.parent_id.is_some_and(|p| verifies.contains(&p)),
+                "a window scanner outside every verify span ({ctx})"
+            );
+        }
+        for key in ["seq_reads", "rand_reads", "seq_writes", "rand_writes"] {
+            assert_eq!(
+                sink.sum_field(SCANNER, key),
+                sink.sum_field(VERIFY, key),
+                "window scanner {key} don't sum to the verify spans' ({ctx})"
+            );
+        }
+    }
 
     // The phase spans summarize the fan-out; the closing run span repeats
     // the merged totals verbatim (same clause as the single-node contract).
