@@ -31,13 +31,14 @@ tier1() {
 full() {
     echo "=== release-mode tree and cost pins ==="
     # The benchmark measures release builds, where debug_assert! and
-    # overflow checks are off: the AL-Tree, the paper's cost units and the
+    # overflow checks are off: the AL-Tree, the paper's cost units, the
     # served images and sharded runs (byte- and cost-identical to fresh
-    # ones) are pinned there too.
+    # ones) and the served views (maintained over the parts and rebuilt by
+    # their own classification) are pinned there too.
     cargo test --release -q -p rsky-altree
     cargo test --release -q --test cost_baseline --test kernel_differential \
         --test paper_walkthrough --test bftree_fixtures --test parallel_engines \
-        --test state_differential
+        --test state_differential --test view_differential
     echo "=== full property sweep ==="
     cargo test -q --features property-tests
     echo "=== clippy (warnings are errors) ==="

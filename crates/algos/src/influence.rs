@@ -128,7 +128,7 @@ impl InfluenceEngine {
     ) -> Result<InfluenceReport> {
         let ds = &self.dataset;
         run_queries(queries, keep_ids, |q| {
-            run_on_image(&self.trs, &self.image, &ds.schema, &ds.dissim, self.budget, q)
+            run_on_image(&self.trs, &self.image, &ds.schema, &ds.dissim, self.budget, q, None)
         })
     }
 }

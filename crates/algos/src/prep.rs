@@ -38,6 +38,7 @@ use rsky_order::{
 use rsky_storage::{Disk, MemoryBudget, RecordFile, RecordWriter, SharedRecords};
 
 use crate::engine::{EngineCtx, ReverseSkylineAlgo, RsRun};
+use crate::qcache::QueryDistCache;
 
 /// Physical arrangement of the table on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,14 +216,9 @@ impl SortedTable {
         layout: &Layout,
         budget: &MemoryBudget,
     ) -> Result<SharedRecords> {
-        let slot = match layout {
-            Layout::Original => &self.original,
-            Layout::MultiSort => &self.multisort,
-            Layout::Tiled { .. } => &self.tiled,
-        };
         // A slot holds nothing or a whole image, so a panic in another
         // caller's encode leaves it usable.
-        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = self.slot(layout).lock().unwrap_or_else(PoisonError::into_inner);
         match &*slot {
             Some((kept, image)) if kept == layout => return Ok(image.clone()),
             Some((kept, _)) => {
@@ -247,12 +243,23 @@ impl SortedTable {
         *slot = Some((layout.clone(), image.clone()));
         Ok(image)
     }
+
+    /// The slot the image of `layout` is kept in.
+    fn slot(&self, layout: &Layout) -> &Slot {
+        match layout {
+            Layout::Original => &self.original,
+            Layout::MultiSort => &self.multisort,
+            Layout::Tiled { .. } => &self.tiled,
+        }
+    }
 }
 
 /// Runs `engine` over `image`, mounted on a fresh scratch disk that is
 /// dropped with the engine's scratch files (the R-file) when the run ends.
 /// A mounted image reads exactly like a freshly prepared table, so the
-/// run costs what it costs there, whatever ran before it.
+/// run costs what it costs there, whatever ran before it. `cache` is the
+/// query-distance cache when the caller built one for `query`
+/// ([`ReverseSkylineAlgo::run_with_cache`]).
 pub fn run_on_image(
     engine: &dyn ReverseSkylineAlgo,
     image: &SharedRecords,
@@ -260,10 +267,12 @@ pub fn run_on_image(
     dissim: &DissimTable,
     budget: MemoryBudget,
     query: &Query,
+    cache: Option<&QueryDistCache>,
 ) -> Result<RsRun> {
     let mut disk = Disk::new_mem(image.page_size());
     let table = image.mount(&mut disk)?;
-    engine.run(&mut EngineCtx { disk: &mut disk, schema, dissim, budget }, &table, query)
+    let mut ctx = EngineCtx { disk: &mut disk, schema, dissim, budget };
+    engine.run_with_cache(&mut ctx, &table, query, cache)
 }
 
 /// Keeps the pages of the file `build` writes on a scratch disk.
@@ -337,6 +346,14 @@ mod tests {
     use rsky_core::record::row;
     use rsky_data::synthetic::normal_dataset;
     use rsky_order::multisort::is_sorted_lex;
+
+    impl SortedTable {
+        /// Whether the table holds an encoded image of `layout`.
+        pub(crate) fn has_image(&self, layout: &Layout) -> bool {
+            let slot = self.slot(layout).lock().unwrap_or_else(PoisonError::into_inner);
+            slot.as_ref().is_some_and(|(kept, _)| kept == layout)
+        }
+    }
 
     fn setup(n: usize) -> (Disk, Dataset, RecordFile, MemoryBudget) {
         let mut rng = StdRng::seed_from_u64(21);

@@ -9,8 +9,8 @@
 //! hunts for cross-shard pruners:
 //!
 //! 1. **Scatter** — every shard runs the chosen engine (BRS/SRS/TRS,
-//!    sequential or parallel) over its own partition in parallel, producing
-//!    local candidate survivors;
+//!    sequential or parallel) over its own partition, the shards in
+//!    parallel, producing local candidate survivors;
 //! 2. **Exchange** — each shard exports its strongest pruners (its local
 //!    reverse-skyline band, capped at a configurable budget), the
 //!    coordinator merges and broadcasts the combined band, and every shard
@@ -29,13 +29,25 @@
 //! held as: sorted once, kept in the multi-sort order through writes, and
 //! encoded into one page image per layout on first use. A local run mounts
 //! its part's image on a fresh scratch disk and drops the disk, with the
-//! engine's scratch files, when the run ends; verification scans the
-//! Original images as they are kept, mounting nothing. So [`ShardedTables`]
-//! holds no disk, [`ShardedTables::run_query`] takes `&self`, and one set of
-//! tables serves any number of concurrent queries. A write
-//! ([`ShardedTables::insert`], [`ShardedTables::expire`]) returns the next
-//! version, which rebuilds only the parts it touches; every other part,
-//! with the images it already encoded, is shared between the versions.
+//! engine's scratch files, when the run ends ([`run_on_image`]);
+//! verification scans the Original images as they are kept, mounting
+//! nothing. So [`ShardedTables`] holds no disk, [`ShardedTables::run_query`]
+//! takes `&self`, and one set of tables serves any number of concurrent
+//! queries. A write ([`ShardedTables::insert`], [`ShardedTables::expire`])
+//! returns the next version, which rebuilds only the parts it touches;
+//! every other part, with the images it already encoded, is shared between
+//! the versions.
+//!
+//! ## One part
+//!
+//! With one part nothing is foreign, so the run is the single-node engine
+//! run, and it costs what that run costs: the part's local run runs on
+//! the calling thread, no kernel is built for the kill and verify passes
+//! (a run builds it only when one of them scans), no Original window is
+//! encoded (a part's window is encoded only when another part has
+//! candidates to verify against it), and no id index is built (a part
+//! builds its index on the first lookup, which only the exchange and the
+//! verification make). The server holds an unsharded dataset this way.
 //!
 //! Local pruners were already handled by phase 1, so phase 2 only scans
 //! foreign shards. Exact duplicates split across shards are found here: a
@@ -69,7 +81,7 @@
 //! order** via [`RunStats::merge`], so the merged counters — not just the
 //! result ids — are identical from run to run for any thread interleaving.
 //! With one shard the gather phase is empty and the run is the single-node
-//! run, counters included.
+//! run, counters and pages included.
 //!
 //! ## Observability
 //!
@@ -89,24 +101,24 @@
 //! `shard.phase2.candidates.{pre,post}` counters through the metrics
 //! registry.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use rsky_core::cancel;
 use rsky_core::dataset::Dataset;
 use rsky_core::dissim::DissimTable;
 use rsky_core::error::{Error, Result};
-use rsky_core::obs::{self, names};
+use rsky_core::obs::{self, names, TraceContext};
 use rsky_core::query::{AttrSubset, Query};
 use rsky_core::record::{row, RecordId, RowBuf};
 use rsky_core::schema::Schema;
 use rsky_core::stats::{IoCounts, RunStats};
-use rsky_storage::{partition_rows, ColumnarBatch, Disk, MemoryBudget, ShardSpec, SharedRecords};
+use rsky_storage::{partition_rows, ColumnarBatch, MemoryBudget, ShardSpec, SharedRecords};
 
-use crate::engine::{engine_by_name, EngineCtx, RsRun, RunObs};
+use crate::engine::{engine_by_name, RsRun, RunObs};
 use crate::influence::{self, InfluenceReport};
 use crate::kernels::{CandidateBlocks, DistSource, PrunerKernel};
-use crate::prep::{copies_of, with_row_at, without_rows, Layout, SortedTable};
+use crate::prep::{copies_of, run_on_image, with_row_at, without_rows, Layout, SortedTable};
 use crate::qcache::QueryDistCache;
 
 /// Default per-shard pruner-export budget for the exchange round. Generous
@@ -131,21 +143,19 @@ pub fn layout_for(engine_name: &str, tiles: u32) -> Result<Layout> {
 /// One shard's part: its rows in partition (generation) order, their id
 /// index, and its [`SortedTable`] with the page images. A part never
 /// changes: a write that touches it builds the next version, and every
-/// [`ShardedTables`] holding this one keeps sharing it, images included.
+/// [`ShardedTables`] holding this one keeps sharing it, images and index
+/// included.
 struct Part {
     rows: RowBuf,
-    /// `(id, row)` for every row, sorted: the exchange and the
-    /// verification look their candidates up by id.
-    by_id: Vec<(RecordId, u32)>,
+    /// `(id, row)` for every row, sorted, built on the first lookup: the
+    /// exchange and the verification look their candidates up by id.
+    by_id: OnceLock<Vec<(RecordId, u32)>>,
     table: SortedTable,
 }
 
 impl Part {
     fn new(rows: RowBuf, table: SortedTable) -> Arc<Self> {
-        let mut by_id: Vec<(RecordId, u32)> =
-            (0..rows.len()).map(|ri| (rows.id(ri), ri as u32)).collect();
-        by_id.sort_unstable();
-        Arc::new(Self { rows, by_id, table })
+        Arc::new(Self { rows, by_id: OnceLock::new(), table })
     }
 
     /// Values of the last row holding `id`.
@@ -153,11 +163,22 @@ impl Part {
     /// # Panics
     /// Panics if no row of the shard holds `id`.
     fn values_of(&self, id: RecordId) -> &[u32] {
-        let at = self.by_id.partition_point(|&(i, _)| i <= id);
-        assert!(at > 0 && self.by_id[at - 1].0 == id, "candidate id belongs to this shard");
-        self.rows.values(self.by_id[at - 1].1 as usize)
+        let by_id = self.by_id.get_or_init(|| {
+            let rows = &self.rows;
+            let mut by_id: Vec<(RecordId, u32)> =
+                (0..rows.len()).map(|ri| (rows.id(ri), ri as u32)).collect();
+            by_id.sort_unstable();
+            by_id
+        });
+        let at = by_id.partition_point(|&(i, _)| i <= id);
+        assert!(at > 0 && by_id[at - 1].0 == id, "candidate id belongs to this shard");
+        self.rows.values(by_id[at - 1].1 as usize)
     }
 }
+
+/// The kill and verify passes' distance source, from the run's one
+/// [`PrunerKernel`], which the first pass that scans builds.
+type Source<'k> = dyn Fn() -> DistSource<'k> + Sync + 'k;
 
 /// Per-shard cost breakdown of one sharded run.
 #[derive(Debug, Clone)]
@@ -364,61 +385,32 @@ impl ShardedTables {
 
         let budget = self.budget()?;
         let robs = RunObs::capture(names::SHARD);
-        let handle = robs.handle().clone();
-        let token = cancel::current();
         let run = robs.run_scope();
         let k = self.parts.len();
+        let (schema, dissim) = (&*self.schema, &*self.dissim);
 
         // --- Plan: build the query-distance cache ONCE on the coordinator
         // and pass it to every shard's engine run (phase 1), kill pass and
         // verify task (phase 2). Without this, each of the k shards rebuilds
         // the same `d_i(q, v)` table, multiplying `query_dist_checks` by k.
         // The build cost is accounted here, in its own scope, so the sharded
-        // stats contract still tiles exactly. The kill and verify passes
-        // share one kernel, built here from the domain.
-        let kern = PrunerKernel::new(&self.schema, &self.dissim);
+        // stats contract still tiles exactly.
         let mut stats = RunStats::default();
         let plan_scope = robs.scope("plan", &stats, stats.io);
-        let cache = &QueryDistCache::new(&self.dissim, &self.schema, query);
+        let cache = &QueryDistCache::new(dissim, schema, query);
         let plan = RunStats { query_dist_checks: cache.build_checks, ..Default::default() };
         robs.handle().counter_add(names::QCACHE_BUILD_CHECKS, plan.query_dist_checks);
         stats.merge(&plan);
         plan_scope.close(&stats, stats.io);
+        // The kill and verify passes share one kernel, built by the first
+        // of them that scans: a run with one part builds none.
+        let kern = OnceLock::new();
+        let source = || kern.get_or_init(|| PrunerKernel::new(schema, dissim)).source(dissim);
 
-        // --- Phase one (scatter): local engine runs, one thread per shard.
+        // --- Phase one (scatter): the local engine runs.
         let p1 = robs.scope("phase1", &stats, stats.io);
-        let p1_ctx = p1.ctx();
-        let (schema, dissim) = (&*self.schema, &*self.dissim);
-        let locals: Vec<Result<(Vec<RecordId>, RunStats)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..k)
-                .map(|i| {
-                    let (robs, handle, token, layout) = (&robs, &handle, &token, &layout);
-                    s.spawn(move || {
-                        // Re-install the coordinator's recorder, cancel
-                        // token and span context (all thread-scoped) so the
-                        // inner engine's own capture at run start sees them
-                        // and its spans join this run's trace under the
-                        // phase-1 span.
-                        obs::with_recorder(handle.clone(), || {
-                            cancel::with_token(token.clone(), || {
-                                obs::with_parent(p1_ctx, || {
-                                    self.local_run(
-                                        i,
-                                        engine_name,
-                                        engine_threads,
-                                        layout,
-                                        budget,
-                                        query,
-                                        cache,
-                                        robs,
-                                    )
-                                })
-                            })
-                        })
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard phase-1 panicked")).collect()
+        let locals = per_part(k, p1.ctx(), |i| {
+            self.local_run(i, engine_name, engine_threads, &layout, budget, query, cache, &robs)
         });
         let mut candidates: Vec<Vec<RecordId>> = Vec::with_capacity(k);
         let mut per_shard: Vec<ShardCost> = Vec::with_capacity(k);
@@ -473,21 +465,9 @@ impl ShardedTables {
             }
             pruner_total = band_rows.len();
             let band = ColumnarBatch::from_rows(&band_rows);
-            let ex_ctx = ex.ctx();
-            let killed: Vec<Result<(Vec<RecordId>, RunStats)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..k)
-                    .map(|i| {
-                        let (robs, cands, band) = (&robs, &candidates[i], &band);
-                        let src = kern.source(dissim);
-                        let part = &*self.parts[i];
-                        s.spawn(move || {
-                            obs::with_parent(ex_ctx, || {
-                                exchange_kill(i, cands, part, band, src, query, cache, robs)
-                            })
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard exchange panicked")).collect()
+            let killed = per_part(k, ex.ctx(), |i| {
+                let (cands, part) = (&candidates[i], &self.parts[i]);
+                exchange_kill(i, cands, part, &band, &source, query, cache, &robs)
             });
             for (i, r) in killed.into_iter().enumerate() {
                 let (alive, ks) = r?;
@@ -514,33 +494,23 @@ impl ShardedTables {
 
         // --- Phase two (gather): verify candidates against foreign windows.
         let p2 = robs.scope("phase2", &stats, stats.io);
-        // Every non-empty part's Original image, as the part keeps it: the
-        // shard "windows" the verification scans.
+        // The shard "windows" the verification scans: a non-empty part's
+        // Original image, as the part keeps it, when another part has
+        // candidates to verify against it.
         let windows: Vec<Option<SharedRecords>> = self
             .parts
             .iter()
-            .map(|part| {
-                if part.rows.is_empty() {
+            .enumerate()
+            .map(|(j, part)| {
+                let verifies = |(i, cands): (usize, &Vec<RecordId>)| i != j && !cands.is_empty();
+                if part.rows.is_empty() || !candidates.iter().enumerate().any(verifies) {
                     return Ok(None);
                 }
                 part.table.image(schema, &part.rows, &Layout::Original, &budget).map(Some)
             })
             .collect::<Result<_>>()?;
-        let p2_ctx = p2.ctx();
-        let verified: Vec<Result<(Vec<RecordId>, RunStats)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..k)
-                .map(|i| {
-                    let (robs, windows, cands) = (&robs, &windows, &candidates[i]);
-                    let src = kern.source(dissim);
-                    let part = &*self.parts[i];
-                    s.spawn(move || {
-                        obs::with_parent(p2_ctx, || {
-                            verify_shard(i, cands, part, windows, src, query, cache, robs)
-                        })
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard phase-2 panicked")).collect()
+        let verified = per_part(k, p2.ctx(), |i| {
+            verify_shard(i, &candidates[i], &self.parts[i], &windows, &source, query, cache, &robs)
         });
         let mut ids: Vec<RecordId> = Vec::new();
         for (i, r) in verified.into_iter().enumerate() {
@@ -587,9 +557,8 @@ impl ShardedTables {
     }
 
     /// One shard's scatter step: the engine over the part's image of
-    /// `layout` (encoded on first use), mounted on a scratch disk of its own
-    /// as [`run_on_image`](crate::prep::run_on_image) mounts it, with the
-    /// coordinator's query cache, inside the `shard.phase1.local` scope.
+    /// `layout` (encoded on first use) with the coordinator's query cache
+    /// ([`run_on_image`]), inside the `shard.phase1.local` scope.
     #[allow(clippy::too_many_arguments)]
     fn local_run(
         &self,
@@ -611,10 +580,8 @@ impl ShardedTables {
         } else {
             let image = part.table.image(schema, &part.rows, layout, &budget)?;
             let engine = engine_by_name(engine_name, schema, engine_threads)?;
-            let mut disk = Disk::new_mem(image.page_size());
-            let table = image.mount(&mut disk)?;
-            let mut ctx = EngineCtx { disk: &mut disk, schema, dissim, budget };
-            let run = engine.run_with_cache(&mut ctx, &table, query, Some(cache))?;
+            let run =
+                run_on_image(engine.as_ref(), &image, schema, dissim, budget, query, Some(cache))?;
             (run.ids, run.stats)
         };
         scope
@@ -624,6 +591,35 @@ impl ShardedTables {
             .close(&stats, stats.io);
         Ok((ids, stats))
     }
+}
+
+/// Runs `task` for every part, in part order: on the calling thread when
+/// there is one part, else on one scoped thread per part that installs the
+/// calling thread's recorder and cancel token (both thread-scoped, and
+/// captured by an engine at run start) and joins `parent`'s span, so the
+/// spans the task opens join the run's trace.
+fn per_part<T: Send>(
+    k: usize,
+    parent: Option<TraceContext>,
+    task: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    if k == 1 {
+        return vec![task(0)];
+    }
+    let (handle, token) = (obs::handle(), cancel::current());
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..k)
+            .map(|i| {
+                let (task, handle, token) = (&task, &handle, &token);
+                s.spawn(move || {
+                    obs::with_recorder(handle.clone(), || {
+                        cancel::with_token(token.clone(), || obs::with_parent(parent, || task(i)))
+                    })
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("a shard task panicked")).collect()
+    })
 }
 
 /// Selects the pruners one shard exports to the exchange round and appends
@@ -686,7 +682,7 @@ fn exchange_kill(
     cands: &[RecordId],
     part: &Part,
     band: &ColumnarBatch,
-    src: DistSource<'_>,
+    source: &Source<'_>,
     query: &Query,
     cache: &QueryDistCache,
     robs: &RunObs<'_>,
@@ -698,7 +694,7 @@ fn exchange_kill(
         cands.to_vec()
     } else {
         let subset = &query.subset;
-        let mut blocks = candidate_blocks(src, cache, subset, cands, part);
+        let mut blocks = candidate_blocks(source(), cache, subset, cands, part);
         blocks.scan(subset, band, true, &mut ks);
         alive_ids(&blocks, cands)
     };
@@ -743,7 +739,7 @@ fn verify_shard(
     cands: &[RecordId],
     part: &Part,
     windows: &[Option<SharedRecords>],
-    src: DistSource<'_>,
+    source: &Source<'_>,
     query: &Query,
     cache: &QueryDistCache,
     robs: &RunObs<'_>,
@@ -757,7 +753,7 @@ fn verify_shard(
     } else {
         let subset = &query.subset;
         let mut dpage = RowBuf::new(part.rows.num_attrs());
-        let mut blocks = candidate_blocks(src, cache, subset, cands, part);
+        let mut blocks = candidate_blocks(source(), cache, subset, cands, part);
         'shards: for (j, win) in windows.iter().enumerate() {
             let Some(win) = win else { continue };
             if j == shard {
@@ -821,7 +817,7 @@ mod tests {
         let table = SortedTable::new(&ds.schema, &ds.rows);
         let image = table.image(&ds.schema, &ds.rows, &Layout::Original, &budget).unwrap();
         let single =
-            crate::run_on_image(&crate::Brs, &image, &ds.schema, &ds.dissim, budget, &q).unwrap();
+            run_on_image(&crate::Brs, &image, &ds.schema, &ds.dissim, budget, &q, None).unwrap();
         assert_eq!(run.ids, single.ids);
         assert_eq!(run.stats.dist_checks, single.stats.dist_checks);
         assert_eq!(run.stats.query_dist_checks, single.stats.query_dist_checks);
@@ -831,6 +827,39 @@ mod tests {
         // survives, and all candidates are exactly the final result.
         assert_eq!(run.candidates, single.ids.len());
         assert_eq!(run.per_shard[0].verify.obj_comparisons, 0);
+    }
+
+    #[test]
+    fn one_part_reads_encode_their_layout_alone_and_index_nothing() {
+        let (ds, q) = rsky_data::paper_example();
+        let st = sharded(&ds, 1, ShardPolicy::RoundRobin);
+        for engine in ["srs", "trs"] {
+            assert_eq!(st.run_query(engine, 1, &q).unwrap().ids, vec![3, 6], "{engine}");
+        }
+        let part = &st.parts[0];
+        assert!(part.table.has_image(&Layout::MultiSort));
+        assert!(!part.table.has_image(&Layout::Original), "no other part verifies against it");
+        assert!(part.by_id.get().is_none(), "nothing looked a candidate up");
+    }
+
+    #[test]
+    fn id_indexes_are_built_on_the_first_lookup() {
+        let (ds, q) = rsky_data::paper_example();
+        let row: Vec<u32> = std::iter::once(100).chain(q.values.iter().copied()).collect();
+        for budget in [DEFAULT_PRUNER_BUDGET, 0] {
+            let st = sharded(&ds, 3, ShardPolicy::RoundRobin).with_pruner_budget(budget);
+            let (_, st) = st.insert(&ds.rows, &row);
+            assert!(st.parts.iter().all(|p| p.by_id.get().is_none()), "an insert builds none");
+            let run = st.run_query("trs", 1, &q).unwrap();
+            // The exchange looks up every candidate it exports, and the
+            // verification every candidate it blocks: here every part with
+            // candidates has a non-empty foreign part.
+            for (part, cost) in st.parts.iter().zip(&run.per_shard) {
+                let looked_up = cost.post_exchange > 0 || (budget > 0 && cost.candidates > 0);
+                assert_eq!(part.by_id.get().is_some(), looked_up, "budget {budget}: {cost:?}");
+            }
+            assert!(run.per_shard.iter().any(|c| c.candidates > 0));
+        }
     }
 
     #[test]

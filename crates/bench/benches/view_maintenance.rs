@@ -96,7 +96,7 @@ fn bench_size(n: usize, cfg: &BenchConfig) -> SizePoint {
         .iter()
         .map(|&(mix, insert_odds)| {
             let mut ds = base.clone();
-            let spec = ViewSpec { engine: ENGINE.into(), values: values.clone(), subset: None };
+            let spec = ViewSpec { values: values.clone(), subset: None };
             let q = spec.query(&ds.schema).unwrap();
             let mut view = MaterializedView::build(&ds, spec, 0).unwrap();
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ insert_odds as u64);
@@ -119,7 +119,7 @@ fn bench_size(n: usize, cfg: &BenchConfig) -> SizePoint {
                 mutate(&mut ds, &event);
 
                 let t0 = Instant::now();
-                let delta = view.apply(&ds, None, &event).unwrap();
+                let delta = view.apply(&ds, &[&ds.rows], &event);
                 incremental += t0.elapsed();
                 assert!(delta.is_some(), "in-order event ignored at step {step}");
 

@@ -21,7 +21,8 @@ server had to rebuild the view) for a mutation that reached the dataset.
 OPTIONS:
     --addr H:P        server address                             (required)
     --values V,V,…    query value ids, one per attribute         (required)
-    --engine E        naive | brs | srs | trs | trs-bf | tsrs | ttrs [trs]
+    --engine E        engine name the acknowledgement echoes; a view
+                      answers for every engine                   [trs]
     --subset I,I,…    attribute indices to search on             [all]
     --frames N        exit after N delta frames; 0 streams until the
                       server closes the connection               [0]";

@@ -26,7 +26,7 @@ pub struct CacheKey {
     pub values: Vec<ValueId>,
     /// Attribute subset (`None` = all attributes).
     pub subset: Option<Vec<usize>>,
-    /// Shard configuration the server ran under (`None` = single-node).
+    /// Shard configuration the server ran under (`None` = one part).
     /// Results are identical across shard configs — that is the point of
     /// the differential harness — but the config stays in the key for the
     /// same reason the engine does: reconfigured servers must be observable

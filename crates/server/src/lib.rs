@@ -52,6 +52,6 @@ pub use health::{HealthEvaluator, HealthReport, Level, Rule, RuleKind};
 pub use proto::{ErrKind, Request};
 pub use server::{resolve_threads, Server, ServerConfig, ServerHandle};
 pub use slowlog::{ProfileLine, SlowEntry, SlowLog};
-pub use state::{DataState, Tables};
+pub use state::DataState;
 pub use telemetry::Telemetry;
 pub use views::{SubscribeAck, ViewRegistry};

@@ -21,7 +21,7 @@ use std::io::{Read, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -47,12 +47,18 @@ use crate::health::HealthEvaluator;
 use crate::proto::{self, ErrKind, Request};
 use crate::queue::{BoundedQueue, PushError};
 use crate::slowlog::{SlowEntry, SlowLog};
-use crate::state::{DataState, DatasetVersion, WorkerState};
+use crate::state::{DataState, DatasetVersion};
 use crate::telemetry::Telemetry;
 use crate::views::ViewRegistry;
 
 /// How often an idle connection thread wakes up to notice a shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(50);
+
+/// Longest a connection waits for a client to take a reply or a delta
+/// frame. A client that stops reading fills the socket's buffers; its next
+/// write then times out and closes the connection, so the thread does not
+/// wedge and the shutdown drain does not wait on it forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Longest request line a connection may buffer, far above any request the
 /// protocol defines. A client whose line passes it without a newline gets a
@@ -87,10 +93,12 @@ pub struct ServerConfig {
     /// Enables test-only ops (`sleep`) used by the e2e suite to occupy
     /// workers deterministically. Keep off in production.
     pub enable_test_ops: bool,
-    /// Shard configuration: `None` serves single-node; `Some(spec)` serves
-    /// every query and influence workload through the scatter-gather
-    /// executor over `spec.shards` partitions (results are identical, per
-    /// the shard differential harness; the config is part of the cache key).
+    /// Shard configuration: `Some(spec)` partitions the dataset into
+    /// `spec.shards` parts, `None` holds it as one part. Every query and
+    /// influence workload runs through the scatter-gather executor, which
+    /// over one part is the single-node engine run (results are identical
+    /// for every partition, per the shard differential harness; the config
+    /// is part of the cache key).
     pub shard: Option<ShardSpec>,
     /// Pruner-exchange band budget per shard for the sharded executor
     /// (`--pruner-budget`): the strongest `budget` phase-1 candidates each
@@ -225,15 +233,10 @@ impl Server {
         let workers = resolve_threads(config.workers);
         let (registry, registry_handle) = RegistrySink::fresh();
         let obs = ObsHandle::tee(vec![obs::handle(), registry_handle]);
-        let data = match config.shard {
-            Some(spec) => {
-                let (page, mem_pct, tiles) = (config.page, config.mem_pct, config.tiles);
-                let tables = ShardedTables::new(&dataset, spec, mem_pct, page, tiles)?
-                    .with_pruner_budget(config.pruner_budget);
-                DataState::new_sharded(dataset, tables)
-            }
-            None => DataState::new(dataset),
-        };
+        let spec = config.shard.unwrap_or_else(ShardSpec::single);
+        let tables = ShardedTables::new(&dataset, spec, config.mem_pct, config.page, config.tiles)?
+            .with_pruner_budget(config.pruner_budget);
+        let data = DataState::with_tables(dataset, tables);
         let health = HealthEvaluator::with_overrides(config.health_rules.as_deref())
             .map_err(Error::InvalidConfig)?;
         let clock: Arc<dyn Clock> =
@@ -265,14 +268,9 @@ impl Server {
         let mut worker_handles: Vec<JoinHandle<()>> = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let ws = WorkerState::new(
-                    shared.config.page,
-                    shared.config.mem_pct,
-                    shared.config.tiles,
-                )?;
-                Ok(std::thread::spawn(move || worker_loop(&shared, ws)))
+                std::thread::spawn(move || worker_loop(&shared))
             })
-            .collect::<Result<_>>()?;
+            .collect();
         if shared.config.sample_interval_ms > 0 {
             let shared = Arc::clone(&shared);
             worker_handles.push(std::thread::spawn(move || sampler_loop(&shared)));
@@ -421,6 +419,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     // the thread can notice a shutdown without losing partial lines (the
     // buffer below survives across reads, unlike `BufReader::lines`).
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     // Responses are small; with Nagle on, each round trip would pick up
     // the delayed-ACK penalty (tens of ms) on top of the actual work.
     let _ = stream.set_nodelay(true);
@@ -602,7 +601,7 @@ fn handle_line(
         Request::Expire { id } => (mutate(shared, "expire", id, || shared.data.expire(id)), false),
         Request::Subscribe { engine, values, subset } => {
             let (tx, rx) = mpsc::channel::<String>();
-            let spec = ViewSpec { engine: engine.clone(), values, subset };
+            let spec = ViewSpec { values, subset };
             // The build runs detached from the connection span so its
             // `view.build` trace is a fresh `server.request`-rooted tree.
             let built = obs::with_recorder(shared.obs.clone(), || {
@@ -645,8 +644,9 @@ fn mutate(
 ) -> String {
     // Mutations reach the views one at a time and in generation order; the
     // data mutation itself happens under this lock too so the event feed
-    // cannot interleave.
-    let _order = shared.mutation_order.lock().unwrap();
+    // cannot interleave. The lock guards no data, so a panic that poisoned
+    // it left nothing half done.
+    let _order = shared.mutation_order.lock().unwrap_or_else(PoisonError::into_inner);
     match apply() {
         Ok((version, event)) => {
             // Results computed against older generations can no longer be
@@ -725,7 +725,7 @@ fn admit(
 /// queue is closed and drained. A request that panics is answered
 /// `internal` like any failed one: its connection waits for exactly one
 /// reply, and the worker stays in the pool.
-fn worker_loop(shared: &Arc<Shared>, mut ws: WorkerState) {
+fn worker_loop(shared: &Arc<Shared>) {
     let capture_slow = shared.config.slow_request_us > 0;
     while let Some(job) = shared.queue.pop() {
         let wait = job.enqueued.elapsed();
@@ -748,7 +748,7 @@ fn worker_loop(shared: &Arc<Shared>, mut ws: WorkerState) {
         // both installs are guards, so a panic unwinds through them.
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
             obs::with_recorder(req_obs.clone(), || {
-                cancel::with_token(job.token.clone(), || execute(shared, &mut ws, &job, &mut span))
+                cancel::with_token(job.token.clone(), || execute(shared, &job, &mut span))
             })
         }));
         let response = run.unwrap_or_else(|_| {
@@ -776,13 +776,9 @@ fn worker_loop(shared: &Arc<Shared>, mut ws: WorkerState) {
 }
 
 /// Answers one pooled request, with the request's recorder and cancel
-/// token installed on this thread.
-fn execute(
-    shared: &Arc<Shared>,
-    ws: &mut WorkerState,
-    job: &Job,
-    span: &mut rsky_core::obs::Span,
-) -> String {
+/// token installed on this thread. Queries, influence workloads and `top_k`
+/// rankings all run on the version's shard parts.
+fn execute(shared: &Arc<Shared>, job: &Job, span: &mut rsky_core::obs::Span) -> String {
     if job.token.check().is_err() {
         shared.obs.counter_add(names::SERVER_TIMEOUT, 1);
         return proto::err_line(ErrKind::Timeout, "deadline elapsed while queued");
@@ -806,14 +802,14 @@ fn execute(
             // Renders the answer, ranked by |RS(member)| when `top_k` asks:
             // the ranking runs through the tables this version already
             // serves.
-            let finish = |ws: &mut WorkerState, ids: &[RecordId], cached: bool, elapsed_us| {
+            let finish = |ids: &[RecordId], cached: bool, elapsed_us| {
                 let Some(k) = *top_k else {
                     shared.obs.counter_add(names::SERVER_SERVED, 1);
                     return proto::ok_query(engine, version.generation, ids, cached, elapsed_us);
                 };
                 let ranked =
                     rank_members_with(&version.dataset, subset.as_deref(), ids, k, |queries| {
-                        ws.run_influence(&version, queries, false)
+                        version.tables.run_influence(queries, false)
                     });
                 match ranked {
                     Ok(ranked) => {
@@ -842,7 +838,7 @@ fn execute(
                 if span.is_recording() {
                     span.field("view_hit", 1);
                 }
-                return finish(ws, &ids, true, 0);
+                return finish(&ids, true, 0);
             }
             let key = CacheKey {
                 generation: version.generation,
@@ -856,7 +852,7 @@ fn execute(
                 if span.is_recording() {
                     span.field("cache_hit", 1);
                 }
-                return finish(ws, &ids, true, 0);
+                return finish(&ids, true, 0);
             }
             shared.obs.counter_add(names::SERVER_CACHE_MISS, 1);
             if span.is_recording() {
@@ -874,10 +870,10 @@ fn execute(
                 }
             };
             let t0 = Instant::now();
-            match ws.run_query(&version, engine, shared.config.engine_threads, &query) {
+            match version.tables.run_query(engine, shared.config.engine_threads, &query) {
                 Ok(run) => {
                     shared.cache.insert(key, run.ids.clone());
-                    finish(ws, &run.ids, false, t0.elapsed().as_micros())
+                    finish(&run.ids, false, t0.elapsed().as_micros())
                 }
                 Err(e) => engine_error(shared, e),
             }
@@ -910,7 +906,7 @@ fn execute(
                 return proto::ok_influence(version.generation, &ranking, 0);
             }
             let t0 = Instant::now();
-            match ws.run_influence(&version, &workload, false) {
+            match version.tables.run_influence(&workload, false) {
                 Ok(report) => {
                     let ranking: Vec<(usize, usize)> = report
                         .ranking()

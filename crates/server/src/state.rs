@@ -1,4 +1,4 @@
-//! Shared dataset state and per-worker engine state.
+//! Shared, versioned dataset state.
 //!
 //! The served dataset lives behind a [`DataState`]: an `Arc<Dataset>` plus
 //! a monotonically increasing **generation**, bumped by every mutation
@@ -6,92 +6,47 @@
 //! result cache (it is part of the cache key) and for the page images
 //! below.
 //!
-//! ## One table-image path
+//! ## One serving path
 //!
-//! Every version holds its rows as [`SortedTable`]s: sorted once, when the
-//! state is created, into the multi-sort order of the MultiSort layout,
-//! and kept in that order by binary-search insertion and removal, so no
-//! write re-sorts. A table encodes each layout's page image at most once,
-//! on first use, and every worker reads that one image: Original from the
-//! generation-order rows, MultiSort from the kept order, and Tiled by one
-//! external sort of the Original image.
+//! Every version holds its rows as a [`ShardedTables`]: the dataset
+//! partitioned into shard parts, one [`SortedTable`](rsky_algos::SortedTable)
+//! each, sorted once, when the state is created, into the multi-sort order
+//! of the MultiSort layout and kept in that order by binary-search
+//! insertion and removal, so no write re-sorts. A part encodes each
+//! layout's page image at most once, on first use, and every worker reads
+//! that one image. An unsharded state is one part
+//! ([`ShardSpec::single`]): its run is the single-node engine run, counters
+//! and pages included, so queries, influence workloads and `top_k`
+//! rankings all run through [`ShardedTables::run_query`] and
+//! [`ShardedTables::run_influence`], whatever the part count.
 //!
-//! * An unsharded state ([`DataState::new`]) holds one table for the whole
-//!   dataset per generation.
-//! * A sharded state ([`DataState::new_sharded`]) holds a
-//!   [`ShardedTables`]: the dataset partitioned into K shard parts, one
-//!   table each, **copy-on-write per part**. An insert rebuilds only the
-//!   one part the record lands in, and an expire only the parts that hold
-//!   a copy of the id (every copy goes, as from the flat rows); every other
-//!   part, with the images it encoded in earlier generations, is shared
-//!   with the older versions. Placement is *sticky*: hash-by-id records
-//!   land by their id; round-robin records are placed by their arrival
-//!   position and keep that shard for life (an expire does not
-//!   re-balance). Query results never depend on placement — the
-//!   scatter-gather executor is exact for any partition — so stickiness
-//!   only affects load spread, not answers.
+//! The partition is **copy-on-write per part**. An insert rebuilds only the
+//! one part the record lands in, and an expire only the parts that hold a
+//! copy of the id (every copy goes, as from the flat rows); every other
+//! part, with the images it encoded in earlier generations, is shared with
+//! the older versions. Placement is *sticky*: hash-by-id records land by
+//! their id; round-robin records are placed by their arrival position and
+//! keep that shard for life (an expire does not re-balance). Query results
+//! never depend on placement — the scatter-gather executor is exact for any
+//! partition — so stickiness only affects load spread, not answers.
 //!
-//! Workers cannot share one disk — `EngineCtx` takes `&mut Disk` because
-//! engines create scratch files (the R-file) during a run — so every query
-//! mounts the image it reads on a fresh in-memory scratch disk
-//! ([`run_on_image`]; the mount shares the pages instead of copying them),
-//! and drops the disk with the engine's scratch files when the run ends.
-//! A mounted image reads exactly like a freshly prepared table, so the
-//! engines' costs do not depend on the worker or on the queries it ran
-//! before. A [`WorkerState`] keeps no tables: one version serves every
-//! worker.
+//! Workers cannot share one disk — engines create scratch files (the
+//! R-file) during a run — so every query mounts the image it reads on a
+//! fresh in-memory scratch disk (the mount shares the pages instead of
+//! copying them) and drops the disk with the engine's scratch files when
+//! the run ends. A mounted image reads exactly like a freshly prepared
+//! table, so the engines' costs do not depend on the worker or on the
+//! queries it ran before, and one version serves every worker.
 
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
-use rsky_algos::influence::run_queries;
 use rsky_algos::shard::ShardedTables;
-use rsky_algos::{engine_by_name, layout_for, run_on_image, InfluenceReport, RsRun, SortedTable};
 use rsky_core::dataset::Dataset;
 use rsky_core::error::{Error, Result};
-use rsky_core::query::Query;
 use rsky_core::record::{RecordId, RowBuf, ValueId};
-use rsky_storage::{MemoryBudget, MutationEvent};
+use rsky_storage::{MutationEvent, ShardSpec};
 
-/// The tables a version holds its rows in.
-#[derive(Clone)]
-pub enum Tables {
-    /// The whole dataset as one table.
-    Whole(Arc<SortedTable>),
-    /// One table per shard part, with the scatter-gather settings.
-    Sharded(Arc<ShardedTables>),
-}
-
-impl Tables {
-    /// `rows`, the dataset's rows in generation order, with `row` appended,
-    /// and these tables with `row` in them.
-    fn insert(&self, rows: &RowBuf, row: &[u32]) -> (RowBuf, Self) {
-        match self {
-            Self::Whole(table) => {
-                let (rows, table) = table.insert(rows, row);
-                (rows, Self::Whole(Arc::new(table)))
-            }
-            Self::Sharded(tables) => {
-                let (rows, tables) = tables.insert(rows, row);
-                (rows, Self::Sharded(Arc::new(tables)))
-            }
-        }
-    }
-
-    /// `rows` and these tables without any copy of record `id`; `None`
-    /// when there is none.
-    fn expire(&self, rows: &RowBuf, id: RecordId) -> Option<(RowBuf, Self)> {
-        Some(match self {
-            Self::Whole(table) => {
-                let (rows, table) = table.expire(rows, id)?;
-                (rows, Self::Whole(Arc::new(table)))
-            }
-            Self::Sharded(tables) => {
-                let (rows, tables) = tables.expire(rows, id)?;
-                (rows, Self::Sharded(Arc::new(tables)))
-            }
-        })
-    }
-}
+use crate::server::ServerConfig;
 
 /// The served dataset at one point in time.
 #[derive(Clone)]
@@ -100,21 +55,13 @@ pub struct DatasetVersion {
     pub generation: u64,
     /// The dataset itself (shared, immutable — mutations replace the Arc).
     pub dataset: Arc<Dataset>,
-    /// The dataset's rows as tables: whole, or one per shard part.
-    pub tables: Tables,
+    /// The dataset's rows as shard parts: one part when unsharded.
+    pub tables: Arc<ShardedTables>,
 }
 
 impl DatasetVersion {
-    /// The shard partition, when serving sharded.
-    pub fn shards(&self) -> Option<&ShardedTables> {
-        match &self.tables {
-            Tables::Sharded(tables) => Some(tables),
-            Tables::Whole(_) => None,
-        }
-    }
-
     /// The next generation: `rows` held as `tables`.
-    fn next(&self, rows: RowBuf, tables: Tables) -> Self {
+    fn next(&self, rows: RowBuf, tables: ShardedTables) -> Self {
         let ds = &self.dataset;
         let dataset = Dataset {
             schema: ds.schema.clone(),
@@ -122,52 +69,55 @@ impl DatasetVersion {
             rows,
             label: ds.label.clone(),
         };
-        Self { generation: self.generation + 1, dataset: Arc::new(dataset), tables }
+        let generation = self.generation + 1;
+        Self { generation, dataset: Arc::new(dataset), tables: Arc::new(tables) }
     }
 }
 
-/// Shared, versioned dataset state.
+/// Shared, versioned dataset state. A write replaces the current version
+/// whole, so a panic that poisoned the lock left a whole version behind,
+/// and the lock is taken as it is.
 pub struct DataState {
     current: RwLock<DatasetVersion>,
 }
 
 impl DataState {
-    /// Wraps `dataset` as generation 1, sorting a copy of its rows into
-    /// the kept multi-sort order.
+    /// Wraps `dataset` as generation 1, held as one part at the default
+    /// serving settings ([`ServerConfig::default`]'s memory knob, page size
+    /// and tile count).
     pub fn new(dataset: Dataset) -> Self {
-        let table = SortedTable::new(&dataset.schema, &dataset.rows);
-        Self::wrap(dataset, Tables::Whole(Arc::new(table)))
+        let c = ServerConfig::default();
+        let tables = ShardedTables::new(&dataset, ShardSpec::single(), c.mem_pct, c.page, c.tiles)
+            .expect("the default serving settings are valid");
+        Self::with_tables(dataset, tables)
     }
 
     /// Wraps `dataset` as generation 1, held as `tables`, its partition
     /// ([`ShardedTables::new`] of `dataset`), which carries the shard spec
     /// and the scatter-gather settings and is maintained copy-on-write
     /// across mutations.
-    pub fn new_sharded(dataset: Dataset, tables: ShardedTables) -> Self {
-        Self::wrap(dataset, Tables::Sharded(Arc::new(tables)))
-    }
-
-    fn wrap(dataset: Dataset, tables: Tables) -> Self {
-        let version = DatasetVersion { generation: 1, dataset: Arc::new(dataset), tables };
+    pub fn with_tables(dataset: Dataset, tables: ShardedTables) -> Self {
+        let (dataset, tables) = (Arc::new(dataset), Arc::new(tables));
+        let version = DatasetVersion { generation: 1, dataset, tables };
         Self { current: RwLock::new(version) }
     }
 
     /// The current version (cheap: clones an Arc under a read lock).
     pub fn current(&self) -> DatasetVersion {
-        self.current.read().unwrap().clone()
+        self.current.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Adds a record, returning the new version together with the mutation
     /// event downstream maintainers (materialized views) consume. Fails
     /// without bumping the generation when the id is taken or the values
     /// don't fit the schema. The record goes where a binary search puts it
-    /// in the kept order.
+    /// in its part's kept order.
     pub fn insert(
         &self,
         id: RecordId,
         values: &[ValueId],
     ) -> Result<(DatasetVersion, MutationEvent)> {
-        let mut cur = self.current.write().unwrap();
+        let mut cur = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let ds = &cur.dataset;
         if values.len() != ds.schema.num_attrs() {
             return Err(Error::SchemaMismatch(format!(
@@ -190,7 +140,7 @@ impl DataState {
     /// Removes every record with id `id`, returning the new version and the
     /// mutation event.
     pub fn expire(&self, id: RecordId) -> Result<(DatasetVersion, MutationEvent)> {
-        let mut cur = self.current.write().unwrap();
+        let mut cur = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let Some((rows, tables)) = cur.tables.expire(&cur.dataset.rows, id) else {
             return Err(Error::InvalidConfig(format!("record id {id} does not exist")));
         };
@@ -200,69 +150,17 @@ impl DataState {
     }
 }
 
-/// One worker's engine settings for unsharded versions: page size, memory
-/// knob and tile count. It holds no tables — each query mounts the
-/// version's page image on a scratch disk of its own, and a sharded
-/// version runs on its own [`ShardedTables`] — so one version serves every
-/// worker.
-pub struct WorkerState {
-    page: usize,
-    mem_pct: f64,
-    tiles: u32,
-}
-
-impl WorkerState {
-    /// Creates a worker state.
-    pub fn new(page: usize, mem_pct: f64, tiles: u32) -> Result<Self> {
-        // Refuses a page size no budget can be built on.
-        MemoryBudget::from_bytes(page as u64, page)?;
-        Ok(Self { page, mem_pct, tiles })
-    }
-
-    /// Runs one reverse-skyline query with `engine_name` on the layout it
-    /// needs: over the version's image on a scratch disk when unsharded,
-    /// through the scatter-gather executor otherwise. Cancellation
-    /// (deadline) is taken from the scoped token installed by the caller.
-    pub fn run_query(
-        &mut self,
-        version: &DatasetVersion,
-        engine_name: &str,
-        engine_threads: usize,
-        query: &Query,
-    ) -> Result<RsRun> {
-        let table = match &version.tables {
-            Tables::Whole(table) => table,
-            Tables::Sharded(tables) => {
-                let run = tables.run_query(engine_name, engine_threads, query)?;
-                return Ok(RsRun { ids: run.ids, stats: run.stats });
-            }
-        };
-        let ds = &version.dataset;
-        let layout = layout_for(engine_name, self.tiles)?;
-        let budget = MemoryBudget::from_percent(ds.data_bytes(), self.mem_pct, self.page)?;
-        let image = table.image(&ds.schema, &ds.rows, &layout, &budget)?;
-        let engine = engine_by_name(engine_name, &ds.schema, engine_threads)?;
-        run_on_image(engine.as_ref(), &image, &ds.schema, &ds.dissim, budget, query)
-    }
-
-    /// Runs an influence workload: `|RS(q)|` per query with single-threaded
-    /// TRS through [`run_query`](Self::run_query), in the one influence
-    /// loop ([`rsky_algos::influence::run_queries`]).
-    pub fn run_influence(
-        &mut self,
-        version: &DatasetVersion,
-        queries: &[Query],
-        keep_ids: bool,
-    ) -> Result<InfluenceReport> {
-        run_queries(queries.iter().enumerate(), keep_ids, |q| self.run_query(version, "trs", 1, q))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsky_algos::Layout;
-    use rsky_storage::{Disk, ShardSpec, SharedRecords};
+    use rsky_algos::{Layout, SortedTable};
+    use rsky_storage::{Disk, MemoryBudget, SharedRecords};
+
+    /// `ds` held as one part at memory knob `mem_pct` and page size `page`.
+    fn one_part(ds: Dataset, mem_pct: f64, page: usize) -> DataState {
+        let tables = ShardedTables::new(&ds, ShardSpec::single(), mem_pct, page, 4).unwrap();
+        DataState::with_tables(ds, tables)
+    }
 
     #[test]
     fn insert_and_expire_bump_generations() {
@@ -294,12 +192,12 @@ mod tests {
     #[test]
     fn worker_results_match_direct_runs_across_generations() {
         let (ds, q) = rsky_data::paper_example();
-        let state = DataState::new(ds);
-        let mut worker = WorkerState::new(64, 50.0, 4).unwrap();
+        let state = one_part(ds, 50.0, 64);
 
         let v1 = state.current();
+        assert_eq!(v1.tables.num_shards(), 1, "an unsharded state is one part");
         for engine in ["naive", "brs", "srs", "trs", "trs-bf", "tsrs", "ttrs"] {
-            let run = worker.run_query(&v1, engine, 1, &q).unwrap();
+            let run = v1.tables.run_query(engine, 1, &q).unwrap();
             let expect = rsky_core::skyline::reverse_skyline_by_definition(
                 &v1.dataset.dissim,
                 &v1.dataset.rows,
@@ -308,9 +206,9 @@ mod tests {
             assert_eq!(run.ids, expect, "{engine} on generation 1");
         }
 
-        // Mutate, then verify the worker rebuilds and agrees again.
+        // Mutate, then verify the next version's part agrees again.
         let (v2, _) = state.insert(100, &q.values.clone()).unwrap();
-        let run = worker.run_query(&v2, "trs", 1, &q).unwrap();
+        let run = v2.tables.run_query("trs", 1, &q).unwrap();
         let expect = rsky_core::skyline::reverse_skyline_by_definition(
             &v2.dataset.dissim,
             &v2.dataset.rows,
@@ -323,15 +221,14 @@ mod tests {
     fn worker_rejects_unknown_engine() {
         let (ds, q) = rsky_data::paper_example();
         let state = DataState::new(ds);
-        let mut worker = WorkerState::new(64, 50.0, 4).unwrap();
-        assert!(worker.run_query(&state.current(), "nope", 1, &q).is_err());
+        assert!(state.current().tables.run_query("nope", 1, &q).is_err());
     }
 
     /// Union of the shard parts must equal the flat rows (as an id set)
     /// across any mutation sequence — the copy-on-write invariant.
     fn assert_parts_cover(version: &DatasetVersion) {
-        let sp = version.shards().expect("sharded state");
-        let mut ids: Vec<u32> = sp
+        let mut ids: Vec<u32> = version
+            .tables
             .part_rows()
             .flat_map(|p| (0..p.len()).map(|i| p.id(i)).collect::<Vec<_>>())
             .collect();
@@ -349,7 +246,7 @@ mod tests {
         for policy in [ShardPolicy::RoundRobin, ShardPolicy::HashById] {
             let spec = ShardSpec::new(3, policy).unwrap();
             let tables = ShardedTables::new(&ds, spec, 50.0, 64, 4).unwrap();
-            let state = DataState::new_sharded(ds.clone(), tables);
+            let state = DataState::with_tables(ds.clone(), tables);
             let v1 = state.current();
             assert_parts_cover(&v1);
 
@@ -358,8 +255,8 @@ mod tests {
             // Exactly one part was rewritten; the others are still the very
             // parts v1 holds (copy-on-write).
             let rewritten = |a: &DatasetVersion, b: &DatasetVersion| {
-                let (a, b) = (a.shards().unwrap(), b.shards().unwrap());
-                a.part_rows().zip(b.part_rows()).filter(|(a, b)| !std::ptr::eq(*a, *b)).count()
+                let (a, b) = (a.tables.part_rows(), b.tables.part_rows());
+                a.zip(b).filter(|(a, b)| !std::ptr::eq(*a, *b)).count()
             };
             assert_eq!(rewritten(&v1, &v2), 1, "{policy}: insert rewrites exactly one shard part");
 
@@ -367,11 +264,10 @@ mod tests {
             assert_parts_cover(&v3);
             assert_eq!(rewritten(&v2, &v3), 1, "{policy}: expire rewrites exactly one shard part");
 
-            // A sharded worker answers identically to the definition across
-            // the mutation history.
-            let mut worker = WorkerState::new(64, 50.0, 4).unwrap();
+            // A sharded version answers identically to the definition
+            // across the mutation history.
             for v in [&v2, &v3] {
-                let run = worker.run_query(v, "trs", 1, &q).unwrap();
+                let run = v.tables.run_query("trs", 1, &q).unwrap();
                 let expect = rsky_core::skyline::reverse_skyline_by_definition(
                     &v.dataset.dissim,
                     &v.dataset.rows,
@@ -388,30 +284,17 @@ mod tests {
         image.mount(&mut disk).unwrap().read_all(&mut disk).unwrap()
     }
 
-    /// The image of `layout` an unsharded version's workers mount.
-    fn whole_image(
-        version: &DatasetVersion,
-        layout: &Layout,
-        budget: &MemoryBudget,
-    ) -> Result<SharedRecords> {
-        let Tables::Whole(table) = &version.tables else { panic!("an unsharded version") };
-        table.image(&version.dataset.schema, &version.dataset.rows, layout, budget)
-    }
-
     #[test]
     fn failed_encodes_are_not_kept() {
         let (ds, _) = rsky_data::paper_example();
-        let version = DataState::new(ds).current();
-        let budget = MemoryBudget::from_bytes(256, 64).unwrap();
-        let err = whole_image(&version, &Layout::Tiled { tiles_per_attr: 0 }, &budget).unwrap_err();
+        let version = one_part(ds, 50.0, 64).current();
+        let image = |tiles_per_attr| version.tables.image(0, &Layout::Tiled { tiles_per_attr });
+        let err = image(0).unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
-        let tiled = Layout::Tiled { tiles_per_attr: 2 };
-        let image = whole_image(&version, &tiled, &budget).unwrap();
-        assert_eq!(image.len(), version.dataset.len() as u64);
-        let again = whole_image(&version, &tiled, &budget).unwrap();
-        assert_eq!(image_rows(&again), image_rows(&image));
-        let other = Layout::Tiled { tiles_per_attr: 3 };
-        assert!(whole_image(&version, &other, &budget).is_err(), "one tile count a generation");
+        let first = image(2).unwrap();
+        assert_eq!(first.len(), version.dataset.len() as u64);
+        assert_eq!(image_rows(&image(2).unwrap()), image_rows(&first));
+        assert!(image(3).is_err(), "one tile count a generation");
     }
 
     #[test]
@@ -420,13 +303,13 @@ mod tests {
         let (ds, q) = rsky_data::paper_example();
         let spec = ShardSpec::new(2, ShardPolicy::RoundRobin).unwrap();
         let tables = ShardedTables::new(&ds, spec, 50.0, 64, 2).unwrap();
-        let state = DataState::new_sharded(ds.clone(), tables);
+        let state = DataState::with_tables(ds.clone(), tables);
         let budget = MemoryBudget::from_bytes(256, 64).unwrap();
         let layouts = [Layout::Original, Layout::MultiSort, Layout::Tiled { tiles_per_attr: 2 }];
         let first = ds.rows.id(0);
         for step in 0..3 {
             let version = state.current();
-            let tables = version.shards().expect("a sharded version");
+            let tables = &version.tables;
             for (i, rows) in tables.part_rows().enumerate() {
                 // A part kept through the writes encodes what a part sorted
                 // afresh encodes.
@@ -454,14 +337,19 @@ mod tests {
             .unwrap()
             .run(&qs, true)
             .unwrap();
-        let state = DataState::new(ds);
-        let mut worker = WorkerState::new(256, 15.0, 4).unwrap();
-        let got = worker.run_influence(&state.current(), &qs, true).unwrap();
+        let state = one_part(ds, 15.0, 256);
+        let got = state.current().tables.run_influence(&qs, true).unwrap();
         assert_eq!(got.per_query.len(), qs.len());
         for (a, b) in expect.per_query.iter().zip(&got.per_query) {
             assert_eq!((a.query_index, a.cardinality), (b.query_index, b.cardinality));
             assert_eq!(a.ids, b.ids);
         }
         assert_eq!(got.ranking(), expect.ranking());
+        // One part runs the influence engine's TRS over the same image.
+        let costs = |r: &rsky_algos::InfluenceReport| {
+            let t = &r.totals;
+            (t.dist_checks, t.query_dist_checks, t.obj_comparisons, t.tree_nodes_visited, t.io)
+        };
+        assert_eq!(costs(&got), costs(&expect));
     }
 }

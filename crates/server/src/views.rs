@@ -20,8 +20,16 @@
 //! exactly the request's generation — the epoch check that keeps a mutation
 //! racing a same-generation request from serving a stale (or too-new)
 //! snapshot.
+//!
+//! Every view is maintained over the version's shard parts (one part when
+//! unsharded). A maintenance step that panics leaves its view at its old
+//! generation, where it answers no request; the next event it sees has a
+//! gap, so it rebuilds and pushes a `resync` frame. A panic never
+//! reaches the caller, and a lock poisoned by a panic elsewhere is taken
+//! as it is: the registry changes an entry only whole.
 
-use std::sync::{mpsc, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 
 use rsky_core::error::Result;
 use rsky_core::obs::{self, names};
@@ -74,32 +82,32 @@ impl ViewRegistry {
         Self::default()
     }
 
+    /// The registry, also after a panic poisoned its lock.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers a subscription: reuses the live view for the same query
     /// key or builds one at the current generation. `data` is read under
     /// the registry lock — callers must mutate `data` and `apply` the event
     /// under the same mutation-order discipline (see `server::mutate`), so
-    /// the snapshot cannot race a concurrent mutation.
+    /// the snapshot cannot race a concurrent mutation. A view that a
+    /// panicking step left behind acks its own generation; the next event
+    /// resyncs it.
     pub fn subscribe(
         &self,
         data: &DataState,
         spec: ViewSpec,
         tx: mpsc::Sender<String>,
     ) -> Result<SubscribeAck> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let version = data.current();
         let at = match inner
             .entries
             .iter()
             .position(|e| e.view.spec().matches_key(&spec.values, spec.subset.as_deref()))
         {
-            Some(at) => {
-                debug_assert_eq!(
-                    inner.entries[at].view.generation(),
-                    version.generation,
-                    "live views are maintained on every mutation"
-                );
-                at
-            }
+            Some(at) => at,
             None => {
                 let view = MaterializedView::build(&version.dataset, spec, version.generation)?;
                 inner.entries.push(Entry { view, subs: Vec::new() });
@@ -128,17 +136,19 @@ impl ViewRegistry {
     /// Must be called in generation order (the caller holds the server's
     /// mutation-order lock).
     pub fn apply(&self, version: &DatasetVersion, event: &MutationEvent) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let obs = obs::handle();
         let mut frames = 0u64;
-        let parts: Option<Vec<&RowBuf>> = version.shards().map(|s| s.part_rows().collect());
+        let parts: Vec<&RowBuf> = version.tables.part_rows().collect();
         for entry in &mut inner.entries {
-            let delta = match entry.view.apply(&version.dataset, parts.as_deref(), event) {
+            let step = AssertUnwindSafe(|| entry.view.apply(&version.dataset, &parts, event));
+            let delta = match panic::catch_unwind(step) {
                 Ok(Some(delta)) => delta,
                 // Stale event (already covered by a resync) — nothing to push.
                 Ok(None) => continue,
-                // A failed maintenance step leaves the view at its old
-                // generation; the next event sees a gap and resyncs.
+                // A panicking maintenance step leaves the view at its old
+                // generation; the next event sees a gap and the rebuild
+                // replaces whatever the step left half done.
                 Err(_) => continue,
             };
             entry.subs.retain(|s| {
@@ -170,7 +180,7 @@ impl ViewRegistry {
         if subs.is_empty() {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         for entry in &mut inner.entries {
             entry.subs.retain(|s| !subs.contains(&s.sub));
         }
@@ -190,7 +200,7 @@ impl ViewRegistry {
         subset: Option<&[usize]>,
         generation: u64,
     ) -> Option<Vec<RecordId>> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         inner
             .entries
             .iter()
@@ -207,7 +217,7 @@ impl ViewRegistry {
         workload: &[Query],
         generation: u64,
     ) -> Option<Vec<usize>> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         workload
             .iter()
             .map(|q| {
@@ -225,7 +235,7 @@ impl ViewRegistry {
 
     /// Number of live views (for tests).
     pub fn live(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
+        self.lock().entries.len()
     }
 }
 
@@ -243,7 +253,7 @@ mod tests {
         let (state, values) = state();
         let reg = ViewRegistry::new();
         let (tx, rx) = mpsc::channel();
-        let spec = ViewSpec { engine: "trs".into(), values: values.clone(), subset: None };
+        let spec = ViewSpec { values: values.clone(), subset: None };
         let ack = reg.subscribe(&state, spec, tx).unwrap();
         assert_eq!(ack.ids, vec![3, 6], "paper example snapshot");
         assert_eq!((ack.generation, ack.epoch), (1, 0));
@@ -278,7 +288,7 @@ mod tests {
         let (state, values) = state();
         let reg = ViewRegistry::new();
         let (tx, _rx) = mpsc::channel();
-        let spec = ViewSpec { engine: "trs".into(), values: values.clone(), subset: None };
+        let spec = ViewSpec { values: values.clone(), subset: None };
         reg.subscribe(&state, spec, tx).unwrap();
         // A request reads generation 1, then the mutation lands.
         let stale_generation = state.current().generation;
@@ -299,7 +309,7 @@ mod tests {
         let (state, values) = state();
         let reg = ViewRegistry::new();
         let (tx, rx) = mpsc::channel();
-        let spec = ViewSpec { engine: "trs".into(), values: values.clone(), subset: None };
+        let spec = ViewSpec { values: values.clone(), subset: None };
         let ack = reg.subscribe(&state, spec.clone(), tx).unwrap();
         assert_eq!(reg.live(), 1);
         drop(rx);
@@ -319,7 +329,7 @@ mod tests {
         let (state, values) = state();
         let reg = ViewRegistry::new();
         let (tx, _rx) = mpsc::channel();
-        let spec = ViewSpec { engine: "trs".into(), values: values.clone(), subset: None };
+        let spec = ViewSpec { values: values.clone(), subset: None };
         reg.subscribe(&state, spec, tx).unwrap();
         let v = state.current();
         let q = Query::new(&v.dataset.schema, values.clone()).unwrap();
@@ -338,16 +348,62 @@ mod tests {
         );
     }
 
+    /// A view step that panics (here: a version narrower than the view's
+    /// query) leaves the view at its old generation and the registry
+    /// usable: lookups, subscriptions and the next event work, and that
+    /// event resyncs the view.
+    #[test]
+    fn a_panicking_view_step_leaves_the_registry_serving() {
+        use rsky_algos::ShardedTables;
+        use rsky_storage::ShardSpec;
+        let (state, values) = state();
+        let reg = ViewRegistry::new();
+        let (tx, rx) = mpsc::channel();
+        let spec = ViewSpec { values: values.clone(), subset: None };
+        reg.subscribe(&state, spec.clone(), tx).unwrap();
+
+        let (v2, _) = state.insert(100, &values).unwrap();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        let narrow = rsky_data::synthetic::normal_dataset(2, 3, 5, &mut rng).unwrap();
+        let tables = ShardedTables::new(&narrow, ShardSpec::single(), 50.0, 64, 4).unwrap();
+        let narrow = DatasetVersion {
+            generation: v2.generation,
+            dataset: std::sync::Arc::new(narrow),
+            tables: std::sync::Arc::new(tables),
+        };
+        reg.apply(&narrow, &MutationEvent::insert(100, vec![0, 0], v2.generation));
+        assert!(rx.try_recv().is_err(), "a panicking step pushes nothing");
+        assert_eq!(reg.lookup(&values, None, 1), Some(vec![3, 6]), "the view stays at 1");
+        assert_eq!(reg.lookup(&values, None, v2.generation), None);
+
+        let (tx2, rx2) = mpsc::channel();
+        let ack = reg.subscribe(&state, spec, tx2).unwrap();
+        assert_eq!((ack.generation, ack.ids), (1, vec![3, 6]), "a stale view acks its own state");
+
+        let (v3, e3) = state.insert(101, &vec![0; values.len()]).unwrap();
+        reg.apply(&v3, &e3);
+        let want = rsky_core::skyline::reverse_skyline_by_definition(
+            &v3.dataset.dissim,
+            &v3.dataset.rows,
+            &Query::new(&v3.dataset.schema, values.clone()).unwrap(),
+        );
+        for rx in [&rx, &rx2] {
+            let frame = rx.try_recv().expect("the next event reaches every subscriber");
+            assert!(frame.contains("\"resync\":true"), "{frame}");
+        }
+        assert_eq!(reg.lookup(&values, None, v3.generation), Some(want));
+    }
+
     #[test]
     fn sharded_versions_apply_part_by_part() {
         use rsky_storage::{ShardPolicy, ShardSpec};
         let (ds, q) = rsky_data::paper_example();
         let spec = ShardSpec::new(3, ShardPolicy::HashById).unwrap();
         let tables = rsky_algos::ShardedTables::new(&ds, spec, 50.0, 64, 4).unwrap();
-        let state = DataState::new_sharded(ds, tables);
+        let state = DataState::with_tables(ds, tables);
         let reg = ViewRegistry::new();
         let (tx, rx) = mpsc::channel();
-        let spec = ViewSpec { engine: "brs".into(), values: q.values.clone(), subset: None };
+        let spec = ViewSpec { values: q.values.clone(), subset: None };
         let ack = reg.subscribe(&state, spec, tx).unwrap();
         assert_eq!(ack.ids, vec![3, 6]);
         let (version, event) = state.insert(100, &q.values).unwrap();

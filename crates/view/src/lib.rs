@@ -16,7 +16,9 @@
 //!   kernel, both invariant under mutations (they depend only on schema,
 //!   dissimilarity table and query).
 //!
-//! Reverse skylines are monotone under single mutations:
+//! Every step scans the dataset as its parts: the shard parts of the
+//! served partition in part order, one part when unsharded. Reverse
+//! skylines are monotone under single mutations:
 //!
 //! * **insert Z** can evict members (Z may prune them) and can add at most
 //!   Z itself; it can never re-admit another non-member (their witnesses
@@ -24,16 +26,15 @@
 //!   probe over the members, both through [`rsky_algos::delta`]'s witness
 //!   scan.
 //! * **expire Z** can admit only the non-members whose witness was Z (the
-//!   *orphans*); members stay members. Orphans are re-qualified against a
-//!   pruner band first (the PR 7 exchange ranking, one band per shard part,
-//!   merged in scan order), then against the full parts.
+//!   *orphans*); members stay members. Orphans are re-qualified against
+//!   the parts — with more than one part, against a pruner band first (the
+//!   shard exchange's ranking, one band per part, merged in part order).
 //!
-//! When a mutation's effect cannot be bounded locally — an orphan set
-//! larger than the re-qualification budget, or a generation gap in the
-//! event feed — the view falls back to a scoped re-run through the engine
-//! factory ([`engine_by_name`]) and, for gaps, reports a `resync` delta
-//! carrying the full snapshot so subscribers can recover from missed
-//! frames.
+//! When the event feed has a generation gap, the view cannot tell what it
+//! missed: it rebuilds, classifying every row of the parts with
+//! [`first_pruners`] as [`MaterializedView::build`] does, and reports a
+//! `resync` delta carrying the full snapshot so subscribers can recover
+//! from missed frames.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,38 +43,23 @@ use std::collections::{BTreeSet, HashMap};
 
 use rsky_algos::delta::{first_pruners, pruner_band};
 use rsky_algos::kernels::PrunerKernel;
-use rsky_algos::prep::{load_dataset, prepare_table};
 use rsky_algos::qcache::QueryDistCache;
-use rsky_algos::shard::layout_for;
-use rsky_algos::{engine_by_name, EngineCtx};
 use rsky_core::dataset::Dataset;
 use rsky_core::error::Result;
 use rsky_core::obs::{self, names};
 use rsky_core::query::Query;
 use rsky_core::record::{RecordId, RowBuf, ValueId};
-use rsky_storage::{Disk, MemoryBudget, MutationEvent, MutationKind};
+use rsky_storage::{MutationEvent, MutationKind};
 
 /// Per-part budget for the expire-path pruner band (the PR 7 exchange
 /// default): the strongest pruners of each part, merged in part order,
 /// probed before the full scan so most orphans die without one.
 const BAND_BUDGET: usize = 256;
 
-/// Default orphan count above which an expire stops re-qualifying
-/// incrementally and falls back to the engine factory.
-const DEFAULT_REQUALIFY_LIMIT: usize = 512;
-
-/// Memory percent / page size for fallback engine runs (the serving tier's
-/// defaults).
-const FALLBACK_MEM_PCT: f64 = 10.0;
-const FALLBACK_PAGE: usize = 4096;
-const FALLBACK_TILES: u32 = 4;
-
-/// The identity of a registered view: which engine backs its fallback
-/// recomputes and the query key (values + optional attribute subset).
+/// The identity of a registered view: the query key (values + optional
+/// attribute subset).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewSpec {
-    /// Engine used for fallback recomputes (`naive|brs|srs|trs|trs-bf|tsrs|ttrs`).
-    pub engine: String,
     /// Query values, one per schema attribute.
     pub values: Vec<ValueId>,
     /// Attribute subset (`None` = all attributes).
@@ -90,8 +76,8 @@ impl ViewSpec {
     }
 
     /// Whether a request with this key (values + subset) is answered by
-    /// this view. The engine is deliberately ignored: all engines return
-    /// the identical id set, so any live view answers for any engine.
+    /// this view. Every engine returns the identical id set, so a view
+    /// answers for any engine.
     pub fn matches_key(&self, values: &[ValueId], subset: Option<&[usize]>) -> bool {
         self.values == values && self.subset.as_deref() == subset
     }
@@ -130,7 +116,6 @@ pub struct MaterializedView {
     generation: u64,
     epoch: u64,
     fallbacks: u64,
-    requalify_limit: usize,
 }
 
 impl MaterializedView {
@@ -142,46 +127,26 @@ impl MaterializedView {
         let mut span = obs.span(names::VIEW, "build");
         let cache = QueryDistCache::new(&ds.dissim, &ds.schema, &query);
         let kernel = PrunerKernel::new(&ds.schema, &ds.dissim);
-        let mut checks = 0u64;
-        let pruners =
-            first_pruners(&kernel, &ds.dissim, &cache, &query, &ds.rows, &[&ds.rows], &mut checks);
-        let mut members = BTreeSet::new();
-        let mut witness = HashMap::new();
-        for (i, w) in pruners.iter().enumerate() {
-            match w {
-                Some(w) => {
-                    witness.insert(ds.rows.id(i), *w);
-                }
-                None => {
-                    members.insert(ds.rows.id(i));
-                }
-            }
-        }
-        if span.is_recording() {
-            span.field("rows", ds.rows.len() as u64);
-            span.field("members", members.len() as u64);
-            span.field("dist_checks", checks);
-            span.field("generation", generation);
-        }
-        Ok(Self {
+        let mut view = Self {
             spec,
             query,
             cache,
             kernel,
-            members,
-            witness,
+            members: BTreeSet::new(),
+            witness: HashMap::new(),
             generation,
             epoch: 0,
             fallbacks: 0,
-            requalify_limit: DEFAULT_REQUALIFY_LIMIT,
-        })
-    }
-
-    /// Overrides the orphan budget above which `expire` falls back to the
-    /// engine factory (tests use 0 to force the fallback path).
-    pub fn with_requalify_limit(mut self, limit: usize) -> Self {
-        self.requalify_limit = limit;
-        self
+        };
+        let mut checks = 0u64;
+        view.classify(ds, &[&ds.rows], &mut checks);
+        if span.is_recording() {
+            span.field("rows", ds.rows.len() as u64);
+            span.field("members", view.members.len() as u64);
+            span.field("dist_checks", checks);
+            span.field("generation", generation);
+        }
+        Ok(view)
     }
 
     /// The view's identity.
@@ -199,7 +164,7 @@ impl MaterializedView {
         self.epoch
     }
 
-    /// How many times maintenance fell back to a full recompute.
+    /// How many times a generation gap made the view rebuild.
     pub fn fallbacks(&self) -> u64 {
         self.fallbacks
     }
@@ -217,30 +182,31 @@ impl MaterializedView {
         (self.generation == generation).then(|| self.members())
     }
 
-    /// Applies one mutation event. `ds` is the **post-mutation** dataset;
-    /// `parts` its shard parts when serving sharded (per-shard local deltas
-    /// are computed part by part and merged in part order — scan order, and
-    /// therefore witness identity, then matches the sharded layout).
+    /// Applies one mutation event. `ds` is the **post-mutation** dataset
+    /// and `parts` its rows as the served partition holds them, in part
+    /// order (one part when unsharded): per-part local deltas are computed
+    /// part by part and merged in part order, so scan order, and with it
+    /// witness identity, matches the partition.
     ///
-    /// Returns `Ok(None)` for a stale event (generation not after the
-    /// view's — already applied, e.g. replayed after a resync). A
-    /// generation *gap* triggers a rebuild and a `resync` delta.
+    /// Returns `None` for a stale event (generation not after the view's
+    /// — already applied, e.g. replayed after a resync). A generation
+    /// *gap* triggers a rebuild and a `resync` delta.
     pub fn apply(
         &mut self,
         ds: &Dataset,
-        parts: Option<&[&RowBuf]>,
+        parts: &[&RowBuf],
         event: &MutationEvent,
-    ) -> Result<Option<ViewDelta>> {
+    ) -> Option<ViewDelta> {
         if event.generation <= self.generation {
-            return Ok(None);
+            return None;
         }
         let obs = obs::handle();
         let mut span = obs.span(names::VIEW, "delta");
-        let scan = scan_parts(ds, parts);
         let mut checks = 0u64;
         let (added, removed, resync) = if !event.follows(self.generation) {
             let before = std::mem::take(&mut self.members);
-            self.rebuild(ds, &scan, &mut checks)?;
+            self.witness.clear();
+            self.classify(ds, parts, &mut checks);
             obs.counter_add(names::VIEW_FALLBACK, 1);
             self.fallbacks += 1;
             let added = diff(&self.members, &before);
@@ -249,9 +215,9 @@ impl MaterializedView {
         } else {
             match &event.kind {
                 MutationKind::Insert { values } => {
-                    self.insert(&ds.dissim, event.id, values, &scan, &mut checks)
+                    self.insert(&ds.dissim, event.id, values, parts, &mut checks)
                 }
-                MutationKind::Expire => self.expire(ds, event.id, parts, &scan, &obs, &mut checks)?,
+                MutationKind::Expire => self.expire(ds, event.id, parts, &mut checks),
             }
         };
         self.generation = event.generation;
@@ -265,13 +231,27 @@ impl MaterializedView {
             span.field("dist_checks", checks);
             span.field("generation", self.generation);
         }
-        Ok(Some(ViewDelta {
-            generation: self.generation,
-            epoch: self.epoch,
-            added,
-            removed,
-            resync,
-        }))
+        Some(ViewDelta { generation: self.generation, epoch: self.epoch, added, removed, resync })
+    }
+
+    /// Classifies every row of `parts` against `parts` in scan order:
+    /// a row without a pruner joins the members, any other gets its first
+    /// pruner as its witness.
+    fn classify(&mut self, ds: &Dataset, parts: &[&RowBuf], checks: &mut u64) {
+        for part in parts {
+            let (kernel, dt, cache, query) = (&self.kernel, &ds.dissim, &self.cache, &self.query);
+            let hits = first_pruners(kernel, dt, cache, query, part, parts, checks);
+            for (i, hit) in hits.into_iter().enumerate() {
+                match hit {
+                    Some(w) => {
+                        self.witness.insert(part.id(i), w);
+                    }
+                    None => {
+                        self.members.insert(part.id(i));
+                    }
+                }
+            }
+        }
     }
 
     /// Insert classification: does Z join RS(Q), and which members does it
@@ -327,19 +307,15 @@ impl MaterializedView {
     }
 
     /// Expire re-qualification: only the records Z witnessed can change
-    /// state. Orphans probe the per-part pruner bands first, then the full
-    /// parts; survivors join RS(Q). Above the budget, fall back to the
-    /// engine factory.
-    #[allow(clippy::type_complexity)]
+    /// state. Orphans probe the per-part pruner bands first when there is
+    /// more than one part, then the parts themselves; survivors join RS(Q).
     fn expire(
         &mut self,
         ds: &Dataset,
         id: RecordId,
-        parts: Option<&[&RowBuf]>,
         scan: &[&RowBuf],
-        obs: &obs::ObsHandle,
         checks: &mut u64,
-    ) -> Result<(Vec<RecordId>, Vec<RecordId>, Option<Vec<RecordId>>)> {
+    ) -> (Vec<RecordId>, Vec<RecordId>, Option<Vec<RecordId>>) {
         let mut removed = Vec::new();
         if self.members.remove(&id) {
             removed.push(id);
@@ -354,20 +330,6 @@ impl MaterializedView {
         for x in &orphans {
             self.witness.remove(x);
         }
-        if orphans.len() > self.requalify_limit {
-            // Bookkeeping exhausted: scoped re-run through the engine
-            // factory (members), then witness refresh for the non-members.
-            let before = std::mem::take(&mut self.members);
-            self.rebuild(ds, scan, checks)?;
-            obs.counter_add(names::VIEW_FALLBACK, 1);
-            self.fallbacks += 1;
-            let added = diff(&self.members, &before);
-            // `before` no longer holds the expired member, so the rebuild
-            // diff misses it — merge it back into the removals.
-            removed.extend(diff(&before, &self.members));
-            removed.sort_unstable();
-            return Ok((added, removed, None));
-        }
         let mut cands = RowBuf::with_capacity(ds.schema.num_attrs(), orphans.len());
         for part in scan {
             for i in 0..part.len() {
@@ -376,12 +338,12 @@ impl MaterializedView {
                 }
             }
         }
-        let bands: Vec<RowBuf> = match parts {
-            Some(_) => scan
+        let bands: Vec<RowBuf> = match scan.len() {
+            1 => Vec::new(),
+            _ => scan
                 .iter()
                 .map(|p| pruner_band(p, &self.cache, &self.query.subset, BAND_BUDGET))
                 .collect(),
-            None => Vec::new(),
         };
         let mut order: Vec<&RowBuf> = bands.iter().collect();
         order.extend(scan.iter().copied());
@@ -407,54 +369,8 @@ impl MaterializedView {
             }
         }
         added.sort_unstable();
-        Ok((added, removed, None))
+        (added, removed, None)
     }
-
-    /// Full recompute: members through the engine factory, witnesses for
-    /// the non-members through one scoped classification pass.
-    fn rebuild(&mut self, ds: &Dataset, scan: &[&RowBuf], checks: &mut u64) -> Result<()> {
-        let ids = if ds.rows.is_empty() {
-            Vec::new()
-        } else {
-            let mut disk = Disk::new_mem(FALLBACK_PAGE);
-            let raw = load_dataset(&mut disk, ds)?;
-            let budget =
-                MemoryBudget::from_percent(ds.data_bytes(), FALLBACK_MEM_PCT, FALLBACK_PAGE)?;
-            let layout = layout_for(&self.spec.engine, FALLBACK_TILES)?;
-            let prepared = prepare_table(&mut disk, &ds.schema, &raw, layout, &budget)?;
-            let engine = engine_by_name(&self.spec.engine, &ds.schema, 1)?;
-            let mut ctx = EngineCtx {
-                disk: &mut disk,
-                schema: &ds.schema,
-                dissim: &ds.dissim,
-                budget,
-            };
-            engine.run(&mut ctx, &prepared.file, &self.query)?.ids
-        };
-        self.members = ids.iter().copied().collect();
-        self.witness.clear();
-        let mut cands = RowBuf::with_capacity(ds.schema.num_attrs(), ds.rows.len());
-        for part in scan {
-            for i in 0..part.len() {
-                if !self.members.contains(&part.id(i)) {
-                    cands.push(part.id(i), part.values(i));
-                }
-            }
-        }
-        let hits =
-            first_pruners(&self.kernel, &ds.dissim, &self.cache, &self.query, &cands, scan, checks);
-        for (i, hit) in hits.iter().enumerate() {
-            let w = hit.expect("engine-reported non-member must have a pruner");
-            self.witness.insert(cands.id(i), w);
-        }
-        Ok(())
-    }
-}
-
-/// The ordered scan parts of a dataset version: shard parts when sharded,
-/// the whole row buffer otherwise.
-fn scan_parts<'a>(ds: &'a Dataset, parts: Option<&[&'a RowBuf]>) -> Vec<&'a RowBuf> {
-    parts.map_or_else(|| vec![&ds.rows], <[_]>::to_vec)
 }
 
 fn diff(a: &BTreeSet<RecordId>, b: &BTreeSet<RecordId>) -> Vec<RecordId> {
@@ -467,8 +383,8 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use rsky_core::skyline::reverse_skyline_by_definition;
 
-    fn spec(engine: &str, values: Vec<ValueId>) -> ViewSpec {
-        ViewSpec { engine: engine.into(), values, subset: None }
+    fn spec(values: Vec<ValueId>) -> ViewSpec {
+        ViewSpec { values, subset: None }
     }
 
     fn mutate(ds: &mut Dataset, event: &MutationEvent) {
@@ -496,7 +412,7 @@ mod tests {
     fn random_stream_tracks_oracle_and_deltas_replay() {
         let mut rng = StdRng::seed_from_u64(42);
         let mut ds = rsky_data::synthetic::normal_dataset(3, 8, 60, &mut rng).unwrap();
-        let s = spec("trs", vec![3, 5, 2]);
+        let s = spec(vec![3, 5, 2]);
         let q = s.query(&ds.schema).unwrap();
         let mut view = MaterializedView::build(&ds, s, 0).unwrap();
         let mut replay: BTreeSet<RecordId> = view.members().into_iter().collect();
@@ -511,7 +427,7 @@ mod tests {
                 MutationEvent::expire(victim, gen)
             };
             mutate(&mut ds, &event);
-            let delta = view.apply(&ds, None, &event).unwrap().unwrap();
+            let delta = view.apply(&ds, &[&ds.rows], &event).unwrap();
             assert_eq!(delta.epoch, gen, "one frame per event");
             for id in &delta.removed {
                 assert!(replay.remove(id), "removed id {id} was not a member");
@@ -532,18 +448,18 @@ mod tests {
     fn stale_is_ignored_and_gap_resyncs() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut ds = rsky_data::synthetic::normal_dataset(3, 6, 40, &mut rng).unwrap();
-        let s = spec("brs", vec![2, 3, 1]);
+        let s = spec(vec![2, 3, 1]);
         let q = s.query(&ds.schema).unwrap();
         let mut view = MaterializedView::build(&ds, s, 5).unwrap();
-        assert!(view.apply(&ds, None, &MutationEvent::expire(1, 5)).unwrap().is_none());
-        assert!(view.apply(&ds, None, &MutationEvent::expire(1, 3)).unwrap().is_none());
+        assert!(view.apply(&ds, &[&ds.rows], &MutationEvent::expire(1, 5)).is_none());
+        assert!(view.apply(&ds, &[&ds.rows], &MutationEvent::expire(1, 3)).is_none());
         // Gap: generation jumps 5 -> 8. The view must resync from `ds`.
         let first = ds.rows.id(0);
         mutate(&mut ds, &MutationEvent::expire(first, 6));
         mutate(&mut ds, &MutationEvent::insert(900, vec![1, 1, 1], 7));
         let event = MutationEvent::insert(901, vec![4, 2, 0], 8);
         mutate(&mut ds, &event);
-        let delta = view.apply(&ds, None, &event).unwrap().unwrap();
+        let delta = view.apply(&ds, &[&ds.rows], &event).unwrap();
         let want = oracle(&ds, &q);
         assert_eq!(delta.resync.as_deref(), Some(&want[..]), "resync carries the snapshot");
         assert_eq!(view.members(), want);
@@ -551,29 +467,51 @@ mod tests {
         assert_eq!(view.fallbacks(), 1);
     }
 
-    /// An exhausted re-qualification budget falls back to the engine
-    /// factory and still lands on the oracle, with witnesses restored
-    /// (subsequent incremental maintenance keeps working).
+    /// A generation gap rebuilds the view by classifying every row of the
+    /// parts, with one part and with several: it lands on the oracle with
+    /// a witness for every non-member, so incremental maintenance keeps
+    /// working after it.
     #[test]
-    fn engine_fallback_matches_oracle_and_restores_bookkeeping() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut ds = rsky_data::synthetic::normal_dataset(3, 6, 50, &mut rng).unwrap();
-        let s = spec("srs", vec![1, 4, 2]);
-        let q = s.query(&ds.schema).unwrap();
-        let mut view =
-            MaterializedView::build(&ds, s, 0).unwrap().with_requalify_limit(0);
-        for gen in 1..=20u64 {
-            let event = if gen % 2 == 0 {
-                MutationEvent::insert(1000 + gen as u32, vec![gen as u32 % 6, 2, 3], gen)
-            } else {
-                MutationEvent::expire(ds.rows.id((gen as usize * 7) % ds.rows.len()), gen)
-            };
-            mutate(&mut ds, &event);
-            let delta = view.apply(&ds, None, &event).unwrap().unwrap();
-            assert!(delta.resync.is_none(), "in-order fallback is a plain delta");
-            assert_eq!(view.members(), oracle(&ds, &q), "after event {event:?}");
+    fn gap_rebuild_matches_oracle_and_restores_bookkeeping() {
+        use rsky_storage::{partition_rows, ShardPolicy, ShardSpec};
+        for k in [1, 3] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut ds = rsky_data::synthetic::normal_dataset(3, 6, 50, &mut rng).unwrap();
+            let s = spec(vec![1, 4, 2]);
+            let q = s.query(&ds.schema).unwrap();
+            let mut view = MaterializedView::build(&ds, s, 0).unwrap();
+            let shards = ShardSpec::new(k, ShardPolicy::RoundRobin).unwrap();
+            let mut generation = 0;
+            for step in 1..=20u64 {
+                let next = |ds: &Dataset, generation: u64| {
+                    if generation.is_multiple_of(2) {
+                        let values = vec![generation as u32 % 6, 2, 3];
+                        MutationEvent::insert(1000 + generation as u32, values, generation)
+                    } else {
+                        let victim = ds.rows.id((generation as usize * 7) % ds.rows.len());
+                        MutationEvent::expire(victim, generation)
+                    }
+                };
+                // Every third step the view misses an event.
+                let gap = step.is_multiple_of(3);
+                if gap {
+                    generation += 1;
+                    let missed = next(&ds, generation);
+                    mutate(&mut ds, &missed);
+                }
+                generation += 1;
+                let event = next(&ds, generation);
+                mutate(&mut ds, &event);
+                let parts = partition_rows(&ds.rows, &shards);
+                let parts: Vec<&RowBuf> = parts.iter().collect();
+                let delta = view.apply(&ds, &parts, &event).unwrap();
+                let want = oracle(&ds, &q);
+                assert_eq!(delta.resync.as_ref(), gap.then_some(&want), "k={k} step {step}");
+                assert_eq!(view.members(), want, "k={k} after event {event:?}");
+                assert_eq!(view.members.len() + view.witness.len(), ds.rows.len());
+            }
+            assert_eq!(view.fallbacks(), 6, "k={k}: one rebuild per gap");
         }
-        assert!(view.fallbacks() > 0, "limit 0 must have forced fallbacks");
     }
 
     /// `view.build` and `view.delta` spans carry the distance checks of the
@@ -585,7 +523,7 @@ mod tests {
         use rsky_core::obs::MemorySink;
         let mut rng = StdRng::seed_from_u64(19);
         let mut ds = rsky_data::synthetic::normal_dataset(3, 6, 50, &mut rng).unwrap();
-        let s = spec("trs", vec![2, 3, 1]);
+        let s = spec(vec![2, 3, 1]);
         let q = s.query(&ds.schema).unwrap();
         let cache = QueryDistCache::new(&ds.dissim, &ds.schema, &q);
         let kernel = PrunerKernel::new(&ds.schema, &ds.dissim);
@@ -605,7 +543,7 @@ mod tests {
 
             let event = MutationEvent::insert(500, vec![1, 2, 3], 1);
             mutate(&mut ds, &event);
-            view.apply(&ds, None, &event).unwrap().unwrap();
+            view.apply(&ds, &[&ds.rows], &event).unwrap();
             assert!(last_checks("view.delta") > 0, "an insert scans for its witness");
 
             let witnesses: BTreeSet<RecordId> = view.witness.values().copied().collect();
@@ -615,12 +553,12 @@ mod tests {
                 .expect("some record witnesses nothing");
             let event = MutationEvent::expire(loner, 2);
             mutate(&mut ds, &event);
-            view.apply(&ds, None, &event).unwrap().unwrap();
+            view.apply(&ds, &[&ds.rows], &event).unwrap();
             assert_eq!(last_checks("view.delta"), 0, "no orphans, no scan");
 
             let event = MutationEvent::insert(501, vec![0, 0, 0], 4);
             mutate(&mut ds, &event);
-            let delta = view.apply(&ds, None, &event).unwrap().unwrap();
+            let delta = view.apply(&ds, &[&ds.rows], &event).unwrap();
             assert!(delta.resync.is_some());
             let gap_checks = last_checks("view.delta");
             assert!(gap_checks > 0, "a resync rescans the non-members");
@@ -633,14 +571,14 @@ mod tests {
     fn lookup_requires_exact_generation() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut ds = rsky_data::synthetic::normal_dataset(3, 6, 30, &mut rng).unwrap();
-        let s = spec("naive", vec![0, 1, 2]);
+        let s = spec(vec![0, 1, 2]);
         let mut view = MaterializedView::build(&ds, s, 4).unwrap();
         assert_eq!(view.lookup(4), Some(view.members()));
         assert_eq!(view.lookup(3), None, "older generation must miss");
         assert_eq!(view.lookup(5), None, "newer generation must miss");
         let event = MutationEvent::insert(77, vec![5, 5, 5], 5);
         mutate(&mut ds, &event);
-        view.apply(&ds, None, &event).unwrap().unwrap();
+        view.apply(&ds, &[&ds.rows], &event).unwrap();
         assert_eq!(view.lookup(4), None, "stale generation after a mutation must miss");
         assert_eq!(view.lookup(5), Some(view.members()));
     }

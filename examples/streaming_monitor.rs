@@ -39,7 +39,7 @@ fn main() -> rsky::core::error::Result<()> {
     let m = schema.num_attrs();
     let mut window =
         Dataset { schema: schema.clone(), dissim, rows: RowBuf::new(m), label: "window".into() };
-    let spec = ViewSpec { engine: "trs".into(), values: posting.clone(), subset: None };
+    let spec = ViewSpec { values: posting.clone(), subset: None };
     let mut view = MaterializedView::build(&window, spec, 0)?;
     let mut generation = 0u64;
 
@@ -57,7 +57,8 @@ fn main() -> rsky::core::error::Result<()> {
             flat.truncate(flat.len() - (m + 1));
             window.rows = RowBuf::from_flat(m, flat)?;
             generation += 1;
-            let delta = view.apply(&window, None, &MutationEvent::expire(oldest, generation))?;
+            let expire = MutationEvent::expire(oldest, generation);
+            let delta = view.apply(&window, &[&window.rows], &expire);
             // An expiry can only add the records it stopped pruning.
             resurrections += delta.map_or(0, |d| d.added.len());
             flat = std::mem::replace(&mut window.rows, RowBuf::new(m)).into_flat();
@@ -66,7 +67,7 @@ fn main() -> rsky::core::error::Result<()> {
         flat.splice(0..0, std::iter::once(step).chain(vals.iter().copied()));
         window.rows = RowBuf::from_flat(m, flat)?;
         generation += 1;
-        view.apply(&window, None, &MutationEvent::insert(step, vals, generation))?;
+        view.apply(&window, &[&window.rows], &MutationEvent::insert(step, vals, generation));
         if step % 5_000 == 4_999 {
             let now = view.members().len();
             println!("{:>8} {:>9} {:>12} {:>14}", step + 1, window.len(), now, resurrections);

@@ -14,7 +14,9 @@
 //! * a request line longer than `MAX_LINE_BYTES` is rejected and its
 //!   connection closed;
 //! * a request that panics on its worker is answered `internal` and the
-//!   pool keeps every worker.
+//!   pool keeps every worker;
+//! * a client that stops reading its replies cannot wedge the shutdown
+//!   drain: its connection's writes time out.
 
 use std::time::Duration;
 
@@ -514,6 +516,41 @@ fn over_cap_request_line_is_rejected_and_closed() {
     assert_eq!(handle.registry().counter("server.bad_request"), 1);
     handle.shutdown();
     handle.join();
+}
+
+/// A client that pipelines requests and never reads the replies fills the
+/// socket's buffers, and the server's connection thread blocks writing. Its
+/// write deadline closes the connection, so `shutdown` and `join` finish.
+/// Without one the drain waits on that thread forever, so the test joins on
+/// a thread of its own and waits on a channel with a bound.
+#[test]
+fn a_client_that_stops_reading_cannot_wedge_the_shutdown() {
+    use std::io::{ErrorKind, Write};
+
+    let handle = Server::start(test_config(), small_dataset(9007, 50)).unwrap();
+    let mut stalled = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    stalled.set_write_timeout(Some(Duration::from_millis(500))).unwrap();
+    // `metrics` is answered on the connection thread, and its reply is far
+    // longer than the request: the replies fill the buffers long before the
+    // requests do. A request write that times out means the server stopped
+    // reading them.
+    let requests = b"{\"op\":\"metrics\"}\n".repeat(1024);
+    let err = loop {
+        if let Err(e) = stalled.write_all(&requests) {
+            break e;
+        }
+    };
+    assert!(matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut), "{err}");
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        handle.join();
+        let _ = done_tx.send(());
+    });
+    let drained = done_rx.recv_timeout(Duration::from_secs(60));
+    assert!(drained.is_ok(), "the drain waited on a connection whose client stopped reading");
+    drop(stalled);
 }
 
 /// Continuous-telemetry acceptance, over real sockets on an injected clock

@@ -1,14 +1,15 @@
 //! Differential harness for the served data state.
 //!
-//! The server's [`DataState`] sorts its rows once and keeps the multi-sort
-//! order across inserts and expires; each generation encodes its page
-//! images once and every worker mounts them. The contract under test, at
-//! every generation of seeded insert/expire streams:
+//! The server's [`DataState`] holds its rows as shard parts, one part when
+//! unsharded, each sorted once and kept in the multi-sort order across
+//! inserts and expires; each generation encodes its page images once and
+//! every worker mounts them. The contract under test, at every generation
+//! of seeded insert/expire streams:
 //!
-//! * the Original image is byte for byte the file `load_dataset` writes,
-//!   and the MultiSort and Tiled images are byte for byte `prepare_table`'s
-//!   external sort of that file;
-//! * every engine on one long-lived worker returns the oracle's ids, with
+//! * an unsharded state's one part has an Original image that is byte for
+//!   byte the file `load_dataset` writes, and MultiSort and Tiled images
+//!   that are byte for byte `prepare_table`'s external sort of that file;
+//! * every engine through that one part returns the oracle's ids, with
 //!   every `RunStats` counter and IO count equal to a run on a freshly
 //!   prepared table;
 //! * a sharded state fed the same writes, under each placement policy,
@@ -16,7 +17,7 @@
 //!   each part's three images are byte for byte `load_dataset` and
 //!   `prepare_table` of the part's rows; a part a write did not touch still
 //!   holds the very images it held before the write; and every engine
-//!   through the sharded state returns the unsharded worker's ids, with
+//!   through the sharded state returns the unsharded state's ids, with
 //!   every counter and IO count equal to a `ShardedTables` built afresh
 //!   from the same part rows.
 //!
@@ -31,7 +32,7 @@ use rsky::core::skyline::reverse_skyline_by_definition;
 use rsky::core::stats::RunStats;
 use rsky::order::{ascending_cardinality_order, sort_rows_lex};
 use rsky::prelude::*;
-use rsky::server::state::{DataState, DatasetVersion, Tables, WorkerState};
+use rsky::server::state::{DataState, DatasetVersion};
 use rsky::storage::SharedRecords;
 
 /// Four records of three attributes per page, so tables span many pages.
@@ -104,19 +105,14 @@ fn fresh_run(ds: &Dataset, engine: &str, query: &Query) -> RsRun {
     algo.run(&mut ctx, &prepared.file, query).unwrap()
 }
 
-/// The whole contract at one generation; returns the worker's ids per
-/// query and engine.
-fn check_generation(
-    version: &DatasetVersion,
-    worker: &mut WorkerState,
-    queries: &[Query],
-) -> Vec<Vec<RecordId>> {
+/// The whole contract at one generation of an unsharded state; returns
+/// its ids per query and engine.
+fn check_generation(version: &DatasetVersion, queries: &[Query]) -> Vec<Vec<RecordId>> {
     let ds = &version.dataset;
     let g = version.generation;
-    let budget = MemoryBudget::from_percent(ds.data_bytes(), MEM_PCT, PAGE).unwrap();
-    let Tables::Whole(table) = &version.tables else { panic!("an unsharded version") };
+    assert_eq!(version.tables.num_shards(), 1, "an unsharded state is one part");
     for (layout, want) in LAYOUTS.iter().zip(fresh_pages(ds)) {
-        let got = image_pages(&table.image(&ds.schema, &ds.rows, layout, &budget).unwrap());
+        let got = image_pages(&version.tables.image(0, layout).unwrap());
         assert_eq!(got, want, "generation {g}: {layout:?} image");
     }
 
@@ -133,7 +129,7 @@ fn check_generation(
         for &engine in ENGINES {
             let what = format!("generation {g} ({} rows), query {qi}, {engine}", ds.len());
             let fresh = fresh_run(ds, engine, q);
-            let got = worker.run_query(version, engine, 1, q).unwrap();
+            let got = version.tables.run_query(engine, 1, q).unwrap();
             assert_eq!(got.ids, fresh.ids, "{what}: ids");
             assert_eq!(costs(&got.stats), costs(&fresh.stats), "{what}: costs");
             if unique_ids {
@@ -171,12 +167,11 @@ fn fresh_tables(ds: &Dataset, parts: &[RowBuf], spec: ShardSpec) -> ShardedTable
     tables
 }
 
-/// A sharded state fed the flat state's writes, the worker that serves
-/// it, and each part's rows and images at the last checked generation.
+/// A sharded state fed the flat state's writes, and each part's rows and
+/// images at the last checked generation.
 struct Sharded {
     state: DataState,
     spec: ShardSpec,
-    worker: WorkerState,
     last: Vec<(RowBuf, Vec<SharedRecords>)>,
 }
 
@@ -184,19 +179,14 @@ impl Sharded {
     fn new(ds: &Dataset, policy: ShardPolicy) -> Self {
         let spec = ShardSpec::new(3, policy).unwrap();
         let tables = ShardedTables::new(ds, spec, MEM_PCT, PAGE, TILES).unwrap();
-        Self {
-            state: DataState::new_sharded(ds.clone(), tables),
-            spec,
-            worker: WorkerState::new(PAGE, MEM_PCT, TILES).unwrap(),
-            last: Vec::new(),
-        }
+        Self { state: DataState::with_tables(ds.clone(), tables), spec, last: Vec::new() }
     }
 
     /// The sharded contract at one generation: the state holds `flat`'s
     /// generation, its parts hold exactly the flat rows, duplicates
     /// counted, each part's images are a fresh preparation's and a part
     /// the last write left alone kept its images, and every run answers
-    /// `answers`, the unsharded worker's ids per query and engine, at the
+    /// `answers`, the unsharded state's ids per query and engine, at the
     /// costs of a sharded run on fresh tables.
     fn check(&mut self, flat: &DatasetVersion, queries: &[Query], answers: &[Vec<RecordId>]) {
         let version = self.state.current();
@@ -204,7 +194,7 @@ impl Sharded {
         let what = format!("generation {g}, {}", self.spec.policy);
         assert_eq!(version.generation, g);
         assert_eq!(version.dataset.rows, flat.dataset.rows, "{what}: flat rows");
-        let tables = version.shards().expect("a sharded version");
+        let tables = &version.tables;
         let parts: Vec<RowBuf> = tables.part_rows().cloned().collect();
         assert_eq!(row_multiset(&parts), row_multiset([&flat.dataset.rows]), "{what}: parts");
 
@@ -231,7 +221,7 @@ impl Sharded {
         let fresh = fresh_tables(&version.dataset, &parts, self.spec);
         let runs = queries.iter().flat_map(|q| ENGINES.iter().map(move |&e| (q, e)));
         for ((q, engine), want) in runs.zip(answers) {
-            let got = self.worker.run_query(&version, engine, 1, q).unwrap();
+            let got = tables.run_query(engine, 1, q).unwrap();
             let run = fresh.run_query(engine, 1, q).unwrap();
             assert_eq!(&got.ids, want, "{what}, {engine}: sharded ids");
             assert_eq!(got.ids, run.ids, "{what}, {engine}: fresh sharded ids");
@@ -257,11 +247,10 @@ fn insert_values(version: &DatasetVersion, rng: &mut StdRng) -> Vec<u32> {
     (0..ds.schema.num_attrs()).map(|a| rng.gen_range(0..ds.schema.cardinality(a))).collect()
 }
 
-/// One seeded stream: the state, one worker serving every generation, the
-/// sharded states that see the same writes, and the writes still to come.
+/// One seeded stream: the unsharded state, the sharded states that see the
+/// same writes, and the writes still to come.
 struct Stream {
     state: DataState,
-    worker: WorkerState,
     sharded: Vec<Sharded>,
     queries: Vec<Query>,
     rng: StdRng,
@@ -281,9 +270,9 @@ impl Stream {
             .into_iter()
             .map(|policy| Sharded::new(&ds, policy))
             .collect();
+        let tables = ShardedTables::new(&ds, ShardSpec::single(), MEM_PCT, PAGE, TILES).unwrap();
         let mut stream = Self {
-            state: DataState::new(ds),
-            worker: WorkerState::new(PAGE, MEM_PCT, TILES).unwrap(),
+            state: DataState::with_tables(ds, tables),
             sharded,
             queries,
             rng,
@@ -294,7 +283,7 @@ impl Stream {
     }
 
     fn check(&mut self, version: &DatasetVersion) {
-        let answers = check_generation(version, &mut self.worker, &self.queries);
+        let answers = check_generation(version, &self.queries);
         for sharded in &mut self.sharded {
             sharded.check(version, &self.queries, &answers);
         }

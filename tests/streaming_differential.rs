@@ -31,13 +31,13 @@ impl Window {
             label: "window".into(),
         };
         let subset = (!query.subset.is_full()).then(|| query.subset.indices().to_vec());
-        let spec = ViewSpec { engine: "trs".into(), values: query.values.clone(), subset };
+        let spec = ViewSpec { values: query.values.clone(), subset };
         let view = MaterializedView::build(&ds, spec, 0).unwrap();
         Self { ds, view, capacity }
     }
 
     fn apply(&mut self, event: MutationEvent) -> ViewDelta {
-        self.view.apply(&self.ds, None, &event).unwrap().expect("in-order event")
+        self.view.apply(&self.ds, &[&self.ds.rows], &event).expect("in-order event")
     }
 
     /// Admits a record, expiring the oldest first when the window is full;

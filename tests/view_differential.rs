@@ -4,15 +4,15 @@
 //! insert/expire event stream equals the by-definition oracle
 //! (`reverse_skyline_by_definition`) over the post-mutation dataset **after
 //! every single mutation**, and the `+id`/`-id` deltas it emits replay a
-//! subscriber's snapshot to exactly the member set — for every engine
-//! configuration, shard-part count, and kernel distance source. Three
-//! layers:
+//! subscriber's snapshot to exactly the member set — for every shard-part
+//! count (one part is how an unsharded server holds its rows) and kernel
+//! distance source. Three layers:
 //!
-//! * a deterministic sweep over engines × part counts × distance sources
-//!   (a flattening domain and its non-flattening twin), ≥100 randomized
-//!   mutations per configuration (plus a fallback sweep with the
-//!   re-qualification budget forced to zero, so the engine-factory
-//!   recompute path runs for every engine);
+//! * a deterministic sweep over seeded streams × part counts × distance
+//!   sources (a flattening domain and its non-flattening twin), ≥100
+//!   randomized mutations per configuration (plus a rebuild sweep whose
+//!   streams withhold every third event, so the view sees generation gaps
+//!   and rebuilds by classifying every row of the parts);
 //! * fixed adversarial fixtures — member-eviction chains, expire of a
 //!   record that witnesses many others, a reverse skyline collapsed by
 //!   duplicate pairs, and sharded maintenance with (mostly) empty shards;
@@ -33,8 +33,9 @@ use rsky::prelude::*;
 use rsky::view::{MaterializedView, ViewSpec};
 use rsky_storage::{MutationEvent, MutationKind};
 
-const ENGINES: &[&str] = &["naive", "brs", "srs", "trs", "trs-bf", "tsrs", "ttrs"];
-const PART_COUNTS: &[Option<usize>] = &[None, Some(2), Some(3)];
+/// Seeded streams per configuration of the deterministic sweeps.
+const STREAMS: u64 = 7;
+const PART_COUNTS: &[usize] = &[1, 2, 3];
 
 /// Applies an event to the flat dataset (the test-side mirror of
 /// `DataState`'s mutations).
@@ -53,55 +54,74 @@ fn mutate(ds: &mut Dataset, event: &MutationEvent) {
     }
 }
 
-fn parts_for(ds: &Dataset, k: Option<usize>) -> Option<Vec<RowBuf>> {
-    let k = k?;
+/// `ds`'s rows as `k` round-robin shard parts.
+fn parts_for(ds: &Dataset, k: usize) -> Vec<RowBuf> {
     let spec = ShardSpec::new(k, ShardPolicy::RoundRobin).unwrap();
-    Some(partition_rows(&ds.rows, &spec))
+    partition_rows(&ds.rows, &spec)
 }
 
 fn oracle(ds: &Dataset, q: &Query) -> Vec<RecordId> {
     reverse_skyline_by_definition(&ds.dissim, &ds.rows, q)
 }
 
+/// A seeded random mutation of `ds` at `generation`: two inserts in three.
+fn random_event(
+    rng: &mut StdRng,
+    ds: &Dataset,
+    vals: u32,
+    next_id: &mut u32,
+    generation: u64,
+) -> MutationEvent {
+    if ds.rows.is_empty() || rng.gen_range(0..3) < 2 {
+        *next_id += 1;
+        // Stay inside each attribute's domain (the server validates
+        // inserted values against the schema; the view assumes that).
+        let values = (0..ds.schema.num_attrs())
+            .map(|a| rng.gen_range(0..vals.min(ds.schema.cardinality(a))))
+            .collect();
+        MutationEvent::insert(*next_id, values, generation)
+    } else {
+        let victim = ds.rows.id(rng.gen_range(0..ds.rows.len()));
+        MutationEvent::expire(victim, generation)
+    }
+}
+
 /// Drives `muts` seeded random mutations through `view`, asserting after
 /// **every** event that (a) the member set equals the oracle over the
 /// post-mutation dataset and (b) a subscriber replaying the deltas onto the
-/// initial snapshot holds exactly the member set.
+/// initial snapshot holds exactly the member set. With `gap_every = n`,
+/// every n-th step first lands a mutation the view never sees, so the next
+/// event arrives after a generation gap and the view rebuilds.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     view: &mut MaterializedView,
     ds: &mut Dataset,
-    parts_k: Option<usize>,
+    parts_k: usize,
     q: &Query,
     vals: u32,
     muts: u64,
     seed: u64,
+    gap_every: Option<u64>,
     label: &str,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut replay: BTreeSet<RecordId> = view.members().into_iter().collect();
     let mut next_id = 50_000u32;
-    let start = view.generation();
-    let m = ds.schema.num_attrs();
+    let mut generation = view.generation();
+    let rebuilds = view.fallbacks();
     for step in 1..=muts {
-        let generation = start + step;
-        let event = if ds.rows.is_empty() || rng.gen_range(0..3) < 2 {
-            next_id += 1;
-            // Stay inside each attribute's domain (the server validates
-            // inserted values against the schema; the view assumes that).
-            let values =
-                (0..m).map(|a| rng.gen_range(0..vals.min(ds.schema.cardinality(a)))).collect();
-            MutationEvent::insert(next_id, values, generation)
-        } else {
-            let victim = ds.rows.id(rng.gen_range(0..ds.rows.len()));
-            MutationEvent::expire(victim, generation)
-        };
+        if gap_every.is_some_and(|n| step.is_multiple_of(n)) {
+            generation += 1;
+            let missed = random_event(&mut rng, ds, vals, &mut next_id, generation);
+            mutate(ds, &missed);
+        }
+        generation += 1;
+        let event = random_event(&mut rng, ds, vals, &mut next_id, generation);
         mutate(ds, &event);
         let parts = parts_for(ds, parts_k);
-        let parts: Option<Vec<&RowBuf>> = parts.as_ref().map(|p| p.iter().collect());
+        let parts: Vec<&RowBuf> = parts.iter().collect();
         let delta = view
-            .apply(ds, parts.as_deref(), &event)
-            .unwrap_or_else(|e| panic!("{label}: apply failed at step {step}: {e}"))
+            .apply(ds, &parts, &event)
             .unwrap_or_else(|| panic!("{label}: in-order event ignored at step {step}"));
         if let Some(snapshot) = &delta.resync {
             replay = snapshot.iter().copied().collect();
@@ -121,50 +141,48 @@ fn drive(
             "{label}: snapshot ⊕ deltas vs oracle at step {step}"
         );
     }
+    let gaps = gap_every.map_or(0, |n| muts / n);
+    assert_eq!(view.fallbacks() - rebuilds, gaps, "{label}: one rebuild per gap");
 }
 
-/// The headline sweep: every engine × part count × kernel source (a
+/// The headline sweep: seeded streams × part count × kernel source (a
 /// flattening domain and its non-flattening twin), ≥100 randomized
 /// mutations each, oracle-checked after every one.
 #[test]
-fn randomized_streams_track_oracle_across_engines_shards_and_kernels() {
-    for (e, engine) in ENGINES.iter().enumerate() {
-        for (p, parts_k) in PART_COUNTS.iter().enumerate() {
+fn randomized_streams_track_oracle_across_parts_and_kernels() {
+    for stream in 0..STREAMS {
+        for (p, &parts_k) in PART_COUNTS.iter().enumerate() {
             for wide in [false, true] {
-                let label = format!("{engine}/parts={parts_k:?}/wide={wide}");
-                let seed = 100 + (e * 10 + p) as u64;
+                let label = format!("stream {stream}/parts={parts_k}/wide={wide}");
+                let seed = 100 + stream * 10 + p as u64;
                 let mut rng = StdRng::seed_from_u64(seed);
                 let normal = rsky::data::synthetic::normal_dataset(3, 8, 40, &mut rng).unwrap();
                 let (flat_ds, wide_ds) = linear_twins(&normal).unwrap();
                 let mut ds = if wide { wide_ds } else { flat_ds };
-                let spec =
-                    ViewSpec { engine: engine.to_string(), values: vec![3, 5, 2], subset: None };
+                let spec = ViewSpec { values: vec![3, 5, 2], subset: None };
                 let q = spec.query(&ds.schema).unwrap();
                 let mut view = MaterializedView::build(&ds, spec, 0).unwrap();
-                drive(&mut view, &mut ds, *parts_k, &q, 8, 100, seed, &label);
-                assert_eq!(view.fallbacks(), 0, "{label}: gap-free stream fell back");
+                drive(&mut view, &mut ds, parts_k, &q, 8, 100, seed, None, &label);
             }
         }
     }
 }
 
-/// The same sweep with the re-qualification budget forced to zero: every
-/// expire with orphans goes through the per-engine fallback recompute, so
-/// the engine choice actually executes.
+/// Streams that withhold every third event: each gap makes the view
+/// rebuild by classifying every row of the parts, with one part and with
+/// several, and the stream goes on incrementally from the rebuilt state.
 #[test]
-fn engine_fallback_sweep_tracks_oracle() {
-    for (e, engine) in ENGINES.iter().enumerate() {
-        for parts_k in [None, Some(2)] {
-            let label = format!("fallback/{engine}/parts={parts_k:?}");
-            let seed = 900 + e as u64;
+fn gap_rebuild_sweep_tracks_oracle() {
+    for stream in 0..STREAMS {
+        for parts_k in [1, 2] {
+            let label = format!("rebuild/stream {stream}/parts={parts_k}");
+            let seed = 900 + stream;
             let mut rng = StdRng::seed_from_u64(seed);
             let mut ds = rsky::data::synthetic::normal_dataset(3, 6, 30, &mut rng).unwrap();
-            let spec =
-                ViewSpec { engine: engine.to_string(), values: vec![1, 4, 2], subset: None };
+            let spec = ViewSpec { values: vec![1, 4, 2], subset: None };
             let q = spec.query(&ds.schema).unwrap();
-            let mut view =
-                MaterializedView::build(&ds, spec, 0).unwrap().with_requalify_limit(0);
-            drive(&mut view, &mut ds, parts_k, &q, 6, 30, seed, &label);
+            let mut view = MaterializedView::build(&ds, spec, 0).unwrap();
+            drive(&mut view, &mut ds, parts_k, &q, 6, 30, seed, Some(3), &label);
         }
     }
 }
@@ -176,10 +194,10 @@ fn subset_views_track_oracle() {
     let mut rng = StdRng::seed_from_u64(77);
     let mut ds = rsky::data::synthetic::normal_dataset(4, 6, 40, &mut rng).unwrap();
     let spec =
-        ViewSpec { engine: "trs".into(), values: vec![2, 3, 1, 4], subset: Some(vec![0, 2, 3]) };
+        ViewSpec { values: vec![2, 3, 1, 4], subset: Some(vec![0, 2, 3]) };
     let q = spec.query(&ds.schema).unwrap();
     let mut view = MaterializedView::build(&ds, spec, 0).unwrap();
-    drive(&mut view, &mut ds, None, &q, 6, 60, 78, "subset");
+    drive(&mut view, &mut ds, 1, &q, 6, 60, 78, None, "subset");
 }
 
 /// Member-eviction chain: each inserted duplicate of the current strongest
@@ -189,7 +207,7 @@ fn subset_views_track_oracle() {
 #[test]
 fn eviction_chain_and_expire_of_witness() {
     let (mut ds, q) = rsky::data::paper_example();
-    let spec = ViewSpec { engine: "trs".into(), values: q.values.clone(), subset: None };
+    let spec = ViewSpec { values: q.values.clone(), subset: None };
     let mut view = MaterializedView::build(&ds, spec, 0).unwrap();
     assert_eq!(view.members(), vec![3, 6], "the paper's RS = {{O3, O6}}");
 
@@ -201,25 +219,25 @@ fn eviction_chain_and_expire_of_witness() {
         .unwrap();
     let event = MutationEvent::insert(100, row3.clone(), 1);
     mutate(&mut ds, &event);
-    let delta = view.apply(&ds, None, &event).unwrap().unwrap();
+    let delta = view.apply(&ds, &[&ds.rows], &event).unwrap();
     assert_eq!(delta.removed, vec![3], "duplicate evicts the member");
     assert!(delta.added.is_empty(), "the duplicate prunes itself too");
 
     // A second duplicate keeps everything out (all three prune each other).
     let event = MutationEvent::insert(101, row3, 2);
     mutate(&mut ds, &event);
-    let delta = view.apply(&ds, None, &event).unwrap().unwrap();
+    let delta = view.apply(&ds, &[&ds.rows], &event).unwrap();
     assert!(delta.added.is_empty() && delta.removed.is_empty());
 
     // Expiring one duplicate re-admits nobody (the other still witnesses);
     // expiring the second restores 3 — the orphan re-qualification path.
     let event = MutationEvent::expire(100, 3);
     mutate(&mut ds, &event);
-    let delta = view.apply(&ds, None, &event).unwrap().unwrap();
+    let delta = view.apply(&ds, &[&ds.rows], &event).unwrap();
     assert!(delta.added.is_empty(), "a surviving duplicate still prunes");
     let event = MutationEvent::expire(101, 4);
     mutate(&mut ds, &event);
-    let delta = view.apply(&ds, None, &event).unwrap().unwrap();
+    let delta = view.apply(&ds, &[&ds.rows], &event).unwrap();
     assert_eq!(delta.added, vec![3], "expire of the last witness re-admits");
     assert_eq!(view.members(), oracle(&ds, &q));
 }
@@ -234,7 +252,7 @@ fn eviction_chain_and_expire_of_witness() {
 #[test]
 fn reverse_skyline_collapsed_by_duplicate_pairs_and_refilled() {
     let (mut ds, q) = rsky::data::paper_example();
-    let spec = ViewSpec { engine: "srs".into(), values: q.values.clone(), subset: None };
+    let spec = ViewSpec { values: q.values.clone(), subset: None };
     let mut view = MaterializedView::build(&ds, spec, 0).unwrap();
     let originals: Vec<(RecordId, Vec<ValueId>)> =
         (0..ds.rows.len()).map(|i| (ds.rows.id(i), ds.rows.values(i).to_vec())).collect();
@@ -243,7 +261,7 @@ fn reverse_skyline_collapsed_by_duplicate_pairs_and_refilled() {
         generation += 1;
         let event = MutationEvent::insert(200 + id, values.clone(), generation);
         mutate(&mut ds, &event);
-        view.apply(&ds, None, &event).unwrap().unwrap();
+        view.apply(&ds, &[&ds.rows], &event).unwrap();
         assert_eq!(view.members(), oracle(&ds, &q), "after duplicating {id}");
     }
     let collapsed = view.members();
@@ -262,7 +280,7 @@ fn reverse_skyline_collapsed_by_duplicate_pairs_and_refilled() {
         generation += 1;
         let event = MutationEvent::expire(200 + id, generation);
         mutate(&mut ds, &event);
-        view.apply(&ds, None, &event).unwrap().unwrap();
+        view.apply(&ds, &[&ds.rows], &event).unwrap();
         assert_eq!(view.members(), oracle(&ds, &q), "after expiring duplicate of {id}");
     }
     assert_eq!(view.members(), vec![3, 6], "the original RS is restored");
@@ -273,7 +291,7 @@ fn reverse_skyline_collapsed_by_duplicate_pairs_and_refilled() {
 #[test]
 fn sharded_maintenance_with_empty_shards() {
     let (mut ds, q) = rsky::data::paper_example();
-    let spec = ViewSpec { engine: "brs".into(), values: q.values.clone(), subset: None };
+    let spec = ViewSpec { values: q.values.clone(), subset: None };
     let qq = spec.query(&ds.schema).unwrap();
     let mut view = MaterializedView::build(&ds, spec, 0).unwrap();
     let ids: Vec<RecordId> = (0..ds.rows.len()).map(|i| ds.rows.id(i)).collect();
@@ -282,13 +300,13 @@ fn sharded_maintenance_with_empty_shards() {
         generation += 1;
         let event = MutationEvent::expire(*id, generation);
         mutate(&mut ds, &event);
-        let parts = parts_for(&ds, Some(8));
-        let parts: Option<Vec<&RowBuf>> = parts.as_ref().map(|p| p.iter().collect());
-        view.apply(&ds, parts.as_deref(), &event).unwrap().unwrap();
+        let parts = parts_for(&ds, 8);
+        let parts: Vec<&RowBuf> = parts.iter().collect();
+        view.apply(&ds, &parts, &event).unwrap();
         assert_eq!(view.members(), oracle(&ds, &qq), "after expiring {id}");
     }
     assert_eq!(ds.rows.len(), 1, "only the first record survives");
-    drive(&mut view, &mut ds, Some(8), &qq, 5, 40, 404, "empty-shards");
+    drive(&mut view, &mut ds, 8, &qq, 5, 40, 404, None, "empty-shards");
     let _ = q;
 }
 
@@ -305,18 +323,16 @@ proptest! {
         n in 5usize..50,
         vals in 3u32..9,
         muts in 20u64..60,
-        engine_at in 0usize..7,
         parts_at in 0usize..4,
     ) {
-        let engine = ENGINES[engine_at];
-        let parts_k = [None, Some(2), Some(3), Some(5)][parts_at];
+        let parts_k = [1, 2, 3, 5][parts_at];
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ds = rsky::data::synthetic::normal_dataset(3, vals, n, &mut rng).unwrap();
         let values: Vec<ValueId> = (0..3).map(|_| rng.gen_range(0..vals)).collect();
-        let spec = ViewSpec { engine: engine.to_string(), values, subset: None };
+        let spec = ViewSpec { values, subset: None };
         let q = spec.query(&ds.schema).unwrap();
         let mut view = MaterializedView::build(&ds, spec, 0).unwrap();
-        drive(&mut view, &mut ds, parts_k, &q, vals, muts, seed ^ 0xD1F, "property");
+        drive(&mut view, &mut ds, parts_k, &q, vals, muts, seed ^ 0xD1F, None, "property");
     }
 }
 
