@@ -45,6 +45,26 @@
 //! tree-node visits move. [`TrsOptions::witness_first`] turns the probe off
 //! (the paper's plain Alg. 4, an ablation).
 //!
+//! ## The scan memo
+//!
+//! Phase two streams the table past each result tree, and a multi-sorted
+//! (or tiled) table delivers its objects in the tree's own attribute
+//! order, so consecutive objects share long value prefixes. Alg. 5's walk
+//! is exhaustive: which nodes it reaches at a depth, and with which
+//! `FoundCloser` flags, depends only on the tree and on the scanned
+//! object's values above that depth. Phase two therefore walks each tree
+//! level by level and keeps every level's frontier with the visits and
+//! checks spent expanding it (`ScanMemo`). Each scanned object resumes at
+//! the first level whose attribute the query selects and whose value
+//! differs from its predecessor's, counts the levels it reuses as the
+//! walk would, and expands only the rest; an object that evicts a leaf
+//! drops the memo, since evictions reshape the tree. The evicted leaves,
+//! the ids, the page IO and every `RunStats` counter are the depth-first
+//! walk's, checks and tree-node visits included: they count the paper
+//! algorithm's work, as the batched kernels count a per-pair loop's checks.
+//! Only wall-clock moves. On a layout whose neighbours share no prefix
+//! (Original), every walk starts near the root and does the DFS's work.
+//!
 //! ## Self-pruning and duplicates
 //!
 //! Leaves carry record ids. A candidate reaching its *own* leaf with
@@ -254,7 +274,7 @@ impl ReverseSkylineAlgo for Trs {
                 |(tree, _, _), disk, bs| {
                     let mut ids = Vec::new();
                     phase2_tree_batch(
-                        tree, dissim, kern.flat(), subset, order, cache, total_pages,
+                        tree, kern.source(dissim), subset, order, cache, total_pages,
                         |p, buf| disk.with(|disk| table.read_page_rows(disk, p, buf).map(|_| ())),
                         bs, &mut ids,
                     )?;
@@ -397,12 +417,13 @@ fn witness_prunes<'f>(
 /// Phase-two refinement of one loaded result tree (Alg. 5 per scanned
 /// object): streams the database past the tree via `read_page`, evicting
 /// everything each scanned object dominates, then appends the surviving ids
-/// to `result`. The page loop stops as soon as the tree is empty.
+/// to `result`. The page loop stops as soon as the tree is empty. One
+/// [`ScanMemo`] serves the whole scan, so each object resumes its walk
+/// where it first differs from its predecessor's.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn phase2_tree_batch(
     tree: &mut AlTree,
-    dissim: &DissimTable,
-    flat: Option<&FlatDissim>,
+    src: DistSource<'_>,
     subset: &AttrSubset,
     order: &[usize],
     cache: &QueryDistCache,
@@ -412,7 +433,7 @@ pub(crate) fn phase2_tree_batch(
     result: &mut Vec<RecordId>,
 ) -> Result<()> {
     let mut dpage = RowBuf::new(order.len());
-    let mut stack = Vec::with_capacity(64);
+    let mut memo = ScanMemo::new(order, subset);
     for p in 0..total_pages {
         if tree.is_empty() {
             break;
@@ -421,8 +442,7 @@ pub(crate) fn phase2_tree_batch(
         read_page(p, &mut dpage)?;
         for ei in 0..dpage.len() {
             stats.obj_comparisons += 1;
-            let (e, e_id) = (dpage.values(ei), dpage.id(ei));
-            prune_with_stack(tree, dissim, flat, subset, order, e, e_id, cache, stats, &mut stack);
+            memo.prune(tree, src, cache, dpage.values(ei), dpage.id(ei), stats);
         }
     }
     result.extend(tree.collect_ids());
@@ -601,7 +621,9 @@ const MAX_ATTRS: usize = 64;
 /// Algorithm 5: evicts from the tree every object dominated (w.r.t. itself)
 /// by the scanned object `e` — all leaves whose path satisfies
 /// `∀i d_i(e_i, u_i) ≤ d_i(q_i, u_i)` with strict inequality somewhere —
-/// sparing `e`'s own id. Returns the number of evicted instances.
+/// sparing `e`'s own id. Returns the number of evicted instances. This is
+/// phase two's level-by-level walk (the scan memo of the module docs) with
+/// nothing remembered, so it starts at the root.
 #[allow(clippy::too_many_arguments)]
 pub fn prune_with(
     tree: &mut AlTree,
@@ -613,13 +635,208 @@ pub fn prune_with(
     cache: &QueryDistCache,
     stats: &mut RunStats,
 ) -> u32 {
-    let mut stack = Vec::new();
-    prune_with_stack(tree, dt, None, subset, order, e_schema_vals, e_id, cache, stats, &mut stack)
+    let src = DistSource::Table(dt);
+    ScanMemo::new(order, subset).prune(tree, src, cache, e_schema_vals, e_id, stats)
 }
 
-/// [`prune_with`] with a caller-provided stack buffer. With `flat` present
-/// the per-child distance comes from the scanned object's contiguous moving
-/// row — same values, same check counting.
+/// Phase two's walk (Alg. 5) over one batch tree, done level by level and
+/// remembered between scanned objects: the scan memo of the module docs.
+///
+/// Alg. 5's walk is exhaustive, so the nodes it reaches at depth `l + 1`,
+/// and their `FoundCloser` flags, depend only on the tree and on the
+/// scanned object's values at depths `..=l`. The memo keeps every depth's
+/// frontier from the previous object's walk, with the visits and checks
+/// spent reaching it. The next object resumes at the first depth whose
+/// attribute the query selects and whose value differs from its
+/// predecessor's (an unselected depth passes every child on whatever the
+/// value), counts the kept depths' visits and checks again, and walks on
+/// from there. Every `RunStats` counter is therefore the DFS's, and so are
+/// the evicted leaves. An eviction reshapes the tree, so it drops the memo
+/// and the next walk starts at the root.
+pub(crate) struct ScanMemo {
+    /// Each inner depth's schema attribute and whether the query selects it.
+    attrs: Vec<(usize, bool)>,
+    /// `depths[l]`: what the last walk reached at depth `l`.
+    depths: Vec<Frontier>,
+    /// Tree-order values of the object whose walk built the frontiers.
+    prev: Vec<ValueId>,
+    /// The depth where the last walk ended: the leaves, or the first depth
+    /// it reached no node at. `depths[..=end]` hold for the tree as it is
+    /// now; an eviction sets it to 0, where the root always holds.
+    end: usize,
+}
+
+/// What one walk reached at one depth of the tree.
+#[derive(Clone, Default)]
+struct Frontier {
+    /// `nodes[..len]`: the nodes reached, each with its `FoundCloser` flag.
+    /// At the leaf depth only the flagged leaves are kept, since those are
+    /// the ones the walk evicts from. The buffer only grows, so a walk
+    /// writes into it without clearing it.
+    nodes: Vec<(NodeIdx, bool)>,
+    len: usize,
+    /// Visits and checks the walk spent reaching this depth, its own
+    /// visits included.
+    visits: u64,
+    checks: u64,
+}
+
+impl ScanMemo {
+    /// An empty memo for walks over trees in attribute order `order`, under
+    /// the query's `subset`.
+    pub(crate) fn new(order: &[usize], subset: &AttrSubset) -> Self {
+        let m = order.len();
+        let mut depths = vec![Frontier::default(); m + 1];
+        // Every walk visits the root.
+        depths[0] = Frontier { nodes: vec![(ROOT, false)], len: 1, visits: 1, checks: 0 };
+        Self {
+            attrs: order.iter().map(|&a| (a, subset.contains(a))).collect(),
+            depths,
+            prev: vec![0; m],
+            end: 0,
+        }
+    }
+
+    /// Algorithm 5 for the scanned object `e` (schema-order values) over
+    /// `tree`, which must be the tree the memo's earlier walks ran over,
+    /// with no change since but this memo's own evictions. Returns the
+    /// number of evicted instances, as [`prune_with`] does.
+    pub(crate) fn prune(
+        &mut self,
+        tree: &mut AlTree,
+        src: DistSource<'_>,
+        cache: &QueryDistCache,
+        e: &[ValueId],
+        e_id: RecordId,
+        stats: &mut RunStats,
+    ) -> u32 {
+        if tree.is_empty() {
+            return 0;
+        }
+        let m = self.attrs.len();
+        let mut l = self.resume_depth(e);
+        while l < m && self.depths[l].len > 0 {
+            let (attr, selected) = self.attrs[l];
+            self.prev[l] = e[attr];
+            let (above, below) = self.depths.split_at_mut(l + 1);
+            let (cur, next) = (&above[l], &mut below[0]);
+            let nodes = &cur.nodes[..cur.len];
+            // Below the last inner depth only flagged leaves are kept.
+            let keep_unflagged = l + 1 < m;
+            let (len, reached, checks) = match (selected, src) {
+                (false, _) => pass_level(tree, nodes, &mut next.nodes, keep_unflagged),
+                (true, DistSource::Flat(f)) => {
+                    let row = f.moving_row(attr, e[attr]);
+                    let (d_e, d_q) = (|u: ValueId| row[u as usize], |u| cache.d(attr, u));
+                    expand_level(tree, nodes, &mut next.nodes, keep_unflagged, d_e, d_q)
+                }
+                (true, DistSource::Table(dt)) => {
+                    let (d_e, d_q) = (|u| dt.d(attr, e[attr], u), |u| cache.d(attr, u));
+                    expand_level(tree, nodes, &mut next.nodes, keep_unflagged, d_e, d_q)
+                }
+            };
+            next.len = len;
+            next.visits = cur.visits + reached;
+            next.checks = cur.checks + checks;
+            l += 1;
+        }
+        self.end = l;
+        let last = &self.depths[l];
+        stats.tree_nodes_visited += last.visits;
+        stats.dist_checks += last.checks;
+        if l < m {
+            return 0;
+        }
+        let mut removed = 0;
+        for &(leaf, _) in &last.nodes[..last.len] {
+            removed += tree.remove_leaf_except(leaf, Some(e_id));
+        }
+        if removed > 0 {
+            self.end = 0;
+        }
+        removed
+    }
+
+    /// The depth at which `e`'s walk resumes: the first one whose attribute
+    /// the query selects and whose value differs from the previous object's,
+    /// at most the depth where the previous walk ended.
+    fn resume_depth(&self, e: &[ValueId]) -> usize {
+        (0..self.end)
+            .find(|&l| {
+                let (attr, selected) = self.attrs[l];
+                selected && e[attr] != self.prev[l]
+            })
+            .unwrap_or(self.end)
+    }
+}
+
+/// One depth of [`ScanMemo`]'s walk at a selected attribute: writes into
+/// `next` every child of `cur`'s nodes whose distance `d_e` to the scanned
+/// object is at most its distance `d_q` to the query, flagged when some
+/// attribute on its path is strictly closer; unflagged children are kept
+/// only when `keep_unflagged` is set. Returns how many entries of `next`
+/// it wrote, the children reached (the next depth's visits) and the
+/// distances checked. Every child is written at the top, which advances
+/// only when the child is kept, so the distance test takes no branch.
+#[inline]
+fn expand_level(
+    tree: &AlTree,
+    cur: &[(NodeIdx, bool)],
+    next: &mut Vec<(NodeIdx, bool)>,
+    keep_unflagged: bool,
+    d_e: impl Fn(ValueId) -> f64,
+    d_q: impl Fn(ValueId) -> f64,
+) -> (usize, u64, u64) {
+    let (mut top, mut reached, mut checks) = (0, 0u64, 0u64);
+    for &(s, found_closer) in cur {
+        let (children, values) = tree.children_and_values(s);
+        if next.len() < top + children.len() {
+            next.resize(top + children.len(), (ROOT, false));
+        }
+        checks += children.len() as u64;
+        for (&p, &u) in children.iter().zip(values) {
+            let (d_pe, d_pq) = (d_e(u), d_q(u));
+            let within = d_pe <= d_pq;
+            let flag = found_closer | (d_pe < d_pq);
+            next[top] = (p, flag);
+            reached += within as u64;
+            top += (within & (keep_unflagged | flag)) as usize;
+        }
+    }
+    (top, reached, checks)
+}
+
+/// One depth of [`ScanMemo`]'s walk at an unselected attribute: no
+/// constraint and no check, so every child is reached with its parent's
+/// flag. Keeps, writes and counts as [`expand_level`] does.
+fn pass_level(
+    tree: &AlTree,
+    cur: &[(NodeIdx, bool)],
+    next: &mut Vec<(NodeIdx, bool)>,
+    keep_unflagged: bool,
+) -> (usize, u64, u64) {
+    let (mut top, mut reached) = (0, 0u64);
+    for &(s, found_closer) in cur {
+        let children = tree.children(s);
+        reached += children.len() as u64;
+        if keep_unflagged || found_closer {
+            if next.len() < top + children.len() {
+                next.resize(top + children.len(), (ROOT, false));
+            }
+            for (slot, &p) in next[top..].iter_mut().zip(children) {
+                *slot = (p, found_closer);
+            }
+            top += children.len();
+        }
+    }
+    (top, reached, 0)
+}
+
+/// The depth-first Alg. 5 walk that [`ScanMemo`] replaced, kept as the
+/// reference its tests compare against. With `flat` present the per-child
+/// distance comes from the scanned object's contiguous moving row — same
+/// values, same check counting.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn prune_with_stack(
     tree: &mut AlTree,
@@ -1036,5 +1253,212 @@ mod tests {
         let a = with.run(&mut ctx, &sorted.file, &q).unwrap();
         let b = without.run(&mut ctx, &sorted.file, &q).unwrap();
         assert_eq!(a.ids, b.ids);
+    }
+
+    /// What the scan-memo test saw happen across its cases.
+    #[derive(Default)]
+    struct MemoCoverage {
+        flat_runs: usize,
+        table_runs: usize,
+        /// Walks that resumed below the root, and those that resumed at the
+        /// leaves (an object equal to its predecessor on every selected
+        /// attribute).
+        resumed: usize,
+        resumed_at_leaves: usize,
+        /// Scans of an object whose own id sits alone at its leaf.
+        own_single_leaf: usize,
+        /// Pages on which the tree emptied before their last object.
+        emptied_mid_page: usize,
+    }
+
+    /// Scans every row of `scan` past the batch tree of `tree_rows`, page by
+    /// page as [`phase2_tree_batch`] does, once with the DFS reference and
+    /// once with a [`ScanMemo`], each on its own clone of the tree, and
+    /// asserts after every object that both evicted the same ids, left the
+    /// same ids and spent the same visits and checks. Then runs
+    /// [`phase2_tree_batch`] itself over the same pages and asserts the
+    /// reference's result and counters.
+    fn assert_memo_matches_dfs(
+        ds: &rsky_core::dataset::Dataset,
+        q: &Query,
+        tree_rows: &RowBuf,
+        scan: &RowBuf,
+        cov: &mut MemoCoverage,
+    ) {
+        const PAGE: usize = 16;
+        let m = ds.schema.num_attrs();
+        let order = rsky_order::ascending_cardinality_order(&ds.schema);
+        let mut tree = AlTree::new(m);
+        let (mut page, mut pbuf, mut tvals) = (0, RowBuf::new(m), vec![0u32; m]);
+        let one_page = |_, buf: &mut RowBuf| {
+            buf.clone_from(tree_rows);
+            Ok(())
+        };
+        load_batch_into_tree_with(one_page, &order, &mut page, 1, 0, &mut tree, &mut pbuf, &mut tvals)
+            .unwrap();
+        let cache = QueryDistCache::new(&ds.dissim, &ds.schema, q);
+        let kern = crate::kernels::PrunerKernel::new(&ds.schema, &ds.dissim);
+        let src = match kern.flat() {
+            Some(f) => {
+                cov.flat_runs += 1;
+                DistSource::Flat(f)
+            }
+            None => {
+                cov.table_runs += 1;
+                DistSource::Table(&ds.dissim)
+            }
+        };
+        let sorted_ids = |t: &AlTree| {
+            let mut ids = t.collect_ids();
+            ids.sort_unstable();
+            ids
+        };
+        let (mut dfs_tree, mut memo_tree) = (tree.clone(), tree.clone());
+        let (mut dfs_stats, mut memo_stats) = (RunStats::default(), RunStats::default());
+        let mut memo = ScanMemo::new(&order, &q.subset);
+        let mut stack = Vec::new();
+        let pages: Vec<std::ops::Range<usize>> =
+            (0..scan.len()).step_by(PAGE).map(|s| s..(s + PAGE).min(scan.len())).collect();
+        let row_of: std::collections::HashMap<RecordId, usize> =
+            (0..scan.len()).map(|i| (scan.id(i), i)).collect();
+        let what = format!("{} {:?}", ds.label, q.subset.indices());
+        for page in &pages {
+            if dfs_tree.is_empty() {
+                break;
+            }
+            for ei in page.clone() {
+                let (e, e_id) = (scan.values(ei), scan.id(ei));
+                let before = sorted_ids(&dfs_tree);
+                let twins = before.iter().filter(|id| scan.values(row_of[id]) == e).count();
+                if before.binary_search(&e_id).is_ok() && twins == 1 {
+                    cov.own_single_leaf += 1;
+                }
+                if !memo_tree.is_empty() && memo.end > 0 {
+                    let depth = memo.resume_depth(e);
+                    cov.resumed += usize::from(depth > 0);
+                    cov.resumed_at_leaves += usize::from(depth == m);
+                }
+                let (v0, c0) = (dfs_stats.tree_nodes_visited, dfs_stats.dist_checks);
+                let dfs_removed = prune_with_stack(
+                    &mut dfs_tree, &ds.dissim, kern.flat(), &q.subset, &order, e, e_id, &cache,
+                    &mut dfs_stats, &mut stack,
+                );
+                let (w0, k0) = (memo_stats.tree_nodes_visited, memo_stats.dist_checks);
+                let memo_removed =
+                    memo.prune(&mut memo_tree, src, &cache, e, e_id, &mut memo_stats);
+                let after = sorted_ids(&dfs_tree);
+                let evicted = |left: &[RecordId]| -> Vec<RecordId> {
+                    before.iter().copied().filter(|id| left.binary_search(id).is_err()).collect()
+                };
+                let memo_after = sorted_ids(&memo_tree);
+                assert_eq!(evicted(&memo_after), evicted(&after), "{what}: object {e_id}");
+                assert_eq!(memo_after, after, "{what}: object {e_id}");
+                assert_eq!(memo_removed, dfs_removed, "{what}: object {e_id}");
+                assert_eq!(
+                    (memo_stats.tree_nodes_visited - w0, memo_stats.dist_checks - k0),
+                    (dfs_stats.tree_nodes_visited - v0, dfs_stats.dist_checks - c0),
+                    "{what}: visits and checks of object {e_id}"
+                );
+                memo_tree.check_invariants().unwrap();
+                if after.is_empty() && !before.is_empty() && ei + 1 < page.end {
+                    // The page's later objects meet an empty tree.
+                    cov.emptied_mid_page += 1;
+                }
+            }
+        }
+        // The whole batch through the engine's own page loop.
+        let mut batch_tree = tree.clone();
+        let (mut batch_stats, mut ids) = (RunStats::default(), Vec::new());
+        phase2_tree_batch(
+            &mut batch_tree, src, &q.subset, &order, &cache,
+            pages.len() as u64,
+            |p, buf| {
+                for i in pages[p as usize].clone() {
+                    buf.push(scan.id(i), scan.values(i));
+                }
+                Ok(())
+            },
+            &mut batch_stats, &mut ids,
+        )
+        .unwrap();
+        assert_eq!(ids, dfs_tree.collect_ids(), "{what}");
+        assert_eq!(
+            (batch_stats.tree_nodes_visited, batch_stats.dist_checks),
+            (dfs_stats.tree_nodes_visited, dfs_stats.dist_checks),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn scan_memo_matches_the_dfs_object_by_object() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(40);
+        // Exact duplicates under fresh ids of every 7th row: a tree of the
+        // duplicated rows empties once their twins are scanned.
+        let with_duplicates = |mut ds: rsky_core::dataset::Dataset| {
+            let n = ds.rows.len();
+            let mut originals = RowBuf::new(ds.schema.num_attrs());
+            for (k, i) in (0..n).step_by(7).enumerate() {
+                let (id, vals) = (ds.rows.id(i), ds.rows.values(i).to_vec());
+                originals.push(id, &vals);
+                ds.rows.push(10_000 + k as RecordId, &vals);
+            }
+            (ds, originals)
+        };
+        let (normal, normal_dups) =
+            with_duplicates(rsky_data::synthetic::normal_dataset(4, 8, 300, &mut rng).unwrap());
+        let (census, census_dups) =
+            with_duplicates(rsky_data::census_income_like(400, &mut rng).unwrap());
+        // The normal rows run under both linear twins, so both distance
+        // sources are covered.
+        let (flat_twin, wide_twin) = rsky_data::twin::linear_twins(&normal).unwrap();
+        let mut cov = MemoCoverage::default();
+        let cases = [(&flat_twin, &normal_dups), (&wide_twin, &normal_dups), (&census, &census_dups)];
+        for (ds, dups) in cases {
+            let order = rsky_order::ascending_cardinality_order(&ds.schema);
+            // Full queries, and subset queries without the first tree level's
+            // attribute and without the last's.
+            let mut queries = rsky_data::random_queries(&ds.schema, 2, &mut rng).unwrap();
+            for dropped in [order[0], order[order.len() - 1]] {
+                let keep: Vec<usize> =
+                    (0..ds.schema.num_attrs()).filter(|&a| a != dropped).collect();
+                queries.extend(
+                    rsky_data::workload::random_subset_queries(&ds.schema, &keep, 1, &mut rng)
+                        .unwrap(),
+                );
+            }
+            // Scan orders: multi-sorted, tiled and shuffled.
+            let mut sorted = ds.rows.clone();
+            rsky_order::sort_rows_lex(&mut sorted, &order);
+            let mut tiled = ds.rows.clone();
+            let tiles = rsky_order::TileConfig::uniform(&ds.schema, 2).unwrap();
+            rsky_order::tiling::sort_rows_tiled(&mut tiled, &tiles, &order);
+            let mut shuffled = RowBuf::new(ds.schema.num_attrs());
+            let mut perm: Vec<usize> = (0..ds.rows.len()).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, rng.gen_range(0..=i));
+            }
+            for &i in &perm {
+                shuffled.push(ds.rows.id(i), ds.rows.values(i));
+            }
+            for q in &queries {
+                for scan in [&sorted, &tiled, &shuffled] {
+                    // A tree of every 4th scanned row (the scanned objects
+                    // include the tree's own), and one of the duplicated rows.
+                    let mut sample = RowBuf::new(ds.schema.num_attrs());
+                    for i in (0..scan.len()).step_by(4) {
+                        sample.push(scan.id(i), scan.values(i));
+                    }
+                    assert_memo_matches_dfs(ds, q, &sample, scan, &mut cov);
+                    assert_memo_matches_dfs(ds, q, dups, scan, &mut cov);
+                }
+            }
+        }
+        let c = &cov;
+        assert!(c.flat_runs > 0 && c.table_runs > 0, "both distance sources ran");
+        assert!(c.resumed > 0 && c.resumed_at_leaves > 0, "walks resumed below the root");
+        assert!(c.own_single_leaf > 0, "objects met their own single-id leaves");
+        assert!(c.emptied_mid_page > 0, "a tree emptied part-way through a page");
     }
 }

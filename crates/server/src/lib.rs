@@ -54,4 +54,4 @@ pub use server::{resolve_threads, Server, ServerConfig, ServerHandle};
 pub use slowlog::{ProfileLine, SlowEntry, SlowLog};
 pub use state::DataState;
 pub use telemetry::Telemetry;
-pub use views::{SubscribeAck, ViewRegistry};
+pub use views::{SubscribeAck, SubscribeError, ViewRegistry, MAX_LIVE_VIEWS};

@@ -262,7 +262,8 @@ fn deadline(v: &JsonValue) -> Result<Option<u64>, String> {
 /// Stable error kinds carried in the `"error"` member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrKind {
-    /// The bounded request queue was full — load was shed.
+    /// The bounded request queue was full, or a subscribe would build a
+    /// view beyond the live-view cap — load was shed.
     Overloaded,
     /// The request's deadline fired before (or while) it ran.
     Timeout,

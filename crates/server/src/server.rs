@@ -13,9 +13,11 @@
 //!
 //! Admission control is the queue itself (see [`crate::queue`]): a full
 //! queue sheds the request immediately with an `overloaded` error instead
-//! of letting latency grow without bound. Shutdown stops admission, drains
-//! everything already admitted, answers each drained job, and only then
-//! lets threads exit — a client never loses an accepted request.
+//! of letting latency grow without bound. A `subscribe` that would build a
+//! view beyond [`MAX_LIVE_VIEWS`] is answered `overloaded` the same way.
+//! Shutdown stops admission, drains everything already admitted, answers
+//! each drained job, and only then lets threads exit — a client never loses
+//! an accepted request.
 
 use std::io::{Read, Write};
 use std::panic::{self, AssertUnwindSafe};
@@ -49,7 +51,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::slowlog::{SlowEntry, SlowLog};
 use crate::state::{DataState, DatasetVersion};
 use crate::telemetry::Telemetry;
-use crate::views::ViewRegistry;
+use crate::views::{SubscribeError, ViewRegistry, MAX_LIVE_VIEWS};
 
 /// How often an idle connection thread wakes up to notice a shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(50);
@@ -621,7 +623,11 @@ fn handle_line(
                         false,
                     )
                 }
-                Err(e) => {
+                Err(SubscribeError::Overloaded) => {
+                    let detail = format!("{MAX_LIVE_VIEWS} views are live, the most a server keeps");
+                    (proto::err_line(ErrKind::Overloaded, &detail), false)
+                }
+                Err(SubscribeError::Build(e)) => {
                     shared.obs.counter_add(names::SERVER_BAD_REQUEST, 1);
                     (proto::err_line(ErrKind::BadRequest, &e.to_string()), false)
                 }

@@ -21,6 +21,12 @@
 //! racing a same-generation request from serving a stale (or too-new)
 //! snapshot.
 //!
+//! At most [`MAX_LIVE_VIEWS`] views live at once. Each live view adds a
+//! maintenance step to every write, under the registry lock, so a subscribe
+//! that would build a view beyond the cap is refused as
+//! [`SubscribeError::Overloaded`] and builds nothing; a subscribe to a key
+//! that already has a live view joins it whatever the count.
+//!
 //! Every view is maintained over the version's shard parts (one part when
 //! unsharded). A maintenance step that panics leaves its view at its old
 //! generation, where it answers no request; the next event it sees has a
@@ -31,7 +37,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 
-use rsky_core::error::Result;
+use rsky_core::error::Error;
 use rsky_core::obs::{self, names};
 use rsky_core::query::Query;
 use rsky_core::record::{RecordId, RowBuf, ValueId};
@@ -40,6 +46,19 @@ use rsky_view::{MaterializedView, ViewSpec};
 
 use crate::proto;
 use crate::state::{DataState, DatasetVersion};
+
+/// Most views a registry keeps live at once: far above what any client of
+/// the protocol subscribes, the way `MAX_LINE_BYTES` caps request lines.
+pub const MAX_LIVE_VIEWS: usize = 64;
+
+/// Why `subscribe` registered nothing.
+#[derive(Debug)]
+pub enum SubscribeError {
+    /// The key has no live view and [`MAX_LIVE_VIEWS`] views are live.
+    Overloaded,
+    /// The view could not be built (an invalid key, for one).
+    Build(Error),
+}
 
 /// What `subscribe` returns to the connection: the subscription id and the
 /// snapshot the delta feed starts from.
@@ -93,13 +112,14 @@ impl ViewRegistry {
     /// under the same mutation-order discipline (see `server::mutate`), so
     /// the snapshot cannot race a concurrent mutation. A view that a
     /// panicking step left behind acks its own generation; the next event
-    /// resyncs it.
+    /// resyncs it. A new key while [`MAX_LIVE_VIEWS`] views are live is
+    /// refused before anything is built.
     pub fn subscribe(
         &self,
         data: &DataState,
         spec: ViewSpec,
         tx: mpsc::Sender<String>,
-    ) -> Result<SubscribeAck> {
+    ) -> Result<SubscribeAck, SubscribeError> {
         let mut inner = self.lock();
         let version = data.current();
         let at = match inner
@@ -108,8 +128,12 @@ impl ViewRegistry {
             .position(|e| e.view.spec().matches_key(&spec.values, spec.subset.as_deref()))
         {
             Some(at) => at,
+            None if inner.entries.len() >= MAX_LIVE_VIEWS => {
+                return Err(SubscribeError::Overloaded)
+            }
             None => {
-                let view = MaterializedView::build(&version.dataset, spec, version.generation)?;
+                let view = MaterializedView::build(&version.dataset, spec, version.generation)
+                    .map_err(SubscribeError::Build)?;
                 inner.entries.push(Entry { view, subs: Vec::new() });
                 inner.entries.len() - 1
             }
@@ -322,6 +346,35 @@ mod tests {
         assert!(ack2.sub > ack.sub, "subscription ids are never reused");
         reg.drop_subs(&[ack2.sub]);
         assert_eq!(reg.live(), 0);
+    }
+
+    #[test]
+    fn a_new_key_beyond_the_cap_is_refused_and_a_live_key_still_joins() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(5);
+        let ds = rsky_data::synthetic::normal_dataset(3, 8, 60, &mut rng).unwrap();
+        let state = DataState::new(ds);
+        let reg = ViewRegistry::new();
+        let spec = |k: usize| ViewSpec {
+            values: vec![(k % 8) as ValueId, (k / 8 % 8) as ValueId, (k / 64) as ValueId],
+            subset: None,
+        };
+        // No event is applied, so no frame is sent and no feed is read.
+        let subscribe = |k: usize| reg.subscribe(&state, spec(k), mpsc::channel().0);
+        let subs: Vec<u64> = (0..MAX_LIVE_VIEWS).map(|k| subscribe(k).unwrap().sub).collect();
+        assert_eq!(reg.live(), MAX_LIVE_VIEWS);
+        let refused = subscribe(MAX_LIVE_VIEWS);
+        assert!(matches!(refused, Err(SubscribeError::Overloaded)), "new key at the cap");
+        assert_eq!(reg.live(), MAX_LIVE_VIEWS, "a refused subscribe builds nothing");
+        // A key with a live view joins it: no view is built.
+        let joined = subscribe(3).unwrap();
+        assert_eq!(reg.live(), MAX_LIVE_VIEWS);
+        assert_eq!(joined.ids, reg.lookup(&spec(3).values, None, joined.generation).unwrap());
+        // Dropping a view frees its slot for a new key.
+        reg.drop_subs(&[subs[0]]);
+        subscribe(MAX_LIVE_VIEWS).unwrap();
+        assert_eq!(reg.live(), MAX_LIVE_VIEWS);
     }
 
     #[test]

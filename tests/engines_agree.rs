@@ -6,8 +6,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsky::prelude::*;
 
-/// Runs all eight engine/layout combinations and asserts equality with the
-/// oracle.
+/// Runs all nine engine/layout combinations and asserts equality with the
+/// oracle. TRS also runs over the raw Original file, where consecutive
+/// scanned objects share no value prefix: the phase-two scan memo's worst
+/// case, and a layout the `Trs` docs promise it is correct on.
 fn assert_all_engines(ds: &Dataset, q: &Query, page: usize, mem_pct: f64) {
     let expect = reverse_skyline_by_definition(&ds.dissim, &ds.rows, q);
     let mut disk = Disk::new_mem(page);
@@ -25,6 +27,7 @@ fn assert_all_engines(ds: &Dataset, q: &Query, page: usize, mem_pct: f64) {
         ("BRS", run(&Brs, &mut disk, ds, &raw, q, budget)),
         ("SRS", run(&Srs, &mut disk, ds, &sorted.file, q, budget)),
         ("TRS", run(&trs, &mut disk, ds, &sorted.file, q, budget)),
+        ("TRS over Original", run(&trs, &mut disk, ds, &raw, q, budget)),
         ("TRS-BF", run(&bf, &mut disk, ds, &sorted.file, q, budget)),
         ("T-SRS", run(&Srs, &mut disk, ds, &tiled.file, q, budget)),
         ("T-TRS", run(&trs, &mut disk, ds, &tiled.file, q, budget)),

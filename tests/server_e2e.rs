@@ -16,7 +16,9 @@
 //! * a request that panics on its worker is answered `internal` and the
 //!   pool keeps every worker;
 //! * a client that stops reading its replies cannot wedge the shutdown
-//!   drain: its connection's writes time out.
+//!   drain: its connection's writes time out;
+//! * a subscribe that would build a view beyond `MAX_LIVE_VIEWS` is
+//!   answered `overloaded`, and one to a live key still joins its view.
 
 use std::time::Duration;
 
@@ -25,7 +27,7 @@ use rand::SeedableRng;
 use rsky::prelude::*;
 use rsky::server::json::{self, JsonValue};
 use rsky::server::server::{resolve_threads, MAX_LINE_BYTES};
-use rsky::server::{Client, Server, ServerConfig};
+use rsky::server::{Client, Server, ServerConfig, MAX_LIVE_VIEWS};
 
 const ENGINES: [&str; 7] = ["naive", "brs", "srs", "trs", "trs-bf", "tsrs", "ttrs"];
 
@@ -514,6 +516,31 @@ fn over_cap_request_line_is_rejected_and_closed() {
     let health = client.send(r#"{"op":"health"}"#).unwrap();
     assert!(is_ok(&health), "{health}");
     assert_eq!(handle.registry().counter("server.bad_request"), 1);
+    handle.shutdown();
+    handle.join();
+}
+
+/// Every live view adds a maintenance step to each write, so the number of
+/// live views is capped: a subscribe to a new key past the cap is shed with
+/// `overloaded`, while one to a key that has a live view joins it.
+#[test]
+fn subscribes_past_the_live_view_cap_are_shed() {
+    let handle = Server::start(test_config(), small_dataset(9009, 50)).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.set_timeout(Duration::from_secs(60)).unwrap();
+    // Distinct keys over the 3 × 6 domain.
+    let subscribe = |k: usize| {
+        let values = [k % 6, k / 6 % 6, k / 36];
+        format!(r#"{{"op":"subscribe","engine":"trs","values":{values:?}}}"#)
+    };
+    for k in 0..MAX_LIVE_VIEWS {
+        let reply = client.send(&subscribe(k)).unwrap();
+        assert!(is_ok(&reply), "{reply}");
+    }
+    let reply = client.send(&subscribe(MAX_LIVE_VIEWS)).unwrap();
+    assert_eq!(error_kind(&reply), "overloaded", "{reply}");
+    let reply = client.send(&subscribe(0)).unwrap();
+    assert!(is_ok(&reply), "a live key still subscribes: {reply}");
     handle.shutdown();
     handle.join();
 }
