@@ -279,7 +279,6 @@ impl ReverseSkylineAlgo for TrsBf {
                         )?;
                     }
                     stats.phase1_batches += 1;
-                    tree.order_children_for_search();
                     killers.clear();
                     let mut universal: Option<usize> = None;
                     heap.clear();
@@ -425,7 +424,6 @@ impl ReverseSkylineAlgo for TrsBf {
                             order, &mut dp, total_pages, d_tree_budget, &mut tree, &mut pbuf,
                             &mut tvals,
                         )?;
-                        tree.order_children_for_search();
                         collect_leaf_reps(&tree, order, &mut lvals, &mut ybuf, stats);
                         let ys = ColumnarBatch::from_rows(&ybuf);
                         blocks.scan(subset, &ys, true, stats);

@@ -263,7 +263,6 @@ pub fn hybrid_trs(
             tree.insert(&tvals, i as u32);
         }
         tree.seal();
-        tree.order_children_for_search();
         stats.phase1_batches += 1;
         for i in start..end {
             stats.obj_comparisons += 1;
@@ -317,9 +316,9 @@ fn encode(ds: &HybridDataset, id: RecordId, out: &mut [u32]) {
 /// object? Categorical levels use exact checks; numeric levels qualify a
 /// bucket only when its entire range is at most as dissimilar to the
 /// candidate as the query is (strict flag only when the whole range is
-/// strictly closer). The batch tree's children are in search order
-/// ([`AlTree::order_children_for_search`]), so pushing them in range order
-/// pops the largest subtree first.
+/// strictly closer). The batch tree is sealed in search order
+/// ([`AlTree::new`]), so pushing its children in range order pops the
+/// largest subtree first.
 fn is_prunable_hybrid(
     tree: &AlTree,
     ds: &HybridDataset,

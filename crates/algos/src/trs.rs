@@ -31,7 +31,7 @@
 //! batch neighbouring leaves share long value prefixes, so the record that
 //! pruned one leaf usually prunes the next. Before it walks for a leaf,
 //! phase one therefore tests the leaf against a small pool of *witnesses*:
-//! up to `WITNESS_POOL` (4) pruners that this batch's walks found, ordered by
+//! up to `WITNESS_POOL` pruners that this batch's walks found, ordered by
 //! when each last pruned a leaf, most recent first — the self-organizing
 //! window of BNL-style skyline algorithms, which tries its recently
 //! successful dominators first. A witness that prunes moves to the front; a
@@ -44,6 +44,21 @@
 //! two, page IO and ids are exactly Alg. 4's, and only distance checks and
 //! tree-node visits move. [`TrsOptions::witness_first`] turns the probe off
 //! (the paper's plain Alg. 4, an ablation).
+//!
+//! The leaves of one parent share every value but the leaf level's, so the
+//! test is split the same way. As the DFS descends it keeps, for each
+//! selected attribute, the query's distance to the path's value and that
+//! value's center row, one lookup per node. Each witness keeps its test
+//! over the current leaf parent's path, run in schema order and stopped at
+//! the path's first failing attribute, and resumed only as far as a leaf
+//! needs it. A leaf then evaluates only the leaf-level attribute, and only
+//! when that comes before the path's first failure: a leaf with siblings
+//! reuses its parent's work, and a leaf without any (sparse data, where the
+//! parent changes at every leaf) evaluates no more than the whole test
+//! would. The checks are still counted as the whole test, in schema order,
+//! would count them — up to and including the first failing attribute, or
+//! every selected attribute on a hit — so every `RunStats` counter is the
+//! same as with a per-leaf test.
 //!
 //! ## The scan memo
 //!
@@ -75,7 +90,6 @@
 
 use rsky_altree::{AlTree, NodeIdx, ROOT};
 use rsky_core::dissim::{DissimTable, FlatDissim};
-use rsky_core::dominate::prunes_with_center_dists;
 use rsky_core::error::{Error, Result};
 use rsky_core::query::{AttrSubset, Query};
 use rsky_core::record::{RecordId, RowBuf, ValueId};
@@ -84,7 +98,7 @@ use rsky_core::stats::RunStats;
 use rsky_storage::{RecordFile, RecordWriter};
 
 use crate::engine::{run_batches, run_with_scaffolding, EngineCtx, ReverseSkylineAlgo, RsRun};
-use crate::kernels::{prunes_center_hoisted, DistSource};
+use crate::kernels::DistSource;
 use crate::qcache::QueryDistCache;
 
 /// Tuning switches, primarily for ablation studies.
@@ -102,6 +116,14 @@ pub struct TrsOptions {
 impl Default for TrsOptions {
     fn default() -> Self {
         Self { order_children_by_count: true, witness_first: true }
+    }
+}
+
+impl TrsOptions {
+    /// An empty batch tree of `m` attributes whose sealed child ranges are
+    /// in the order these options walk them.
+    pub(crate) fn batch_tree(&self, m: usize) -> AlTree {
+        if self.order_children_by_count { AlTree::new(m) } else { AlTree::in_value_order(m) }
     }
 }
 
@@ -212,7 +234,7 @@ impl ReverseSkylineAlgo for Trs {
             let subset = &query.subset;
             let dissim = ctx.dissim;
             let total_pages = table.num_pages(ctx.disk);
-            let tree_batch = || (AlTree::new(m), RowBuf::new(m), vec![0u32; m]);
+            let tree_batch = || (self.opts.batch_tree(m), RowBuf::new(m), vec![0u32; m]);
 
             // --- Phase one: batch trees, IsPrunable per loaded object ------
             let p1 = robs.scope("phase1", stats, ctx.disk.io_stats());
@@ -300,7 +322,7 @@ impl ReverseSkylineAlgo for Trs {
 /// set (see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn phase1_tree_batch(
-    tree: &mut AlTree,
+    tree: &AlTree,
     dissim: &DissimTable,
     flat: Option<&FlatDissim>,
     subset: &AttrSubset,
@@ -310,26 +332,22 @@ pub(crate) fn phase1_tree_batch(
     stats: &mut RunStats,
     mut emit: impl FnMut(&[u32]) -> Result<()>,
 ) -> Result<()> {
-    if opts.order_children_by_count {
-        tree.order_children_for_search();
-    }
     let m = order.len();
     let src = match flat {
         Some(f) => DistSource::Flat(f),
         None => DistSource::Table(dissim),
     };
-    let mut c_schema_vals = vec![0u32; m];
+    let mut path = CandidatePath::new(src, subset, order, cache);
+    let mut pool = WitnessPool::default();
     let mut row = vec![0u32; m + 1];
     let mut stack = Vec::new();
-    let mut witnesses: Vec<(NodeIdx, Vec<ValueId>)> = Vec::with_capacity(WITNESS_POOL);
-    let (mut dqx, mut crows) = (Vec::new(), Vec::new());
     // Leaves in DFS order. The walk is preorder, so when it reaches a leaf
-    // every level of `c_schema_vals` holds the value of the leaf's path.
+    // every level of `path` holds the leaf's path.
     let mut dfs = vec![ROOT];
     while let Some(n) = dfs.pop() {
         let level = tree.level(n) as usize;
         if level > 0 {
-            c_schema_vals[order[level - 1]] = tree.value(n);
+            path.set(level - 1, tree.value(n));
         }
         if !tree.is_leaf(n) {
             dfs.extend(tree.children(n).iter().rev());
@@ -337,33 +355,20 @@ pub(crate) fn phase1_tree_batch(
         }
         let ids = tree.leaf_ids(n);
         stats.obj_comparisons += ids.len() as u64;
-        if let Some(k) = witness_prunes(
-            &witnesses, src, subset, cache, n, ids.len(), &c_schema_vals, &mut dqx, &mut crows,
-            &mut stats.dist_checks,
-        ) {
-            // The witness that pruned this leaf moves to the front.
-            witnesses[..=k].rotate_right(1);
+        if let Some(k) = pool.probe(&path, n, tree.parent(n), ids.len(), &mut stats.dist_checks) {
+            pool.promote(k);
             continue;
         }
         match find_pruner_leaf(
-            tree, dissim, flat, subset, order, &c_schema_vals, ids[0], cache, stats, &mut stack,
+            tree, dissim, flat, subset, order, &path.c, ids[0], cache, stats, &mut stack,
         ) {
-            Some(p) if opts.witness_first => {
-                // The new pruner takes the front slot; a full pool evicts
-                // the witness at the back.
-                if witnesses.len() < WITNESS_POOL {
-                    witnesses.push((p, vec![0; m]));
-                }
-                witnesses.rotate_right(1);
-                witnesses[0].0 = p;
-                leaf_schema_values(tree, p, order, &mut witnesses[0].1);
-            }
+            Some(p) if opts.witness_first => pool.admit(tree, p, &path),
             Some(_) => {}
             None => {
                 // No pruner for this value combination: every instance
                 // survives (a duplicate pair would have been caught at its
                 // own leaf).
-                row[1..].copy_from_slice(&c_schema_vals);
+                row[1..].copy_from_slice(&path.c);
                 for &id in ids {
                     row[0] = id;
                     emit(&row)?;
@@ -374,15 +379,221 @@ pub(crate) fn phase1_tree_batch(
     Ok(())
 }
 
-/// The witness probe: the position of the first witness — a `(leaf,
-/// schema-order values)` pair of `witnesses`, tried in order — that prunes
-/// the candidate leaf `leaf`, whose values are `c` and which holds `n_ids`
-/// ids. The test is the walk's own leaf condition on the witness's values,
-/// so a hit is a pruner [`find_pruner_leaf`] would accept; like the walk, it
-/// skips the candidate's own leaf when that holds a single id. Every
-/// distance evaluated counts in `checks`. `dqx` and `crows` are scratch for
-/// the candidate's query distances and flat center rows, hoisted as in
-/// [`crate::brs::find_pruner_in_batch`].
+/// The candidate side of the witness test, kept up to date as phase one's
+/// DFS descends: the path's values and, for each selected attribute (by its
+/// position `k` in `subset.indices()`), the query's distance to the path's
+/// value and, on a flat domain, that value's center row. A node sets only
+/// its own level, so a leaf costs one lookup of each, not one per selected
+/// attribute.
+struct CandidatePath<'f> {
+    src: DistSource<'f>,
+    cache: &'f QueryDistCache,
+    order: &'f [usize],
+    indices: &'f [usize],
+    /// Each schema attribute's subset position, `indices.len()` when the
+    /// query does not select it.
+    pos: Vec<usize>,
+    /// The leaf-level attribute's subset position (the same sentinel).
+    leaf_pos: usize,
+    /// The path's values, in schema order.
+    c: Vec<ValueId>,
+    /// `dq[k]` = `d(q_a, c_a)` and `rows[k]` = the center row at `c_a`, for
+    /// `a = indices[k]` (no rows on a domain that does not flatten).
+    dq: Vec<f64>,
+    rows: Vec<&'f [f64]>,
+}
+
+impl<'f> CandidatePath<'f> {
+    fn new(
+        src: DistSource<'f>,
+        subset: &'f AttrSubset,
+        order: &'f [usize],
+        cache: &'f QueryDistCache,
+    ) -> Self {
+        let (m, indices) = (order.len(), subset.indices());
+        let s = indices.len();
+        let mut pos = vec![s; m];
+        for (k, &a) in indices.iter().enumerate() {
+            pos[a] = k;
+        }
+        let rows = match src {
+            DistSource::Flat(_) => vec![&[][..]; s],
+            DistSource::Table(_) => Vec::new(),
+        };
+        Self {
+            src,
+            cache,
+            order,
+            indices,
+            leaf_pos: pos[order[m - 1]],
+            pos,
+            c: vec![0; m],
+            dq: vec![0.0; s],
+            rows,
+        }
+    }
+
+    /// Sets tree level `l + 1` of the path to `value`.
+    #[inline]
+    fn set(&mut self, l: usize, value: ValueId) {
+        let a = self.order[l];
+        self.c[a] = value;
+        let k = self.pos[a];
+        if k < self.dq.len() {
+            self.dq[k] = self.cache.d(a, value);
+            if let DistSource::Flat(f) = self.src {
+                self.rows[k] = f.center_row(a, value);
+            }
+        }
+    }
+
+    /// `d(y, c_a)` for the attribute `a` at subset position `k`.
+    #[inline]
+    fn dist(&self, k: usize, y: ValueId) -> f64 {
+        match self.src {
+            DistSource::Flat(_) => self.rows[k][y as usize],
+            DistSource::Table(dt) => {
+                let a = self.indices[k];
+                dt.d(a, y, self.c[a])
+            }
+        }
+    }
+}
+
+/// Marks a witness whose test covers no leaf parent yet.
+const NO_PARENT: NodeIdx = NodeIdx::MAX;
+
+/// One witness: a pruner leaf of the batch tree, its values by subset
+/// position, and its test over one leaf parent's path.
+struct Witness {
+    leaf: NodeIdx,
+    vals: Vec<ValueId>,
+    /// The leaf parent whose path the fields below describe.
+    parent: NodeIdx,
+    /// Subset positions `0..tested` of the parent's path are tested (the
+    /// leaf-level attribute's position is skipped), in schema order;
+    /// testing stops at the first that fails.
+    tested: usize,
+    /// That first failing position, whose distance exceeds the query's.
+    fail: Option<usize>,
+    /// Whether a tested position is strictly closer than the query.
+    strict: bool,
+}
+
+impl Witness {
+    /// Tests the parent's path up to subset position `upto`, from where the
+    /// last test stopped.
+    #[inline]
+    fn test_path(&mut self, path: &CandidatePath<'_>, upto: usize) {
+        while self.fail.is_none() && self.tested < upto {
+            let k = self.tested;
+            self.tested += 1;
+            if k == path.leaf_pos {
+                continue;
+            }
+            let (d, dq) = (path.dist(k, self.vals[k]), path.dq[k]);
+            if d > dq {
+                self.fail = Some(k);
+            }
+            self.strict |= d < dq;
+        }
+    }
+}
+
+/// The witnesses of one batch tree, most recent pruner first (the witness
+/// probe of the module docs).
+#[derive(Default)]
+struct WitnessPool {
+    witnesses: Vec<Witness>,
+}
+
+impl WitnessPool {
+    /// The position of the first witness that prunes the candidate leaf
+    /// `leaf`, a child of `parent` holding `n_ids` ids, whose path is
+    /// `path`. The test is the walk's own leaf condition on the witness's
+    /// values, so a hit is a pruner [`find_pruner_leaf`] would accept; like
+    /// the walk, it skips the candidate's own leaf when that holds a single
+    /// id. Each witness keeps its test over `parent`'s path, which every
+    /// leaf of `parent` shares, and a leaf evaluates only the leaf-level
+    /// attribute, and only when that comes before the path's first failing
+    /// attribute. `checks` counts what a test of every attribute in schema
+    /// order would, up to the first failing one.
+    fn probe(
+        &mut self,
+        path: &CandidatePath<'_>,
+        leaf: NodeIdx,
+        parent: NodeIdx,
+        n_ids: usize,
+        checks: &mut u64,
+    ) -> Option<usize> {
+        let (s, kl) = (path.dq.len(), path.leaf_pos);
+        self.witnesses.iter_mut().position(|w| {
+            if w.leaf == leaf && n_ids == 1 {
+                return false;
+            }
+            if w.parent != parent {
+                (w.parent, w.tested, w.fail, w.strict) = (parent, 0, None, false);
+            }
+            w.test_path(path, kl);
+            if let Some(f) = w.fail.filter(|&f| f < kl) {
+                *checks += f as u64 + 1;
+                return false;
+            }
+            let mut strict = false;
+            if kl < s {
+                let (d, dq) = (path.dist(kl, w.vals[kl]), path.dq[kl]);
+                if d > dq {
+                    *checks += kl as u64 + 1;
+                    return false;
+                }
+                strict = d < dq;
+            }
+            w.test_path(path, s);
+            if let Some(f) = w.fail {
+                *checks += f as u64 + 1;
+                return false;
+            }
+            *checks += s as u64;
+            strict | w.strict
+        })
+    }
+
+    /// Moves the witness at position `k`, which just pruned a leaf, to the
+    /// front.
+    fn promote(&mut self, k: usize) {
+        self.witnesses[..=k].rotate_right(1);
+    }
+
+    /// Takes the pruner leaf `p` that a walk found into the front slot; a
+    /// full pool evicts the witness at the back.
+    fn admit(&mut self, tree: &AlTree, p: NodeIdx, path: &CandidatePath<'_>) {
+        if self.witnesses.len() < WITNESS_POOL {
+            let vals = vec![0; path.dq.len()];
+            let (parent, tested, fail, strict) = (NO_PARENT, 0, None, false);
+            self.witnesses.push(Witness { leaf: p, vals, parent, tested, fail, strict });
+        }
+        self.witnesses.rotate_right(1);
+        let w = &mut self.witnesses[0];
+        (w.leaf, w.parent) = (p, NO_PARENT);
+        let mut n = p;
+        for &a in path.order.iter().rev() {
+            let k = path.pos[a];
+            if k < w.vals.len() {
+                w.vals[k] = tree.value(n);
+            }
+            n = tree.parent(n);
+        }
+    }
+}
+
+/// The per-leaf witness probe that [`WitnessPool::probe`] replaced, kept as
+/// the reference its tests compare against: the position of the first
+/// witness — a `(leaf, schema-order values)` pair of `witnesses`, tried in
+/// order — that prunes the candidate leaf `leaf`, whose values are `c` and
+/// which holds `n_ids` ids, testing every selected attribute at every leaf.
+/// `dqx` and `crows` are scratch for the candidate's query distances and
+/// flat center rows.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn witness_prunes<'f>(
     witnesses: &[(NodeIdx, Vec<ValueId>)],
@@ -396,6 +607,8 @@ fn witness_prunes<'f>(
     crows: &mut Vec<&'f [f64]>,
     checks: &mut u64,
 ) -> Option<usize> {
+    use crate::kernels::prunes_center_hoisted;
+    use rsky_core::dominate::prunes_with_center_dists;
     if witnesses.is_empty() {
         return None;
     }
@@ -506,9 +719,9 @@ pub(crate) fn leaf_schema_values(tree: &AlTree, leaf: NodeIdx, order: &[usize], 
 /// with the flag set is a pruner — unless it is `c`'s own leaf holding no
 /// other instance.
 ///
-/// Call [`AlTree::order_children_for_search`] on the tree beforehand to get
-/// the paper's promising-subtree-first probing; the walk pushes children in
-/// list order, so the last-listed (largest) subtree pops first.
+/// The walk pushes children in range order, so in a tree sealed in search
+/// order ([`AlTree::new`]) the last-listed (largest) subtree pops first: the
+/// paper's promising-subtree-first probing.
 #[allow(clippy::too_many_arguments)]
 pub fn is_prunable(
     tree: &AlTree,
@@ -915,8 +1128,7 @@ mod tests {
         let (ds, q) = paper_ctx();
         let cache = QueryDistCache::new(&ds.dissim, &ds.schema, &q);
         let order = vec![0, 1, 2];
-        let mut tree = batch1_tree();
-        tree.order_children_for_search();
+        let tree = batch1_tree();
         let mut stats = RunStats::default();
         // O2 is pruned by O1 inside batch 1 (paper Table 2 / §4.1).
         assert!(is_prunable(
@@ -942,7 +1154,6 @@ mod tests {
         tree.insert(&[0, 0, 1], 4); // O4
         tree.insert(&[1, 0, 0], 5); // O5
         tree.seal();
-        tree.order_children_for_search();
         let mut stats = RunStats::default();
         assert!(!is_prunable(
             &tree, &ds.dissim, &q.subset, &order, &[0, 1, 1], 6, &cache, &mut stats
@@ -957,7 +1168,6 @@ mod tests {
         tree.insert(&[1, 0, 0], 5);
         tree.insert(&[2, 1, 2], 3);
         tree.seal();
-        tree.order_children_for_search();
         let mut stats2 = RunStats::default();
         // O3's subtree is cut at the root level too: d1(SL,MSW)=1.0 > 0.
         assert!(!is_prunable(
@@ -1119,7 +1329,7 @@ mod tests {
         opts: TrsOptions,
     ) -> (Vec<Vec<u32>>, RunStats) {
         let m = order.len();
-        let mut tree = AlTree::new(m);
+        let mut tree = opts.batch_tree(m);
         let mut tvals = vec![0u32; m];
         for (id, vals) in rows {
             for (l, &a) in order.iter().enumerate() {
@@ -1132,7 +1342,7 @@ mod tests {
         let kern = crate::kernels::PrunerKernel::new(&ds.schema, &ds.dissim);
         let (mut out, mut stats) = (Vec::new(), RunStats::default());
         phase1_tree_batch(
-            &mut tree, &ds.dissim, kern.flat(), &q.subset, order, opts, &cache, &mut stats,
+            &tree, &ds.dissim, kern.flat(), &q.subset, order, opts, &cache, &mut stats,
             |row| {
                 out.push(row.to_vec());
                 Ok(())
@@ -1231,6 +1441,228 @@ mod tests {
             let (visits, checks) = if witness_first { (4, 7) } else { (8, 8) };
             assert_eq!((stats.tree_nodes_visited, stats.dist_checks), (visits, checks));
         }
+    }
+
+    /// What the probe-reference test saw happen across its cases.
+    #[derive(Default)]
+    struct ProbeCoverage {
+        flat_runs: usize,
+        table_runs: usize,
+        /// Batches whose query does not select the leaf-level attribute,
+        /// and those where it is the first selected attribute in schema
+        /// order or a later one.
+        leaf_unselected: usize,
+        leaf_first: usize,
+        leaf_later: usize,
+        /// Batches over a one-attribute schema (every leaf's parent is the
+        /// root).
+        one_attr: usize,
+        /// Probes where a witness is the candidate's own single-id leaf, and
+        /// where it is the candidate's own leaf holding duplicates.
+        own_single_leaf: usize,
+        own_duplicate_leaf: usize,
+        /// Probed leaves that are their parent's only child, and those that
+        /// are not.
+        only_child: usize,
+        with_sibling: usize,
+        /// Witness tests that found their parent's path already tested.
+        cached: usize,
+        /// Hits, and witnesses evicted from a full pool.
+        hits: usize,
+        evictions: usize,
+    }
+
+    /// Phase one of `tree` twice: through [`phase1_tree_batch`], and through
+    /// a copy of its loop that at every leaf runs both the pool's probe and
+    /// the per-leaf reference [`witness_prunes`] over the pool's witnesses,
+    /// asserting the same hit position and the same counted checks. Then
+    /// asserts that both emitted the same rows and counted the same totals.
+    fn assert_probe_matches_reference(
+        tree: &AlTree,
+        ds: &rsky_core::dataset::Dataset,
+        q: &Query,
+        order: &[usize],
+        cov: &mut ProbeCoverage,
+    ) {
+        let (m, subset) = (order.len(), &q.subset);
+        let what = format!("{} {:?}", ds.label, subset.indices());
+        let cache = QueryDistCache::new(&ds.dissim, &ds.schema, q);
+        let kern = crate::kernels::PrunerKernel::new(&ds.schema, &ds.dissim);
+        let flat = kern.flat();
+        let src = match flat {
+            Some(f) => {
+                cov.flat_runs += 1;
+                DistSource::Flat(f)
+            }
+            None => {
+                cov.table_runs += 1;
+                DistSource::Table(&ds.dissim)
+            }
+        };
+        let leaf_attr = order[m - 1];
+        match subset.indices().iter().position(|&a| a == leaf_attr) {
+            None => cov.leaf_unselected += 1,
+            Some(0) => cov.leaf_first += 1,
+            Some(_) => cov.leaf_later += 1,
+        }
+        cov.one_attr += usize::from(m == 1);
+
+        let (mut engine_rows, mut engine_stats) = (Vec::new(), RunStats::default());
+        phase1_tree_batch(
+            tree, &ds.dissim, flat, subset, order, TrsOptions::default(), &cache,
+            &mut engine_stats,
+            |row| {
+                engine_rows.push(row.to_vec());
+                Ok(())
+            },
+        )
+        .unwrap();
+
+        let mut path = CandidatePath::new(src, subset, order, &cache);
+        let mut pool = WitnessPool::default();
+        let (mut rows, mut stats) = (Vec::<Vec<u32>>::new(), RunStats::default());
+        let (mut dqx, mut crows, mut stack) = (Vec::new(), Vec::new(), Vec::new());
+        let mut dfs = vec![ROOT];
+        while let Some(n) = dfs.pop() {
+            let level = tree.level(n) as usize;
+            if level > 0 {
+                path.set(level - 1, tree.value(n));
+            }
+            if !tree.is_leaf(n) {
+                dfs.extend(tree.children(n).iter().rev());
+                continue;
+            }
+            let (ids, parent) = (tree.leaf_ids(n), tree.parent(n));
+            stats.obj_comparisons += ids.len() as u64;
+            let witnesses: Vec<(NodeIdx, Vec<ValueId>)> = pool
+                .witnesses
+                .iter()
+                .map(|w| {
+                    let mut y = vec![0; m];
+                    leaf_schema_values(tree, w.leaf, order, &mut y);
+                    (w.leaf, y)
+                })
+                .collect();
+            if witnesses.iter().any(|(w, _)| *w == n) {
+                match ids.len() {
+                    1 => cov.own_single_leaf += 1,
+                    _ => cov.own_duplicate_leaf += 1,
+                }
+            }
+            if !witnesses.is_empty() {
+                match tree.children(parent).len() {
+                    1 => cov.only_child += 1,
+                    _ => cov.with_sibling += 1,
+                }
+            }
+            cov.cached += pool.witnesses.iter().filter(|w| w.parent == parent).count();
+            let (mut want_checks, mut got_checks) = (0, 0);
+            let want = witness_prunes(
+                &witnesses, src, subset, &cache, n, ids.len(), &path.c, &mut dqx, &mut crows,
+                &mut want_checks,
+            );
+            let got = pool.probe(&path, n, parent, ids.len(), &mut got_checks);
+            assert_eq!((got, got_checks), (want, want_checks), "{what}: leaf {n}");
+            stats.dist_checks += got_checks;
+            if let Some(k) = got {
+                cov.hits += 1;
+                pool.promote(k);
+                continue;
+            }
+            match find_pruner_leaf(
+                tree, &ds.dissim, flat, subset, order, &path.c, ids[0], &cache, &mut stats,
+                &mut stack,
+            ) {
+                Some(p) => {
+                    cov.evictions += usize::from(pool.witnesses.len() == WITNESS_POOL);
+                    pool.admit(tree, p, &path);
+                }
+                None => rows.extend(ids.iter().map(|&id| {
+                    let mut row = vec![id];
+                    row.extend_from_slice(&path.c);
+                    row
+                })),
+            }
+        }
+        assert_eq!(rows, engine_rows, "{what}");
+        let totals = |s: &RunStats| (s.dist_checks, s.tree_nodes_visited, s.obj_comparisons);
+        assert_eq!(totals(&stats), totals(&engine_stats), "{what}");
+    }
+
+    #[test]
+    fn witness_pool_matches_the_per_leaf_probe() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(41);
+        // Exact duplicates under fresh ids of every 7th row, and rows
+        // inserted twice under one id.
+        let with_duplicates = |mut ds: rsky_core::dataset::Dataset| {
+            for (k, i) in (0..ds.rows.len()).step_by(7).enumerate() {
+                let vals = ds.rows.values(i).to_vec();
+                ds.rows.push(10_000 + k as RecordId, &vals);
+            }
+            for i in (0..ds.rows.len()).step_by(31) {
+                let (id, vals) = (ds.rows.id(i), ds.rows.values(i).to_vec());
+                ds.rows.push(id, &vals);
+            }
+            ds
+        };
+        let normal =
+            with_duplicates(rsky_data::synthetic::normal_dataset(4, 8, 300, &mut rng).unwrap());
+        // The normal rows run under both linear twins, so both distance
+        // sources are covered; their leaf-level attribute is the last in
+        // schema order, Census-like data's the first.
+        let (flat_twin, wide_twin) = rsky_data::twin::linear_twins(&normal).unwrap();
+        let census = with_duplicates(rsky_data::census_income_like(400, &mut rng).unwrap());
+        let forest = with_duplicates(rsky_data::forest_cover_like(400, &mut rng).unwrap());
+        let single = with_duplicates(rsky_data::synthetic::normal_dataset(1, 12, 60, &mut rng).unwrap());
+        let mut cov = ProbeCoverage::default();
+        for ds in [&flat_twin, &wide_twin, &census, &forest, &single] {
+            let m = ds.schema.num_attrs();
+            let order = rsky_order::ascending_cardinality_order(&ds.schema);
+            // Full queries, and subset queries without the leaf-level
+            // attribute and without the first tree level's.
+            let mut queries = rsky_data::random_queries(&ds.schema, 2, &mut rng).unwrap();
+            for dropped in [order[m - 1], order[0]] {
+                let keep: Vec<usize> = (0..m).filter(|&a| a != dropped).collect();
+                if !keep.is_empty() {
+                    queries.extend(
+                        rsky_data::workload::random_subset_queries(&ds.schema, &keep, 1, &mut rng)
+                            .unwrap(),
+                    );
+                }
+            }
+            let mut sorted = ds.rows.clone();
+            rsky_order::sort_rows_lex(&mut sorted, &order);
+            for q in &queries {
+                // One tree over every row in arrival order, and trees of 64
+                // multi-sorted rows, as the engine's batches.
+                for (rows, batch) in [(&ds.rows, ds.rows.len()), (&sorted, 64)] {
+                    for start in (0..rows.len()).step_by(batch) {
+                        let mut tree = AlTree::new(m);
+                        let mut tvals = vec![0u32; m];
+                        for i in start..(start + batch).min(rows.len()) {
+                            for (l, &a) in order.iter().enumerate() {
+                                tvals[l] = rows.values(i)[a];
+                            }
+                            tree.insert(&tvals, rows.id(i));
+                        }
+                        tree.seal();
+                        assert_probe_matches_reference(&tree, ds, q, &order, &mut cov);
+                    }
+                }
+            }
+        }
+        let c = &cov;
+        assert!(c.flat_runs > 0 && c.table_runs > 0, "both distance sources ran");
+        assert!(c.leaf_unselected > 0, "queries left the leaf-level attribute out");
+        assert!(c.leaf_first > 0 && c.leaf_later > 0, "the leaf-level attribute came first and later");
+        assert!(c.one_attr > 0, "one-attribute trees ran");
+        assert!(c.own_single_leaf > 0, "witnesses met their own single-id leaves");
+        assert!(c.own_duplicate_leaf > 0, "witnesses met their own duplicate leaves");
+        assert!(c.only_child > c.with_sibling / 10 && c.with_sibling > 0, "sparse and dense leaves");
+        assert!(c.cached > 0, "witnesses reused their parent's path test");
+        assert!(c.hits > 0 && c.evictions > 0, "the pool hit, filled and evicted");
     }
 
     #[test]

@@ -33,17 +33,21 @@
 //! [`AlTree::remove`]); the next batch starts with [`AlTree::clear`], which
 //! keeps every array's capacity.
 //!
+//! Sealing lays every child range out in **search order**: ascending
+//! descendant count, value order among ties. It sums the descendant counts
+//! first, so the packing pass sorts each range as it writes it, and only
+//! the ranges whose counts are not already ascending. The `IsPrunable` walk
+//! (Algorithm 4) pushes children in range order and the LIFO stack pops the
+//! most promising subtree first, with no sorting per node visit and no
+//! second pass over the tree. A tree made with [`AlTree::in_value_order`]
+//! keeps every range in value order instead (TRS's child-ordering
+//! ablation).
+//!
 //! The tree tracks a modeled memory footprint ([`AlTree::estimated_bytes`]):
 //! TRS sizes its batches by this estimate, and because a prefix tree shares
 //! prefixes, dense datasets pack far more objects into the same memory
 //! budget than flat buffers — one of the IO advantages the paper reports for
 //! TRS.
-//!
-//! For search-heavy phases, [`AlTree::order_children_for_search`] reorders
-//! every child range by ascending descendant count **once per batch**, so the
-//! `IsPrunable` walk (Algorithm 4) can push children in range order and have
-//! the LIFO stack pop the most promising subtree first — without sorting at
-//! every node visit.
 //!
 //! Traversal itself (the `IsPrunable` / `Prune` walks of Algorithms 4 and 5)
 //! lives in `rsky-algos::trs`; this crate provides the structure, mutation
@@ -112,7 +116,8 @@ impl Node {
 /// assert_eq!(t.num_nodes(), 6); // root + MSW + 2×(CPU, DB) chains
 /// assert_eq!(t.desc_count(t.children(ROOT)[0]), 3);
 /// assert!(t.remove(&[0, 0, 1], 4));
-/// assert_eq!(t.collect_ids(), vec![1, 6]);
+/// // Sealed in search order: the smaller [MSW, Intel] subtree comes first.
+/// assert_eq!(t.collect_ids(), vec![6, 1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct AlTree {
@@ -141,14 +146,29 @@ pub struct AlTree {
     estimated_bytes: u64,
     num_records: u64,
     sealed: bool,
-    /// Whether child ranges are sorted by value (binary-search lookups).
-    /// Reset by [`AlTree::order_children_for_search`].
+    /// Whether sealing lays child ranges out in search order; unset, they
+    /// stay in value order ([`AlTree::in_value_order`]).
+    search_order: bool,
+    /// Whether every child range is sorted by value (binary-search
+    /// lookups): cleared when sealing re-orders one for search.
     value_sorted: bool,
 }
 
 impl AlTree {
-    /// Creates an empty tree for records of `m` attributes.
+    /// Creates an empty tree for records of `m` attributes, whose sealed
+    /// child ranges are in search order (see the crate docs).
     pub fn new(m: usize) -> Self {
+        Self::with_child_order(m, true)
+    }
+
+    /// Creates an empty tree for records of `m` attributes, whose sealed
+    /// child ranges stay in value order: the order a walk takes without the
+    /// paper's promising-subtree-first heuristic.
+    pub fn in_value_order(m: usize) -> Self {
+        Self::with_child_order(m, false)
+    }
+
+    fn with_child_order(m: usize, search_order: bool) -> Self {
         assert!(m >= 1, "AL-Tree needs at least one attribute");
         assert!(m <= u16::MAX as usize, "attribute count exceeds tree depth limit");
         let mut t = Self {
@@ -166,6 +186,7 @@ impl AlTree {
             estimated_bytes: 0,
             num_records: 0,
             sealed: false,
+            search_order,
             value_sorted: true,
         };
         t.clear();
@@ -230,8 +251,9 @@ impl AlTree {
         n.start as usize..n.end as usize
     }
 
-    /// Children of `node`, sorted by value until
-    /// [`AlTree::order_children_for_search`] re-orders them.
+    /// Children of `node`, in search order as sealed (ascending descendant
+    /// count, value order among ties), or in value order in a tree made with
+    /// [`AlTree::in_value_order`].
     ///
     /// Must not be called on leaves (their slots hold record ids).
     #[inline]
@@ -361,10 +383,13 @@ impl AlTree {
     }
 
     /// Ends the build: sums descendant counts bottom-up, packs every
-    /// internal node's children (value order, values beside them) into a
-    /// contiguous range and gives every leaf the contiguous range of its
-    /// ids (arrival order). `O(nodes + records)`. Reads, removals and
-    /// re-ordering need a sealed tree; sealing twice is a no-op.
+    /// internal node's children (values beside them) into a contiguous
+    /// range in search order — ascending descendant count, value order among
+    /// ties; value order alone in a tree made with [`AlTree::in_value_order`]
+    /// — and gives every leaf the contiguous range of its ids (arrival
+    /// order). `O(nodes + records)`, plus a sort of each range whose counts
+    /// do not already ascend. Reads and removals need a sealed tree; sealing
+    /// twice is a no-op.
     pub fn seal(&mut self) {
         if self.sealed {
             return;
@@ -389,15 +414,28 @@ impl AlTree {
                 self.nodes[node].end = if self.grouped { next_id } else { first };
             } else {
                 // Children come after their parent: the list head is read
-                // before the range overwrites it.
-                let first = self.kids.len() as u32;
-                let mut c = n.start;
+                // before the range overwrites it. The list is in value
+                // order, so a range whose counts ascend is in search order.
+                let first = self.kids.len();
+                let (mut c, mut ascending, mut last) = (n.start, true, 0);
                 while c != NIL {
+                    let child = &self.nodes[c as usize];
+                    ascending &= child.desc >= last;
+                    last = child.desc;
                     self.kids.push(c);
-                    self.kid_vals.push(self.nodes[c as usize].value);
-                    c = self.nodes[c as usize].next;
+                    self.kid_vals.push(child.value);
+                    c = child.next;
                 }
-                self.nodes[node].start = first;
+                if self.search_order && !ascending {
+                    let nodes = &self.nodes;
+                    let range = &mut self.kids[first..];
+                    range.sort_unstable_by_key(|&c| (nodes[c as usize].desc, nodes[c as usize].value));
+                    for (v, &c) in self.kid_vals[first..].iter_mut().zip(range.iter()) {
+                        *v = nodes[c as usize].value;
+                    }
+                    self.value_sorted = false;
+                }
+                self.nodes[node].start = first as u32;
                 self.nodes[node].end = self.kids.len() as u32;
             }
         }
@@ -511,40 +549,6 @@ impl AlTree {
         }
     }
 
-    /// Re-orders every internal node's child range by **ascending
-    /// descendant count**, value order among ties (one pass over the tree).
-    /// A LIFO traversal that pushes children in range order then pops the
-    /// most promising subtree first — the paper's Algorithm 4 heuristic —
-    /// without per-visit sorting. Child lookups by value fall back to a
-    /// linear search afterwards.
-    ///
-    /// # Panics
-    /// Panics if the tree is not sealed.
-    pub fn order_children_for_search(&mut self) {
-        assert!(self.sealed, "order_children_for_search on an unsealed AL-Tree");
-        self.value_sorted = false;
-        let mut keyed: Vec<(u64, NodeIdx)> = Vec::new();
-        for node in 0..self.nodes.len() {
-            if self.nodes[node].level as usize == self.m {
-                continue;
-            }
-            let r = self.slots(node as NodeIdx);
-            let desc = |c: NodeIdx| self.nodes[c as usize].desc;
-            if self.kids[r.clone()].windows(2).all(|w| desc(w[0]) <= desc(w[1])) {
-                continue;
-            }
-            keyed.clear();
-            keyed.extend(
-                r.clone().map(|i| ((desc(self.kids[i]) as u64) << 32 | self.kid_vals[i] as u64, self.kids[i])),
-            );
-            keyed.sort_unstable();
-            for (i, &(key, c)) in r.zip(&keyed) {
-                self.kids[i] = c;
-                self.kid_vals[i] = key as u32;
-            }
-        }
-    }
-
     /// All record ids currently stored, in depth-first order.
     pub fn collect_ids(&self) -> Vec<RecordId> {
         assert!(self.sealed, "collect_ids on an unsealed AL-Tree");
@@ -578,10 +582,10 @@ impl AlTree {
 
     /// Invariant check of a sealed tree: descendant counts equal the number
     /// of leaf instances below every node, child ranges are value-sorted
-    /// (until re-ordered for search) with each stored value equal to its
-    /// child's, levels and parents are consistent, no empty non-root node
-    /// remains attached, and the memory estimate matches the live node and
-    /// record counts. `O(nodes)`.
+    /// (unless sealing re-ordered one for search) with each stored value
+    /// equal to its child's, levels and parents are consistent, no empty
+    /// non-root node remains attached, and the memory estimate matches the
+    /// live node and record counts. `O(nodes)`.
     pub fn check_invariants(&self) -> Result<(), String> {
         if !self.sealed {
             return Err("tree is not sealed".into());
@@ -661,12 +665,41 @@ mod tests {
     use super::*;
 
     fn build(m: usize, rows: &[(&[u32], u32)]) -> AlTree {
-        let mut t = AlTree::new(m);
+        build_into(AlTree::new(m), rows)
+    }
+
+    fn build_into(mut t: AlTree, rows: &[(&[u32], u32)]) -> AlTree {
         for &(vals, id) in rows {
             t.insert(vals, id);
         }
         t.seal();
         t
+    }
+
+    /// The separate pass that sealing in search order replaced, kept as the
+    /// reference the sealed order is checked against: sorts every child
+    /// range of a value-ordered tree by ascending descendant count, value
+    /// order among ties, skipping ranges whose counts already ascend.
+    fn order_children_for_search(t: &mut AlTree) {
+        t.value_sorted = false;
+        let mut keyed: Vec<(u64, NodeIdx)> = Vec::new();
+        for node in 0..t.nodes.len() {
+            if t.nodes[node].level as usize == t.m {
+                continue;
+            }
+            let r = t.slots(node as NodeIdx);
+            let desc = |c: NodeIdx| t.nodes[c as usize].desc;
+            if t.kids[r.clone()].windows(2).all(|w| desc(w[0]) <= desc(w[1])) {
+                continue;
+            }
+            keyed.clear();
+            keyed.extend(r.clone().map(|i| ((desc(t.kids[i]) as u64) << 32 | t.kid_vals[i] as u64, t.kids[i])));
+            keyed.sort_unstable();
+            for (i, &(key, c)) in r.zip(&keyed) {
+                t.kids[i] = c;
+                t.kid_vals[i] = key as u32;
+            }
+        }
     }
 
     /// First-phase batch 1 of the paper's running example, sorted order:
@@ -747,12 +780,22 @@ mod tests {
 
     #[test]
     fn remove_keeps_remaining_ids_and_children_in_order() {
-        let mut t = build(1, &[(&[0], 1), (&[0], 2), (&[0], 3), (&[1], 4), (&[2], 5)]);
+        let rows: &[(&[u32], u32)] = &[(&[0], 1), (&[0], 2), (&[0], 3), (&[1], 4), (&[2], 5)];
+        let mut t = build_into(AlTree::in_value_order(1), rows);
         assert!(t.remove(&[0], 2));
         assert_eq!(t.leaf_ids(t.children(ROOT)[0]), &[1, 3]);
         assert!(t.remove(&[1], 4));
         assert_eq!(t.children_and_values(ROOT).1, &[0, 2]);
         assert_eq!(t.collect_ids(), vec![1, 3, 5]);
+        t.check_invariants().unwrap();
+        // In search order the value-0 subtree (3 instances) comes last, and
+        // removals keep that order too.
+        let mut t = build(1, rows);
+        assert_eq!(t.children_and_values(ROOT).1, &[1, 2, 0]);
+        assert!(t.remove(&[0], 2));
+        assert!(t.remove(&[1], 4));
+        assert_eq!(t.children_and_values(ROOT).1, &[2, 0]);
+        assert_eq!(t.collect_ids(), vec![5, 1, 3]);
         t.check_invariants().unwrap();
     }
 
@@ -852,31 +895,68 @@ mod tests {
 
     #[test]
     fn order_children_for_search_sorts_by_count() {
-        let mut t = build(
-            2,
-            &[
-                (&[0, 0], 1), // subtree of value 0: 1 instance
-                (&[1, 0], 2), // subtree of value 1: 3 instances
-                (&[1, 1], 3),
-                (&[1, 2], 4),
-                (&[2, 0], 5), // subtree of value 2: 2 instances
-                (&[2, 0], 6),
-                (&[3, 0], 7), // subtree of value 3: 2 instances (tie)
-                (&[3, 1], 8),
-            ],
-        );
-        t.order_children_for_search();
+        let rows: &[(&[u32], u32)] = &[
+            (&[0, 0], 1), // subtree of value 0: 1 instance
+            (&[1, 0], 2), // subtree of value 1: 3 instances
+            (&[1, 1], 3),
+            (&[1, 2], 4),
+            (&[2, 0], 5), // subtree of value 2: 2 instances
+            (&[2, 0], 6),
+            (&[3, 0], 7), // subtree of value 3: 2 instances (tie)
+            (&[3, 1], 8),
+        ];
+        let t = build(2, rows);
         let (kids, vals) = t.children_and_values(ROOT);
         let counts: Vec<u32> = kids.iter().map(|&c| t.desc_count(c)).collect();
         assert_eq!(counts, vec![1, 2, 2, 3]);
         assert_eq!(vals, &[0, 2, 3, 1], "value order among ties");
         t.check_invariants().unwrap();
+        let v = build_into(AlTree::in_value_order(2), rows);
+        assert_eq!(v.children_and_values(ROOT).1, &[0, 1, 2, 3]);
+        v.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn sealing_in_search_order_matches_the_separate_pass() {
+        // Sorted and pseudo-random batches of 1 to 4 attributes: a tree
+        // sealed in search order equals a value-ordered tree re-ordered by
+        // the old pass, range for range.
+        let mut state = 99u64;
+        let mut next = move |k: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) % k) as u32
+        };
+        for m in 1..=4 {
+            for sorted in [true, false] {
+                let mut rows: Vec<Vec<u32>> = (0..300).map(|_| (0..m).map(|_| next(5)).collect()).collect();
+                if sorted {
+                    rows.sort_unstable();
+                }
+                let (mut search, mut value) = (AlTree::new(m), AlTree::in_value_order(m));
+                for (i, r) in rows.iter().enumerate() {
+                    search.insert(r, i as u32);
+                    value.insert(r, i as u32);
+                }
+                search.seal();
+                value.seal();
+                order_children_for_search(&mut value);
+                assert_eq!((&search.kids, &search.kid_vals), (&value.kids, &value.kid_vals), "m = {m}");
+                for n in 0..search.nodes.len() as NodeIdx {
+                    if search.is_leaf(n) {
+                        assert_eq!(search.leaf_ids(n), value.leaf_ids(n));
+                    } else {
+                        assert_eq!(search.children_and_values(n), value.children_and_values(n));
+                    }
+                }
+                search.check_invariants().unwrap();
+            }
+        }
     }
 
     #[test]
     fn remove_still_works_after_reordering() {
         let mut t = build(2, &[(&[3, 0], 1), (&[1, 0], 2), (&[1, 0], 3), (&[2, 2], 5)]);
-        t.order_children_for_search();
+        assert_eq!(t.children_and_values(ROOT).1, &[2, 3, 1], "sealed in search order");
         assert!(t.remove(&[1, 0], 2));
         assert!(t.remove(&[2, 2], 5));
         assert!(!t.remove(&[2, 2], 5));

@@ -259,7 +259,6 @@ fn probe_level_benches(ds: &Dataset, q: &Query) {
         tree.insert(sorted.values(i), sorted.id(i));
     }
     tree.seal();
-    tree.order_children_for_search();
     let (mut tstats, mut i) = (RunStats::default(), 0usize);
     row(
         "is_prunable over full tree",
