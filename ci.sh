@@ -67,20 +67,31 @@ full() {
     timeout 300 cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload tcp-mixed --seed 1 --seconds 3 --trace 0
     echo "=== smoke: trace round-trip (generate → query --trace-out → trace) ==="
-    # A sharded parallel query and a plain sequential one: each trace must
-    # rebuild as rooted trees (0 orphans) with at least one trace.
+    # A sharded parallel query, a plain sequential one, and a sequential
+    # one whose reader is gone after the first line (it must still exit 0
+    # and flush its trace; its 100k rows keep the engine running well after
+    # that line): each trace must rebuild as rooted trees (0 orphans) with
+    # at least one trace. Then a file-backed query must leave no page
+    # directory behind.
     smoke_dir=$(mktemp -d)
     trap 'rm -rf "$smoke_dir"' EXIT
     ./target/release/rsky generate --kind normal --n 400 --attrs 3 --values 8 --out "$smoke_dir/data"
+    ./target/release/rsky generate --kind normal --n 100000 --attrs 5 --values 50 --out "$smoke_dir/big"
     ./target/release/rsky query --data "$smoke_dir/data" --algo trs --threads 2 --shards 3 \
         --query 1,2,3 --trace-out "$smoke_dir/trace.jsonl" > /dev/null
     ./target/release/rsky query --data "$smoke_dir/data" --algo trs \
         --query 1,2,3 --trace-out "$smoke_dir/seq-trace.jsonl" > /dev/null
-    for trace in trace seq-trace; do
+    ./target/release/rsky query --data "$smoke_dir/big" --algo trs \
+        --query 1,2,3,4,5 --trace-out "$smoke_dir/piped-trace.jsonl" | head -1
+    for trace in trace seq-trace piped-trace; do
         ./target/release/rsky trace --in "$smoke_dir/$trace.jsonl" | tee "$smoke_dir/tree.txt" | tail -n 3
         grep -q " 0 orphan(s)" "$smoke_dir/tree.txt"
         grep -Eq '^[1-9][0-9]* trace\(s\), ' "$smoke_dir/tree.txt"
     done
+    mkdir "$smoke_dir/tmp"
+    TMPDIR="$smoke_dir/tmp" ./target/release/rsky query --data "$smoke_dir/data" --algo trs \
+        --query 1,2,3 --file-backend > /dev/null
+    test -z "$(find "$smoke_dir/tmp" -mindepth 1 -maxdepth 1 -name 'rsky-cli-*')"
 }
 
 case "${1:-all}" in

@@ -9,7 +9,7 @@ use rsky_core::dataset::Dataset;
 use rsky_core::error::Result;
 use rsky_core::query::Query;
 use rsky_core::stats::IoCounts;
-use rsky_storage::{Disk, MemoryBudget};
+use rsky_storage::{Disk, MemoryBudget, ScratchDir};
 
 /// Z-order tiles per attribute of the tiled layouts (Section 5.6).
 const TILES: u32 = 4;
@@ -86,16 +86,17 @@ pub fn run_algo(
     backend: BackendKind,
 ) -> Result<PointResult> {
     static DIR_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let (mut disk, tmp) = match backend {
-        BackendKind::Mem => (Disk::new_mem(page_size), None),
-        BackendKind::File => {
-            let dir = std::env::temp_dir().join(format!(
-                "rsky-bench-{}-{}",
-                std::process::id(),
-                DIR_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            ));
-            (Disk::new_dir(&dir, page_size)?, Some(dir))
-        }
+    // Declared before the disk, so the disk is dropped first.
+    let pages_dir = (backend == BackendKind::File).then(|| {
+        ScratchDir::new(std::env::temp_dir().join(format!(
+            "rsky-bench-{}-{}",
+            std::process::id(),
+            DIR_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        )))
+    });
+    let mut disk = match &pages_dir {
+        Some(dir) => Disk::new_dir(dir.path(), page_size)?,
+        None => Disk::new_mem(page_size),
     };
     let budget = MemoryBudget::from_percent(dataset.data_bytes(), mem_pct, page_size)?;
     let raw = load_dataset(&mut disk, dataset)?;
@@ -121,10 +122,6 @@ pub fn run_algo(
         checks += run.stats.all_checks() as f64;
         result_size += run.stats.result_size as f64;
         survivors += run.stats.phase1_survivors as f64;
-    }
-    if let Some(dir) = tmp {
-        drop(disk);
-        let _ = std::fs::remove_dir_all(dir);
     }
     let nq = queries.len().max(1) as u32;
     Ok(PointResult {

@@ -1,12 +1,14 @@
 //! `rsky query` — one reverse-skyline query against a dataset directory.
 
+use std::io::{self, Write};
+
 use rsky_algos::prep::{load_dataset, prepare_table};
 use rsky_algos::shard::ShardedTables;
 use rsky_algos::{engine_by_name, layout_for, EngineCtx, RsRun};
 use rsky_core::dataset::Dataset;
 use rsky_core::error::{Error, Result};
 use rsky_core::query::Query;
-use rsky_storage::{Disk, MemoryBudget, ShardSpec};
+use rsky_storage::{Disk, MemoryBudget, ScratchDir, ShardSpec};
 
 use crate::args::Flags;
 use crate::obs_setup::{CliObs, StatsFormat};
@@ -45,6 +47,44 @@ OPTIONS:
 pub fn run(argv: &[String]) -> Result<()> {
     let flags = Flags::parse(argv, HELP)?;
     let obs = CliObs::install(&flags)?;
+    let mut out = ClosableStdout { out: io::stdout().lock(), closed: false };
+    query(&flags, &obs, &mut out)?;
+    obs.finish()
+}
+
+/// Stdout, locked once for the whole report. A reader that has gone
+/// (`rsky query … | head -1`) ends the printing, not the command: once a
+/// write finds the pipe closed, every later write is dropped, so the query
+/// still runs to the end, flushes its trace and exits 0.
+struct ClosableStdout {
+    out: io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Write for ClosableStdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if !self.closed {
+            match self.out.write(buf) {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                r => return r,
+            }
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.closed {
+            match self.out.flush() {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                r => return r,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The command's work: runs the query and writes its report to `out`.
+fn query(flags: &Flags, obs: &CliObs, out: &mut impl Write) -> Result<()> {
     let dir = flags.require("data")?;
     let ds = rsky_data::csv::load_dataset_dir(dir)?;
     let values = flags
@@ -92,45 +132,45 @@ pub fn run(argv: &[String]) -> Result<()> {
         let run = RsRun { ids: sharded.ids, stats: sharded.stats };
         let ranked = rank_result(&ds, &query, &run, top_k)?;
         if obs.format == StatsFormat::Prometheus {
-            print!("{}", obs.metrics_prometheus());
-            obs.finish()?;
+            write!(out, "{}", obs.metrics_prometheus())?;
             return Ok(());
         }
         if obs.format == StatsFormat::Json {
-            println!(
-                "{}",
-                render_json(algo, &run, Some((&spec, sharded.candidates)), ranked.as_deref(), &obs)
-            );
-            obs.finish()?;
+            let shard = Some((&spec, sharded.candidates));
+            writeln!(out, "{}", render_json(algo, &run, shard, ranked.as_deref(), obs))?;
             return Ok(());
         }
-        println!(
+        writeln!(
+            out,
             "sharding: {} × {} — {} candidate(s), {} after the pruner exchange \
              ({} pruner(s) broadcast)",
             spec.shards, spec.policy, sharded.candidates, sharded.post_candidates, sharded.pruners
-        );
+        )?;
         for c in &sharded.per_shard {
-            println!(
+            writeln!(
+                out,
                 "  shard {}: {} record(s) → {} candidate(s) → {} survivor(s)",
                 c.shard, c.records, c.candidates, c.survivors
-            );
+            )?;
         }
-        print_result(algo, &run);
+        print_result(out, algo, &run)?;
         if let Some(ranked) = &ranked {
-            print_ranked(ranked);
+            print_ranked(out, ranked)?;
         }
         if flags.switch("explain") {
-            print_explain(&ds, &query, run.ids.len());
+            print_explain(out, &ds, &query, run.ids.len())?;
         }
-        obs.finish()?;
         return Ok(());
     }
 
-    let mut disk = if flags.switch("file-backend") {
-        let dir = std::env::temp_dir().join(format!("rsky-cli-{}", std::process::id()));
-        Disk::new_dir(dir, page)?
-    } else {
-        Disk::new_mem(page)
+    // The page files go when the command ends, on success or error; the
+    // guard is declared first, so the disk is dropped before it.
+    let pages_dir = flags.switch("file-backend").then(|| {
+        ScratchDir::new(std::env::temp_dir().join(format!("rsky-cli-{}", std::process::id())))
+    });
+    let mut disk = match &pages_dir {
+        Some(dir) => Disk::new_dir(dir.path(), page)?,
+        None => Disk::new_mem(page),
     };
     disk.set_cache_pages(cache);
     let raw = load_dataset(&mut disk, &ds)?;
@@ -138,10 +178,11 @@ pub fn run(argv: &[String]) -> Result<()> {
     let layout = layout_for(algo, tiles)?;
     let prepared = prepare_table(&mut disk, &ds.schema, &raw, layout, &budget)?;
     if let Some((runs, passes)) = prepared.sort_outcome {
-        println!(
+        writeln!(
+            out,
             "pre-processing: {:.2?} ({runs} runs, {passes} merge passes)",
             prepared.prep_time
-        );
+        )?;
     }
 
     let engine = engine_by_name(algo, &ds.schema, threads)?;
@@ -150,28 +191,25 @@ pub fn run(argv: &[String]) -> Result<()> {
     let ranked = rank_result(&ds, &query, &run, top_k)?;
 
     if obs.format == StatsFormat::Prometheus {
-        print!("{}", obs.metrics_prometheus());
-        obs.finish()?;
+        write!(out, "{}", obs.metrics_prometheus())?;
         return Ok(());
     }
     if obs.format == StatsFormat::Json {
-        println!("{}", render_json(engine.name(), &run, None, ranked.as_deref(), &obs));
-        obs.finish()?;
+        writeln!(out, "{}", render_json(engine.name(), &run, None, ranked.as_deref(), obs))?;
         return Ok(());
     }
 
-    print_result(engine.name(), &run);
+    print_result(out, engine.name(), &run)?;
     if let Some(ranked) = &ranked {
-        print_ranked(ranked);
+        print_ranked(out, ranked)?;
     }
     if let Some((hits, misses)) = ctx.disk.cache_stats() {
-        println!("buffer pool:       {hits} hits / {misses} misses");
+        writeln!(out, "buffer pool:       {hits} hits / {misses} misses")?;
     }
 
     if flags.switch("explain") {
-        print_explain(&ds, &query, run.ids.len());
+        print_explain(out, &ds, &query, run.ids.len())?;
     }
-    obs.finish()?;
     Ok(())
 }
 
@@ -190,45 +228,48 @@ fn rank_result(
 }
 
 /// Prints the `--top-k` ranking.
-fn print_ranked(ranked: &[rsky_algos::RankedMember]) {
-    println!("\ntop-{} by influence strength:", ranked.len());
+fn print_ranked(out: &mut impl Write, ranked: &[rsky_algos::RankedMember]) -> io::Result<()> {
+    writeln!(out, "\ntop-{} by influence strength:", ranked.len())?;
     for (i, r) in ranked.iter().enumerate() {
-        println!("  {}. object {} (|RS| = {})", i + 1, r.id, r.strength);
+        writeln!(out, "  {}. object {} (|RS| = {})", i + 1, r.id, r.strength)?;
     }
+    Ok(())
 }
 
 /// Prints the result ids and the human-readable cost profile.
-fn print_result(label: &str, run: &RsRun) {
-    println!("\nreverse skyline: {} object(s)", run.ids.len());
+fn print_result(out: &mut impl Write, label: &str, run: &RsRun) -> io::Result<()> {
+    let s = &run.stats;
+    writeln!(out, "\nreverse skyline: {} object(s)", run.ids.len())?;
     let shown: Vec<String> = run.ids.iter().take(50).map(|id| id.to_string()).collect();
-    println!("ids: {}{}", shown.join(","), if run.ids.len() > 50 { ",…" } else { "" });
-    println!("\n--- cost profile ({label}) ---");
-    println!("distance checks:   {}", run.stats.dist_checks);
-    println!("query-side evals:  {}", run.stats.query_dist_checks);
-    println!("object pairs:      {}", run.stats.obj_comparisons);
-    println!("sequential IO:     {}", run.stats.io.sequential());
-    println!("random IO:         {}", run.stats.io.random());
-    println!("phase 1:           {:.2?} ({} batches → {} survivors)",
-        run.stats.phase1_time, run.stats.phase1_batches, run.stats.phase1_survivors);
-    println!("phase 2:           {:.2?} ({} batches)", run.stats.phase2_time, run.stats.phase2_batches);
-    println!("total:             {:.2?}", run.stats.total_time);
+    writeln!(out, "ids: {}{}", shown.join(","), if run.ids.len() > 50 { ",…" } else { "" })?;
+    writeln!(out, "\n--- cost profile ({label}) ---")?;
+    writeln!(out, "distance checks:   {}", s.dist_checks)?;
+    writeln!(out, "query-side evals:  {}", s.query_dist_checks)?;
+    writeln!(out, "object pairs:      {}", s.obj_comparisons)?;
+    writeln!(out, "sequential IO:     {}", s.io.sequential())?;
+    writeln!(out, "random IO:         {}", s.io.random())?;
+    writeln!(out, "phase 1:           {:.2?} ({} batches → {} survivors)",
+        s.phase1_time, s.phase1_batches, s.phase1_survivors)?;
+    writeln!(out, "phase 2:           {:.2?} ({} batches)", s.phase2_time, s.phase2_batches)?;
+    writeln!(out, "total:             {:.2?}", s.total_time)
 }
 
 /// Prints pruner witnesses for exclusions near the result (`--explain`).
-fn print_explain(ds: &Dataset, query: &Query, result_len: usize) {
+fn print_explain(out: &mut impl Write, ds: &Dataset, query: &Query, result_len: usize) -> io::Result<()> {
     let ex = rsky_algos::explain(ds, query);
     let mut shown = 0;
-    println!("\n--- exclusions near the result (witnesses) ---");
+    writeln!(out, "\n--- exclusions near the result (witnesses) ---")?;
     for (id, m) in &ex.entries {
         if let rsky_algos::Membership::PrunedBy { witness } = m {
-            println!("object {id} pruned by {witness}");
+            writeln!(out, "object {id} pruned by {witness}")?;
             shown += 1;
             if shown >= 20 {
-                println!("… ({} more exclusions)", ds.len() - result_len - shown);
+                writeln!(out, "… ({} more exclusions)", ds.len() - result_len - shown)?;
                 break;
             }
         }
     }
+    Ok(())
 }
 
 /// Renders the run outcome as one JSON object: ids, the `RunStats` totals,

@@ -541,3 +541,62 @@ fn helpful_errors() {
     assert!(ok);
     assert!(text.contains("--memory PCT"), "{text}");
 }
+
+#[test]
+fn query_survives_a_closed_stdout() {
+    let data = tmpdata("closed-stdout");
+    let (ok, t) = run(&[
+        "generate", "--kind", "normal", "--n", "2000", "--attrs", "3", "--values", "8", "--out",
+        &data,
+    ]);
+    assert!(ok, "{t}");
+    let trace = std::env::temp_dir()
+        .join(format!("rsky-clitest-closed-stdout-{}.jsonl", std::process::id()));
+    let mut child = Command::new(bin())
+        .args(["query", "--data", &data, "--query", "1,2,3", "--algo", "trs", "--trace-out"])
+        .arg(&trace)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn rsky query");
+    // The reader goes before the query has loaded its data, so every line
+    // it prints meets a closed pipe.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("query exit");
+    assert!(out.status.success(), "{:?}: {}", out.status, String::from_utf8_lossy(&out.stderr));
+    let (ok, text) = run(&["trace", "--in", trace.to_str().unwrap()]);
+    assert!(ok, "{text}");
+    assert!(text.contains("1 trace(s), ") && text.contains(" 0 orphan(s)"), "{text}");
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_dir_all(&data);
+}
+
+#[test]
+fn file_backend_query_removes_its_page_files() {
+    let data = tmpdata("file-backend");
+    let (ok, t) = run(&[
+        "generate", "--kind", "normal", "--n", "2000", "--attrs", "3", "--values", "8", "--out",
+        &data,
+    ]);
+    assert!(ok, "{t}");
+    let tmp = tmpdata("file-backend-tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
+    // A query that runs, and one that fails after its disk has pages
+    // (the engine name is checked once the table is loaded).
+    for (algo, succeeds) in [("trs", true), ("no-such-engine", false)] {
+        let out = Command::new(bin())
+            .env("TMPDIR", &tmp)
+            .args(["query", "--data", &data, "--query", "1,2,3", "--algo", algo, "--file-backend"])
+            .output()
+            .expect("spawn rsky query");
+        assert_eq!(out.status.success(), succeeds, "{}", String::from_utf8_lossy(&out.stderr));
+        let left: Vec<String> = std::fs::read_dir(&tmp)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("rsky-cli-"))
+            .collect();
+        assert!(left.is_empty(), "--algo {algo} left {left:?} in TMPDIR");
+    }
+    let _ = std::fs::remove_dir_all(&tmp);
+    let _ = std::fs::remove_dir_all(&data);
+}

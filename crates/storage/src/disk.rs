@@ -333,6 +333,31 @@ impl Disk {
     }
 }
 
+/// A directory that is removed, with everything in it, when the guard is
+/// dropped: the page files of a file-backed [`Disk`] that must not outlive
+/// its run, on success and on error alike. Make the guard before the disk,
+/// so the disk is dropped first.
+#[derive(Debug)]
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Guards `dir`, which need not exist yet.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        Self(dir.into())
+    }
+
+    /// The guarded directory.
+    pub fn path(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,7 +43,7 @@ pub mod shared;
 pub use budget::MemoryBudget;
 pub use cache::PageCache;
 pub use columnar::ColumnarBatch;
-pub use disk::{Backend, Disk, FileId, DEFAULT_PAGE_SIZE};
+pub use disk::{Backend, Disk, FileId, ScratchDir, DEFAULT_PAGE_SIZE};
 pub use mutation::{MutationEvent, MutationKind};
 pub use recfile::{RecordFile, RecordWriter};
 pub use shard::{partition_rows, ShardPolicy, ShardSpec};
