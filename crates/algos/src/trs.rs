@@ -127,10 +127,18 @@ impl TrsOptions {
     }
 }
 
-/// How many witnesses phase one keeps per batch tree: the smallest of 1, 2,
-/// 4 and 8 that no larger pool beat on perfbench's warm-mem and cold-file
-/// `trs_ms` (the runs are in CHANGES.md).
-pub(crate) const WITNESS_POOL: usize = 4;
+/// How many witnesses phase one keeps per batch tree: the smallest pool
+/// that no larger pool beats on warm-mem's and cold-file's `trs_ms`. First
+/// set to 4 over {1, 2, 4, 8} for a test of every attribute at every leaf;
+/// re-swept over {4, 8, 16} once the test became one per leaf parent,
+/// since a cheaper test moves the trade between probing and walking.
+/// perfbench could not tell the three apart beyond its noise, so paired
+/// in-process runs on the workloads' data decided: against 4, 8 took
+/// 0.90–0.95 of the time on the Census-like data and 0.93–1.00 on normal
+/// 5 × 50; against 8, 16 took 0.91–1.12 on the Census-like data but did
+/// not beat it on normal 5 × 50 (0.81–1.04 at n = 100k, 0.99–1.06 at
+/// n = 10k). The runs are in CHANGES.md.
+pub(crate) const WITNESS_POOL: usize = 8;
 
 /// Algorithms 3–5. Expects a table in [`crate::prep::Layout::MultiSort`]
 /// (T-TRS: [`crate::prep::Layout::Tiled`]); correct on any layout, but batch
