@@ -49,6 +49,7 @@ pub fn run(argv: &[String]) -> Result<()> {
     let obs = CliObs::install(&flags)?;
     let mut out = ClosableStdout { out: io::stdout().lock(), closed: false };
     query(&flags, &obs, &mut out)?;
+    out.flush()?;
     obs.finish()
 }
 
